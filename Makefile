@@ -4,7 +4,7 @@
   domain-smoke serve-smoke bench-lint stats-golden bench-check \
   bench-baseline bench-speed bench-speed-report bench-serve \
   bench-serve-report trace-golden cond-smoke metrics-check \
-  metrics-baseline metrics-smoke
+  metrics-baseline metrics-smoke perfbench
 
 all:
 	dune build
@@ -124,8 +124,9 @@ bench-baseline:
 # bench_results/BENCH_speed.json so the trajectory across PRs is kept.
 # Report-only in CI: timings are machine-dependent, so the gate for perf
 # work is the counter baseline (bench-check), not this file.
+# `make bench-speed NOTE="..."` labels the appended run.
 bench-speed:
-	dune exec bench/speed.exe -- --reps 1000
+	dune exec bench/speed.exe -- --reps 1000 --note "$(NOTE)"
 
 bench-speed-report:
 	dune exec bench/speed.exe -- --reps 300 --no-write
@@ -176,6 +177,15 @@ metrics-smoke:
 	  --metrics-format json
 	dune exec bin/lslpc.exe -- metrics-verify _build/metrics_smoke.json \
 	  --metrics-format json --expect-degradations 2
+
+# One workload of the one-command benchmark (see BENCHMARK.json and
+# README "Benchmark"): W = catalog | chains | batch-mixed, T = 1 for the
+# traced per-layer run.
+W ?= chains
+SEED ?= 1
+T ?= 0
+perfbench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 10 --trace $(T)
 
 bench:
 	dune exec bench/main.exe

@@ -12,9 +12,11 @@
    post-vectorization rescheduling sound.
 
    Built over a per-block [Arena]: positions and may-alias queries are
-   array reads and int compares off the arena's precomputed address table,
-   and reachability is one flat byte matrix instead of an array of
-   arrays. *)
+   array reads and int compares off the arena's precomputed address table.
+   Reachability is a bit matrix packed 64 lanes to a word: row i is
+   [stride = 8 * ceil(n / 64)] bytes with bit j set when i transitively
+   depends on j, so a snapshot costs n^2/8 bytes, the closure merges rows a
+   whole word at a time, and a query is one byte read plus a mask. *)
 
 open Lslp_ir
 
@@ -22,7 +24,8 @@ type t = {
   arena : Arena.t;
   preds : int list array;   (* direct dependencies (positions) *)
   n : int;
-  reach : Bytes.t;          (* reach[i*n+j]: i transitively depends on j *)
+  stride : int;             (* bytes per reach row, a multiple of 8 *)
+  reach : Bytes.t;          (* bit j of row i: i transitively depends on j *)
 }
 
 let direct_preds (arena : Arena.t) =
@@ -66,19 +69,27 @@ let build_arena (arena : Arena.t) =
   let preds = direct_preds arena in
   (* transitive closure by memoized DFS (data edges may point forward in
      position, so a positional sweep is not enough) *)
-  let reach = Bytes.make (n * n) '\000' in
+  let stride = 8 * ((n + 63) / 64) in
+  let reach = Bytes.make (n * stride) '\000' in
   let visited = Bytes.make (max n 1) '\000' in
   let rec close i =
     if Bytes.unsafe_get visited i = '\000' then begin
       Bytes.unsafe_set visited i '\001';
+      let ri = i * stride in
       List.iter
         (fun j ->
-          Bytes.unsafe_set reach ((i * n) + j) '\001';
+          let b = ri + (j lsr 3) in
+          Bytes.unsafe_set reach b
+            (Char.unsafe_chr
+               (Char.code (Bytes.unsafe_get reach b) lor (1 lsl (j land 7))));
           close j;
-          let ri = i * n and rj = j * n in
-          for k = 0 to n - 1 do
-            if Bytes.unsafe_get reach (rj + k) <> '\000' then
-              Bytes.unsafe_set reach (ri + k) '\001'
+          let rj = j * stride in
+          for w = 0 to (stride / 8) - 1 do
+            let o = 8 * w in
+            Bytes.set_int64_ne reach (ri + o)
+              (Int64.logor
+                 (Bytes.get_int64_ne reach (ri + o))
+                 (Bytes.get_int64_ne reach (rj + o)))
           done)
         preds.(i)
     end
@@ -86,7 +97,7 @@ let build_arena (arena : Arena.t) =
   for i = 0 to n - 1 do
     close i
   done;
-  { arena; preds; n; reach }
+  { arena; preds; n; stride; reach }
 
 let build block = build_arena (Arena.of_block block)
 
@@ -99,7 +110,10 @@ let position t (i : Instr.t) =
   | -1 -> invalid_arg "Depgraph: instruction not in block"
   | p -> p
 
-let reaches t i j = Bytes.unsafe_get t.reach ((i * t.n) + j) <> '\000'
+let reaches t i j =
+  Char.code (Bytes.unsafe_get t.reach ((i * t.stride) + (j lsr 3)))
+  land (1 lsl (j land 7))
+  <> 0
 
 let depends t a ~on = reaches t (position t a) (position t on)
 
@@ -109,60 +123,64 @@ let independent t insts =
     (fun p -> List.for_all (fun q -> p = q || not (reaches t p q)) ps)
     ps
 
-(* Acyclicity after contracting each group to a single node: the real
-   schedulability criterion for a whole SLP graph.  Groups must be disjoint
-   lists of block instructions.  Group ids live in [0, 2n): the first are
-   the caller's groups, instructions left alone keep singleton ids, so
-   plain int arrays index everything — no hashed adjacency. *)
-let schedulable_groups t groups =
-  let n = t.n in
-  let group_of = Array.init n (fun i -> i + n) (* singleton ids *) in
-  List.iteri
-    (fun gid members ->
-      List.iter (fun m -> group_of.(position t m) <- gid) members)
-    groups;
-  let id_count = 2 * n in
-  let adj = Array.make (max id_count 1) [] in
-  let add_edge src dst =
-    if src <> dst && not (List.mem src adj.(dst)) then
-      adj.(dst) <- src :: adj.(dst)
+(* Kahn's algorithm with a binary min-heap of ready units.  Unit edges
+   come straight off the direct [preds], never the closure, yet the order
+   is the one testing every transitive pair would give: the emitted set is
+   always closed under dependences, so "all direct preds emitted" and "all
+   transitive preds emitted" pick the same ready set at every step, and a
+   contraction of the direct graph is cyclic exactly when the contraction
+   of its closure is.  Duplicate unit edges are counted, not filtered, so
+   the edges cost O(n + E) and the heap O(U log U): O((n + E) log U). *)
+let schedule t ~unit_of ~key =
+  let units = Array.length key in
+  (* unit edges v -> u in CSR form: v's successors are
+     [succ.(start.(v)) .. succ.(start.(v + 1) - 1)] *)
+  let indeg = Array.make units 0 and start = Array.make (units + 1) 0 in
+  let iter_edges f =
+    for i = 0 to t.n - 1 do
+      let u = unit_of.(i) in
+      List.iter (fun j -> if unit_of.(j) <> u then f unit_of.(j) u) t.preds.(i)
+    done
   in
-  for i = 0 to n - 1 do
-    List.iter (fun j -> add_edge group_of.(j) group_of.(i)) t.preds.(i)
+  iter_edges (fun v u ->
+      indeg.(u) <- indeg.(u) + 1;
+      start.(v + 1) <- start.(v + 1) + 1);
+  for v = 1 to units do
+    start.(v) <- start.(v) + start.(v - 1)
   done;
-  (* cycle detection over the condensed graph: 0 unseen, 1 visiting, 2 done *)
-  let state = Array.make (max id_count 1) 0 in
-  let rec acyclic_from node =
-    match state.(node) with
-    | 1 -> false
-    | 2 -> true
-    | _ ->
-      state.(node) <- 1;
-      let ok = List.for_all acyclic_from adj.(node) in
-      state.(node) <- 2;
-      ok
+  let succ = Array.make start.(units) 0 and fill = Array.sub start 0 units in
+  iter_edges (fun v u ->
+      succ.(fill.(v)) <- u;
+      fill.(v) <- fill.(v) + 1);
+  (* binary min-heap of ready units, least [(key, unit)] at the root *)
+  let heap = Array.make units 0 and size = ref 0 in
+  let before a b = key.(a) < key.(b) || (key.(a) = key.(b) && a < b) in
+  let rec sift_up u c =
+    let p = (c - 1) / 2 in
+    if c > 0 && before u heap.(p) then (heap.(c) <- heap.(p); sift_up u p)
+    else heap.(c) <- u
   in
-  let rec all_ok i = i >= n || (acyclic_from group_of.(i) && all_ok (i + 1)) in
-  all_ok 0
-
-(* Stable topological order: keep original relative order wherever the
-   dependence graph allows it.  Used to restore def-before-use after code
-   generation appends vector instructions at arbitrary points. *)
-let topo_order block =
-  let t = build block in
-  let n = t.n in
-  let emitted = Array.make (max n 1) false in
-  let order = ref [] in
-  let rec emit i =
-    if not emitted.(i) then begin
-      emitted.(i) <- true;
-      List.iter emit (List.sort Int.compare t.preds.(i));
-      order := Arena.instr t.arena i :: !order
-    end
+  let rec sift_down u c =
+    let l = (2 * c) + 1 and r = (2 * c) + 2 in
+    let m = if r < !size && before heap.(r) heap.(l) then r else l in
+    if m < !size && before heap.(m) u then (heap.(c) <- heap.(m); sift_down u m)
+    else heap.(c) <- u
   in
-  for i = 0 to n - 1 do
-    emit i
+  let push u = incr size; sift_up u (!size - 1) in
+  for u = 0 to units - 1 do
+    if indeg.(u) = 0 then push u
   done;
-  List.rev !order
-
-let reschedule block = Block.set_order block (topo_order block)
+  let order = Array.make units 0 and emitted = ref 0 in
+  while !size > 0 do
+    let v = heap.(0) in
+    decr size;
+    sift_down heap.(!size) 0;
+    order.(!emitted) <- v;
+    incr emitted;
+    for e = start.(v) to start.(v + 1) - 1 do
+      let u = succ.(e) in
+      indeg.(u) <- indeg.(u) - 1;
+      if indeg.(u) = 0 then push u
+    done
+  done;
+  if !emitted = units then Some order else None

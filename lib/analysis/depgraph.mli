@@ -2,7 +2,8 @@
 
     Any topological order of this graph preserves straight-line semantics;
     that fact underlies both the bundle-schedulability check (contract groups,
-    test acyclicity) and post-vectorization rescheduling. *)
+    test acyclicity) and post-vectorization rescheduling, which are one
+    operation here: {!schedule}. *)
 
 open Lslp_ir
 
@@ -27,20 +28,19 @@ val depends : t -> Instr.t -> on:Instr.t -> bool
 
 val reaches : t -> int -> int -> bool
 (** [depends] by compact index (position in the underlying arena): one
-    byte read, no id lookup.  Unchecked — callers index with positions
-    obtained from {!arena}. *)
+    byte read and a mask into the bit-packed closure, no id lookup.
+    Unchecked — callers index with positions obtained from {!arena}. *)
 
 val independent : t -> Instr.t list -> bool
 (** No member transitively depends on another — the paper's per-bundle
     "schedulable" termination condition. *)
 
-val schedulable_groups : t -> Instr.t list list -> bool
-(** Whole-graph check: contracting each group to one node leaves the
-    dependence graph acyclic. *)
-
-val topo_order : Block.t -> Instr.t list
-(** Stable topological order: original order preserved wherever dependences
-    allow. *)
-
-val reschedule : Block.t -> unit
-(** Reorder the block into {!topo_order}. *)
+val schedule : t -> unit_of:int array -> key:int array -> int array option
+(** Stable topological order of a contraction: instruction position [i]
+    belongs to unit [unit_of.(i)], and the units are [0 .. Array.length
+    key - 1].  Repeatedly emits the ready unit (every unit it depends on
+    already emitted) with the least [(key.(u), u)], so with [key] = each
+    unit's earliest member position the original order survives wherever
+    the dependences allow it.  [None] when the contraction is cyclic — the
+    units cannot be scheduled together.  O((n + E) log U) for n
+    instructions, E direct dependences and U units. *)

@@ -8,10 +8,13 @@
    Scheduling: rather than reasoning about a single insertion point, the
    whole block is rebuilt.  Each graph node (group or whole multi-node) is a
    *unit*; every remaining scalar instruction is a singleton unit; unit
-   dependences are induced from the instruction-level dependence graph (data
-   + memory).  A stable topological order of the units is a valid schedule
-   of the transformed block — and if the contraction is cyclic the bundles
-   were not schedulable together, so we abort before mutating anything. *)
+   dependences are induced from the direct edges of the instruction-level
+   dependence graph (data + memory).  [Depgraph.schedule] orders the units
+   with a min-key heap in O((n + E) log U); since the emitted set stays
+   closed under dependences, direct edges give the same stable order as the
+   transitive closure would.  That order is a valid schedule of the
+   transformed block — and if the contraction is cyclic the bundles were
+   not schedulable together, so we abort before mutating anything. *)
 
 open Lslp_ir
 open Lslp_analysis
@@ -58,6 +61,40 @@ let element_scalar (i : Instr.t) =
       error "no element type for bundle member %%%d (%s)" i.Instr.id
         (Instr.opclass_name (Instr.opclass i)))
 
+let vector_nodes graph =
+  List.filter
+    (fun (n : Graph.node) ->
+      match n.Graph.shape with
+      | Graph.Group _ | Graph.Multi _ -> true
+      | Graph.Gather _ -> false)
+    (Graph.nodes graph)
+
+let units ?reduction graph arena =
+  let n = Arena.size arena in
+  (* compact index -> unit; every block instruction gets exactly one *)
+  let unit_of = Array.make n (-1) in
+  let num_units = ref 0 in
+  let claim insts =
+    List.iter (fun (i : Instr.t) -> unit_of.(Arena.idx arena i) <- !num_units)
+      insts;
+    incr num_units
+  in
+  List.iter (fun node -> claim (node_members node)) (vector_nodes graph);
+  (* the reduction chain, if any, forms one additional unit *)
+  Option.iter (fun r -> claim r.red_chain) reduction;
+  (* surviving scalars become singleton units, in program order *)
+  for k = 0 to n - 1 do
+    if unit_of.(k) < 0 then begin
+      unit_of.(k) <- !num_units;
+      incr num_units
+    end
+  done;
+  let key = Array.make !num_units max_int in
+  for k = n - 1 downto 0 do
+    key.(unit_of.(k)) <- k
+  done;
+  (unit_of, key)
+
 let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
     ?deps (graph : Graph.t) (block : Block.t) : outcome =
   (* [deps] shares the dependence graph (and arena snapshot) the caller
@@ -67,91 +104,16 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
   in
   let arena = Depgraph.arena deps in
   let n = Arena.size arena in
-  (* ---- units ---------------------------------------------------- *)
-  let vector_nodes =
-    List.filter
-      (fun (n : Graph.node) ->
-        match n.Graph.shape with
-        | Graph.Group _ | Graph.Multi _ -> true
-        | Graph.Gather _ -> false)
-      (Graph.nodes graph)
+  let unit_of, key = units ?reduction graph arena in
+  let node_arr = Array.of_list (vector_nodes graph) in
+  let num_node_units = Array.length node_arr in
+  let first_scalar_unit =
+    num_node_units + match reduction with Some _ -> 1 | None -> 0
   in
-  (* compact index -> unit; every block instruction gets exactly one *)
-  let unit_of = Array.make (max n 1) (-1) in
-  List.iteri
-    (fun u node ->
-      List.iter
-        (fun (i : Instr.t) -> unit_of.(Arena.idx arena i) <- u)
-        (node_members node))
-    vector_nodes;
-  let num_node_units = List.length vector_nodes in
-  (* the reduction chain, if any, forms one additional unit *)
-  let chain_unit =
-    match reduction with
-    | Some r ->
-      List.iter
-        (fun (i : Instr.t) -> unit_of.(Arena.idx arena i) <- num_node_units)
-        r.red_chain;
-      1
-    | None -> 0
-  in
-  (* surviving scalars become singleton units, in program order *)
-  let num_units = ref (num_node_units + chain_unit) in
-  for k = 0 to n - 1 do
-    if unit_of.(k) < 0 then begin
-      unit_of.(k) <- !num_units;
-      incr num_units
-    end
-  done;
-  let num_units = !num_units in
-  let members = Array.make (max num_units 1) [] in
-  let key = Array.make (max num_units 1) max_int in
-  for k = 0 to n - 1 do
-    let u = unit_of.(k) in
-    members.(u) <- Arena.instr arena k :: members.(u);
-    if key.(u) = max_int then key.(u) <- k
-  done;
-  (* ---- unit dependence edges ------------------------------------ *)
-  let preds = Array.make (max num_units 1) [] in
-  let seen = Bytes.make (max (num_units * num_units) 1) '\000' in
-  for i = 0 to n - 1 do
-    let u = unit_of.(i) in
-    for j = 0 to n - 1 do
-      if unit_of.(j) <> u && Depgraph.reaches deps i j then begin
-        let v = unit_of.(j) in
-        let c = (u * num_units) + v in
-        if Bytes.unsafe_get seen c = '\000' then begin
-          Bytes.unsafe_set seen c '\001';
-          preds.(u) <- v :: preds.(u)
-        end
-      end
-    done
-  done;
-  (* ---- stable topological order (Kahn, min-key first) ------------ *)
-  let emitted = Array.make num_units false in
-  let order = ref [] in
-  let remaining = ref num_units in
-  let progress = ref true in
-  while !remaining > 0 && !progress do
-    progress := false;
-    let best = ref (-1) in
-    for u = 0 to num_units - 1 do
-      if (not emitted.(u))
-         && List.for_all (fun p -> emitted.(p)) preds.(u)
-         && (!best = -1 || key.(u) < key.(!best))
-      then best := u
-    done;
-    if !best >= 0 then begin
-      emitted.(!best) <- true;
-      order := !best :: !order;
-      decr remaining;
-      progress := true
-    end
-  done;
-  if !remaining > 0 then Not_schedulable
-  else begin
+  match Depgraph.schedule deps ~unit_of ~key with
+  | None -> Not_schedulable
+  | Some order -> (
     try
-    let order = List.rev !order in
     (* ---- emission -------------------------------------------------- *)
     let out = ref [] in
     (* [push] is for freshly materialized instructions (vector ops, gathers,
@@ -272,120 +234,56 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
           | Graph.Group insts -> (
             let lanes = Array.length insts in
             let i0 = insts.(0) in
+            (* the group's operand nodes, emitted in order *)
+            let operands what want =
+              let cs =
+                Array.of_list (List.map emit_node (Graph.children graph n))
+              in
+              if Array.length cs <> want then
+                error "%d-lane %s group has %d operand node(s), want %d" lanes
+                  what (Array.length cs) want;
+              cs
+            in
+            let wide name kind ty =
+              let i = Instr.create ~name kind ty in
+              push i;
+              record ~lanes:insts ~vector:i;
+              Instr.Ins i
+            in
+            let vec_ty () = Types.vec (element_scalar i0) lanes in
+            let addr a = { a with Instr.access_lanes = lanes } in
             match i0.Instr.kind with
             | Instr.Load a ->
-              let addr = { a with Instr.access_lanes = lanes } in
-              let i =
-                Instr.create ~name:"vload" (Instr.Load addr)
-                  (Types.vec addr.Instr.elt lanes)
-              in
-              push i;
-              record ~lanes:insts ~vector:i;
-              Instr.Ins i
+              let a = addr a in
+              wide "vload" (Instr.Load a) (Types.vec a.Instr.elt lanes)
             | Instr.Store (a, _) ->
-              let child =
-                match Graph.children graph n with
-                | [ c ] -> emit_node c
-                | cs ->
-                  error "%d-lane store group has %d operand node(s), want 1"
-                    lanes (List.length cs)
-              in
-              let addr = { a with Instr.access_lanes = lanes } in
-              let i =
-                Instr.create ~name:"vstore" (Instr.Store (addr, child))
-                  Types.Void
-              in
-              push i;
-              record ~lanes:insts ~vector:i;
-              Instr.Ins i
+              let c = operands "store" 1 in
+              wide "vstore" (Instr.Store (addr a, c.(0))) Types.Void
             | Instr.Binop (op, _, _) ->
-              let children = List.map emit_node (Graph.children graph n) in
-              (match children with
-               | [ a; b ] ->
-                 let ty = Types.vec (element_scalar i0) lanes in
-                 let i =
-                   Instr.create ~name:"v" (Instr.Binop (op, a, b)) ty
-                 in
-                 push i;
-                 record ~lanes:insts ~vector:i;
-                 Instr.Ins i
-               | cs ->
-                 error "%d-lane binop group has %d operand node(s), want 2"
-                   lanes (List.length cs))
+              let c = operands "binop" 2 in
+              wide "v" (Instr.Binop (op, c.(0), c.(1))) (vec_ty ())
             | Instr.Unop (op, _) ->
-              let children = List.map emit_node (Graph.children graph n) in
-              (match children with
-               | [ a ] ->
-                 let ty = Types.vec (element_scalar i0) lanes in
-                 let i = Instr.create ~name:"v" (Instr.Unop (op, a)) ty in
-                 push i;
-                 record ~lanes:insts ~vector:i;
-                 Instr.Ins i
-               | cs ->
-                 error "%d-lane unop group has %d operand node(s), want 1"
-                   lanes (List.length cs))
+              let c = operands "unop" 1 in
+              wide "v" (Instr.Unop (op, c.(0))) (vec_ty ())
             | Instr.Cmp (op, _, _) ->
-              let children = List.map emit_node (Graph.children graph n) in
-              (match children with
-               | [ a; b ] ->
-                 (* i0 is i1-typed, so element_scalar yields I1: the wide
-                    compare produces the vector mask directly *)
-                 let ty = Types.vec (element_scalar i0) lanes in
-                 let i = Instr.create ~name:"vcmp" (Instr.Cmp (op, a, b)) ty in
-                 push i;
-                 record ~lanes:insts ~vector:i;
-                 Instr.Ins i
-               | cs ->
-                 error "%d-lane cmp group has %d operand node(s), want 2"
-                   lanes (List.length cs))
+              (* i0 is i1-typed, so element_scalar yields I1: the wide
+                 compare produces the vector mask directly *)
+              let c = operands "cmp" 2 in
+              wide "vcmp" (Instr.Cmp (op, c.(0), c.(1))) (vec_ty ())
             | Instr.Select _ ->
-              let children = List.map emit_node (Graph.children graph n) in
-              (match children with
-               | [ m; a; b ] ->
-                 let ty = Types.vec (element_scalar i0) lanes in
-                 let i =
-                   Instr.create ~name:"vsel" (Instr.Select (m, a, b)) ty
-                 in
-                 push i;
-                 record ~lanes:insts ~vector:i;
-                 Instr.Ins i
-               | cs ->
-                 error "%d-lane select group has %d operand node(s), want 3"
-                   lanes (List.length cs))
+              let c = operands "select" 3 in
+              wide "vsel" (Instr.Select (c.(0), c.(1), c.(2))) (vec_ty ())
             | Instr.Masked_load (a, _, _) ->
-              let children = List.map emit_node (Graph.children graph n) in
-              (match children with
-               | [ m; p ] ->
-                 let addr = { a with Instr.access_lanes = lanes } in
-                 let i =
-                   Instr.create ~name:"vmload"
-                     (Instr.Masked_load (addr, m, p))
-                     (Types.vec addr.Instr.elt lanes)
-                 in
-                 push i;
-                 record ~lanes:insts ~vector:i;
-                 Instr.Ins i
-               | cs ->
-                 error
-                   "%d-lane masked-load group has %d operand node(s), want 2"
-                   lanes (List.length cs))
+              let c = operands "masked-load" 2 in
+              let a = addr a in
+              wide "vmload"
+                (Instr.Masked_load (a, c.(0), c.(1)))
+                (Types.vec a.Instr.elt lanes)
             | Instr.Masked_store (a, _, _) ->
-              let children = List.map emit_node (Graph.children graph n) in
-              (match children with
-               | [ v; m ] ->
-                 let addr = { a with Instr.access_lanes = lanes } in
-                 let i =
-                   Instr.create ~name:"vmstore"
-                     (Instr.Masked_store (addr, v, m))
-                     Types.Void
-                 in
-                 push i;
-                 record ~lanes:insts ~vector:i;
-                 Instr.Ins i
-               | cs ->
-                 error
-                   "%d-lane masked-store group has %d operand node(s), want 2"
-                   lanes (List.length cs))
+              let c = operands "masked-store" 2 in
+              wide "vmstore"
+                (Instr.Masked_store (addr a, c.(0), c.(1)))
+                Types.Void
             | Instr.Splat _ | Instr.Buildvec _ | Instr.Extract _
             | Instr.Reduce _ | Instr.Shuffle _ ->
               (* unreachable: Bundle.classify rejects vector-only opcodes
@@ -428,7 +326,6 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
         vec_vals.(n.Graph.slot) <- Some v;
         v
     in
-    let node_arr = Array.of_list vector_nodes in
     let emit_reduction (r : reduction) =
       let chunk_vecs = List.map emit_node r.red_chunks in
       let elt = element_scalar r.red_root in
@@ -474,22 +371,18 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
       in
       replacements.(slot_of r.red_root) <- Some final
     in
-    List.iter
+    Array.iter
       (fun u ->
         if u < num_node_units then ignore (emit_node node_arr.(u))
-        else if u < num_node_units + chain_unit then
+        else if u < first_scalar_unit then
           emit_reduction (Option.get reduction)
-        else
-          match members.(u) with
-          | [ i ] ->
-            Instr.map_operands subst i;
-            incr scalar_repushes;
-            repush i
-          | ms ->
-            (* unreachable: scalar units are built as singletons above *)
-            invalid_arg
-              (Fmt.str "Codegen: scalar unit %d has %d members" u
-                 (List.length ms)))
+        else begin
+          (* a scalar unit's key is its one member's position *)
+          let i = Arena.instr arena key.(u) in
+          Instr.map_operands subst i;
+          incr scalar_repushes;
+          repush i
+        end)
       order;
     Option.iter
       (fun p ->
@@ -505,5 +398,4 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
       (* Emission may have half-rewritten the block (operand substitutions
          on surviving scalars happen in place); the transactional pipeline
          rolls the region back when it sees [Failed]. *)
-      Failed msg
-  end
+      Failed msg)

@@ -32,6 +32,13 @@ type reduction = {
   red_remainder : Instr.value list;  (** leaves folded scalar after reduce *)
 }
 
+val units : ?reduction:reduction -> Graph.t -> Arena.t -> int array * int array
+(** The contraction {!run} schedules, as [(unit_of, key)] for
+    {!Lslp_analysis.Depgraph.schedule}: each group or multi-node of the
+    graph is one unit (in node order), the reduction chain the next, and
+    every other instruction a singleton unit in program order; a unit's key
+    is its earliest member position. *)
+
 val run :
   ?reduction:reduction ->
   ?record:(lanes:Instr.t array -> vector:Instr.t -> unit) ->

@@ -137,7 +137,8 @@ bench-speed-report:
 # The warm-vs-cold speedup is gated at 5x — that ratio measures work
 # skipped safely, which unlike wall-clock survives noisy runners.
 bench-serve:
-	dune exec bench/serve.exe -- --reps 1000 --min-warm-speedup 5
+	dune exec bench/serve.exe -- --reps 1000 --min-warm-speedup 5 \
+	  --note "$(NOTE)"
 
 bench-serve-report:
 	dune exec bench/serve.exe -- --reps 100 --no-write --min-warm-speedup 5

@@ -1004,8 +1004,7 @@ let domains_cmd =
             b)
         (Lslp_ir.Func.blocks g);
       let ir =
-        Lslp_fuzz.Fuzz.normalize_ids
-          (Fmt.str "%a" Lslp_ir.Printer.pp_func g)
+        Lslp_fuzz.Fuzz.normalize_ids (Lslp_ir.Printer.func_to_string g)
       in
       let remarks =
         Lslp_fuzz.Fuzz.normalize_ids

@@ -227,7 +227,7 @@ let run_cache_diff ?(cases = 200) ?(seed = 42) () : stats =
           Pipeline.run ~config:(Config.with_score_cache cache config)
             candidate
         in
-        (report, normalize_ids (Fmt.str "%a" Printer.pp_func candidate))
+        (report, normalize_ids (Printer.func_to_string candidate))
       in
       match (run_one true, run_one false) with
       | exception e ->

@@ -80,23 +80,36 @@ let mem_symbol s a = List.mem_assoc s a.terms
 let eval ~env a =
   List.fold_left (fun acc (s, c) -> acc + (c * env s)) a.const a.terms
 
-let pp ppf a =
-  let pp_term first ppf (s, c) =
-    if c = 1 then Fmt.pf ppf (if first then "%s" else " + %s") s
-    else if c = -1 then Fmt.pf ppf (if first then "-%s" else " - %s") s
-    else if c >= 0 then Fmt.pf ppf (if first then "%d*%s" else " + %d*%s") c s
-    else
-      Fmt.pf ppf (if first then "-%d*%s" else " - %d*%s") (abs c) s
+(* The one text form of an affine index: [pp] and [to_string] wrap it, and
+   the IR printer calls it directly. *)
+let bprint buf a =
+  let add = Buffer.add_string buf in
+  let sign ~first c =
+    if c < 0 then add (if first then "-" else " - ")
+    else if not first then add " + "
+  in
+  let term ~first (s, c) =
+    sign ~first c;
+    if abs c <> 1 then (
+      add (string_of_int (abs c));
+      add "*");
+    add s
   in
   match a.terms with
-  | [] -> Fmt.int ppf a.const
+  | [] -> add (string_of_int a.const)
   | t0 :: rest ->
-    pp_term true ppf t0;
-    List.iter (pp_term false ppf) rest;
-    if a.const > 0 then Fmt.pf ppf " + %d" a.const
-    else if a.const < 0 then Fmt.pf ppf " - %d" (abs a.const)
+    term ~first:true t0;
+    List.iter (term ~first:false) rest;
+    if a.const <> 0 then (
+      sign ~first:false a.const;
+      add (string_of_int (abs a.const)))
 
-let to_string a = Fmt.str "%a" pp a
+let to_string a =
+  let buf = Buffer.create 16 in
+  bprint buf a;
+  Buffer.contents buf
+
+let pp ppf a = Fmt.string ppf (to_string a)
 
 let terms a = a.terms
 let const_part a = a.const

@@ -47,6 +47,10 @@ val mem_symbol : string -> t -> bool
 val eval : env:(string -> int) -> t -> int
 (** Evaluate under an assignment of the symbols. *)
 
+val bprint : Buffer.t -> t -> unit
+(** Appends the text form ([i + 2], [-3*j - 1], [4]); [pp] and [to_string]
+    are wrappers over it. *)
+
 val pp : t Fmt.t
 val to_string : t -> string
 

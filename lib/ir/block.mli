@@ -27,6 +27,10 @@ val label : t -> string
 val kind : t -> kind
 val loop_info : t -> loop_info option
 val is_loop : t -> bool
+
+val bprint_bound : Buffer.t -> bound -> unit
+(** Appends a loop bound's text form; [pp_bound] is a wrapper over it. *)
+
 val pp_bound : bound Fmt.t
 
 val trip_count : loop_info -> int option

@@ -31,7 +31,7 @@ let start_block b ?label ?(kind = Block.Straight) () =
     | None ->
       let n = b.next_block in
       b.next_block <- n + 1;
-      Fmt.str "b%d" n
+      "b" ^ string_of_int n
   in
   let blk = Block.create ~label ~kind () in
   Func.add_block b.func blk;
@@ -41,7 +41,8 @@ let start_block b ?label ?(kind = Block.Straight) () =
 let fresh_name b hint =
   let n = b.next_tmp in
   b.next_tmp <- n + 1;
-  if String.equal hint "" then Fmt.str "t%d" n else Fmt.str "%s%d" hint n
+  (* plain concatenation: this names every built instruction *)
+  (if String.equal hint "" then "t" else hint) ^ string_of_int n
 
 let iconst n = Instr.Const (Instr.Cint (Int64.of_int n))
 let iconst64 n = Instr.Const (Instr.Cint n)
@@ -63,11 +64,16 @@ let value_ty_exn v =
   | Some ty -> ty
   | None -> type_error "array argument used as a first-class value"
 
-let check_scalar_ty what expected v =
+(* [context arg] names the operand in the error text.  It runs only on the
+   error branch, so the store and masked-op checks, whose names embed the
+   array, build no string when the operand is well-typed. *)
+let check_scalar_ty_in context arg expected v =
   let ty = value_ty_exn v in
   if not (Types.equal ty (Types.Scalar expected)) then
-    type_error "%s expects %a operand, got %a" what Types.pp_scalar expected
-      Types.pp ty
+    type_error "%s expects %a operand, got %a" (context arg) Types.pp_scalar
+      expected Types.pp ty
+
+let check_scalar_ty what expected v = check_scalar_ty_in Fun.id what expected v
 
 (* Operand-driven element type: the IR's opcodes are width-polymorphic, so
    the result scalar comes from the first operand (class-checked), not from
@@ -127,15 +133,18 @@ let load b ?(name = "") ~base index =
 
 let store b ~base index v =
   let elt = array_elt b base in
-  check_scalar_ty (Fmt.str "store to %s" base) elt v;
+  check_scalar_ty_in (fun base -> "store to " ^ base) base elt v;
   let addr = { Instr.base; elt; index; access_lanes = 1 } in
   ignore (emit b (Instr.create (Instr.Store (addr, v)) Types.Void))
 
 let masked_load b ?(name = "") ~base index ~mask ~passthrough =
   let elt = array_elt b base in
-  check_scalar_ty (Fmt.str "masked.load from %s mask" base) Types.I1 mask;
-  check_scalar_ty (Fmt.str "masked.load from %s passthrough" base) elt
-    passthrough;
+  check_scalar_ty_in
+    (fun base -> "masked.load from " ^ base ^ " mask")
+    base Types.I1 mask;
+  check_scalar_ty_in
+    (fun base -> "masked.load from " ^ base ^ " passthrough")
+    base elt passthrough;
   let addr = { Instr.base; elt; index; access_lanes = 1 } in
   let name = fresh_name b (if String.equal name "" then "mld" else name) in
   emit b
@@ -145,8 +154,10 @@ let masked_load b ?(name = "") ~base index ~mask ~passthrough =
 
 let masked_store b ~base index v ~mask =
   let elt = array_elt b base in
-  check_scalar_ty (Fmt.str "masked.store to %s" base) elt v;
-  check_scalar_ty (Fmt.str "masked.store to %s mask" base) Types.I1 mask;
+  check_scalar_ty_in (fun base -> "masked.store to " ^ base) base elt v;
+  check_scalar_ty_in
+    (fun base -> "masked.store to " ^ base ^ " mask")
+    base Types.I1 mask;
   let addr = { Instr.base; elt; index; access_lanes = 1 } in
   ignore (emit b (Instr.create (Instr.Masked_store (addr, v, mask)) Types.Void))
 

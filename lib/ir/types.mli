@@ -46,6 +46,14 @@ val widen : t -> int -> t
 
 val equal_scalar : scalar -> scalar -> bool
 val equal : t -> t -> bool
+
+val scalar_name : scalar -> string
+(** ["i64"], ["f64"], ["i32"], ["f32"] or ["i1"]. *)
+
+val bprint : Buffer.t -> t -> unit
+(** Appends the text form ([i64], [<4 x f64>], [void]); [pp] and
+    [to_string] are wrappers over it. *)
+
 val pp_scalar : scalar Fmt.t
 val pp : t Fmt.t
 val to_string : t -> string

@@ -112,15 +112,19 @@ let compile_job t (job : job) ~inject ~deadline =
   | None -> (
     let func = Lslp_frontend.Lower.compile_string job.source in
     ignore (Lslp_frontend.Unroll.run ~factor:job.unroll func);
+    (* the content key is printed only when a cache looks it up *)
     let input_norm =
-      Lslp_util.Normalize.ids (Fmt.str "%a" Lslp_ir.Printer.pp_func func)
+      Option.map
+        (fun _ ->
+          Lslp_util.Normalize.ids (Lslp_ir.Printer.func_to_string func))
+        t.cache
     in
     let content_hit =
-      match t.cache with
-      | Some c ->
+      match (t.cache, input_norm) with
+      | Some c, Some input_norm ->
         Cache.find_by_ir c ~label:job.label ~source_key:skey ~input_norm
           ~fingerprint:t.fingerprint ~poison
-      | None -> None
+      | _ -> None
     in
     match content_hit with
     | Some payload -> success_of_cached job payload
@@ -142,17 +146,15 @@ let compile_job t (job : job) ~inject ~deadline =
         | None -> c
       in
       let report = Pipeline.run ~metrics:t.pass_metrics ~config func in
-      let ir =
-        Lslp_util.Normalize.ids (Fmt.str "%a" Lslp_ir.Printer.pp_func func)
-      in
+      let ir = Lslp_util.Normalize.ids (Lslp_ir.Printer.func_to_string func) in
       let remarks =
         List.map
           (Fmt.str "%a" Lslp_check.Remark.pp)
           report.Pipeline.remarks
       in
       let counters = counters_of_report report in
-      (match (t.cache, snap) with
-       | Some c, Some snap
+      (match (t.cache, snap, input_norm) with
+       | Some c, Some snap, Some input_norm
          when inject = None
               && report.Pipeline.degraded_regions = 0
               && Diagnostic.errors report.Pipeline.diagnostics = [] ->

@@ -10,7 +10,7 @@
 open Lslp_ir
 open Lslp_analysis
 
-let print_func f = Lslp_fuzz.Fuzz.normalize_ids (Fmt.str "%a" Printer.pp_func f)
+let print_func f = Lslp_fuzz.Fuzz.normalize_ids (Printer.func_to_string f)
 
 (* Naive recount of operand occurrences, straight off the block. *)
 let naive_uses (block : Block.t) =

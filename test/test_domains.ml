@@ -17,7 +17,7 @@ let snapshot (k : Catalog.kernel) =
   let f = Catalog.compile k in
   ignore (Lslp_frontend.Unroll.run ~factor:4 f);
   let report, g = Pipeline.run_cloned ~config f in
-  let ir = Fuzz.normalize_ids (Fmt.str "%a" Lslp_ir.Printer.pp_func g) in
+  let ir = Fuzz.normalize_ids (Lslp_ir.Printer.func_to_string g) in
   let remarks =
     Fuzz.normalize_ids
       (String.concat "\n"

@@ -210,14 +210,14 @@ let pool_deadline () =
 let deadline_restores () =
   let f = Catalog.compile_key "453.vsumsqr" in
   ignore (Lslp_frontend.Unroll.run ~factor:unroll f);
-  let before = Fmt.str "%a" Lslp_ir.Printer.pp_func f in
+  let before = Lslp_ir.Printer.func_to_string f in
   let config = Config.with_deadline (Budget.deadline 2) config in
   (match Lslp_core.Pipeline.run ~config f with
    | _ -> Alcotest.fail "a 2-step deadline cannot fit this kernel"
    | exception Budget.Deadline_expired { steps } ->
      Helpers.check_int "expired at the configured budget" 2 steps);
   Helpers.check_string "function restored on cancellation" before
-    (Fmt.str "%a" Lslp_ir.Printer.pp_func f)
+    (Lslp_ir.Printer.func_to_string f)
 
 (* ---- the verified cache ------------------------------------------- *)
 

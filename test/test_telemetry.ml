@@ -30,7 +30,7 @@ let run_with ~cache ?(config = Config.lslp) reference =
   let report =
     Pipeline.run ~config:(Config.with_score_cache cache config) candidate
   in
-  (report, Fuzz.normalize_ids (Fmt.str "%a" Printer.pp_func candidate))
+  (report, Fuzz.normalize_ids (Printer.func_to_string candidate))
 
 let total (report : Pipeline.report) =
   Report.total_counters report.Pipeline.telemetry

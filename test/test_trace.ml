@@ -32,7 +32,7 @@ let run_with ?(trace = false) ?(config = Config.lslp) reference =
   let candidate = Func.clone reference in
   ignore (Lslp_frontend.Unroll.run ~factor:unroll_factor candidate);
   let report = Pipeline.run ~config:(Config.with_trace trace config) candidate in
-  (report, Fuzz.normalize_ids (Fmt.str "%a" Printer.pp_func candidate))
+  (report, Fuzz.normalize_ids (Printer.func_to_string candidate))
 
 let traced ?config key =
   let report, _ = run_with ~trace:true ?config (kernel key) in

@@ -247,7 +247,8 @@ let loops () =
           List.sort_uniq String.compare
             (List.filter_map
                (fun r ->
-                 if r.Pipeline.vectorized then Some r.Pipeline.region_id
+                 if r.Lslp_check.Remark.outcome = Lslp_check.Remark.Vectorized
+                 then Some r.Lslp_check.Remark.block
                  else None)
                report.Pipeline.regions)
         with

@@ -241,15 +241,6 @@ let kernel_arg =
   let doc = "Use a built-in catalog kernel (see the kernels subcommand)." in
   Arg.(value & opt (some string) None & info [ "k"; "kernel" ] ~docv:"KEY" ~doc)
 
-let setup_logs verbose =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
-
-let verbose_arg =
-  Arg.(value & flag
-       & info [ "v"; "verbose" ] ~doc:"Log the pass's decisions as it runs.")
-
 let handle_errors f =
   try f () with
   | Lslp_frontend.Lexer.Error (msg, pos)
@@ -278,10 +269,8 @@ let print_diagnostics diags =
 
 let compile_cmd =
   let run file kernel config unroll inject dump_ir dump_graph quiet
-      verify_output no_cache stats stats_json trace_out trace_format verbose
-      =
+      verify_output no_cache stats stats_json trace_out trace_format =
     handle_errors @@ fun () ->
-    setup_logs verbose;
     let config =
       if verify_output then Lslp_core.Config.with_validate true config
       else config
@@ -336,15 +325,14 @@ let compile_cmd =
     Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
           $ inject_arg $ dump_ir $ dump_graph $ quiet $ verify_output_arg
           $ no_score_cache_arg $ stats_arg $ stats_json_arg $ trace_out_arg
-          $ trace_format_arg $ verbose_arg)
+          $ trace_format_arg)
 
 (* ---- run --------------------------------------------------------- *)
 
 let run_cmd =
   let run file kernel config unroll inject seed verify_output no_cache stats
-      stats_json trace_out trace_format verbose =
+      stats_json trace_out trace_format =
     handle_errors @@ fun () ->
-    setup_logs verbose;
     let config =
       if verify_output then Lslp_core.Config.with_validate true config
       else config
@@ -387,16 +375,14 @@ let run_cmd =
        ~doc:"Vectorize a kernel, simulate scalar vs vector, compare")
     Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
           $ inject_arg $ seed $ verify_output_arg $ no_score_cache_arg
-          $ stats_arg $ stats_json_arg $ trace_out_arg $ trace_format_arg
-          $ verbose_arg)
+          $ stats_arg $ stats_json_arg $ trace_out_arg $ trace_format_arg)
 
 (* ---- analyze ------------------------------------------------------ *)
 
 let analyze_cmd =
   let run file kernel config unroll inject json dot no_cache stats stats_json
-      trace_out trace_format verbose =
+      trace_out trace_format =
     handle_errors @@ fun () ->
-    setup_logs verbose;
     let config =
       Lslp_core.Config.(config |> with_remarks true |> with_validate true)
     in
@@ -451,14 +437,13 @@ let analyze_cmd =
           considered, with the legality validator's verdict")
     Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
           $ inject_arg $ json $ dot $ no_score_cache_arg $ stats_arg
-          $ stats_json_arg $ trace_out_arg $ trace_format_arg $ verbose_arg)
+          $ stats_json_arg $ trace_out_arg $ trace_format_arg)
 
 (* ---- trace -------------------------------------------------------- *)
 
 let trace_cmd =
-  let run file kernel config unroll inject format out all no_cache verbose =
+  let run file kernel config unroll inject format out all no_cache =
     handle_errors @@ fun () ->
-    setup_logs verbose;
     let config = apply_inject inject (apply_score_cache no_cache config) in
     let config = Lslp_core.Config.with_trace true config in
     let validated_chrome ~what events ~func_name =
@@ -528,15 +513,13 @@ let trace_cmd =
           it as Chrome trace-event JSON (Perfetto), Graphviz DOT or a \
           decision log")
     Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
-          $ inject_arg $ trace_format_arg $ out $ all $ no_score_cache_arg
-          $ verbose_arg)
+          $ inject_arg $ trace_format_arg $ out $ all $ no_score_cache_arg)
 
 (* ---- stats -------------------------------------------------------- *)
 
 let stats_cmd =
   let run config unroll no_cache json =
     handle_errors @@ fun () ->
-    setup_logs false;
     let config = apply_score_cache no_cache config in
     let registry = Lslp_obs.Registry.create () in
     let pm = Lslp_telemetry.Pass_metrics.create ~root:"catalog" registry in
@@ -609,9 +592,8 @@ let stats_cmd =
 (* ---- fuzz --------------------------------------------------------- *)
 
 let fuzz_cmd =
-  let run cases seed config inject jobs json verbose =
+  let run cases seed config inject jobs json =
     handle_errors @@ fun () ->
-    setup_logs verbose;
     if jobs > 1 && config <> Some "cache-diff" && config <> Some "cond"
     then begin
       (* sharded on the service pool: every case derives from (seed, case)
@@ -729,8 +711,7 @@ let fuzz_cmd =
          "Differential fuzzing: random well-typed kernels through the \
           pipeline under random configurations (and injected faults), \
           checked against the scalar oracle")
-    Term.(const run $ cases $ seed $ config $ inject_arg $ jobs $ json
-          $ verbose_arg)
+    Term.(const run $ cases $ seed $ config $ inject_arg $ jobs $ json)
 
 (* ---- batch -------------------------------------------------------- *)
 
@@ -799,16 +780,14 @@ let print_pool_stats s =
 let batch_cmd =
   let run config unroll jobs queue_cap deadline_steps retries backoff cache
       repeat injects expect stats_flag stats_json metrics_out metrics_format
-      flight_out trace_out trace_format verbose =
+      flight_out verbose =
     handle_errors @@ fun () ->
-    setup_logs verbose;
     let inject_for = inject_for_of injects in
     let pool =
       pool_config_of ~jobs ~queue_cap ~retries ~backoff ~deadline_steps
     in
     let svc =
-      Lslp_service.Service.create ~cache ~trace:(trace_out <> None)
-        ~inject_for ~pool config
+      Lslp_service.Service.create ~cache ~inject_for ~pool config
     in
     let kernels = Lslp_kernels.Catalog.all in
     let job_array =
@@ -868,17 +847,6 @@ let batch_cmd =
         write_out path
           (Lslp_obs.Flight.to_jsonl (Lslp_service.Service.flight svc)))
       flight_out;
-    Option.iter
-      (fun path ->
-        let events = Lslp_service.Service.trace_events svc in
-        write_out path
-          (match trace_format with
-           | Chrome ->
-             Lslp_trace.Trace.chrome_string ~meta:[ ("service", "batch") ]
-               events
-           | Dot -> Lslp_trace.Trace.to_dot events
-           | Log -> Lslp_trace.Trace.to_log events))
-      trace_out;
     match expect with
     | None -> if !failed > 0 && injects = [] then exit 1
     | Some want ->
@@ -947,6 +915,11 @@ let batch_cmd =
                    batch.  Virtual ticks and step counts only — with \
                    --jobs 1 the dump is byte-reproducible.")
   in
+  let verbose =
+    Arg.(value & flag
+         & info [ "v"; "verbose" ]
+             ~doc:"Print one line per completed job on stderr.")
+  in
   let flight_out =
     Arg.(value & opt (some string) None
          & info [ "flight-out" ] ~docv:"FILE"
@@ -963,8 +936,7 @@ let batch_cmd =
     Term.(const run $ config_arg $ unroll_arg $ jobs $ queue_cap
           $ deadline_steps $ retries $ backoff $ cache $ repeat
           $ service_inject_args $ expect $ stats_arg $ stats_json_arg
-          $ metrics_out $ metrics_format_arg $ flight_out
-          $ trace_out_arg $ trace_format_arg $ verbose_arg)
+          $ metrics_out $ metrics_format_arg $ flight_out $ verbose)
 
 (* ---- domains ------------------------------------------------------ *)
 
@@ -979,9 +951,8 @@ let batch_cmd =
    globally monotone across domains, so output ids outside the job's own
    [low, high) window mean an arena compact index leaked into the IR. *)
 let domains_cmd =
-  let run config unroll jobs verbose =
+  let run config unroll jobs =
     handle_errors @@ fun () ->
-    setup_logs verbose;
     let config =
       Lslp_core.Config.(config |> with_remarks true |> with_validate true)
     in
@@ -1094,7 +1065,7 @@ let domains_cmd =
           concurrent domains of the service pool and require bit-identical \
           (alpha-renamed) IR, remarks and counters versus the sequential \
           baseline")
-    Term.(const run $ config_arg $ unroll_arg $ jobs $ verbose_arg)
+    Term.(const run $ config_arg $ unroll_arg $ jobs)
 
 (* ---- profile ------------------------------------------------------ *)
 
@@ -1108,7 +1079,6 @@ let profile_cmd =
   let run config unroll reps kernel no_cache folded_out metrics_out
       metrics_format =
     handle_errors @@ fun () ->
-    setup_logs false;
     let config = apply_score_cache no_cache config in
     let registry = Lslp_obs.Registry.create () in
     let pm = Lslp_telemetry.Pass_metrics.create ~root:"profile" registry in
@@ -1200,7 +1170,6 @@ let metrics_verify_cmd =
   in
   let run file format expect =
     handle_errors @@ fun () ->
-    setup_logs false;
     let contents = read_file file in
     let die fmt =
       Fmt.kstr
@@ -1299,6 +1268,7 @@ let show_cmd =
     Term.(const run $ key)
 
 let () =
+  Fmt_tty.setup_std_outputs ();
   let info =
     Cmd.info "lslpc" ~version:"1.0.0"
       ~doc:"Look-ahead SLP vectorizing compiler for the kernel language"

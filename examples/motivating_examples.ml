@@ -24,7 +24,8 @@ let show key expected_slp expected_lslp =
       let report, transformed = Pipeline.run_cloned ~config scalar in
       let cost =
         List.fold_left
-          (fun acc (r : Pipeline.region) -> acc + r.cost.Cost.total)
+          (fun acc (r : Lslp_check.Remark.t) ->
+            acc + Option.value ~default:0 r.cost)
           0 report.regions
       in
       Fmt.pr "%-8s cost %+d  %s@." config.Config.name cost

@@ -3,8 +3,8 @@
    Mirrors -Rpass/-Rpass-missed: every region the vectorizer considered
    gets a record of what happened and why, assembled by the pipeline from
    the region outcome plus notes the graph builder emitted along the way.
-   Rendering goes through a registry of rules so downstream tooling can
-   register extra explanations without touching the pipeline. *)
+   Rendering goes through a fixed list of rules, one per kind of
+   explanation. *)
 
 type note =
   | Operand_mode_failed of { slots : int }
@@ -30,11 +30,11 @@ type t = {
   notes : note list;
 }
 
-(* ---- rule registry ------------------------------------------------ *)
+(* ---- rules -------------------------------------------------------- *)
 
 type rule = {
   rule_name : string;
-  produce : t -> string option;
+  produce : t -> string option;  (* None when the rule does not apply *)
 }
 
 let outcome_rule =
@@ -131,23 +131,11 @@ let builtin_rules =
     columns_rule;
   ]
 
-(* Custom rules appended at runtime.  Atomic with a CAS retry loop so
-   registration from one domain can never be lost by a concurrent append
-   (lslp-lint R1 would flag the old [ref] version as a data race). *)
-let registered : rule list Atomic.t = Atomic.make []
-
-let rec register_rule r =
-  let old = Atomic.get registered in
-  if not (Atomic.compare_and_set registered old (old @ [ r ])) then
-    register_rule r
-
-let rules () = builtin_rules @ Atomic.get registered
-
 let explain r =
   List.filter_map
     (fun rule ->
       Option.map (fun msg -> (rule.rule_name, msg)) (rule.produce r))
-    (rules ())
+    builtin_rules
 
 let pp ppf r =
   if r.lanes > 0 then

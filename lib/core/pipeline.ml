@@ -4,8 +4,8 @@
    For each block: collect seeds; for each seed group build the (L)SLP
    graph, evaluate its cost against the threshold, and if profitable
    generate vector code and clean up.  The function is transformed in
-   place; a report records what happened per region, keyed by the label of
-   the block it lives in.
+   place; the report holds one verdict per region, a [Lslp_check.Remark.t]
+   keyed by the label of the block it lives in.
 
    The driver is *fail-soft*: every mutating stage (graph build, codegen,
    reduction, per-block CSE/DCE) runs inside a transaction
@@ -22,46 +22,78 @@
      instruction it emits, and the transformed function is re-checked
      against the snapshot (plus the structural verifier after each pass) —
      see [Lslp_check.Legality].
-   - [remarks]: one [Lslp_check.Remark.t] per region considered, with notes
-     collected while the graph was built. *)
+   - [remarks]: the verdicts again, plus the reduction candidates too
+     narrow to vectorize, with notes collected while the graph was built. *)
 
 open Lslp_ir
 module Budget = Lslp_robust.Budget
 module Inject = Lslp_robust.Inject
 module Transact = Lslp_robust.Transact
 module Probe = Lslp_telemetry.Probe
-
-let log_src = Logs.Src.create "lslp" ~doc:"(L)SLP vectorization pass"
-
-module Log = (val Logs.src_log log_src)
-
-type region_outcome = Vectorized | Scalar | Degraded of string
-
-type region = {
-  region_id : string;
-  seed_desc : string;
-  lanes : int;
-  cost : Cost.summary;
-  vectorized : bool;
-  not_schedulable : bool;
-  outcome : region_outcome;
-}
+module Remark = Lslp_check.Remark
+module Trace = Lslp_trace.Trace
 
 type report = {
   config_name : string;
-  regions : region list;
+  regions : Remark.t list;  (* one verdict per region, in decision order *)
   total_cost : int;     (* sum of costs of the regions actually vectorized *)
   vectorized_regions : int;
   degraded_regions : int;  (* regions rolled back to scalar by a failure *)
-  remarks : Lslp_check.Remark.t list;          (* empty unless [remarks] *)
+  remarks : Remark.t list;                     (* empty unless [remarks] *)
   diagnostics : Lslp_check.Diagnostic.t list;  (* empty unless [validate] *)
   telemetry : Lslp_telemetry.Report.t;  (* counters + timers, always on *)
-  trace_events : Lslp_trace.Trace.event list;  (* empty unless [trace] *)
+  trace_events : Trace.event list;  (* empty unless [trace] *)
 }
 
-let zero_cost = { Cost.per_node = []; extract_cost = 0; total = 0 }
+(* The counts are folds over the verdicts, so they cannot disagree with
+   the region list. *)
+let make_report ~(config : Config.t) ~regions ~remarks ~diagnostics
+    ~telemetry ~trace =
+  let vectorized =
+    List.filter (fun r -> r.Remark.outcome = Remark.Vectorized) regions
+  in
+  let degraded =
+    List.filter
+      (fun r ->
+        match r.Remark.outcome with
+        | Remark.Degraded _ | Remark.Budget_exhausted _ -> true
+        | _ -> false)
+      regions
+  in
+  {
+    config_name = config.Config.name;
+    regions;
+    total_cost =
+      List.fold_left
+        (fun acc r -> acc + Option.value ~default:0 r.Remark.cost)
+        0 vectorized;
+    vectorized_regions = List.length vectorized;
+    degraded_regions = List.length degraded;
+    remarks;
+    diagnostics;
+    telemetry;
+    trace_events =
+      (match trace with Some tr -> Trace.events tr | None -> []);
+  }
 
-let describe_seed = Seeds.describe
+(* The one place a transaction failure becomes a verdict. *)
+let outcome_of_failure (failure : Transact.failure) =
+  let pass = failure.Transact.pass in
+  if failure.Transact.budget_exhausted then
+    Remark.Budget_exhausted { pass; what = failure.Transact.error }
+  else Remark.Degraded { pass; error = failure.Transact.error }
+
+let verdict (config : Config.t) ~block ~region ~lanes ?cost ?(notes = [])
+    outcome =
+  {
+    Remark.region;
+    block;
+    lanes;
+    cost;
+    threshold = config.Config.threshold;
+    outcome;
+    notes;
+  }
 
 (* Probe span plus matching Span_begin/Span_end trace events; the end event
    fires on the exception path too, so spans stay well-nested even when a
@@ -70,9 +102,9 @@ let traced_span ?trace probe name f =
   match trace with
   | None -> Probe.span probe name f
   | Some tr ->
-    Lslp_trace.Trace.record tr (Lslp_trace.Trace.Span_begin { pass = name });
+    Trace.record tr (Trace.Span_begin { pass = name });
     let finish () =
-      Lslp_trace.Trace.record tr (Lslp_trace.Trace.Span_end { pass = name })
+      Trace.record tr (Trace.Span_end { pass = name })
     in
     (match Probe.span probe name f with
      | v ->
@@ -84,9 +116,8 @@ let traced_span ?trace probe name f =
 
 (* Raw build notes arrive one per event; fold duplicate column rejections
    into counts and duplicate cap/FAILED events into one note each. *)
-let aggregate_notes (notes : Lslp_check.Remark.note list) :
-    Lslp_check.Remark.note list =
-  let open Lslp_check.Remark in
+let aggregate_notes (notes : Remark.note list) : Remark.note list =
+  let open Remark in
   let columns : (string * int) list ref = ref [] in
   let failed_slots = ref 0 in
   let capped = ref None in
@@ -113,9 +144,6 @@ let aggregate_notes (notes : Lslp_check.Remark.note list) :
   @ List.rev_map
       (fun (reason, count) -> Column_rejected { reason; count })
       !columns
-
-let degraded_desc (failure : Transact.failure) =
-  Fmt.str "%a" Transact.pp_failure failure
 
 (* The unprotected driver: individual regions are transactional, but a bug
    in the driver itself (or in seed collection) would still escape — [run]
@@ -183,9 +211,6 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
         (Transact.Check_failed
            { pass; error = Verifier.error_to_string e })
   in
-  let remarks = ref [] in
-  let add_remark r = if config.Config.remarks then remarks := r :: !remarks in
-  let regions = ref [] in
   (* Regions are self-contained (no cross-block values), so each block is
      an independent vectorization universe: seeds, graphs, reductions and
      the consumed-store bookkeeping never cross a block boundary.  Each
@@ -202,8 +227,9 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
   in
   (* One probe per block, same lifetime as the block's budget meter.
      Counters measure work *performed*, so a rolled-back attempt keeps its
-     score evaluations and graph nodes — only [instrs_emitted] is charged
-     exclusively on commit (inside codegen). *)
+     score evaluations and graph nodes — only [instrs_emitted] (inside
+     codegen) and the outcome counters (in [conclude]) are charged on
+     commit. *)
   let probes : (string, Probe.t) Hashtbl.t = Hashtbl.create 4 in
   let probe_of label =
     match Hashtbl.find_opt probes label with
@@ -213,58 +239,51 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
       Hashtbl.replace probes label p;
       p
   in
-  let degrade ~region_id ~seed_desc ~lanes (failure : Transact.failure) =
-    let c = Probe.counters (probe_of region_id) in
-    c.Probe.regions_degraded <- c.Probe.regions_degraded + 1;
-    Option.iter
-      (fun tr ->
-        Lslp_trace.Trace.record tr
-          (Lslp_trace.Trace.Rollback
-             {
-               pass = failure.Transact.pass;
-               error = failure.Transact.error;
-               budget_exhausted = failure.Transact.budget_exhausted;
-             });
-        Lslp_trace.Trace.record tr
-          (Lslp_trace.Trace.Region_outcome
-             { seed = seed_desc; lanes; outcome = "degraded"; cost = None }))
-      trace;
-    Log.info (fun m ->
-        m "%s: [%s] %s degraded: %a" config.Config.name region_id seed_desc
-          Transact.pp_failure failure);
-    add_remark
-      {
-        Remark.region = seed_desc;
-        block = region_id;
-        lanes;
-        cost = None;
-        threshold = config.Config.threshold;
-        outcome =
-          (if failure.Transact.budget_exhausted then
-             Remark.Budget_exhausted
-               { pass = failure.Transact.pass;
-                 what = failure.Transact.error }
-           else
-             Remark.Degraded
-               { pass = failure.Transact.pass;
-                 error = failure.Transact.error });
-        notes = [];
-      };
-    regions :=
-      {
-        region_id;
-        seed_desc;
-        lanes;
-        cost = zero_cost;
-        vectorized = false;
-        not_schedulable = false;
-        outcome = Degraded (degraded_desc failure);
-      }
-      :: !regions
+  let regions = ref [] in
+  let remarks = ref [] in
+  (* The one place a region's verdict is recorded: the region list, the
+     block probe's outcome counters, the rollback/outcome trace events and,
+     with [config.remarks], the remark.  Reductions trace their own
+     outcomes ([~traced:false]); an unmatched reduction is only a remark. *)
+  let conclude ?(traced = true) (r : Remark.t) =
+    let c = Probe.counters (probe_of r.Remark.block) in
+    let record payload =
+      match trace with
+      | Some tr when traced -> Trace.record tr payload
+      | Some _ | None -> ()
+    in
+    let outcome name =
+      record
+        (Trace.Region_outcome
+           { seed = r.Remark.region; lanes = r.Remark.lanes; outcome = name;
+             cost = r.Remark.cost })
+    in
+    let rollback pass error budget_exhausted =
+      c.Probe.regions_degraded <- c.Probe.regions_degraded + 1;
+      record (Trace.Rollback { pass; error; budget_exhausted });
+      outcome "degraded"
+    in
+    (match r.Remark.outcome with
+     | Remark.Vectorized ->
+       c.Probe.regions_vectorized <- c.Probe.regions_vectorized + 1;
+       outcome "vectorized"
+     | Remark.Not_schedulable -> outcome "not-schedulable"
+     | Remark.Unprofitable -> outcome "rejected-cost"
+     | Remark.Degraded { pass; error } -> rollback pass error false
+     | Remark.Budget_exhausted { pass; what } -> rollback pass what true
+     | Remark.Reduction_unmatched _ -> ());
+    (match r.Remark.outcome with
+     | Remark.Reduction_unmatched _ -> ()
+     | _ -> regions := r :: !regions);
+    if config.Config.remarks then remarks := r :: !remarks
+  in
+  let degrade ~block ~region ~lanes failure =
+    conclude
+      (verdict config ~block ~region ~lanes (outcome_of_failure failure))
   in
   let run_block (block : Block.t) =
     let region_id = Block.label block in
-    Option.iter (fun tr -> Lslp_trace.Trace.set_region tr region_id) trace;
+    Option.iter (fun tr -> Trace.set_region tr region_id) trace;
     let meter = meter_of block in
     let probe = probe_of region_id in
     let pc = Probe.counters probe in
@@ -305,7 +324,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                 seeds
             in
             match fresh with
-            | [] -> ()
+            | [] -> None
             | seed :: _ ->
               (* consume the seed and arm the retry *before* any fallible
                  work: a failure must not make this seed come back forever *)
@@ -315,17 +334,12 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                 seed;
               continue_ := true;
               cur_seed := Some seed;
+              let desc = Seeds.describe seed and lanes = Array.length seed in
               pc.Probe.seeds_tried <- pc.Probe.seeds_tried + 1;
               Option.iter
                 (fun tr ->
-                  Lslp_trace.Trace.record tr
-                    (Lslp_trace.Trace.Seed_tried
-                       { seed = describe_seed seed;
-                         lanes = Array.length seed }))
+                  Trace.record tr (Trace.Seed_tried { seed = desc; lanes }))
                 trace;
-              Log.debug (fun m ->
-                  m "%s: [%s] building graph for seed %s" config.Config.name
-                    region_id (describe_seed seed));
               cur_pass := "graph-build";
               Budget.deadline_tick deadline;
               Inject.maybe_fail inject Inject.Graph_build;
@@ -352,23 +366,18 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
               in
               Option.iter
                 (fun tr ->
-                  Lslp_trace.Trace.record tr
-                    (Lslp_trace.Trace.Cost_computed
+                  Trace.record tr
+                    (Trace.Cost_computed
                        {
-                         seed = describe_seed seed;
+                         seed = desc;
                          nodes = List.length (Graph.nodes graph);
                          total = cost.Cost.total;
                          threshold = config.Config.threshold;
                          accepted = Cost.profitable config cost;
                        }))
                 trace;
-              Log.debug (fun m ->
-                  m "%s: [%s] seed %s -> %d nodes, cost %+d"
-                    config.Config.name region_id (describe_seed seed)
-                    (List.length (Graph.nodes graph))
-                    cost.Cost.total);
               cur_pass := "codegen";
-              let region =
+              let outcome =
                 if Cost.profitable config cost then begin
                   Budget.deadline_tick deadline;
                   Inject.maybe_fail inject Inject.Codegen;
@@ -385,105 +394,44 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                     Budget.deadline_tick deadline;
                     Inject.maybe_fail inject Inject.Verify;
                     verify_or_abort "verify";
-                    (* only now is the region committed; a verify abort
-                       above must not leave a phantom vectorized count *)
-                    pc.Probe.regions_vectorized <-
-                      pc.Probe.regions_vectorized + 1;
-                    Log.info (fun m ->
-                        m "%s: [%s] vectorized %s (cost %+d)"
-                          config.Config.name region_id (describe_seed seed)
-                          cost.Cost.total);
                     checkpoint "codegen+dce";
-                    {
-                      region_id;
-                      seed_desc = describe_seed seed;
-                      lanes = Array.length seed;
-                      cost;
-                      vectorized = true;
-                      not_schedulable = false;
-                      outcome = Vectorized;
-                    }
-                  | Codegen.Not_schedulable ->
-                    {
-                      region_id;
-                      seed_desc = describe_seed seed;
-                      lanes = Array.length seed;
-                      cost;
-                      vectorized = false;
-                      not_schedulable = true;
-                      outcome = Scalar;
-                    }
+                    Remark.Vectorized
+                  | Codegen.Not_schedulable -> Remark.Not_schedulable
                   | Codegen.Failed msg ->
                     raise
                       (Transact.Check_failed { pass = "codegen"; error = msg })
                 end
-                else
-                  {
-                    region_id;
-                    seed_desc = describe_seed seed;
-                    lanes = Array.length seed;
-                    cost;
-                    vectorized = false;
-                    not_schedulable = false;
-                    outcome = Scalar;
-                  }
+                else Remark.Unprofitable
               in
-              (if config.Config.remarks then begin
-                 let notes = List.rev !notes in
-                 (* the first bundle built is the seed itself: if the root
-                    is a gather, its rejection explains the whole region *)
-                 let notes =
-                   match (root.Graph.shape, notes) with
-                   | ( Graph.Gather _,
-                       Remark.Column_rejected { reason; _ } :: rest ) ->
-                     Remark.Seed_rejected { reason } :: rest
-                   | _, notes -> notes
-                 in
-                 add_remark
-                   {
-                     Remark.region = region.seed_desc;
-                     block = region_id;
-                     lanes = region.lanes;
-                     cost = Some cost.Cost.total;
-                     threshold = config.Config.threshold;
-                     outcome =
-                       (if region.vectorized then Remark.Vectorized
-                        else if region.not_schedulable then
-                          Remark.Not_schedulable
-                        else Remark.Unprofitable);
-                     notes = aggregate_notes notes;
-                   }
-               end);
-              Option.iter
-                (fun tr ->
-                  Lslp_trace.Trace.record tr
-                    (Lslp_trace.Trace.Region_outcome
-                       {
-                         seed = region.seed_desc;
-                         lanes = region.lanes;
-                         outcome =
-                           (if region.vectorized then "vectorized"
-                            else if region.not_schedulable then
-                              "not-schedulable"
-                            else "rejected-cost");
-                         cost = Some cost.Cost.total;
-                       }))
-                trace;
-              regions := region :: !regions)
+              (* the first bundle built is the seed itself: if the root is a
+                 gather, its rejection explains the whole region *)
+              let notes =
+                match (root.Graph.shape, List.rev !notes) with
+                | Graph.Gather _, Remark.Column_rejected { reason; _ } :: rest
+                  ->
+                  Remark.Seed_rejected { reason } :: rest
+                | _, notes -> notes
+              in
+              (* only a verdict returned from here is committed; a verify
+                 abort above must not leave a phantom vectorized count *)
+              Some
+                (verdict config ~block:region_id ~region:desc ~lanes
+                   ~cost:cost.Cost.total ~notes:(aggregate_notes notes)
+                   outcome))
       in
       match result with
-      | Ok () -> ()
+      | Ok v -> Option.iter conclude v
       | Error failure ->
         (* rolled back: provenance recorded during the failed attempt
            refers to instructions that no longer exist *)
         provenance := saved_provenance;
         if failure.Transact.budget_exhausted then exhausted := true;
-        let seed_desc, lanes =
+        let region, lanes =
           match !cur_seed with
-          | Some seed -> (describe_seed seed, Array.length seed)
+          | Some seed -> (Seeds.describe seed, Array.length seed)
           | None -> (Fmt.str "(%s)" failure.Transact.pass, 0)
         in
-        degrade ~region_id ~seed_desc ~lanes failure
+        degrade ~block:region_id ~region ~lanes failure
     done;
     (* after the store seeds: the reduction-tree idiom (paper §2.2) *)
     if config.Config.reductions && not !exhausted then begin
@@ -494,21 +442,15 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
           | Some s -> s
           | None -> Types.F64
         in
-        add_remark
-          {
-            Remark.region =
-              Fmt.str "reduce %s x%d"
-                (Opcode.binop_name c.Reduction.cand_op)
-                leaves;
-            block = region_id;
-            lanes = 0;
-            cost = None;
-            threshold = config.Config.threshold;
-            outcome =
-              Remark.Reduction_unmatched
-                { leaves; width = Config.effective_max_lanes config elt };
-            notes = [];
-          }
+        conclude
+          (verdict config ~block:region_id
+             ~region:
+               (Fmt.str "reduce %s x%d"
+                  (Opcode.binop_name c.Reduction.cand_op)
+                  leaves)
+             ~lanes:0
+             (Remark.Reduction_unmatched
+                { leaves; width = Config.effective_max_lanes config elt }))
       in
       let snapshot = Transact.snapshot_block block in
       let saved_provenance = !provenance in
@@ -536,47 +478,18 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
       | Ok rs ->
         List.iter
           (fun (r : Reduction.region) ->
-            if r.Reduction.vectorized then
-              pc.Probe.regions_vectorized <- pc.Probe.regions_vectorized + 1)
-          rs;
-        List.iter
-          (fun (r : Reduction.region) ->
-            add_remark
-              {
-                Remark.region = r.Reduction.root_desc;
-                block = region_id;
-                lanes = r.Reduction.lanes;
-                cost = Some r.Reduction.cost;
-                threshold = config.Config.threshold;
-                outcome =
-                  (if r.Reduction.vectorized then Remark.Vectorized
-                   else if r.Reduction.not_schedulable then
-                     Remark.Not_schedulable
-                   else Remark.Unprofitable);
-                notes = [];
-              };
-            regions :=
-              {
-                region_id;
-                seed_desc = r.Reduction.root_desc;
-                lanes = r.Reduction.lanes;
-                cost =
-                  {
-                    Cost.per_node = [];
-                    extract_cost = 0;
-                    total = r.Reduction.cost;
-                  };
-                vectorized = r.Reduction.vectorized;
-                not_schedulable = r.Reduction.not_schedulable;
-                outcome =
-                  (if r.Reduction.vectorized then Vectorized else Scalar);
-              }
-              :: !regions)
+            conclude ~traced:false
+              (verdict config ~block:region_id ~region:r.Reduction.root_desc
+                 ~lanes:r.Reduction.lanes ~cost:r.Reduction.cost
+                 (if r.Reduction.vectorized then Remark.Vectorized
+                  else if r.Reduction.not_schedulable then
+                    Remark.Not_schedulable
+                  else Remark.Unprofitable)))
           rs;
         checkpoint "reduction"
       | Error failure ->
         provenance := saved_provenance;
-        degrade ~region_id ~seed_desc:"(reduction)" ~lanes:0 failure
+        degrade ~block:region_id ~region:"(reduction)" ~lanes:0 failure
     end
   in
   List.iter run_block (Func.blocks f);
@@ -587,7 +500,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
      and degrades only the cleanup. *)
   let cleanup_block (block : Block.t) =
     let region_id = Block.label block in
-    Option.iter (fun tr -> Lslp_trace.Trace.set_region tr region_id) trace;
+    Option.iter (fun tr -> Trace.set_region tr region_id) trace;
     let probe = probe_of region_id in
     let snapshot = Transact.snapshot_block block in
     let cur_pass = ref "cse" in
@@ -613,7 +526,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
     match result with
     | Ok () -> ()
     | Error failure ->
-      degrade ~region_id ~seed_desc:"(cleanup)" ~lanes:0 failure
+      degrade ~block:region_id ~region:"(cleanup)" ~lanes:0 failure
   in
   List.iter cleanup_block (Func.blocks f);
   checkpoint "cleanup";
@@ -629,7 +542,6 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
               (Printexc.to_string e))
          :: !diagnostics)
    | None -> ());
-  let regions = List.rev !regions in
   let telemetry =
     Lslp_telemetry.Report.make ~func:f.Func.fname ~config:config.Config.name
       (List.filter_map
@@ -640,28 +552,8 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
              (Hashtbl.find_opt probes label))
          (Func.blocks f))
   in
-  {
-    config_name = config.Config.name;
-    regions;
-    total_cost =
-      List.fold_left
-        (fun acc r -> if r.vectorized then acc + r.cost.Cost.total else acc)
-        0 regions;
-    vectorized_regions =
-      List.length (List.filter (fun r -> r.vectorized) regions);
-    degraded_regions =
-      List.length
-        (List.filter
-           (fun r -> match r.outcome with Degraded _ -> true | _ -> false)
-           regions);
-    remarks = List.rev !remarks;
-    diagnostics = List.rev !diagnostics;
-    telemetry;
-    trace_events =
-      (match trace with
-       | Some tr -> Lslp_trace.Trace.events tr
-       | None -> []);
-  }
+  make_report ~config ~regions:(List.rev !regions) ~remarks:(List.rev !remarks)
+    ~diagnostics:(List.rev !diagnostics) ~telemetry ~trace
 
 let run ?metrics ?(config = Config.lslp) (f : Func.t) : report =
   (* Whole-function safety net: region failures are handled inside, so
@@ -669,7 +561,7 @@ let run ?metrics ?(config = Config.lslp) (f : Func.t) : report =
      scalar input form and report one degraded pseudo-region rather than
      letting the exception escape the compiler. *)
   let trace =
-    if config.Config.trace then Some (Lslp_trace.Trace.create ()) else None
+    if config.Config.trace then Some (Trace.create ()) else None
   in
   (* feed the observability registry on every path that produces a report;
      cancellation re-raises and is accounted by the pool instead *)
@@ -695,31 +587,16 @@ let run ?metrics ?(config = Config.lslp) (f : Func.t) : report =
     (* events recorded before the driver died survive into the report —
        exactly the breadcrumbs needed to debug the driver bug *)
     observed
-    {
-      config_name = config.Config.name;
-      regions =
-        [ {
-            region_id = f.Func.fname;
-            seed_desc = Fmt.str "(%s)" failure.Transact.pass;
-            lanes = 0;
-            cost = zero_cost;
-            vectorized = false;
-            not_schedulable = false;
-            outcome = Degraded (degraded_desc failure);
-          } ];
-      total_cost = 0;
-      vectorized_regions = 0;
-      degraded_regions = 1;
-      remarks = [];
-      diagnostics = [];
-      telemetry =
-        Lslp_telemetry.Report.empty ~func:f.Func.fname
-          ~config:config.Config.name;
-      trace_events =
-        (match trace with
-         | Some tr -> Lslp_trace.Trace.events tr
-         | None -> []);
-    }
+      (make_report ~config
+         ~regions:
+           [ verdict config ~block:f.Func.fname
+               ~region:(Fmt.str "(%s)" failure.Transact.pass)
+               ~lanes:0 (outcome_of_failure failure) ]
+         ~remarks:[] ~diagnostics:[]
+         ~telemetry:
+           (Lslp_telemetry.Report.empty ~func:f.Func.fname
+              ~config:config.Config.name)
+         ~trace)
 
 (* Convenience: clone, run, return (report, transformed clone). *)
 let run_cloned ?metrics ?(config = Config.lslp) (f : Func.t) :
@@ -736,14 +613,18 @@ let pp_report ppf r =
      else "")
     r.total_cost;
   List.iter
-    (fun reg ->
-      Fmt.pf ppf "@,  [%s] %s (VL=%d): cost %+d%s" reg.region_id
-        reg.seed_desc reg.lanes reg.cost.Cost.total
-        (match reg.outcome with
-         | Vectorized -> " [vectorized]"
-         | Degraded why -> Fmt.str " [degraded: %s]" why
-         | Scalar ->
-           if reg.not_schedulable then " [not schedulable]"
-           else " [kept scalar]"))
+    (fun (reg : Remark.t) ->
+      Fmt.pf ppf "@,  [%s] %s (VL=%d): cost %+d%s" reg.Remark.block
+        reg.Remark.region reg.Remark.lanes
+        (Option.value ~default:0 reg.Remark.cost)
+        (match reg.Remark.outcome with
+         | Remark.Vectorized -> " [vectorized]"
+         | Remark.Not_schedulable -> " [not schedulable]"
+         | Remark.Unprofitable | Remark.Reduction_unmatched _ ->
+           " [kept scalar]"
+         | Remark.Degraded { pass; error } ->
+           Fmt.str " [degraded: %s: %s]" pass error
+         | Remark.Budget_exhausted { pass; what } ->
+           Fmt.str " [degraded: %s: %s [budget]]" pass what))
     r.regions;
   Fmt.pf ppf "@]"

@@ -2,45 +2,32 @@
 
     Per basic block of the function: repeatedly collect seeds, build the
     graph for the next unconsumed seed, cost it, vectorize when profitable.
-    Transforms the function in place; every region record names the block
-    it lives in via [region_id].
+    Transforms the function in place.  Every region ends in exactly one
+    verdict, a {!Lslp_check.Remark.t}: its [block] names the block the
+    region lives in and its [outcome] says what happened.
 
     {!run} is fail-soft: each region transforms inside a transactional
     snapshot ({!Lslp_robust.Transact}), so malformed graphs, resource-budget
     exhaustion ({!Lslp_robust.Budget}), injected faults
     ({!Lslp_robust.Inject}) and structural-verifier findings roll the region
-    back to its scalar form and surface as a [Degraded] outcome — they never
-    raise out of the pipeline.  A whole-function snapshot backstops driver
-    bugs the same way.  Only [Out_of_memory] and [Sys.Break] propagate. *)
+    back to its scalar form and surface as a [Degraded] (or
+    [Budget_exhausted]) outcome — they never raise out of the pipeline.  A
+    whole-function snapshot backstops driver bugs the same way.  Only [Out_of_memory] and [Sys.Break] propagate. *)
 
 open Lslp_ir
 
-type region_outcome =
-  | Vectorized
-  | Scalar      (** kept scalar: unprofitable or not schedulable *)
-  | Degraded of string
-      (** a pass failed; the region was rolled back to scalar.  The string
-          is ["pass: error"], e.g. ["codegen: injected fault"]. *)
-
-type region = {
-  region_id : string;  (** label of the basic block holding this region *)
-  seed_desc : string;
-  lanes : int;
-  cost : Cost.summary;
-  vectorized : bool;
-  not_schedulable : bool;
-  outcome : region_outcome;
-}
-
 type report = {
   config_name : string;
-  regions : region list;
-  total_cost : int;
-  vectorized_regions : int;
+  regions : Lslp_check.Remark.t list;
+      (** one verdict per region considered, in decision order; never a
+          [Reduction_unmatched], and notes only with [config.remarks] *)
+  total_cost : int;  (** sum of the vectorized regions' costs *)
+  vectorized_regions : int;  (** [Vectorized] regions *)
   degraded_regions : int;
-      (** regions rolled back by a failure; 0 on any healthy run *)
+      (** [Degraded] and [Budget_exhausted] regions; 0 on any healthy run *)
   remarks : Lslp_check.Remark.t list;
-      (** one per region considered; empty unless [config.remarks] *)
+      (** [regions] plus the unmatched reduction candidates, in decision
+          order; empty unless [config.remarks] *)
   diagnostics : Lslp_check.Diagnostic.t list;
       (** legality/verifier findings; empty unless [config.validate] *)
   telemetry : Lslp_telemetry.Report.t;
@@ -80,5 +67,6 @@ val run_cloned :
 (** Like {!run} but on a deep copy, leaving the input untouched. *)
 
 val pp_report : report Fmt.t
-(** Renders like the pre-fail-soft format; the degraded count and per-region
-    [\[degraded: ...\]] markers only appear when something degraded. *)
+(** One line per region with its cost ([+0] when never costed) and its
+    outcome; the degraded count and [\[degraded: ...\]] markers only appear
+    when something degraded. *)

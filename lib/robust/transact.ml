@@ -43,10 +43,6 @@ type failure = { pass : string; error : string; budget_exhausted : bool }
 
 exception Check_failed of { pass : string; error : string }
 
-let pp_failure ppf f =
-  Fmt.pf ppf "%s: %s%s" f.pass f.error
-    (if f.budget_exhausted then " [budget]" else "")
-
 let failure_of_exn ~pass (e : exn) =
   match e with
   | Inject.Fault p ->

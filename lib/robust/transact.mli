@@ -22,8 +22,6 @@ type failure = {
   budget_exhausted : bool;  (** the failure was {!Budget.Exhausted} *)
 }
 
-val pp_failure : failure Fmt.t
-
 val failure_of_exn : pass:string -> exn -> failure
 (** Classify an exception the way {!protect} does: {!Inject.Fault},
     {!Budget.Exhausted} and {!Check_failed} carry their own attribution;

@@ -2,9 +2,8 @@
 
    The sink is a reversed event list plus a logical clock: every recorded
    event gets the next sequence number, so a trace is deterministic per
-   (input, configuration) and golden tests can pin it.  Wall-clock time is
-   an optional per-event annotation (off by default) — never the
-   timestamp.
+   (input, configuration) and golden tests can pin it.  No event reads
+   the wall clock.
 
    Instrumentation sites throughout the pipeline receive the sink as
    [?trace : t option] and do nothing on [None]; with [Config.trace] off
@@ -56,34 +55,22 @@ type payload =
       outcome : string;
       cost : int option;
     }
-  | Pool_event of { what : string; job : string; detail : string }
-    (* compile-service boundary: enqueue/dispatch/retry/timeout/shed,
-       cache hit/verify/evict, worker death/respawn.  [job] is the job's
-       label (or "" for pool-wide events); recorded by the pool's own
-       sink, with logical timestamps assigned under the pool lock. *)
 
-type event = {
-  ts : int;
-  region : string;
-  payload : payload;
-  wall : float option;
-}
+type event = { ts : int; region : string; payload : payload }
 
 type t = {
   mutable rev_events : event list;
   mutable clock : int;
   mutable region : string;
   gids : Lslp_util.Id_gen.t;
-  wall : bool;
 }
 
-let create ?(wall = false) () =
+let create () =
   {
     rev_events = [];
     clock = 0;
     region = "";
     gids = Lslp_util.Id_gen.create ();
-    wall;
   }
 
 let set_region t region = t.region <- region
@@ -93,8 +80,7 @@ let fresh_gid t = Lslp_util.Id_gen.next t.gids
 let record t payload =
   let ts = t.clock in
   t.clock <- ts + 1;
-  let wall = if t.wall then Some (Unix.gettimeofday ()) else None in
-  t.rev_events <- { ts; region = t.region; payload; wall } :: t.rev_events
+  t.rev_events <- { ts; region = t.region; payload } :: t.rev_events
 
 let events t = List.rev t.rev_events
 
@@ -115,7 +101,6 @@ let payload_name = function
   | Emit _ -> "emit"
   | Rollback _ -> "rollback"
   | Region_outcome _ -> "region-outcome"
-  | Pool_event { what; _ } -> Fmt.str "pool-%s" what
 
 let kind_name = function
   | Knode_group op -> Fmt.str "group %s" op
@@ -170,10 +155,6 @@ let pp_payload ppf = function
     Fmt.pf ppf "outcome %s (VL=%d): %s%a" seed lanes outcome
       Fmt.(option (fun ppf c -> Fmt.pf ppf " (cost %+d)" c))
       cost
-  | Pool_event { what; job; detail } ->
-    Fmt.pf ppf "pool %s%s%s" what
-      (if job = "" then "" else Fmt.str " job=%s" job)
-      (if detail = "" then "" else Fmt.str ": %s" detail)
 
 let pp_event ppf e =
   Fmt.pf ppf "%04d [%s] %a" e.ts e.region pp_payload e.payload
@@ -284,12 +265,6 @@ let payload_args = function
       ("outcome", Json.Str outcome);
       ("cost", match cost with Some c -> Json.Int c | None -> Json.Null);
     ]
-  | Pool_event { what; job; detail } ->
-    [
-      ("what", Json.Str what);
-      ("job", Json.Str job);
-      ("detail", Json.Str detail);
-    ]
 
 (* Region labels map to thread ids so Perfetto renders one lane per
    region, with pass spans nested inside it. *)
@@ -316,31 +291,24 @@ let to_chrome ?(meta = []) events =
             ("ts", Json.Int e.ts);
           ]
         in
-        let wall =
-          match e.wall with
-          | Some w -> [ ("wall_s", Json.Float w) ]
-          | None -> []
-        in
         match e.payload with
         | Span_begin { pass } ->
           Json.Obj
             ([ ("name", Json.Str pass); ("cat", Json.Str "pass");
                ("ph", Json.Str "B") ]
-            @ common
-            @ match wall with [] -> [] | w -> [ ("args", Json.Obj w) ])
+            @ common)
         | Span_end { pass } ->
           Json.Obj
             ([ ("name", Json.Str pass); ("cat", Json.Str "pass");
                ("ph", Json.Str "E") ]
-            @ common
-            @ match wall with [] -> [] | w -> [ ("args", Json.Obj w) ])
+            @ common)
         | p ->
           Json.Obj
             ([ ("name", Json.Str (payload_name p));
                ("cat", Json.Str "decision"); ("ph", Json.Str "i");
                ("s", Json.Str "t") ]
             @ common
-            @ [ ("args", Json.Obj (payload_args p @ wall)) ]))
+            @ [ ("args", Json.Obj (payload_args p)) ]))
       events
   in
   let thread_names =

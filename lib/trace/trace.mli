@@ -13,8 +13,7 @@
     {b Determinism contract.}  Events carry logical timestamps — the
     sink's own monotone event counter, not a clock — so a trace is a pure
     function of (input, configuration) and cram tests can pin it byte for
-    byte.  Wall-clock time appears only as an optional annotation
-    ({!create}[ ~wall:true]), off by default.
+    byte.  No event carries wall-clock time.
 
     Three exporters render the same stream: Chrome trace-event JSON
     (loads in Perfetto / chrome://tracing), Graphviz DOT of the SLP graph
@@ -77,20 +76,11 @@ type payload =
       outcome : string;
       cost : int option;
     }
-  | Pool_event of { what : string; job : string; detail : string }
-      (** compile-service boundary ([Lslp_service.Pool]): job
-          enqueue/dispatch/retry/timeout/shed, cache hit/verify/evict,
-          worker death/respawn.  [job] is the job label ([""] for
-          pool-wide events).  Recorded by the pool's own sink under the
-          pool lock, so pool traces are deterministic per (job list,
-          configuration, fault spec) like every other trace. *)
 
 type event = {
   ts : int;  (** logical timestamp: the sink's event sequence number *)
   region : string;  (** block label the event happened in *)
   payload : payload;
-  wall : float option;  (** optional wall-clock annotation; [None] unless
-                            the sink was created with [~wall:true] *)
 }
 
 type t
@@ -98,7 +88,7 @@ type t
     on and threads it through every pass as [?trace]; with tracing off no
     sink exists and every instrumentation site is a [None] check. *)
 
-val create : ?wall:bool -> unit -> t
+val create : unit -> t
 val set_region : t -> string -> unit
 val fresh_gid : t -> int
 val record : t -> payload -> unit

@@ -368,8 +368,9 @@ let pipeline_tests =
           (List.length report.Pipeline.diagnostics);
         (match report.Pipeline.regions with
          | [ r ] ->
-           check_string "region id" "loop0.x4" r.Pipeline.region_id;
-           check_bool "vectorized" true r.Pipeline.vectorized
+           check_string "region id" "loop0.x4" r.Lslp_check.Remark.block;
+           check_bool "vectorized" true
+             (r.Lslp_check.Remark.outcome = Lslp_check.Remark.Vectorized)
          | _ -> Alcotest.fail "expected one region");
         check_bool "wide store emitted" true
           (count_insts is_wide_store g = 1);
@@ -446,9 +447,10 @@ kernel k(f64 Y[], f64 X[]) {
         let ids =
           List.sort_uniq String.compare
             (List.map
-               (fun (r : Pipeline.region) -> r.Pipeline.region_id)
+               (fun (r : Lslp_check.Remark.t) -> r.Lslp_check.Remark.block)
                (List.filter
-                  (fun (r : Pipeline.region) -> r.Pipeline.vectorized)
+                  (fun (r : Lslp_check.Remark.t) ->
+                    r.Lslp_check.Remark.outcome = Lslp_check.Remark.Vectorized)
                   report.Pipeline.regions))
         in
         check_bool "entry and loop both vectorized" true

@@ -26,9 +26,9 @@ let pipeline_tests =
         match report.Pipeline.regions with
         | [ r ] ->
           check_bool "mentions A" true
-            (String.length r.Pipeline.seed_desc > 0
-             && r.Pipeline.seed_desc.[0] = 'A');
-          check_int "VL" 2 r.Pipeline.lanes
+            (String.length r.Lslp_check.Remark.region > 0
+             && r.Lslp_check.Remark.region.[0] = 'A');
+          check_int "VL" 2 r.Lslp_check.Remark.lanes
         | _ -> Alcotest.fail "expected one region");
     tc "total_cost sums only vectorized regions" (fun () ->
         let f = kernel "motivation-loads" in

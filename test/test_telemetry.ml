@@ -42,7 +42,9 @@ let vectorized_ids (report : Pipeline.report) =
   List.sort_uniq String.compare
     (List.filter_map
        (fun r ->
-         if r.Pipeline.vectorized then Some r.Pipeline.region_id else None)
+         if r.Lslp_check.Remark.outcome = Lslp_check.Remark.Vectorized then
+           Some r.Lslp_check.Remark.block
+         else None)
        report.Pipeline.regions)
 
 let subset xs ys = List.for_all (fun x -> List.mem x ys) xs

@@ -63,8 +63,7 @@ let sink_tests =
         List.iteri
           (fun i (e : Trace.event) ->
             check_int "ts" i e.Trace.ts;
-            check_string "region" "b0" e.Trace.region;
-            check_bool "no wall clock by default" true (e.Trace.wall = None))
+            check_string "region" "b0" e.Trace.region)
           events);
     tc "set_region stamps subsequent events only" (fun () ->
         let tr = Trace.create () in
@@ -82,12 +81,6 @@ let sink_tests =
         let tr = Trace.create () in
         let gids = List.init 8 (fun _ -> Trace.fresh_gid tr) in
         check_int "distinct" 8 (List.length (List.sort_uniq compare gids)));
-    tc "wall:true annotates every event" (fun () ->
-        let tr = Trace.create ~wall:true () in
-        Trace.record tr (Trace.Span_begin { pass = "p" });
-        match Trace.events tr with
-        | [ e ] -> check_bool "wall present" true (e.Trace.wall <> None)
-        | _ -> Alcotest.fail "expected one event");
   ]
 
 (* ---- stream well-formedness over real pipeline runs ----------------- *)

@@ -50,7 +50,7 @@ let service ~domains ~cache =
   Service.create ~cache ~pool Config.lslp
 
 (* Submit [rounds] copies of the catalog as ONE batch (catalog x reps,
-   the workload the gate names) so the pool's domain spawns amortize
+   the workload the gate names) so per-batch pool setup amortizes
    across the whole run, and return ns per catalog pass.  Any typed
    failure is a bench bug: no faults are armed here. *)
 let timed_pass ?(base = 0) svc rounds =

@@ -116,12 +116,28 @@ let check_lane_independence snap (p : lane_provenance) add =
              dependence graph"
             p.vector.Instr.name))
 
+(* Does some position of [ox], from index [i] on, depend on a distinct
+   position of [oy]?  Top-level and closure-free, so the O(n^2) pair loop
+   below allocates nothing. *)
+let rec origins_depend deps ox oy i j =
+  if i >= Array.length ox then false
+  else if j >= Array.length oy then origins_depend deps ox oy (i + 1) 0
+  else
+    let a = Array.unsafe_get ox i and b = Array.unsafe_get oy j in
+    (a <> b && Depgraph.reaches deps a b) || origins_depend deps ox oy i (j + 1)
+
 let check_block_order deps ~provenance (block : Block.t) add =
-  let origins : (int, Instr.t list) Hashtbl.t = Hashtbl.create 32 in
+  let arena = Depgraph.arena deps in
+  (* origin positions (in the snapshot arena) per vector instruction id;
+     a later provenance entry for the same vector goes in front *)
+  let origins : (int, int list) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun (p : lane_provenance) ->
       let known =
-        Array.to_list p.lanes |> List.filter (Depgraph.mem deps)
+        Array.fold_right
+          (fun lane acc ->
+            match Arena.idx arena lane with -1 -> acc | q -> q :: acc)
+          p.lanes []
       in
       if known <> [] then begin
         let cur =
@@ -131,27 +147,22 @@ let check_block_order deps ~provenance (block : Block.t) add =
         Hashtbl.replace origins p.vector.Instr.id (known @ cur)
       end)
     provenance;
-  let origin (i : Instr.t) =
-    match Hashtbl.find_opt origins i.Instr.id with
-    | Some ls -> ls
-    | None -> if Depgraph.mem deps i then [ i ] else []
-  in
   let after = Array.of_list (Block.to_list block) in
   let n = Array.length after in
+  (* each transformed position's origin, computed once per block *)
+  let origin =
+    Array.map
+      (fun (i : Instr.t) ->
+        match Hashtbl.find_opt origins i.Instr.id with
+        | Some ps -> Array.of_list ps
+        | None -> (
+          match Arena.idx arena i with -1 -> [||] | q -> [| q |]))
+      after
+  in
   for x = 0 to n - 1 do
-    let ox = origin after.(x) in
+    let ox = origin.(x) in
     for y = x + 1 to n - 1 do
-      let oy = origin after.(y) in
-      let violated =
-        List.exists
-          (fun (a : Instr.t) ->
-            List.exists
-              (fun (b : Instr.t) ->
-                a.Instr.id <> b.Instr.id && Depgraph.depends deps a ~on:b)
-              oy)
-          ox
-      in
-      if violated then
+      if origins_depend deps ox origin.(y) 0 0 then
         add
           (Diagnostic.error
              ~instrs:[ after.(x); after.(y) ]

@@ -18,8 +18,13 @@
    cache poisoning is survived.  Digest collisions are guarded by
    comparing the stored input IR and fingerprint, not just the digest.
 
-   One mutex per cache; lookups, verification and inserts all run under
-   it.  Per-instance locked state, so lint R1 does not apply. *)
+   One mutex per cache guards the two tables; finding, replacing and
+   removing entries run under it, the legality replay does not.  An entry
+   is immutable in everything the replay reads, so domains hitting the
+   same entry replay it concurrently: poisoning installs a damaged copy
+   instead of mutating the shared function, and a failed replay evicts
+   only if the table still holds the very entry it checked.
+   Per-instance locked state, so lint R1 does not apply. *)
 
 module Legality = Lslp_check.Legality
 module Diagnostic = Lslp_check.Diagnostic
@@ -27,6 +32,8 @@ module Inject = Lslp_robust.Inject
 module Stats = Lslp_telemetry.Pool_stats
 module Registry = Lslp_obs.Registry
 module Flight = Lslp_obs.Flight
+module Block = Lslp_ir.Block
+module Func = Lslp_ir.Func
 
 type cached = {
   ir : string;
@@ -39,7 +46,7 @@ type entry = {
   input_norm : string;  (* collision guard: exact pre-pass IR *)
   fingerprint : string;
   snap : Legality.snapshot;
-  func : Lslp_ir.Func.t;  (* the compiled function, ids matching [snap] *)
+  func : Func.t;  (* the compiled function, ids matching [snap] *)
   payload : cached;
   mutable aliases : string list;  (* front keys pointing here *)
 }
@@ -73,50 +80,70 @@ let length t =
   Mutex.unlock t.m;
   n
 
-(* lock held.  Cache events carry tick -1 in the flight recorder: the
-   cache runs under its own lock and does not see the pool's vclock. *)
+(* Registry counters and the flight recorder lock themselves, so these
+   run with or without the cache lock.  Cache events carry tick -1 in the
+   flight recorder: the cache does not see the pool's vclock. *)
 let bump t f = match t.metrics with Some m -> f m | None -> ()
 
 let flight t ~job ~detail kind =
   bump t (fun m -> Flight.record m.Stats.flight ~tick:(-1) ~job ~detail kind)
 
-(* lock held.  Corrupt the stored function the way the pipeline's
-   [Corrupt] point does — a damage the structural verifier always
-   catches — so the poisoned entry must fail verification, not crash. *)
-let poison_entry entry =
-  ignore
-    (List.exists Inject.corrupt_block (Lslp_ir.Func.blocks entry.func))
+(* lock held.  A poisoned copy of the entry: fresh blocks over the same
+   instructions (so ids still match the snapshot; [Func.clone] would
+   renumber them), damaged the way the pipeline's [Corrupt] point damages
+   a block — a damage the structural verifier always catches, so the
+   poisoned entry must fail verification, not crash.  The shared entry
+   is left as it was. *)
+let poisoned entry =
+  let copy b =
+    let c = Block.create ~label:(Block.label b) ~kind:(Block.kind b) () in
+    Block.set_order c (Block.to_list b);
+    c
+  in
+  let blocks = List.map copy (Func.blocks entry.func) in
+  ignore (List.exists Inject.corrupt_block blocks);
+  { entry with func = { entry.func with Func.blocks } }
 
-(* lock held.  The hit path: count the hit, apply any armed poisoning,
-   then replay the legality validator.  Clean -> reuse; anything else ->
-   evict the entry and every front alias, and the caller recompiles. *)
-let verify_hit t ~label ~key entry ~poison =
+(* lock held.  Count the hit and apply any armed poisoning; returns the
+   entry the replay must check. *)
+let claim_hit t ~label ~key entry ~poison =
   bump t (fun m -> Registry.incr m.Stats.c_hits);
   flight t ~job:label ~detail:key "cache-hit";
   if poison then begin
     flight t ~job:label ~detail:key "cache-poison";
-    poison_entry entry
-  end;
-  let diags = Legality.validate entry.snap entry.func in
-  if Diagnostic.errors diags = [] then begin
+    let entry = poisoned entry in
+    Hashtbl.replace t.by_key key entry;
+    entry
+  end
+  else entry
+
+(* lock NOT held.  Replay the legality validator: clean -> reuse;
+   anything else -> evict the entry and every front alias, and the caller
+   recompiles.  Another domain may have evicted or replaced the entry
+   meanwhile; then there is nothing left to evict here. *)
+let replay t ~label ~key entry =
+  match Diagnostic.errors (Legality.validate entry.snap entry.func) with
+  | [] ->
     bump t (fun m -> Registry.incr m.Stats.c_verified);
     flight t ~job:label ~detail:key "cache-verified";
     Some entry.payload
-  end
-  else begin
-    Hashtbl.remove t.by_key key;
-    List.iter (Hashtbl.remove t.by_source) entry.aliases;
-    bump t (fun m -> Registry.incr m.Stats.c_evicted);
-    flight t ~job:label
-      ~detail:
-        (Fmt.str "%s: %s" key (Diagnostic.summary (Diagnostic.errors diags)))
-      "cache-evicted";
+  | errors ->
+    Mutex.lock t.m;
+    (match Hashtbl.find_opt t.by_key key with
+     | Some current when current == entry ->
+       Hashtbl.remove t.by_key key;
+       List.iter (Hashtbl.remove t.by_source) entry.aliases;
+       bump t (fun m -> Registry.incr m.Stats.c_evicted);
+       flight t ~job:label
+         ~detail:(Fmt.str "%s: %s" key (Diagnostic.summary errors))
+         "cache-evicted"
+     | Some _ | None -> ());
+    Mutex.unlock t.m;
     None
-  end
 
 let find_by_source t ~label ~source_key ~poison =
   Mutex.lock t.m;
-  let r =
+  let hit =
     match Hashtbl.find_opt t.by_source source_key with
     | None -> None (* front miss; not yet a cache miss — the caller
                       parses and retries by content *)
@@ -126,28 +153,22 @@ let find_by_source t ~label ~source_key ~poison =
         (* stale alias left by an eviction race; drop it *)
         Hashtbl.remove t.by_source source_key;
         None
-      | Some entry -> verify_hit t ~label ~key entry ~poison)
+      | Some entry -> Some (key, claim_hit t ~label ~key entry ~poison))
   in
   Mutex.unlock t.m;
-  r
+  match hit with
+  | None -> None
+  | Some (key, entry) -> replay t ~label ~key entry
 
 let find_by_ir t ~label ~source_key ~input_norm ~fingerprint ~poison =
   let key = canonical_key ~input_norm ~fingerprint in
   Mutex.lock t.m;
-  let r =
+  let hit =
     match Hashtbl.find_opt t.by_key key with
     | Some entry
       when entry.input_norm = input_norm
-           && entry.fingerprint = fingerprint -> (
-      match verify_hit t ~label ~key entry ~poison with
-      | Some payload ->
-        (* remember the new spelling of this input for next time *)
-        if not (Hashtbl.mem t.by_source source_key) then begin
-          Hashtbl.replace t.by_source source_key key;
-          entry.aliases <- source_key :: entry.aliases
-        end;
-        Some payload
-      | None -> None)
+           && entry.fingerprint = fingerprint ->
+      Some (claim_hit t ~label ~key entry ~poison)
     | Some _ (* digest collision: treat as a miss, never trust it *)
     | None ->
       bump t (fun m -> Registry.incr m.Stats.c_misses);
@@ -155,7 +176,23 @@ let find_by_ir t ~label ~source_key ~input_norm ~fingerprint ~poison =
       None
   in
   Mutex.unlock t.m;
-  r
+  match hit with
+  | None -> None
+  | Some entry -> (
+    match replay t ~label ~key entry with
+    | None -> None
+    | Some payload ->
+      (* remember the new spelling of this input for next time, unless
+         the entry was replaced or evicted while we replayed it *)
+      Mutex.lock t.m;
+      (match Hashtbl.find_opt t.by_key key with
+       | Some current
+         when current == entry && not (Hashtbl.mem t.by_source source_key) ->
+         Hashtbl.replace t.by_source source_key key;
+         entry.aliases <- source_key :: entry.aliases
+       | Some _ | None -> ());
+      Mutex.unlock t.m;
+      Some payload)
 
 let insert t ~label ~source_key ~input_norm ~fingerprint ~snap ~func payload =
   let key = canonical_key ~input_norm ~fingerprint in
@@ -163,6 +200,9 @@ let insert t ~label ~source_key ~input_norm ~fingerprint ~snap ~func payload =
   (* first writer wins: a concurrent domain may have compiled the same
      input; both results verified against the same legality contract *)
   if not (Hashtbl.mem t.by_key key) then begin
+    (* force the blocks' memoized program order now, so concurrent
+       replays of this entry only ever read it *)
+    List.iter (fun b -> ignore (Block.to_list b)) (Func.blocks func);
     let entry =
       { input_norm; fingerprint; snap; func; payload;
         aliases = [ source_key ] }

@@ -15,7 +15,11 @@
     recompiles.  A poisoned cache therefore costs one recompile, never a
     wrong result.
 
-    Thread-safe: one internal mutex; safe to share across pool domains. *)
+    Thread-safe: one internal mutex guards the tables, and the replay runs
+    outside it, so domains hitting the same entry verify it concurrently.
+    Poisoning installs a damaged copy of the entry rather than mutating
+    the shared function, and a failed replay evicts only the entry it
+    checked.  Safe to share across pool domains. *)
 
 type cached = {
   ir : string;  (** alpha-renamed printed output IR *)
@@ -33,8 +37,8 @@ type t
 val create : ?metrics:Lslp_telemetry.Pool_stats.metrics -> unit -> t
 (** Registry counters ([lslp_cache_*_total]) and flight-recorder events
     (cache-hit/poison/verified/evicted/miss/insert, recorded with tick
-    [-1] — the cache does not see the pool's virtual clock) are emitted
-    under the cache lock. *)
+    [-1] — the cache does not see the pool's virtual clock); both lock
+    themselves. *)
 
 val source_key : source:string -> unroll:int -> fingerprint:string -> string
 (** The front key for a job, computable without parsing. *)

@@ -5,12 +5,20 @@
    [cond_change] wakes the orchestrator (outcome recorded, worker died,
    queue space freed).  Workers run jobs outside the lock.
 
+   Workers are loops, not domains.  Each worker loop runs on a parked
+   domain taken from a process-wide idle set ([launch]); when the loop
+   returns, [await] hands the domain back to the set, so consecutive
+   batches reuse warm domains instead of paying a spawn, a join and a
+   fresh minor heap every time.  The idle set is one [Atomic] list
+   changed only by compare-and-set; it never holds more domains than
+   were ever running at once.
+
    Fault isolation is the point: any exception a job attempt lets escape —
    an injected [Inject.Fault], a [Budget.Deadline_expired] from the
-   cooperative watchdog, a genuine pass bug — kills only that worker.  The
-   dying worker records a retry or a typed failure for its job under the
-   lock, marks its slot dead and exits its Domain; the orchestrator joins
-   the corpse and spawns a replacement.  Nothing hangs and no job is ever
+   cooperative watchdog, a genuine pass bug — ends only that worker loop.
+   The dying worker records a retry or a typed failure for its job under
+   the lock, marks its slot dead and returns; the orchestrator awaits it
+   and launches a replacement loop.  Nothing hangs and no job is ever
    lost: every submitted job ends in exactly one {!outcome}.
 
    Time is virtual.  Retry backoff is measured in scheduling ticks — the
@@ -82,6 +90,86 @@ let admission_sheds config ~job =
       (Inject.reseed spec ~seed:(attempt_seed config ~job ~attempt:(-1)))
       Inject.Queue_full
 
+(* ---- parked worker domains ---------------------------------------- *)
+
+(* A parked domain waits while its state is [Finished], the state [await]
+   leaves behind, until [launch] hands it the next thunk. *)
+type state =
+  | Running of (unit -> unit)
+  | Finished of (exn * Printexc.raw_backtrace) option  (* [Some] = raised *)
+
+type handle = { lock : Mutex.t; wake : Condition.t; mutable state : state }
+
+(* Domains with no thunk to run.  A popped cons cell is never pushed
+   again, so compare-and-set on the list cannot be fooled by ABA. *)
+let idle : handle list Atomic.t = Atomic.make []
+
+let rec push h =
+  let l = Atomic.get idle in
+  if not (Atomic.compare_and_set idle l (h :: l)) then push h
+
+let rec pop () =
+  match Atomic.get idle with
+  | [] -> None
+  | h :: rest as l ->
+    if Atomic.compare_and_set idle l rest then Some h else pop ()
+
+(* The body of a parked domain: run each thunk handed over, report how it
+   ended, wait for the next.  A thunk that raised ends the domain. *)
+let rec park h =
+  Mutex.lock h.lock;
+  let rec next () =
+    match h.state with
+    | Running f -> f
+    | Finished _ ->
+      Condition.wait h.wake h.lock;
+      next ()
+  in
+  let f = next () in
+  Mutex.unlock h.lock;
+  let ended =
+    match f () with
+    | () -> None
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
+  in
+  Mutex.lock h.lock;
+  h.state <- Finished ended;
+  Condition.signal h.wake;
+  Mutex.unlock h.lock;
+  match ended with None -> park h | Some _ -> ()
+
+let launch f =
+  match pop () with
+  | Some h ->
+    Mutex.lock h.lock;
+    h.state <- Running f;
+    Condition.signal h.wake;
+    Mutex.unlock h.lock;
+    h
+  | None ->
+    let h =
+      { lock = Mutex.create (); wake = Condition.create (); state = Running f }
+    in
+    ignore (Domain.spawn (fun () -> park h) : unit Domain.t);
+    h
+
+let await h =
+  Mutex.lock h.lock;
+  let rec finished () =
+    match h.state with
+    | Finished ended -> ended
+    | Running _ ->
+      Condition.wait h.wake h.lock;
+      finished ()
+  in
+  let ended = finished () in
+  Mutex.unlock h.lock;
+  match ended with
+  | None -> push h
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+
+(* ---- the pool ------------------------------------------------------ *)
+
 let run (type a) ?metrics config
     (jobs :
       (string
@@ -104,7 +192,7 @@ let run (type a) ?metrics config
   let recorded = ref 0 in
   let shutdown = ref false in
   let dead = ref [] in
-  let handles : unit Domain.t option array = Array.make domains None in
+  let handles : handle option array = Array.make domains None in
   let obs f = match metrics with Some (m : Stats.metrics) -> f m | None -> () in
   (* virtual tick of each job's {e first} dispatch, so the latency
      histogram charges retries and backoff to the job that paid them *)
@@ -248,14 +336,14 @@ let run (type a) ?metrics config
       end
     done
   in
-  let spawn slot = handles.(slot) <- Some (Domain.spawn (fun () -> worker slot)) in
+  let start slot = handles.(slot) <- Some (launch (fun () -> worker slot)) in
   for slot = 0 to domains - 1 do
-    spawn slot
+    start slot
   done;
   let next = ref 0 in
   Mutex.lock m;
   while !recorded < n do
-    (* bury and replace dead workers *)
+    (* await and replace dead workers *)
     (match !dead with
      | [] -> ()
      | slots ->
@@ -264,13 +352,13 @@ let run (type a) ?metrics config
        List.iter
          (fun slot ->
            match handles.(slot) with
-           | Some d -> Domain.join d
+           | Some h -> await h
            | None -> ())
          slots;
        Mutex.lock m;
        List.iter
          (fun slot ->
-           spawn slot;
+           start slot;
            obs (fun m ->
                Registry.incr m.Stats.respawned;
                flight m ~job:"" ~detail:(Fmt.str "worker %d" slot) "respawn"))
@@ -302,7 +390,7 @@ let run (type a) ?metrics config
   shutdown := true;
   Condition.broadcast cond_work;
   Mutex.unlock m;
-  Array.iter (function Some d -> Domain.join d | None -> ()) handles;
+  Array.iter (function Some h -> await h | None -> ()) handles;
   Array.map
     (function
       | Some o -> o

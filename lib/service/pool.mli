@@ -6,10 +6,10 @@
     [Lslp_robust.Transact] gives individual regions:
 
     - {b Crash isolation.}  An exception escaping a job attempt — an
-      injected [Inject.Fault], a genuine bug — kills only the worker
+      injected [Inject.Fault], a genuine bug — ends only the worker loop
       running it.  The worker records a retry or a typed failure for its
-      job, then dies; the orchestrator joins the corpse and spawns a
-      replacement, so the pool never loses capacity permanently.
+      job, then its loop ends; the orchestrator awaits it and launches a
+      replacement loop, so the pool never loses capacity permanently.
     - {b Deadlines.}  With [deadline_steps] set, every attempt carries a
       fresh {!Lslp_robust.Budget.deadline} the pipeline ticks at its pass
       boundaries; expiry raises [Budget.Deadline_expired] out of the job,
@@ -86,3 +86,24 @@ val run :
     per-job event log. *)
 
 val pp_failure : failure Fmt.t
+
+(** {1 Parked worker domains}
+
+    The pool runs its worker loops on domains that outlive a batch: a
+    finished loop parks its domain in a process-wide idle set and the
+    next {!launch} reuses it, so a batch pays no domain spawn or fresh
+    minor heap.  The idle set never holds more domains than were ever
+    running at once. *)
+
+type handle
+(** One thunk running on a parked domain. *)
+
+val launch : (unit -> unit) -> handle
+(** Run the thunk on an idle parked domain, spawning one when none is
+    free. *)
+
+val await : handle -> unit
+(** Block until the thunk has finished, then return its domain to the
+    idle set.  If the thunk raised, re-raise the exception (as
+    [Domain.join] does); that domain ends and is not reused.  Await each
+    handle exactly once. *)

@@ -31,6 +31,27 @@ let swap_in_block (b : Block.t) x y =
          if Instr.equal i x then y else if Instr.equal i y then x else i)
        (Block.to_list b))
 
+(* The dependence-order diagnostics of [Legality.validate], in its order,
+   must be exactly what the list-based reference reports ([deps] taken
+   from the same pre-pass function as [snap]). *)
+let dependence_order_diags diags =
+  List.filter_map
+    (fun (d : Diagnostic.t) ->
+      if d.Diagnostic.rule = "dependence-order" then
+        Some
+          ( d.Diagnostic.message,
+            List.map (fun (i : Instr.t) -> i.Instr.id) d.Diagnostic.instrs )
+      else None)
+    diags
+
+let agrees_with_ref ?(provenance = []) snap deps f =
+  dependence_order_diags (Legality.validate ~provenance snap f)
+  = dependence_order_diags (Legality_ref.dependence_order ~provenance deps f)
+
+let check_agrees_with_ref ?provenance snap deps f =
+  check_bool "dependence order matches the reference" true
+    (agrees_with_ref ?provenance snap deps f)
+
 (* ---- mutation tests: seeded corruptions must be caught ------------- *)
 
 let test_dependent_lanes () =
@@ -40,6 +61,7 @@ let test_dependent_lanes () =
        }"
   in
   let snap = Legality.snapshot f in
+  let deps = Legality_ref.deps_of f in
   match find_binop Opcode.Fadd f with
   | [ inner; outer ] ->
     let provenance =
@@ -48,7 +70,8 @@ let test_dependent_lanes () =
     in
     let diags = Legality.validate ~provenance snap f in
     check_bool "dependent lanes flagged" true
-      (has_rule "lane-independence" diags)
+      (has_rule "lane-independence" diags);
+    check_agrees_with_ref ~provenance snap deps f
   | adds -> Alcotest.failf "expected 2 adds, got %d" (List.length adds)
 
 let two_lane_src =
@@ -79,6 +102,7 @@ let test_broken_schedule () =
   in
   let g = Func.clone f in
   let snap = Legality.snapshot g in
+  let deps = Legality_ref.deps_of g in
   ignore (Pipeline.run ~config:Config.lslp g);
   check_string "clean before corruption" ""
     (show_diags (Legality.validate snap g));
@@ -96,7 +120,8 @@ let test_broken_schedule () =
   let mul = List.hd (find_binop Opcode.Fmul g) in
   swap_in_block (Func.entry g) store mul;
   let diags = Legality.validate snap g in
-  check_bool "violated order flagged" true (has_rule "dependence-order" diags)
+  check_bool "violated order flagged" true (has_rule "dependence-order" diags);
+  check_agrees_with_ref snap deps g
 
 let test_wrong_lane_count () =
   let f = compile two_lane_src in
@@ -192,6 +217,7 @@ let test_masked_store_reordered_past_load () =
      array must violate the recorded dependence order *)
   let f = compile cond_src in
   let snap = Legality.snapshot f in
+  let deps = Legality_ref.deps_of f in
   check_string "clean before corruption" ""
     (show_diags (Legality.validate snap f));
   let ms = find_masked_store f in
@@ -207,7 +233,8 @@ let test_masked_store_reordered_past_load () =
   in
   swap_in_block (Func.entry f) ms load;
   let diags = Legality.validate snap f in
-  check_bool "violated order flagged" true (has_rule "dependence-order" diags)
+  check_bool "violated order flagged" true (has_rule "dependence-order" diags);
+  check_agrees_with_ref snap deps f
 
 (* ---- the genuine pipeline must validate cleanly -------------------- *)
 
@@ -382,6 +409,63 @@ let qcheck_random =
        (fun (d, config) ->
          validates_and_equivalent config (Test_qcheck.build_kernel d)))
 
+(* The dependence-order check against its list-based reference on fuzz
+   programs: compile, then attach made-up provenance (random original
+   lanes, members of other blocks and instructions born in the pass
+   included, some vectors listed twice) and swap random pairs of
+   instructions, so both clean and violated orders are compared. *)
+let order_matches_reference seed =
+  let rng = Random.State.make [| seed |] in
+  let f =
+    Lslp_fuzz.Gen.(build (generate ~cond_only:(seed land 1 = 1) rng))
+  in
+  let snap = Legality.snapshot f in
+  let deps = Legality_ref.deps_of f in
+  let originals =
+    Array.of_list (Func.fold_instrs (fun acc i -> i :: acc) [] f)
+  in
+  ignore (Pipeline.run ~config:Config.lslp f);
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let provenance =
+    List.concat_map
+      (fun b ->
+        let insts = Array.of_list (Block.to_list b) in
+        List.concat_map
+          (fun vector ->
+            if Array.length originals = 0 || Random.State.int rng 3 > 0 then []
+            else
+              List.init (1 + Random.State.int rng 2) (fun _ ->
+                  {
+                    Legality.lanes =
+                      Array.init (1 + Random.State.int rng 4) (fun _ ->
+                          if Random.State.int rng 5 = 0 then pick insts
+                          else pick originals);
+                    vector;
+                  }))
+          (Array.to_list insts))
+      (Func.blocks f)
+  in
+  List.iter
+    (fun b ->
+      let insts = Array.of_list (Block.to_list b) in
+      let n = Array.length insts in
+      if n > 1 then
+        for _ = 1 to Random.State.int rng 4 do
+          let x = Random.State.int rng n and y = Random.State.int rng n in
+          let t = insts.(x) in
+          insts.(x) <- insts.(y);
+          insts.(y) <- t
+        done;
+      Block.set_order b (Array.to_list insts))
+    (Func.blocks f);
+  agrees_with_ref ~provenance snap deps f
+
+let qcheck_order_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"dependence order matches the list-based reference"
+       ~print:string_of_int QCheck2.Gen.nat order_matches_reference)
+
 let suite =
   [
     tc "fabricated dependent lanes are flagged" test_dependent_lanes;
@@ -406,4 +490,5 @@ let suite =
       test_json_escaping;
     qcheck_catalog;
     qcheck_random;
+    qcheck_order_reference;
   ]

@@ -283,6 +283,184 @@ let cache_off () =
       | Pool.Degraded_to_failure _ -> Alcotest.fail "clean batch degraded")
     (Array.append r1 r2)
 
+(* ---- parked worker domains ---------------------------------------- *)
+
+(* [n] jobs that each record the domain running them; each waits until
+   [n] jobs have started, so no worker can drain the batch alone and
+   every worker of an [n]-domain run records its domain. *)
+let domain_ids_of_run n =
+  let started = Atomic.make 0 in
+  let jobs =
+    Array.init n (fun i ->
+        ( Fmt.str "job-%d" i,
+          fun ~inject:_ ~deadline:_ ->
+            Atomic.incr started;
+            while Atomic.get started < n do
+              Domain.cpu_relax ()
+            done;
+            (Domain.self () :> int) ))
+  in
+  Pool.run { (quiet_pool n) with queue_cap = n } jobs
+  |> Array.to_list
+  |> List.map (function
+       | Pool.Done id -> id
+       | Pool.Degraded_to_failure _ -> Alcotest.fail "clean run degraded")
+  |> List.sort_uniq compare
+
+let pool_reuses_domains () =
+  let first = domain_ids_of_run 2 in
+  let second = domain_ids_of_run 2 in
+  Helpers.check_int "two workers in the first run" 2 (List.length first);
+  Helpers.check_bool
+    (Fmt.str "second run's domains [%a] among the first's [%a]"
+       Fmt.(list ~sep:comma int) second Fmt.(list ~sep:comma int) first)
+    true
+    (List.for_all (fun id -> List.mem id first) second)
+
+(* Leaked workers would pass OCaml's 128-domain limit long before 300
+   back-to-back 4-domain runs. *)
+let pool_back_to_back () =
+  let jobs =
+    Array.init 8 (fun i -> (Fmt.str "job-%d" i, fun ~inject:_ ~deadline:_ -> i))
+  in
+  for run = 1 to 300 do
+    Array.iteri
+      (fun i -> function
+        | Pool.Done v when v = i -> ()
+        | Pool.Done _ | Pool.Degraded_to_failure _ ->
+          Alcotest.failf "run %d: job %d did not complete" run i)
+      (Pool.run (quiet_pool 4) jobs)
+  done
+
+(* Worker deaths end the worker loop, not the domain, but the pool's
+   record of them is unchanged: the outcomes, the respawn count and the
+   whole 1-domain flight dump are the ones per-batch domain spawning
+   produced.  Job 1 crashes on every attempt, job 2 on its first. *)
+let worker_raise_flight =
+  [
+    {|{"seq":0,"tick":0,"event":"enqueued","job":"job-0","attempt":-1,"seed":0,"detail":""}|};
+    {|{"seq":1,"tick":0,"event":"enqueued","job":"job-1","attempt":-1,"seed":0,"detail":""}|};
+    {|{"seq":2,"tick":0,"event":"enqueued","job":"job-2","attempt":-1,"seed":0,"detail":""}|};
+    {|{"seq":3,"tick":0,"event":"enqueued","job":"job-3","attempt":-1,"seed":0,"detail":""}|};
+    {|{"seq":4,"tick":1,"event":"dispatched","job":"job-0","attempt":0,"seed":24573073719,"detail":""}|};
+    {|{"seq":5,"tick":2,"event":"completed","job":"job-0","attempt":0,"seed":24573073719,"detail":"latency=1"}|};
+    {|{"seq":6,"tick":3,"event":"dispatched","job":"job-1","attempt":0,"seed":24573081910,"detail":""}|};
+    {|{"seq":7,"tick":3,"event":"crashed","job":"job-1","attempt":0,"seed":24573081910,"detail":"Lslp_robust.Inject.Fault(8)"}|};
+    {|{"seq":8,"tick":3,"event":"retried","job":"job-1","attempt":1,"seed":24573081911,"detail":"in 2 tick(s)"}|};
+    {|{"seq":9,"tick":4,"event":"respawn","job":"","attempt":-1,"seed":0,"detail":"worker 0"}|};
+    {|{"seq":10,"tick":5,"event":"dispatched","job":"job-2","attempt":0,"seed":24573090101,"detail":""}|};
+    {|{"seq":11,"tick":5,"event":"crashed","job":"job-2","attempt":0,"seed":24573090101,"detail":"Lslp_robust.Inject.Fault(8)"}|};
+    {|{"seq":12,"tick":5,"event":"retried","job":"job-2","attempt":1,"seed":24573090102,"detail":"in 2 tick(s)"}|};
+    {|{"seq":13,"tick":6,"event":"respawn","job":"","attempt":-1,"seed":0,"detail":"worker 0"}|};
+    {|{"seq":14,"tick":7,"event":"dispatched","job":"job-3","attempt":0,"seed":24573098292,"detail":""}|};
+    {|{"seq":15,"tick":8,"event":"completed","job":"job-3","attempt":0,"seed":24573098292,"detail":"latency=1"}|};
+    {|{"seq":16,"tick":9,"event":"dispatched","job":"job-1","attempt":1,"seed":24573081911,"detail":""}|};
+    {|{"seq":17,"tick":9,"event":"crashed","job":"job-1","attempt":1,"seed":24573081911,"detail":"Lslp_robust.Inject.Fault(8)"}|};
+    {|{"seq":18,"tick":9,"event":"retried","job":"job-1","attempt":2,"seed":24573081912,"detail":"in 4 tick(s)"}|};
+    {|{"seq":19,"tick":10,"event":"respawn","job":"","attempt":-1,"seed":0,"detail":"worker 0"}|};
+    {|{"seq":20,"tick":11,"event":"dispatched","job":"job-2","attempt":1,"seed":24573090102,"detail":""}|};
+    {|{"seq":21,"tick":12,"event":"completed","job":"job-2","attempt":1,"seed":24573090102,"detail":"latency=7"}|};
+    {|{"seq":22,"tick":14,"event":"dispatched","job":"job-1","attempt":2,"seed":24573081912,"detail":""}|};
+    {|{"seq":23,"tick":14,"event":"crashed","job":"job-1","attempt":2,"seed":24573081912,"detail":"Lslp_robust.Inject.Fault(8)"}|};
+    {|{"seq":24,"tick":14,"event":"failed","job":"job-1","attempt":2,"seed":24573081912,"detail":"retries exhausted"}|};
+  ]
+
+let pool_worker_raise_unchanged () =
+  let raise_at rate = Inject.make ~points:[ Inject.Worker_raise ] ~rate ~seed:0 () in
+  let always = raise_at 1.0 and half = raise_at 0.5 in
+  let inject_for = function 1 -> Some always | 2 -> Some half | _ -> None in
+  let config =
+    { Pool.default_config with domains = 1; queue_cap = 4; inject_for;
+      job_seed = 3 }
+  in
+  let metrics = Stats.metrics () in
+  let jobs =
+    Array.init 4 (fun i ->
+        (Fmt.str "job-%d" i, fun ~inject:_ ~deadline:_ -> i * i))
+  in
+  let outcomes = Pool.run ~metrics config jobs in
+  let show = function
+    | Pool.Done v -> Fmt.str "done %d" v
+    | Pool.Degraded_to_failure { attempts; failure } ->
+      Fmt.str "degraded %d %a" attempts Pool.pp_failure failure
+  in
+  Helpers.check_string "outcomes"
+    "done 0; degraded 3 crashed: Lslp_robust.Inject.Fault(8); done 4; done 9"
+    (String.concat "; " (Array.to_list (Array.map show outcomes)));
+  Helpers.check_int "respawned" 3 (Stats.view metrics).Stats.workers_respawned;
+  Helpers.check_string "flight dump"
+    (String.concat "\n" worker_raise_flight ^ "\n")
+    (Flight.to_jsonl metrics.Stats.flight)
+
+let await_reraises () =
+  (match Pool.await (Pool.launch (fun () -> raise Exit)) with
+   | () -> Alcotest.fail "await swallowed the thunk's exception"
+   | exception Exit -> ());
+  let ran = Atomic.make false in
+  Pool.await (Pool.launch (fun () -> Atomic.set ran true));
+  Helpers.check_bool "launcher still runs thunks" true (Atomic.get ran)
+
+(* ---- the cache under concurrent hits ------------------------------ *)
+
+(* Two domains hit one entry 200 times each; one hit of the first domain
+   is poisoned.  The damaged copy is evicted exactly once, nothing
+   raises, every payload returned came from a passing replay, and the
+   shared function the poisoning copied still validates clean. *)
+let cache_concurrent_poison () =
+  let metrics = Stats.metrics () in
+  let cache = Cache.create ~metrics () in
+  let source = (List.hd Catalog.all).Catalog.source in
+  let fingerprint = Config.fingerprint config in
+  let source_key = Cache.source_key ~source ~unroll ~fingerprint in
+  let func = Lslp_frontend.Lower.compile_string source in
+  ignore (Lslp_frontend.Unroll.run ~factor:unroll func);
+  let input_norm =
+    Lslp_util.Normalize.ids (Lslp_ir.Printer.func_to_string func)
+  in
+  let snap = Lslp_check.Legality.snapshot func in
+  let report = Lslp_core.Pipeline.run ~config func in
+  let payload =
+    {
+      Cache.ir = Lslp_util.Normalize.ids (Lslp_ir.Printer.func_to_string func);
+      remarks = [];
+      counters = [];
+      vectorized = report.Lslp_core.Pipeline.vectorized_regions;
+    }
+  in
+  Cache.insert cache ~label:"k" ~source_key ~input_norm ~fingerprint ~snap
+    ~func payload;
+  let ready = Atomic.make 0 in
+  let hits ~poison_at () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let served = ref 0 in
+    for i = 0 to 199 do
+      match
+        Cache.find_by_source cache ~label:"k" ~source_key
+          ~poison:(i = poison_at)
+      with
+      | Some p ->
+        if p != payload then Alcotest.fail "served a foreign payload";
+        incr served
+      | None -> ()
+    done;
+    !served
+  in
+  let other = Domain.spawn (hits ~poison_at:(-1)) in
+  let mine = hits ~poison_at:50 () in
+  let served = mine + Domain.join other in
+  let s = Stats.view metrics in
+  Helpers.check_int "exactly one eviction" 1 s.Stats.cache_evicted;
+  Helpers.check_int "every payload served passed its replay"
+    s.Stats.cache_verified served;
+  Helpers.check_int "entry gone" 0 (Cache.length cache);
+  Helpers.check_string "shared function untouched by the poisoning" ""
+    (String.concat "; "
+       (List.map Lslp_check.Diagnostic.to_string
+          (Lslp_check.Legality.validate snap func)))
+
 (* ---- sharded fuzzing ---------------------------------------------- *)
 
 let shard_determinism () =
@@ -316,4 +494,13 @@ let suite =
     Helpers.tc "cache: off means off" cache_off;
     Helpers.tc "shard: 4-domain fuzz == sequential, case by case"
       shard_determinism;
+    Helpers.tc "pool: a second run reuses the first run's domains"
+      pool_reuses_domains;
+    Helpers.tc "pool: 300 back-to-back 4-domain runs complete"
+      pool_back_to_back;
+    Helpers.tc "pool: worker-raise outcomes, respawns and flight unchanged"
+      pool_worker_raise_unchanged;
+    Helpers.tc "pool: await re-raises the thunk's exception" await_reraises;
+    Helpers.tc "cache: concurrent hits, one poisoned, evict once"
+      cache_concurrent_poison;
   ]

@@ -4,7 +4,7 @@
   domain-smoke serve-smoke bench-lint stats-golden bench-check \
   bench-baseline bench-speed bench-speed-report bench-serve \
   bench-serve-report trace-golden cond-smoke metrics-check \
-  metrics-baseline metrics-smoke perfbench
+  metrics-baseline metrics-smoke perfbench layers-check layers-baseline
 
 all:
 	dune build
@@ -31,6 +31,7 @@ ci:
 	$(MAKE) stats-golden
 	$(MAKE) trace-golden
 	$(MAKE) bench-check
+	$(MAKE) layers-check
 	$(MAKE) metrics-check
 	$(MAKE) metrics-smoke
 
@@ -112,6 +113,22 @@ bench-check:
 
 bench-baseline:
 	dune exec bench/baseline.exe -- --write
+
+# Tolerance-free per-layer allocation gate: the benchmark's allocation
+# probe (perfbench/main.exe --alloc-probe, seed 7: self words and calls per
+# traced span plus a digest of the work counters) on catalog, chains and
+# batch-mixed, compared with bench_results/LAYERS_baseline.json.  Two fresh
+# processes print the same line, so any difference is a real change in a
+# layer's allocation.  After an intended change, regenerate with
+# `make layers-baseline` and state each layer's change in the commit.
+PERFBENCH_EXE = _build/default/perfbench/main.exe
+layers-check:
+	dune build perfbench/main.exe bench/layers.exe
+	dune exec bench/layers.exe -- --check --probe $(PERFBENCH_EXE)
+
+layers-baseline:
+	dune build perfbench/main.exe bench/layers.exe
+	dune exec bench/layers.exe -- --write --probe $(PERFBENCH_EXE)
 
 # Compile-throughput harness: the whole catalog compiled 1000x per config
 # (one-shot wall clock + a bechamel estimate), appended as a dated run to

@@ -13,6 +13,10 @@
 
    Built over a per-block [Arena]: positions and may-alias queries are
    array reads and int compares off the arena's precomputed address table.
+   Memory edges are searched only within one array (accesses bucketed by
+   the arena's interned base), so the direct edges cost O(n + E + P) for n
+   instructions, E data edges and P same-array access pairs that include a
+   store; loads of arrays the block never stores to cost nothing.
    Reachability is a bit matrix packed 64 lanes to a word: row i is
    [stride = 8 * ceil(n / 64)] bytes with bit j set when i transitively
    depends on j, so a snapshot costs n^2/8 bytes, the closure merges rows a
@@ -44,24 +48,51 @@ let direct_preds (arena : Arena.t) =
       (Instr.operands (Arena.instr arena i))
   done;
   (* memory dependencies: store/store and store/load pairs that may alias,
-     earlier access before later *)
-  let mems = ref [] in
-  for i = n - 1 downto 0 do
-    if Arena.is_memory arena i then mems := i :: !mems
-  done;
-  let mems = !mems in
-  List.iter
-    (fun i ->
-      let store_i = Instr.is_store (Arena.instr arena i) in
-      List.iter
-        (fun j ->
-          if
-            j < i
-            && (store_i || Instr.is_store (Arena.instr arena j))
-            && Arena.may_alias arena i j
-          then preds.(i) <- j :: preds.(i))
-        mems)
-    mems;
+     earlier access before later.  Only accesses to one array can alias,
+     so the accesses are bucketed by interned base, in program order (CSR:
+     bucket [b] of [acc] is [acc_off.(b) ..], filled up to [acc_end.(b)]
+     so far; likewise [sto] for stores alone).  A store is tested against
+     every earlier access to its array, a load only against the earlier
+     stores; each bucket is walked in ascending position, so [preds.(i)]
+     receives its memory edges in the order the all-pairs walk gave. *)
+  let nb = Arena.base_count arena in
+  if nb > 0 then begin
+    let acc_off = Array.make (nb + 1) 0 and sto_off = Array.make (nb + 1) 0 in
+    for i = 0 to n - 1 do
+      let b = Arena.addr_base arena i in
+      if b >= 0 then begin
+        acc_off.(b + 1) <- acc_off.(b + 1) + 1;
+        if Instr.is_store (Arena.instr arena i) then
+          sto_off.(b + 1) <- sto_off.(b + 1) + 1
+      end
+    done;
+    for b = 1 to nb do
+      acc_off.(b) <- acc_off.(b) + acc_off.(b - 1);
+      sto_off.(b) <- sto_off.(b) + sto_off.(b - 1)
+    done;
+    let acc = Array.make acc_off.(nb) 0 and sto = Array.make sto_off.(nb) 0 in
+    let acc_end = Array.sub acc_off 0 nb and sto_end = Array.sub sto_off 0 nb in
+    for i = 0 to n - 1 do
+      let b = Arena.addr_base arena i in
+      if b >= 0 then begin
+        if Instr.is_store (Arena.instr arena i) then begin
+          for e = acc_off.(b) to acc_end.(b) - 1 do
+            let j = acc.(e) in
+            if Arena.may_alias arena i j then preds.(i) <- j :: preds.(i)
+          done;
+          sto.(sto_end.(b)) <- i;
+          sto_end.(b) <- sto_end.(b) + 1
+        end
+        else
+          for e = sto_off.(b) to sto_end.(b) - 1 do
+            let j = sto.(e) in
+            if Arena.may_alias arena i j then preds.(i) <- j :: preds.(i)
+          done;
+        acc.(acc_end.(b)) <- i;
+        acc_end.(b) <- acc_end.(b) + 1
+      end
+    done
+  end;
   preds
 
 let build_arena (arena : Arena.t) =

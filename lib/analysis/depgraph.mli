@@ -16,6 +16,11 @@ val build_arena : Arena.t -> t
 (** Build over an arena the caller already holds; positions and aliasing
     come off its precomputed tables. *)
 
+val direct_preds : Arena.t -> int list array
+(** The direct dependences {!build_arena} closes over: position [i]'s
+    entry lists the positions it depends on directly, memory edges (in
+    descending position) before data edges (in reverse operand order). *)
+
 val arena : t -> Arena.t
 
 val mem : t -> Instr.t -> bool

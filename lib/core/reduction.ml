@@ -101,7 +101,7 @@ type plan = {
    graph nodes (chunk trees and their gathers/extracts) + (chunks-1)
    element-wise vector ops + the horizontal reduce + tail scalar ops,
    minus the removed scalar chain ops. *)
-let plan_candidate ?meter ?probe ?trace ?ids ?deps ~desc
+let plan_candidate ?meter ?probe ?trace ?ids ~deps ~desc
     (config : Config.t) (block : Block.t) (c : candidate) : plan option =
   let model = config.Config.model in
   let elt =
@@ -113,20 +113,17 @@ let plan_candidate ?meter ?probe ?trace ?ids ?deps ~desc
   if List.length c.cand_leaves < lanes then None
   else begin
     let chunks, tail = chunk_leaves ~lanes c.cand_leaves in
+    let deps = Lazy.force deps in
     let graph, chunk_nodes =
-      Graph_builder.build_columns ?meter ?probe ?trace ?ids ?deps ~desc
+      Graph_builder.build_columns ?meter ?probe ?trace ?ids ~deps ~desc
         config block chunks
     in
     let in_chain (u : Instr.t) =
       List.exists (fun (ci : Instr.t) -> Instr.equal ci u) c.cand_chain
     in
-    let uses =
-      Option.map
-        (fun d -> Use_info.of_arena (Lslp_analysis.Depgraph.arena d))
-        deps
-    in
+    let uses = Use_info.of_arena (Lslp_analysis.Depgraph.arena deps) in
     let summary =
-      Cost.evaluate ~ignore_users:in_chain ?uses config graph block
+      Cost.evaluate ~ignore_users:in_chain ~uses config graph block
     in
     let op_costs = model.Lslp_costmodel.Model.binop_cost c.cand_op in
     let combine_cost = (List.length chunks - 1) * op_costs.vector lanes in
@@ -174,28 +171,31 @@ let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
      build, cost and codegen all read the same frozen block, and the
      snapshot survives across iterations until a reduction actually rewrites
      the block (rejected or unschedulable candidates leave it untouched).
-     The caller may hand over a snapshot it already built for this state. *)
-  let cur_arena = ref arena in
-  while !continue_ do
-    continue_ := false;
-    let arena =
-      match !cur_arena with
-      | Some a -> a
-      | None ->
-        let a = Arena.of_block block in
-        cur_arena := Some a;
-        a
-    in
-    let uses = Use_info.of_arena arena in
-    let fresh =
+     The caller may hand over a snapshot it already built for this state.
+     What is derived from the snapshot lives exactly as long: the
+     candidates not yet planned, collected once, and the dependence graph,
+     built when the first candidate is planned. *)
+  let snapshot arena =
+    let pending =
       List.filter
         (fun c ->
           not (Lslp_util.Int_table.mem consumed c.cand_root.Instr.id))
-        (collect_candidates ~uses block)
+        (collect_candidates ~uses:(Use_info.of_arena arena) block)
     in
-    match fresh with
+    (pending, lazy (Lslp_analysis.Depgraph.build_arena arena))
+  in
+  let cur = ref (Option.map snapshot arena) in
+  while !continue_ do
+    continue_ := false;
+    let pending, deps =
+      match !cur with
+      | Some s -> s
+      | None -> snapshot (Arena.of_block block)
+    in
+    match pending with
     | [] -> ()
-    | c :: _ -> (
+    | c :: rest -> (
+      cur := Some (rest, deps);
       Lslp_util.Int_table.set consumed c.cand_root.Instr.id 1;
       continue_ := true;
       Option.iter Lslp_robust.Budget.spend_step meter;
@@ -204,7 +204,6 @@ let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
           (Opcode.binop_name c.cand_op)
           (List.length c.cand_leaves)
       in
-      let deps = Lslp_analysis.Depgraph.build_arena arena in
       match
         plan_candidate ?meter ?probe ?trace ?ids ~deps ~desc config block c
       with
@@ -238,11 +237,11 @@ let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
             Lslp_robust.Inject.Reduction;
           match
             Codegen.run ~reduction:plan.reduction ?record ?probe ?trace
-              ~deps plan.graph block
+              ~deps:(Lazy.force deps) plan.graph block
           with
           | Codegen.Vectorized ->
             ignore (Dce.run_block block);
-            cur_arena := None;
+            cur := None;
             outcome_event "vectorized";
             regions :=
               { root_desc = desc; lanes = plan.lanes; cost = plan.cost;

@@ -42,7 +42,8 @@ val run :
     over a snapshot of the block in its *current* state (the caller
     guarantees no mutation since [Arena.of_block]); it seeds the first
     candidate sweep and is dropped as soon as a reduction rewrites the
-    block.  One region record
+    block.  Candidates are collected, and the dependence graph built, once
+    per snapshot.  One region record
     per candidate with at least a full chunk of leaves; [on_skipped] fires
     for candidates with too few leaves for even one chunk; [record] is
     forwarded to {!Codegen.run} for provenance; [trace] records the chunk

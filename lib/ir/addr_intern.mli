@@ -1,0 +1,22 @@
+(** Address interning without strings: array base symbols and affine
+    shapes to dense small ints.
+
+    A shape is the symbolic part of an index ({!Affine.terms}); two
+    accesses with the same base and shape differ by a constant number of
+    elements.  Ids are issued in first-seen order, so a deterministic
+    sequence of queries yields deterministic ids.  Each lookup is one
+    compare against the previous query's key, then a hash probe: O(1)
+    expected however many distinct bases or shapes a block holds. *)
+
+type t
+
+val create : unit -> t
+
+val base : t -> string -> int
+(** Existing id of an array base symbol, or the next dense one. *)
+
+val shape : t -> Affine.t -> int
+(** Existing id of the index's symbolic part, or the next dense one. *)
+
+val base_count : t -> int
+(** Number of distinct bases seen; base ids are [0 .. base_count - 1]. *)

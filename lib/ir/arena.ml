@@ -18,9 +18,10 @@
      twice appears twice, in program order — the same contract the old
      Hashtbl-of-lists kept.
    - an address side table (built lazily): base symbol and affine shape
-     interned to small ints, constant offset and lane count unpacked, so
-     "consecutive?" and "may-alias?" are int compares instead of affine
-     differencing per query.
+     interned to small ints by [Addr_intern] (first-seen order, no string
+     built), constant offset and lane count unpacked, so "consecutive?"
+     and "may-alias?" are int compares instead of affine differencing per
+     query.
 
    Invalidation contract: an arena is a snapshot.  Passes that mutate the
    block (codegen, CSE, DCE, reorderings via [Block.set_order]) must drop
@@ -30,7 +31,6 @@
    verified commit. *)
 
 module Int_table = Lslp_util.Int_table
-module Intern = Lslp_util.Intern
 
 type idx_map =
   | Offset of { min_id : int; tbl : int array } (* id - min_id -> idx | -1 *)
@@ -41,7 +41,7 @@ type addr_tables = {
   a_shape : int array;  (* interned affine-terms shape | -1 *)
   a_const : int array;  (* constant part of the index *)
   a_lanes : int array;  (* access lanes | 0 *)
-  bases : Intern.t;
+  n_bases : int;        (* base ids are 0 .. n_bases - 1 *)
 }
 
 type t = {
@@ -162,36 +162,28 @@ let fold_users t k f acc =
 
 (* ---- address side table ---- *)
 
-let shape_key (a : Affine.t) =
-  (* canonical rendering of the symbolic part; interned once per arena *)
-  let b = Buffer.create 16 in
-  List.iter
-    (fun (s, c) ->
-      Buffer.add_string b s;
-      Buffer.add_char b '*';
-      Buffer.add_string b (string_of_int c);
-      Buffer.add_char b '|')
-    (Affine.terms a);
-  Buffer.contents b
-
 let build_addr t =
   let n = size t in
   let a_base = Array.make n (-1) in
   let a_shape = Array.make n (-1) in
   let a_const = Array.make n 0 in
   let a_lanes = Array.make n 0 in
-  let bases = Intern.create 8 in
-  let shapes = Intern.create 8 in
+  let ids = Addr_intern.create () in
   for k = 0 to n - 1 do
-    match Instr.address t.instrs.(k) with
-    | Some a ->
-      a_base.(k) <- Intern.intern bases a.Instr.base;
-      a_shape.(k) <- Intern.intern shapes (shape_key a.Instr.index);
+    match t.instrs.(k).Instr.kind with
+    | Instr.Load a | Instr.Store (a, _) | Instr.Masked_load (a, _, _)
+    | Instr.Masked_store (a, _, _) ->
+      a_base.(k) <- Addr_intern.base ids a.Instr.base;
+      a_shape.(k) <- Addr_intern.shape ids a.Instr.index;
       a_const.(k) <- Affine.const_part a.Instr.index;
       a_lanes.(k) <- a.Instr.access_lanes
-    | None -> ()
+    | Instr.Binop _ | Instr.Unop _ | Instr.Cmp _ | Instr.Select _
+    | Instr.Splat _ | Instr.Buildvec _ | Instr.Extract _ | Instr.Reduce _
+    | Instr.Shuffle _ -> ()
   done;
-  let tbls = { a_base; a_shape; a_const; a_lanes; bases } in
+  let tbls =
+    { a_base; a_shape; a_const; a_lanes; n_bases = Addr_intern.base_count ids }
+  in
   t.addr <- Some tbls;
   tbls
 
@@ -229,6 +221,8 @@ let may_alias t j k =
     ranges_overlap 0 a.a_lanes.(j) (a.a_const.(k) - a.a_const.(j)) a.a_lanes.(k)
 
 let addr_base t k = (addr t).a_base.(k)
+let addr_shape t k = (addr t).a_shape.(k)
+let base_count t = (addr t).n_bases
 let addr_const t k = (addr t).a_const.(k)
 let addr_lanes t k = (addr t).a_lanes.(k)
 

@@ -3,8 +3,9 @@
     Freezes one block into flat arrays — instructions in program order
     (the array index is the {e compact index}), an id→index map, CSR use
     lists, and a lazily-built address side table with interned base
-    symbols and affine shapes.  All hot queries (use counts, positions,
-    adjacency, aliasing) become array reads and int compares.
+    symbols and affine shapes ({!Addr_intern}: no string is built).  All
+    hot queries (use counts, positions, adjacency, aliasing) become array
+    reads and int compares.
 
     Compact indices are per-arena coordinates; printed IR only ever shows
     global ids ({!Lslp_util.Id_gen} space).  An arena is a snapshot: any
@@ -57,6 +58,15 @@ val addr_base : t -> int -> int
     deterministic per arena; they are arena-local coordinates and must
     never be printed. *)
 
+val addr_shape : t -> int -> int
+(** Interned symbolic-shape id of a memory access ({!Affine.terms} of its
+    index), [-1] for non-memory; first-seen program order, like
+    {!addr_base}. *)
+
+val base_count : t -> int
+(** Number of distinct base symbols; {!addr_base} ids are
+    [0 .. base_count - 1]. *)
+
 val addr_const : t -> int -> int
 (** Constant part of the affine index (meaningless for non-memory). *)
 
@@ -71,7 +81,3 @@ val same_shape : t -> int -> int -> bool
 val check : t -> (unit, string) result
 (** Dense bijective ids, monotone CSR offsets, in-range and acyclic uses.
     Run by [Verifier.check_func] on every block it accepts. *)
-
-val shape_key : Affine.t -> string
-(** Canonical rendering of an affine form's symbolic part; the string other
-    passes intern when they need per-shape identity outside an arena. *)

@@ -11,7 +11,8 @@
    open-addressing table, not `Fmt.str`-built strings: this pass runs on
    every frontend compile and again as pipeline cleanup, so key building is
    hot.  Loads are keyed by (array, affine shape, offset, lanes, store
-   generation of the array); a store bumps the array's generation, which
+   generation of the array), with array and shape numbered by the same
+   [Addr_intern] the arena uses; a store bumps the array's generation, which
    retires all its available loads without any table surgery.  Single
    forward pass (the block is straight-line). *)
 
@@ -54,9 +55,9 @@ let key_of_triples tag sub triples =
   k
 
 type ctx = {
-  names : Intern.t;   (* arg names and array bases *)
-  shapes : Intern.t;  (* affine term shapes *)
-  mutable gens : int array; (* store generation per base id *)
+  names : Intern.t;          (* arg names *)
+  addrs : Addr_intern.t;     (* array bases and affine shapes *)
+  mutable gens : int array;  (* store generation per base id *)
 }
 
 let gen_of ctx base =
@@ -72,8 +73,8 @@ let bump_gen ctx base =
   ctx.gens.(base) <- ctx.gens.(base) + 1
 
 let address_words ctx (a : Instr.address) =
-  let base = Intern.intern ctx.names a.Instr.base in
-  let shape = Intern.intern ctx.shapes (Arena.shape_key a.Instr.index) in
+  let base = Addr_intern.base ctx.addrs a.Instr.base in
+  let shape = Addr_intern.shape ctx.addrs a.Instr.index in
   (base, shape, Affine.const_part a.Instr.index, a.Instr.access_lanes)
 
 let instr_key ctx (i : Instr.t) =
@@ -139,7 +140,9 @@ let instr_key ctx (i : Instr.t) =
   | Instr.Store _ | Instr.Masked_store _ -> None
 
 let run_block block =
-  let ctx = { names = Intern.create 16; shapes = Intern.create 16; gens = [||] } in
+  let ctx =
+    { names = Intern.create 16; addrs = Addr_intern.create (); gens = [||] }
+  in
   let available = Key_table.create 64 in
   (* handles: available maps key -> index into [firsts] *)
   let firsts : Instr.t option array ref = ref (Array.make 64 None) in
@@ -171,7 +174,7 @@ let run_block block =
       | None -> (
         match i.Instr.kind with
         | Instr.Store (addr, _) | Instr.Masked_store (addr, _, _) ->
-          bump_gen ctx (Intern.intern ctx.names addr.Instr.base)
+          bump_gen ctx (Addr_intern.base ctx.addrs addr.Instr.base)
         | Instr.Binop _ | Instr.Unop _ | Instr.Cmp _ | Instr.Select _
         | Instr.Load _ | Instr.Masked_load _ | Instr.Splat _
         | Instr.Buildvec _ | Instr.Extract _ | Instr.Reduce _

@@ -128,16 +128,15 @@ let stable_order block =
   | None -> Alcotest.fail "acyclic block reported cyclic"
 
 (* Reference for [Depgraph.schedule]: unit edges from every transitive
-   pair (O(n^2) [reaches] queries), then a Kahn loop that rescans every
-   unit for the ready one with the least key on each step. *)
-let reference_schedule deps ~unit_of ~(key : int array) =
-  let n = Arena.size (Depgraph.arena deps) in
+   pair (O(n^2) [reaches] queries over n positions), then a Kahn loop that
+   rescans every unit for the ready one with the least key on each step. *)
+let reference_schedule_by ~reaches ~n ~unit_of ~(key : int array) =
   let units = Array.length key in
   let preds = Array.make units [] in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       let u = unit_of.(i) and v = unit_of.(j) in
-      if u <> v && Depgraph.reaches deps i j && not (List.mem v preds.(u))
+      if u <> v && reaches i j && not (List.mem v preds.(u))
       then preds.(u) <- v :: preds.(u)
     done
   done;
@@ -162,6 +161,10 @@ let reference_schedule deps ~unit_of ~(key : int array) =
     end
   in
   loop units
+
+let reference_schedule deps =
+  reference_schedule_by ~reaches:(Depgraph.reaches deps)
+    ~n:(Arena.size (Depgraph.arena deps))
 
 let agrees deps ~unit_of ~key =
   Depgraph.schedule deps ~unit_of ~key = reference_schedule deps ~unit_of ~key
@@ -420,3 +423,143 @@ kernel k(f64 A[], f64 B[], f64 R[], i64 i) {
   ]
 
 let suite = addr_tests @ depgraph_tests
+
+(* ---- memory edges against the all-pairs reference ------------------ *)
+
+(* A random block of loads and stores over four arrays: constant,
+   [i]-relative and symbolic-[j] indices, scalar and 2/4-lane accesses,
+   plain and masked, with loads after stores to the same array and
+   same-array accesses of different shapes.  Types are not checked: the
+   dependence graph reads only operands and addresses. *)
+let mixed_memory_block st n =
+  let arrays = [| "A"; "B"; "C"; "D" |] in
+  let block = Block.create ~label:"mixed" () in
+  let values = ref [||] in
+  let operand () =
+    if !values = [||] || Random.State.int st 4 = 0 then
+      Instr.Const (Instr.Cfloat 1.0)
+    else Instr.Ins !values.(Random.State.int st (Array.length !values))
+  in
+  let mask = Instr.Const (Instr.Cint 1L) in
+  for _ = 1 to n do
+    let index =
+      match Random.State.int st 4 with
+      | 0 -> Affine.const (Random.State.int st 8)
+      | 1 -> Affine.add_const (Random.State.int st 2) (Affine.sym "j")
+      | _ -> Affine.add_const (Random.State.int st 8) (Affine.sym "i")
+    in
+    let lanes = [| 1; 1; 2; 4 |].(Random.State.int st 4) in
+    let a =
+      { Instr.base = arrays.(Random.State.int st 4); elt = Types.F64; index;
+        access_lanes = lanes }
+    in
+    let vty = if lanes = 1 then Types.f64 else Types.vec Types.F64 lanes in
+    let kind, ty =
+      match Random.State.int st 5 with
+      | 0 -> (Instr.Load a, vty)
+      | 1 -> (Instr.Masked_load (a, mask, Instr.Const (Instr.Cfloat 0.)), vty)
+      | 2 -> (Instr.Store (a, operand ()), Types.Void)
+      | 3 -> (Instr.Masked_store (a, operand (), mask), Types.Void)
+      | _ -> (Instr.Binop (Opcode.Fadd, operand (), operand ()), Types.f64)
+    in
+    let i = Instr.create kind ty in
+    Block.append block i;
+    if ty <> Types.Void then values := Array.append !values [| i |]
+  done;
+  block
+
+(* The bucketed edges equal the all-pairs reference list for list, the
+   closures agree on every pair, and each contraction in [contractions]
+   schedules the same over both. *)
+let memory_edges_agree ?(contractions = fun _ _ -> []) block =
+  let arena = Arena.of_block block in
+  let n = Arena.size arena in
+  let deps = Depgraph.build_arena arena in
+  let want = Depgraph_ref.direct_preds arena in
+  let reach = Depgraph_ref.closure want in
+  let pairs_agree = ref (Depgraph.direct_preds arena = want) in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if Depgraph.reaches deps i j <> reach.(i).(j) then pairs_agree := false
+    done
+  done;
+  let singletons = contract deps [] in
+  !pairs_agree
+  && List.for_all
+       (fun (unit_of, key) ->
+         Depgraph.schedule deps ~unit_of ~key
+         = reference_schedule_by
+             ~reaches:(fun i j -> reach.(i).(j))
+             ~n ~unit_of ~key)
+       (singletons :: contractions arena deps)
+
+(* Codegen's contraction for every seed graph of the block. *)
+let seed_units config block arena deps =
+  List.map
+    (fun seed ->
+      let graph, _ = Lslp_core.Graph_builder.build ~deps config block seed in
+      Lslp_core.Codegen.units graph arena)
+    (Lslp_core.Seeds.collect ~arena config block)
+
+let memory_prop ~cond_only name =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100 ~name
+       ~print:(fun (seed, cfg) -> Fmt.str "seed %d config %d" seed cfg)
+       QCheck2.Gen.(
+         pair (int_bound 100_000)
+           (int_bound (List.length Test_qcheck.all_configs - 1)))
+       (fun (seed, cfg) ->
+         let config = List.nth Test_qcheck.all_configs cfg in
+         let st = Random.State.make [| seed; 0xa11a5 |] in
+         let f = Lslp_fuzz.Gen.build (Lslp_fuzz.Gen.generate ~cond_only st) in
+         ignore (Lslp_frontend.Unroll.run ~factor:4 f);
+         let before =
+           List.for_all
+             (fun block ->
+               memory_edges_agree ~contractions:(seed_units config block)
+                 block)
+             (Func.blocks f)
+         in
+         ignore (Lslp_core.Pipeline.run ~config f);
+         before
+         && List.for_all (fun b -> memory_edges_agree b) (Func.blocks f)
+         && memory_edges_agree
+              (mixed_memory_block st (1 + Random.State.int st 80))))
+
+let memory_edge_tests =
+  [
+    tc "memory edges: catalog kernels before and after codegen" (fun () ->
+        List.iter
+          (fun (k : Lslp_kernels.Catalog.kernel) ->
+            List.iter
+              (fun (config : Lslp_core.Config.t) ->
+                let f = Lslp_kernels.Catalog.compile k in
+                ignore (Lslp_frontend.Unroll.run ~factor:4 f);
+                let agree stage ?contractions block =
+                  if not (memory_edges_agree ?contractions block) then
+                    Alcotest.failf "%s/%s %s: edges differ from reference"
+                      k.key config.Lslp_core.Config.name stage
+                in
+                List.iter
+                  (fun b ->
+                    agree "before" ~contractions:(seed_units config b) b)
+                  (Func.blocks f);
+                ignore (Lslp_core.Pipeline.run ~config f);
+                List.iter (agree "after") (Func.blocks f))
+              Test_qcheck.all_configs)
+          Lslp_kernels.Catalog.all);
+    tc "memory edges: a load after a same-array store" (fun () ->
+        let f = dep_function () in
+        let arena = Arena.of_block (Func.entry f) in
+        check_bool "agrees" true (memory_edges_agree (Func.entry f));
+        (* load A[i] (0), store A[i] (2), load A[i] (3): the second load's
+           only memory edge is the store *)
+        check
+          Alcotest.(list int)
+          "second load" [ 2 ]
+          (Depgraph.direct_preds arena).(3));
+    memory_prop ~cond_only:false "memory edges: straight-line";
+    memory_prop ~cond_only:true "memory edges: branching";
+  ]
+
+let suite = suite @ memory_edge_tests

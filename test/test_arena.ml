@@ -99,8 +99,114 @@ let prop ?(count = 120) name f =
     (QCheck2.Test.make ~count ~name ~print:Test_qcheck.print_kdesc
        Test_qcheck.gen_kdesc f)
 
+(* ---- address ids -------------------------------------------------- *)
+
+(* The interned address facts of [block] against [Addr] on the raw
+   addresses, for every pair of accesses; and the ids themselves: base and
+   shape ids are issued in first-seen program order (0, 1, 2, ... as new
+   ones appear), which keeps seed buckets in the order they always had. *)
+let address_ids_agree block =
+  let a = Arena.of_block block in
+  let n = Arena.size a in
+  let ok = ref true in
+  let first_seen tbl key =
+    match Hashtbl.find_opt tbl key with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length tbl in
+      Hashtbl.replace tbl key id;
+      id
+  in
+  let bases = Hashtbl.create 8 and shapes = Hashtbl.create 8 in
+  for k = 0 to n - 1 do
+    match Instr.address (Arena.instr a k) with
+    | Some ad ->
+      ok :=
+        !ok
+        && Arena.addr_base a k = first_seen bases ad.Instr.base
+        && Arena.addr_shape a k
+           = first_seen shapes (Affine.terms ad.Instr.index)
+    | None -> ok := !ok && Arena.addr_base a k = -1 && Arena.addr_shape a k = -1
+  done;
+  ok := !ok && Arena.base_count a = Hashtbl.length bases;
+  for j = 0 to n - 1 do
+    for l = 0 to n - 1 do
+      match
+        (Instr.address (Arena.instr a j), Instr.address (Arena.instr a l))
+      with
+      | Some aj, Some al ->
+        ok :=
+          !ok
+          && Arena.same_array a j l = Addr.same_array aj al
+          && Arena.consecutive a j l = Addr.consecutive aj al
+          && Arena.may_alias a j l = Addr.may_alias aj al
+          && Arena.element_distance a j l = Addr.element_distance aj al
+          && Arena.same_shape a j l
+             = Option.is_some (Affine.diff_const aj.Instr.index al.Instr.index)
+      | _ -> ()
+    done
+  done;
+  !ok
+
+let address_id_tests =
+  [
+    Helpers.tc "address ids: catalog kernels under every config" (fun () ->
+        List.iter
+          (fun (k : Lslp_kernels.Catalog.kernel) ->
+            List.iter
+              (fun (config : Lslp_core.Config.t) ->
+                let f = Lslp_kernels.Catalog.compile k in
+                ignore (Lslp_frontend.Unroll.run ~factor:4 f);
+                let agree stage b =
+                  if not (address_ids_agree b) then
+                    Alcotest.failf "%s/%s %s: address ids disagree" k.key
+                      config.Lslp_core.Config.name stage
+                in
+                List.iter (agree "before") (Func.blocks f);
+                ignore (Lslp_core.Pipeline.run ~config f);
+                List.iter (agree "after") (Func.blocks f))
+              Test_qcheck.all_configs)
+          Lslp_kernels.Catalog.all);
+    Helpers.tc "address ids: many distinct shapes in one block" (fun () ->
+        (* 300 distinct shapes k*i over three arrays, each twice *)
+        let b = Block.create ~label:"shapes" () in
+        for k = 1 to 600 do
+          let index = Affine.sym ~coeff:(((k - 1) mod 300) + 1) "i" in
+          let base = [| "A"; "B"; "C" |].(k mod 3) in
+          Block.append b
+            (Instr.create
+               (Instr.Load
+                  { Instr.base; elt = Types.F64; index; access_lanes = 1 })
+               Types.f64)
+        done;
+        Helpers.check_bool "agrees" true (address_ids_agree b);
+        let a = Arena.of_block b in
+        Helpers.check_int "last shape id" 299 (Arena.addr_shape a 599);
+        Helpers.check_int "bases" 3 (Arena.base_count a));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:100 ~name:"address ids: fuzz blocks"
+         ~print:(fun seed -> Fmt.str "seed %d" seed)
+         QCheck2.Gen.(int_bound 100_000)
+         (fun seed ->
+           let st = Random.State.make [| seed; 0x1d5 |] in
+           let f =
+             Lslp_fuzz.Gen.build
+               (Lslp_fuzz.Gen.generate ~cond_only:(seed mod 2 = 0) st)
+           in
+           ignore (Lslp_frontend.Unroll.run ~factor:4 f);
+           let before = List.for_all address_ids_agree (Func.blocks f) in
+           ignore (Lslp_core.Pipeline.run ~config:Lslp_core.Config.lslp f);
+           before
+           && List.for_all address_ids_agree (Func.blocks f)
+           && address_ids_agree
+                (Test_analysis.mixed_memory_block st
+                   (1 + Random.State.int st 80))));
+  ]
+
 let suite =
   [
     prop "arena round-trips and agrees with naive tables" prop_pre;
     prop "arena invariants survive vectorization" prop_post;
   ]
+
+let suite = suite @ address_id_tests

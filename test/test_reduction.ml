@@ -269,3 +269,99 @@ kernel k(f64 S[], f64 A[], i64 i) {
   ]
 
 let suite = detection_tests @ vectorize_tests @ shuffle_tests
+
+(* One block, three reduction chains planned against one snapshot: the
+   first (gathered leaves from three strided arrays) is rejected on cost,
+   the second (a dot product) vectorizes, and the third is planned only
+   after that rewrite.  Regions, printed IR and counters are pinned. *)
+let three_chains_src = {|
+kernel three(f64 S[], f64 T[], f64 U[], f64 A[], f64 B[], f64 C[], i64 i) {
+  S[i] = A[5*i+0] + B[3*i+7] + C[7*i+2] + A[9*i+11];
+  T[i] = A[i+0] * B[i+0] + A[i+1] * B[i+1]
+       + (A[i+2] * B[i+2] + A[i+3] * B[i+3]);
+  U[i] = C[i+0] + C[i+1] + C[i+2] + C[i+3];
+}
+|}
+
+let region_text (r : Reduction.region) =
+  Fmt.str "%s lanes=%d cost=%d vectorized=%b not_schedulable=%b"
+    r.Reduction.root_desc r.Reduction.lanes r.Reduction.cost
+    r.Reduction.vectorized r.Reduction.not_schedulable
+
+let counters_text (p : Lslp_telemetry.Probe.t) =
+  let c = Lslp_telemetry.Probe.counters p in
+  String.concat " "
+    (List.map
+       (fun (name, get) -> Fmt.str "%s=%d" name (get c))
+       Lslp_telemetry.Probe.counter_fields)
+
+let print_ir f = Lslp_fuzz.Fuzz.normalize_ids (Printer.func_to_string f)
+
+(* Taken from the implementation that re-collected candidates and rebuilt
+   the dependence graph for every candidate. *)
+let three_chains_regions =
+  [
+    "reduce fadd x4 lanes=4 cost=4 vectorized=false not_schedulable=false";
+    "reduce fadd x4 lanes=4 cost=-9 vectorized=true not_schedulable=false";
+    "reduce fadd x4 lanes=4 cost=-3 vectorized=true not_schedulable=false";
+  ]
+
+let three_chains_ir =
+  {|kernel three(f64 S[], f64 T[], f64 U[], f64 A[], f64 B[], f64 C[], i64 i) {
+  %r0 : f64 = load A[5*i]
+  %r1 : f64 = load B[3*i + 7]
+  %r2 : f64 = fadd %r0, %r1
+  %r3 : f64 = load C[7*i + 2]
+  %r4 : f64 = fadd %r2, %r3
+  %r5 : f64 = load A[9*i + 11]
+  %r6 : f64 = fadd %r4, %r5
+  store S[i], %r6
+  %r7 : <4 x f64> = load <4 x f64> A[i]
+  %r8 : <4 x f64> = load <4 x f64> B[i]
+  %r9 : <4 x f64> = fmul %r7, %r8
+  %r10 : f64 = reduce.fadd %r9
+  store T[i], %r10
+  %r11 : <4 x f64> = load <4 x f64> C[i]
+  %r12 : f64 = reduce.fadd %r11
+  store U[i], %r12
+}|}
+
+let snapshot_tests =
+  [
+    tc "three chains on one snapshot: regions, IR and counters" (fun () ->
+        let f = compile three_chains_src in
+        let reference = Func.clone f in
+        let probe = Lslp_telemetry.Probe.create () in
+        let regions =
+          Reduction.run ~config:Config.lslp ~probe (Func.entry f)
+        in
+        check
+          Alcotest.(list string)
+          "regions" three_chains_regions
+          (List.map region_text regions);
+        check_string "printed IR" three_chains_ir (print_ir f);
+        check_string "counters"
+          "seeds=0 tried=0 evals=0 hits=0 misses=0 nodes=5 emitted=6 vec=0 \
+           degraded=0"
+          (counters_text probe);
+        assert_sound ~reference ~candidate:f ());
+    tc "three chains: a fault on the second chain rolls the block back"
+      (fun () ->
+        let f = compile three_chains_src in
+        let reference = Func.clone f in
+        let before = print_ir f in
+        let inject =
+          Lslp_robust.Inject.make ~points:[ Lslp_robust.Inject.Reduction ]
+            ~rate:1.0 ~seed:0 ()
+        in
+        let config = Config.with_inject inject Config.lslp in
+        let report = Pipeline.run ~config f in
+        (* the first chain is rejected before the injection point *)
+        check_int "fired once" 1 (Lslp_robust.Inject.fired inject);
+        check_int "degraded" 1 report.Pipeline.degraded_regions;
+        check_int "vectorized" 0 report.Pipeline.vectorized_regions;
+        check_string "scalar-identical" before (print_ir f);
+        assert_sound ~reference ~candidate:f ());
+  ]
+
+let suite = suite @ snapshot_tests

@@ -1,34 +1,61 @@
 (* Address interning without strings.
 
    The arena's address side table and CSE's load keys both need "same
-   array?" and "same symbolic shape?" as int equalities.  Rendering each
-   shape to a string and hashing that allocated a buffer and a string per
-   access; here the terms list itself is the key, hashed and compared
-   monomorphically ([String.equal] on symbols, int compare on
-   coefficients).  Consecutive accesses usually share their base and shape
-   (unrolled lanes even share the terms list physically), so each table
-   keeps the previous query's key and id as a fast path. *)
+   array?" and "same symbolic shape?" as int equalities.  The key of a
+   shape is its terms list itself, hashed and compared monomorphically
+   ([String.equal] on symbols, int compare on coefficients), so a query
+   builds nothing.  Consecutive accesses usually share their base and
+   shape (unrolled lanes even share the terms list physically), so each
+   table keeps the previous query's key and id as a fast path. *)
 
-module Bases = Hashtbl.Make (struct
+module Table (K : sig
+  include Hashtbl.HashedType
+
+  val none : t
+end) =
+struct
+  module H = Hashtbl.Make (K)
+
+  type t = { ids : int H.t; mutable last : K.t; mutable last_id : int }
+
+  let create () = { ids = H.create 8; last = K.none; last_id = -1 }
+
+  let id t k =
+    if t.last_id >= 0 && K.equal t.last k then t.last_id
+    else begin
+      let id =
+        match H.find t.ids k with
+        | id -> id
+        | exception Not_found ->
+          let id = H.length t.ids in
+          H.add t.ids k id;
+          id
+      in
+      t.last <- k;
+      t.last_id <- id;
+      id
+    end
+end
+
+module Bases = Table (struct
   type t = string
 
   let equal = String.equal
   let hash (s : string) = Hashtbl.hash s
+  let none = ""
 end)
 
-let rec terms_equal a b =
-  a == b
-  ||
-  match (a, b) with
-  | [], [] -> true
-  | (s, c) :: a', (s', c') :: b' ->
-    Int.equal c c' && String.equal s s' && terms_equal a' b'
-  | _ :: _, [] | [], _ :: _ -> false
-
-module Shapes = Hashtbl.Make (struct
+module Shapes = Table (struct
   type t = (string * int) list
 
-  let equal = terms_equal
+  let rec equal a b =
+    a == b
+    ||
+    match (a, b) with
+    | [], [] -> true
+    | (s, c) :: a', (s', c') :: b' ->
+      Int.equal c c' && String.equal s s' && equal a' b'
+    | _ :: _, [] | [], _ :: _ -> false
 
   let hash terms =
     let rec go h = function
@@ -37,60 +64,13 @@ module Shapes = Hashtbl.Make (struct
         go ((((h * 31) + Hashtbl.hash (s : string)) * 31) + c) rest
     in
     go 17 terms
+
+  let none = []
 end)
 
-type t = {
-  bases : int Bases.t;
-  shapes : int Shapes.t;
-  mutable last_base : string;
-  mutable last_base_id : int;   (* -1 until the first query *)
-  mutable last_shape : (string * int) list;
-  mutable last_shape_id : int;  (* -1 until the first query *)
-}
+type t = { bases : Bases.t; shapes : Shapes.t }
 
-let create () =
-  {
-    bases = Bases.create 8;
-    shapes = Shapes.create 8;
-    last_base = "";
-    last_base_id = -1;
-    last_shape = [];
-    last_shape_id = -1;
-  }
-
-let base t s =
-  if t.last_base_id >= 0 && (t.last_base == s || String.equal t.last_base s)
-  then t.last_base_id
-  else begin
-    let id =
-      match Bases.find t.bases s with
-      | id -> id
-      | exception Not_found ->
-        let id = Bases.length t.bases in
-        Bases.add t.bases s id;
-        id
-    in
-    t.last_base <- s;
-    t.last_base_id <- id;
-    id
-  end
-
-let shape t index =
-  let terms = Affine.terms index in
-  if t.last_shape_id >= 0 && terms_equal t.last_shape terms then
-    t.last_shape_id
-  else begin
-    let id =
-      match Shapes.find t.shapes terms with
-      | id -> id
-      | exception Not_found ->
-        let id = Shapes.length t.shapes in
-        Shapes.add t.shapes terms id;
-        id
-    in
-    t.last_shape <- terms;
-    t.last_shape_id <- id;
-    id
-  end
-
-let base_count t = Bases.length t.bases
+let create () = { bases = Bases.create (); shapes = Shapes.create () }
+let base t s = Bases.id t.bases s
+let shape t index = Shapes.id t.shapes (Affine.terms index)
+let base_count t = Bases.H.length t.bases.Bases.ids

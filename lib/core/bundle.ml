@@ -35,34 +35,47 @@ type verdict =
   | Vectorizable of Instr.t array
   | Rejected of reject_reason
 
-let instructions (b : t) : Instr.t array option =
-  let insts =
-    Array.map
-      (fun v -> match v with Instr.Ins i -> Some i | Instr.Const _ | Instr.Arg _ -> None)
-      b
-  in
-  if Array.for_all Option.is_some insts then Some (Array.map Option.get insts)
-  else None
+let is_ins = function
+  | Instr.Ins _ -> true
+  | Instr.Const _ | Instr.Arg _ -> false
 
-let all_same_opclass insts =
-  let c0 = Instr.opclass insts.(0) in
-  Array.for_all (fun i -> Instr.equal_opclass (Instr.opclass i) c0) insts
+(* Lane [j] of a bundle already known to hold only instructions. *)
+let ins (b : t) j =
+  match b.(j) with
+  | Instr.Ins i -> i
+  | Instr.Const _ | Instr.Arg _ -> invalid_arg "Bundle: lane is not an instruction"
 
-let has_duplicates insts =
-  let n = Array.length insts in
-  let dup = ref false in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Instr.equal insts.(i) insts.(j) then dup := true
-    done
-  done;
-  !dup
+(* [p x] holds of every lane; [x] is passed through so that no closure is
+   built per call. *)
+let for_all_with p x (b : t) =
+  let rec go j = j >= Array.length b || (p x (ins b j) && go (j + 1)) in
+  go 0
 
-let loads_consecutive insts =
+let exists_ins p (b : t) =
+  let rec go j = j < Array.length b && (p (ins b j) || go (j + 1)) in
+  go 0
+
+let addr_consecutive_run insts =
   let addrs =
     Array.to_list insts |> List.filter_map Instr.address
   in
   List.length addrs = Array.length insts && Addr.consecutive_run addrs
+
+(* Lane-order adjacency of a memory bundle: int compares on the arena's
+   address table when every lane is in it, the affine differences of
+   [Addr.consecutive_run] otherwise. *)
+let loads_consecutive ?arena insts =
+  let n = Array.length insts in
+  match arena with
+  | Some ar when n > 0 && Array.for_all (Arena.mem ar) insts ->
+    let rec run j =
+      j >= n - 1
+      || Arena.consecutive ar
+           (Arena.idx ar insts.(j)) (Arena.idx ar insts.(j + 1))
+         && run (j + 1)
+    in
+    Arena.is_memory ar (Arena.idx ar insts.(0)) && run 0
+  | Some _ | None -> addr_consecutive_run insts
 
 (* Shapes the code generator knows how to widen. *)
 let widenable (i : Instr.t) =
@@ -74,34 +87,86 @@ let widenable (i : Instr.t) =
   | Instr.Splat _ | Instr.Buildvec _ | Instr.Extract _ | Instr.Reduce _
   | Instr.Shuffle _ -> false
 
+let has_duplicates (b : t) =
+  let n = Array.length b in
+  let rec go i j =
+    if i >= n then false
+    else if j >= n then go (i + 1) (i + 2)
+    else Instr.equal (ins b i) (ins b j) || go i (j + 1)
+  in
+  go 0 1
+
+(* No lane transitively depends on another: positions in the dependence
+   graph's arena and its bit-packed closure.  A lane outside the arena
+   takes [Depgraph.independent], which rejects it the same way. *)
+let independent deps (b : t) =
+  let ar = Depgraph.arena deps in
+  let n = Array.length b in
+  if not (for_all_with Arena.mem ar b) then
+    Depgraph.independent deps (List.init n (ins b))
+  else
+    let rec go i j =
+      if i >= n then true
+      else if j >= n then go (i + 1) 0
+      else
+        let p = Arena.idx ar (ins b i) and q = Arena.idx ar (ins b j) in
+        (p = q || not (Depgraph.reaches deps p q)) && go i (j + 1)
+    in
+    go 0 0
+
+(* The checks run on the bundle in place; the instruction array is built
+   only for a vectorizable verdict. *)
 let classify ~(block : Block.t) ~(deps : Depgraph.t)
     ~(in_graph : Instr.t -> bool) (b : t) : verdict =
-  match instructions b with
-  | None -> Rejected Not_all_instructions
-  | Some insts ->
-    if not (Array.for_all widenable insts) then Rejected Unsupported_shape
-    else if not (all_same_opclass insts) then Rejected Not_isomorphic
-    else if has_duplicates insts then Rejected Duplicate_member
-    else if not (Array.for_all (Block.mem block) insts) then
-      Rejected Different_block
-    else if Array.exists in_graph insts then Rejected Already_in_graph
-    else if not (Depgraph.independent deps (Array.to_list insts)) then
-      Rejected Not_schedulable
-    else if Instr.is_load insts.(0) && not (loads_consecutive insts) then
-      Rejected Non_consecutive_loads
-    else if Instr.is_store insts.(0) && not (loads_consecutive insts) then
-      Rejected Non_consecutive_loads
+  if not (Array.for_all is_ins b) then Rejected Not_all_instructions
+  else if exists_ins (fun i -> not (widenable i)) b then
+    Rejected Unsupported_shape
+  else if not (for_all_with Instr.same_opclass (ins b 0) b) then
+    Rejected Not_isomorphic
+  else if has_duplicates b then Rejected Duplicate_member
+  else if not (for_all_with Block.mem block b) then Rejected Different_block
+  else if exists_ins in_graph b then Rejected Already_in_graph
+  else if not (independent deps b) then Rejected Not_schedulable
+  else
+    let insts = Array.init (Array.length b) (ins b) in
+    let i0 = insts.(0) in
+    if
+      (Instr.is_load i0 || Instr.is_store i0)
+      && not (loads_consecutive ~arena:(Depgraph.arena deps) insts)
+    then Rejected Non_consecutive_loads
     else Vectorizable insts
 
 let of_insts insts = Array.map (fun i -> Instr.Ins i) insts
 
+(* Operand [index] of [i], in [Instr.operands] order, without building the
+   operand list. *)
+let operand (i : Instr.t) index =
+  let out_of_range () =
+    invalid_arg "Bundle.operand_column: operand index out of range"
+  in
+  match (i.kind, index) with
+  | (Instr.Binop (_, a, _) | Instr.Cmp (_, a, _)), 0
+  | (Instr.Binop (_, _, a) | Instr.Cmp (_, _, a)), 1
+  | ( ( Instr.Unop (_, a) | Instr.Splat a | Instr.Extract (a, _)
+      | Instr.Reduce (_, a) | Instr.Shuffle (a, _) | Instr.Store (_, a) ),
+      0 )
+  | Instr.Select (a, _, _), 0
+  | Instr.Select (_, a, _), 1
+  | Instr.Select (_, _, a), 2
+  | Instr.Masked_load (_, a, _), 0
+  | Instr.Masked_load (_, _, a), 1
+  | Instr.Masked_store (_, a, _), 0
+  | Instr.Masked_store (_, _, a), 1 -> a
+  | Instr.Buildvec vs, k when k >= 0 -> (
+    match List.nth_opt vs k with Some a -> a | None -> out_of_range ())
+  | ( ( Instr.Binop _ | Instr.Cmp _ | Instr.Unop _ | Instr.Splat _
+      | Instr.Extract _ | Instr.Reduce _ | Instr.Shuffle _ | Instr.Store _
+      | Instr.Select _ | Instr.Masked_load _ | Instr.Masked_store _
+      | Instr.Load _ | Instr.Buildvec _ ),
+      _ ) -> out_of_range ()
+
 let operand_column (insts : Instr.t array) ~index : t =
-  Array.map
-    (fun i ->
-      match List.nth_opt (Instr.operands i) index with
-      | Some v -> v
-      | None -> invalid_arg "Bundle.operand_column: operand index out of range")
-    insts
+  Array.map (fun i -> operand i index) insts
 
 let pp ppf (b : t) =
   Fmt.pf ppf "[%a]"

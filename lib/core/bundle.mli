@@ -1,5 +1,11 @@
 (** Bundles: one candidate value per vector lane, plus the paper's
-    termination conditions for growing the SLP graph. *)
+    termination conditions for growing the SLP graph.
+
+    {!classify} runs its checks on the bundle in place and builds the
+    instruction array only for a vectorizable verdict; positions,
+    independence and memory adjacency come from the dependence graph's
+    arena (int compares), with the address-record path kept for a lane
+    outside it. *)
 
 open Lslp_ir
 open Lslp_analysis
@@ -30,14 +36,18 @@ val classify :
   verdict
 (** The full termination-condition check (Section 2.3, footnote 1): scalar
     instructions, isomorphic, unique, same block, mutually independent, not
-    yet claimed; memory bundles must be consecutive runs. *)
+    yet claimed; memory bundles must be consecutive runs.  The first
+    failing condition, in that order, is the reject reason. *)
 
-val instructions : t -> Instr.t array option
 val of_insts : Instr.t array -> t
 
 val operand_column : Instr.t array -> index:int -> t
 (** Column [index] of the operand matrix: the [index]-th operand of each
     lane. *)
 
-val loads_consecutive : Instr.t array -> bool
+val loads_consecutive : ?arena:Arena.t -> Instr.t array -> bool
+(** Every lane is a memory access and each is consecutive to the one
+    before it.  With [?arena] holding every lane this is int compares on
+    its address table; otherwise [Addr.consecutive_run]. *)
+
 val pp : t Fmt.t

@@ -150,8 +150,8 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
     let slot_of (i : Instr.t) = Arena.idx arena i in
     let rec subst (v : Instr.value) : Instr.value =
       match v with
-      | Instr.Ins i when slot_of i >= 0 && replacements.(slot_of i) <> None
-        ->
+      | Instr.Ins i
+        when slot_of i >= 0 && Option.is_some replacements.(slot_of i) ->
         Option.get replacements.(slot_of i)
       | Instr.Ins i when Graph.claimed graph i -> (
         match extracts.(slot_of i) with

@@ -5,13 +5,24 @@
    vectorized value that still has scalar (external) users.
 
    Negative totals mean the vector code is cheaper; code generation proceeds
-   iff total < threshold (usually 0). *)
+   iff total < threshold (usually 0).
+
+   One pass over the node slots: each gather's shuffle test runs once and
+   serves both its own cost and the extracts it implies, external users
+   are found by a short-circuit walk of the arena's use lists, and a
+   node's description text is only built when a report asks for it. *)
 
 open Lslp_ir
 
+type node_kind =
+  | Vector_bundle of Instr.t array
+  | Multi_bundle of Instr.t array
+  | Shuffle_lanes of int
+  | Gather_lanes of int
+
 type node_cost = {
   nid : int;
-  description : string;
+  kind : node_kind;
   cost : int;
 }
 
@@ -31,73 +42,70 @@ let bundle_cost model (insts : Instr.t array) =
   in
   vector - scalars
 
-(* plain concatenation: this runs once per node per evaluation, and
-   [Fmt.str] is an order of magnitude slower than [^] here *)
 let describe_bundle (insts : Instr.t array) =
   Instr.opclass_name (Instr.opclass insts.(0))
   ^ " x"
   ^ string_of_int (Array.length insts)
 
+let description nc =
+  match nc.kind with
+  | Vector_bundle insts -> describe_bundle insts
+  | Multi_bundle insts -> "multi:" ^ describe_bundle insts
+  | Shuffle_lanes n -> "shuffle x" ^ string_of_int n
+  | Gather_lanes n -> "gather x" ^ string_of_int n
+
 let evaluate ?(ignore_users = fun (_ : Instr.t) -> false) ?uses
     (config : Config.t) (graph : Graph.t) (block : Block.t) : summary =
   let model = config.Config.model in
   let per_node = ref [] in
-  let note nid description cost =
-    per_node := { nid; description; cost } :: !per_node
-  in
-  List.iter
-    (fun (n : Graph.node) ->
-      match n.Graph.shape with
-      | Graph.Group insts ->
-        note n.Graph.nid (describe_bundle insts) (bundle_cost model insts)
-      | Graph.Multi m ->
-        List.iter
-          (fun insts ->
-            note n.Graph.nid
-              ("multi:" ^ describe_bundle insts)
-              (bundle_cost model insts))
-          m.Graph.m_groups
-      | Graph.Gather vs -> (
-        match Graph.shuffle_pattern graph vs with
-        | Some _ ->
-          (* a pure permutation of one vector value: a single shuffle *)
-          note n.Graph.nid
-            ("shuffle x" ^ string_of_int (Array.length vs))
-            model.Lslp_costmodel.Model.shuffle
-        | None ->
-          note n.Graph.nid
-            ("gather x" ^ string_of_int (Array.length vs))
-            (Lslp_costmodel.Model.gather_cost model (Array.to_list vs))))
-    (Graph.nodes graph);
+  let note nid kind cost = per_node := { nid; kind; cost } :: !per_node in
   (* extract cost: vectorized values that still need a scalar copy — either
      they have scalar users outside the graph, or they appear inside a
      gather column (code generation materializes those lanes with extracts) *)
-  let uses =
-    match uses with Some u -> u | None -> Use_info.compute block
-  in
   let needs_extract = Lslp_util.Int_table.create 16 in
-  List.iter
-    (fun (i : Instr.t) ->
-      let external_users =
-        Use_info.users_outside uses i
-          ~inside:(fun u -> Graph.claimed graph u || ignore_users u)
-      in
-      if external_users <> [] then
-        Lslp_util.Int_table.set needs_extract i.id 1)
-    (Graph.claimed_insts graph);
-  List.iter
-    (fun (n : Graph.node) ->
-      match n.Graph.shape with
-      | Graph.Gather vs when Graph.shuffle_pattern graph vs = None ->
+  for slot = 0 to Graph.node_count graph - 1 do
+    let n = Graph.node_of_slot graph slot in
+    match n.Graph.shape with
+    | Graph.Group insts ->
+      note n.Graph.nid (Vector_bundle insts) (bundle_cost model insts)
+    | Graph.Multi m ->
+      List.iter
+        (fun insts ->
+          note n.Graph.nid (Multi_bundle insts) (bundle_cost model insts))
+        m.Graph.m_groups
+    | Graph.Gather vs -> (
+      match Graph.shuffle_pattern graph vs with
+      | Some _ ->
+        (* a pure permutation of one vector value: a single shuffle *)
+        note n.Graph.nid
+          (Shuffle_lanes (Array.length vs))
+          model.Lslp_costmodel.Model.shuffle
+      | None ->
+        note n.Graph.nid
+          (Gather_lanes (Array.length vs))
+          (Lslp_costmodel.Model.gather_cost_lanes model vs);
         Array.iter
           (fun v ->
             match v with
             | Instr.Ins i when Graph.claimed graph i ->
               Lslp_util.Int_table.set needs_extract i.Instr.id 1
             | Instr.Ins _ | Instr.Const _ | Instr.Arg _ -> ())
-          vs
-      | Graph.Gather _ | Graph.Group _ | Graph.Multi _ -> ())
-    (Graph.nodes graph);
+          vs)
+  done;
+  let arena =
+    Use_info.arena
+      (match uses with Some u -> u | None -> Use_info.compute block)
+  in
+  let outside u =
+    let u = Arena.instr arena u in
+    not (Graph.claimed graph u || ignore_users u)
+  in
+  List.iter
+    (fun (i : Instr.t) ->
+      let k = Arena.idx arena i in
+      if k >= 0 && Arena.exists_user arena k outside then
+        Lslp_util.Int_table.set needs_extract i.Instr.id 1)
+    (Graph.claimed_insts graph);
   let extract_cost =
     Lslp_util.Int_table.length needs_extract
     * model.Lslp_costmodel.Model.extract_element
@@ -111,7 +119,8 @@ let profitable config summary = summary.total < config.Config.threshold
 
 let pp_summary ppf s =
   List.iter
-    (fun nc -> Fmt.pf ppf "  node#%d %-14s %+d@." nc.nid nc.description nc.cost)
+    (fun nc ->
+      Fmt.pf ppf "  node#%d %-14s %+d@." nc.nid (description nc) nc.cost)
     s.per_node;
   if s.extract_cost <> 0 then Fmt.pf ppf "  extracts       %+d@." s.extract_cost;
   Fmt.pf ppf "  total          %+d" s.total

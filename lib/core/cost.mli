@@ -3,11 +3,21 @@
 
 open Lslp_ir
 
+type node_kind =
+  | Vector_bundle of Instr.t array  (** a group's bundle *)
+  | Multi_bundle of Instr.t array   (** one internal bundle of a multi-node *)
+  | Shuffle_lanes of int            (** a gather emitted as one shuffle *)
+  | Gather_lanes of int             (** a gather assembled lane by lane *)
+
 type node_cost = {
   nid : int;
-  description : string;
+  kind : node_kind;
   cost : int;
 }
+
+val description : node_cost -> string
+(** The per-node label of {!pp_summary} (["add x4"], ["multi:add x4"],
+    ["shuffle x4"], ["gather x4"]), built on demand. *)
 
 type summary = {
   per_node : node_cost list;

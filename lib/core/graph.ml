@@ -79,7 +79,11 @@ let create ?ids () =
    node when the same column reappears (shared sub-expressions form diamonds
    in the use-def DAG; LLVM's SLP reuses the tree entry the same way).
    Three words per lane, injective across value kinds — the same
-   distinctions the old string keys drew. *)
+   distinctions the old string keys drew.  Built once per column: the
+   builder looks the column up and registers its node under the same
+   key. *)
+type key = int array
+
 let bundle_key g (values : Instr.value array) =
   let n = Array.length values in
   let k = Array.make (3 * n) 0 in
@@ -105,13 +109,12 @@ let bundle_key g (values : Instr.value array) =
   done;
   k
 
-let find_existing g (values : Instr.value array) =
-  match Key_table.get g.by_bundle (bundle_key g values) ~absent:(-1) with
+let find_existing g (key : key) =
+  match Key_table.get g.by_bundle key ~absent:(-1) with
   | -1 -> None
   | slot -> Some g.node_arr.(slot)
 
-let register_bundle g (values : Instr.value array) node =
-  Key_table.set g.by_bundle (bundle_key g values) node.slot
+let register_bundle g (key : key) node = Key_table.set g.by_bundle key node.slot
 
 let grow g =
   let cap = Array.length g.node_arr in
@@ -136,7 +139,7 @@ let add_node g shape =
   let n = { nid = Lslp_util.Id_gen.next g.ids; slot; shape } in
   g.node_arr.(slot) <- n;
   g.n_nodes <- slot + 1;
-  if g.root = None then g.root <- Some n;
+  if Option.is_none g.root then g.root <- Some n;
   (match shape with
    | Group insts ->
      Array.iteri (fun lane i -> claim g i slot (Some lane)) insts
@@ -176,26 +179,32 @@ let lane_of g (i : Instr.t) =
     else Some (g.node_arr.(packed lsr 8), lane - 1)
 
 (* A gather column that is a pure permutation of one vectorized node's
-   lanes can be emitted as a single shuffle instead of extracts+inserts. *)
+   lanes can be emitted as a single shuffle instead of extracts+inserts.
+   Every lane must carry a claim word with a lane (multi-node internals
+   have none) naming the same node slot; the claim words are read in
+   place, and the lane list is built only for a match. *)
 let shuffle_pattern g (values : Instr.value array) :
     (node * int list) option =
-  let lanes =
-    Array.map
-      (fun v ->
-        match v with
-        | Instr.Ins i -> lane_of g i
-        | Instr.Const _ | Instr.Arg _ -> None)
-      values
+  let n = Array.length values in
+  let packed j =
+    match values.(j) with
+    | Instr.Ins i -> Int_table.get g.claimed i.Instr.id ~absent:(-1)
+    | Instr.Const _ | Instr.Arg _ -> -1
   in
-  if Array.for_all Option.is_some lanes then
-    match Array.to_list lanes with
-    | Some (n0, _) :: _ as all
-      when List.for_all
-             (function Some (n, _) -> n.nid = n0.nid | None -> false)
-             all ->
-      Some (n0, List.map (function Some (_, l) -> l | None -> 0) all)
-    | _ -> None
-  else None
+  let rec same_node slot j =
+    j >= n
+    ||
+    let p = packed j in
+    p >= 0 && p land 0xff <> 0 && p lsr 8 = slot && same_node slot (j + 1)
+  in
+  if n = 0 then None
+  else
+    let p0 = packed 0 in
+    if p0 < 0 || p0 land 0xff = 0 || not (same_node (p0 lsr 8) 1) then None
+    else
+      Some
+        ( g.node_arr.(p0 lsr 8),
+          List.init n (fun j -> (packed j land 0xff) - 1) )
 
 let node_count g = g.n_nodes
 

@@ -6,7 +6,13 @@
     bundle identity live in int-keyed open-addressing tables.  A node's
     [nid] is its run-unique display id; its [slot] is the graph-local dense
     index that the edge arrays are indexed by — slots never appear in
-    output. *)
+    output.
+
+    The per-column queries of graph build and cost are allocation-free
+    until they succeed: {!claimed} and {!lane_of} read one packed claim
+    word, {!shuffle_pattern} walks the column's claim words in place, and
+    a column's bundle {!key} is built once for both {!find_existing} and
+    {!register_bundle}. *)
 
 open Lslp_ir
 
@@ -55,13 +61,20 @@ val lane_of : t -> Instr.t -> (node * int) option
 
 val shuffle_pattern : t -> Instr.value array -> (node * int list) option
 (** When a gather column is a pure permutation of one vectorized node's
-    lanes, the node and the permutation (emitted as a single shuffle). *)
+    lanes, the node and the permutation (emitted as a single shuffle).
+    Reads the claim words in place; allocates only on a match. *)
 
-val find_existing : t -> Instr.value array -> node option
+type key
+(** The identity of a per-lane value bundle: built once per column by
+    {!bundle_key} and used for both the lookup and the registration. *)
+
+val bundle_key : t -> Instr.value array -> key
+
+val find_existing : t -> key -> node option
 (** Node previously registered for exactly this per-lane value bundle
     (diamond reuse). *)
 
-val register_bundle : t -> Instr.value array -> node -> unit
+val register_bundle : t -> key -> node -> unit
 
 val claimed_insts : t -> Instr.t list
 (** The claimed instructions, each once, in no particular order. *)

@@ -22,8 +22,12 @@ type ctx = {
   config : Config.t;
   block : Block.t;
   deps : Depgraph.t;
+  arena : Arena.t;  (* the dependence graph's snapshot of [block] *)
   uses : Use_info.t;
   graph : Graph.t;
+  mutable scores : Lslp_telemetry.Score_cache.t option;
+    (* the look-ahead memo shared by this build's reorder calls, created on
+       the first one; each call clears it, so entries live for one call *)
   note : Lslp_check.Remark.note -> unit;
   meter : Lslp_robust.Budget.meter option;
   probe : Lslp_telemetry.Probe.t option;
@@ -37,12 +41,15 @@ let make_ctx ?(note = fun _ -> ()) ?meter ?probe ?trace ?ids ?deps config
   let deps =
     match deps with Some d -> d | None -> Depgraph.build block
   in
+  let arena = Depgraph.arena deps in
   {
     config;
     block;
     deps;
-    uses = Use_info.of_arena (Depgraph.arena deps);
+    arena;
+    uses = Use_info.of_arena arena;
     graph = Graph.create ?ids ();
+    scores = None;
     note;
     meter;
     probe;
@@ -71,12 +78,34 @@ let absorbable ctx ~op (v : Instr.value) =
      | None -> false)
   | Instr.Const _ | Instr.Arg _ -> false
 
-let rec build_bundle ctx (b : Bundle.t) : Graph.node =
-  match Graph.find_existing ctx.graph b with
-  | Some node -> node (* diamond: the exact same column already has a node *)
-  | None -> build_bundle_fresh ctx b
+(* The [n] elements of a list built newest-first, in arrival order. *)
+let array_of_rev n l =
+  match l with
+  | [] -> [||]
+  | x :: _ ->
+    let a = Array.make n x in
+    List.iteri (fun j v -> a.(n - 1 - j) <- v) l;
+    a
 
-and build_bundle_fresh ctx (b : Bundle.t) : Graph.node =
+(* The build's score cache, when [Config.score_cache] asks for one. *)
+let score_cache ctx =
+  match ctx.scores with
+  | Some _ as c -> c
+  | None when ctx.config.Config.score_cache ->
+    let c =
+      Some (Lslp_telemetry.Score_cache.create ~dense:(Arena.size ctx.arena) ())
+    in
+    ctx.scores <- c;
+    c
+  | None -> None
+
+let rec build_bundle ctx (b : Bundle.t) : Graph.node =
+  let key = Graph.bundle_key ctx.graph b in
+  match Graph.find_existing ctx.graph key with
+  | Some node -> node (* diamond: the exact same column already has a node *)
+  | None -> build_bundle_fresh ctx b key
+
+and build_bundle_fresh ctx (b : Bundle.t) key : Graph.node =
   Option.iter Lslp_robust.Budget.spend_node ctx.meter;
   Option.iter
     (fun p ->
@@ -85,7 +114,7 @@ and build_bundle_fresh ctx (b : Bundle.t) : Graph.node =
         c.Lslp_telemetry.Probe.graph_nodes + 1)
     ctx.probe;
   let register node =
-    Graph.register_bundle ctx.graph b node;
+    Graph.register_bundle ctx.graph key node;
     node
   in
   match classify ctx b with
@@ -184,6 +213,7 @@ and build_multinode ctx (root_insts : Instr.t array) (op : Opcode.binop) =
     let ops = ref [ root ] in
     let count = ref 1 in
     let leaves = ref [] in
+    let n_leaves = ref 0 in
     let rec go (i : Instr.t) =
       List.iter
         (fun v ->
@@ -198,12 +228,13 @@ and build_multinode ctx (root_insts : Instr.t array) (op : Opcode.binop) =
           end
           else begin
             if can && flag_capped && limit < max_int then capped := true;
-            leaves := v :: !leaves
+            leaves := v :: !leaves;
+            incr n_leaves
           end)
         (Instr.operands i)
     in
     go root;
-    (List.rev !ops, List.rev !leaves)
+    (array_of_rev !count !ops, array_of_rev !n_leaves !leaves)
   in
   let limit = if Opcode.is_associative op then config_limit else 1 in
   let maximal =
@@ -214,23 +245,22 @@ and build_multinode ctx (root_insts : Instr.t array) (op : Opcode.binop) =
   in
   let k =
     Array.fold_left
-      (fun acc (ops, _) -> min acc (List.length ops))
+      (fun acc (ops, _) -> min acc (Array.length ops))
       max_int maximal
   in
   let trimmed =
-    if Array.for_all (fun (ops, _) -> List.length ops = k) maximal then
+    if Array.for_all (fun (ops, _) -> Array.length ops = k) maximal then
       maximal
     else Array.map (fun r -> collect_lane ~limit:k r) root_insts
   in
   (* lane-wise bundles of internal ops, in discovery order *)
   let m_groups =
-    List.init k (fun j ->
-        Array.map (fun (ops, _) -> List.nth ops j) trimmed)
+    List.init k (fun j -> Array.map (fun (ops, _) -> ops.(j)) trimmed)
   in
   (* frontier matrix: slot s, lane l = l-th lane's s-th leaf *)
   let matrix =
     Array.init (k + 1) (fun s ->
-        Array.map (fun (_, leaves) -> List.nth leaves s) trimmed)
+        Array.map (fun (_, leaves) -> leaves.(s)) trimmed)
   in
   if !capped then
     ctx.note (Lslp_check.Remark.Multinode_capped { limit = config_limit });
@@ -242,7 +272,8 @@ and build_multinode ctx (root_insts : Instr.t array) (op : Opcode.binop) =
         Lslp_robust.Inject.Reorder;
       let m, modes =
         Reorder.reorder_matrix_modes ?meter:ctx.meter ?probe:ctx.probe
-          ?trace:ctx.trace ctx.config matrix
+          ?trace:ctx.trace ~arena:ctx.arena ?cache:(score_cache ctx)
+          ctx.config matrix
       in
       let failed =
         Array.fold_left

@@ -24,17 +24,34 @@ let mode_to_string = function
   | Splat_mode -> "SPLAT"
   | Failed_mode -> "FAILED"
 
+module Score_cache = Lslp_telemetry.Score_cache
+module Probe = Lslp_telemetry.Probe
+
+let addr_consecutive (a : Instr.t) (b : Instr.t) =
+  match (Instr.address a, Instr.address b) with
+  | Some aa, Some ab -> Addr.consecutive aa ab
+  | _ -> false
+
+(* Load adjacency: two int compares on the arena's address table when both
+   loads are in it, the affine difference of [Addr.consecutive] for a value
+   outside it (the two agree on every pair the arena holds). *)
+let loads_adjacent ?arena (a : Instr.t) (b : Instr.t) =
+  match arena with
+  | None -> addr_consecutive a b
+  | Some ar ->
+    let ka = Arena.idx ar a and kb = Arena.idx ar b in
+    if ka >= 0 && kb >= 0 then Arena.consecutive ar ka kb
+    else addr_consecutive a b
+
 (* The paper's are_consecutive_or_match: constants match constants, loads
    match consecutive loads, other instructions match on opcode class. *)
-let consecutive_or_match (v1 : Instr.value) (v2 : Instr.value) =
+let consecutive_or_match ?arena (v1 : Instr.value) (v2 : Instr.value) =
   match (v1, v2) with
   | Instr.Const _, Instr.Const _ -> true
   | Instr.Arg _, Instr.Arg _ -> Instr.equal_value v1 v2
-  | Instr.Ins a, Instr.Ins b -> (
-    match (Instr.address a, Instr.address b) with
-    | Some aa, Some ab when Instr.is_load a && Instr.is_load b ->
-      Addr.consecutive aa ab
-    | _ -> Instr.equal_opclass (Instr.opclass a) (Instr.opclass b))
+  | Instr.Ins a, Instr.Ins b ->
+    if Instr.is_load a && Instr.is_load b then loads_adjacent ?arena a b
+    else Instr.same_opclass a b
   | (Instr.Const _ | Instr.Arg _ | Instr.Ins _), _ -> false
 
 (* Per-pair base score.  The paper's are_consecutive_or_match is boolean;
@@ -47,17 +64,14 @@ let consecutive_or_match (v1 : Instr.value) (v2 : Instr.value) =
    This mirrors the graded scores the production LLVM look-ahead heuristic
    eventually adopted (ScoreConsecutiveLoads/ScoreSplat vs ScoreSameOpcode)
    and preserves the paper's Figure 7 ranking. *)
-let pair_score (v1 : Instr.value) (v2 : Instr.value) =
+let pair_score ?arena (v1 : Instr.value) (v2 : Instr.value) =
   if Instr.equal_value v1 v2 then 2
   else
     match (v1, v2) with
     | Instr.Const _, Instr.Const _ -> 1
-    | Instr.Ins a, Instr.Ins b when Instr.is_load a && Instr.is_load b -> (
-      match (Instr.address a, Instr.address b) with
-      | Some aa, Some ab when Addr.consecutive aa ab -> 2
-      | _ -> 0)
-    | Instr.Ins a, Instr.Ins b ->
-      if Instr.equal_opclass (Instr.opclass a) (Instr.opclass b) then 1 else 0
+    | Instr.Ins a, Instr.Ins b when Instr.is_load a && Instr.is_load b ->
+      if loads_adjacent ?arena a b then 2 else 0
+    | Instr.Ins a, Instr.Ins b -> if Instr.same_opclass a b then 1 else 0
     | (Instr.Const _ | Instr.Arg _ | Instr.Ins _), _ -> 0
 
 (* Listing 7: the look-ahead score.  Recurses through pairs of same-opcode
@@ -69,45 +83,54 @@ let pair_score (v1 : Instr.value) (v2 : Instr.value) =
    operands (x*x vs x*y).  [Score_max] is the footnote-4 alternative: the
    single best pair instead of the pairing sum.
 
-   [cache] memoizes instruction/instruction comparisons on (id, id,
-   remaining level, combine mode) — sound as long as the operand DAG is
-   frozen, which holds for the lifetime of one reorder invocation (see
-   Lslp_telemetry.Score_cache).  A cache hit skips the recursion entirely
-   and therefore burns no look-ahead fuel: under a tight budget the cached
-   run can only get further than the uncached one, never less far.
-   [probe] counts evaluations and cache hits/misses. *)
+   [cache] memoizes instruction/instruction comparisons on (subject,
+   subject, remaining level, combine mode) — sound as long as the operand
+   DAG is frozen, which holds for the lifetime of one reorder invocation
+   (see Lslp_telemetry.Score_cache).  A subject is the arena compact index
+   when [arena] holds the instruction, its interned id otherwise.  A cache
+   hit skips the recursion entirely and therefore burns no look-ahead
+   fuel: under a tight budget the cached run can only get further than
+   the uncached one, never less far.  [probe] counts evaluations and cache
+   hits/misses. *)
 let combine_tag = function Config.Score_sum -> 0 | Config.Score_max -> 1
 
-let rec lookahead_score ?meter ?cache ?probe
+let cache_subject c arena (i : Instr.t) =
+  let index = match arena with Some ar -> Arena.idx ar i | None -> -1 in
+  Score_cache.subject c ~index ~id:i.Instr.id
+
+let rec lookahead_score ?meter ?cache ?probe ?arena
     ~(combine : Config.score_combine) (v1 : Instr.value) (v2 : Instr.value)
     ~(level : int) : int =
   match (cache, v1, v2) with
-  | Some c, Instr.Ins i1, Instr.Ins i2 -> (
-    let a = i1.Instr.id and b = i2.Instr.id in
+  | Some c, Instr.Ins i1, Instr.Ins i2 ->
+    let a = cache_subject c arena i1 and b = cache_subject c arena i2 in
     let mode = combine_tag combine in
-    match Lslp_telemetry.Score_cache.find c ~a ~b ~level ~mode with
-    | Some s ->
+    let s = Score_cache.find c ~a ~b ~level ~mode in
+    if s <> Score_cache.absent then begin
       Option.iter
         (fun p ->
-          let pc = Lslp_telemetry.Probe.counters p in
-          pc.Lslp_telemetry.Probe.score_hits <-
-            pc.Lslp_telemetry.Probe.score_hits + 1)
+          let pc = Probe.counters p in
+          pc.Probe.score_hits <- pc.Probe.score_hits + 1)
         probe;
       s
-    | None ->
+    end
+    else begin
       Option.iter
         (fun p ->
-          let pc = Lslp_telemetry.Probe.counters p in
-          pc.Lslp_telemetry.Probe.score_misses <-
-            pc.Lslp_telemetry.Probe.score_misses + 1)
+          let pc = Probe.counters p in
+          pc.Probe.score_misses <- pc.Probe.score_misses + 1)
         probe;
-      let s = lookahead_score_compute ?meter ?cache ?probe ~combine v1 v2 ~level in
-      Lslp_telemetry.Score_cache.store c ~a ~b ~level ~mode s;
-      s)
+      let s =
+        lookahead_score_compute ?meter ?cache ?probe ?arena ~combine v1 v2
+          ~level
+      in
+      Score_cache.store c ~a ~b ~level ~mode s;
+      s
+    end
   | (Some _ | None), _, _ ->
-    lookahead_score_compute ?meter ?cache ?probe ~combine v1 v2 ~level
+    lookahead_score_compute ?meter ?cache ?probe ?arena ~combine v1 v2 ~level
 
-and lookahead_score_compute ?meter ?cache ?probe
+and lookahead_score_compute ?meter ?cache ?probe ?arena
     ~(combine : Config.score_combine) (v1 : Instr.value) (v2 : Instr.value)
     ~(level : int) : int =
   (* Each recursive comparison burns one unit of fuel, so a pathological
@@ -116,22 +139,20 @@ and lookahead_score_compute ?meter ?cache ?probe
   Option.iter Lslp_robust.Budget.spend_fuel meter;
   Option.iter
     (fun p ->
-      let pc = Lslp_telemetry.Probe.counters p in
-      pc.Lslp_telemetry.Probe.score_evals <-
-        pc.Lslp_telemetry.Probe.score_evals + 1)
+      let pc = Probe.counters p in
+      pc.Probe.score_evals <- pc.Probe.score_evals + 1)
     probe;
-  let base () = pair_score v1 v2 in
-  if level <= 0 || Instr.equal_value v1 v2 then base ()
+  if level <= 0 || Instr.equal_value v1 v2 then pair_score ?arena v1 v2
   else
     match (v1, v2) with
     | Instr.Ins a, Instr.Ins b
-      when Instr.equal_opclass (Instr.opclass a) (Instr.opclass b)
-           && (not (Instr.is_load a))
-           && Instr.operands a <> [] && Instr.operands b <> [] -> (
+      when Instr.same_opclass a b && not (Instr.is_load a) -> (
       let score x y =
-        lookahead_score ?meter ?cache ?probe ~combine x y ~level:(level - 1)
+        lookahead_score ?meter ?cache ?probe ?arena ~combine x y
+          ~level:(level - 1)
       in
       match (Instr.operands a, Instr.operands b, combine) with
+      | [], _, _ | _, [], _ -> pair_score ?arena v1 v2
       | [ a1; a2 ], [ b1; b2 ], Config.Score_sum ->
         let aligned = score a1 b1 + score a2 b2 in
         if Instr.is_commutative a then
@@ -146,50 +167,85 @@ and lookahead_score_compute ?meter ?cache ?probe
         -> List.fold_left2 (fun acc x y -> acc + score x y) 0 ops_a ops_b
       | ops_a, ops_b, Config.Score_max when List.length ops_a = List.length ops_b
         -> List.fold_left2 (fun acc x y -> max acc (score x y)) 0 ops_a ops_b
-      | _ -> base ())
-    | (Instr.Const _ | Instr.Arg _ | Instr.Ins _), _ -> base ()
+      | _ -> pair_score ?arena v1 v2)
+    | (Instr.Const _ | Instr.Arg _ | Instr.Ins _), _ -> pair_score ?arena v1 v2
 
 let init_mode (v : Instr.value) =
   match v with
   | Instr.Const _ | Instr.Arg _ -> Const_mode
   | Instr.Ins i -> if Instr.is_load i then Load_mode else Opcode_mode
 
-(* Remove the first occurrence of [v] (by value identity) from [pool]. *)
-let remove_once pool v =
-  let rec go = function
-    | [] -> []
-    | x :: rest -> if Instr.equal_value x v then rest else x :: go rest
-  in
-  go pool
-
-(* Listing 6: pick the best candidate for one slot in one lane.  Returns the
-   choice (None = deferred, slot already FAILED) and the updated mode.
+(* The look-ahead tie-break of Listing 6 among [matching] (two or more
+   candidates, in pool order): deepen from level 1 until the scores
+   separate and take the first best, or the first candidate when they
+   never do.  [levels] receives each level's scores for the decision
+   trace.
 
    [Config.score_cache] controls all memoization.  With it on and no
    caller-supplied [cache], the tie-break still memoizes within itself:
-   [try_level] deepens from level 1 until the candidate scores separate,
-   and hoisting each candidate's per-level results into a candidate-local
+   hoisting each candidate's per-level results into a candidate-local
    cache makes every deepening step extend the previous one instead of
    recomputing it.  A caller-supplied [cache] widens the reuse across
    slots, lanes and candidates.  With [score_cache] off, scoring is the
    paper's Listing 7 as written — the baseline the telemetry counters
    measure against. *)
+let tie_break ?meter ?cache ?probe ?arena ?levels (config : Config.t) last
+    matching =
+  let combine = config.Config.score_combine in
+  let with_caches =
+    match cache with
+    | Some c -> List.map (fun cand -> (cand, Some c)) matching
+    | None when config.Config.score_cache ->
+      (* per-candidate hoist: level k+1 recurses through exactly the
+         (pair, level<=k) comparisons the level-k round computed for this
+         candidate *)
+      List.map (fun cand -> (cand, Some (Score_cache.create ()))) matching
+    | None -> List.map (fun cand -> (cand, None)) matching
+  in
+  let first = List.hd matching in
+  let rec try_level level =
+    let scores =
+      List.map
+        (fun (c, ccache) ->
+          ( c,
+            lookahead_score ?meter ?cache:ccache ?probe ?arena ~combine last c
+              ~level ))
+        with_caches
+    in
+    Option.iter (fun acc -> acc := (level, List.map snd scores) :: !acc) levels;
+    let all_equal =
+      match scores with
+      | [] -> true
+      | (_, s0) :: rest -> List.for_all (fun (_, s) -> s = s0) rest
+    in
+    if not all_equal then
+      fst
+        (List.fold_left
+           (fun (bv, bs) (c, s) -> if s > bs then (c, s) else (bv, bs))
+           (first, min_int) scores)
+    else if level >= config.Config.lookahead_depth then first
+    else try_level (level + 1)
+  in
+  try_level 1
+
+(* Listing 6: pick the best candidate for one slot in one lane.  Returns the
+   choice (None = deferred, slot already FAILED) and the updated mode.  This
+   is the list form the decision trace records; {!reorder_matrix_modes}
+   runs the same choice over its array pool when untraced. *)
 let value_text (v : Instr.value) = Fmt.str "%a" Printer.pp_value v
 
-let get_best ?meter ?cache ?probe ?trace (config : Config.t) (mode : mode)
-    (last : Instr.value) (candidates : Instr.value list) :
+let get_best ?meter ?cache ?probe ?trace ?arena (config : Config.t)
+    (mode : mode) (last : Instr.value) (candidates : Instr.value list) :
     Instr.value option * mode =
   (* Decision-trace bookkeeping: the per-level scores of the tie-break and
      the Score_cache traffic this call generated.  Reads only; the search
      itself is untouched, traced or not. *)
-  let levels_acc = ref [] in
+  let levels = match trace with Some _ -> Some (ref []) | None -> None in
   let cache_base =
     match (trace, probe) with
     | Some _, Some p ->
-      let c = Lslp_telemetry.Probe.counters p in
-      Some
-        ( c.Lslp_telemetry.Probe.score_hits,
-          c.Lslp_telemetry.Probe.score_misses )
+      let c = Probe.counters p in
+      Some (c.Probe.score_hits, c.Probe.score_misses)
     | (Some _ | None), _ -> None
   in
   let result =
@@ -204,63 +260,19 @@ let get_best ?meter ?cache ?probe ?trace (config : Config.t) (mode : mode)
         | v :: _ -> (Some v, Splat_mode)
         | [] -> (None, Failed_mode)))
     | Const_mode | Load_mode | Opcode_mode -> (
-      let matching = List.filter (consecutive_or_match last) candidates in
-      match matching with
+      match List.filter (consecutive_or_match ?arena last) candidates with
       | [] -> (
         (* no match: this slot can no longer vectorize; consume the default *)
         match candidates with
         | v :: _ -> (Some v, Failed_mode)
         | [] -> (None, Failed_mode))
       | [ v ] -> (Some v, mode)
-      | _ :: _ when mode = Opcode_mode && config.Config.lookahead_depth > 0
-        ->
-        (* look-ahead tie-break: deepen until the scores separate *)
-        let combine = config.Config.score_combine in
-        let with_caches =
-          match cache with
-          | Some c -> List.map (fun cand -> (cand, Some c)) matching
-          | None when config.Config.score_cache ->
-            (* per-candidate hoist: level k+1 recurses through exactly the
-               (pair, level<=k) comparisons the level-k round computed for
-               this candidate, so each deepening step extends the previous
-               one instead of re-scoring from level 1. *)
-            List.map
-              (fun cand ->
-                (cand, Some (Lslp_telemetry.Score_cache.create ())))
-              matching
-          | None ->
-            (* memoization off: the paper's Listing 7 as written — the
-               baseline the telemetry counters measure speedups against *)
-            List.map (fun cand -> (cand, None)) matching
-        in
-        let rec try_level level =
-          let scores =
-            List.map
-              (fun (c, ccache) ->
-                ( c,
-                  lookahead_score ?meter ?cache:ccache ?probe ~combine last c
-                    ~level ))
-              with_caches
-          in
-          if trace <> None then
-            levels_acc := (level, List.map snd scores) :: !levels_acc;
-          let all_equal =
-            match scores with
-            | [] -> true
-            | (_, s0) :: rest -> List.for_all (fun (_, s) -> s = s0) rest
-          in
-          if not all_equal then
-            let best, _ =
-              List.fold_left
-                (fun (bv, bs) (c, s) -> if s > bs then (c, s) else (bv, bs))
-                (List.hd matching, min_int)
-                scores
-            in
-            best
-          else if level >= config.Config.lookahead_depth then List.hd matching
-          else try_level (level + 1)
-        in
-        (Some (try_level 1), mode)
+      | _ :: _ as matching
+        when mode = Opcode_mode && config.Config.lookahead_depth > 0 ->
+        ( Some
+            (tie_break ?meter ?cache ?probe ?arena ?levels config last
+               matching),
+          mode )
       | first :: _ -> (Some first, mode))
   in
   Option.iter
@@ -268,9 +280,8 @@ let get_best ?meter ?cache ?probe ?trace (config : Config.t) (mode : mode)
       let cache_hits, cache_misses =
         match (cache_base, probe) with
         | Some (h0, m0), Some p ->
-          let c = Lslp_telemetry.Probe.counters p in
-          ( c.Lslp_telemetry.Probe.score_hits - h0,
-            c.Lslp_telemetry.Probe.score_misses - m0 )
+          let c = Probe.counters p in
+          (c.Probe.score_hits - h0, c.Probe.score_misses - m0)
         | _ -> (0, 0)
       in
       Lslp_trace.Trace.record tr
@@ -279,7 +290,8 @@ let get_best ?meter ?cache ?probe ?trace (config : Config.t) (mode : mode)
              mode = mode_to_string mode;
              last = value_text last;
              candidates = List.map value_text candidates;
-             levels = List.rev !levels_acc;
+             levels =
+               (match levels with Some acc -> List.rev !acc | None -> []);
              chosen = Option.map value_text (fst result);
              cache_hits;
              cache_misses;
@@ -289,66 +301,139 @@ let get_best ?meter ?cache ?probe ?trace (config : Config.t) (mode : mode)
 
 (* Listing 5: the top-level matrix reorder.  [columns.(slot).(lane)] is the
    unordered operand matrix; the result has the same multiset of values per
-   lane, rearranged across slots. *)
-let reorder_matrix_modes ?meter ?probe ?trace (config : Config.t)
-    (columns : Instr.value array array) :
+   lane, rearranged across slots.
+
+   Each lane's operand pool is one array plus a taken mask, filled once per
+   lane: a pick marks its entry taken instead of rebuilding the pool, and
+   taking the first untaken entry equal to the pick is exactly the old
+   remove-first-occurrence.  Untraced, the choice of {!get_best} runs over
+   the pool in place — it counts the matches and builds a candidate list
+   only for an OPCODE tie that goes to the look-ahead; traced, the list
+   form runs so the [Get_best] events are recorded. *)
+let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
+    (config : Config.t) (columns : Instr.value array array) :
     Instr.value array array * mode array =
   let num_slots = Array.length columns in
   if num_slots = 0 then ([||], [||])
   else begin
-    (* One score cache per reorder invocation: the operand DAG is frozen
-       until this function returns, so memoizing on instruction ids is
-       sound, and dropping the cache here means a rollback (or any later
-       mutation) can never observe a stale entry. *)
+    (* One score-cache scope per reorder invocation: the operand DAG is
+       frozen until this function returns, so memoizing on instruction
+       identity is sound, and starting empty here means a rollback (or any
+       later mutation) can never observe a stale entry. *)
     let cache =
-      if config.Config.score_cache then
-        Some (Lslp_telemetry.Score_cache.create ())
-      else None
+      if not config.Config.score_cache then None
+      else
+        match cache with
+        | Some c ->
+          Score_cache.clear c;
+          Some c
+        | None -> Some (Score_cache.create ?dense:(Option.map Arena.size arena) ())
     in
     let lanes = Array.length columns.(0) in
-    let final : Instr.value option array array =
-      Array.make_matrix num_slots lanes None
+    let final =
+      Array.init num_slots (fun s -> Array.make lanes columns.(s).(0))
     in
-    let mode = Array.make num_slots Failed_mode in
-    (* 1. strip the first lane in its existing order *)
-    for s = 0 to num_slots - 1 do
-      final.(s).(0) <- Some columns.(s).(0);
-      mode.(s) <- init_mode columns.(s).(0)
-    done;
-    (* 2. for every other lane, fill slots left to right *)
+    let mode = Array.map (fun col -> init_mode col.(0)) columns in
+    let pool = Array.make num_slots columns.(0).(0) in
+    let taken = Bytes.make num_slots '\000' in
+    let filled = Bytes.make num_slots '\000' in
+    let is_taken k = Bytes.unsafe_get taken k <> '\000' in
+    (* first untaken entry equal to [v] (any untaken one when [v] is
+       [None]), -1 when there is none *)
+    let rec first_untaken k =
+      if k >= num_slots then -1
+      else if is_taken k then first_untaken (k + 1)
+      else k
+    in
+    let rec first_equal v k =
+      if k >= num_slots then -1
+      else if (not (is_taken k)) && Instr.equal_value pool.(k) v then k
+      else first_equal v (k + 1)
+    in
+    let untaken_list () =
+      let rec go k acc =
+        if k < 0 then acc
+        else go (k - 1) (if is_taken k then acc else pool.(k) :: acc)
+      in
+      go (num_slots - 1) []
+    in
+    (* get_best over the pool: the chosen entry, -1 for none; updates the
+       slot's mode *)
+    let pick s last =
+      match mode.(s) with
+      | Failed_mode -> -1
+      | Splat_mode -> (
+        match first_equal last 0 with
+        | -1 ->
+          let k = first_untaken 0 in
+          if k < 0 then mode.(s) <- Failed_mode;
+          k
+        | k -> k)
+      | (Const_mode | Load_mode | Opcode_mode) as m ->
+        let count = ref 0 and first = ref (-1) in
+        for k = 0 to num_slots - 1 do
+          if (not (is_taken k)) && consecutive_or_match ?arena last pool.(k)
+          then begin
+            if !first < 0 then first := k;
+            incr count
+          end
+        done;
+        if !count = 0 then begin
+          mode.(s) <- Failed_mode;
+          first_untaken 0
+        end
+        else if !count = 1 then !first
+        else if m = Opcode_mode && config.Config.lookahead_depth > 0 then
+          let matching =
+            List.filter (consecutive_or_match ?arena last) (untaken_list ())
+          in
+          first_equal
+            (tie_break ?meter ?cache ?probe ?arena config last matching)
+            !first
+        else !first
+    in
+    let pick_traced s last =
+      let best, m =
+        get_best ?meter ?cache ?probe ?trace ?arena config mode.(s) last
+          (untaken_list ())
+      in
+      mode.(s) <- m;
+      match best with Some v -> first_equal v 0 | None -> -1
+    in
     for lane = 1 to lanes - 1 do
-      let pool = ref (Array.to_list (Array.map (fun col -> col.(lane)) columns)) in
+      for s = 0 to num_slots - 1 do
+        pool.(s) <- columns.(s).(lane)
+      done;
+      Bytes.fill taken 0 num_slots '\000';
+      Bytes.fill filled 0 num_slots '\000';
       for s = 0 to num_slots - 1 do
         match mode.(s) with
         | Failed_mode -> () (* deferred: let others choose first *)
-        | _ ->
-          let last =
-            match final.(s).(lane - 1) with
-            | Some v -> v
-            | None -> columns.(s).(lane - 1)
+        | Const_mode | Load_mode | Opcode_mode | Splat_mode ->
+          let last = final.(s).(lane - 1) in
+          let k =
+            match trace with
+            | Some _ -> pick_traced s last
+            | None -> pick s last
           in
-          let best, mode' =
-            get_best ?meter ?cache ?probe ?trace config mode.(s) last !pool
-          in
-          mode.(s) <- mode';
-          (match best with
-           | Some v ->
-             final.(s).(lane) <- Some v;
-             pool := remove_once !pool v;
-             (* SPLAT detection: the exact same value continues the slot *)
-             if Instr.equal_value v last && mode.(s) <> Failed_mode then
-               mode.(s) <- Splat_mode
-           | None -> ())
+          if k >= 0 then begin
+            let v = pool.(k) in
+            Bytes.unsafe_set taken k '\001';
+            Bytes.unsafe_set filled s '\001';
+            final.(s).(lane) <- v;
+            (* SPLAT detection: the exact same value continues the slot *)
+            if Instr.equal_value v last && mode.(s) <> Failed_mode then
+              mode.(s) <- Splat_mode
+          end
       done;
       (* failed slots take the leftovers in order *)
       for s = 0 to num_slots - 1 do
-        if final.(s).(lane) = None then begin
-          match !pool with
-          | v :: rest ->
-            final.(s).(lane) <- Some v;
-            pool := rest
-          | [] -> ()
-        end
+        if Bytes.unsafe_get filled s = '\000' then
+          match first_untaken 0 with
+          | -1 -> ()
+          | k ->
+            Bytes.unsafe_set taken k '\001';
+            final.(s).(lane) <- pool.(k)
       done
     done;
     Option.iter
@@ -357,11 +442,11 @@ let reorder_matrix_modes ?meter ?probe ?trace (config : Config.t)
           (Lslp_trace.Trace.Slot_modes
              { modes = Array.to_list (Array.map mode_to_string mode) }))
       trace;
-    (Array.map (Array.map Option.get) final, mode)
+    (final, mode)
   end
 
-let reorder_matrix ?meter ?probe ?trace config columns =
-  fst (reorder_matrix_modes ?meter ?probe ?trace config columns)
+let reorder_matrix ?meter ?probe ?trace ?arena ?cache config columns =
+  fst (reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache config columns)
 
 (* ------------------------------------------------------------------ *)
 (* Vanilla SLP (LLVM 4.0 reorderInputsAccordingToOpcode).              *)
@@ -370,21 +455,15 @@ let is_inst = function
   | Instr.Ins _ -> true
   | Instr.Const _ | Instr.Arg _ -> false
 
-let opclass_opt = function
-  | Instr.Ins i -> Some (Instr.opclass i)
-  | Instr.Const _ | Instr.Arg _ -> None
-
 let same_opclass a b =
-  match (opclass_opt a, opclass_opt b) with
-  | Some ca, Some cb -> Instr.equal_opclass ca cb
-  | _ -> false
+  match (a, b) with
+  | Instr.Ins x, Instr.Ins y -> Instr.same_opclass x y
+  | (Instr.Const _ | Instr.Arg _ | Instr.Ins _), _ -> false
 
 let consecutive_loads a b =
   match (a, b) with
-  | Instr.Ins ia, Instr.Ins ib when Instr.is_load ia && Instr.is_load ib -> (
-    match (Instr.address ia, Instr.address ib) with
-    | Some aa, Some ab -> Addr.consecutive aa ab
-    | _ -> false)
+  | Instr.Ins ia, Instr.Ins ib when Instr.is_load ia && Instr.is_load ib ->
+    addr_consecutive ia ib
   | (Instr.Const _ | Instr.Arg _ | Instr.Ins _), _ -> false
 
 (* LLVM 4.0's shouldReorderOperands, operand for operand. *)

@@ -3,7 +3,14 @@
     [vanilla_pair] ports LLVM 4.0's reorderInputsAccordingToOpcode (the
     paper's SLP baseline); [reorder_matrix] implements LSLP's mode-driven,
     look-ahead-scored single-pass reorder over the (operand-slot × lane)
-    matrix (Listings 5-7). *)
+    matrix (Listings 5-7).
+
+    Every step of the matrix reorder is an array read or an int compare:
+    each lane's operand pool is one array plus a taken mask, and with
+    [?arena] (the block's {!Lslp_ir.Arena}) load adjacency and score-cache
+    keys come from compact indices, falling back to [Addr.consecutive] and
+    interned ids for a value outside the arena.  [?arena] never changes a
+    decision, a counter or a trace event — only what a step costs. *)
 
 open Lslp_ir
 
@@ -11,11 +18,12 @@ type mode = Const_mode | Load_mode | Opcode_mode | Splat_mode | Failed_mode
 
 val mode_to_string : mode -> string
 
-val consecutive_or_match : Instr.value -> Instr.value -> bool
+val consecutive_or_match :
+  ?arena:Arena.t -> Instr.value -> Instr.value -> bool
 (** Constants match constants, loads match consecutive loads, other
     instructions match on opcode class, arguments match themselves. *)
 
-val pair_score : Instr.value -> Instr.value -> int
+val pair_score : ?arena:Arena.t -> Instr.value -> Instr.value -> int
 (** Graded base score for the look-ahead: identical values and consecutive
     loads score 2, constants and same-opcode instructions 1, everything else
     (including non-consecutive loads) 0. *)
@@ -24,6 +32,7 @@ val lookahead_score :
   ?meter:Lslp_robust.Budget.meter ->
   ?cache:Lslp_telemetry.Score_cache.t ->
   ?probe:Lslp_telemetry.Probe.t ->
+  ?arena:Arena.t ->
   combine:Config.score_combine ->
   Instr.value ->
   Instr.value ->
@@ -34,9 +43,12 @@ val lookahead_score :
     fuel and the whole reorder bails with [Budget.Exhausted] when the cap is
     hit — the defense against exponentially-shared DAGs.
     With [?cache], instruction/instruction comparisons memoize on
-    (id, id, level, combine); hits skip the recursion and burn no fuel.
-    The cache is only sound while the operand DAG is frozen — scope it to
-    one reorder invocation.  [?probe] counts evaluations and hits/misses. *)
+    (instruction, instruction, level, combine); hits skip the recursion and
+    burn no fuel.  The cache is only sound while the operand DAG is frozen
+    — scope it to one reorder invocation.  With [?arena] the cache keys an
+    instruction by its compact index, so the cache must have been created
+    with [~dense:(Arena.size arena)].  [?probe] counts evaluations and
+    hits/misses. *)
 
 val init_mode : Instr.value -> mode
 
@@ -45,6 +57,7 @@ val get_best :
   ?cache:Lslp_telemetry.Score_cache.t ->
   ?probe:Lslp_telemetry.Probe.t ->
   ?trace:Lslp_trace.Trace.t ->
+  ?arena:Arena.t ->
   Config.t ->
   mode ->
   Instr.value ->
@@ -65,23 +78,31 @@ val reorder_matrix :
   ?meter:Lslp_robust.Budget.meter ->
   ?probe:Lslp_telemetry.Probe.t ->
   ?trace:Lslp_trace.Trace.t ->
+  ?arena:Arena.t ->
+  ?cache:Lslp_telemetry.Score_cache.t ->
   Config.t ->
   Instr.value array array ->
   Instr.value array array
 (** Listing 5 over [columns.(slot).(lane)].  Preserves each lane's multiset
-    of operands; lane 0 is kept as-is.  With [Config.score_cache] one score
-    cache is created for (and discarded with) the invocation. *)
+    of operands; lane 0 is kept as-is.  With [Config.score_cache] the
+    look-ahead memoizes in [?cache], cleared first (a graph build reuses
+    one table across its reorder calls), or in a cache created for and
+    discarded with the invocation; either way entries live for exactly one
+    call.  [?cache] is ignored when [Config.score_cache] is off. *)
 
 val reorder_matrix_modes :
   ?meter:Lslp_robust.Budget.meter ->
   ?probe:Lslp_telemetry.Probe.t ->
   ?trace:Lslp_trace.Trace.t ->
+  ?arena:Arena.t ->
+  ?cache:Lslp_telemetry.Score_cache.t ->
   Config.t ->
   Instr.value array array ->
   Instr.value array array * mode array
 (** Like {!reorder_matrix}, but also returns the final per-slot mode —
     [Failed_mode] slots are the ones the remarks engine reports; [?trace]
-    additionally records the [Slot_modes] assignment (paper Table 1). *)
+    additionally records the [Slot_modes] assignment (paper Table 1) and
+    one [Get_best] event per (slot, lane) choice. *)
 
 val vanilla_pair : Instr.t array -> Instr.value array * Instr.value array
 (** LLVM-4.0-faithful two-operand reorder (peeled lane 0, splat /

@@ -70,4 +70,7 @@ val classify_gather : Instr.value list -> gather_kind
 
 val gather_cost : t -> Instr.value list -> int
 
+val gather_cost_lanes : t -> Instr.value array -> int
+(** [gather_cost] of a column held as an array, without building a list. *)
+
 val pp : t Fmt.t

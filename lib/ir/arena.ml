@@ -160,6 +160,11 @@ let fold_users t k f acc =
   done;
   !r
 
+let exists_user t k p =
+  let hi = t.use_off.(k + 1) in
+  let rec go j = j < hi && (p t.use_dat.(j) || go (j + 1)) in
+  go t.use_off.(k)
+
 (* ---- address side table ---- *)
 
 let build_addr t =

@@ -39,6 +39,10 @@ val users : t -> int -> Instr.t list
 val iter_users : t -> int -> (int -> unit) -> unit
 val fold_users : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 
+val exists_user : t -> int -> (int -> bool) -> bool
+(** Some user index of instruction [k] satisfies the predicate; stops at
+    the first that does. *)
+
 (** {2 Address side table} *)
 
 val is_memory : t -> int -> bool

@@ -203,7 +203,37 @@ let opclass i =
   | Reduce (op, _) -> C_reduce op
   | Shuffle _ -> C_shuffle
 
-let equal_opclass (a : opclass) (b : opclass) = a = b
+(* Monomorphic on purpose: a polymorphic [=] here is a [caml_equal] call
+   on every isomorphism and match test of graph build. *)
+let equal_opclass (a : opclass) (b : opclass) =
+  match (a, b) with
+  | C_binop x, C_binop y | C_reduce x, C_reduce y -> Opcode.equal_binop x y
+  | C_unop x, C_unop y -> Opcode.equal_unop x y
+  | C_cmp x, C_cmp y -> Opcode.equal_cmp x y
+  | C_select, C_select | C_load, C_load | C_store, C_store
+  | C_masked_load, C_masked_load | C_masked_store, C_masked_store
+  | C_splat, C_splat | C_buildvec, C_buildvec | C_extract, C_extract
+  | C_shuffle, C_shuffle -> true
+  | ( ( C_binop _ | C_unop _ | C_cmp _ | C_select | C_load | C_store
+      | C_masked_load | C_masked_store | C_splat | C_buildvec | C_extract
+      | C_reduce _ | C_shuffle ),
+      _ ) -> false
+
+(* [equal_opclass (opclass a) (opclass b)] without building either class. *)
+let same_opclass a b =
+  match (a.kind, b.kind) with
+  | Binop (x, _, _), Binop (y, _, _) | Reduce (x, _), Reduce (y, _) ->
+    Opcode.equal_binop x y
+  | Unop (x, _), Unop (y, _) -> Opcode.equal_unop x y
+  | Cmp (x, _, _), Cmp (y, _, _) -> Opcode.equal_cmp x y
+  | Select _, Select _ | Load _, Load _ | Store _, Store _
+  | Masked_load _, Masked_load _ | Masked_store _, Masked_store _
+  | Splat _, Splat _ | Buildvec _, Buildvec _ | Extract _, Extract _
+  | Shuffle _, Shuffle _ -> true
+  | ( ( Binop _ | Unop _ | Cmp _ | Select _ | Load _ | Store _
+      | Masked_load _ | Masked_store _ | Splat _ | Buildvec _ | Extract _
+      | Reduce _ | Shuffle _ ),
+      _ ) -> false
 
 let opclass_name = function
   | C_binop op -> Opcode.binop_name op

@@ -128,6 +128,11 @@ type opclass =
 
 val opclass : t -> opclass
 val equal_opclass : opclass -> opclass -> bool
+
+val same_opclass : t -> t -> bool
+(** [equal_opclass (opclass a) (opclass b)], without allocating either
+    class. *)
+
 val opclass_name : opclass -> string
 
 val equal_const : const -> const -> bool

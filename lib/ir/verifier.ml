@@ -22,7 +22,10 @@ let check_func (f : Func.t) =
   let err ?instr fmt =
     Fmt.kstr (fun message -> errors := { instr; message } :: !errors) fmt
   in
-  let defined = Int_table.create 64 in
+  (* both id sets hold at most every instruction of the function: sized
+     once, under the table's 3/4 load factor, instead of growing *)
+  let capacity = let n = Func.num_instrs f in n + (n / 3) + 1 in
+  let defined = Int_table.create capacity in
   let arg_names = Hashtbl.create 8 in
   List.iter
     (fun (a : Instr.arg) ->
@@ -30,7 +33,20 @@ let check_func (f : Func.t) =
         err "duplicate argument name %s" a.arg_name;
       Hashtbl.replace arg_names a.arg_name a.arg_ty)
     f.args;
-  let seen_ids = Int_table.create 64 in
+  let seen_ids = Int_table.create capacity in
+  (* one-entry memo in front of [arg_names]: consecutive lookups mostly
+     name the same argument, and a hit allocates nothing *)
+  let last_name = ref "" and last_ty = ref None and have_last = ref false in
+  let lookup_arg name =
+    if !have_last && String.equal name !last_name then !last_ty
+    else begin
+      let ty = Hashtbl.find_opt arg_names name in
+      last_name := name;
+      last_ty := ty;
+      have_last := true;
+      ty
+    end
+  in
   (* Regions are self-contained: values may only be referenced from the
      block that defines them, so [defined] is reset per block and a
      cross-block use reports as use-before-def. *)
@@ -42,7 +58,7 @@ let check_func (f : Func.t) =
                     in another block — regions are self-contained)"
           (Printer.value_to_string v)
     | Instr.Arg a ->
-      (match Hashtbl.find_opt arg_names a.arg_name with
+      (match lookup_arg a.arg_name with
        | None -> err ~instr "reference to unknown argument %s" a.arg_name
        | Some (Instr.Array_arg _) ->
          err ~instr "array argument %s used as scalar value" a.arg_name
@@ -62,7 +78,7 @@ let check_func (f : Func.t) =
       err ~instr "%s: expected %a, got %a" what Types.pp expected Types.pp ty
   in
   let check_address ~counter instr (a : Instr.address) =
-    (match Hashtbl.find_opt arg_names a.base with
+    (match lookup_arg a.base with
      | Some (Instr.Array_arg elt) ->
        if not (Types.equal_scalar elt a.elt) then
          err ~instr "address element type %a does not match array %s (%a)"
@@ -74,16 +90,19 @@ let check_func (f : Func.t) =
     if Types.is_mask_scalar a.elt then
       err ~instr "i1 is not a memory element type (masks never touch memory)";
     List.iter
-      (fun s ->
-        if Some s <> counter then
-          match Hashtbl.find_opt arg_names s with
+      (fun (s, _) ->
+        let is_counter =
+          match counter with Some c -> String.equal c s | None -> false
+        in
+        if not is_counter then
+          match lookup_arg s with
           | Some Instr.Int_arg -> ()
           | Some _ -> err ~instr "index symbol %s is not an i64 argument" s
           | None ->
             err ~instr
               "index symbol %s is not an argument or the enclosing loop \
                counter" s)
-      (Affine.symbols a.index)
+      (Affine.terms a.index)
   in
   let access_ty (a : Instr.address) =
     if a.access_lanes = 1 then Types.Scalar a.elt

@@ -84,8 +84,8 @@ kernel k(f64 A[], f64 R[], f64 S[], i64 i) {
         let multi_rows =
           List.filter
             (fun (r : Cost.node_cost) ->
-              String.length r.description > 9
-              && String.equal (String.sub r.description 0 9) "multi:and")
+              String.length (Cost.description r) > 9
+              && String.equal (String.sub (Cost.description r) 0 9) "multi:and")
             summary.Cost.per_node
         in
         check_int "two & rows" 2 (List.length multi_rows));
@@ -97,8 +97,8 @@ kernel k(f64 A[], f64 R[], f64 S[], i64 i) {
         let gathers =
           List.filter
             (fun (r : Cost.node_cost) ->
-              String.length r.description > 6
-              && String.equal (String.sub r.description 0 6) "gather")
+              String.length (Cost.description r) > 6
+              && String.equal (String.sub (Cost.description r) 0 6) "gather")
             summary.Cost.per_node
         in
         (* figure 3(d): two +2 load gathers; the four constant columns

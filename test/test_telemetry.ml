@@ -118,10 +118,10 @@ let cache_tests =
     tc "store/find round-trips, misses stay misses" (fun () ->
         let c = Score_cache.create () in
         check_bool "initial miss" true
-          (Score_cache.find c ~a:1 ~b:2 ~level:3 ~mode:0 = None);
+          (Score_cache.find c ~a:1 ~b:2 ~level:3 ~mode:0 = Score_cache.absent);
         Score_cache.store c ~a:1 ~b:2 ~level:3 ~mode:0 7;
         check_bool "hit" true
-          (Score_cache.find c ~a:1 ~b:2 ~level:3 ~mode:0 = Some 7);
+          (Score_cache.find c ~a:1 ~b:2 ~level:3 ~mode:0 = 7);
         check_int "size" 1 (Score_cache.size c));
     tc "every key component discriminates" (fun () ->
         let c = Score_cache.create () in
@@ -129,7 +129,7 @@ let cache_tests =
         List.iter
           (fun (a, b, level, mode) ->
             check_bool "distinct key misses" true
-              (Score_cache.find c ~a ~b ~level ~mode = None))
+              (Score_cache.find c ~a ~b ~level ~mode = Score_cache.absent))
           [ (2, 1, 3, 0); (1, 2, 2, 0); (1, 2, 3, 1); (9, 2, 3, 0) ]);
     tc "clear empties the table" (fun () ->
         let c = Score_cache.create () in
@@ -137,7 +137,7 @@ let cache_tests =
         Score_cache.clear c;
         check_int "size" 0 (Score_cache.size c);
         check_bool "miss after clear" true
-          (Score_cache.find c ~a:1 ~b:2 ~level:3 ~mode:0 = None));
+          (Score_cache.find c ~a:1 ~b:2 ~level:3 ~mode:0 = Score_cache.absent));
   ]
 
 (* ---- report aggregation -------------------------------------------- *)

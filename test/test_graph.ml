@@ -294,4 +294,158 @@ kernel k(f64 A[], f64 R[], i64 i) {
              (Graph.nodes graph)));
   ]
 
-let suite = bundle_tests @ seeds_tests @ multinode_tests
+(* ---- agreement with the pre-arena reference ------------------------- *)
+
+(* The columns one graph build saw: every node's bundle (a diamond reuses
+   a node, so its column is one of these) plus every operand column of
+   its groups. *)
+let graph_columns g =
+  List.concat_map
+    (fun (n : Graph.node) ->
+      let operand_columns insts =
+        List.init
+          (List.length (Instr.operands insts.(0)))
+          (fun index -> Bundle.operand_column insts ~index)
+      in
+      match n.Graph.shape with
+      | Graph.Group insts -> Bundle.of_insts insts :: operand_columns insts
+      | Graph.Multi m -> List.map Bundle.of_insts m.Graph.m_groups
+      | Graph.Gather vs -> [ vs ])
+    (Graph.nodes g)
+
+let verdict_text = function
+  | Bundle.Vectorizable insts ->
+    "vectorizable "
+    ^ String.concat "," (Array.to_list (Array.map (fun (i : Instr.t) ->
+        string_of_int i.Instr.id) insts))
+  | Bundle.Rejected r -> Bundle.reject_to_string r
+
+let shuffle_text = function
+  | None -> "none"
+  | Some ((n : Graph.node), lanes) ->
+    Fmt.str "#%d %a" n.Graph.nid Fmt.(list ~sep:comma int) lanes
+
+(* Build every seed's graph in [block] under [config]; on each column,
+   [Bundle.classify] (with nothing claimed and with the finished graph's
+   claims), [Graph.shuffle_pattern] and [Instr.same_opclass] on every lane
+   pair must match the reference.  Returns the first disagreement. *)
+let block_disagreement config block =
+  let deps = Depgraph.build block in
+  let seeds = Seeds.collect ~arena:(Depgraph.arena deps) config block in
+  List.find_map
+    (fun seed ->
+      let g, _ = Graph_builder.build ~deps config block seed in
+      List.find_map
+        (fun (col : Bundle.t) ->
+          let verdicts in_graph =
+            ( verdict_text (Bundle.classify ~block ~deps ~in_graph col),
+              verdict_text (Graph_ref.classify ~block ~deps ~in_graph col) )
+          in
+          let lanes_agree =
+            Array.for_all
+              (fun a ->
+                Array.for_all
+                  (fun b ->
+                    match (a, b) with
+                    | Instr.Ins x, Instr.Ins y ->
+                      Instr.same_opclass x y
+                      = (Instr.opclass x = Instr.opclass y)
+                    | _ -> true)
+                  col)
+              col
+          in
+          let mismatch what (got, want) =
+            if String.equal got want then None
+            else
+              Some
+                (Fmt.str "%s on %a: got %s, reference %s" what Bundle.pp col
+                   got want)
+          in
+          match mismatch "classify" (verdicts (fun _ -> false)) with
+          | Some _ as m -> m
+          | None -> (
+            match mismatch "classify (claimed)" (verdicts (Graph.claimed g)) with
+            | Some _ as m -> m
+            | None -> (
+              match
+                mismatch "shuffle_pattern"
+                  ( shuffle_text (Graph.shuffle_pattern g col),
+                    shuffle_text (Graph_ref.shuffle_pattern g col) )
+              with
+              | Some _ as m -> m
+              | None ->
+                if lanes_agree then None
+                else Some (Fmt.str "same_opclass on %a" Bundle.pp col))))
+        (graph_columns g))
+    seeds
+
+let agreement_configs = [ Config.slp_nr; Config.slp; Config.lslp ]
+
+let all_opclasses =
+  List.map (fun o -> Instr.C_binop o) Opcode.all_binops
+  @ List.map (fun o -> Instr.C_unop o) Opcode.all_unops
+  @ List.map (fun o -> Instr.C_cmp o) Opcode.all_cmps
+  @ List.map (fun o -> Instr.C_reduce o) Opcode.all_binops
+  @ Instr.
+      [ C_select; C_load; C_store; C_masked_load; C_masked_store; C_splat;
+        C_buildvec; C_extract; C_shuffle ]
+
+let agreement_tests =
+  [
+    tc "equal_opclass agrees with structural equality on every pair"
+      (fun () ->
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b ->
+                if Instr.equal_opclass a b <> (a = b) then
+                  Alcotest.failf "equal_opclass %s %s" (Instr.opclass_name a)
+                    (Instr.opclass_name b))
+              all_opclasses)
+          all_opclasses);
+    tc "classify and shuffle_pattern = reference: catalog x configs x unroll"
+      (fun () ->
+        List.iter
+          (fun (k : Lslp_kernels.Catalog.kernel) ->
+            List.iter
+              (fun factor ->
+                List.iter
+                  (fun (config : Config.t) ->
+                    let f = Lslp_kernels.Catalog.compile k in
+                    if factor > 1 then
+                      ignore (Lslp_frontend.Unroll.run ~factor f);
+                    List.iter
+                      (fun b ->
+                        match block_disagreement config b with
+                        | None -> ()
+                        | Some m ->
+                          Alcotest.failf "%s x%d %s: %s" k.key factor
+                            config.Config.name m)
+                      (Func.blocks f))
+                  agreement_configs)
+              [ 1; 4 ])
+          Lslp_kernels.Catalog.all);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:100
+         ~name:"classify and shuffle_pattern = reference on fuzz blocks"
+         ~print:(fun (seed, cond_only) ->
+           Fmt.str "seed %d cond_only %b" seed cond_only)
+         QCheck2.Gen.(pair (int_bound 100_000) bool)
+         (fun (seed, cond_only) ->
+           let st = Random.State.make [| seed; 0x9a7f |] in
+           let f =
+             Lslp_fuzz.Gen.build (Lslp_fuzz.Gen.generate ~cond_only st)
+           in
+           ignore (Lslp_frontend.Unroll.run ~factor:4 f);
+           List.for_all
+             (fun config ->
+               List.for_all
+                 (fun b ->
+                   match block_disagreement config b with
+                   | None -> true
+                   | Some m -> QCheck2.Test.fail_report m)
+                 (Func.blocks f))
+             agreement_configs));
+  ]
+
+let suite = bundle_tests @ seeds_tests @ multinode_tests @ agreement_tests

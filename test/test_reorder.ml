@@ -412,6 +412,181 @@ let property_tests =
         Reorder.pair_score v1 v2 = (if o2 = o1 + 1 then 2 else 0));
   ]
 
+(* ---- the array pool against the list-based reference ---------------- *)
+
+(* A random operand matrix over one block: repeated constants, arguments,
+   consecutive and strided (plain or masked) loads over two arrays, and
+   add/mul/sub/shl binops over a shared pool of earlier values, so the
+   look-ahead meets common subexpressions.  Each slot draws a column
+   shape, then every lane's values are permuted across the slots so the
+   reorder has work to do.  Returns the block and [columns.(slot).(lane)]. *)
+let random_matrix st ~slots ~lanes =
+  let b =
+    Builder.create ~name:"ref"
+      ~args:
+        [ ("A", Instr.Array_arg Types.I64); ("B", Instr.Array_arg Types.I64);
+          ("x", Instr.Int_arg); ("y", Instr.Int_arg); ("i", Instr.Int_arg) ]
+  in
+  let int n = Random.State.int st n in
+  let mask = Builder.cmp b Opcode.Lt (Builder.arg b "x") (Builder.iconst 0) in
+  let loads = Hashtbl.create 16 in
+  let load arr off masked =
+    match Hashtbl.find_opt loads (arr, off, masked) with
+    | Some v -> v
+    | None ->
+      let base = if arr = 0 then "A" else "B" in
+      let v =
+        if masked then
+          Builder.masked_load b ~base (Builder.idx off) ~mask
+            ~passthrough:(Builder.iconst 0)
+        else Builder.load b ~base (Builder.idx off)
+      in
+      Hashtbl.replace loads (arr, off, masked) v;
+      v
+  in
+  let leaf () =
+    match int 4 with
+    | 0 -> Builder.iconst (int 3)
+    | 1 -> Builder.arg b (if int 2 = 0 then "x" else "y")
+    | _ -> load (int 2) (int 12) (int 4 = 0)
+  in
+  let shared = ref [||] in
+  for _ = 1 to 3 + int 8 do
+    let pick () =
+      if Array.length !shared > 0 && int 3 = 0 then
+        !shared.(int (Array.length !shared))
+      else leaf ()
+    in
+    let op = [| Opcode.Add; Opcode.Mul; Opcode.Sub; Opcode.Shl |].(int 4) in
+    let x = pick () in
+    let y = pick () in
+    shared := Array.append !shared [| Builder.binop b op x y |]
+  done;
+  let columns =
+    Array.init slots (fun _ ->
+        let arr = int 2 and off = int 8 and masked = int 5 = 0 in
+        match int 6 with
+        | 0 -> Array.init lanes (fun l -> load arr (off + l) masked)
+        | 1 -> Array.init lanes (fun l -> load arr (off + (2 * l)) masked)
+        | 2 -> Array.init lanes (fun _ -> Builder.iconst (int 2))
+        | 3 -> Array.init lanes (fun _ -> Builder.arg b "x")
+        | 4 ->
+          Array.init lanes (fun _ ->
+              !shared.(int (Array.length !shared)))
+        | _ -> Array.init lanes (fun _ -> leaf ()))
+  in
+  for l = 1 to lanes - 1 do
+    for s = slots - 1 downto 1 do
+      let t = int (s + 1) in
+      let v = columns.(s).(l) in
+      columns.(s).(l) <- columns.(t).(l);
+      columns.(t).(l) <- v
+    done
+  done;
+  (Builder.current_block b, columns)
+
+(* Everything one reorder call leaves behind: the matrix (or the budget
+   error), the modes, the probe's score counters and the trace events. *)
+let observe run =
+  let probe = Lslp_telemetry.Probe.create () in
+  let trace = Lslp_trace.Trace.create () in
+  let outcome =
+    match run ~probe ~trace with
+    | m, modes -> Ok (m, modes)
+    | exception Lslp_robust.Budget.Exhausted msg -> Error msg
+  in
+  let c = Lslp_telemetry.Probe.counters probe in
+  ( outcome,
+    (c.score_evals, c.score_hits, c.score_misses),
+    List.map
+      (fun (e : Lslp_trace.Trace.event) -> e.payload)
+      (Lslp_trace.Trace.events trace) )
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok (m1, modes1), Ok (m2, modes2) ->
+    modes1 = modes2
+    && Array.length m1 = Array.length m2
+    && Array.for_all2 (Array.for_all2 Instr.equal_value) m1 m2
+  | Error e1, Error e2 -> String.equal e1 e2
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let reference_configs =
+  [ Config.lslp; Config.lslp_la 0; Config.lslp_la 1; Config.lslp_la 2;
+    Config.lslp_la 3;
+    Config.with_score_combine Config.Score_max Config.lslp;
+    Config.with_score_cache false Config.lslp;
+    Config.with_score_cache false (Config.lslp_la 3) ]
+
+(* One case: every config, traced and untraced, with no arena, the
+   block's arena, and an arena missing one instruction of the matrix —
+   and, with an arena, both a per-call cache and a build-wide one reused
+   across two calls (cleared by each). *)
+let agrees_with_reference (seed, slots, lanes, fuel) =
+  let st = Random.State.make [| seed; 0x5eed |] in
+  let block, columns = random_matrix st ~slots ~lanes in
+  let full = Arena.of_block block in
+  let partial =
+    let insts = Array.of_list (Block.to_list block) in
+    let dropped = insts.(Random.State.int st (Array.length insts)) in
+    let b = Block.create () in
+    Array.iter (fun i -> if not (Instr.equal i dropped) then Block.append b i)
+      insts;
+    Arena.of_block b
+  in
+  let budget =
+    { Lslp_robust.Budget.unlimited with
+      lookahead_fuel = (if fuel = 0 then max_int else fuel) }
+  in
+  List.for_all
+    (fun config ->
+      List.for_all
+        (fun traced ->
+          let meter () = Lslp_robust.Budget.meter budget in
+          let trace_of tr = if traced then Some tr else None in
+          let want =
+            observe (fun ~probe ~trace ->
+                Reorder_ref.reorder_matrix_modes ~meter:(meter ()) ~probe
+                  ?trace:(trace_of trace) config columns)
+          in
+          let agree ?arena ?cache () =
+            let (o, c, e) =
+              observe (fun ~probe ~trace ->
+                  Reorder.reorder_matrix_modes ~meter:(meter ()) ~probe
+                    ?trace:(trace_of trace) ?arena ?cache config columns)
+            in
+            let (wo, wc, we) = want in
+            same_outcome o wo && c = wc && e = we
+          in
+          let shared ar =
+            Lslp_telemetry.Score_cache.create ~dense:(Arena.size ar) ()
+          in
+          agree ()
+          && List.for_all
+               (fun ar ->
+                 let cache = shared ar in
+                 agree ~arena:ar ()
+                 && agree ~arena:ar ~cache ()
+                 && agree ~arena:ar ~cache ())
+               [ full; partial ])
+        [ false; true ])
+    reference_configs
+
+let reference_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:100
+         ~name:"matrix reorder = list reference (matrix, modes, counters, \
+                fuel, trace)"
+         ~print:(fun (seed, slots, lanes, fuel) ->
+           Fmt.str "seed %d, %d slots x %d lanes, fuel %d" seed slots lanes
+             fuel)
+         QCheck2.Gen.(
+           quad (int_bound 1_000_000) (int_range 2 24) (int_range 2 8)
+             (oneofl [ 0; 0; 5; 40 ]))
+         agrees_with_reference);
+  ]
+
 let suite =
   pair_score_tests @ figure7_tests @ get_best_tests @ matrix_tests
-  @ vanilla_tests @ property_tests
+  @ vanilla_tests @ property_tests @ reference_tests

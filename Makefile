@@ -4,7 +4,8 @@
   domain-smoke serve-smoke bench-lint stats-golden bench-check \
   bench-baseline bench-speed bench-speed-report bench-serve \
   bench-serve-report trace-golden cond-smoke metrics-check \
-  metrics-baseline metrics-smoke perfbench layers-check layers-baseline
+  metrics-baseline metrics-smoke perfbench layers-check layers-baseline \
+  perf-ab
 
 all:
 	dune build
@@ -198,6 +199,18 @@ SEED ?= 1
 T ?= 0
 perfbench:
 	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 10 --trace $(T)
+
+# A/B throughput of the working tree against BASE (report-only, not in
+# CI): clones BASE into $${TMPDIR:-/tmp}/lslp-ab, builds perfbench there
+# and here, alternates PAIRS runs of SECONDS each on workload W, and prints
+# per-pair and median throughput, p50/p90, heap and pairs won.
+BASE ?= HEAD~
+PAIRS ?= 6
+SECONDS ?= 10
+AB_SEED ?= 7
+perf-ab:
+	python3 bench/perf_ab.py --workload $(W) --base $(BASE) \
+	  --pairs $(PAIRS) --seconds $(SECONDS) --seed $(AB_SEED)
 
 bench:
 	dune exec bench/main.exe

@@ -61,21 +61,22 @@ let addr_consecutive_run insts =
   in
   List.length addrs = Array.length insts && Addr.consecutive_run addrs
 
-(* Lane-order adjacency of a memory bundle: int compares on the arena's
-   address table when every lane is in it, the affine differences of
-   [Addr.consecutive_run] otherwise. *)
+(* Each lane consecutive to the one before, on the arena's address table:
+   [pos] holds the lanes' compact indices, all in the arena. *)
+let adjacent_run ar pos =
+  let n = Array.length pos in
+  let rec run j =
+    j >= n - 1 || (Arena.consecutive ar pos.(j) pos.(j + 1) && run (j + 1))
+  in
+  n = 0 || (Arena.is_memory ar pos.(0) && run 0)
+
 let loads_consecutive ?arena insts =
-  let n = Array.length insts in
   match arena with
-  | Some ar when n > 0 && Array.for_all (Arena.mem ar) insts ->
-    let rec run j =
-      j >= n - 1
-      || Arena.consecutive ar
-           (Arena.idx ar insts.(j)) (Arena.idx ar insts.(j + 1))
-         && run (j + 1)
-    in
-    Arena.is_memory ar (Arena.idx ar insts.(0)) && run 0
-  | Some _ | None -> addr_consecutive_run insts
+  | Some ar ->
+    let pos = Array.map (Arena.idx ar) insts in
+    if Array.for_all (fun k -> k >= 0) pos then adjacent_run ar pos
+    else addr_consecutive_run insts
+  | None -> addr_consecutive_run insts
 
 (* Shapes the code generator knows how to widen. *)
 let widenable (i : Instr.t) =
@@ -96,26 +97,27 @@ let has_duplicates (b : t) =
   in
   go 0 1
 
-(* No lane transitively depends on another: positions in the dependence
-   graph's arena and its bit-packed closure.  A lane outside the arena
-   takes [Depgraph.independent], which rejects it the same way. *)
-let independent deps (b : t) =
-  let ar = Depgraph.arena deps in
-  let n = Array.length b in
-  if not (for_all_with Arena.mem ar b) then
+(* No lane transitively depends on another: [pos] holds the lanes'
+   positions in the dependence graph's arena, read against its bit-packed
+   closure.  A lane outside the arena (a stale snapshot) takes
+   [Depgraph.independent], which rejects it the same way. *)
+let independent deps (b : t) pos =
+  let n = Array.length pos in
+  if Array.exists (fun k -> k < 0) pos then
     Depgraph.independent deps (List.init n (ins b))
   else
     let rec go i j =
       if i >= n then true
       else if j >= n then go (i + 1) 0
       else
-        let p = Arena.idx ar (ins b i) and q = Arena.idx ar (ins b j) in
+        let p = pos.(i) and q = pos.(j) in
         (p = q || not (Depgraph.reaches deps p q)) && go i (j + 1)
     in
     go 0 0
 
-(* The checks run on the bundle in place; the instruction array is built
-   only for a vectorizable verdict. *)
+(* The checks run on the bundle in place; each lane's arena position is
+   looked up once, and the instruction array is built only for a
+   vectorizable verdict. *)
 let classify ~(block : Block.t) ~(deps : Depgraph.t)
     ~(in_graph : Instr.t -> bool) (b : t) : verdict =
   if not (Array.for_all is_ins b) then Rejected Not_all_instructions
@@ -126,15 +128,20 @@ let classify ~(block : Block.t) ~(deps : Depgraph.t)
   else if has_duplicates b then Rejected Duplicate_member
   else if not (for_all_with Block.mem block b) then Rejected Different_block
   else if exists_ins in_graph b then Rejected Already_in_graph
-  else if not (independent deps b) then Rejected Not_schedulable
   else
-    let insts = Array.init (Array.length b) (ins b) in
-    let i0 = insts.(0) in
-    if
-      (Instr.is_load i0 || Instr.is_store i0)
-      && not (loads_consecutive ~arena:(Depgraph.arena deps) insts)
-    then Rejected Non_consecutive_loads
-    else Vectorizable insts
+    let ar = Depgraph.arena deps in
+    let n = Array.length b in
+    let pos = Array.make n (-1) in
+    for j = 0 to n - 1 do
+      pos.(j) <- Arena.idx ar (ins b j)
+    done;
+    if not (independent deps b pos) then Rejected Not_schedulable
+    else
+      let insts = Array.init n (ins b) in
+      let i0 = insts.(0) in
+      if (Instr.is_load i0 || Instr.is_store i0) && not (adjacent_run ar pos)
+      then Rejected Non_consecutive_loads
+      else Vectorizable insts
 
 let of_insts insts = Array.map (fun i -> Instr.Ins i) insts
 

@@ -64,19 +64,16 @@ let classify ctx (b : Bundle.t) =
    It must be the same commutative+associative opcode and must not escape:
    its only use is its place in the chain (the paper's "operands don't
    escape the multi-node" condition — intermediate values of the chain are
-   not preserved by the reassociated vector code). *)
+   not preserved by the reassociated vector code).  The use count comes
+   from the block's arena snapshot, so a counted value is in the block. *)
 let absorbable ctx ~op (v : Instr.value) =
   match v with
-  | Instr.Ins i ->
-    (match Instr.binop i with
-     | Some bop ->
-       Opcode.equal_binop bop op
-       && Opcode.is_commutative bop && Opcode.is_associative bop
-       && Use_info.has_single_use ctx.uses i
-       && Block.mem ctx.block i
-       && not (Graph.claimed ctx.graph i)
-     | None -> false)
-  | Instr.Const _ | Instr.Arg _ -> false
+  | Instr.Ins ({ Instr.kind = Instr.Binop (bop, _, _); _ } as i) ->
+    Opcode.equal_binop bop op
+    && Opcode.is_commutative bop && Opcode.is_associative bop
+    && Use_info.has_single_use ctx.uses i
+    && not (Graph.claimed ctx.graph i)
+  | Instr.Ins _ | Instr.Const _ | Instr.Arg _ -> false
 
 (* The [n] elements of a list built newest-first, in arrival order. *)
 let array_of_rev n l =
@@ -214,24 +211,28 @@ and build_multinode ctx (root_insts : Instr.t array) (op : Opcode.binop) =
     let count = ref 1 in
     let leaves = ref [] in
     let n_leaves = ref 0 in
+    (* chain ops are binops: their two operands are visited in place *)
     let rec go (i : Instr.t) =
-      List.iter
-        (fun v ->
-          let can = absorbable ctx ~op v in
-          if can && !count < limit then begin
-            match v with
-            | Instr.Ins child ->
-              ops := child :: !ops;
-              incr count;
-              go child
-            | Instr.Const _ | Instr.Arg _ -> assert false
-          end
-          else begin
-            if can && flag_capped && limit < max_int then capped := true;
-            leaves := v :: !leaves;
-            incr n_leaves
-          end)
-        (Instr.operands i)
+      match i.Instr.kind with
+      | Instr.Binop (_, x, y) ->
+        visit x;
+        visit y
+      | _ -> List.iter visit (Instr.operands i)
+    and visit v =
+      let can = absorbable ctx ~op v in
+      if can && !count < limit then begin
+        match v with
+        | Instr.Ins child ->
+          ops := child :: !ops;
+          incr count;
+          go child
+        | Instr.Const _ | Instr.Arg _ -> assert false
+      end
+      else begin
+        if can && flag_capped && limit < max_int then capped := true;
+        leaves := v :: !leaves;
+        incr n_leaves
+      end
     in
     go root;
     (array_of_rev !count !ops, array_of_rev !n_leaves !leaves)

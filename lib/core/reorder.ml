@@ -32,27 +32,39 @@ let addr_consecutive (a : Instr.t) (b : Instr.t) =
   | Some aa, Some ab -> Addr.consecutive aa ab
   | _ -> false
 
-(* Load adjacency: two int compares on the arena's address table when both
-   loads are in it, the affine difference of [Addr.consecutive] for a value
-   outside it (the two agree on every pair the arena holds). *)
+(* Load adjacency: int compares on the arena's address table when both
+   loads are in it ([ka], [kb] are their compact indices, -1 outside), the
+   affine difference of [Addr.consecutive] otherwise (the two agree on
+   every pair the arena holds). *)
+let loads_adjacent_at arena (a : Instr.t) ka (b : Instr.t) kb =
+  match arena with
+  | Some ar when ka >= 0 && kb >= 0 -> Arena.consecutive ar ka kb
+  | Some _ | None -> addr_consecutive a b
+
+let arena_index arena (v : Instr.value) =
+  match (arena, v) with
+  | Some ar, Instr.Ins i -> Arena.idx ar i
+  | (Some _ | None), _ -> -1
+
 let loads_adjacent ?arena (a : Instr.t) (b : Instr.t) =
   match arena with
   | None -> addr_consecutive a b
-  | Some ar ->
-    let ka = Arena.idx ar a and kb = Arena.idx ar b in
-    if ka >= 0 && kb >= 0 then Arena.consecutive ar ka kb
-    else addr_consecutive a b
+  | Some ar -> loads_adjacent_at arena a (Arena.idx ar a) b (Arena.idx ar b)
 
 (* The paper's are_consecutive_or_match: constants match constants, loads
-   match consecutive loads, other instructions match on opcode class. *)
-let consecutive_or_match ?arena (v1 : Instr.value) (v2 : Instr.value) =
+   match consecutive loads, other instructions match on opcode class.
+   [k1], [k2] are the values' {!arena_index}. *)
+let matches_at arena (v1 : Instr.value) k1 (v2 : Instr.value) k2 =
   match (v1, v2) with
   | Instr.Const _, Instr.Const _ -> true
   | Instr.Arg _, Instr.Arg _ -> Instr.equal_value v1 v2
   | Instr.Ins a, Instr.Ins b ->
-    if Instr.is_load a && Instr.is_load b then loads_adjacent ?arena a b
+    if Instr.is_load a && Instr.is_load b then loads_adjacent_at arena a k1 b k2
     else Instr.same_opclass a b
   | (Instr.Const _ | Instr.Arg _ | Instr.Ins _), _ -> false
+
+let consecutive_or_match ?arena v1 v2 =
+  matches_at arena v1 (arena_index arena v1) v2 (arena_index arena v2)
 
 (* Per-pair base score.  The paper's are_consecutive_or_match is boolean;
    we grade it slightly so that ties between isomorphic sub-DAGs that share
@@ -303,13 +315,14 @@ let get_best ?meter ?cache ?probe ?trace ?arena (config : Config.t)
    unordered operand matrix; the result has the same multiset of values per
    lane, rearranged across slots.
 
-   Each lane's operand pool is one array plus a taken mask, filled once per
-   lane: a pick marks its entry taken instead of rebuilding the pool, and
-   taking the first untaken entry equal to the pick is exactly the old
-   remove-first-occurrence.  Untraced, the choice of {!get_best} runs over
-   the pool in place — it counts the matches and builds a candidate list
-   only for an OPCODE tie that goes to the look-ahead; traced, the list
-   form runs so the [Get_best] events are recorded. *)
+   Each lane's operand pool is one array plus a taken mask and the
+   entries' arena indices, filled once per lane: a pick marks its entry
+   taken instead of rebuilding the pool, and taking the first untaken
+   entry equal to the pick is exactly the old remove-first-occurrence.
+   Untraced, the choice of {!get_best} runs over the pool in place — it
+   scans only as far as the first match (the second, when an OPCODE slot
+   may go to the look-ahead) and builds a candidate list only for a tie;
+   traced, the list form runs so the [Get_best] events are recorded. *)
 let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
     (config : Config.t) (columns : Instr.value array array) :
     Instr.value array array * mode array =
@@ -335,6 +348,7 @@ let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
     in
     let mode = Array.map (fun col -> init_mode col.(0)) columns in
     let pool = Array.make num_slots columns.(0).(0) in
+    let pool_ix = Array.make num_slots (-1) in
     let taken = Bytes.make num_slots '\000' in
     let filled = Bytes.make num_slots '\000' in
     let is_taken k = Bytes.unsafe_get taken k <> '\000' in
@@ -349,6 +363,15 @@ let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
       if k >= num_slots then -1
       else if (not (is_taken k)) && Instr.equal_value pool.(k) v then k
       else first_equal v (k + 1)
+    in
+    (* first untaken entry at or after [k] that [last] matches *)
+    let rec next_match last last_ix k =
+      if k >= num_slots then -1
+      else if
+        (not (is_taken k))
+        && matches_at arena last last_ix pool.(k) pool_ix.(k)
+      then k
+      else next_match last last_ix (k + 1)
     in
     let untaken_list () =
       let rec go k acc =
@@ -370,27 +393,24 @@ let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
           k
         | k -> k)
       | (Const_mode | Load_mode | Opcode_mode) as m ->
-        let count = ref 0 and first = ref (-1) in
-        for k = 0 to num_slots - 1 do
-          if (not (is_taken k)) && consecutive_or_match ?arena last pool.(k)
-          then begin
-            if !first < 0 then first := k;
-            incr count
-          end
-        done;
-        if !count = 0 then begin
+        let last_ix = arena_index arena last in
+        let first = next_match last last_ix 0 in
+        if first < 0 then begin
           mode.(s) <- Failed_mode;
           first_untaken 0
         end
-        else if !count = 1 then !first
-        else if m = Opcode_mode && config.Config.lookahead_depth > 0 then
+        else if
+          m <> Opcode_mode
+          || config.Config.lookahead_depth <= 0
+          || next_match last last_ix (first + 1) < 0
+        then first
+        else
           let matching =
             List.filter (consecutive_or_match ?arena last) (untaken_list ())
           in
           first_equal
             (tie_break ?meter ?cache ?probe ?arena config last matching)
-            !first
-        else !first
+            first
     in
     let pick_traced s last =
       let best, m =
@@ -402,7 +422,8 @@ let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
     in
     for lane = 1 to lanes - 1 do
       for s = 0 to num_slots - 1 do
-        pool.(s) <- columns.(s).(lane)
+        pool.(s) <- columns.(s).(lane);
+        pool_ix.(s) <- arena_index arena pool.(s)
       done;
       Bytes.fill taken 0 num_slots '\000';
       Bytes.fill filled 0 num_slots '\000';

@@ -17,15 +17,55 @@ exception Invalid of error list
 
 module Int_table = Lslp_util.Int_table
 
+(* A set of instruction ids for one function, sized from it up front
+   instead of grown: a bitmap over the function's id span when its ids
+   are dense (the normal case — a few words for hundreds of
+   instructions), an [Int_table] for the instruction count otherwise.
+   Ids outside the span (operands defined elsewhere) are never members. *)
+type id_set =
+  | Bits of { lo : int; span : int; bits : Bytes.t }
+  | Table of Int_table.t
+
+let id_set (f : Func.t) =
+  let n = ref 0 and lo = ref max_int and hi = ref min_int in
+  Func.iter_instrs
+    (fun (i : Instr.t) ->
+      incr n;
+      if i.id < !lo then lo := i.id;
+      if i.id > !hi then hi := i.id)
+    f;
+  let n = !n and lo = !lo in
+  let span = !hi - lo + 1 in
+  if n > 0 && span <= (4 * n) + 1024 then
+    Bits { lo; span; bits = Bytes.make ((span + 7) / 8) '\000' }
+  else Table (Int_table.create (n + (n / 3) + 1))
+
+let id_mem s id =
+  match s with
+  | Bits { lo; span; bits } ->
+    let o = id - lo in
+    o >= 0 && o < span
+    && Char.code (Bytes.unsafe_get bits (o lsr 3)) land (1 lsl (o land 7)) <> 0
+  | Table t -> Int_table.mem t id
+
+let id_add s id =
+  match s with
+  | Bits { lo; bits; _ } ->
+    let o = id - lo in
+    Bytes.set bits (o lsr 3)
+      (Char.unsafe_chr (Char.code (Bytes.get bits (o lsr 3)) lor (1 lsl (o land 7))))
+  | Table t -> Int_table.set t id 0
+
+let id_clear = function
+  | Bits { bits; _ } -> Bytes.fill bits 0 (Bytes.length bits) '\000'
+  | Table t -> Int_table.clear t
+
 let check_func (f : Func.t) =
   let errors = ref [] in
   let err ?instr fmt =
     Fmt.kstr (fun message -> errors := { instr; message } :: !errors) fmt
   in
-  (* both id sets hold at most every instruction of the function: sized
-     once, under the table's 3/4 load factor, instead of growing *)
-  let capacity = let n = Func.num_instrs f in n + (n / 3) + 1 in
-  let defined = Int_table.create capacity in
+  let defined = id_set f in
   let arg_names = Hashtbl.create 8 in
   List.iter
     (fun (a : Instr.arg) ->
@@ -33,7 +73,7 @@ let check_func (f : Func.t) =
         err "duplicate argument name %s" a.arg_name;
       Hashtbl.replace arg_names a.arg_name a.arg_ty)
     f.args;
-  let seen_ids = Int_table.create capacity in
+  let seen_ids = id_set f in
   (* one-entry memo in front of [arg_names]: consecutive lookups mostly
      name the same argument, and a hit allocates nothing *)
   let last_name = ref "" and last_ty = ref None and have_last = ref false in
@@ -53,7 +93,7 @@ let check_func (f : Func.t) =
   let check_value instr (v : Instr.value) =
     match v with
     | Instr.Ins def ->
-      if not (Int_table.mem defined def.Instr.id) then
+      if not (id_mem defined def.Instr.id) then
         err ~instr "use of %s before its definition (or of a value defined \
                     in another block — regions are self-contained)"
           (Printer.value_to_string v)
@@ -114,9 +154,9 @@ let check_func (f : Func.t) =
     if n = 1 then Types.Scalar Types.I1 else Types.Vec (Types.I1, n)
   in
   let check_instr ~counter (i : Instr.t) =
-    if Int_table.mem seen_ids i.Instr.id then
+    if id_mem seen_ids i.Instr.id then
       err ~instr:i "instruction appears twice in the function";
-    Int_table.set seen_ids i.Instr.id 0;
+    id_add seen_ids i.Instr.id;
     List.iter (check_value i) (Instr.operands i);
     (match i.kind with
      | Instr.Binop (op, x, y) ->
@@ -229,7 +269,7 @@ let check_func (f : Func.t) =
         | Some _, _ ->
           err ~instr:i "shuffle requires vector operand and vector result"
         | None, _ -> err ~instr:i "shuffle of non-value"));
-    Int_table.set defined i.Instr.id 0
+    id_add defined i.Instr.id
   in
   let seen_labels = Hashtbl.create 8 in
   List.iter
@@ -257,7 +297,7 @@ let check_func (f : Func.t) =
            | Block.Bound_const _ -> ());
           Some li.Block.counter
       in
-      Int_table.clear defined;
+      id_clear defined;
       Block.iter (check_instr ~counter) b)
     (Func.blocks f);
   (* Arena invariants (dense bijective ids, monotone CSR offsets, acyclic

@@ -240,61 +240,112 @@ let tie_break ?meter ?cache ?probe ?arena ?levels (config : Config.t) last
   in
   try_level 1
 
-(* Listing 6: pick the best candidate for one slot in one lane.  Returns the
-   choice (None = deferred, slot already FAILED) and the updated mode.  This
-   is the list form the decision trace records; {!reorder_matrix_modes}
-   runs the same choice over its array pool when untraced. *)
+(* One lane's operand pool: the candidate values in order, their arena
+   indices (-1 outside it), which are taken, and the mode the last
+   {!choose} left its slot in.  Allocated once per reorder call and
+   refilled per lane: a pick marks its entry taken instead of rebuilding
+   the pool, and taking the first untaken entry equal to the pick is
+   exactly the list form's remove-first-occurrence. *)
+type pool = {
+  vals : Instr.value array;
+  ix : int array;
+  taken : Bytes.t;
+  mutable mode : mode;
+}
+
+let is_taken p k = Bytes.unsafe_get p.taken k <> '\000'
+
+let rec first_untaken p k =
+  if k >= Array.length p.vals then -1
+  else if is_taken p k then first_untaken p (k + 1)
+  else k
+
+let rec first_equal p v k =
+  if k >= Array.length p.vals then -1
+  else if (not (is_taken p k)) && Instr.equal_value p.vals.(k) v then k
+  else first_equal p v (k + 1)
+
+(* first untaken entry at or after [k] that [last] matches *)
+let rec next_match arena p last last_ix k =
+  if k >= Array.length p.vals then -1
+  else if (not (is_taken p k)) && matches_at arena last last_ix p.vals.(k) p.ix.(k)
+  then k
+  else next_match arena p last last_ix (k + 1)
+
+let untaken_list p =
+  let rec go k acc =
+    if k < 0 then acc
+    else go (k - 1) (if is_taken p k then acc else p.vals.(k) :: acc)
+  in
+  go (Array.length p.vals - 1) []
+
 let value_text (v : Instr.value) = Fmt.str "%a" Printer.pp_value v
 
-let get_best ?meter ?cache ?probe ?trace ?arena (config : Config.t)
-    (mode : mode) (last : Instr.value) (candidates : Instr.value list) :
-    Instr.value option * mode =
-  (* Decision-trace bookkeeping: the per-level scores of the tie-break and
-     the Score_cache traffic this call generated.  Reads only; the search
-     itself is untouched, traced or not. *)
+(* Listing 6: pick the best untaken pool entry for one slot in one lane,
+   given the slot's mode and the previous lane's pick.  Returns the entry's
+   index, -1 when the slot defers (already FAILED), and leaves the slot's
+   updated mode in [p.mode].  The scan stops at the first match (at the
+   second, when an OPCODE slot may go to the look-ahead); a candidate list
+   is built only for a tie, or for the decision trace.
+
+   [?trace] records one [Get_best] event: the candidate set, the per-level
+   look-ahead scores of the tie-break, the winner, and the Score_cache
+   hit/miss delta (derived from [?probe], 0/0 without one). *)
+let choose ?meter ?cache ?probe ?trace ?arena (config : Config.t) p
+    (mode : mode) (last : Instr.value) =
   let levels = match trace with Some _ -> Some (ref []) | None -> None in
-  let cache_base =
+  let traced =
     match (trace, probe) with
-    | Some _, Some p ->
-      let c = Probe.counters p in
-      Some (c.Probe.score_hits, c.Probe.score_misses)
-    | (Some _ | None), _ -> None
+    | Some _, Some pr ->
+      let c = Probe.counters pr in
+      Some (untaken_list p, c.Probe.score_hits, c.Probe.score_misses)
+    | Some _, None -> Some (untaken_list p, 0, 0)
+    | None, _ -> None
   in
-  let result =
+  p.mode <- mode;
+  let k =
     match mode with
-    | Failed_mode -> (None, Failed_mode)
+    | Failed_mode -> -1
     | Splat_mode -> (
-      match List.find_opt (Instr.equal_value last) candidates with
-      | Some v -> (Some v, Splat_mode)
-      | None -> (
+      match first_equal p last 0 with
+      | -1 ->
         (* no splat continuation: fall back to the default candidate *)
-        match candidates with
-        | v :: _ -> (Some v, Splat_mode)
-        | [] -> (None, Failed_mode)))
-    | Const_mode | Load_mode | Opcode_mode -> (
-      match List.filter (consecutive_or_match ?arena last) candidates with
-      | [] -> (
+        let k = first_untaken p 0 in
+        if k < 0 then p.mode <- Failed_mode;
+        k
+      | k -> k)
+    | Const_mode | Load_mode | Opcode_mode ->
+      let last_ix = arena_index arena last in
+      let first = next_match arena p last last_ix 0 in
+      if first < 0 then begin
         (* no match: this slot can no longer vectorize; consume the default *)
-        match candidates with
-        | v :: _ -> (Some v, Failed_mode)
-        | [] -> (None, Failed_mode))
-      | [ v ] -> (Some v, mode)
-      | _ :: _ as matching
-        when mode = Opcode_mode && config.Config.lookahead_depth > 0 ->
-        ( Some
-            (tie_break ?meter ?cache ?probe ?arena ?levels config last
-               matching),
-          mode )
-      | first :: _ -> (Some first, mode))
+        p.mode <- Failed_mode;
+        first_untaken p 0
+      end
+      else if
+        mode <> Opcode_mode
+        || config.Config.lookahead_depth <= 0
+        || next_match arena p last last_ix (first + 1) < 0
+      then first
+      else
+        let matching =
+          List.filter (consecutive_or_match ?arena last) (untaken_list p)
+        in
+        first_equal p
+          (tie_break ?meter ?cache ?probe ?arena ?levels config last matching)
+          first
   in
   Option.iter
     (fun tr ->
+      let candidates, h0, m0 =
+        match traced with Some t -> t | None -> ([], 0, 0)
+      in
       let cache_hits, cache_misses =
-        match (cache_base, probe) with
-        | Some (h0, m0), Some p ->
-          let c = Probe.counters p in
+        match probe with
+        | Some pr ->
+          let c = Probe.counters pr in
           (c.Probe.score_hits - h0, c.Probe.score_misses - m0)
-        | _ -> (0, 0)
+        | None -> (0, 0)
       in
       Lslp_trace.Trace.record tr
         (Lslp_trace.Trace.Get_best
@@ -304,25 +355,31 @@ let get_best ?meter ?cache ?probe ?trace ?arena (config : Config.t)
              candidates = List.map value_text candidates;
              levels =
                (match levels with Some acc -> List.rev !acc | None -> []);
-             chosen = Option.map value_text (fst result);
+             chosen = (if k < 0 then None else Some (value_text p.vals.(k)));
              cache_hits;
              cache_misses;
            }))
     trace;
-  result
+  k
+
+let pool_of ?arena (vals : Instr.value array) =
+  {
+    vals;
+    ix = Array.map (arena_index arena) vals;
+    taken = Bytes.make (Array.length vals) '\000';
+    mode = Failed_mode;
+  }
+
+let get_best ?meter ?cache ?probe ?trace ?arena (config : Config.t)
+    (mode : mode) (last : Instr.value) (candidates : Instr.value list) :
+    Instr.value option * mode =
+  let p = pool_of ?arena (Array.of_list candidates) in
+  let k = choose ?meter ?cache ?probe ?trace ?arena config p mode last in
+  ((if k < 0 then None else Some p.vals.(k)), p.mode)
 
 (* Listing 5: the top-level matrix reorder.  [columns.(slot).(lane)] is the
    unordered operand matrix; the result has the same multiset of values per
-   lane, rearranged across slots.
-
-   Each lane's operand pool is one array plus a taken mask and the
-   entries' arena indices, filled once per lane: a pick marks its entry
-   taken instead of rebuilding the pool, and taking the first untaken
-   entry equal to the pick is exactly the old remove-first-occurrence.
-   Untraced, the choice of {!get_best} runs over the pool in place — it
-   scans only as far as the first match (the second, when an OPCODE slot
-   may go to the look-ahead) and builds a candidate list only for a tie;
-   traced, the list form runs so the [Get_best] events are recorded. *)
+   lane, rearranged across slots. *)
 let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
     (config : Config.t) (columns : Instr.value array array) :
     Instr.value array array * mode array =
@@ -340,92 +397,20 @@ let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
         | Some c ->
           Score_cache.clear c;
           Some c
-        | None -> Some (Score_cache.create ?dense:(Option.map Arena.size arena) ())
+        | None ->
+          Some (Score_cache.create ?dense:(Option.map Arena.size arena) ())
     in
     let lanes = Array.length columns.(0) in
-    let final =
-      Array.init num_slots (fun s -> Array.make lanes columns.(s).(0))
-    in
+    let final = Array.map Array.copy columns in
     let mode = Array.map (fun col -> init_mode col.(0)) columns in
-    let pool = Array.make num_slots columns.(0).(0) in
-    let pool_ix = Array.make num_slots (-1) in
-    let taken = Bytes.make num_slots '\000' in
+    let p = pool_of ?arena (Array.map (fun col -> col.(0)) columns) in
     let filled = Bytes.make num_slots '\000' in
-    let is_taken k = Bytes.unsafe_get taken k <> '\000' in
-    (* first untaken entry equal to [v] (any untaken one when [v] is
-       [None]), -1 when there is none *)
-    let rec first_untaken k =
-      if k >= num_slots then -1
-      else if is_taken k then first_untaken (k + 1)
-      else k
-    in
-    let rec first_equal v k =
-      if k >= num_slots then -1
-      else if (not (is_taken k)) && Instr.equal_value pool.(k) v then k
-      else first_equal v (k + 1)
-    in
-    (* first untaken entry at or after [k] that [last] matches *)
-    let rec next_match last last_ix k =
-      if k >= num_slots then -1
-      else if
-        (not (is_taken k))
-        && matches_at arena last last_ix pool.(k) pool_ix.(k)
-      then k
-      else next_match last last_ix (k + 1)
-    in
-    let untaken_list () =
-      let rec go k acc =
-        if k < 0 then acc
-        else go (k - 1) (if is_taken k then acc else pool.(k) :: acc)
-      in
-      go (num_slots - 1) []
-    in
-    (* get_best over the pool: the chosen entry, -1 for none; updates the
-       slot's mode *)
-    let pick s last =
-      match mode.(s) with
-      | Failed_mode -> -1
-      | Splat_mode -> (
-        match first_equal last 0 with
-        | -1 ->
-          let k = first_untaken 0 in
-          if k < 0 then mode.(s) <- Failed_mode;
-          k
-        | k -> k)
-      | (Const_mode | Load_mode | Opcode_mode) as m ->
-        let last_ix = arena_index arena last in
-        let first = next_match last last_ix 0 in
-        if first < 0 then begin
-          mode.(s) <- Failed_mode;
-          first_untaken 0
-        end
-        else if
-          m <> Opcode_mode
-          || config.Config.lookahead_depth <= 0
-          || next_match last last_ix (first + 1) < 0
-        then first
-        else
-          let matching =
-            List.filter (consecutive_or_match ?arena last) (untaken_list ())
-          in
-          first_equal
-            (tie_break ?meter ?cache ?probe ?arena config last matching)
-            first
-    in
-    let pick_traced s last =
-      let best, m =
-        get_best ?meter ?cache ?probe ?trace ?arena config mode.(s) last
-          (untaken_list ())
-      in
-      mode.(s) <- m;
-      match best with Some v -> first_equal v 0 | None -> -1
-    in
     for lane = 1 to lanes - 1 do
       for s = 0 to num_slots - 1 do
-        pool.(s) <- columns.(s).(lane);
-        pool_ix.(s) <- arena_index arena pool.(s)
+        p.vals.(s) <- columns.(s).(lane);
+        p.ix.(s) <- arena_index arena p.vals.(s)
       done;
-      Bytes.fill taken 0 num_slots '\000';
+      Bytes.fill p.taken 0 num_slots '\000';
       Bytes.fill filled 0 num_slots '\000';
       for s = 0 to num_slots - 1 do
         match mode.(s) with
@@ -433,13 +418,12 @@ let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
         | Const_mode | Load_mode | Opcode_mode | Splat_mode ->
           let last = final.(s).(lane - 1) in
           let k =
-            match trace with
-            | Some _ -> pick_traced s last
-            | None -> pick s last
+            choose ?meter ?cache ?probe ?trace ?arena config p mode.(s) last
           in
+          mode.(s) <- p.mode;
           if k >= 0 then begin
-            let v = pool.(k) in
-            Bytes.unsafe_set taken k '\001';
+            let v = p.vals.(k) in
+            Bytes.unsafe_set p.taken k '\001';
             Bytes.unsafe_set filled s '\001';
             final.(s).(lane) <- v;
             (* SPLAT detection: the exact same value continues the slot *)
@@ -450,11 +434,11 @@ let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
       (* failed slots take the leftovers in order *)
       for s = 0 to num_slots - 1 do
         if Bytes.unsafe_get filled s = '\000' then
-          match first_untaken 0 with
+          match first_untaken p 0 with
           | -1 -> ()
           | k ->
-            Bytes.unsafe_set taken k '\001';
-            final.(s).(lane) <- pool.(k)
+            Bytes.unsafe_set p.taken k '\001';
+            final.(s).(lane) <- p.vals.(k)
       done
     done;
     Option.iter

@@ -45,15 +45,15 @@ let ins (b : t) j =
   | Instr.Ins i -> i
   | Instr.Const _ | Instr.Arg _ -> invalid_arg "Bundle: lane is not an instruction"
 
-(* [p x] holds of every lane; [x] is passed through so that no closure is
-   built per call. *)
-let for_all_with p x (b : t) =
-  let rec go j = j >= Array.length b || (p x (ins b j) && go (j + 1)) in
-  go 0
+(* The lane walks below recurse at top level with their context passed
+   along, so a classify call builds no closures. *)
 
-let exists_ins p (b : t) =
-  let rec go j = j < Array.length b && (p (ins b j) || go (j + 1)) in
-  go 0
+(* [p x] holds of every lane from [j] on. *)
+let rec for_all_with p x (b : t) j =
+  j >= Array.length b || (p x (ins b j) && for_all_with p x b (j + 1))
+
+let rec exists_ins p (b : t) j =
+  j < Array.length b && (p (ins b j) || exists_ins p b (j + 1))
 
 let addr_consecutive_run insts =
   let addrs =
@@ -63,12 +63,12 @@ let addr_consecutive_run insts =
 
 (* Each lane consecutive to the one before, on the arena's address table:
    [pos] holds the lanes' compact indices, all in the arena. *)
+let rec adjacent_from ar pos j =
+  j >= Array.length pos - 1
+  || (Arena.consecutive ar pos.(j) pos.(j + 1) && adjacent_from ar pos (j + 1))
+
 let adjacent_run ar pos =
-  let n = Array.length pos in
-  let rec run j =
-    j >= n - 1 || (Arena.consecutive ar pos.(j) pos.(j + 1) && run (j + 1))
-  in
-  n = 0 || (Arena.is_memory ar pos.(0) && run 0)
+  Array.length pos = 0 || (Arena.is_memory ar pos.(0) && adjacent_from ar pos 0)
 
 let loads_consecutive ?arena insts =
   match arena with
@@ -88,32 +88,26 @@ let widenable (i : Instr.t) =
   | Instr.Splat _ | Instr.Buildvec _ | Instr.Extract _ | Instr.Reduce _
   | Instr.Shuffle _ -> false
 
-let has_duplicates (b : t) =
-  let n = Array.length b in
-  let rec go i j =
-    if i >= n then false
-    else if j >= n then go (i + 1) (i + 2)
-    else Instr.equal (ins b i) (ins b j) || go i (j + 1)
-  in
-  go 0 1
+let rec has_duplicates (b : t) i j =
+  if i >= Array.length b then false
+  else if j >= Array.length b then has_duplicates b (i + 1) (i + 2)
+  else Instr.equal (ins b i) (ins b j) || has_duplicates b i (j + 1)
 
 (* No lane transitively depends on another: [pos] holds the lanes'
    positions in the dependence graph's arena, read against its bit-packed
    closure.  A lane outside the arena (a stale snapshot) takes
    [Depgraph.independent], which rejects it the same way. *)
-let independent deps (b : t) pos =
-  let n = Array.length pos in
-  if Array.exists (fun k -> k < 0) pos then
-    Depgraph.independent deps (List.init n (ins b))
+let rec unreached deps pos i j =
+  if i >= Array.length pos then true
+  else if j >= Array.length pos then unreached deps pos (i + 1) 0
   else
-    let rec go i j =
-      if i >= n then true
-      else if j >= n then go (i + 1) 0
-      else
-        let p = pos.(i) and q = pos.(j) in
-        (p = q || not (Depgraph.reaches deps p q)) && go i (j + 1)
-    in
-    go 0 0
+    let p = pos.(i) and q = pos.(j) in
+    (p = q || not (Depgraph.reaches deps p q)) && unreached deps pos i (j + 1)
+
+let independent deps (b : t) pos =
+  if Array.exists (fun k -> k < 0) pos then
+    Depgraph.independent deps (List.init (Array.length pos) (ins b))
+  else unreached deps pos 0 0
 
 (* The checks run on the bundle in place; each lane's arena position is
    looked up once, and the instruction array is built only for a
@@ -121,13 +115,13 @@ let independent deps (b : t) pos =
 let classify ~(block : Block.t) ~(deps : Depgraph.t)
     ~(in_graph : Instr.t -> bool) (b : t) : verdict =
   if not (Array.for_all is_ins b) then Rejected Not_all_instructions
-  else if exists_ins (fun i -> not (widenable i)) b then
+  else if exists_ins (fun i -> not (widenable i)) b 0 then
     Rejected Unsupported_shape
-  else if not (for_all_with Instr.same_opclass (ins b 0) b) then
+  else if not (for_all_with Instr.same_opclass (ins b 0) b 0) then
     Rejected Not_isomorphic
-  else if has_duplicates b then Rejected Duplicate_member
-  else if not (for_all_with Block.mem block b) then Rejected Different_block
-  else if exists_ins in_graph b then Rejected Already_in_graph
+  else if has_duplicates b 0 1 then Rejected Duplicate_member
+  else if not (for_all_with Block.mem block b 0) then Rejected Different_block
+  else if exists_ins in_graph b 0 then Rejected Already_in_graph
   else
     let ar = Depgraph.arena deps in
     let n = Array.length b in
@@ -137,7 +131,10 @@ let classify ~(block : Block.t) ~(deps : Depgraph.t)
     done;
     if not (independent deps b pos) then Rejected Not_schedulable
     else
-      let insts = Array.init n (ins b) in
+      let insts = Array.make n (ins b 0) in
+      for j = 1 to n - 1 do
+        insts.(j) <- ins b j
+      done;
       let i0 = insts.(0) in
       if (Instr.is_load i0 || Instr.is_store i0) && not (adjacent_run ar pos)
       then Rejected Non_consecutive_loads

@@ -183,28 +183,30 @@ let lane_of g (i : Instr.t) =
    Every lane must carry a claim word with a lane (multi-node internals
    have none) naming the same node slot; the claim words are read in
    place, and the lane list is built only for a match. *)
+let claim_word g (v : Instr.value) =
+  match v with
+  | Instr.Ins i -> Int_table.get g.claimed i.Instr.id ~absent:(-1)
+  | Instr.Const _ | Instr.Arg _ -> -1
+
+(* Lanes [j ..] all carry a lane-bearing claim on node [slot]. *)
+let rec same_node g (values : Instr.value array) slot j =
+  j >= Array.length values
+  ||
+  let p = claim_word g values.(j) in
+  p >= 0 && p land 0xff <> 0 && p lsr 8 = slot && same_node g values slot (j + 1)
+
 let shuffle_pattern g (values : Instr.value array) :
     (node * int list) option =
   let n = Array.length values in
-  let packed j =
-    match values.(j) with
-    | Instr.Ins i -> Int_table.get g.claimed i.Instr.id ~absent:(-1)
-    | Instr.Const _ | Instr.Arg _ -> -1
-  in
-  let rec same_node slot j =
-    j >= n
-    ||
-    let p = packed j in
-    p >= 0 && p land 0xff <> 0 && p lsr 8 = slot && same_node slot (j + 1)
-  in
   if n = 0 then None
   else
-    let p0 = packed 0 in
-    if p0 < 0 || p0 land 0xff = 0 || not (same_node (p0 lsr 8) 1) then None
+    let p0 = claim_word g values.(0) in
+    if p0 < 0 || p0 land 0xff = 0 || not (same_node g values (p0 lsr 8) 1)
+    then None
     else
       Some
         ( g.node_arr.(p0 lsr 8),
-          List.init n (fun j -> (packed j land 0xff) - 1) )
+          List.init n (fun j -> (claim_word g values.(j) land 0xff) - 1) )
 
 let node_count g = g.n_nodes
 

@@ -148,22 +148,23 @@ let gather_cost t values =
   | Gather_insert ->
     List.fold_left (fun acc v -> acc + insert_cost_of_value t v) 0 values
 
+let rec lanes_const (values : Instr.value array) j =
+  j >= Array.length values
+  ||
+  match values.(j) with
+  | Instr.Const _ -> lanes_const values (j + 1)
+  | Instr.Arg _ | Instr.Ins _ -> false
+
+let rec lanes_same (values : Instr.value array) j =
+  j >= Array.length values
+  || (Instr.equal_value values.(0) values.(j) && lanes_same values (j + 1))
+
 let gather_cost_lanes t (values : Instr.value array) =
-  let n = Array.length values in
-  let rec all_const j =
-    j >= n
-    || (match values.(j) with
-        | Instr.Const _ -> all_const (j + 1)
-        | Instr.Arg _ | Instr.Ins _ -> false)
-  in
-  let rec all_same j =
-    j >= n || (Instr.equal_value values.(0) values.(j) && all_same (j + 1))
-  in
-  if all_const 0 then 0
-  else if all_same 1 then t.splat
+  if lanes_const values 0 then 0
+  else if lanes_same values 1 then t.splat
   else begin
     let c = ref 0 in
-    for j = 0 to n - 1 do
+    for j = 0 to Array.length values - 1 do
       c := !c + insert_cost_of_value t values.(j)
     done;
     !c

@@ -52,6 +52,17 @@ let arena_agrees (block : Block.t) =
     let naive = Option.value ~default:0 (Hashtbl.find_opt counts i.Instr.id) in
     ok := !ok && Arena.num_uses a j = naive
   done;
+  (* the short-circuit user walk vs the user list *)
+  for j = 0 to n - 1 do
+    List.iter
+      (fun p ->
+        ok :=
+          !ok
+          && Arena.exists_user a j p
+             = List.exists (fun u -> p (Arena.idx a u)) (Arena.users a j))
+      [ (fun _ -> true); (fun u -> u land 1 = 0);
+        (fun u -> Instr.is_store (Arena.instr a u)) ]
+  done;
   (* address side table vs the Addr module on the raw instructions *)
   for j = 0 to n - 1 do
     for l = 0 to n - 1 do

@@ -131,6 +131,22 @@ let cache_tests =
             check_bool "distinct key misses" true
               (Score_cache.find c ~a ~b ~level ~mode = Score_cache.absent))
           [ (2, 1, 3, 0); (1, 2, 2, 0); (1, 2, 3, 1); (9, 2, 3, 0) ]);
+    tc "dense indices and interned ids are disjoint subjects" (fun () ->
+        let c = Score_cache.create ~dense:4 () in
+        check_int "dense index" 2 (Score_cache.subject c ~index:2 ~id:100);
+        check_int "outside: first interned" 4
+          (Score_cache.subject c ~index:(-1) ~id:100);
+        check_int "past the range: interned" 5
+          (Score_cache.subject c ~index:7 ~id:200);
+        check_int "same id, same local" 4
+          (Score_cache.subject c ~index:(-1) ~id:100);
+        Score_cache.store c ~a:2 ~b:4 ~level:1 ~mode:0 9;
+        check_int "hit" 9 (Score_cache.find c ~a:2 ~b:4 ~level:1 ~mode:0);
+        Score_cache.clear c;
+        check_int "interning restarts past the range" 4
+          (Score_cache.subject c ~index:(-1) ~id:200);
+        check_bool "miss after clear" true
+          (Score_cache.find c ~a:2 ~b:4 ~level:1 ~mode:0 = Score_cache.absent));
     tc "clear empties the table" (fun () ->
         let c = Score_cache.create () in
         Score_cache.store c ~a:1 ~b:2 ~level:3 ~mode:0 7;

@@ -130,6 +130,30 @@ let verifier_tests =
         Block.append (Func.entry f) bad;
         check_bool "raises" true
           (try Verifier.verify_exn f; false with Verifier.Invalid _ -> true));
+    tc "sparse instruction ids: same verdicts as dense ones" (fun () ->
+        (* thousands of ids issued between the two halves of the function
+           spread its id span past the bitmap's reach *)
+        let b = base_func () in
+        let v = Builder.load b ~base:"A" (Builder.idx 0) in
+        for _ = 1 to 5000 do
+          ignore (Instr.create (Instr.Unop (Opcode.Neg, v)) Types.i64)
+        done;
+        let w = Builder.binop b Opcode.Add v (Builder.iconst 1) in
+        Builder.store b ~base:"A" (Builder.idx 1) w;
+        let f = Builder.func b in
+        check_int "well-formed" 0 (errors f);
+        let entry = Func.entry f in
+        let w_instr =
+          match w with Instr.Ins i -> i | Instr.Const _ | Instr.Arg _ -> assert false
+        in
+        Block.append entry w_instr;
+        check_bool "duplicate reported" true
+          (List.exists
+             (fun (e : Verifier.error) ->
+               String.equal e.message "instruction appears twice in the function")
+             (Verifier.check_func f));
+        Block.set_order entry (List.rev (Block.to_list entry));
+        check_bool "use before def reported" true (errors f > 0));
   ]
 
 (* tiny substring helper *)

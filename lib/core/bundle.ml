@@ -55,12 +55,6 @@ let rec for_all_with p x (b : t) j =
 let rec exists_ins p (b : t) j =
   j < Array.length b && (p (ins b j) || exists_ins p b (j + 1))
 
-let addr_consecutive_run insts =
-  let addrs =
-    Array.to_list insts |> List.filter_map Instr.address
-  in
-  List.length addrs = Array.length insts && Addr.consecutive_run addrs
-
 (* Each lane consecutive to the one before, on the arena's address table:
    [pos] holds the lanes' compact indices, all in the arena. *)
 let rec adjacent_from ar pos j =
@@ -69,14 +63,6 @@ let rec adjacent_from ar pos j =
 
 let adjacent_run ar pos =
   Array.length pos = 0 || (Arena.is_memory ar pos.(0) && adjacent_from ar pos 0)
-
-let loads_consecutive ?arena insts =
-  match arena with
-  | Some ar ->
-    let pos = Array.map (Arena.idx ar) insts in
-    if Array.for_all (fun k -> k >= 0) pos then adjacent_run ar pos
-    else addr_consecutive_run insts
-  | None -> addr_consecutive_run insts
 
 (* Shapes the code generator knows how to widen. *)
 let widenable (i : Instr.t) =

@@ -45,9 +45,4 @@ val operand_column : Instr.t array -> index:int -> t
 (** Column [index] of the operand matrix: the [index]-th operand of each
     lane. *)
 
-val loads_consecutive : ?arena:Arena.t -> Instr.t array -> bool
-(** Every lane is a memory access and each is consecutive to the one
-    before it.  With [?arena] holding every lane this is int compares on
-    its address table; otherwise [Addr.consecutive_run]. *)
-
 val pp : t Fmt.t

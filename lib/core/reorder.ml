@@ -450,8 +450,8 @@ let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
     (final, mode)
   end
 
-let reorder_matrix ?meter ?probe ?trace ?arena ?cache config columns =
-  fst (reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache config columns)
+let reorder_matrix ?meter ?probe ?trace config columns =
+  fst (reorder_matrix_modes ?meter ?probe ?trace config columns)
 
 (* ------------------------------------------------------------------ *)
 (* Vanilla SLP (LLVM 4.0 reorderInputsAccordingToOpcode).              *)

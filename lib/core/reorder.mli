@@ -78,17 +78,12 @@ val reorder_matrix :
   ?meter:Lslp_robust.Budget.meter ->
   ?probe:Lslp_telemetry.Probe.t ->
   ?trace:Lslp_trace.Trace.t ->
-  ?arena:Arena.t ->
-  ?cache:Lslp_telemetry.Score_cache.t ->
   Config.t ->
   Instr.value array array ->
   Instr.value array array
 (** Listing 5 over [columns.(slot).(lane)].  Preserves each lane's multiset
-    of operands; lane 0 is kept as-is.  With [Config.score_cache] the
-    look-ahead memoizes in [?cache], cleared first (a graph build reuses
-    one table across its reorder calls), or in a cache created for and
-    discarded with the invocation; either way entries live for exactly one
-    call.  [?cache] is ignored when [Config.score_cache] is off. *)
+    of operands; lane 0 is kept as-is.  With [Config.score_cache] one score
+    cache is created for (and discarded with) the invocation. *)
 
 val reorder_matrix_modes :
   ?meter:Lslp_robust.Budget.meter ->
@@ -102,7 +97,12 @@ val reorder_matrix_modes :
 (** Like {!reorder_matrix}, but also returns the final per-slot mode —
     [Failed_mode] slots are the ones the remarks engine reports; [?trace]
     additionally records the [Slot_modes] assignment (paper Table 1) and
-    one [Get_best] event per (slot, lane) choice. *)
+    one [Get_best] event per (slot, lane) choice.  With
+    [Config.score_cache] the look-ahead memoizes in [?cache], cleared
+    first (a graph build reuses one table, created with
+    [~dense:(Arena.size arena)], across its reorder calls), or else in a
+    cache created for the invocation; either way entries live for exactly
+    one call.  [?cache] is ignored when [Config.score_cache] is off. *)
 
 val vanilla_pair : Instr.t array -> Instr.value array * Instr.value array
 (** LLVM-4.0-faithful two-operand reorder (peeled lane 0, splat /

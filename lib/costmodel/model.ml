@@ -141,13 +141,6 @@ let insert_cost_of_value t (v : Instr.value) =
   | Instr.Ins i when not (Instr.is_load i) -> t.insert_element_alu
   | Instr.Ins _ | Instr.Const _ | Instr.Arg _ -> t.insert_element
 
-let gather_cost t values =
-  match classify_gather values with
-  | Gather_free -> 0
-  | Gather_splat -> t.splat
-  | Gather_insert ->
-    List.fold_left (fun acc v -> acc + insert_cost_of_value t v) 0 values
-
 let rec lanes_const (values : Instr.value array) j =
   j >= Array.length values
   ||
@@ -169,6 +162,8 @@ let gather_cost_lanes t (values : Instr.value array) =
     done;
     !c
   end
+
+let gather_cost t values = gather_cost_lanes t (Array.of_list values)
 
 let scalar_instr_cost t (i : Instr.t) =
   match i.kind with

@@ -68,9 +68,11 @@ val classify_gather : Instr.value list -> gather_kind
 (** Free for all-constant vectors, splat when every lane is the same value,
     per-lane insertion otherwise. *)
 
-val gather_cost : t -> Instr.value list -> int
-
 val gather_cost_lanes : t -> Instr.value array -> int
-(** [gather_cost] of a column held as an array, without building a list. *)
+(** Cost of assembling a column of lane values into a vector, by the
+    {!classify_gather} kind: free, one splat, or one insert per lane. *)
+
+val gather_cost : t -> Instr.value list -> int
+(** {!gather_cost_lanes} of a list. *)
 
 val pp : t Fmt.t

@@ -357,7 +357,3 @@ let reorder_matrix_modes ?meter ?probe ?trace (config : Config.t)
       trace;
     (Array.map (Array.map Option.get) final, mode)
   end
-
-let reorder_matrix ?meter ?probe ?trace config columns =
-  fst (reorder_matrix_modes ?meter ?probe ?trace config columns)
-

@@ -46,20 +46,6 @@ let suite =
     tc "splat gather costs one broadcast" (fun () ->
         let x = Instr.Ins (mk_binop Opcode.Add) in
         check_int "splat" 1 (Model.gather_cost tti [ x; x; x; x ]));
-    tc "gather_cost_lanes = gather_cost of the same column" (fun () ->
-        let x = Instr.Ins (mk_binop Opcode.Add) in
-        let ld = Instr.Ins (mk_load 1) in
-        List.iter
-          (fun col ->
-            List.iter
-              (fun model ->
-                check_int "same cost"
-                  (Model.gather_cost model col)
-                  (Model.gather_cost_lanes model (Array.of_list col)))
-              [ tti; machine ])
-          [ []; [ x ]; [ x; x; x; x ]; [ x; ld ]; [ ld; x; ld; x ];
-            [ Builder.iconst 1; Builder.iconst 3 ]; [ Builder.iconst 1; x ];
-            [ Builder.fconst 1.0; Builder.fconst 1.0 ] ]);
     tc "classify_gather" (fun () ->
         let x = Instr.Ins (mk_binop Opcode.Add) in
         check_bool "free" true

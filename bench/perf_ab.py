@@ -25,12 +25,17 @@ import sys
 
 EXE = os.path.join("_build", "default", "perfbench", "main.exe")
 WORKLOADS = ("catalog", "chains", "batch-mixed")
-METRICS = (
-    ("throughput_per_s", "thr/s"),
-    ("latency_us_p50", "p50 us"),
-    ("latency_us_p90", "p90 us"),
-    ("peak_heap_mb", "heap MB"),
+METRICS = (  # (result key, column label, decimals)
+    ("throughput_per_s", "thr/s", 1),
+    ("latency_us_p50", "p50 us", 1),
+    ("latency_us_p90", "p90 us", 1),
+    ("peak_heap_mb", "heap MB", 3),
 )
+
+
+def cells(base, new):
+    return "".join("%13.*f %13.*f" % (d, base[name], d, new[name])
+                   for name, _, d in METRICS)
 
 
 def git(*args, cwd="."):
@@ -65,7 +70,8 @@ def run(exe, args):
     if not lines:
         sys.exit("perf_ab: %s printed nothing" % exe)
     result = json.loads(lines[-1])
-    values = {name: result["metrics"][name]["value"] for name, _ in METRICS}
+    values = {name: result["metrics"][name]["value"]
+              for name, _, _ in METRICS}
     return values, result["correct"], result["failed"]
 
 
@@ -98,7 +104,7 @@ def main():
                     args.base, sha[:10]))
     header = "pair  first " + "".join(
         "%13s %13s" % ("base " + label, "new " + label)
-        for _, label in METRICS)
+        for _, label, _ in METRICS)
     print(header)
     runs = {"base": [], "new": []}
     checks = {"base": [0, 0], "new": [0, 0]}
@@ -114,18 +120,15 @@ def main():
             checks[side][1] += failed
         if got["new"]["throughput_per_s"] > got["base"]["throughput_per_s"]:
             won += 1
-        print("%4d  %-5s " % (pair + 1, order[0]) + "".join(
-            "%13.1f %13.1f" % (got["base"][name], got["new"][name])
-            for name, _ in METRICS))
-    print("median      " + "".join(
-        "%13.1f %13.1f" % (
-            statistics.median(r[name] for r in runs["base"]),
-            statistics.median(r[name] for r in runs["new"]))
-        for name, _ in METRICS))
-    base_thr = [r["throughput_per_s"] for r in runs["base"]]
-    new_thr = [r["throughput_per_s"] for r in runs["new"]]
-    q1, q3 = quartiles(base_thr)
-    b, n = statistics.median(base_thr), statistics.median(new_thr)
+        print("%4d  %-5s " % (pair + 1, order[0])
+              + cells(got["base"], got["new"]))
+    medians = {side: {name: statistics.median(r[name] for r in runs[side])
+                      for name, _, _ in METRICS}
+               for side in runs}
+    print("median      " + cells(medians["base"], medians["new"]))
+    q1, q3 = quartiles([r["throughput_per_s"] for r in runs["base"]])
+    b = medians["base"]["throughput_per_s"]
+    n = medians["new"]["throughput_per_s"]
     print("throughput: base %.1f [q1 %.1f, q3 %.1f] -> new %.1f/s (%+.1f %%), "
           "new won %d/%d pair(s)" % (b, q1, q3, n, 100.0 * (n - b) / b, won,
                                      args.pairs))

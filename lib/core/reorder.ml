@@ -46,14 +46,12 @@ let arena_index arena (v : Instr.value) =
   | Some ar, Instr.Ins i -> Arena.idx ar i
   | (Some _ | None), _ -> -1
 
-let loads_adjacent ?arena (a : Instr.t) (b : Instr.t) =
-  match arena with
-  | None -> addr_consecutive a b
-  | Some ar -> loads_adjacent_at arena a (Arena.idx ar a) b (Arena.idx ar b)
-
 (* The paper's are_consecutive_or_match: constants match constants, loads
    match consecutive loads, other instructions match on opcode class.
-   [k1], [k2] are the values' {!arena_index}. *)
+   [k1], [k2] are the values' {!arena_index}.  The functions below that
+   take an [arena] (the block's, or [None]) are the ones the graph build
+   runs; the exported ones are their arena-less forms, which decide the
+   same on every pair. *)
 let matches_at arena (v1 : Instr.value) k1 (v2 : Instr.value) k2 =
   match (v1, v2) with
   | Instr.Const _, Instr.Const _ -> true
@@ -63,8 +61,7 @@ let matches_at arena (v1 : Instr.value) k1 (v2 : Instr.value) k2 =
     else Instr.same_opclass a b
   | (Instr.Const _ | Instr.Arg _ | Instr.Ins _), _ -> false
 
-let consecutive_or_match ?arena v1 v2 =
-  matches_at arena v1 (arena_index arena v1) v2 (arena_index arena v2)
+let consecutive_or_match v1 v2 = matches_at None v1 (-1) v2 (-1)
 
 (* Per-pair base score.  The paper's are_consecutive_or_match is boolean;
    we grade it slightly so that ties between isomorphic sub-DAGs that share
@@ -76,15 +73,18 @@ let consecutive_or_match ?arena v1 v2 =
    This mirrors the graded scores the production LLVM look-ahead heuristic
    eventually adopted (ScoreConsecutiveLoads/ScoreSplat vs ScoreSameOpcode)
    and preserves the paper's Figure 7 ranking. *)
-let pair_score ?arena (v1 : Instr.value) (v2 : Instr.value) =
+let pair_score_in arena (v1 : Instr.value) (v2 : Instr.value) =
   if Instr.equal_value v1 v2 then 2
   else
     match (v1, v2) with
     | Instr.Const _, Instr.Const _ -> 1
     | Instr.Ins a, Instr.Ins b when Instr.is_load a && Instr.is_load b ->
-      if loads_adjacent ?arena a b then 2 else 0
+      let k1 = arena_index arena v1 and k2 = arena_index arena v2 in
+      if loads_adjacent_at arena a k1 b k2 then 2 else 0
     | Instr.Ins a, Instr.Ins b -> if Instr.same_opclass a b then 1 else 0
     | (Instr.Const _ | Instr.Arg _ | Instr.Ins _), _ -> 0
+
+let pair_score v1 v2 = pair_score_in None v1 v2
 
 (* Listing 7: the look-ahead score.  Recurses through pairs of same-opcode
    instructions with operands.  The per-level combination is the score of
@@ -110,7 +110,7 @@ let cache_subject c arena (i : Instr.t) =
   let index = match arena with Some ar -> Arena.idx ar i | None -> -1 in
   Score_cache.subject c ~index ~id:i.Instr.id
 
-let rec lookahead_score ?meter ?cache ?probe ?arena
+let rec lookahead_in ?meter ?cache ?probe arena
     ~(combine : Config.score_combine) (v1 : Instr.value) (v2 : Instr.value)
     ~(level : int) : int =
   match (cache, v1, v2) with
@@ -133,16 +133,15 @@ let rec lookahead_score ?meter ?cache ?probe ?arena
           pc.Probe.score_misses <- pc.Probe.score_misses + 1)
         probe;
       let s =
-        lookahead_score_compute ?meter ?cache ?probe ?arena ~combine v1 v2
-          ~level
+        lookahead_compute ?meter ?cache ?probe arena ~combine v1 v2 ~level
       in
       Score_cache.store c ~a ~b ~level ~mode s;
       s
     end
   | (Some _ | None), _, _ ->
-    lookahead_score_compute ?meter ?cache ?probe ?arena ~combine v1 v2 ~level
+    lookahead_compute ?meter ?cache ?probe arena ~combine v1 v2 ~level
 
-and lookahead_score_compute ?meter ?cache ?probe ?arena
+and lookahead_compute ?meter ?cache ?probe arena
     ~(combine : Config.score_combine) (v1 : Instr.value) (v2 : Instr.value)
     ~(level : int) : int =
   (* Each recursive comparison burns one unit of fuel, so a pathological
@@ -154,17 +153,16 @@ and lookahead_score_compute ?meter ?cache ?probe ?arena
       let pc = Probe.counters p in
       pc.Probe.score_evals <- pc.Probe.score_evals + 1)
     probe;
-  if level <= 0 || Instr.equal_value v1 v2 then pair_score ?arena v1 v2
+  if level <= 0 || Instr.equal_value v1 v2 then pair_score_in arena v1 v2
   else
     match (v1, v2) with
     | Instr.Ins a, Instr.Ins b
       when Instr.same_opclass a b && not (Instr.is_load a) -> (
       let score x y =
-        lookahead_score ?meter ?cache ?probe ?arena ~combine x y
-          ~level:(level - 1)
+        lookahead_in ?meter ?cache ?probe arena ~combine x y ~level:(level - 1)
       in
       match (Instr.operands a, Instr.operands b, combine) with
-      | [], _, _ | _, [], _ -> pair_score ?arena v1 v2
+      | [], _, _ | _, [], _ -> pair_score_in arena v1 v2
       | [ a1; a2 ], [ b1; b2 ], Config.Score_sum ->
         let aligned = score a1 b1 + score a2 b2 in
         if Instr.is_commutative a then
@@ -179,8 +177,11 @@ and lookahead_score_compute ?meter ?cache ?probe ?arena
         -> List.fold_left2 (fun acc x y -> acc + score x y) 0 ops_a ops_b
       | ops_a, ops_b, Config.Score_max when List.length ops_a = List.length ops_b
         -> List.fold_left2 (fun acc x y -> max acc (score x y)) 0 ops_a ops_b
-      | _ -> pair_score ?arena v1 v2)
-    | (Instr.Const _ | Instr.Arg _ | Instr.Ins _), _ -> pair_score ?arena v1 v2
+      | _ -> pair_score_in arena v1 v2)
+    | (Instr.Const _ | Instr.Arg _ | Instr.Ins _), _ -> pair_score_in arena v1 v2
+
+let lookahead_score ?meter ?cache ?probe ~combine v1 v2 ~level =
+  lookahead_in ?meter ?cache ?probe None ~combine v1 v2 ~level
 
 let init_mode (v : Instr.value) =
   match v with
@@ -201,7 +202,7 @@ let init_mode (v : Instr.value) =
    slots, lanes and candidates.  With [score_cache] off, scoring is the
    paper's Listing 7 as written — the baseline the telemetry counters
    measure against. *)
-let tie_break ?meter ?cache ?probe ?arena ?levels (config : Config.t) last
+let tie_break ?meter ?cache ?probe ?levels arena (config : Config.t) last
     matching =
   let combine = config.Config.score_combine in
   let with_caches =
@@ -220,7 +221,7 @@ let tie_break ?meter ?cache ?probe ?arena ?levels (config : Config.t) last
       List.map
         (fun (c, ccache) ->
           ( c,
-            lookahead_score ?meter ?cache:ccache ?probe ?arena ~combine last c
+            lookahead_in ?meter ?cache:ccache ?probe arena ~combine last c
               ~level ))
         with_caches
     in
@@ -291,7 +292,7 @@ let value_text (v : Instr.value) = Fmt.str "%a" Printer.pp_value v
    [?trace] records one [Get_best] event: the candidate set, the per-level
    look-ahead scores of the tie-break, the winner, and the Score_cache
    hit/miss delta (derived from [?probe], 0/0 without one). *)
-let choose ?meter ?cache ?probe ?trace ?arena (config : Config.t) p
+let choose ?meter ?cache ?probe ?trace arena (config : Config.t) p
     (mode : mode) (last : Instr.value) =
   let levels = match trace with Some _ -> Some (ref []) | None -> None in
   let traced =
@@ -329,10 +330,12 @@ let choose ?meter ?cache ?probe ?trace ?arena (config : Config.t) p
       then first
       else
         let matching =
-          List.filter (consecutive_or_match ?arena last) (untaken_list p)
+          List.filter
+            (fun v -> matches_at arena last last_ix v (arena_index arena v))
+            (untaken_list p)
         in
         first_equal p
-          (tie_break ?meter ?cache ?probe ?arena ?levels config last matching)
+          (tie_break ?meter ?cache ?probe ?levels arena config last matching)
           first
   in
   Option.iter
@@ -362,7 +365,7 @@ let choose ?meter ?cache ?probe ?trace ?arena (config : Config.t) p
     trace;
   k
 
-let pool_of ?arena (vals : Instr.value array) =
+let pool_of arena (vals : Instr.value array) =
   {
     vals;
     ix = Array.map (arena_index arena) vals;
@@ -370,11 +373,11 @@ let pool_of ?arena (vals : Instr.value array) =
     mode = Failed_mode;
   }
 
-let get_best ?meter ?cache ?probe ?trace ?arena (config : Config.t)
-    (mode : mode) (last : Instr.value) (candidates : Instr.value list) :
+let get_best ?meter ?cache ?probe ?trace (config : Config.t) (mode : mode)
+    (last : Instr.value) (candidates : Instr.value list) :
     Instr.value option * mode =
-  let p = pool_of ?arena (Array.of_list candidates) in
-  let k = choose ?meter ?cache ?probe ?trace ?arena config p mode last in
+  let p = pool_of None (Array.of_list candidates) in
+  let k = choose ?meter ?cache ?probe ?trace None config p mode last in
   ((if k < 0 then None else Some p.vals.(k)), p.mode)
 
 (* Listing 5: the top-level matrix reorder.  [columns.(slot).(lane)] is the
@@ -403,7 +406,7 @@ let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
     let lanes = Array.length columns.(0) in
     let final = Array.map Array.copy columns in
     let mode = Array.map (fun col -> init_mode col.(0)) columns in
-    let p = pool_of ?arena (Array.map (fun col -> col.(0)) columns) in
+    let p = pool_of arena (Array.map (fun col -> col.(0)) columns) in
     let filled = Bytes.make num_slots '\000' in
     for lane = 1 to lanes - 1 do
       for s = 0 to num_slots - 1 do
@@ -418,7 +421,7 @@ let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
         | Const_mode | Load_mode | Opcode_mode | Splat_mode ->
           let last = final.(s).(lane - 1) in
           let k =
-            choose ?meter ?cache ?probe ?trace ?arena config p mode.(s) last
+            choose ?meter ?cache ?probe ?trace arena config p mode.(s) last
           in
           mode.(s) <- p.mode;
           if k >= 0 then begin

@@ -10,7 +10,9 @@
     [?arena] (the block's {!Lslp_ir.Arena}) load adjacency and score-cache
     keys come from compact indices, falling back to [Addr.consecutive] and
     interned ids for a value outside the arena.  [?arena] never changes a
-    decision, a counter or a trace event — only what a step costs. *)
+    decision, a counter or a trace event — only what a step costs.  Only
+    {!reorder_matrix_modes} takes it; the single-pair functions and
+    {!get_best} are the arena-less forms, which decide the same. *)
 
 open Lslp_ir
 
@@ -18,12 +20,11 @@ type mode = Const_mode | Load_mode | Opcode_mode | Splat_mode | Failed_mode
 
 val mode_to_string : mode -> string
 
-val consecutive_or_match :
-  ?arena:Arena.t -> Instr.value -> Instr.value -> bool
+val consecutive_or_match : Instr.value -> Instr.value -> bool
 (** Constants match constants, loads match consecutive loads, other
     instructions match on opcode class, arguments match themselves. *)
 
-val pair_score : ?arena:Arena.t -> Instr.value -> Instr.value -> int
+val pair_score : Instr.value -> Instr.value -> int
 (** Graded base score for the look-ahead: identical values and consecutive
     loads score 2, constants and same-opcode instructions 1, everything else
     (including non-consecutive loads) 0. *)
@@ -32,7 +33,6 @@ val lookahead_score :
   ?meter:Lslp_robust.Budget.meter ->
   ?cache:Lslp_telemetry.Score_cache.t ->
   ?probe:Lslp_telemetry.Probe.t ->
-  ?arena:Arena.t ->
   combine:Config.score_combine ->
   Instr.value ->
   Instr.value ->
@@ -45,9 +45,7 @@ val lookahead_score :
     With [?cache], instruction/instruction comparisons memoize on
     (instruction, instruction, level, combine); hits skip the recursion and
     burn no fuel.  The cache is only sound while the operand DAG is frozen
-    — scope it to one reorder invocation.  With [?arena] the cache keys an
-    instruction by its compact index, so the cache must have been created
-    with [~dense:(Arena.size arena)].  [?probe] counts evaluations and
+    — scope it to one reorder invocation.  [?probe] counts evaluations and
     hits/misses. *)
 
 val init_mode : Instr.value -> mode
@@ -57,7 +55,6 @@ val get_best :
   ?cache:Lslp_telemetry.Score_cache.t ->
   ?probe:Lslp_telemetry.Probe.t ->
   ?trace:Lslp_trace.Trace.t ->
-  ?arena:Arena.t ->
   Config.t ->
   mode ->
   Instr.value ->

@@ -33,4 +33,6 @@ val store : t -> a:int -> b:int -> level:int -> mode:int -> int -> unit
 val size : t -> int
 
 val clear : t -> unit
-(** Drop every entry and every interned id; the dense range stays. *)
+(** Drop every entry and every interned id; the dense range stays.  Free
+    on an empty cache, so a reorder call that never scores pays nothing
+    for the clear. *)

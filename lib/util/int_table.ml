@@ -41,9 +41,13 @@ let create n =
 
 let length t = t.count
 
+(* Nothing is ever removed, so an empty table has no key to wipe: a
+   table reused across calls that mostly store nothing clears for free. *)
 let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) empty_key;
-  t.count <- 0
+  if t.count > 0 then begin
+    Array.fill t.keys 0 (Array.length t.keys) empty_key;
+    t.count <- 0
+  end
 
 let rec probe keys mask k s =
   let key = Array.unsafe_get keys s in

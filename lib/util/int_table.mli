@@ -12,6 +12,7 @@ val create : int -> t
 
 val length : t -> int
 val clear : t -> unit
+(** O(capacity) when the table holds entries, O(1) when it is empty. *)
 
 val set : t -> int -> int -> unit
 (** Insert or overwrite. @raise Invalid_argument on the reserved key. *)

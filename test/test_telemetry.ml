@@ -147,6 +147,26 @@ let cache_tests =
           (Score_cache.subject c ~index:(-1) ~id:200);
         check_bool "miss after clear" true
           (Score_cache.find c ~a:2 ~b:4 ~level:1 ~mode:0 = Score_cache.absent));
+    tc "clear after growth drops every entry, clear when empty keeps none"
+      (fun () ->
+        let c = Score_cache.create () in
+        Score_cache.clear c;
+        for a = 1 to 200 do
+          Score_cache.store c ~a ~b:(a + 1) ~level:1 ~mode:0 a
+        done;
+        check_int "grown" 200 (Score_cache.size c);
+        Score_cache.clear c;
+        check_int "size after clear" 0 (Score_cache.size c);
+        for a = 1 to 200 do
+          if Score_cache.find c ~a ~b:(a + 1) ~level:1 ~mode:0
+             <> Score_cache.absent
+          then Alcotest.failf "entry %d survived the clear" a
+        done;
+        Score_cache.clear c;
+        Score_cache.store c ~a:7 ~b:8 ~level:1 ~mode:0 3;
+        check_int "stores after two clears" 3
+          (Score_cache.find c ~a:7 ~b:8 ~level:1 ~mode:0);
+        check_int "one entry" 1 (Score_cache.size c));
     tc "clear empties the table" (fun () ->
         let c = Score_cache.create () in
         Score_cache.store c ~a:1 ~b:2 ~level:3 ~mode:0 7;

@@ -200,10 +200,13 @@ T ?= 0
 perfbench:
 	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 10 --trace $(T)
 
-# A/B throughput of the working tree against BASE (report-only, not in
+# A/B comparison of the working tree against BASE (report-only, not in
 # CI): clones BASE into $${TMPDIR:-/tmp}/lslp-ab, builds perfbench there
-# and here, alternates PAIRS runs of SECONDS each on workload W, and prints
-# per-pair and median throughput, p50/p90, heap and pairs won.
+# and here, alternates PAIRS runs of SECONDS each on workload W (`all` runs
+# catalog, chains and batch-mixed in turn), and prints per-pair
+# throughput, p50/p90 and heap, the median of every end_to_end metric in
+# BENCHMARK.json with a WORSE flag past its bound, and pairs won.
+W ?= chains
 BASE ?= HEAD~
 PAIRS ?= 6
 SECONDS ?= 10

@@ -37,15 +37,17 @@ let direct_preds (arena : Arena.t) =
   let preds = Array.make n [] in
   (* data dependencies — position-independent, so that rescheduling can
      repair blocks that temporarily contain a def after its use *)
+  let user = ref 0 in
+  let data (v : Instr.value) =
+    match v with
+    | Instr.Ins def ->
+      let i = !user and j = Arena.idx_of_id arena def.Instr.id in
+      if j >= 0 && j <> i then preds.(i) <- j :: preds.(i)
+    | Instr.Const _ | Instr.Arg _ -> ()
+  in
   for i = 0 to n - 1 do
-    List.iter
-      (fun v ->
-        match Instr.value_id v with
-        | Some id ->
-          let j = Arena.idx_of_id arena id in
-          if j >= 0 && j <> i then preds.(i) <- j :: preds.(i)
-        | None -> ())
-      (Instr.operands (Arena.instr arena i))
+    user := i;
+    Instr.iter_operands data (Arena.instr arena i)
   done;
   (* memory dependencies: store/store and store/load pairs that may alias,
      earlier access before later.  Only accesses to one array can alias,
@@ -154,14 +156,66 @@ let independent t insts =
     (fun p -> List.for_all (fun q -> p = q || not (reaches t p q)) ps)
     ps
 
-(* Kahn's algorithm with a binary min-heap of ready units.  Unit edges
-   come straight off the direct [preds], never the closure, yet the order
-   is the one testing every transitive pair would give: the emitted set is
-   always closed under dependences, so "all direct preds emitted" and "all
+(* Index of the lowest set bit of a nonzero 32-bit word. *)
+let lowest_bit x =
+  let x = x land (-x) in
+  let b = if x land 0xFFFF = 0 then 16 else 0 in
+  let b = if (x lsr b) land 0xFF = 0 then b + 8 else b in
+  let b = if (x lsr b) land 0xF = 0 then b + 4 else b in
+  let b = if (x lsr b) land 0x3 = 0 then b + 2 else b in
+  if (x lsr b) land 0x1 = 0 then b + 1 else b
+
+(* Each unit's rank in [(key, unit)] order.  When the keys span a range
+   no wider than a few times the unit count — codegen's keys are distinct
+   block positions — a counting pass over the keys ranks them, walking
+   units in ascending order so equal keys rank by unit; any other keys go
+   through one sort under the same order. *)
+let rank_units key =
+  let units = Array.length key in
+  let rank = Array.make units 0 in
+  if units > 0 then begin
+    let lo = ref key.(0) and hi = ref key.(0) in
+    for u = 1 to units - 1 do
+      if key.(u) < !lo then lo := key.(u);
+      if key.(u) > !hi then hi := key.(u)
+    done;
+    let lo = !lo and range = !hi - !lo in
+    if range >= 0 && range < (4 * units) + 64 then begin
+      let start = Array.make (range + 2) 0 in
+      for u = 0 to units - 1 do
+        let b = key.(u) - lo + 1 in
+        start.(b) <- start.(b) + 1
+      done;
+      for b = 1 to range + 1 do
+        start.(b) <- start.(b) + start.(b - 1)
+      done;
+      for u = 0 to units - 1 do
+        let b = key.(u) - lo in
+        rank.(u) <- start.(b);
+        start.(b) <- start.(b) + 1
+      done
+    end
+    else begin
+      let by_rank = Array.init units Fun.id in
+      Array.stable_sort (fun a b -> Int.compare key.(a) key.(b)) by_rank;
+      Array.iteri (fun r u -> rank.(u) <- r) by_rank
+    end
+  end;
+  rank
+
+(* Kahn's algorithm over a ready set of ranks.  Unit edges come straight
+   off the direct [preds], never the closure, yet the order is the one
+   testing every transitive pair would give: the emitted set is always
+   closed under dependences, so "all direct preds emitted" and "all
    transitive preds emitted" pick the same ready set at every step, and a
    contraction of the direct graph is cyclic exactly when the contraction
-   of its closure is.  Duplicate unit edges are counted, not filtered, so
-   the edges cost O(n + E) and the heap O(U log U): O((n + E) log U). *)
+   of its closure is.  Duplicate unit edges are counted, not filtered.
+
+   The ready set is a bitmap over ranks, 32 to a word, and the least ready
+   unit is the lowest set bit at or after [low], the word of the least
+   rank that can still be ready: a pop leaves it where the popped rank
+   was, a push below it moves it down.  Edges cost O(n + E); a pop scans
+   O(U / 32) words at worst and usually one. *)
 let schedule t ~unit_of ~key =
   let units = Array.length key in
   (* unit edges v -> u in CSR form: v's successors are
@@ -183,35 +237,44 @@ let schedule t ~unit_of ~key =
   iter_edges (fun v u ->
       succ.(fill.(v)) <- u;
       fill.(v) <- fill.(v) + 1);
-  (* binary min-heap of ready units, least [(key, unit)] at the root *)
-  let heap = Array.make units 0 and size = ref 0 in
-  let before a b = key.(a) < key.(b) || (key.(a) = key.(b) && a < b) in
-  let rec sift_up u c =
-    let p = (c - 1) / 2 in
-    if c > 0 && before u heap.(p) then (heap.(c) <- heap.(p); sift_up u p)
-    else heap.(c) <- u
+  let rank = rank_units key in
+  let unit_at = fill in
+  Array.iteri (fun u r -> unit_at.(r) <- u) rank;
+  let ready = Array.make ((units + 31) lsr 5) 0 and low = ref max_int in
+  let push u =
+    let r = rank.(u) in
+    let w = r lsr 5 in
+    ready.(w) <- ready.(w) lor (1 lsl (r land 31));
+    if w < !low then low := w
   in
-  let rec sift_down u c =
-    let l = (2 * c) + 1 and r = (2 * c) + 2 in
-    let m = if r < !size && before heap.(r) heap.(l) then r else l in
-    if m < !size && before heap.(m) u then (heap.(c) <- heap.(m); sift_down u m)
-    else heap.(c) <- u
-  in
-  let push u = incr size; sift_up u (!size - 1) in
   for u = 0 to units - 1 do
     if indeg.(u) = 0 then push u
   done;
   let order = Array.make units 0 and emitted = ref 0 in
-  while !size > 0 do
-    let v = heap.(0) in
-    decr size;
-    sift_down heap.(!size) 0;
-    order.(!emitted) <- v;
-    incr emitted;
-    for e = start.(v) to start.(v + 1) - 1 do
-      let u = succ.(e) in
-      indeg.(u) <- indeg.(u) - 1;
-      if indeg.(u) = 0 then push u
-    done
+  let words = Array.length ready in
+  let rec pop w =
+    if w >= words then -1
+    else
+      let x = ready.(w) in
+      if x = 0 then pop (w + 1)
+      else begin
+        low := w;
+        let b = lowest_bit x in
+        ready.(w) <- x lxor (1 lsl b);
+        unit_at.((w lsl 5) lor b)
+      end
+  in
+  let continue_ = ref true in
+  while !continue_ do
+    match pop !low with
+    | -1 -> continue_ := false
+    | v ->
+      order.(!emitted) <- v;
+      incr emitted;
+      for e = start.(v) to start.(v + 1) - 1 do
+        let u = succ.(e) in
+        indeg.(u) <- indeg.(u) - 1;
+        if indeg.(u) = 0 then push u
+      done
   done;
   if !emitted = units then Some order else None

@@ -19,7 +19,8 @@ val build_arena : Arena.t -> t
 val direct_preds : Arena.t -> int list array
 (** The direct dependences {!build_arena} closes over: position [i]'s
     entry lists the positions it depends on directly, memory edges (in
-    descending position) before data edges (in reverse operand order). *)
+    descending position) before data edges (in reverse operand order).
+    Operands are walked with {!Instr.iter_operands}. *)
 
 val arena : t -> Arena.t
 
@@ -47,5 +48,12 @@ val schedule : t -> unit_of:int array -> key:int array -> int array option
     already emitted) with the least [(key.(u), u)], so with [key] = each
     unit's earliest member position the original order survives wherever
     the dependences allow it.  [None] when the contraction is cyclic — the
-    units cannot be scheduled together.  O((n + E) log U) for n
-    instructions, E direct dependences and U units. *)
+    units cannot be scheduled together.
+
+    Key contract: any ints, duplicates allowed; only their [(key, unit)]
+    order matters.  Keys spanning fewer than [4U + 64] values (codegen's
+    distinct positions) are ranked by a counting pass, others by one sort.
+    The ready set is a bitmap over those ranks, so the schedule costs
+    O(n + E) for the edges plus at most O(U / 32) word reads per emitted
+    unit (usually one) for n instructions, E direct dependences and U
+    units; the sort, when it runs, adds O(U log U). *)

@@ -10,11 +10,16 @@
    *unit*; every remaining scalar instruction is a singleton unit; unit
    dependences are induced from the direct edges of the instruction-level
    dependence graph (data + memory).  [Depgraph.schedule] orders the units
-   with a min-key heap in O((n + E) log U); since the emitted set stays
-   closed under dependences, direct edges give the same stable order as the
+   over a ready set of key ranks (the keys are distinct positions, so
+   ranking them is a counting pass); since the emitted set stays closed
+   under dependences, direct edges give the same stable order as the
    transitive closure would.  That order is a valid schedule of the
    transformed block — and if the contraction is cyclic the bundles were
-   not schedulable together, so we abort before mutating anything. *)
+   not schedulable together, so we abort before mutating anything.
+
+   Emission reads gather lanes and operand columns as arrays
+   ([Graph.child_slots]) and walks node members in place; per gather, the
+   one list built is the [Buildvec] operand list the IR holds. *)
 
 open Lslp_ir
 open Lslp_analysis
@@ -44,11 +49,11 @@ type reduction = {
   red_remainder : Instr.value list;
 }
 
-let node_members (n : Graph.node) =
+let iter_members f (n : Graph.node) =
   match n.Graph.shape with
-  | Graph.Group insts -> Array.to_list insts
-  | Graph.Multi m -> List.concat_map Array.to_list m.Graph.m_groups
-  | Graph.Gather _ -> []
+  | Graph.Group insts -> Array.iter f insts
+  | Graph.Multi m -> List.iter (Array.iter f) m.Graph.m_groups
+  | Graph.Gather _ -> ()
 
 let element_scalar (i : Instr.t) =
   match Types.scalar_of i.Instr.ty with
@@ -74,14 +79,18 @@ let units ?reduction graph arena =
   (* compact index -> unit; every block instruction gets exactly one *)
   let unit_of = Array.make n (-1) in
   let num_units = ref 0 in
-  let claim insts =
-    List.iter (fun (i : Instr.t) -> unit_of.(Arena.idx arena i) <- !num_units)
-      insts;
-    incr num_units
-  in
-  List.iter (fun node -> claim (node_members node)) (vector_nodes graph);
+  let claim (i : Instr.t) = unit_of.(Arena.idx arena i) <- !num_units in
+  List.iter
+    (fun node ->
+      iter_members claim node;
+      incr num_units)
+    (vector_nodes graph);
   (* the reduction chain, if any, forms one additional unit *)
-  Option.iter (fun r -> claim r.red_chain) reduction;
+  Option.iter
+    (fun r ->
+      List.iter claim r.red_chain;
+      incr num_units)
+    reduction;
   (* surviving scalars become singleton units, in program order *)
   for k = 0 to n - 1 do
     if unit_of.(k) < 0 then begin
@@ -211,23 +220,23 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
               push i;
               Instr.Ins i
             | None ->
-              let values = List.map subst (Array.to_list vs) in
+              let values = Array.map subst vs in
               let elt =
-                match Instr.value_ty (List.hd values) with
+                match Instr.value_ty values.(0) with
                 | Some (Types.Scalar s) -> s
                 | Some _ | None ->
                   error "gather lane 0 of a %d-lane column is not scalar"
                     (Array.length vs)
               in
-              let lanes = List.length values in
-              let ty = Types.vec elt lanes in
+              let ty = Types.vec elt (Array.length values) in
               let i =
                 match Lslp_costmodel.Model.classify_gather values with
                 | Lslp_costmodel.Model.Gather_splat ->
-                  Instr.create ~name:"splat" (Instr.Splat (List.hd values)) ty
+                  Instr.create ~name:"splat" (Instr.Splat values.(0)) ty
                 | Lslp_costmodel.Model.Gather_free
                 | Lslp_costmodel.Model.Gather_insert ->
-                  Instr.create ~name:"gath" (Instr.Buildvec values) ty
+                  Instr.create ~name:"gath"
+                    (Instr.Buildvec (Array.to_list values)) ty
               in
               push i;
               Instr.Ins i)
@@ -236,9 +245,7 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
             let i0 = insts.(0) in
             (* the group's operand nodes, emitted in order *)
             let operands what want =
-              let cs =
-                Array.of_list (List.map emit_node (Graph.children graph n))
-              in
+              let cs = Array.map emit_slot (Graph.child_slots graph n) in
               if Array.length cs <> want then
                 error "%d-lane %s group has %d operand node(s), want %d" lanes
                   what (Array.length cs) want;
@@ -297,22 +304,21 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
               | [] -> error "multi-node #%d has no internal groups" n.Graph.nid
             in
             let ty = Types.vec elt lanes in
-            let children = List.map emit_node (Graph.children graph n) in
-            (match children with
-             | [] -> error "multi-node #%d has no operand nodes" n.Graph.nid
-             | first :: rest ->
-               let v =
-                 List.fold_left
-                   (fun acc c ->
-                     let i =
-                       Instr.create ~name:"v"
-                         (Instr.Binop (m.Graph.m_op, acc, c))
-                         ty
-                     in
-                     push i;
-                     Instr.Ins i)
-                   first rest
-               in
+            let children = Array.map emit_slot (Graph.child_slots graph n) in
+            (match Array.length children with
+             | 0 -> error "multi-node #%d has no operand nodes" n.Graph.nid
+             | count ->
+               let v = ref children.(0) in
+               for c = 1 to count - 1 do
+                 let i =
+                   Instr.create ~name:"v"
+                     (Instr.Binop (m.Graph.m_op, !v, children.(c)))
+                     ty
+                 in
+                 push i;
+                 v := Instr.Ins i
+               done;
+               let v = !v in
                (* the whole reassociated chain stands for the final combine:
                   every internal bundle's lanes map to it for provenance *)
                (match v with
@@ -325,7 +331,7 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
         in
         vec_vals.(n.Graph.slot) <- Some v;
         v
-    in
+    and emit_slot slot = emit_node (Graph.node_of_slot graph slot) in
     let emit_reduction (r : reduction) =
       let chunk_vecs = List.map emit_node r.red_chunks in
       let elt = element_scalar r.red_root in

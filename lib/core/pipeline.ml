@@ -202,11 +202,14 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
   in
   (* in-transaction structural check: unlike [checkpoint] this always runs
      on freshly transformed blocks and *aborts* the region on a finding, so
-     a miscompile degrades to scalar instead of reaching the caller *)
-  let verify_or_abort pass =
-    match Verifier.check_func f with
-    | [] -> ()
-    | e :: _ ->
+     a miscompile degrades to scalar instead of reaching the caller.  On
+     success, the checked arena of [block], which describes its state
+     exactly as verified. *)
+  let verify_or_abort pass block =
+    match Verifier.check_func_arenas f with
+    | Ok arenas -> List.find (fun a -> Arena.block a == block) arenas
+    | Error [] -> assert false
+    | Error (e :: _) ->
       raise
         (Transact.Check_failed
            { pass; error = Verifier.error_to_string e })
@@ -291,14 +294,18 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
     let continue_ = ref true in
     let consumed = Lslp_util.Int_table.create 32 in
     (* the most recent arena snapshot that still describes the block's
-       current state.  Every attempt builds its snapshot before mutating
+       current state.  Every attempt takes its snapshot before mutating
        anything, and a rollback restores exactly the snapshotted state, so
-       the arena only dies when a vectorized region *commits* — at loop
-       exit it can be handed to the reduction pass as-is *)
+       the arena survives failed and unvectorized attempts.  A committed
+       region replaces it with the arena the verifier built and checked on
+       the committed block, so the next attempt and, at loop exit, the
+       reduction pass read it as-is instead of rebuilding it *)
     let live_arena = ref None in
     while !continue_ && not !exhausted do
       continue_ := false;
       let snapshot = Transact.snapshot_block block in
+      (* the arena of the state a rollback of this attempt restores *)
+      let entry_arena = ref !live_arena in
       let saved_provenance = !provenance in
       let cur_pass = ref "seed-collect" in
       let cur_seed = ref None in
@@ -307,7 +314,12 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
             Budget.spend_step meter;
             (* one arena snapshot per attempt: seeds, graph build, cost and
                codegen all read the block in this same frozen state *)
-            let arena = Arena.of_block block in
+            let arena =
+              match !live_arena with
+              | Some a -> a
+              | None -> Arena.of_block block
+            in
+            entry_arena := Some arena;
             live_arena := Some arena;
             let seeds =
               traced_span ?trace probe "seed-collect" (fun () ->
@@ -393,7 +405,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                     cur_pass := "verify";
                     Budget.deadline_tick deadline;
                     Inject.maybe_fail inject Inject.Verify;
-                    verify_or_abort "verify";
+                    live_arena := Some (verify_or_abort "verify" block);
                     checkpoint "codegen+dce";
                     Remark.Vectorized
                   | Codegen.Not_schedulable -> Remark.Not_schedulable
@@ -425,6 +437,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
         (* rolled back: provenance recorded during the failed attempt
            refers to instructions that no longer exist *)
         provenance := saved_provenance;
+        live_arena := !entry_arena;
         if failure.Transact.budget_exhausted then exhausted := true;
         let region, lanes =
           match !cur_seed with
@@ -471,7 +484,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                unvectorized outcome leaves the already-verified block
                byte-identical — skip the re-check *)
             if List.exists (fun r -> r.Reduction.vectorized) rs then
-              verify_or_abort "reduction-verify";
+              ignore (verify_or_abort "reduction-verify" block);
             rs)
       in
       match result with
@@ -521,7 +534,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
              neither touched the block it is still in its last verified
              state, so the re-check would be a no-op *)
           if cse_removed + dce_removed > 0 then
-            verify_or_abort "cleanup-verify")
+            ignore (verify_or_abort "cleanup-verify" block))
     in
     match result with
     | Ok () -> ()

@@ -122,20 +122,6 @@ let sse_like =
    general case pays one insertion per lane. *)
 type gather_kind = Gather_free | Gather_splat | Gather_insert
 
-let classify_gather (values : Instr.value list) =
-  let all_const =
-    List.for_all
-      (fun v -> match v with
-         | Instr.Const _ -> true
-         | Instr.Arg _ | Instr.Ins _ -> false)
-      values
-  in
-  if all_const then Gather_free
-  else
-    match values with
-    | v0 :: rest when List.for_all (Instr.equal_value v0) rest -> Gather_splat
-    | _ :: _ | [] -> Gather_insert
-
 let insert_cost_of_value t (v : Instr.value) =
   match v with
   | Instr.Ins i when not (Instr.is_load i) -> t.insert_element_alu
@@ -151,6 +137,11 @@ let rec lanes_const (values : Instr.value array) j =
 let rec lanes_same (values : Instr.value array) j =
   j >= Array.length values
   || (Instr.equal_value values.(0) values.(j) && lanes_same values (j + 1))
+
+let classify_gather (values : Instr.value array) =
+  if lanes_const values 0 then Gather_free
+  else if lanes_same values 1 then Gather_splat
+  else Gather_insert
 
 let gather_cost_lanes t (values : Instr.value array) =
   if lanes_const values 0 then 0

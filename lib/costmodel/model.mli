@@ -64,7 +64,7 @@ val vector_group_cost : t -> Instr.t -> lanes:int -> int
 
 type gather_kind = Gather_free | Gather_splat | Gather_insert
 
-val classify_gather : Instr.value list -> gather_kind
+val classify_gather : Instr.value array -> gather_kind
 (** Free for all-constant vectors, splat when every lane is the same value,
     per-lane insertion otherwise. *)
 

@@ -26,9 +26,18 @@
    Invalidation contract: an arena is a snapshot.  Passes that mutate the
    block (codegen, CSE, DCE, reorderings via [Block.set_order]) must drop
    the arena and rebuild; read-only passes (seeds, graph build, scoring,
-   cost) share one arena freely.  [Verifier.check_func] rebuilds an arena
-   per block and runs {!check} on it, so a stale-arena bug cannot survive a
-   verified commit. *)
+   cost) share one arena freely.  The verifier builds a fresh arena per
+   block and runs {!check} on it, so a stale-arena bug cannot survive a
+   verified commit.
+
+   Who may reuse a verified arena: [Verifier.check_func_arenas] returns the
+   arenas it built and checked, and the holder may keep reading one for as
+   long as its block stays in the state that was verified.  The pipeline
+   does exactly that: after a region commits, the verified arena of its
+   block feeds the next seed attempt and, at loop exit, [Reduction.run].
+   A rolled-back attempt restores the state its own entry arena described,
+   so the pipeline falls back to that arena, never to one built on the
+   rolled-back state. *)
 
 module Int_table = Lslp_util.Int_table
 
@@ -106,36 +115,40 @@ let of_block (b : Block.t) =
       if o < 0 || o >= Array.length tbl then -1 else tbl.(o)
     | Sparse tbl -> Int_table.get tbl id ~absent:(-1)
   in
-  (* CSR uses: count, prefix-sum, fill in program order *)
+  (* CSR uses: count, prefix-sum, fill in program order; one operand
+     walker per pass, reading the user's index from [user] *)
   let counts = Array.make (n + 1) 0 in
+  let count (v : Instr.value) =
+    match v with
+    | Instr.Ins def ->
+      let d = lookup def.Instr.id in
+      if d >= 0 then counts.(d) <- counts.(d) + 1
+    | Instr.Const _ | Instr.Arg _ -> ()
+  in
   for k = 0 to n - 1 do
-    List.iter
-      (fun (v : Instr.value) ->
-        match v with
-        | Instr.Ins def ->
-          let d = lookup def.Instr.id in
-          if d >= 0 then counts.(d) <- counts.(d) + 1
-        | Instr.Const _ | Instr.Arg _ -> ())
-      (Instr.operands instrs.(k))
+    Instr.iter_operands count instrs.(k)
   done;
   let use_off = Array.make (n + 1) 0 in
   for k = 0 to n - 1 do
     use_off.(k + 1) <- use_off.(k) + counts.(k)
   done;
   let use_dat = Array.make use_off.(n) 0 in
-  let cursor = Array.copy use_off in
+  (* [counts] becomes the fill cursor *)
+  Array.blit use_off 0 counts 0 (n + 1);
+  let user = ref 0 in
+  let fill (v : Instr.value) =
+    match v with
+    | Instr.Ins def ->
+      let d = lookup def.Instr.id in
+      if d >= 0 then begin
+        use_dat.(counts.(d)) <- !user;
+        counts.(d) <- counts.(d) + 1
+      end
+    | Instr.Const _ | Instr.Arg _ -> ()
+  in
   for k = 0 to n - 1 do
-    List.iter
-      (fun (v : Instr.value) ->
-        match v with
-        | Instr.Ins def ->
-          let d = lookup def.Instr.id in
-          if d >= 0 then begin
-            use_dat.(cursor.(d)) <- k;
-            cursor.(d) <- cursor.(d) + 1
-          end
-        | Instr.Const _ | Instr.Arg _ -> ())
-      (Instr.operands instrs.(k))
+    user := k;
+    Instr.iter_operands fill instrs.(k)
   done;
   { block = b; instrs; idx_map; use_off; use_dat; addr = None }
 

@@ -9,7 +9,9 @@
 
     Compact indices are per-arena coordinates; printed IR only ever shows
     global ids ({!Lslp_util.Id_gen} space).  An arena is a snapshot: any
-    pass that mutates the block must rebuild it. *)
+    pass that mutates the block must rebuild it.  One built and
+    {!check}ed by [Verifier.check_func_arenas] may be reused while its
+    block stays in the verified state. *)
 
 type t
 

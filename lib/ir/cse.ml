@@ -20,45 +20,73 @@ module Int_table = Lslp_util.Int_table
 module Key_table = Lslp_util.Key_table
 module Intern = Lslp_util.Intern
 
-(* Per-value encoding: three words [tag; p1; p2], injective across value
-   kinds (same distinctions the old string keys drew). *)
-let value_words (names : Intern.t) (v : Instr.value) =
-  match v with
-  | Instr.Ins i -> (0, i.Instr.id, 0)
-  | Instr.Arg a -> (1, Intern.intern names a.Instr.arg_name, 0)
-  | Instr.Const (Instr.Cint n) ->
-    (2, Int64.to_int (Int64.shift_right_logical n 32),
-     Int64.to_int (Int64.logand n 0xFFFFFFFFL))
-  | Instr.Const (Instr.Cfloat x) ->
-    let b = Int64.bits_of_float x in
-    (3, Int64.to_int (Int64.shift_right_logical b 32),
-     Int64.to_int (Int64.logand b 0xFFFFFFFFL))
-  | Instr.Const (Instr.Cint32 n) -> (4, Int32.to_int n, 0)
-  | Instr.Const (Instr.Cfloat32 x) -> (5, Int32.to_int (Int32.bits_of_float x), 0)
-
-let compare_triple (a, b, c) (a', b', c') =
-  if a <> a' then Int.compare a a'
-  else if b <> b' then Int.compare b b'
-  else Int.compare c c'
-
-let key_of_triples tag sub triples =
-  let n = List.length triples in
-  let k = Array.make (2 + (3 * n)) 0 in
-  k.(0) <- tag;
-  k.(1) <- sub;
-  List.iteri
-    (fun j (a, b, c) ->
-      k.(2 + (3 * j)) <- a;
-      k.(3 + (3 * j)) <- b;
-      k.(4 + (3 * j)) <- c)
-    triples;
-  k
-
 type ctx = {
   names : Intern.t;          (* arg names *)
   addrs : Addr_intern.t;     (* array bases and affine shapes *)
   mutable gens : int array;  (* store generation per base id *)
 }
+
+(* Per-value encoding: three words [tag; p1; p2] written at [k.(o)],
+   injective across value kinds (same distinctions the old string keys
+   drew). *)
+let put (k : int array) o tag p1 p2 =
+  k.(o) <- tag;
+  k.(o + 1) <- p1;
+  k.(o + 2) <- p2
+
+let put_value ctx k o (v : Instr.value) =
+  match v with
+  | Instr.Ins i -> put k o 0 i.Instr.id 0
+  | Instr.Arg a -> put k o 1 (Intern.intern ctx.names a.Instr.arg_name) 0
+  | Instr.Const (Instr.Cint n) ->
+    put k o 2 (Int64.to_int (Int64.shift_right_logical n 32))
+      (Int64.to_int (Int64.logand n 0xFFFFFFFFL))
+  | Instr.Const (Instr.Cfloat x) ->
+    let b = Int64.bits_of_float x in
+    put k o 3 (Int64.to_int (Int64.shift_right_logical b 32))
+      (Int64.to_int (Int64.logand b 0xFFFFFFFFL))
+  | Instr.Const (Instr.Cint32 n) -> put k o 4 (Int32.to_int n) 0
+  | Instr.Const (Instr.Cfloat32 x) ->
+    put k o 5 (Int32.to_int (Int32.bits_of_float x)) 0
+
+(* Canonical order for a commutative pair: the value words at [o] and
+   [o + 3] swapped when the second triple sorts first. *)
+let sort_pair (k : int array) o =
+  let c =
+    if k.(o) <> k.(o + 3) then Int.compare k.(o) k.(o + 3)
+    else if k.(o + 1) <> k.(o + 4) then Int.compare k.(o + 1) k.(o + 4)
+    else Int.compare k.(o + 2) k.(o + 5)
+  in
+  if c > 0 then
+    for w = o to o + 2 do
+      let x = k.(w) in
+      k.(w) <- k.(w + 3);
+      k.(w + 3) <- x
+    done
+
+(* [tag; sub] then three words per value. *)
+let values_key ctx tag sub (vs : Instr.value list) =
+  let k = Array.make (2 + (3 * List.length vs)) 0 in
+  k.(0) <- tag;
+  k.(1) <- sub;
+  List.iteri (fun j v -> put_value ctx k (2 + (3 * j)) v) vs;
+  k
+
+let unary_key ctx tag sub v =
+  let k = Array.make 5 0 in
+  k.(0) <- tag;
+  k.(1) <- sub;
+  put_value ctx k 2 v;
+  k
+
+let binary_key ctx tag sub ~commutative a b =
+  let k = Array.make 8 0 in
+  k.(0) <- tag;
+  k.(1) <- sub;
+  put_value ctx k 2 a;
+  put_value ctx k 5 b;
+  if commutative then sort_pair k 2;
+  k
 
 let gen_of ctx base =
   if base >= Array.length ctx.gens then begin
@@ -72,125 +100,104 @@ let bump_gen ctx base =
   ignore (gen_of ctx base);
   ctx.gens.(base) <- ctx.gens.(base) + 1
 
-let address_words ctx (a : Instr.address) =
+(* [tag; base; shape; const; lanes; generation], then [extra] free words *)
+let address_key ctx tag (a : Instr.address) extra =
+  let k = Array.make (6 + extra) 0 in
   let base = Addr_intern.base ctx.addrs a.Instr.base in
-  let shape = Addr_intern.shape ctx.addrs a.Instr.index in
-  (base, shape, Affine.const_part a.Instr.index, a.Instr.access_lanes)
+  k.(0) <- tag;
+  k.(1) <- base;
+  k.(2) <- Addr_intern.shape ctx.addrs a.Instr.index;
+  k.(3) <- Affine.const_part a.Instr.index;
+  k.(4) <- a.Instr.access_lanes;
+  k.(5) <- gen_of ctx base;
+  k
 
+(* The key of a pure instruction; [[||]] (never a valid key) for stores. *)
 let instr_key ctx (i : Instr.t) =
-  let triples () = List.map (value_words ctx.names) (Instr.operands i) in
   match i.Instr.kind with
-  | Instr.Binop (op, _, _) ->
-    let ops = triples () in
-    let ops =
-      if Opcode.is_commutative op then List.sort compare_triple ops else ops
-    in
-    Some (key_of_triples 10 (Opcode.binop_code op) ops)
-  | Instr.Unop (op, _) -> Some (key_of_triples 11 (Opcode.unop_code op) (triples ()))
-  | Instr.Load a ->
-    let base, shape, const, lanes = address_words ctx a in
-    Some [| 12; base; shape; const; lanes; gen_of ctx base |]
-  | Instr.Splat _ -> Some (key_of_triples 13 0 (triples ()))
-  | Instr.Buildvec _ -> Some (key_of_triples 14 0 (triples ()))
-  | Instr.Extract (_, lane) -> Some (key_of_triples 15 lane (triples ()))
-  | Instr.Reduce (op, _) ->
-    Some (key_of_triples 16 (Opcode.binop_code op) (triples ()))
-  | Instr.Shuffle (_, idx) ->
-    let ops = triples () in
+  | Instr.Binop (op, a, b) ->
+    binary_key ctx 10 (Opcode.binop_code op)
+      ~commutative:(Opcode.is_commutative op) a b
+  | Instr.Unop (op, a) -> unary_key ctx 11 (Opcode.unop_code op) a
+  | Instr.Load a -> address_key ctx 12 a 0
+  | Instr.Splat a -> unary_key ctx 13 0 a
+  | Instr.Buildvec vs -> values_key ctx 14 0 vs
+  | Instr.Extract (a, lane) -> unary_key ctx 15 lane a
+  | Instr.Reduce (op, a) -> unary_key ctx 16 (Opcode.binop_code op) a
+  | Instr.Shuffle (a, idx) ->
     let n = List.length idx in
-    let k = Array.make (2 + n + (3 * List.length ops)) 0 in
+    let k = Array.make (5 + n) 0 in
     k.(0) <- 17;
     k.(1) <- n;
     List.iteri (fun j x -> k.(2 + j) <- x) idx;
-    List.iteri
-      (fun j (a, b, c) ->
-        k.(2 + n + (3 * j)) <- a;
-        k.(3 + n + (3 * j)) <- b;
-        k.(4 + n + (3 * j)) <- c)
-      ops;
-    Some k
-  | Instr.Cmp (op, _, _) ->
+    put_value ctx k (2 + n) a;
+    k
+  | Instr.Cmp (op, a, b) ->
     (* only the symmetric predicates get a canonical operand order *)
-    let ops = triples () in
-    let ops =
-      if Opcode.cmp_is_commutative op then List.sort compare_triple ops
-      else ops
-    in
-    Some (key_of_triples 18 (Opcode.cmp_code op) ops)
-  | Instr.Select _ -> Some (key_of_triples 19 0 (triples ()))
-  | Instr.Masked_load (a, _, _) ->
+    binary_key ctx 18 (Opcode.cmp_code op)
+      ~commutative:(Opcode.cmp_is_commutative op) a b
+  | Instr.Select (m, a, b) ->
+    let k = Array.make 11 0 in
+    k.(0) <- 19;
+    put_value ctx k 2 m;
+    put_value ctx k 5 a;
+    put_value ctx k 8 b;
+    k
+  | Instr.Masked_load (a, m, p) ->
     (* like Load: keyed under the array's store generation, plus the mask
        and passthrough operands (different mask = different value) *)
-    let base, shape, const, lanes = address_words ctx a in
-    let ops = triples () in
-    let k = Array.make (6 + (3 * List.length ops)) 0 in
-    k.(0) <- 20;
-    k.(1) <- base;
-    k.(2) <- shape;
-    k.(3) <- const;
-    k.(4) <- lanes;
-    k.(5) <- gen_of ctx base;
-    List.iteri
-      (fun j (x, y, z) ->
-        k.(6 + (3 * j)) <- x;
-        k.(7 + (3 * j)) <- y;
-        k.(8 + (3 * j)) <- z)
-      ops;
-    Some k
-  | Instr.Store _ | Instr.Masked_store _ -> None
+    let k = address_key ctx 20 a 6 in
+    put_value ctx k 6 m;
+    put_value ctx k 9 p;
+    k
+  | Instr.Store (a, _) | Instr.Masked_store (a, _, _) ->
+    bump_gen ctx (Addr_intern.base ctx.addrs a.Instr.base);
+    [||]
 
 let run_block block =
   let ctx =
     { names = Intern.create 16; addrs = Addr_intern.create (); gens = [||] }
   in
   let available = Key_table.create 64 in
-  (* handles: available maps key -> index into [firsts] *)
-  let firsts : Instr.t option array ref = ref (Array.make 64 None) in
+  (* handles: [available] maps a key to an index into [firsts], the value
+     of the first instruction computing it *)
+  let firsts = ref (Array.make 64 (Instr.Const (Instr.Cint 0L))) in
   let n_firsts = ref 0 in
-  let register i =
-    if !n_firsts >= Array.length !firsts then begin
-      let bigger = Array.make (2 * Array.length !firsts) None in
-      Array.blit !firsts 0 bigger 0 !n_firsts;
-      firsts := bigger
-    end;
-    !firsts.(!n_firsts) <- Some i;
-    incr n_firsts;
-    !n_firsts - 1
-  in
   let replacement = Int_table.create 16 in (* dead id -> handle *)
-  let replaced : Instr.t list ref = ref [] in
+  let replaced = ref [] in
   let subst (v : Instr.value) =
     match v with
     | Instr.Ins i -> (
       match Int_table.get replacement i.Instr.id ~absent:(-1) with
       | -1 -> v
-      | h -> Instr.Ins (Option.get !firsts.(h)))
+      | h -> !firsts.(h))
     | Instr.Const _ | Instr.Arg _ -> v
   in
   Block.iter
     (fun i ->
       Instr.map_operands subst i;
-      match instr_key ctx i with
-      | None -> (
-        match i.Instr.kind with
-        | Instr.Store (addr, _) | Instr.Masked_store (addr, _, _) ->
-          bump_gen ctx (Addr_intern.base ctx.addrs addr.Instr.base)
-        | Instr.Binop _ | Instr.Unop _ | Instr.Cmp _ | Instr.Select _
-        | Instr.Load _ | Instr.Masked_load _ | Instr.Splat _
-        | Instr.Buildvec _ | Instr.Extract _ | Instr.Reduce _
-        | Instr.Shuffle _ -> ())
-      | Some key -> (
-        match Key_table.get available key ~absent:(-1) with
-        | -1 -> Key_table.set available key (register i)
+      let key = instr_key ctx i in
+      if Array.length key > 0 then begin
+        let fresh = !n_firsts in
+        match Key_table.find_or_add available key fresh with
+        | h when h = fresh ->
+          if fresh >= Array.length !firsts then begin
+            let bigger = Array.make (2 * fresh) !firsts.(0) in
+            Array.blit !firsts 0 bigger 0 fresh;
+            firsts := bigger
+          end;
+          !firsts.(fresh) <- Instr.Ins i;
+          n_firsts := fresh + 1
         | h ->
           Int_table.set replacement i.Instr.id h;
-          replaced := i :: !replaced))
+          replaced := i.Instr.id :: !replaced
+      end)
     block;
-  let removed = List.length !replaced in
-  if removed > 0 then
-    Block.remove_ids block
-      (List.map (fun (i : Instr.t) -> i.Instr.id) !replaced);
-  removed
+  match !replaced with
+  | [] -> 0
+  | ids ->
+    Block.remove_ids block ids;
+    List.length ids
 
 (* Blocks are self-contained regions, so per-block CSE is complete; a loop
    body additionally re-executes, but availability within one iteration is

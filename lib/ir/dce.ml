@@ -2,23 +2,62 @@
 
    After SLP/LSLP code generation replaces a tree of scalar instructions with
    vector ones, the scalars become dead (their stores were removed
-   explicitly); this pass sweeps them.  Iterates to a fixed point so whole
-   dead trees disappear. *)
+   explicitly); this pass sweeps them, whole dead trees included.
+
+   One sweep over one arena: the arena's CSR counts give every
+   instruction's use count, the side-effect-free instructions with none
+   seed a worklist, and removing an instruction releases one use of each
+   of its operands, pushing any that reach zero.  Removal is confluent, so
+   this deletes exactly the instructions the old fixed point (recount the
+   uses, drop every unused instruction, repeat until nothing changes)
+   deleted, in O(n + uses) instead of one arena per round; the survivors
+   keep their order.  Instruction ids are unique within a block (the
+   verifier enforces it), so an arena index names one instruction. *)
 
 let run_block block =
-  let removed = ref 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let uses = Use_info.compute block in
-    let dead = Block.find_all (fun i -> Use_info.is_dead uses i) block in
-    if dead <> [] then begin
-      changed := true;
-      removed := !removed + List.length dead;
-      Block.remove_ids block (List.map (fun (i : Instr.t) -> i.id) dead)
-    end
+  let arena = Arena.of_block block in
+  let n = Arena.size arena in
+  let uses = Array.init n (Arena.num_uses arena) in
+  let dead = Bytes.make n '\000' in
+  let stack = Array.make n 0 and top = ref 0 in
+  let kill k =
+    Bytes.unsafe_set dead k '\001';
+    stack.(!top) <- k;
+    incr top
+  in
+  let removable k =
+    uses.(k) = 0
+    && Bytes.unsafe_get dead k = '\000'
+    && not (Instr.has_side_effect (Arena.instr arena k))
+  in
+  for k = 0 to n - 1 do
+    if removable k then kill k
   done;
-  !removed
+  if !top = 0 then 0
+  else begin
+    let release (v : Instr.value) =
+      match v with
+      | Instr.Ins def ->
+        let j = Arena.idx_of_id arena def.Instr.id in
+        if j >= 0 then begin
+          uses.(j) <- uses.(j) - 1;
+          if removable j then kill j
+        end
+      | Instr.Const _ | Instr.Arg _ -> ()
+    in
+    let removed = ref 0 in
+    while !top > 0 do
+      decr top;
+      incr removed;
+      Instr.iter_operands release (Arena.instr arena stack.(!top))
+    done;
+    let live = ref [] in
+    for k = n - 1 downto 0 do
+      if Bytes.unsafe_get dead k = '\000' then live := Arena.instr arena k :: !live
+    done;
+    Block.set_order block !live;
+    !removed
+  end
 
 (* Blocks are self-contained regions (no cross-block uses), so a per-block
    sweep is a complete function-level DCE. *)

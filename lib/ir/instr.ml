@@ -139,7 +139,66 @@ let set_operands i ops =
       _ ) ->
     invalid_arg "Instr.set_operands: operand count mismatch"
 
-let map_operands f i = set_operands i (List.map f (operands i))
+(* [operands] without the list: [f] sees each operand once, left to
+   right. *)
+let iter_operands f i =
+  match i.kind with
+  | Binop (_, a, b) | Cmp (_, a, b) -> f a; f b
+  | Unop (_, a) | Splat a | Extract (a, _) | Reduce (_, a) | Shuffle (a, _)
+  | Store (_, a) -> f a
+  | Load _ -> ()
+  | Select (m, a, b) -> f m; f a; f b
+  | Masked_load (_, a, b) | Masked_store (_, a, b) -> f a; f b
+  | Buildvec vs -> List.iter f vs
+
+(* [f] runs once per operand, left to right (codegen emits extracts in
+   call order, so the order is output), and [kind] is rebuilt only when
+   some operand came back physically different. *)
+let map_operands f i =
+  match i.kind with
+  | Binop (op, a, b) ->
+    let a' = f a in
+    let b' = f b in
+    if a' != a || b' != b then i.kind <- Binop (op, a', b')
+  | Cmp (op, a, b) ->
+    let a' = f a in
+    let b' = f b in
+    if a' != a || b' != b then i.kind <- Cmp (op, a', b')
+  | Unop (op, a) ->
+    let a' = f a in
+    if a' != a then i.kind <- Unop (op, a')
+  | Splat a ->
+    let a' = f a in
+    if a' != a then i.kind <- Splat a'
+  | Extract (a, lane) ->
+    let a' = f a in
+    if a' != a then i.kind <- Extract (a', lane)
+  | Reduce (op, a) ->
+    let a' = f a in
+    if a' != a then i.kind <- Reduce (op, a')
+  | Shuffle (a, idx) ->
+    let a' = f a in
+    if a' != a then i.kind <- Shuffle (a', idx)
+  | Store (addr, a) ->
+    let a' = f a in
+    if a' != a then i.kind <- Store (addr, a')
+  | Load _ -> ()
+  | Select (m, a, b) ->
+    let m' = f m in
+    let a' = f a in
+    let b' = f b in
+    if m' != m || a' != a || b' != b then i.kind <- Select (m', a', b')
+  | Masked_load (addr, a, b) ->
+    let a' = f a in
+    let b' = f b in
+    if a' != a || b' != b then i.kind <- Masked_load (addr, a', b')
+  | Masked_store (addr, a, b) ->
+    let a' = f a in
+    let b' = f b in
+    if a' != a || b' != b then i.kind <- Masked_store (addr, a', b')
+  | Buildvec vs ->
+    let vs' = List.map f vs in
+    if not (List.for_all2 ( == ) vs vs') then i.kind <- Buildvec vs'
 
 (* A masked store is a may-write: dependence edges, DCE side-effects and
    seed collection must all treat it exactly like an unconditional store. *)

@@ -99,7 +99,13 @@ val set_operands : t -> value list -> unit
 (** Replace the operands, keeping the kind.
     @raise Invalid_argument if the operand count does not match. *)
 
+val iter_operands : (value -> unit) -> t -> unit
+(** [List.iter f (operands i)] without building the list. *)
+
 val map_operands : (value -> value) -> t -> unit
+(** Calls [f] once per operand, left to right, and rewrites [kind] only
+    when some operand comes back physically different: an identity map
+    leaves [i.kind] physically unchanged. *)
 
 val is_store : t -> bool
 val is_load : t -> bool

@@ -61,9 +61,19 @@ let widen ty n =
   | Vec _ -> invalid_arg "Types.widen: already a vector type"
   | Void -> invalid_arg "Types.widen: void"
 
-let equal_scalar (a : scalar) (b : scalar) = a = b
+(* Monomorphic on purpose: the verifier compares a type per operand, and
+   a polymorphic [=] there is a [caml_equal] call each time. *)
+let equal_scalar (a : scalar) (b : scalar) =
+  match (a, b) with
+  | I64, I64 | F64, F64 | I32, I32 | F32, F32 | I1, I1 -> true
+  | (I64 | F64 | I32 | F32 | I1), _ -> false
 
-let equal (a : t) (b : t) = a = b
+let equal (a : t) (b : t) =
+  match (a, b) with
+  | Scalar x, Scalar y -> equal_scalar x y
+  | Vec (x, n), Vec (y, m) -> n = m && equal_scalar x y
+  | Void, Void -> true
+  | (Scalar _ | Vec _ | Void), _ -> false
 
 let scalar_name = function
   | I64 -> "i64"

@@ -60,57 +60,72 @@ let id_clear = function
   | Bits { bits; _ } -> Bytes.fill bits 0 (Bytes.length bits) '\000'
   | Table t -> Int_table.clear t
 
-let check_func (f : Func.t) =
+(* [Instr.value_ty] without the option: an array argument, which has no
+   value type, reads as [Void] — callers that must tell it apart ask
+   [has_value_ty] first. *)
+let has_value_ty (v : Instr.value) =
+  match v with
+  | Instr.Arg { arg_ty = Instr.Array_arg _; _ } -> false
+  | Instr.Arg _ | Instr.Const _ | Instr.Ins _ -> true
+
+let operand_ty (v : Instr.value) =
+  match v with
+  | Instr.Ins i -> i.Instr.ty
+  | Instr.Const c -> Instr.const_ty c
+  | Instr.Arg { arg_ty = Instr.Int_arg; _ } -> Types.i64
+  | Instr.Arg { arg_ty = Instr.Float_arg; _ } -> Types.f64
+  | Instr.Arg { arg_ty = Instr.Array_arg _; _ } -> Types.Void
+
+let check_func_arenas (f : Func.t) =
   let errors = ref [] in
   let err ?instr fmt =
     Fmt.kstr (fun message -> errors := { instr; message } :: !errors) fmt
   in
   let defined = id_set f in
-  let arg_names = Hashtbl.create 8 in
-  List.iter
-    (fun (a : Instr.arg) ->
-      if Hashtbl.mem arg_names a.arg_name then
-        err "duplicate argument name %s" a.arg_name;
-      Hashtbl.replace arg_names a.arg_name a.arg_ty)
-    f.args;
-  let seen_ids = id_set f in
-  (* one-entry memo in front of [arg_names]: consecutive lookups mostly
-     name the same argument, and a hit allocates nothing *)
-  let last_name = ref "" and last_ty = ref None and have_last = ref false in
+  (* the arguments as parallel arrays; a lookup scans from the last, so a
+     duplicated name resolves to its last declaration *)
+  let args = Array.of_list f.args in
+  let arg_tys = Array.map (fun (a : Instr.arg) -> a.arg_ty) args in
   let lookup_arg name =
-    if !have_last && String.equal name !last_name then !last_ty
-    else begin
-      let ty = Hashtbl.find_opt arg_names name in
-      last_name := name;
-      last_ty := ty;
-      have_last := true;
-      ty
-    end
+    let rec go j =
+      if j < 0 || String.equal args.(j).Instr.arg_name name then j
+      else go (j - 1)
+    in
+    go (Array.length args - 1)
   in
+  Array.iteri
+    (fun j (a : Instr.arg) ->
+      let rec seen k =
+        k < j && (String.equal args.(k).Instr.arg_name a.arg_name || seen (k + 1))
+      in
+      if seen 0 then err "duplicate argument name %s" a.arg_name)
+    args;
+  let seen_ids = id_set f in
   (* Regions are self-contained: values may only be referenced from the
      block that defines them, so [defined] is reset per block and a
      cross-block use reports as use-before-def. *)
-  let check_value instr (v : Instr.value) =
+  let cur = ref None in
+  let check_value (v : Instr.value) =
     match v with
     | Instr.Ins def ->
       if not (id_mem defined def.Instr.id) then
-        err ~instr "use of %s before its definition (or of a value defined \
-                    in another block — regions are self-contained)"
+        err ?instr:!cur "use of %s before its definition (or of a value \
+                         defined in another block — regions are \
+                         self-contained)"
           (Printer.value_to_string v)
     | Instr.Arg a ->
       (match lookup_arg a.arg_name with
-       | None -> err ~instr "reference to unknown argument %s" a.arg_name
-       | Some (Instr.Array_arg _) ->
-         err ~instr "array argument %s used as scalar value" a.arg_name
-       | Some (Instr.Int_arg | Instr.Float_arg) -> ())
+       | -1 -> err ?instr:!cur "reference to unknown argument %s" a.arg_name
+       | j -> (
+         match arg_tys.(j) with
+         | Instr.Array_arg _ ->
+           err ?instr:!cur "array argument %s used as scalar value" a.arg_name
+         | Instr.Int_arg | Instr.Float_arg -> ()))
     | Instr.Const _ -> ()
   in
   let value_ty instr v =
-    match Instr.value_ty v with
-    | Some ty -> ty
-    | None ->
-      err ~instr "operand has no value type";
-      Types.Void
+    if not (has_value_ty v) then err ~instr "operand has no value type";
+    operand_ty v
   in
   let expect_ty instr what expected v =
     let ty = value_ty instr v in
@@ -119,13 +134,15 @@ let check_func (f : Func.t) =
   in
   let check_address ~counter instr (a : Instr.address) =
     (match lookup_arg a.base with
-     | Some (Instr.Array_arg elt) ->
-       if not (Types.equal_scalar elt a.elt) then
-         err ~instr "address element type %a does not match array %s (%a)"
-           Types.pp_scalar a.elt a.base Types.pp_scalar elt
-     | Some (Instr.Int_arg | Instr.Float_arg) ->
-       err ~instr "%s is not an array argument" a.base
-     | None -> err ~instr "unknown array %s" a.base);
+     | -1 -> err ~instr "unknown array %s" a.base
+     | j -> (
+       match arg_tys.(j) with
+       | Instr.Array_arg elt ->
+         if not (Types.equal_scalar elt a.elt) then
+           err ~instr "address element type %a does not match array %s (%a)"
+             Types.pp_scalar a.elt a.base Types.pp_scalar elt
+       | Instr.Int_arg | Instr.Float_arg ->
+         err ~instr "%s is not an array argument" a.base));
     if a.access_lanes < 1 then err ~instr "non-positive access width";
     if Types.is_mask_scalar a.elt then
       err ~instr "i1 is not a memory element type (masks never touch memory)";
@@ -136,12 +153,15 @@ let check_func (f : Func.t) =
         in
         if not is_counter then
           match lookup_arg s with
-          | Some Instr.Int_arg -> ()
-          | Some _ -> err ~instr "index symbol %s is not an i64 argument" s
-          | None ->
+          | -1 ->
             err ~instr
               "index symbol %s is not an argument or the enclosing loop \
-               counter" s)
+               counter" s
+          | j -> (
+            match arg_tys.(j) with
+            | Instr.Int_arg -> ()
+            | Instr.Float_arg | Instr.Array_arg _ ->
+              err ~instr "index symbol %s is not an i64 argument" s))
       (Affine.terms a.index)
   in
   let access_ty (a : Instr.address) =
@@ -157,7 +177,8 @@ let check_func (f : Func.t) =
     if id_mem seen_ids i.Instr.id then
       err ~instr:i "instruction appears twice in the function";
     id_add seen_ids i.Instr.id;
-    List.iter (check_value i) (Instr.operands i);
+    cur := Some i;
+    Instr.iter_operands check_value i;
     (match i.kind with
      | Instr.Binop (op, x, y) ->
        (match i.ty with
@@ -190,14 +211,15 @@ let check_func (f : Func.t) =
         | Types.Scalar Types.I1 | Types.Vec (Types.I1, _) -> ()
         | Types.Scalar _ | Types.Vec _ | Types.Void ->
           err ~instr:i "cmp.%s must produce i1 lanes" (Opcode.cmp_name op));
-       (match Instr.value_ty x with
-        | Some (Types.Scalar s as tx) | Some (Types.Vec (s, _) as tx) ->
+       (match operand_ty x with
+        | (Types.Scalar s | Types.Vec (s, _)) as tx when has_value_ty x ->
           if not (Opcode.cmp_accepts s) then
             err ~instr:i "cmp cannot compare %a lanes" Types.pp_scalar s;
           if Types.lanes tx <> Types.lanes i.ty then
             err ~instr:i "cmp lane count does not match its result";
           expect_ty i "right operand" tx y
-        | Some Types.Void | None -> err ~instr:i "cmp of non-value")
+        | Types.Scalar _ | Types.Vec _ | Types.Void ->
+          err ~instr:i "cmp of non-value")
      | Instr.Select (m, x, y) ->
        (match i.ty with
         | Types.Void -> err ~instr:i "select with void result"
@@ -232,30 +254,31 @@ let check_func (f : Func.t) =
         | Types.Scalar _ | Types.Void ->
           err ~instr:i "buildvec must produce a vector")
      | Instr.Extract (v, lane) ->
-       (match (Instr.value_ty v, i.ty) with
-        | Some (Types.Vec (s, n)), Types.Scalar s' ->
+       (match (operand_ty v, i.ty) with
+        | _ when not (has_value_ty v) -> err ~instr:i "extract of non-value"
+        | Types.Vec (s, n), Types.Scalar s' ->
           if not (Types.equal_scalar s s') then
             err ~instr:i "extract element type mismatch";
           if lane < 0 || lane >= n then
             err ~instr:i "extract lane %d out of range [0,%d)" lane n
-        | Some _, _ ->
-          err ~instr:i "extract requires a vector operand and scalar result"
-        | None, _ -> err ~instr:i "extract of non-value")
+        | _, _ ->
+          err ~instr:i "extract requires a vector operand and scalar result")
      | Instr.Reduce (op, v) ->
-       (match (Instr.value_ty v, i.ty) with
-        | Some (Types.Vec (s, _)), Types.Scalar s' ->
+       (match (operand_ty v, i.ty) with
+        | _ when not (has_value_ty v) -> err ~instr:i "reduce of non-value"
+        | Types.Vec (s, _), Types.Scalar s' ->
           if not (Types.equal_scalar s s') then
             err ~instr:i "reduce element type mismatch";
           if not (Opcode.binop_accepts op s) then
             err ~instr:i "reduce opcode does not match element type";
           if not (Opcode.is_commutative op && Opcode.is_associative op) then
             err ~instr:i "reduce requires a commutative+associative opcode"
-        | Some _, _ ->
-          err ~instr:i "reduce requires a vector operand and scalar result"
-        | None, _ -> err ~instr:i "reduce of non-value")
+        | _, _ ->
+          err ~instr:i "reduce requires a vector operand and scalar result")
      | Instr.Shuffle (v, idx) ->
-       (match (Instr.value_ty v, i.ty) with
-        | Some (Types.Vec (s, n)), Types.Vec (s', n') ->
+       (match (operand_ty v, i.ty) with
+        | _ when not (has_value_ty v) -> err ~instr:i "shuffle of non-value"
+        | Types.Vec (s, n), Types.Vec (s', n') ->
           if not (Types.equal_scalar s s') then
             err ~instr:i "shuffle element type mismatch";
           if List.length idx <> n' then
@@ -266,9 +289,8 @@ let check_func (f : Func.t) =
               if k < 0 || k >= n then
                 err ~instr:i "shuffle index %d out of range [0,%d)" k n)
             idx
-        | Some _, _ ->
-          err ~instr:i "shuffle requires vector operand and vector result"
-        | None, _ -> err ~instr:i "shuffle of non-value"));
+        | _, _ ->
+          err ~instr:i "shuffle requires vector operand and vector result"));
     id_add defined i.Instr.id
   in
   let seen_labels = Hashtbl.create 8 in
@@ -284,16 +306,18 @@ let check_func (f : Func.t) =
         | Block.Loop li ->
           if li.Block.l_step < 1 then
             err "loop %s has non-positive step %d" label li.Block.l_step;
-          if Hashtbl.mem arg_names li.Block.counter then
+          if lookup_arg li.Block.counter >= 0 then
             err "loop %s counter %s shadows a function argument" label
               li.Block.counter;
           (match li.Block.l_stop with
            | Block.Bound_sym s ->
-             (match Hashtbl.find_opt arg_names s with
-              | Some Instr.Int_arg -> ()
-              | Some _ ->
-                err "loop %s bound %s is not an i64 argument" label s
-              | None -> err "loop %s bound %s is not an argument" label s)
+             (match lookup_arg s with
+              | -1 -> err "loop %s bound %s is not an argument" label s
+              | j -> (
+                match arg_tys.(j) with
+                | Instr.Int_arg -> ()
+                | Instr.Float_arg | Instr.Array_arg _ ->
+                  err "loop %s bound %s is not an i64 argument" label s))
            | Block.Bound_const _ -> ());
           Some li.Block.counter
       in
@@ -303,19 +327,25 @@ let check_func (f : Func.t) =
   (* Arena invariants (dense bijective ids, monotone CSR offsets, acyclic
      uses) are part of well-formedness: every accepted function must
      snapshot cleanly.  Checked only on otherwise-valid IR so error lists
-     for malformed inputs are unchanged. *)
-  if !errors = [] then
-    List.iter
-      (fun b ->
-        match Arena.check (Arena.of_block b) with
+     for malformed inputs are unchanged; the checked arenas are the
+     result. *)
+  if !errors <> [] then Error (List.rev !errors)
+  else
+    let arenas = List.map Arena.of_block (Func.blocks f) in
+    List.iter2
+      (fun b a ->
+        match Arena.check a with
         | Ok () -> ()
         | Error message ->
           errors :=
             { instr = None;
               message = Fmt.str "block %s: %s" (Block.label b) message }
             :: !errors)
-      (Func.blocks f);
-  List.rev !errors
+      (Func.blocks f) arenas;
+    if !errors = [] then Ok arenas else Error (List.rev !errors)
+
+let check_func f =
+  match check_func_arenas f with Ok _ -> [] | Error errors -> errors
 
 let verify_exn f =
   match check_func f with

@@ -3,9 +3,10 @@
    Bundle identities, CSE value keys and other composite facts on the hot
    path are encoded as short [int array]s (a tag plus payload words per
    element) instead of `Fmt.str`-built strings; this table maps such a key
-   to an int handle.  FNV-1a over the words, linear probing, power-of-two
-   capacity.  Keys are compared by content; the caller must not mutate a
-   key after insertion. *)
+   to an int handle.  One multiply per word (golden-ratio multiplier, high
+   bits folded down at the end), linear probing, power-of-two capacity.
+   Keys are compared by content; the caller must not mutate a key after
+   insertion. *)
 
 type t = {
   mutable keys : int array array; (* [||] = empty slot *)
@@ -15,20 +16,20 @@ type t = {
 }
 
 let hash_key (k : int array) =
-  let h = ref 0x0bf29ce484222325 in
+  let h = ref (Array.length k) in
   for i = 0 to Array.length k - 1 do
-    let w = Array.unsafe_get k i in
-    h := (!h lxor (w land 0xffffffff)) * 0x100000001b3;
-    h := (!h lxor (w lsr 32)) * 0x100000001b3
+    h := (!h lxor Array.unsafe_get k i) * 0x2E3779B97F4A7C15
   done;
-  !h
+  !h lxor (!h lsr 29)
+
+(* Top-level, so a comparison allocates no closure. *)
+let rec equal_from (a : int array) (b : int array) i n =
+  i >= n
+  || (Array.unsafe_get a i = Array.unsafe_get b i && equal_from a b (i + 1) n)
 
 let equal_key (a : int array) (b : int array) =
   let n = Array.length a in
-  n = Array.length b
-  &&
-  let rec go i = i >= n || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1)) in
-  go 0
+  n = Array.length b && equal_from a b 0 n
 
 let create n =
   let cap =
@@ -64,16 +65,22 @@ let grow t =
       end)
     old_keys
 
+(* Bind [k] to [v] in the empty slot [s] that [index] found for it. *)
+let insert t s k v =
+  t.keys.(s) <- k;
+  t.vals.(s) <- v;
+  t.count <- t.count + 1;
+  if t.count * 4 > (t.mask + 1) * 3 then grow t
+
 let set t k v =
   if Array.length k = 0 then invalid_arg "Key_table.set: empty key";
   let s = index t k in
-  if Array.length t.keys.(s) = 0 then begin
-    t.keys.(s) <- k;
-    t.vals.(s) <- v;
-    t.count <- t.count + 1;
-    if t.count * 4 > (t.mask + 1) * 3 then grow t
-  end
-  else t.vals.(s) <- v
+  if Array.length t.keys.(s) = 0 then insert t s k v else t.vals.(s) <- v
+
+let find_or_add t k v =
+  if Array.length k = 0 then invalid_arg "Key_table.find_or_add: empty key";
+  let s = index t k in
+  if Array.length t.keys.(s) = 0 then (insert t s k v; v) else t.vals.(s)
 
 let get t k ~absent =
   let s = index t k in

@@ -13,6 +13,13 @@ val length : t -> int
 val set : t -> int array -> int -> unit
 (** Insert or overwrite. @raise Invalid_argument on the empty key. *)
 
+val find_or_add : t -> int array -> int -> int
+(** [find_or_add t k v] is the value bound to [k], binding it to [v] first
+    when [k] is absent — [get] then [set] in one probe.  A caller that
+    passes a [v] no key is bound to tells a hit from an insertion by
+    comparing the result with [v].
+    @raise Invalid_argument on the empty key. *)
+
 val get : t -> int array -> absent:int -> int
 val find_opt : t -> int array -> int option
 val mem : t -> int array -> bool

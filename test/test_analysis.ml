@@ -189,8 +189,12 @@ let graphs_agree config f =
 (* Random contractions of every block of [f]: each instruction joins one
    of a random number of units, keys are drawn from a small range so ties
    (broken by unit number) are common, and cyclic contractions arise
-   whenever a dependence path leaves and re-enters a unit. *)
+   whenever a dependence path leaves and re-enters a unit.  The same
+   contraction is checked again under keys spread over the whole int
+   range (extremes and repeats included), which [schedule] ranks by
+   sorting instead of counting. *)
 let random_contractions_agree st f =
+  let wide = [| min_int; -1_000_000_007; -1; 0; 1 lsl 40; max_int |] in
   List.for_all
     (fun block ->
       let deps = Depgraph.build block in
@@ -198,7 +202,14 @@ let random_contractions_agree st f =
       let units = 1 + Random.State.int st (max n 1) in
       let unit_of = Array.init n (fun _ -> Random.State.int st units) in
       let key = Array.init units (fun _ -> Random.State.int st 4) in
-      agrees deps ~unit_of ~key)
+      let wide_key =
+        Array.map
+          (fun k ->
+            if Random.State.bool st then wide.(Random.State.int st 6)
+            else (k * 1_000_003) - 500)
+          key
+      in
+      agrees deps ~unit_of ~key && agrees deps ~unit_of ~key:wide_key)
     (Func.blocks f)
 
 let gen_prop ~cond_only name =

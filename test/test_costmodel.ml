@@ -49,11 +49,11 @@ let suite =
     tc "classify_gather" (fun () ->
         let x = Instr.Ins (mk_binop Opcode.Add) in
         check_bool "free" true
-          (Model.classify_gather [ Builder.fconst 1.0 ] = Model.Gather_free);
+          (Model.classify_gather [| Builder.fconst 1.0 |] = Model.Gather_free);
         check_bool "splat" true
-          (Model.classify_gather [ x; x ] = Model.Gather_splat);
+          (Model.classify_gather [| x; x |] = Model.Gather_splat);
         check_bool "insert" true
-          (Model.classify_gather [ x; Builder.iconst 1 ] = Model.Gather_insert));
+          (Model.classify_gather [| x; Builder.iconst 1 |] = Model.Gather_insert));
     tc "integer division is expensive and scalarized" (fun () ->
         let d = Model.skylake_avx2.binop_cost Opcode.Sdiv in
         check_bool "scalar > alu" true (d.scalar > 4);

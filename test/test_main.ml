@@ -14,6 +14,7 @@ let () =
       ("graph", Test_graph.suite);
       ("cost", Test_cost.suite);
       ("codegen", Test_codegen.suite);
+      ("upkeep", Test_upkeep.suite);
       ("pipeline", Test_pipeline.suite);
       ("kernels", Test_kernels.suite);
       ("figure8", Test_figure8.suite);

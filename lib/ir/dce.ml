@@ -17,31 +17,32 @@
 let run_block block =
   let arena = Arena.of_block block in
   let n = Arena.size arena in
-  let uses = Array.init n (Arena.num_uses arena) in
-  let dead = Bytes.make n '\000' in
-  let stack = Array.make n 0 and top = ref 0 in
-  let kill k =
-    Bytes.unsafe_set dead k '\001';
-    stack.(!top) <- k;
-    incr top
+  let unused k =
+    Arena.num_uses arena k = 0 && not (Instr.has_side_effect (Arena.instr arena k))
   in
-  let removable k =
-    uses.(k) = 0
-    && Bytes.unsafe_get dead k = '\000'
-    && not (Instr.has_side_effect (Arena.instr arena k))
-  in
-  for k = 0 to n - 1 do
-    if removable k then kill k
-  done;
-  if !top = 0 then 0
-  else begin
+  let rec first_unused k = if k >= n || unused k then k else first_unused (k + 1) in
+  match first_unused 0 with
+  | k0 when k0 = n -> 0 (* nothing dead: no worklist state is allocated *)
+  | k0 ->
+    let uses = Array.init n (Arena.num_uses arena) in
+    let dead = Bytes.make n '\000' in
+    let stack = Array.make n 0 and top = ref 0 in
+    let kill k =
+      Bytes.unsafe_set dead k '\001';
+      stack.(!top) <- k;
+      incr top
+    in
+    for k = k0 to n - 1 do
+      if unused k then kill k
+    done;
     let release (v : Instr.value) =
       match v with
       | Instr.Ins def ->
         let j = Arena.idx_of_id arena def.Instr.id in
         if j >= 0 then begin
           uses.(j) <- uses.(j) - 1;
-          if removable j then kill j
+          if uses.(j) = 0 && not (Instr.has_side_effect (Arena.instr arena j))
+          then kill j
         end
       | Instr.Const _ | Instr.Arg _ -> ()
     in
@@ -57,7 +58,6 @@ let run_block block =
     done;
     Block.set_order block !live;
     !removed
-  end
 
 (* Blocks are self-contained regions (no cross-block uses), so a per-block
    sweep is a complete function-level DCE. *)

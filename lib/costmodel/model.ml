@@ -144,15 +144,15 @@ let classify_gather (values : Instr.value array) =
   else Gather_insert
 
 let gather_cost_lanes t (values : Instr.value array) =
-  if lanes_const values 0 then 0
-  else if lanes_same values 1 then t.splat
-  else begin
+  match classify_gather values with
+  | Gather_free -> 0
+  | Gather_splat -> t.splat
+  | Gather_insert ->
     let c = ref 0 in
     for j = 0 to Array.length values - 1 do
       c := !c + insert_cost_of_value t values.(j)
     done;
     !c
-  end
 
 let gather_cost t values = gather_cost_lanes t (Array.of_list values)
 

@@ -457,10 +457,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
         in
         conclude
           (verdict config ~block:region_id
-             ~region:
-               (Fmt.str "reduce %s x%d"
-                  (Opcode.binop_name c.Reduction.cand_op)
-                  leaves)
+             ~region:(Reduction.describe c)
              ~lanes:0
              (Remark.Reduction_unmatched
                 { leaves; width = Config.effective_max_lanes config elt }))

@@ -21,6 +21,10 @@ type candidate = {
   cand_leaves : Instr.value list;
 }
 
+let describe c =
+  "reduce " ^ Opcode.binop_name c.cand_op ^ " x"
+  ^ string_of_int (List.length c.cand_leaves)
+
 (* Chain roots: commutative+associative ops that are not themselves
    absorbed into a parent chain of the same opcode (multi-use values are
    roots of their own chains; their parents treat them as leaves). *)
@@ -199,11 +203,7 @@ let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
       Lslp_util.Int_table.set consumed c.cand_root.Instr.id 1;
       continue_ := true;
       Option.iter Lslp_robust.Budget.spend_step meter;
-      let desc =
-        Fmt.str "reduce %s x%d"
-          (Opcode.binop_name c.cand_op)
-          (List.length c.cand_leaves)
-      in
+      let desc = describe c in
       match
         plan_candidate ?meter ?probe ?trace ?ids ~deps ~desc config block c
       with

@@ -14,6 +14,10 @@ type candidate = {
   cand_leaves : Instr.value list;
 }
 
+val describe : candidate -> string
+(** The region text of a candidate, ["reduce fadd x8"]: its opcode and
+    leaf count. *)
+
 val collect_candidates : ?uses:Use_info.t -> Block.t -> candidate list
 (** Reduction-chain roots of one block in program order, with their
     leaves.  [uses] shares def-use info already computed for the block;

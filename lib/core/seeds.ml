@@ -8,15 +8,24 @@ open Lslp_ir
 
 type seed = Instr.t array
 
+(* "A[4*i + 1] x4", or "seed <opclass> %name x4" for a seed that is not a
+   memory access.  Built in a Buffer: it runs for every seed tried. *)
 let describe (seed : seed) =
-  match Instr.address seed.(0) with
-  | Some a ->
-    Fmt.str "%s[%a] x%d" a.Instr.base Affine.pp a.Instr.index
-      (Array.length seed)
-  | None ->
-    Fmt.str "seed %s %%%s x%d"
-      (Instr.opclass_name (Instr.opclass seed.(0)))
-      seed.(0).Instr.name (Array.length seed)
+  let buf = Buffer.create 32 in
+  (match Instr.address seed.(0) with
+   | Some a ->
+     Buffer.add_string buf a.Instr.base;
+     Buffer.add_char buf '[';
+     Affine.bprint buf a.Instr.index;
+     Buffer.add_char buf ']'
+   | None ->
+     Buffer.add_string buf "seed ";
+     Buffer.add_string buf (Instr.opclass_name (Instr.opclass seed.(0)));
+     Buffer.add_string buf " %";
+     Buffer.add_string buf seed.(0).Instr.name);
+  Buffer.add_string buf " x";
+  Buffer.add_string buf (string_of_int (Array.length seed));
+  Buffer.contents buf
 
 (* Split one consecutive run of stores into windows: greedily take the
    largest power-of-two width that fits (>= 2). *)

@@ -51,11 +51,20 @@ and for_loop = {
   f_body : stmt list;
 }
 
+type param = {
+  pname : string;
+  pty : param_ty;
+  ppos : Token.pos;    (* the name's position, for duplicate reports *)
+}
+
 type kernel = {
   kname : string;
-  params : (string * param_ty) list;
+  params : param list;
   body : stmt list;
 }
+
+let equal_ty a b =
+  match (a, b) with Ti64, Ti64 | Tf64, Tf64 -> true | (Ti64 | Tf64), _ -> false
 
 let pp_ty ppf = function
   | Ti64 -> Fmt.string ppf "i64"
@@ -71,7 +80,7 @@ let cmpop_symbol = function
   | C_eq -> "==" | C_ne -> "!="
 
 (* Builtins and their arities; the lowering maps them to IR opcodes. *)
-let builtins = [ ("sqrt", 1); ("fabs", 1); ("fmin", 2); ("fmax", 2);
-                 ("min", 2); ("max", 2) ]
-
-let builtin_arity name = List.assoc_opt name builtins
+let builtin_arity = function
+  | "sqrt" | "fabs" -> Some 1
+  | "fmin" | "fmax" | "min" | "max" -> Some 2
+  | _ -> None

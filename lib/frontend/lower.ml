@@ -15,44 +15,64 @@ exception Error of string * Token.pos
 
 let error pos fmt = Fmt.kstr (fun s -> raise (Error (s, pos))) fmt
 
-type local = {
-  l_ty : Ast.ty;
-  l_value : Instr.value;
-  l_affine : Affine.t option;  (* set for i64 locals with affine definitions *)
-  l_block : Block.t;           (* region the defining code was emitted in *)
-}
+(* What a name means at one point of the kernel.  Parameters, locals and
+   the loop counter never share a name (declarations reject shadowing and
+   duplicate parameters are rejected up front), so one lookup answers every
+   question a use site asks. *)
+type binding =
+  | Unbound
+  | Counter of Affine.t option
+      (* the enclosing loop's counter, with its affine symbol *)
+  | Scalar of Ast.ty * Instr.value * Affine.t option
+      (* i64/f64 parameter, its argument and (i64 only) its symbol *)
+  | Array of Ast.ty                 (* array parameter, by element type *)
+  | Local of {
+      l_ty : Ast.ty;
+      l_value : Instr.value;
+      l_affine : Affine.t option;  (* set for i64 locals with affine definitions *)
+      l_block : Block.t;           (* region the defining code was emitted in *)
+    }
 
 type env = {
   builder : Builder.t;
-  params : (string * Ast.param_ty) list;
-  mutable locals : (string * local) list;
-  mutable counters : string list;  (* enclosing loop counters (at most one) *)
+  mutable scope : (string * binding) list;
+      (* locals, newest first, in front of the parameters *)
+  mutable loop : (string * binding) option;
+      (* the enclosing loop's counter and its [Counter] binding *)
   mutable next_loop : int;
   mutable mask : Instr.value option;
       (* set while if-converting a branch: the i1 predicate every memory
          access in the branch must be guarded by *)
 }
 
-let lookup_local env name = List.assoc_opt name env.locals
+let rec find name = function
+  | [] -> Unbound
+  | (n, b) :: rest -> if String.equal n name then b else find name rest
 
-let lookup_param env name = List.assoc_opt name env.params
-
-let is_counter env name = List.mem name env.counters
+let resolve env name =
+  match env.loop with
+  | Some (c, counter) when String.equal c name -> counter
+  | Some _ | None -> find name env.scope
 
 (* Affine view of an i64 expression, when one exists. *)
 let rec affine_of env (e : Ast.expr) : Affine.t option =
   match e.Ast.desc with
   | Ast.Int_lit n -> Some (Affine.const (Int64.to_int n))
-  | Ast.Var x ->
-    if is_counter env x then Some (Affine.sym x)
-    else (
-      match lookup_param env x with
-      | Some Ast.P_i64 -> Some (Affine.sym x)
-      | Some (Ast.P_f64 | Ast.P_arr _) -> None
-      | None -> (
-        match lookup_local env x with
-        | Some { l_affine; _ } -> l_affine
-        | None -> None))
+  | Ast.Var x -> (
+    match resolve env x with
+    | Counter a | Scalar (_, _, a) -> a
+    | Local l -> l.l_affine
+    | Array _ | Unbound -> None)
+  (* the [c*x + k] shape of most subscripts, without boxing the literals;
+     the results equal the general case's *)
+  | Ast.Bin (Ast.B_add, a, { Ast.desc = Ast.Int_lit k; _ }) -> (
+    match affine_of env a with
+    | Some fa -> Some (Affine.add_const (Int64.to_int k) fa)
+    | None -> None)
+  | Ast.Bin (Ast.B_mul, { Ast.desc = Ast.Int_lit c; _ }, b) -> (
+    match affine_of env b with
+    | Some fb -> Some (Affine.scale (Int64.to_int c) fb)
+    | None -> None)
   | Ast.Bin (op, a, b) -> (
     match (affine_of env a, affine_of env b) with
     | Some fa, Some fb -> (
@@ -66,36 +86,36 @@ let rec affine_of env (e : Ast.expr) : Affine.t option =
   | Ast.Neg a -> Option.map Affine.neg (affine_of env a)
   | Ast.Float_lit _ | Ast.Load _ | Ast.Call _ | Ast.Cmp _ -> None
 
+(* The type check of one expression tree, raising on the first error in
+   left-to-right order.  Each statement runs it once per root, before
+   lowering that root, so [lower_expr] can trust every type below it.
+   Array subscripts are not descended into: [subscript] checks them when the
+   load is lowered. *)
 let rec infer_ty env (e : Ast.expr) : Ast.ty =
   match e.Ast.desc with
   | Ast.Int_lit _ -> Ast.Ti64
   | Ast.Float_lit _ -> Ast.Tf64
-  | Ast.Var x ->
-    if is_counter env x then Ast.Ti64
-    else (
-      match lookup_param env x with
-      | Some Ast.P_i64 -> Ast.Ti64
-      | Some Ast.P_f64 -> Ast.Tf64
-      | Some (Ast.P_arr _) ->
-        error e.Ast.epos "array %s used as a scalar value" x
-      | None -> (
-        match lookup_local env x with
-        | Some l -> l.l_ty
-        | None -> error e.Ast.epos "undefined variable %s" x))
+  | Ast.Var x -> (
+    match resolve env x with
+    | Counter _ -> Ast.Ti64
+    | Scalar (ty, _, _) -> ty
+    | Array _ -> error e.Ast.epos "array %s used as a scalar value" x
+    | Local l -> l.l_ty
+    | Unbound -> error e.Ast.epos "undefined variable %s" x)
   | Ast.Load (arr, _) -> (
-    match lookup_param env arr with
-    | Some (Ast.P_arr ty) -> ty
-    | Some (Ast.P_i64 | Ast.P_f64) ->
-      error e.Ast.epos "%s is not an array" arr
-    | None -> error e.Ast.epos "undefined array %s" arr)
+    match resolve env arr with
+    | Array ty -> ty
+    | Scalar _ -> error e.Ast.epos "%s is not an array" arr
+    | Counter _ | Local _ | Unbound -> error e.Ast.epos "undefined array %s" arr)
   | Ast.Bin (op, a, b) ->
-    let ta = infer_ty env a and tb = infer_ty env b in
-    if ta <> tb then
+    let ta = infer_ty env a in
+    let tb = infer_ty env b in
+    if not (Ast.equal_ty ta tb) then
       error e.Ast.epos "operands of %s have different types (%a vs %a)"
         (Ast.binop_symbol op) Ast.pp_ty ta Ast.pp_ty tb;
     (match op with
      | Ast.B_and | Ast.B_or | Ast.B_xor | Ast.B_shl | Ast.B_shr | Ast.B_rem ->
-       if ta <> Ast.Ti64 then
+       if not (Ast.equal_ty ta Ast.Ti64) then
          error e.Ast.epos "%s requires i64 operands" (Ast.binop_symbol op)
      | Ast.B_add | Ast.B_sub | Ast.B_mul | Ast.B_div -> ());
     ta
@@ -108,16 +128,16 @@ let rec infer_ty env (e : Ast.expr) : Ast.ty =
     | "sqrt" | "fabs" | "fmin" | "fmax" ->
       List.iter
         (fun a ->
-          if infer_ty env a <> Ast.Tf64 then
-            error a.Ast.epos "%s requires f64 argument(s)" name)
+          match infer_ty env a with
+          | Ast.Tf64 -> ()
+          | Ast.Ti64 -> error a.Ast.epos "%s requires f64 argument(s)" name)
         args;
       Ast.Tf64
-    | "min" | "max" ->
-      let tys = List.map (infer_ty env) args in
-      (match tys with
-       | [ ta; tb ] when ta = tb -> ta
-       | [ _; _ ] -> error e.Ast.epos "%s arguments must have equal types" name
-       | _ -> error e.Ast.epos "%s expects 2 arguments" name)
+    | "min" | "max" -> (
+      match List.map (infer_ty env) args with
+      | [ ta; tb ] when Ast.equal_ty ta tb -> ta
+      | [ _; _ ] -> error e.Ast.epos "%s arguments must have equal types" name
+      | _ -> error e.Ast.epos "%s expects 2 arguments" name)
     | _ -> error e.Ast.epos "unknown builtin %s" name)
 
 let cmp_opcode : Ast.cmpop -> Opcode.cmp = function
@@ -158,32 +178,31 @@ let subscript env arr (idx : Ast.expr) =
     error idx.Ast.epos
       "subscript of %s is not affine in the kernel's i64 parameters" arr
 
-let rec lower_expr env (e : Ast.expr) : Instr.value =
+(* Lower an expression [infer_ty] has already accepted at type [ty].  Every
+   operator's operands share its type (min/max and the f64 builtins
+   included), so [ty] is passed down instead of inferred again; the checks
+   left here are the ones [infer_ty] does not make. *)
+let rec lower_expr env ty (e : Ast.expr) : Instr.value =
   match e.Ast.desc with
   | Ast.Int_lit n -> Builder.iconst64 n
   | Ast.Float_lit x -> Builder.fconst x
-  | Ast.Var x ->
-    if is_counter env x then
+  | Ast.Var x -> (
+    match resolve env x with
+    | Counter _ ->
       error e.Ast.epos
         "loop counter %s can only appear in array subscripts (and other \
          affine positions)" x
-    else (
-      match lookup_local env x with
-      | Some l ->
-        (match l.l_value with
-         | Instr.Ins _
-           when l.l_block != Builder.current_block env.builder ->
-           error e.Ast.epos
-             "local %s is defined in a different region (regions are \
-              self-contained: recompute it here or pass it through memory)"
-             x
-         | Instr.Ins _ | Instr.Const _ | Instr.Arg _ -> l.l_value)
-      | None -> (
-        match lookup_param env x with
-        | Some (Ast.P_i64 | Ast.P_f64) -> Builder.arg env.builder x
-        | Some (Ast.P_arr _) ->
-          error e.Ast.epos "array %s used as a scalar value" x
-        | None -> error e.Ast.epos "undefined variable %s" x))
+    | Local l -> (
+      match l.l_value with
+      | Instr.Ins _ when l.l_block != Builder.current_block env.builder ->
+        error e.Ast.epos
+          "local %s is defined in a different region (regions are \
+           self-contained: recompute it here or pass it through memory)"
+          x
+      | Instr.Ins _ | Instr.Const _ | Instr.Arg _ -> l.l_value)
+    | Scalar (_, v, _) -> v
+    | Array _ -> error e.Ast.epos "array %s used as a scalar value" x
+    | Unbound -> error e.Ast.epos "undefined variable %s" x)
   | Ast.Load (arr, idx) -> (
     let index = subscript env arr idx in
     match env.mask with
@@ -194,38 +213,32 @@ let rec lower_expr env (e : Ast.expr) : Instr.value =
          bounds); the passthrough zero feeds lanes whose results are
          discarded by the guarded stores downstream *)
       let passthrough =
-        match lookup_param env arr with
-        | Some (Ast.P_arr Ast.Ti64) -> Builder.iconst 0
-        | Some (Ast.P_arr Ast.Tf64) -> Builder.fconst 0.0
-        | Some (Ast.P_i64 | Ast.P_f64) ->
-          error e.Ast.epos "%s is not an array" arr
-        | None -> error e.Ast.epos "undefined array %s" arr
+        match ty with
+        | Ast.Ti64 -> Builder.iconst 0
+        | Ast.Tf64 -> Builder.fconst 0.0
       in
       Builder.masked_load env.builder ~base:arr index ~mask ~passthrough)
   | Ast.Cmp _ ->
     error e.Ast.epos
       "comparisons can only appear as an `if` condition, not as a value"
   | Ast.Bin (op, a, b) ->
-    let ty = infer_ty env e in
-    let va = lower_expr env a in
-    let vb = lower_expr env b in
+    let va = lower_expr env ty a in
+    let vb = lower_expr env ty b in
     Builder.binop env.builder (binop_opcode e.Ast.epos op ty) va vb
   | Ast.Neg a ->
-    let ty = infer_ty env a in
-    let va = lower_expr env a in
+    let va = lower_expr env ty a in
     let op = match ty with Ast.Ti64 -> Opcode.Neg | Ast.Tf64 -> Opcode.Fneg in
     Builder.unop env.builder op va
   | Ast.Call (name, args) -> (
-    let vargs = List.map (lower_expr env) args in
-    match (name, vargs, List.map (infer_ty env) args) with
-    | "sqrt", [ v ], _ -> Builder.unop env.builder Opcode.Fsqrt v
-    | "fabs", [ v ], _ -> Builder.unop env.builder Opcode.Fabs v
-    | "fmin", [ a; b ], _ -> Builder.binop env.builder Opcode.Fmin a b
-    | "fmax", [ a; b ], _ -> Builder.binop env.builder Opcode.Fmax a b
-    | "min", [ a; b ], Ast.Ti64 :: _ -> Builder.binop env.builder Opcode.Smin a b
-    | "min", [ a; b ], _ -> Builder.binop env.builder Opcode.Fmin a b
-    | "max", [ a; b ], Ast.Ti64 :: _ -> Builder.binop env.builder Opcode.Smax a b
-    | "max", [ a; b ], _ -> Builder.binop env.builder Opcode.Fmax a b
+    (* f64 builtins return f64, min/max their operands' type *)
+    let b = env.builder in
+    match (name, List.map (lower_expr env ty) args, ty) with
+    | "sqrt", [ v ], _ -> Builder.unop b Opcode.Fsqrt v
+    | "fabs", [ v ], _ -> Builder.unop b Opcode.Fabs v
+    | ("fmin" | "min"), [ x; y ], Ast.Tf64 -> Builder.binop b Opcode.Fmin x y
+    | ("fmax" | "max"), [ x; y ], Ast.Tf64 -> Builder.binop b Opcode.Fmax x y
+    | "min", [ x; y ], Ast.Ti64 -> Builder.binop b Opcode.Smin x y
+    | "max", [ x; y ], Ast.Ti64 -> Builder.binop b Opcode.Smax x y
     | _ -> error e.Ast.epos "unknown builtin %s" name)
 
 (* Loop start/step must be integer literals (after constant folding); the
@@ -237,89 +250,99 @@ let loop_const env what (e : Ast.expr) =
     error e.Ast.epos "loop %s must be an integer constant" what
 
 let loop_bound env (e : Ast.expr) =
+  let bad () =
+    error e.Ast.epos
+      "loop bound must be an integer constant or a single i64 parameter"
+  in
   match affine_of env e with
   | Some a -> (
     match Affine.to_const a with
     | Some c -> Block.Bound_const c
     | None -> (
       match Affine.symbols a with
-      | [ s ] when Affine.equal a (Affine.sym s)
-                   && lookup_param env s = Some Ast.P_i64 ->
-        Block.Bound_sym s
-      | _ ->
-        error e.Ast.epos
-          "loop bound must be an integer constant or a single i64 parameter"))
-  | None ->
-    error e.Ast.epos
-      "loop bound must be an integer constant or a single i64 parameter"
+      | [ s ] when Affine.equal a (Affine.sym s) -> (
+        match resolve env s with
+        | Scalar (Ast.Ti64, _, _) -> Block.Bound_sym s
+        | Scalar (Ast.Tf64, _, _) | Unbound | Counter _ | Array _ | Local _ ->
+          bad ())
+      | _ -> bad ()))
+  | None -> bad ()
+
+(* Entries a branch consed onto the shared outer scope, oldest first. *)
+let branch_fresh ~outer scope =
+  let rec strip l =
+    if l == outer then []
+    else match l with [] -> [] | x :: tl -> x :: strip tl
+  in
+  List.rev (strip scope)
 
 let rec lower_stmt env (s : Ast.stmt) =
   match s.Ast.sdesc with
   | Ast.Decl (ty, name, e) ->
-    if Option.is_some (lookup_local env name) then
-      error s.Ast.spos "local %s is already defined (locals are \
-                        single-assignment)" name;
-    if Option.is_some (lookup_param env name) then
-      error s.Ast.spos "local %s shadows a parameter" name;
-    if is_counter env name then
-      error s.Ast.spos "local %s shadows the loop counter" name;
+    (match resolve env name with
+     | Local _ ->
+       error s.Ast.spos "local %s is already defined (locals are \
+                         single-assignment)" name
+     | Scalar _ | Array _ -> error s.Ast.spos "local %s shadows a parameter" name
+     | Counter _ -> error s.Ast.spos "local %s shadows the loop counter" name
+     | Unbound -> ());
     let ety = infer_ty env e in
-    if ety <> ty then
+    if not (Ast.equal_ty ety ty) then
       error s.Ast.spos "local %s declared %a but initialized with %a" name
         Ast.pp_ty ty Ast.pp_ty ety;
     let l_affine =
       match ty with Ast.Ti64 -> affine_of env e | Ast.Tf64 -> None
     in
-    let l_value = lower_expr env e in
-    env.locals <-
+    let l_value = lower_expr env ty e in
+    env.scope <-
       (name,
-       { l_ty = ty; l_value; l_affine;
-         l_block = Builder.current_block env.builder })
-      :: env.locals
+       Local { l_ty = ty; l_value; l_affine;
+               l_block = Builder.current_block env.builder })
+      :: env.scope
   | Ast.Store (arr, idx, e) -> (
-    match lookup_param env arr with
-    | Some (Ast.P_arr elt_ty) ->
+    match resolve env arr with
+    | Array elt_ty ->
       let ety = infer_ty env e in
-      if ety <> elt_ty then
+      if not (Ast.equal_ty ety elt_ty) then
         error s.Ast.spos "storing %a into %a array %s" Ast.pp_ty ety
           Ast.pp_ty elt_ty arr;
       let index = subscript env arr idx in
-      let v = lower_expr env e in
+      let v = lower_expr env elt_ty e in
       (match env.mask with
        | None -> Builder.store env.builder ~base:arr index v
        | Some mask -> Builder.masked_store env.builder ~base:arr index v ~mask)
-    | Some (Ast.P_i64 | Ast.P_f64) ->
-      error s.Ast.spos "%s is not an array" arr
-    | None -> error s.Ast.spos "undefined array %s" arr)
+    | Scalar _ -> error s.Ast.spos "%s is not an array" arr
+    | Counter _ | Local _ | Unbound -> error s.Ast.spos "undefined array %s" arr)
   | Ast.For fl ->
-    if env.counters <> [] then
+    if Option.is_some env.loop then
       error s.Ast.spos "nested loops are not supported";
-    if env.mask <> None then
+    if Option.is_some env.mask then
       error s.Ast.spos
         "loops cannot appear inside `if` (if-converted regions are \
          straight-line)";
     let counter = fl.Ast.f_counter in
-    if Option.is_some (lookup_param env counter) then
-      error s.Ast.spos "loop counter %s shadows a parameter" counter;
-    if Option.is_some (lookup_local env counter) then
-      error s.Ast.spos "loop counter %s shadows a local" counter;
+    (match resolve env counter with
+     | Scalar _ | Array _ ->
+       error s.Ast.spos "loop counter %s shadows a parameter" counter
+     | Local _ -> error s.Ast.spos "loop counter %s shadows a local" counter
+     | Counter _ | Unbound -> ());
     let l_start = loop_const env "start" fl.Ast.f_start in
     let l_step = loop_const env "step" fl.Ast.f_step in
     if l_step < 1 then
       error s.Ast.spos "loop step must be positive, got %d" l_step;
     let l_stop = loop_bound env fl.Ast.f_bound in
-    let label = Fmt.str "loop%d" env.next_loop in
+    let label = "loop" ^ string_of_int env.next_loop in
     env.next_loop <- env.next_loop + 1;
     ignore
       (Builder.start_block env.builder ~label
          ~kind:(Block.Loop { Block.counter; l_start; l_stop; l_step })
          ());
     (* body locals are scoped to the loop *)
-    let saved_locals = env.locals in
-    env.counters <- counter :: env.counters;
+    let saved_scope = env.scope in
+    env.loop <- Some (counter, Counter (Some (Affine.sym counter)));
     List.iter (lower_stmt env) fl.Ast.f_body;
-    env.counters <- List.tl env.counters;
-    env.locals <- saved_locals;
+    env.loop <- None;
+    env.scope <- saved_scope;
     (* code after the loop falls through into a fresh straight block *)
     ignore (Builder.start_block env.builder ())
   | Ast.If ifs ->
@@ -331,13 +354,14 @@ let rec lower_stmt env (s : Ast.stmt) =
     let op, va, vb =
       match ifs.Ast.i_cond.Ast.desc with
       | Ast.Cmp (op, a, b) ->
-        let ta = infer_ty env a and tb = infer_ty env b in
-        if ta <> tb then
+        let ta = infer_ty env a in
+        let tb = infer_ty env b in
+        if not (Ast.equal_ty ta tb) then
           error ifs.Ast.i_cond.Ast.epos
             "comparison operands have different types (%a vs %a)" Ast.pp_ty
             ta Ast.pp_ty tb;
-        let va = lower_expr env a in
-        let vb = lower_expr env b in
+        let va = lower_expr env ta a in
+        let vb = lower_expr env ta b in
         (cmp_opcode op, va, vb)
       | _ ->
         error ifs.Ast.i_cond.Ast.epos "if condition must be a comparison"
@@ -349,60 +373,52 @@ let rec lower_stmt env (s : Ast.stmt) =
       | None -> m
       | Some outer -> Builder.binop env.builder ~name:"mand" Opcode.And outer m
     in
-    let outer_locals = env.locals in
+    let outer = env.scope in
     let outer_mask = env.mask in
     let then_mask = combine (Builder.cmp env.builder op va vb) in
     env.mask <- Some then_mask;
     List.iter (lower_stmt env) ifs.Ast.i_then;
-    let then_locals = env.locals in
-    env.locals <- outer_locals;
+    let then_scope = env.scope in
+    env.scope <- outer;
     env.mask <- outer_mask;
-    let else_locals =
-      if ifs.Ast.i_else = [] then outer_locals
-      else begin
+    let else_scope =
+      match ifs.Ast.i_else with
+      | [] -> outer
+      | else_stmts ->
         let else_mask =
           combine (Builder.cmp env.builder (Opcode.negate_cmp op) va vb)
         in
         env.mask <- Some else_mask;
-        List.iter (lower_stmt env) ifs.Ast.i_else;
-        let l = env.locals in
-        env.locals <- outer_locals;
+        List.iter (lower_stmt env) else_stmts;
+        let l = env.scope in
+        env.scope <- outer;
         env.mask <- outer_mask;
         l
-      end
     in
     (* Join: a local declared in BOTH branches keeps its name after the if,
        merged lane-wise with a select on the then-mask.  Branch-only locals
        go out of scope with their branch (their value is undefined on the
        other path). *)
-    let branch_fresh locs =
-      (* entries the branch consed onto the shared outer tail, oldest first *)
-      let rec strip l =
-        if l == outer_locals then []
-        else match l with [] -> [] | x :: tl -> x :: strip tl
-      in
-      List.rev (strip locs)
-    in
-    let else_fresh = branch_fresh else_locals in
+    let else_fresh = branch_fresh ~outer else_scope in
     List.iter
-      (fun (name, tl) ->
-        match List.assoc_opt name else_fresh with
-        | Some el when el.l_ty = tl.l_ty ->
+      (fun (name, b) ->
+        match (b, find name else_fresh) with
+        | Local tl, Local el when Ast.equal_ty el.l_ty tl.l_ty ->
           let merged =
             Builder.select env.builder ~name:(name ^ "_m") then_mask
               tl.l_value el.l_value
           in
-          env.locals <-
+          env.scope <-
             (name,
-             { l_ty = tl.l_ty; l_value = merged; l_affine = None;
-               l_block = Builder.current_block env.builder })
-            :: env.locals
-        | Some _ ->
+             Local { l_ty = tl.l_ty; l_value = merged; l_affine = None;
+                     l_block = Builder.current_block env.builder })
+            :: env.scope
+        | Local _, Local _ ->
           error s.Ast.spos
             "local %s is declared with different types in the two branches"
             name
-        | None -> ())
-      (branch_fresh then_locals)
+        | _ -> ())
+      (branch_fresh ~outer then_scope)
 
 let arg_ty_of_param = function
   | Ast.P_i64 -> Instr.Int_arg
@@ -410,22 +426,40 @@ let arg_ty_of_param = function
   | Ast.P_arr Ast.Ti64 -> Instr.Array_arg Types.I64
   | Ast.P_arr Ast.Tf64 -> Instr.Array_arg Types.F64
 
+(* Reject the first parameter whose name an earlier one already took, at
+   that name's position. *)
+let check_duplicate_params (params : Ast.param list) =
+  ignore
+    (List.fold_left
+       (fun seen (p : Ast.param) ->
+         if List.exists (String.equal p.Ast.pname) seen then
+           error p.Ast.ppos "duplicate parameter %s" p.Ast.pname;
+         p.Ast.pname :: seen)
+       [] params)
+
+let param_binding builder (p : Ast.param) =
+  match p.Ast.pty with
+  | Ast.P_i64 ->
+    Scalar
+      (Ast.Ti64, Builder.arg builder p.Ast.pname, Some (Affine.sym p.Ast.pname))
+  | Ast.P_f64 -> Scalar (Ast.Tf64, Builder.arg builder p.Ast.pname, None)
+  | Ast.P_arr ty -> Array ty
+
 let lower_kernel (k : Ast.kernel) : Func.t =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (name, _) ->
-      if Hashtbl.mem seen name then
-        raise (Error (Fmt.str "duplicate parameter %s" name,
-                      { Token.line = 0; col = 0 }));
-      Hashtbl.replace seen name ())
-    k.Ast.params;
+  check_duplicate_params k.Ast.params;
   let builder =
     Builder.create ~name:k.Ast.kname
-      ~args:(List.map (fun (n, p) -> (n, arg_ty_of_param p)) k.Ast.params)
+      ~args:
+        (List.map
+           (fun (p : Ast.param) -> (p.Ast.pname, arg_ty_of_param p.Ast.pty))
+           k.Ast.params)
   in
   let env =
-    { builder; params = k.Ast.params; locals = []; counters = [];
-      next_loop = 0; mask = None }
+    { builder;
+      scope =
+        List.map (fun (p : Ast.param) -> (p.Ast.pname, param_binding builder p))
+          k.Ast.params;
+      loop = None; next_loop = 0; mask = None }
   in
   List.iter (lower_stmt env) k.Ast.body;
   let f = Builder.func builder in

@@ -20,207 +20,186 @@ exception Error of string * Token.pos
 
 let error pos fmt = Fmt.kstr (fun s -> raise (Error (s, pos))) fmt
 
-type state = { mutable toks : Token.spanned list }
+(* The parser pulls tokens from the lexer's cursor one at a time; the
+   current token is the one-token lookahead. *)
+let peek = Lexer.current
+let advance = Lexer.advance
+let pos = Lexer.token_pos
 
-let peek st =
-  match st.toks with
-  | t :: _ -> t
-  | [] -> { Token.tok = Token.EOF; pos = { line = 0; col = 0 } }
+(* Token tests compare against payload-free tokens only, so physical
+   equality is exact and never calls the polymorphic compare. *)
+let next_is st (tok : Token.t) = peek st == tok
 
-let advance st =
-  match st.toks with
-  | _ :: rest -> st.toks <- rest
-  | [] -> ()
+let unexpected st what =
+  error (pos st) "expected %s but found `%s`" what (Token.to_string (peek st))
 
-let expect st tok what =
-  let t = peek st in
-  if t.Token.tok = tok then advance st
-  else
-    error t.Token.pos "expected %s but found `%s`" what
-      (Token.to_string t.Token.tok)
+let expect st tok what = if peek st == tok then advance st else unexpected st what
 
 let expect_ident st what =
-  let t = peek st in
-  match t.Token.tok with
-  | Token.IDENT s ->
-    advance st;
-    (s, t.Token.pos)
-  | other ->
-    error t.Token.pos "expected %s but found `%s`" what (Token.to_string other)
+  match peek st with
+  | Token.IDENT s -> advance st; s
+  | _ -> unexpected st what
 
-let rec parse_expr st = parse_bitor st
+(* Binary operators by precedence level, from 1 (bitor) to 6 (term); level
+   0 marks a token that is not one. *)
+let binop_of_token : Token.t -> int * Ast.binop = function
+  | Token.PIPE -> (1, Ast.B_or)
+  | Token.CARET -> (2, Ast.B_xor)
+  | Token.AMP -> (3, Ast.B_and)
+  | Token.SHL -> (4, Ast.B_shl)
+  | Token.SHR -> (4, Ast.B_shr)
+  | Token.PLUS -> (5, Ast.B_add)
+  | Token.MINUS -> (5, Ast.B_sub)
+  | Token.STAR -> (6, Ast.B_mul)
+  | Token.SLASH -> (6, Ast.B_div)
+  | Token.PERCENT -> (6, Ast.B_rem)
+  | _ -> (0, Ast.B_or)
+
+let rec parse_expr st = parse_binary st 1
 
 (* `if` conditions only: a single non-associative comparison. *)
 and parse_cond st =
-  let lhs = parse_bitor st in
-  let t = peek st in
-  let op =
-    match t.Token.tok with
-    | Token.LT -> Some Ast.C_lt
-    | Token.LE -> Some Ast.C_le
-    | Token.GT -> Some Ast.C_gt
-    | Token.GE -> Some Ast.C_ge
-    | Token.EQEQ -> Some Ast.C_eq
-    | Token.NEQ -> Some Ast.C_ne
-    | _ -> None
+  let lhs = parse_expr st in
+  let op : Ast.cmpop =
+    match peek st with
+    | Token.LT -> Ast.C_lt
+    | Token.LE -> Ast.C_le
+    | Token.GT -> Ast.C_gt
+    | Token.GE -> Ast.C_ge
+    | Token.EQEQ -> Ast.C_eq
+    | Token.NEQ -> Ast.C_ne
+    | other ->
+      error (pos st)
+        "an if condition must be a comparison (a < b, a == b, ...), found `%s`"
+        (Token.to_string other)
   in
-  match op with
-  | Some op ->
+  advance st;
+  let rhs = parse_expr st in
+  { Ast.desc = Ast.Cmp (op, lhs, rhs); epos = lhs.Ast.epos }
+
+(* Precedence climbing over the levels of [binop_of_token]: an operand,
+   then every operator of level >= [min], each right operand binding only
+   tighter operators.  All levels are left-associative, so this builds the
+   tree of the one-rule-per-level grammar in the header. *)
+and parse_binary st min = climb st min (parse_unary st)
+
+and climb st min lhs =
+  let level, op = binop_of_token (peek st) in
+  if level >= min then begin
     advance st;
-    let rhs = parse_bitor st in
-    { Ast.desc = Ast.Cmp (op, lhs, rhs); epos = lhs.Ast.epos }
-  | None ->
-    error t.Token.pos
-      "an if condition must be a comparison (a < b, a == b, ...), found `%s`"
-      (Token.to_string t.Token.tok)
-
-and parse_bitor st =
-  let lhs = parse_bitxor st in
-  parse_left st lhs [ (Token.PIPE, Ast.B_or) ] parse_bitxor
-
-and parse_bitxor st =
-  let lhs = parse_bitand st in
-  parse_left st lhs [ (Token.CARET, Ast.B_xor) ] parse_bitand
-
-and parse_bitand st =
-  let lhs = parse_shift st in
-  parse_left st lhs [ (Token.AMP, Ast.B_and) ] parse_shift
-
-and parse_shift st =
-  let lhs = parse_additive st in
-  parse_left st lhs
-    [ (Token.SHL, Ast.B_shl); (Token.SHR, Ast.B_shr) ]
-    parse_additive
-
-and parse_additive st =
-  let lhs = parse_term st in
-  parse_left st lhs
-    [ (Token.PLUS, Ast.B_add); (Token.MINUS, Ast.B_sub) ]
-    parse_term
-
-and parse_term st =
-  let lhs = parse_unary st in
-  parse_left st lhs
-    [ (Token.STAR, Ast.B_mul); (Token.SLASH, Ast.B_div);
-      (Token.PERCENT, Ast.B_rem) ]
-    parse_unary
-
-and parse_left st lhs table next =
-  let t = peek st in
-  match List.assoc_opt t.Token.tok table with
-  | Some op ->
-    advance st;
-    let rhs = next st in
-    parse_left st
-      { Ast.desc = Ast.Bin (op, lhs, rhs); epos = lhs.Ast.epos }
-      table next
-  | None -> lhs
+    let rhs = parse_binary st (level + 1) in
+    climb st min { Ast.desc = Ast.Bin (op, lhs, rhs); epos = lhs.Ast.epos }
+  end
+  else lhs
 
 and parse_unary st =
-  let t = peek st in
-  match t.Token.tok with
+  match peek st with
   | Token.MINUS ->
+    let epos = pos st in
     advance st;
     let e = parse_unary st in
-    { Ast.desc = Ast.Neg e; epos = t.Token.pos }
+    { Ast.desc = Ast.Neg e; epos }
   | _ -> parse_primary st
 
 and parse_primary st =
-  let t = peek st in
-  match t.Token.tok with
+  match peek st with
   | Token.INT_LIT n ->
+    let epos = pos st in
     advance st;
-    { Ast.desc = Ast.Int_lit n; epos = t.Token.pos }
+    { Ast.desc = Ast.Int_lit n; epos }
   | Token.FLOAT_LIT x ->
+    let epos = pos st in
     advance st;
-    { Ast.desc = Ast.Float_lit x; epos = t.Token.pos }
+    { Ast.desc = Ast.Float_lit x; epos }
   | Token.LPAREN ->
     advance st;
     let e = parse_expr st in
     expect st Token.RPAREN "`)`";
     e
   | Token.IDENT name -> (
+    let epos = pos st in
     advance st;
-    match (peek st).Token.tok with
+    match peek st with
     | Token.LBRACKET ->
       advance st;
       let idx = parse_expr st in
       expect st Token.RBRACKET "`]`";
-      { Ast.desc = Ast.Load (name, idx); epos = t.Token.pos }
+      { Ast.desc = Ast.Load (name, idx); epos }
     | Token.LPAREN ->
       advance st;
-      let rec args acc =
-        if (peek st).Token.tok = Token.RPAREN then List.rev acc
-        else
-          let a = parse_expr st in
-          if (peek st).Token.tok = Token.COMMA then begin
-            advance st;
-            args (a :: acc)
-          end
-          else List.rev (a :: acc)
-      in
-      let actual = args [] in
+      let actual = parse_args st [] in
       expect st Token.RPAREN "`)`";
       (match Ast.builtin_arity name with
-       | None -> error t.Token.pos "unknown builtin function %s" name
+       | None -> error epos "unknown builtin function %s" name
        | Some n when n <> List.length actual ->
-         error t.Token.pos "%s expects %d argument(s), got %d" name n
+         error epos "%s expects %d argument(s), got %d" name n
            (List.length actual)
-       | Some _ ->
-         { Ast.desc = Ast.Call (name, actual); epos = t.Token.pos })
-    | _ -> { Ast.desc = Ast.Var name; epos = t.Token.pos })
+       | Some _ -> { Ast.desc = Ast.Call (name, actual); epos })
+    | _ -> { Ast.desc = Ast.Var name; epos })
   | other ->
-    error t.Token.pos "expected an expression, found `%s`"
-      (Token.to_string other)
+    error (pos st) "expected an expression, found `%s`" (Token.to_string other)
 
-let parse_param st =
-  let t = peek st in
+and parse_args st acc =
+  if next_is st Token.RPAREN then List.rev acc
+  else
+    let a = parse_expr st in
+    if next_is st Token.COMMA then begin
+      advance st;
+      parse_args st (a :: acc)
+    end
+    else List.rev (a :: acc)
+
+let parse_param st : Ast.param =
   let ty =
-    match t.Token.tok with
+    match peek st with
     | Token.TY_I64 -> Ast.Ti64
     | Token.TY_F64 -> Ast.Tf64
     | other ->
-      error t.Token.pos "expected parameter type, found `%s`"
+      error (pos st) "expected parameter type, found `%s`"
         (Token.to_string other)
   in
   advance st;
-  let name, _ = expect_ident st "parameter name" in
-  if (peek st).Token.tok = Token.LBRACKET then begin
+  let ppos = pos st in
+  let pname = expect_ident st "parameter name" in
+  if next_is st Token.LBRACKET then begin
     advance st;
     expect st Token.RBRACKET "`]` of array parameter";
-    (name, Ast.P_arr ty)
+    { Ast.pname; pty = Ast.P_arr ty; ppos }
   end
   else
-    (name, match ty with Ast.Ti64 -> Ast.P_i64 | Ast.Tf64 -> Ast.P_f64)
+    let pty = match ty with Ast.Ti64 -> Ast.P_i64 | Ast.Tf64 -> Ast.P_f64 in
+    { Ast.pname; pty; ppos }
+
+(* the loop header's second and third mention of the counter *)
+let expect_counter st counter what fmt =
+  let at = pos st in
+  let c = expect_ident st what in
+  if not (String.equal c counter) then error at fmt c counter
 
 let rec parse_stmt st =
-  let t = peek st in
-  match t.Token.tok with
+  let spos = pos st in
+  match peek st with
   | Token.FOR ->
     advance st;
     expect st Token.LPAREN "`(` after `for`";
     (* the counter declaration: an optional `i64` then the counter name *)
-    if (peek st).Token.tok = Token.TY_I64 then advance st;
-    let counter, _ = expect_ident st "loop counter name" in
+    if next_is st Token.TY_I64 then advance st;
+    let counter = expect_ident st "loop counter name" in
     expect st Token.ASSIGN "`=` in loop initialization";
     let start = parse_expr st in
     expect st Token.SEMI "`;` after loop initialization";
-    let c2, c2pos = expect_ident st "loop counter in condition" in
-    if not (String.equal c2 counter) then
-      error c2pos "loop condition tests `%s` but the counter is `%s`" c2
-        counter;
+    expect_counter st counter "loop counter in condition"
+      "loop condition tests `%s` but the counter is `%s`";
     expect st Token.LT "`<` (loops are counted: counter < bound)";
     let bound = parse_expr st in
     expect st Token.SEMI "`;` after loop condition";
-    let c3, c3pos = expect_ident st "loop counter in increment" in
-    if not (String.equal c3 counter) then
-      error c3pos "loop increment updates `%s` but the counter is `%s`" c3
-        counter;
+    expect_counter st counter "loop counter in increment"
+      "loop increment updates `%s` but the counter is `%s`";
     expect st Token.PLUSEQ "`+=` (loops are counted: counter += step)";
     let step = parse_expr st in
     expect st Token.RPAREN "`)` closing the loop header";
     expect st Token.LBRACE "`{` opening the loop body";
-    let body = parse_stmts st in
+    let body = parse_stmts st [] in
     expect st Token.RBRACE "`}` closing the loop body";
     {
       Ast.sdesc =
@@ -232,7 +211,7 @@ let rec parse_stmt st =
             f_step = step;
             f_body = body;
           };
-      spos = t.Token.pos;
+      spos;
     }
   | Token.IF ->
     advance st;
@@ -240,13 +219,13 @@ let rec parse_stmt st =
     let cond = parse_cond st in
     expect st Token.RPAREN "`)` closing the if condition";
     expect st Token.LBRACE "`{` opening the then branch";
-    let then_stmts = parse_stmts st in
+    let then_stmts = parse_stmts st [] in
     expect st Token.RBRACE "`}` closing the then branch";
     let else_stmts =
-      if (peek st).Token.tok = Token.ELSE then begin
+      if next_is st Token.ELSE then begin
         advance st;
         expect st Token.LBRACE "`{` opening the else branch";
-        let ss = parse_stmts st in
+        let ss = parse_stmts st [] in
         expect st Token.RBRACE "`}` closing the else branch";
         ss
       end
@@ -255,16 +234,10 @@ let rec parse_stmt st =
     {
       Ast.sdesc =
         Ast.If { Ast.i_cond = cond; i_then = then_stmts; i_else = else_stmts };
-      spos = t.Token.pos;
+      spos;
     }
-  | Token.TY_I64 | Token.TY_F64 ->
-    let ty = if t.Token.tok = Token.TY_I64 then Ast.Ti64 else Ast.Tf64 in
-    advance st;
-    let name, _ = expect_ident st "local variable name" in
-    expect st Token.ASSIGN "`=`";
-    let e = parse_expr st in
-    expect st Token.SEMI "`;`";
-    { Ast.sdesc = Ast.Decl (ty, name, e); spos = t.Token.pos }
+  | Token.TY_I64 -> parse_decl st spos Ast.Ti64
+  | Token.TY_F64 -> parse_decl st spos Ast.Tf64
   | Token.IDENT name ->
     advance st;
     expect st Token.LBRACKET "`[` (statements are declarations or stores)";
@@ -273,54 +246,69 @@ let rec parse_stmt st =
     expect st Token.ASSIGN "`=`";
     let e = parse_expr st in
     expect st Token.SEMI "`;`";
-    { Ast.sdesc = Ast.Store (name, idx, e); spos = t.Token.pos }
+    { Ast.sdesc = Ast.Store (name, idx, e); spos }
   | other ->
-    error t.Token.pos "expected a statement, found `%s`"
-      (Token.to_string other)
+    error spos "expected a statement, found `%s`" (Token.to_string other)
 
-and parse_stmts st =
-  let rec loop acc =
-    if (peek st).Token.tok = Token.RBRACE then List.rev acc
-    else loop (parse_stmt st :: acc)
-  in
-  loop []
+and parse_decl st spos ty =
+  advance st;
+  let name = expect_ident st "local variable name" in
+  expect st Token.ASSIGN "`=`";
+  let e = parse_expr st in
+  expect st Token.SEMI "`;`";
+  { Ast.sdesc = Ast.Decl (ty, name, e); spos }
+
+and parse_stmts st acc =
+  if next_is st Token.RBRACE then List.rev acc
+  else parse_stmts st (parse_stmt st :: acc)
+
+let rec parse_params st acc =
+  if next_is st Token.RPAREN then List.rev acc
+  else
+    let p = parse_param st in
+    if next_is st Token.COMMA then begin
+      advance st;
+      parse_params st (p :: acc)
+    end
+    else List.rev (p :: acc)
 
 let parse_kernel st =
   expect st Token.KERNEL "`kernel`";
-  let kname, _ = expect_ident st "kernel name" in
+  let kname = expect_ident st "kernel name" in
   expect st Token.LPAREN "`(`";
-  let rec params acc =
-    if (peek st).Token.tok = Token.RPAREN then List.rev acc
-    else
-      let p = parse_param st in
-      if (peek st).Token.tok = Token.COMMA then begin
-        advance st;
-        params (p :: acc)
-      end
-      else List.rev (p :: acc)
-  in
-  let params = params [] in
+  let params = parse_params st [] in
   expect st Token.RPAREN "`)`";
   expect st Token.LBRACE "`{`";
-  let body = parse_stmts st in
+  let body = parse_stmts st [] in
   expect st Token.RBRACE "`}`";
   { Ast.kname; params; body }
 
+(* Lexing is lazy, but errors keep the order of lexing the whole source
+   first: a syntax error is raised only once the rest of the input lexes
+   cleanly, and a lexical error anywhere wins. *)
+let parse src parse_all =
+  let st = Lexer.create src in
+  match parse_all st with
+  | v -> v
+  | exception (Error _ as e) ->
+    Lexer.drain st;
+    raise e
+
 let parse_string src =
-  let st = { toks = Lexer.tokenize src } in
-  let k = parse_kernel st in
-  (match (peek st).Token.tok with
-   | Token.EOF -> ()
-   | other ->
-     error (peek st).Token.pos "trailing input after kernel: `%s`"
-       (Token.to_string other));
-  k
+  parse src (fun st ->
+      let k = parse_kernel st in
+      (match peek st with
+       | Token.EOF -> ()
+       | other ->
+         error (pos st) "trailing input after kernel: `%s`"
+           (Token.to_string other));
+      k)
 
 let parse_program src =
-  let st = { toks = Lexer.tokenize src } in
-  let rec loop acc =
-    match (peek st).Token.tok with
-    | Token.EOF -> List.rev acc
-    | _ -> loop (parse_kernel st :: acc)
-  in
-  loop []
+  parse src (fun st ->
+      let rec loop acc =
+        match peek st with
+        | Token.EOF -> List.rev acc
+        | _ -> loop (parse_kernel st :: acc)
+      in
+      loop [])

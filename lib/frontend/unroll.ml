@@ -21,29 +21,32 @@
    re-check. *)
 
 open Lslp_ir
+module Int_table = Lslp_util.Int_table
 
-(* Copy a loop body with addresses rewritten through [subst_index].
-   Operand remapping only needs the body-local table: regions are
-   self-contained, so every Ins operand refers to an earlier instruction of
-   the same block (already copied). *)
-let clone_body ~subst_index (b : Block.t) : Instr.t list =
-  let mapping = Hashtbl.create 16 in
+(* Append one copy of a loop body to [dst], addresses rewritten through
+   [subst_index].  [slot] maps each body instruction's id to its position;
+   an operand naming a body instruction is redirected to that position's
+   copy.  Regions are self-contained, so every Ins operand refers to an
+   earlier instruction of the same block, which is already copied. *)
+let clone_into dst ~slot ~subst_index (body : Instr.t array) =
+  let copies = Array.make (Array.length body) (Instr.Const (Instr.Cint 0L)) in
+  let filled = ref (-1) in
   let remap (v : Instr.value) =
     match v with
     | Instr.Ins i ->
-      (match Hashtbl.find_opt mapping i.Instr.id with
-       | Some i' -> Instr.Ins i'
-       | None -> v)
+      let k = Int_table.get slot i.Instr.id ~absent:(-1) in
+      if k >= 0 && k <= !filled then copies.(k) else v
     | Instr.Const _ | Instr.Arg _ -> v
   in
-  List.map
-    (fun (i : Instr.t) ->
+  Array.iteri
+    (fun k (i : Instr.t) ->
       let i' = Instr.copy i in
-      Hashtbl.replace mapping i.Instr.id i';
+      copies.(k) <- Instr.Ins i';
+      filled := k;
       Instr.map_operands remap i';
       Instr.map_address_index subst_index i';
-      i')
-    (Block.to_list b)
+      Block.append dst i')
+    body
 
 let unroll_block ~factor (f : Func.t) (b : Block.t) =
   match Block.loop_info b with
@@ -58,11 +61,15 @@ let unroll_block ~factor (f : Func.t) (b : Block.t) =
         Affine.subst counter (Affine.add_const (j * step) (Affine.sym counter))
       in
       let pin m = Affine.subst counter (Affine.const (start + (m * step))) in
+      let body = Array.of_list (Block.to_list b) in
+      let slot = Int_table.create (Array.length body) in
+      Array.iteri (fun k (i : Instr.t) -> Int_table.set slot i.Instr.id k) body;
+      let clone dst subst_index = clone_into dst ~slot ~subst_index body in
       if tc <= factor then begin
         (* full unroll: iteration m runs with the counter at start+m*step *)
         let flat = Block.create ~label:(Block.label b ^ ".full") () in
         for m = 0 to tc - 1 do
-          Block.append_list flat (clone_body ~subst_index:(pin m) b)
+          clone flat (pin m)
         done;
         Func.replace_block f b [ flat ];
         true
@@ -71,7 +78,7 @@ let unroll_block ~factor (f : Func.t) (b : Block.t) =
         let main_iters = tc - (tc mod factor) in
         let main =
           Block.create
-            ~label:(Fmt.str "%s.x%d" (Block.label b) factor)
+            ~label:(Block.label b ^ ".x" ^ string_of_int factor)
             ~kind:
               (Block.Loop
                  {
@@ -82,14 +89,14 @@ let unroll_block ~factor (f : Func.t) (b : Block.t) =
             ()
         in
         for j = 0 to factor - 1 do
-          Block.append_list main (clone_body ~subst_index:(shift j) b)
+          clone main (shift j)
         done;
         let epilogue =
           if tc mod factor = 0 then []
           else begin
             let tail = Block.create ~label:(Block.label b ^ ".tail") () in
             for m = main_iters to tc - 1 do
-              Block.append_list tail (clone_body ~subst_index:(pin m) b)
+              clone tail (pin m)
             done;
             [ tail ]
           end

@@ -66,16 +66,26 @@ let diff_const a b = if a.terms = b.terms then Some (a.const - b.const) else Non
 
 let symbols a = List.map fst a.terms
 
+(* The coefficient of [s], 0 when absent (terms hold no zero), and the
+   terms without [s]: string compares, not the polymorphic ones. *)
+let rec coeff_of s = function
+  | [] -> 0
+  | (s', c) :: rest -> if String.equal s s' then c else coeff_of s rest
+
+let rec remove_term s = function
+  | [] -> []
+  | ((s', _) as t) :: rest ->
+    if String.equal s s' then rest else t :: remove_term s rest
+
 (* [subst s repl a] replaces every occurrence of the symbol [s] in [a] by the
    affine form [repl]: the algebra behind loop unrolling, where the counter
    [i] becomes [i + k*step] (shifted copies) or a constant (epilogue). *)
 let subst s repl a =
-  match List.assoc_opt s a.terms with
-  | None -> a
-  | Some c ->
-    add (scale c repl) { a with terms = List.remove_assoc s a.terms }
+  match coeff_of s a.terms with
+  | 0 -> a
+  | c -> add (scale c repl) { a with terms = remove_term s a.terms }
 
-let mem_symbol s a = List.mem_assoc s a.terms
+let mem_symbol s a = coeff_of s a.terms <> 0
 
 let eval ~env a =
   List.fold_left (fun acc (s, c) -> acc + (c * env s)) a.const a.terms

@@ -13,6 +13,26 @@ exception Type_error of string
 
 let type_error fmt = Fmt.kstr (fun s -> raise (Type_error s)) fmt
 
+(* [prefix ^ string_of_int n] for [n >= 0], written straight into the
+   result: [string_of_int] goes through the printf machinery, and this
+   names every built instruction. *)
+let rec decimal_width n = if n < 10 then 1 else 1 + decimal_width (n / 10)
+
+let with_decimal prefix n =
+  if n < 0 then prefix ^ string_of_int n
+  else begin
+    let p = String.length prefix in
+    let len = p + decimal_width n in
+    let b = Bytes.create len in
+    Bytes.blit_string prefix 0 b 0 p;
+    let n = ref n in
+    for k = len - 1 downto p do
+      Bytes.unsafe_set b k (Char.unsafe_chr (48 + (!n mod 10)));
+      n := !n / 10
+    done;
+    Bytes.unsafe_to_string b
+  end
+
 let create ~name ~args =
   let args =
     List.map (fun (arg_name, arg_ty) -> { Instr.arg_name; arg_ty }) args
@@ -31,7 +51,7 @@ let start_block b ?label ?(kind = Block.Straight) () =
     | None ->
       let n = b.next_block in
       b.next_block <- n + 1;
-      "b" ^ string_of_int n
+      with_decimal "b" n
   in
   let blk = Block.create ~label ~kind () in
   Func.add_block b.func blk;
@@ -41,8 +61,7 @@ let start_block b ?label ?(kind = Block.Straight) () =
 let fresh_name b hint =
   let n = b.next_tmp in
   b.next_tmp <- n + 1;
-  (* plain concatenation: this names every built instruction *)
-  (if String.equal hint "" then "t" else hint) ^ string_of_int n
+  with_decimal (if String.equal hint "" then "t" else hint) n
 
 let iconst n = Instr.Const (Instr.Cint (Int64.of_int n))
 let iconst64 n = Instr.Const (Instr.Cint n)
@@ -59,17 +78,35 @@ let arg b name =
      | Instr.Array_arg _ ->
        type_error "array argument %s used as a scalar value" name)
 
-let value_ty_exn v =
-  match Instr.value_ty v with
-  | Some ty -> ty
-  | None -> type_error "array argument used as a first-class value"
+(* [Instr.value_ty] without the option: it runs for every operand *)
+let value_ty_exn (v : Instr.value) =
+  match v with
+  | Instr.Ins i -> i.Instr.ty
+  | Instr.Const c -> Instr.const_ty c
+  | Instr.Arg { Instr.arg_ty = Instr.Int_arg; _ } -> Types.i64
+  | Instr.Arg { Instr.arg_ty = Instr.Float_arg; _ } -> Types.f64
+  | Instr.Arg { Instr.arg_ty = Instr.Array_arg _; _ } ->
+    type_error "array argument used as a first-class value"
+
+(* the shared scalar type, instead of a fresh [Types.Scalar] per result *)
+let scalar_ty : Types.scalar -> Types.t = function
+  | Types.I64 -> Types.i64
+  | Types.F64 -> Types.f64
+  | Types.I32 -> Types.i32
+  | Types.F32 -> Types.f32
+  | Types.I1 -> Types.i1
 
 (* [context arg] names the operand in the error text.  It runs only on the
    error branch, so the store and masked-op checks, whose names embed the
    array, build no string when the operand is well-typed. *)
 let check_scalar_ty_in context arg expected v =
   let ty = value_ty_exn v in
-  if not (Types.equal ty (Types.Scalar expected)) then
+  let ok =
+    match ty with
+    | Types.Scalar s -> Types.equal_scalar s expected
+    | Types.Vec _ | Types.Void -> false
+  in
+  if not ok then
     type_error "%s expects %a operand, got %a" (context arg) Types.pp_scalar
       expected Types.pp ty
 
@@ -78,46 +115,50 @@ let check_scalar_ty what expected v = check_scalar_ty_in Fun.id what expected v
 (* Operand-driven element type: the IR's opcodes are width-polymorphic, so
    the result scalar comes from the first operand (class-checked), not from
    the opcode. *)
-let operand_scalar what accepts v =
+let operand_scalar what v =
   match value_ty_exn v with
-  | Types.Scalar s ->
-    if not (accepts s) then
-      type_error "%s cannot operate on %a lanes" what Types.pp_scalar s;
-    s
+  | Types.Scalar s -> s
   | ty -> type_error "%s expects a scalar operand, got %a" what Types.pp ty
+
+(* [accepted]: the opcode takes lanes of [s] *)
+let check_lanes what accepted s =
+  if not accepted then
+    type_error "%s cannot operate on %a lanes" what Types.pp_scalar s
 
 let emit b instr =
   Block.append b.current instr;
   Instr.Ins instr
 
 let binop b ?(name = "") op x y =
-  let elt =
-    operand_scalar (Opcode.binop_name op) (Opcode.binop_accepts op) x
-  in
-  check_scalar_ty (Opcode.binop_name op) elt y;
+  let what = Opcode.binop_name op in
+  let elt = operand_scalar what x in
+  check_lanes what (Opcode.binop_accepts op elt) elt;
+  check_scalar_ty what elt y;
   let name = fresh_name b name in
-  emit b (Instr.create ~name (Instr.Binop (op, x, y)) (Types.Scalar elt))
+  emit b (Instr.create ~name (Instr.Binop (op, x, y)) (scalar_ty elt))
 
 let unop b ?(name = "") op x =
-  let elt =
-    operand_scalar (Opcode.unop_name op) (Opcode.unop_accepts op) x
-  in
+  let what = Opcode.unop_name op in
+  let elt = operand_scalar what x in
+  check_lanes what (Opcode.unop_accepts op elt) elt;
   let name = fresh_name b name in
-  emit b (Instr.create ~name (Instr.Unop (op, x)) (Types.Scalar elt))
+  emit b (Instr.create ~name (Instr.Unop (op, x)) (scalar_ty elt))
 
 let cmp b ?(name = "") op x y =
   let what = "cmp." ^ Opcode.cmp_name op in
-  let elt = operand_scalar what Opcode.cmp_accepts x in
+  let elt = operand_scalar what x in
+  check_lanes what (Opcode.cmp_accepts elt) elt;
   check_scalar_ty what elt y;
   let name = fresh_name b (if String.equal name "" then "m" else name) in
-  emit b (Instr.create ~name (Instr.Cmp (op, x, y)) (Types.Scalar Types.I1))
+  emit b (Instr.create ~name (Instr.Cmp (op, x, y)) Types.i1)
 
 let select b ?(name = "") m x y =
   check_scalar_ty "select mask" Types.I1 m;
-  let elt = operand_scalar "select" (fun s -> not (Types.is_mask_scalar s)) x in
+  let elt = operand_scalar "select" x in
+  check_lanes "select" (not (Types.is_mask_scalar elt)) elt;
   check_scalar_ty "select" elt y;
   let name = fresh_name b (if String.equal name "" then "sel" else name) in
-  emit b (Instr.create ~name (Instr.Select (m, x, y)) (Types.Scalar elt))
+  emit b (Instr.create ~name (Instr.Select (m, x, y)) (scalar_ty elt))
 
 let array_elt b base =
   match Func.find_arg b.func base with
@@ -129,7 +170,7 @@ let load b ?(name = "") ~base index =
   let elt = array_elt b base in
   let addr = { Instr.base; elt; index; access_lanes = 1 } in
   let name = fresh_name b (if String.equal name "" then "ld" else name) in
-  emit b (Instr.create ~name (Instr.Load addr) (Types.Scalar elt))
+  emit b (Instr.create ~name (Instr.Load addr) (scalar_ty elt))
 
 let store b ~base index v =
   let elt = array_elt b base in
@@ -150,7 +191,7 @@ let masked_load b ?(name = "") ~base index ~mask ~passthrough =
   emit b
     (Instr.create ~name
        (Instr.Masked_load (addr, mask, passthrough))
-       (Types.Scalar elt))
+       (scalar_ty elt))
 
 let masked_store b ~base index v ~mask =
   let elt = array_elt b base in

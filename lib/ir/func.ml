@@ -45,8 +45,12 @@ let iter_instrs g f = List.iter (fun b -> Block.iter g b) f.blocks
 let fold_instrs g acc f = List.fold_left (fun a b -> Block.fold g a b) acc f.blocks
 let num_instrs f = List.fold_left (fun a b -> a + Block.length b) 0 f.blocks
 
-let find_arg f name =
-  List.find_opt (fun (a : Instr.arg) -> String.equal a.arg_name name) f.args
+let rec find_named name = function
+  | [] -> None
+  | (a : Instr.arg) :: rest ->
+    if String.equal a.arg_name name then Some a else find_named name rest
+
+let find_arg f name = find_named name f.args
 
 let array_args f =
   List.filter

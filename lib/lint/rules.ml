@@ -51,7 +51,8 @@ let r5 =
     slug = "boxed-table-hot-path";
     doc =
       "Hashtbl.create / List.assoc* in a hot-path module (lib/core, \
-       lib/ir); index through Arena, Int_table or Key_table instead";
+       lib/ir, lib/frontend); index through Arena, Int_table or Key_table \
+       instead";
   }
 
 let all = [ r1; r2; r3; r4; r5 ]
@@ -179,9 +180,10 @@ let wall_clock =
 
 (* R5 applies only inside the modules on the per-instruction hot path,
    where the arena refactor replaced boxed id-keyed tables with int
-   arrays; elsewhere a Hashtbl is fine.  Matching is on the normalized
-   path the driver records. *)
-let hot_path_dirs = [ "lib/core/"; "lib/ir/" ]
+   arrays, and the frontend, which runs per token and per AST node;
+   elsewhere a Hashtbl is fine.  Matching is on the normalized path the
+   driver records. *)
+let hot_path_dirs = [ "lib/core/"; "lib/ir/"; "lib/frontend/" ]
 
 let in_hot_path file =
   List.exists (fun d -> starts_with ~prefix:d file) hot_path_dirs

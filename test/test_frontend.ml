@@ -54,10 +54,13 @@ let parser_tests =
         check_int "body" 0 (List.length k.body));
     tc "parameter kinds" (fun () ->
         let k = parse "kernel f(i64 n, f64 x, i64 A[], f64 B[]) {}" in
-        check_bool "n" true (List.assoc "n" k.params = P_i64);
-        check_bool "x" true (List.assoc "x" k.params = P_f64);
-        check_bool "A" true (List.assoc "A" k.params = P_arr Ti64);
-        check_bool "B" true (List.assoc "B" k.params = P_arr Tf64));
+        let ty name =
+          (List.find (fun p -> String.equal p.pname name) k.params).pty
+        in
+        check_bool "n" true (ty "n" = P_i64);
+        check_bool "x" true (ty "x" = P_f64);
+        check_bool "A" true (ty "A" = P_arr Ti64);
+        check_bool "B" true (ty "B" = P_arr Tf64));
     tc "precedence: * binds tighter than +" (fun () ->
         let k = parse "kernel f(i64 A[], i64 i) { A[i] = 1 + 2 * 3; }" in
         match (List.hd k.body).sdesc with
@@ -112,6 +115,8 @@ let lower_err src =
     None
   with Lslp_frontend.Lower.Error (msg, _) -> Some msg
 
+let check_err what msg got = check (Alcotest.option Alcotest.string) what (Some msg) got
+
 let lowering_tests =
   [
     tc "simple kernel lowers and verifies" (fun () ->
@@ -140,39 +145,43 @@ kernel f(f64 A[], i64 i) {
             (Affine.diff_const a.Instr.index (Affine.sym ~coeff:2 "i"))
         | None -> Alcotest.fail "no address");
     tc "type mismatch rejected" (fun () ->
-        check_bool "f64 + i64" true
-          (lower_err "kernel f(f64 A[], i64 i) { A[i] = A[i] + 1; }" <> None));
+        check_err "f64 + i64" "operands of + have different types (f64 vs i64)"
+          (lower_err "kernel f(f64 A[], i64 i) { A[i] = A[i] + 1; }"));
     tc "integer ops on floats rejected" (fun () ->
-        check_bool "shift on f64" true
-          (lower_err "kernel f(f64 A[], i64 i) { A[i] = A[i] << 1; }" <> None));
+        check_err "shift on f64 and i64"
+          "operands of << have different types (f64 vs i64)"
+          (lower_err "kernel f(f64 A[], i64 i) { A[i] = A[i] << 1; }");
+        check_err "shift on f64" "<< requires i64 operands"
+          (lower_err "kernel f(f64 A[], i64 i) { A[i] = A[i] << A[i]; }"));
     tc "non-affine subscript rejected" (fun () ->
-        check_bool "i*i" true
-          (lower_err "kernel f(f64 A[], i64 i) { A[i*i] = 1.0; }" <> None));
+        check_err "i*i"
+          "subscript of A is not affine in the kernel's i64 parameters"
+          (lower_err "kernel f(f64 A[], i64 i) { A[i*i] = 1.0; }"));
     tc "float subscript rejected" (fun () ->
-        check_bool "A[x]" true
-          (lower_err "kernel f(f64 A[], f64 x) { A[x] = 1.0; }" <> None));
+        check_err "A[x]" "array subscript must be i64"
+          (lower_err "kernel f(f64 A[], f64 x) { A[x] = 1.0; }"));
     tc "undefined variable rejected" (fun () ->
-        check_bool "y" true
-          (lower_err "kernel f(f64 A[], i64 i) { A[i] = y; }" <> None));
+        check_err "y" "undefined variable y"
+          (lower_err "kernel f(f64 A[], i64 i) { A[i] = y; }"));
     tc "redefined local rejected" (fun () ->
-        check_bool "single assignment" true
+        check_err "single assignment"
+          "local x is already defined (locals are single-assignment)"
           (lower_err {|
 kernel f(f64 A[], i64 i) {
   f64 x = 1.0;
   f64 x = 2.0;
   A[i] = x;
 }
-|} <> None));
+|}));
     tc "local shadowing parameter rejected" (fun () ->
-        check_bool "shadow" true
-          (lower_err "kernel f(f64 A[], i64 i) { i64 i = 1; A[i] = 1.0; }"
-           <> None));
+        check_err "shadow" "local i shadows a parameter"
+          (lower_err "kernel f(f64 A[], i64 i) { i64 i = 1; A[i] = 1.0; }"));
     tc "array used as scalar rejected" (fun () ->
-        check_bool "A + 1" true
-          (lower_err "kernel f(i64 A[], i64 i) { A[i] = A + 1; }" <> None));
+        check_err "A + 1" "array A used as a scalar value"
+          (lower_err "kernel f(i64 A[], i64 i) { A[i] = A + 1; }"));
     tc "store type must match array" (fun () ->
-        check_bool "int into f64 array" true
-          (lower_err "kernel f(f64 A[], i64 i) { A[i] = 1; }" <> None));
+        check_err "int into f64 array" "storing i64 into f64 array A"
+          (lower_err "kernel f(f64 A[], i64 i) { A[i] = 1; }"));
     tc "builtins lower to the right opcodes" (fun () ->
         let f = compile {|
 kernel f(f64 A[], i64 A2[], i64 i) {
@@ -206,8 +215,15 @@ kernel f(f64 A[], i64 B[], i64 i) {
         check_bool "fneg" true (has_unop Opcode.Fneg);
         check_bool "neg" true (has_unop Opcode.Neg));
     tc "duplicate parameter rejected" (fun () ->
-        check_bool "dup" true
-          (lower_err "kernel f(i64 i, i64 i) {}" <> None));
+        check_err "dup" "duplicate parameter i"
+          (lower_err "kernel f(i64 i, i64 i) {}"));
+    tc "duplicate parameter reported at the repeated name" (fun () ->
+        match compile "kernel f(f64 A[],\n  i64 i, i64 i) {}" with
+        | _ -> Alcotest.fail "expected an error"
+        | exception Lslp_frontend.Lower.Error (msg, pos) ->
+          check_string "message" "duplicate parameter i" msg;
+          check_int "line" 2 pos.Lslp_frontend.Token.line;
+          check_int "col" 14 pos.Lslp_frontend.Token.col);
     tc "every catalog kernel compiles and verifies" (fun () ->
         List.iter
           (fun (k : Lslp_kernels.Catalog.kernel) ->
@@ -216,4 +232,267 @@ kernel f(f64 A[], i64 B[], i64 i) {
           Lslp_kernels.Catalog.all);
   ]
 
-let suite = lexer_tests @ parser_tests @ lowering_tests
+(* ---- agreement with the reference frontend ------------------------- *)
+
+module Ref = Frontend_ref
+module Token = Lslp_frontend.Token
+
+(* What one frontend made of one source: the function's text after
+   unrolling, or the error it raised. *)
+type outcome =
+  | Lowered of string
+  | Failed of string * string * Token.pos  (* exception, message, position *)
+
+let no_pos = { Token.line = 0; col = 0 }
+
+(* Printer text with every instruction id replaced by its rank among the
+   function's ids: ids come from a process-global counter, so the rank is
+   what two runs can share, and it still pins the creation order. *)
+let ranked_text (f : Func.t) =
+  let ids = Func.fold_instrs (fun acc i -> i.Instr.id :: acc) [] f in
+  let rank = Hashtbl.create 64 in
+  List.iteri (fun r id -> Hashtbl.replace rank id r) (List.sort compare ids);
+  let text = Printer.func_to_string f in
+  let buf = Buffer.create (String.length text) in
+  let n = String.length text in
+  let is_name c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+    || c = '_'
+  in
+  let is_digit c = c >= '0' && c <= '9' in
+  let rec go i =
+    if i < n then
+      if text.[i] <> '%' then (Buffer.add_char buf text.[i]; go (i + 1))
+      else begin
+        let j = ref (i + 1) in
+        while !j < n && is_name text.[!j] do incr j done;
+        let k = ref (!j + 1) in
+        while !k < n && is_digit text.[!k] do incr k done;
+        if !j < n && text.[!j] = '.' && !k > !j + 1 then begin
+          let id = int_of_string (String.sub text (!j + 1) (!k - !j - 1)) in
+          Buffer.add_string buf (String.sub text i (!j - i + 1));
+          Buffer.add_string buf
+            (match Hashtbl.find_opt rank id with
+             | Some r -> "r" ^ string_of_int r
+             | None -> "?" ^ string_of_int id);
+          go !k
+        end
+        else (Buffer.add_char buf '%'; go (i + 1))
+      end
+  in
+  go 0;
+  Buffer.contents buf
+
+let run_new src =
+  match Lslp_frontend.Lower.compile_string src with
+  | f ->
+    ignore (Lslp_frontend.Unroll.run ~factor:4 f);
+    Lowered (ranked_text f)
+  | exception Lslp_frontend.Lexer.Error (m, p) -> Failed ("Lexer.Error", m, p)
+  | exception Lslp_frontend.Parser.Error (m, p) -> Failed ("Parser.Error", m, p)
+  | exception Lslp_frontend.Lower.Error (m, p) -> Failed ("Lower.Error", m, p)
+  | exception e -> Failed ("other", Printexc.to_string e, no_pos)
+
+let run_ref src =
+  match Ref.Lower.compile_string src with
+  | f ->
+    ignore (Ref.Unroll.run ~factor:4 f);
+    Lowered (ranked_text f)
+  | exception Ref.Lexer.Error (m, p) -> Failed ("Lexer.Error", m, p)
+  | exception Ref.Parser.Error (m, p) -> Failed ("Parser.Error", m, p)
+  | exception Ref.Lower.Error (m, p) -> Failed ("Lower.Error", m, p)
+  | exception e -> Failed ("other", Printexc.to_string e, no_pos)
+
+let show = function
+  | Lowered text -> text
+  | Failed (e, m, p) -> Fmt.str "%s at %a: %s" e Token.pp_pos p m
+
+let is_duplicate_param m =
+  String.length m > 20 && String.equal (String.sub m 0 20) "duplicate parameter "
+
+(* Equal outcomes, except that the reference reports a duplicate parameter
+   at 0:0 and the frontend at the repeated name. *)
+let agree r n =
+  match (r, n) with
+  | Failed ("Lower.Error", mr, pr), Failed ("Lower.Error", mn, _)
+    when String.equal mr mn && is_duplicate_param mr ->
+    pr = no_pos
+  | _ -> r = n
+
+let check_agrees what src =
+  let r = run_ref src and n = run_new src in
+  if not (agree r n) then
+    Alcotest.failf "%s: frontends disagree on@.%s@.reference:@.%s@.frontend:@.%s"
+      what src (show r) (show n)
+
+(* The two lexers also agree token by token (the list interface is kept). *)
+let check_tokens_agree what src =
+  let lex tokenize err =
+    match tokenize src with
+    | toks ->
+      Ok (List.map (fun (t : Token.spanned) -> (t.Token.tok, t.Token.pos)) toks)
+    | exception e -> Error (err e)
+  in
+  let r =
+    lex Ref.Lexer.tokenize (function
+      | Ref.Lexer.Error (m, p) -> (m, p)
+      | e -> raise e)
+  and n =
+    lex Lslp_frontend.Lexer.tokenize (function
+      | Lslp_frontend.Lexer.Error (m, p) -> (m, p)
+      | e -> raise e)
+  in
+  if r <> n then Alcotest.failf "%s: token streams disagree on@.%s" what src
+
+(* Byte spans and tokens of a source that lexes cleanly, from the
+   reference lexer. *)
+let token_spans src =
+  let line_starts =
+    let acc = ref [ 0 ] in
+    String.iteri (fun i c -> if c = '\n' then acc := (i + 1) :: !acc) src;
+    Array.of_list (List.rev !acc)
+  in
+  let st = Ref.Lexer.make src in
+  let rec loop acc =
+    let t = Ref.Lexer.next_token st in
+    match t.Token.tok with
+    | Token.EOF -> Array.of_list (List.rev acc)
+    | tok ->
+      let start = line_starts.(t.Token.pos.line - 1) + t.Token.pos.col - 1 in
+      loop ((start, st.Ref.Lexer.off, tok) :: acc)
+  in
+  loop []
+
+let splice src start stop repl =
+  String.sub src 0 start ^ repl
+  ^ String.sub src stop (String.length src - stop)
+
+let literal_swaps =
+  [| "0"; "1"; "3"; "2.5"; "0.0"; "1e3"; "1e"; "7."; "123456789012345678";
+     "1234567890123456789"; "9223372036854775807"; "9223372036854775808";
+     "99999999999999999999" |]
+
+let stray_chars = [| "?"; "!"; "#"; "/*"; "=="; "+="; "\n"; "."; "@" |]
+
+(* Seeded mutants of one source: token deletions, duplications and swaps,
+   renamed identifiers, changed literals and stray characters. *)
+let mutants ~seed src =
+  let rng = Random.State.make [| seed |] in
+  let spans = token_spans src in
+  let n = Array.length spans in
+  let text k = let s, e, _ = spans.(k) in String.sub src s (e - s) in
+  let pick_where p =
+    let ks = List.filter (fun k -> let _, _, t = spans.(k) in p t) (List.init n Fun.id) in
+    match ks with
+    | [] -> None
+    | _ -> Some (List.nth ks (Random.State.int rng (List.length ks)))
+  in
+  let idents =
+    Array.of_list
+      ("zz" :: "sqrt" :: "for"
+       :: List.filter_map
+            (fun (_, _, t) -> match t with Token.IDENT s -> Some s | _ -> None)
+            (Array.to_list spans))
+  in
+  let one kind =
+    let k = Random.State.int rng n in
+    let s, e, _ = spans.(k) in
+    match kind with
+    | 0 -> Some (splice src s e "")
+    | 1 -> Some (splice src e e (" " ^ text k))
+    | 2 when k + 1 < n ->
+      let s2, e2, _ = spans.(k + 1) in
+      Some
+        (String.sub src 0 s ^ text (k + 1)
+         ^ String.sub src e (s2 - e)
+         ^ text k
+         ^ String.sub src e2 (String.length src - e2))
+    | 3 -> (
+      match pick_where (function Token.IDENT _ -> true | _ -> false) with
+      | Some k ->
+        let s, e, _ = spans.(k) in
+        Some (splice src s e idents.(Random.State.int rng (Array.length idents)))
+      | None -> None)
+    | 4 -> (
+      match
+        pick_where (function Token.INT_LIT _ | Token.FLOAT_LIT _ -> true | _ -> false)
+      with
+      | Some k ->
+        let s, e, _ = spans.(k) in
+        Some
+          (splice src s e
+             literal_swaps.(Random.State.int rng (Array.length literal_swaps)))
+      | None -> None)
+    | _ ->
+      Some (splice src s s stray_chars.(Random.State.int rng (Array.length stray_chars)))
+  in
+  List.concat_map
+    (fun kind -> List.filter_map (fun _ -> one kind) [ 1; 2; 3; 4 ])
+    [ 0; 1; 2; 3; 4; 5 ]
+
+let example_sources () =
+  let dir = "../examples/kernels" in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".k")
+  |> List.sort String.compare
+  |> List.map (fun f ->
+         let ic = open_in_bin (Filename.concat dir f) in
+         let src = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         (f, src))
+
+let agreement_sources () =
+  List.map
+    (fun (k : Lslp_kernels.Catalog.kernel) -> (k.Lslp_kernels.Catalog.key, k.source))
+    Lslp_kernels.Catalog.all
+  @ example_sources ()
+
+let agreement_tests =
+  [
+    tc "reference agreement: catalog and example kernels" (fun () ->
+        let sources = agreement_sources () in
+        check_bool "examples found" true (List.length sources > List.length Lslp_kernels.Catalog.all);
+        List.iter
+          (fun (name, src) ->
+            check_tokens_agree name src;
+            check_agrees name src)
+          sources);
+    tc "reference agreement: seeded mutants" (fun () ->
+        let failures = ref 0 in
+        List.iteri
+          (fun i (name, src) ->
+            List.iteri
+              (fun j m ->
+                let what = Fmt.str "%s mutant %d" name j in
+                check_tokens_agree what m;
+                check_agrees what m;
+                match run_new m with Failed _ -> incr failures | Lowered _ -> ())
+              (mutants ~seed:(1000 + i) src))
+          (agreement_sources ());
+        (* the mutants reach the error paths, not only clean compiles *)
+        check_bool "some mutants fail" true (!failures > 100));
+    tc "reference agreement: corner cases" (fun () ->
+        List.iter
+          (fun src -> check_tokens_agree src src; check_agrees src src)
+          [ "kernel f() {} ?"; "kernel f( { ?"; "kernel f() {} x ?";
+            "kernel f() { /* open"; "kernel f(f64 A[], i64 i) { A[i] = 1e; }";
+            "kernel f(i64 A[], i64 i) { A[i] = 99999999999999999999; }";
+            "kernel f(i64 A[], i64 i) { A[i] = 999999999999999999; }";
+            "kernel f(i64 A[], i64 i) { A[i] = 007; }";
+            "kernel f(f64 A[], i64 i) { A[i] = 1.5e+3 + 2.E-1; }";
+            "kernel f(i64 A[], i64 i) {\r\n\tA[i] = 1 // c\n; }";
+            "kernel f(i64 A[], i64 i) { A[i] = 1 \000 }";
+            "kernel f(f64 A[], i64 i) { for (i64 k = 0; k < 4; k += 1) { A[k] = sqrt(A[k]); } }";
+            "kernel f(f64 A[], i64 i) { for (k = 0; j < 4; k += 1) { A[k] = 1.0; } }";
+            "kernel f(f64 A[], i64 i) { if (A[i] < 1.0) { f64 x = 1.0; A[i] = x; } else { f64 x = 2; A[i] = x; } }";
+            "kernel f(i64 A[], i64 n, i64 i) { i64 c = i + y; for (i64 k = 0; k < n; k += 1) { A[k] = c + k; } }";
+            "kernel f(i64 A[], i64 i) { A[i] = min(i, 1.0) + max(1, 2); }";
+            "kernel f(f64 A[], i64 i, i64 i, f64 A[]) { A[i] = 1.0; }";
+            "kernel f(f64 A[], i64 i) { A[i] = fmin(A[i], 1) * sqrt(2); }";
+            "kernel a() {} kernel b() {}";
+            "kernel f(i64 A[], i64 i) { A[i] = 1 << 2 + 3 * 4 - 5 >> 1 & 7 | 8 ^ 9 % 2; }";
+            "kernel f(i64 A[], i64 i) { A[i] = 1 | 2 & 3 ^ 4 - -5 * 6 / 7 << 8; }";
+            "kernel f(i64 A[], i64 i) { A[i] = (1 | 2) & (3 ^ 4) - (5 << 1); }" ]);
+  ]
+
+let suite = lexer_tests @ parser_tests @ lowering_tests @ agreement_tests

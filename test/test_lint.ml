@@ -76,7 +76,8 @@ let whole_dir () =
   Alcotest.(check bool) "seeded violations fail the run" false
     (Driver.ok ~check_waivers:true r);
   (* every path-independent rule fires somewhere in the fixture set; R5
-     is gated on lib/core//lib/ir paths, exercised in [r5_hot_path] *)
+     is gated on lib/core//lib/ir//lib/frontend paths, exercised in
+     [r5_hot_path] *)
   Alcotest.(check (list (pair string int)))
     "findings by rule"
     [ ("R1", 3); ("R2", 2); ("R3", 3); ("R4", 2); ("R5", 0) ]
@@ -154,6 +155,7 @@ let r5_hot_path () =
   let src = "let f tbl k = Hashtbl.create 4, List.assoc_opt k tbl" in
   check_int "flagged in lib/core" 2 (count "lib/core/hot.ml" src);
   check_int "flagged in lib/ir" 2 (count "lib/ir/hot.ml" src);
+  check_int "flagged in lib/frontend" 2 (count "lib/frontend/hot.ml" src);
   check_int "silent outside the hot path" 0 (count "lib/check/cold.ml" src);
   check_int "Int_table is the sanctioned structure" 0
     (count "lib/core/hot.ml" "let t = fun () -> Lslp_util.Int_table.create 8")

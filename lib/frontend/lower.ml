@@ -63,16 +63,6 @@ let rec affine_of env (e : Ast.expr) : Affine.t option =
     | Counter a | Scalar (_, _, a) -> a
     | Local l -> l.l_affine
     | Array _ | Unbound -> None)
-  (* the [c*x + k] shape of most subscripts, without boxing the literals;
-     the results equal the general case's *)
-  | Ast.Bin (Ast.B_add, a, { Ast.desc = Ast.Int_lit k; _ }) -> (
-    match affine_of env a with
-    | Some fa -> Some (Affine.add_const (Int64.to_int k) fa)
-    | None -> None)
-  | Ast.Bin (Ast.B_mul, { Ast.desc = Ast.Int_lit c; _ }, b) -> (
-    match affine_of env b with
-    | Some fb -> Some (Affine.scale (Int64.to_int c) fb)
-    | None -> None)
   | Ast.Bin (op, a, b) -> (
     match (affine_of env a, affine_of env b) with
     | Some fa, Some fb -> (

@@ -13,6 +13,23 @@ exception Type_error of string
 
 let type_error fmt = Fmt.kstr (fun s -> raise (Type_error s)) fmt
 
+(* [prefix ^ string_of_int n] for [n >= 0], written straight into the
+   result: [string_of_int] goes through the printf machinery, and this
+   names every built instruction. *)
+let rec decimal_width n = if n < 10 then 1 else 1 + decimal_width (n / 10)
+
+let with_decimal prefix n =
+  let p = String.length prefix in
+  let len = p + decimal_width n in
+  let b = Bytes.create len in
+  Bytes.blit_string prefix 0 b 0 p;
+  let n = ref n in
+  for k = len - 1 downto p do
+    Bytes.unsafe_set b k (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10
+  done;
+  Bytes.unsafe_to_string b
+
 let create ~name ~args =
   let args =
     List.map (fun (arg_name, arg_ty) -> { Instr.arg_name; arg_ty }) args
@@ -31,7 +48,7 @@ let start_block b ?label ?(kind = Block.Straight) () =
     | None ->
       let n = b.next_block in
       b.next_block <- n + 1;
-      "b" ^ string_of_int n
+      with_decimal "b" n
   in
   let blk = Block.create ~label ~kind () in
   Func.add_block b.func blk;
@@ -41,8 +58,7 @@ let start_block b ?label ?(kind = Block.Straight) () =
 let fresh_name b hint =
   let n = b.next_tmp in
   b.next_tmp <- n + 1;
-  (* plain concatenation: this names every built instruction *)
-  (if String.equal hint "" then "t" else hint) ^ string_of_int n
+  with_decimal (if String.equal hint "" then "t" else hint) n
 
 let iconst n = Instr.Const (Instr.Cint (Int64.of_int n))
 let iconst64 n = Instr.Const (Instr.Cint n)

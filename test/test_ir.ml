@@ -309,6 +309,28 @@ let clone_tests =
         check_int "original untouched" n (Block.length (Func.entry f)));
   ]
 
+(* Builder writes the counter digits itself; the names must equal the
+   plain [prefix ^ string_of_int n] across digit-count boundaries. *)
+let builder_name_tests =
+  [
+    tc "names and labels are prefix ^ decimal counter" (fun () ->
+        let b = Builder.create ~name:"names" ~args:[ ("n", Instr.Int_arg) ] in
+        let n = Builder.arg b "n" in
+        for k = 0 to 1_050 do
+          let hint = if k mod 2 = 0 then "" else "x" in
+          match Builder.binop b ~name:hint Opcode.Add n n with
+          | Instr.Ins i ->
+            check_string "instruction name"
+              ((if k mod 2 = 0 then "t" else "x") ^ string_of_int k)
+              i.Instr.name
+          | Instr.Const _ | Instr.Arg _ -> Alcotest.fail "binop built no instruction"
+        done;
+        for k = 0 to 110 do
+          check_string "block label" ("b" ^ string_of_int k)
+            (Block.label (Builder.start_block b ()))
+        done);
+  ]
+
 let suite =
   types_tests @ opcode_tests @ instr_tests @ block_tests @ dce_tests
-  @ cse_tests @ use_info_tests @ clone_tests
+  @ cse_tests @ use_info_tests @ clone_tests @ builder_name_tests

@@ -13,9 +13,10 @@ exception Type_error of string
 
 let type_error fmt = Fmt.kstr (fun s -> raise (Type_error s)) fmt
 
-(* [prefix ^ string_of_int n] for [n >= 0], written straight into the
-   result: [string_of_int] goes through the printf machinery, and this
-   names every built instruction. *)
+(* [prefix ^ string_of_int n] for [n >= 0] (the name and label counters
+   start at 0 and only grow), written straight into the result:
+   [string_of_int] goes through the printf machinery, and this names every
+   built instruction. *)
 let rec decimal_width n = if n < 10 then 1 else 1 + decimal_width (n / 10)
 
 let with_decimal prefix n =

@@ -85,7 +85,7 @@ let build_fma ~(elt : Lslp_ir.Types.scalar) ~lanes =
       ~args:
         [ ("R", Instr.Array_arg elt); ("A", Instr.Array_arg elt);
           ("B", Instr.Array_arg elt); ("C", Instr.Array_arg elt);
-          ("i", Instr.Int_arg) ]
+          ("i", Instr.Int_arg) ] ()
   in
   for k = 0 to lanes - 1 do
     let idx = Affine.add_const k (Affine.sym ~coeff:lanes "i") in

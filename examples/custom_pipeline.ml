@@ -19,7 +19,7 @@ let build_figure2 () =
     Builder.create ~name:"figure2"
       ~args:
         [ ("A", Instr.Array_arg Types.I64); ("B", Instr.Array_arg Types.I64);
-          ("C", Instr.Array_arg Types.I64); ("i", Instr.Int_arg) ]
+          ("C", Instr.Array_arg Types.I64); ("i", Instr.Int_arg) ] ()
   in
   let lane0 =
     let ld_b = Builder.load b ~base:"B" (Builder.idx 0) in

@@ -18,7 +18,6 @@
 open Lslp_ir
 module Int_table = Lslp_util.Int_table
 module Key_table = Lslp_util.Key_table
-module Intern = Lslp_util.Intern
 
 type node = {
   nid : int;   (* run-unique display id *)
@@ -48,7 +47,7 @@ type t = {
   claimed : Int_table.t;               (* instr id -> (slot lsl 8) lor (lane+1) *)
   mutable claim_list : Instr.t list;   (* first-claim order, newest first *)
   by_bundle : Key_table.t;             (* bundle key -> slot *)
-  names : Intern.t;                    (* arg names appearing in bundle keys *)
+  names : Cse.names;                   (* arg names appearing in bundle keys *)
   ids : Lslp_util.Id_gen.t;
   (* node-id source.  The pipeline threads one generator through every
      graph of a run so nids stay unique run-wide (the DOT exporter names
@@ -71,42 +70,21 @@ let create ?ids () =
     claimed = Int_table.create 64;
     claim_list = [];
     by_bundle = Key_table.create 32;
-    names = Intern.create 8;
+    names = Cse.names ();
     ids;
   }
 
 (* Key identifying a bundle by the exact per-lane values, used to reuse a
    node when the same column reappears (shared sub-expressions form diamonds
    in the use-def DAG; LLVM's SLP reuses the tree entry the same way).
-   Three words per lane, injective across value kinds — the same
-   distinctions the old string keys drew.  Built once per column: the
+   Each lane is CSE's two-word value key.  Built once per column: the
    builder looks the column up and registers its node under the same
    key. *)
 type key = int array
 
 let bundle_key g (values : Instr.value array) =
-  let n = Array.length values in
-  let k = Array.make (3 * n) 0 in
-  for j = 0 to n - 1 do
-    let a, b, c =
-      match values.(j) with
-      | Instr.Ins i -> (0, i.Instr.id, 0)
-      | Instr.Arg a -> (1, Intern.intern g.names a.Instr.arg_name, 0)
-      | Instr.Const (Instr.Cint x) ->
-        (2, Int64.to_int (Int64.shift_right_logical x 32),
-         Int64.to_int (Int64.logand x 0xFFFFFFFFL))
-      | Instr.Const (Instr.Cfloat x) ->
-        let bits = Int64.bits_of_float x in
-        (3, Int64.to_int (Int64.shift_right_logical bits 32),
-         Int64.to_int (Int64.logand bits 0xFFFFFFFFL))
-      | Instr.Const (Instr.Cint32 x) -> (4, Int32.to_int x, 0)
-      | Instr.Const (Instr.Cfloat32 x) ->
-        (5, Int32.to_int (Int32.bits_of_float x), 0)
-    in
-    k.(3 * j) <- a;
-    k.((3 * j) + 1) <- b;
-    k.((3 * j) + 2) <- c
-  done;
+  let k = Array.make (2 * Array.length values) 0 in
+  Array.iteri (fun j v -> Cse.put_value g.names k (2 * j) v) values;
   k
 
 let find_existing g (key : key) =

@@ -438,11 +438,11 @@ let param_binding builder (p : Ast.param) =
 let lower_kernel (k : Ast.kernel) : Func.t =
   check_duplicate_params k.Ast.params;
   let builder =
-    Builder.create ~name:k.Ast.kname
+    Builder.create ~value_numbering:true ~name:k.Ast.kname
       ~args:
         (List.map
            (fun (p : Ast.param) -> (p.Ast.pname, arg_ty_of_param p.Ast.pty))
-           k.Ast.params)
+           k.Ast.params) ()
   in
   let env =
     { builder;
@@ -463,11 +463,7 @@ let lower_kernel (k : Ast.kernel) : Func.t =
   (match nonempty with
    | [] -> ()
    | bs -> f.Func.blocks <- bs);
-  (* run the early-CSE a clang-like pipeline would have run before SLP *)
-  ignore (Cse.run f);
   Verifier.verify_exn f;
   f
 
 let compile_string src = lower_kernel (Parser.parse_string src)
-
-let compile_program src = List.map lower_kernel (Parser.parse_program src)

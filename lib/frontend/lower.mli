@@ -13,6 +13,3 @@ val lower_kernel : Ast.kernel -> Func.t
 
 val compile_string : string -> Func.t
 (** Parse + lower one kernel. *)
-
-val compile_program : string -> Func.t list
-(** Parse + lower a sequence of kernels. *)

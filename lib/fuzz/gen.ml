@@ -101,10 +101,10 @@ let scalar_of_elt = function E_f64 -> Types.F64 | E_i64 -> Types.I64
 
 let make_builder (p : prog) =
   let aty = Instr.Array_arg (scalar_of_elt p.elt) in
-  Builder.create ~name:"fuzz"
+  Builder.create ~value_numbering:true ~name:"fuzz"
     ~args:
       [ ("R", aty); ("S", aty); ("A", aty); ("B", aty); ("C", aty);
-        ("i", Instr.Int_arg); ("n", Instr.Int_arg) ]
+        ("i", Instr.Int_arg); ("n", Instr.Int_arg) ] ()
 
 let const_value elt c =
   match elt with
@@ -246,7 +246,6 @@ let build (p : prog) : Func.t =
        end
      done);
   let f = Builder.func b in
-  ignore (Cse.run f);
   Verifier.verify_exn f;
   f
 

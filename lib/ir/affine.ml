@@ -85,12 +85,10 @@ let subst s repl a =
   | 0 -> a
   | c -> add (scale c repl) { a with terms = remove_term s a.terms }
 
-let mem_symbol s a = coeff_of s a.terms <> 0
-
 let eval ~env a =
   List.fold_left (fun acc (s, c) -> acc + (c * env s)) a.const a.terms
 
-(* The one text form of an affine index: [pp] and [to_string] wrap it, and
+(* The one text form of an affine index: [to_string] wraps it, and
    the IR printer calls it directly. *)
 let bprint buf a =
   let add = Buffer.add_string buf in
@@ -101,25 +99,23 @@ let bprint buf a =
   let term ~first (s, c) =
     sign ~first c;
     if abs c <> 1 then (
-      add (string_of_int (abs c));
+      Lslp_util.Decimal.add buf (abs c);
       add "*");
     add s
   in
   match a.terms with
-  | [] -> add (string_of_int a.const)
+  | [] -> Lslp_util.Decimal.add buf a.const
   | t0 :: rest ->
     term ~first:true t0;
     List.iter (term ~first:false) rest;
     if a.const <> 0 then (
       sign ~first:false a.const;
-      add (string_of_int (abs a.const)))
+      Lslp_util.Decimal.add buf (abs a.const))
 
 let to_string a =
   let buf = Buffer.create 16 in
   bprint buf a;
   Buffer.contents buf
-
-let pp ppf a = Fmt.string ppf (to_string a)
 
 let terms a = a.terms
 let const_part a = a.const

@@ -42,16 +42,13 @@ val subst : string -> t -> t -> t
     the counter [i] becomes [i + k*step] in shifted body copies, or a
     constant in the fully-unrolled epilogue. *)
 
-val mem_symbol : string -> t -> bool
-
 val eval : env:(string -> int) -> t -> int
 (** Evaluate under an assignment of the symbols. *)
 
 val bprint : Buffer.t -> t -> unit
-(** Appends the text form ([i + 2], [-3*j - 1], [4]); [pp] and [to_string]
-    are wrappers over it. *)
+(** Appends the text form ([i + 2], [-3*j - 1], [4]); [to_string] wraps
+    it. *)
 
-val pp : t Fmt.t
 val to_string : t -> string
 
 val terms : t -> (string * int) list

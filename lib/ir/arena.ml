@@ -66,12 +66,14 @@ let size t = Array.length t.instrs
 let block t = t.block
 let instr t k = t.instrs.(k)
 
-let idx_of_id t id =
-  match t.idx_map with
+let idx_in idx_map id =
+  match idx_map with
   | Offset { min_id; tbl } ->
     let o = id - min_id in
     if o < 0 || o >= Array.length tbl then -1 else Array.unsafe_get tbl o
   | Sparse tbl -> Int_table.get tbl id ~absent:(-1)
+
+let idx_of_id t id = idx_in t.idx_map id
 
 let idx t (i : Instr.t) = idx_of_id t i.Instr.id
 let mem t i = idx t i >= 0
@@ -108,45 +110,37 @@ let of_block (b : Block.t) =
       end
     end
   in
-  let lookup id =
-    match idx_map with
-    | Offset { min_id; tbl } ->
-      let o = id - min_id in
-      if o < 0 || o >= Array.length tbl then -1 else tbl.(o)
-    | Sparse tbl -> Int_table.get tbl id ~absent:(-1)
-  in
-  (* CSR uses: count, prefix-sum, fill in program order; one operand
-     walker per pass, reading the user's index from [user] *)
-  let counts = Array.make (n + 1) 0 in
+  (* CSR uses in one offsets array: [use_off.(d)] first counts the uses of
+     [d], a running sum then turns it into the end of [d]'s slice, and the
+     fill, walking users backwards, moves it down to the slice's start.  So
+     each slice lists its users in program order. *)
+  let use_off = Array.make (n + 1) 0 in
   let count (v : Instr.value) =
     match v with
     | Instr.Ins def ->
-      let d = lookup def.Instr.id in
-      if d >= 0 then counts.(d) <- counts.(d) + 1
+      let d = idx_in idx_map def.Instr.id in
+      if d >= 0 then use_off.(d) <- use_off.(d) + 1
     | Instr.Const _ | Instr.Arg _ -> ()
   in
   for k = 0 to n - 1 do
     Instr.iter_operands count instrs.(k)
   done;
-  let use_off = Array.make (n + 1) 0 in
-  for k = 0 to n - 1 do
-    use_off.(k + 1) <- use_off.(k) + counts.(k)
+  for k = 1 to n do
+    use_off.(k) <- use_off.(k - 1) + use_off.(k)
   done;
   let use_dat = Array.make use_off.(n) 0 in
-  (* [counts] becomes the fill cursor *)
-  Array.blit use_off 0 counts 0 (n + 1);
   let user = ref 0 in
   let fill (v : Instr.value) =
     match v with
     | Instr.Ins def ->
-      let d = lookup def.Instr.id in
+      let d = idx_in idx_map def.Instr.id in
       if d >= 0 then begin
-        use_dat.(counts.(d)) <- !user;
-        counts.(d) <- counts.(d) + 1
+        use_off.(d) <- use_off.(d) - 1;
+        use_dat.(use_off.(d)) <- !user
       end
     | Instr.Const _ | Instr.Arg _ -> ()
   in
-  for k = 0 to n - 1 do
+  for k = n - 1 downto 0 do
     user := k;
     Instr.iter_operands fill instrs.(k)
   done;
@@ -160,11 +154,6 @@ let users t k =
   let lo = t.use_off.(k) and hi = t.use_off.(k + 1) in
   let rec go j acc = if j < lo then acc else go (j - 1) (t.instrs.(t.use_dat.(j)) :: acc) in
   go (hi - 1) []
-
-let iter_users t k f =
-  for j = t.use_off.(k) to t.use_off.(k + 1) - 1 do
-    f t.use_dat.(j)
-  done
 
 let fold_users t k f acc =
   let r = ref acc in
@@ -254,43 +243,43 @@ let same_shape t j k =
    and bijective with the block's ids, CSR offsets are monotone and sized
    to the data, and uses are acyclic (a straight-line block defines before
    it uses, so every user index exceeds its def's index). *)
+let err fmt = Format.kasprintf (fun s -> Error s) fmt
+
+let rec instrs_ok t k =
+  if k >= size t then Ok ()
+  else
+    let id = t.instrs.(k).Instr.id in
+    let k' = idx_of_id t id in
+    if k' <> k then err "arena: id %d maps to index %d, expected %d" id k' k
+    else instrs_ok t (k + 1)
+
+let rec offs_ok t k =
+  if k >= size t then Ok ()
+  else if t.use_off.(k + 1) < t.use_off.(k) then
+    err "arena: CSR offsets not monotone at %d" k
+  else offs_ok t (k + 1)
+
+let rec uses_ok t j =
+  if j >= Array.length t.use_dat then Ok ()
+  else
+    let u = t.use_dat.(j) in
+    if u < 0 || u >= size t then err "arena: use entry %d out of range" u
+    else uses_ok t (j + 1)
+
+(* every user of [k] from the [j]th on comes after it *)
+let rec users_after t k j =
+  if j >= t.use_off.(k + 1) then true
+  else t.use_dat.(j) > k && users_after t k (j + 1)
+
+let rec acyclic_ok t k =
+  if k >= size t then Ok ()
+  else if not (users_after t k t.use_off.(k)) then
+    err "arena: use of %%%d at or before its definition" t.instrs.(k).Instr.id
+  else acyclic_ok t (k + 1)
+
 let check t =
   let n = size t in
-  let err fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let rec instrs_ok k =
-    if k >= n then Ok ()
-    else
-      let id = t.instrs.(k).Instr.id in
-      let k' = idx_of_id t id in
-      if k' <> k then err "arena: id %d maps to index %d, expected %d" id k' k
-      else instrs_ok (k + 1)
-  in
-  let rec offs_ok k =
-    if k >= n then Ok ()
-    else if t.use_off.(k + 1) < t.use_off.(k) then
-      err "arena: CSR offsets not monotone at %d" k
-    else offs_ok (k + 1)
-  in
-  let rec uses_ok j =
-    if j >= Array.length t.use_dat then Ok ()
-    else
-      let u = t.use_dat.(j) in
-      if u < 0 || u >= n then err "arena: use entry %d out of range" u
-      else uses_ok (j + 1)
-  in
-  let rec acyclic_ok k =
-    if k >= n then Ok ()
-    else
-      let rec go j =
-        if j >= t.use_off.(k + 1) then Ok ()
-        else if t.use_dat.(j) <= k then
-          err "arena: use of %%%d at or before its definition"
-            t.instrs.(k).Instr.id
-        else go (j + 1)
-      in
-      (match go (t.use_off.(k)) with Ok () -> acyclic_ok (k + 1) | e -> e)
-  in
-  match instrs_ok 0 with
+  match instrs_ok t 0 with
   | Error _ as e -> e
   | Ok () -> (
     if t.use_off.(0) <> 0 then err "arena: CSR base offset not 0"
@@ -298,7 +287,7 @@ let check t =
       err "arena: CSR total %d does not match data length %d" t.use_off.(n)
         (Array.length t.use_dat)
     else
-      match offs_ok 0 with
+      match offs_ok t 0 with
       | Error _ as e -> e
       | Ok () -> (
-        match uses_ok 0 with Error _ as e -> e | Ok () -> acyclic_ok 0))
+        match uses_ok t 0 with Error _ as e -> e | Ok () -> acyclic_ok t 0))

@@ -38,7 +38,6 @@ val num_uses : t -> int -> int
 val users : t -> int -> Instr.t list
 (** Users in program order; a double use appears twice. *)
 
-val iter_users : t -> int -> (int -> unit) -> unit
 val fold_users : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 
 val exists_user : t -> int -> (int -> bool) -> bool

@@ -39,13 +39,8 @@ let loop_info b = match b.kind with Straight -> None | Loop li -> Some li
 let is_loop b = match b.kind with Straight -> false | Loop _ -> true
 
 let bprint_bound buf = function
-  | Bound_const k -> Buffer.add_string buf (string_of_int k)
+  | Bound_const k -> Lslp_util.Decimal.add buf k
   | Bound_sym s -> Buffer.add_string buf s
-
-let pp_bound ppf b =
-  let buf = Buffer.create 16 in
-  bprint_bound buf b;
-  Fmt.string ppf (Buffer.contents buf)
 
 (* Number of iterations, when the bound is a compile-time constant. *)
 let trip_count li =

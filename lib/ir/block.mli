@@ -29,9 +29,7 @@ val loop_info : t -> loop_info option
 val is_loop : t -> bool
 
 val bprint_bound : Buffer.t -> bound -> unit
-(** Appends a loop bound's text form; [pp_bound] is a wrapper over it. *)
-
-val pp_bound : bound Fmt.t
+(** Appends a loop bound's text form. *)
 
 val trip_count : loop_info -> int option
 (** Number of iterations when the bound is constant; [None] for symbolic

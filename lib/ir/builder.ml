@@ -1,42 +1,30 @@
 (* Convenience layer for constructing IR: infers result types, checks operand
    types eagerly, appends to the function's block, and invents readable
-   value names. *)
+   value names.  With value numbering on, it is also the frontend's
+   early-CSE: a pure instruction equal to one already in the current block
+   is not appended, and its first value is handed back instead. *)
 
 type t = {
   func : Func.t;
   mutable current : Block.t;    (* where emit appends *)
   mutable next_tmp : int;
   mutable next_block : int;
+  mutable numbering : Cse.numbering option; (* the current block's values *)
 }
 
 exception Type_error of string
 
+module Decimal = Lslp_util.Decimal
+
 let type_error fmt = Fmt.kstr (fun s -> raise (Type_error s)) fmt
 
-(* [prefix ^ string_of_int n] for [n >= 0] (the name and label counters
-   start at 0 and only grow), written straight into the result:
-   [string_of_int] goes through the printf machinery, and this names every
-   built instruction. *)
-let rec decimal_width n = if n < 10 then 1 else 1 + decimal_width (n / 10)
-
-let with_decimal prefix n =
-  let p = String.length prefix in
-  let len = p + decimal_width n in
-  let b = Bytes.create len in
-  Bytes.blit_string prefix 0 b 0 p;
-  let n = ref n in
-  for k = len - 1 downto p do
-    Bytes.unsafe_set b k (Char.unsafe_chr (48 + (!n mod 10)));
-    n := !n / 10
-  done;
-  Bytes.unsafe_to_string b
-
-let create ~name ~args =
+let create ?(value_numbering = false) ~name ~args () =
   let args =
     List.map (fun (arg_name, arg_ty) -> { Instr.arg_name; arg_ty }) args
   in
   let func = Func.create ~name ~args in
-  { func; current = Func.entry func; next_tmp = 0; next_block = 0 }
+  { func; current = Func.entry func; next_tmp = 0; next_block = 0;
+    numbering = (if value_numbering then Some (Cse.numbering ()) else None) }
 
 let func b = b.func
 
@@ -49,23 +37,23 @@ let start_block b ?label ?(kind = Block.Straight) () =
     | None ->
       let n = b.next_block in
       b.next_block <- n + 1;
-      with_decimal "b" n
+      Decimal.with_prefix "b" n
   in
   let blk = Block.create ~label ~kind () in
   Func.add_block b.func blk;
   b.current <- blk;
+  if Option.is_some b.numbering then b.numbering <- Some (Cse.numbering ());
   blk
 
 let fresh_name b hint =
   let n = b.next_tmp in
   b.next_tmp <- n + 1;
-  with_decimal (if String.equal hint "" then "t" else hint) n
+  Decimal.with_prefix (if String.equal hint "" then "t" else hint) n
 
 let iconst n = Instr.Const (Instr.Cint (Int64.of_int n))
 let iconst64 n = Instr.Const (Instr.Cint n)
 let fconst x = Instr.Const (Instr.Cfloat x)
 let iconst32 n = Instr.Const (Instr.Cint32 (Int32.of_int n))
-let fconst32 x = Instr.Const (Instr.Cfloat32 x)
 
 let arg b name =
   match Func.find_arg b.func name with
@@ -80,14 +68,6 @@ let value_ty_exn v =
   match Instr.value_ty v with
   | Some ty -> ty
   | None -> type_error "array argument used as a first-class value"
-
-(* the shared scalar type, instead of a fresh [Types.Scalar] per result *)
-let scalar_ty : Types.scalar -> Types.t = function
-  | Types.I64 -> Types.i64
-  | Types.F64 -> Types.f64
-  | Types.I32 -> Types.i32
-  | Types.F32 -> Types.f32
-  | Types.I1 -> Types.i1
 
 (* [context arg] names the operand in the error text.  It runs only on the
    error branch, so the store and masked-op checks, whose names embed the
@@ -118,9 +98,20 @@ let check_lanes what accepted s =
   if not accepted then
     type_error "%s cannot operate on %a lanes" what Types.pp_scalar s
 
-let emit b instr =
+let append b instr =
   Block.append b.current instr;
   Instr.Ins instr
+
+(* [instr] is made even when numbering drops it, so it has drawn its id and
+   its name: ids, names and every tie-break on them are those of building
+   everything and then running [Cse.run]. *)
+let emit b instr =
+  match b.numbering with
+  | None -> append b instr
+  | Some vn -> (
+    match Cse.find_or_add vn instr with
+    | -1 -> append b instr
+    | h -> Cse.first vn h)
 
 let binop b ?(name = "") op x y =
   let what = Opcode.binop_name op in
@@ -128,14 +119,14 @@ let binop b ?(name = "") op x y =
   check_lanes what (Opcode.binop_accepts op elt) elt;
   check_scalar_ty what elt y;
   let name = fresh_name b name in
-  emit b (Instr.create ~name (Instr.Binop (op, x, y)) (scalar_ty elt))
+  emit b (Instr.create ~name (Instr.Binop (op, x, y)) (Types.of_scalar elt))
 
 let unop b ?(name = "") op x =
   let what = Opcode.unop_name op in
   let elt = operand_scalar what x in
   check_lanes what (Opcode.unop_accepts op elt) elt;
   let name = fresh_name b name in
-  emit b (Instr.create ~name (Instr.Unop (op, x)) (scalar_ty elt))
+  emit b (Instr.create ~name (Instr.Unop (op, x)) (Types.of_scalar elt))
 
 let cmp b ?(name = "") op x y =
   let what = "cmp." ^ Opcode.cmp_name op in
@@ -151,7 +142,7 @@ let select b ?(name = "") m x y =
   check_lanes "select" (not (Types.is_mask_scalar elt)) elt;
   check_scalar_ty "select" elt y;
   let name = fresh_name b (if String.equal name "" then "sel" else name) in
-  emit b (Instr.create ~name (Instr.Select (m, x, y)) (scalar_ty elt))
+  emit b (Instr.create ~name (Instr.Select (m, x, y)) (Types.of_scalar elt))
 
 let array_elt b base =
   match Func.find_arg b.func base with
@@ -163,7 +154,7 @@ let load b ?(name = "") ~base index =
   let elt = array_elt b base in
   let addr = { Instr.base; elt; index; access_lanes = 1 } in
   let name = fresh_name b (if String.equal name "" then "ld" else name) in
-  emit b (Instr.create ~name (Instr.Load addr) (scalar_ty elt))
+  emit b (Instr.create ~name (Instr.Load addr) (Types.of_scalar elt))
 
 let store b ~base index v =
   let elt = array_elt b base in
@@ -184,7 +175,7 @@ let masked_load b ?(name = "") ~base index ~mask ~passthrough =
   emit b
     (Instr.create ~name
        (Instr.Masked_load (addr, mask, passthrough))
-       (scalar_ty elt))
+       (Types.of_scalar elt))
 
 let masked_store b ~base index v ~mask =
   let elt = array_elt b base in
@@ -197,4 +188,3 @@ let masked_store b ~base index v ~mask =
 
 (* Shorthand used pervasively by tests and examples: index [i + k]. *)
 let idx ?(sym = "i") k = Affine.add_const k (Affine.sym sym)
-let cidx k = Affine.const k

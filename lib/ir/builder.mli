@@ -2,13 +2,22 @@
 
     Infers result types, type-checks operands eagerly (raising {!Type_error}
     with a readable message), appends instructions to the function's block in
-    order, and generates printable value names. *)
+    order, and generates printable value names.
+
+    With [~value_numbering:true] it is also the early-CSE: a pure
+    instruction the current block already computes ({!Cse.find_or_add}) is
+    not appended, and the first value is returned.  A dropped instruction
+    has still drawn its name and id, so the function equals a plain build
+    followed by {!Cse.run}.  [value_numbering] defaults to [false]. *)
 
 type t
 
 exception Type_error of string
 
-val create : name:string -> args:(string * Instr.arg_ty) list -> t
+val create :
+  ?value_numbering:bool -> name:string ->
+  args:(string * Instr.arg_ty) list -> unit -> t
+
 val func : t -> Func.t
 
 val current_block : t -> Block.t
@@ -23,7 +32,6 @@ val iconst : int -> Instr.value
 val iconst64 : int64 -> Instr.value
 val fconst : float -> Instr.value
 val iconst32 : int -> Instr.value
-val fconst32 : float -> Instr.value
 
 val arg : t -> string -> Instr.value
 (** Reference a scalar (int/float) argument by name. *)
@@ -62,6 +70,3 @@ val masked_store :
 
 val idx : ?sym:string -> int -> Affine.t
 (** [idx k] is the affine index [i + k] (with [?sym] overriding ["i"]). *)
-
-val cidx : int -> Affine.t
-(** Constant index. *)

@@ -28,9 +28,6 @@ let blocks f = f.blocks
 
 let add_block f b = f.blocks <- f.blocks @ [ b ]
 
-let find_block f label =
-  List.find_opt (fun b -> String.equal (Block.label b) label) f.blocks
-
 (* Replace [old_b] by a sequence of blocks, preserving position — the
    unroller's splice primitive. *)
 let replace_block f old_b news =
@@ -51,14 +48,6 @@ let rec find_named name = function
     if String.equal a.arg_name name then Some a else find_named name rest
 
 let find_arg f name = find_named name f.args
-
-let array_args f =
-  List.filter
-    (fun (a : Instr.arg) ->
-      match a.arg_ty with
-      | Array_arg _ -> true
-      | Int_arg | Float_arg -> false)
-    f.args
 
 let int_args f =
   List.filter

@@ -26,8 +26,6 @@ val blocks : t -> Block.t list
 
 val add_block : t -> Block.t -> unit
 
-val find_block : t -> string -> Block.t option
-
 val replace_block : t -> Block.t -> Block.t list -> unit
 (** [replace_block f b news] splices [news] where [b] stood, preserving the
     order of the surrounding blocks — the unroller's primitive.
@@ -38,7 +36,6 @@ val fold_instrs : ('a -> Instr.t -> 'a) -> 'a -> t -> 'a
 val num_instrs : t -> int
 
 val find_arg : t -> string -> Instr.arg option
-val array_args : t -> Instr.arg list
 val int_args : t -> Instr.arg list
 
 val clone : t -> t

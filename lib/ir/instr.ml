@@ -84,8 +84,6 @@ let map_address_index f i =
   | Reduce _ | Shuffle _ -> ()
 
 let equal a b = a.id = b.id
-let compare a b = Int.compare a.id b.id
-let hash a = a.id
 
 let const_ty = function
   | Cint _ -> Types.i64

@@ -87,8 +87,6 @@ val map_address_index : (Affine.t -> Affine.t) -> t -> unit
     counter in replicated bodies. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 
 val const_ty : const -> Types.t
 val value_ty : value -> Types.t option

@@ -76,9 +76,6 @@ let unop_is_float = function
 let binop_operand_scalar op : Types.scalar =
   if binop_is_float op then F64 else I64
 
-let unop_operand_scalar op : Types.scalar =
-  if unop_is_float op then F64 else I64
-
 (* Width-polymorphic class check: float opcodes work on f32/f64 lanes,
    integer opcodes on i32/i64 lanes. *)
 let binop_accepts op (s : Types.scalar) =

@@ -45,8 +45,6 @@ val binop_operand_scalar : binop -> Types.scalar
 (** The *default* scalar the (64-bit-only) frontend instantiates this opcode
     at.  The IR itself is width-polymorphic: see {!binop_accepts}. *)
 
-val unop_operand_scalar : unop -> Types.scalar
-
 val binop_accepts : binop -> Types.scalar -> bool
 (** Class check: float opcodes accept f32/f64, integer opcodes i32/i64. *)
 

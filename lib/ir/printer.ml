@@ -12,8 +12,9 @@
    through a pretty-printing engine cost more per job than the whole
    vectorizer pipeline. *)
 
+module Decimal = Lslp_util.Decimal
+
 let add = Buffer.add_string
-let add_int buf n = add buf (string_of_int n)
 
 (* comma-separated, as in argument lists and vector literals *)
 let add_list buf add_elt = function
@@ -50,7 +51,7 @@ let add_label buf (i : Instr.t) =
     Buffer.add_char buf '%';
     add buf i.name;
     Buffer.add_char buf '.');
-  add_int buf i.id
+  Decimal.add buf i.id
 
 let add_value buf = function
   | Instr.Const c -> add_const_readable buf c
@@ -60,7 +61,7 @@ let add_value buf = function
 let add_address buf (a : Instr.address) =
   if a.access_lanes > 1 then (
     Buffer.add_char buf '<';
-    add_int buf a.access_lanes;
+    Decimal.add buf a.access_lanes;
     add buf " x ";
     add buf (Types.scalar_name a.elt);
     add buf "> ");
@@ -131,7 +132,7 @@ let add_instr buf (i : Instr.t) =
     lhs "extract ";
     value v;
     add buf ", ";
-    add_int buf lane
+    Decimal.add buf lane
   | Instr.Reduce (op, v) ->
     lhs "reduce.";
     add buf (Opcode.binop_name op);
@@ -141,7 +142,7 @@ let add_instr buf (i : Instr.t) =
     lhs "shuffle ";
     value v;
     add buf ", [";
-    add_list buf add_int idx;
+    add_list buf Decimal.add idx;
     Buffer.add_char buf ']'
 
 let add_arg buf (a : Instr.arg) =
@@ -168,7 +169,7 @@ let add_block_header buf b =
     add buf " for (";
     add buf counter;
     add buf " = ";
-    add_int buf li.Block.l_start;
+    Decimal.add buf li.Block.l_start;
     add buf "; ";
     add buf counter;
     add buf " < ";
@@ -176,7 +177,7 @@ let add_block_header buf b =
     add buf "; ";
     add buf counter;
     add buf " += ";
-    add_int buf li.Block.l_step;
+    Decimal.add buf li.Block.l_step;
     Buffer.add_char buf ')'
 
 (* [f] line by line: [eol ()] runs between two lines, never after the last,

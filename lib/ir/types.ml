@@ -17,6 +17,13 @@ let i32 = Scalar I32
 let f32 = Scalar F32
 let i1 = Scalar I1
 
+let of_scalar = function
+  | I64 -> i64
+  | F64 -> f64
+  | I32 -> i32
+  | F32 -> f32
+  | I1 -> i1
+
 let vec elt lanes =
   if lanes < 2 then invalid_arg "Types.vec: lane count must be >= 2";
   Vec (elt, lanes)
@@ -88,7 +95,7 @@ let bprint buf = function
   | Scalar s -> Buffer.add_string buf (scalar_name s)
   | Vec (s, n) ->
     Buffer.add_char buf '<';
-    Buffer.add_string buf (string_of_int n);
+    Lslp_util.Decimal.add buf n;
     Buffer.add_string buf " x ";
     Buffer.add_string buf (scalar_name s);
     Buffer.add_char buf '>'

@@ -20,6 +20,9 @@ val i1 : t
 (** The mask scalar: one truth lane, produced by compares and consumed by
     select/masked memory ops.  No array has i1 elements. *)
 
+val of_scalar : scalar -> t
+(** [Scalar s], shared: {!i64}, {!f64}, ... rather than a fresh block. *)
+
 val vec : scalar -> int -> t
 (** [vec elt lanes] is the vector type with [lanes] lanes.
     @raise Invalid_argument if [lanes < 2]. *)

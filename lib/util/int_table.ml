@@ -88,22 +88,3 @@ let get t k ~absent =
   else Array.unsafe_get t.vals s
 
 let mem t k = t.keys.(index t k) <> empty_key
-
-let find_opt t k =
-  let s = index t k in
-  if t.keys.(s) = empty_key then None else Some t.vals.(s)
-
-(* Get-or-insert in one probe: returns the existing value, or stores and
-   returns [default ()] when the key is new. *)
-let get_or_add t k ~default =
-  if k = empty_key then invalid_arg "Int_table.get_or_add: reserved key";
-  let s = index t k in
-  if t.keys.(s) = empty_key then begin
-    let v = default () in
-    t.keys.(s) <- k;
-    t.vals.(s) <- v;
-    t.count <- t.count + 1;
-    if t.count * 4 > (t.mask + 1) * 3 then grow t;
-    v
-  end
-  else t.vals.(s)

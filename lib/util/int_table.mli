@@ -21,7 +21,3 @@ val get : t -> int -> absent:int -> int
 (** Lookup without allocating; [absent] when the key is missing. *)
 
 val mem : t -> int -> bool
-val find_opt : t -> int -> int option
-
-val get_or_add : t -> int -> default:(unit -> int) -> int
-(** Existing value, or store and return [default ()] in one probe. *)

@@ -1,34 +1,17 @@
 (* String interner: names to dense small ints.
 
-   Array bases and affine shapes repeat constantly across address queries;
-   interning them once per arena turns every later comparison into an int
-   equality.  Ids are handed out in first-seen order, so a deterministic
-   input order yields deterministic ids. *)
+   The label renaming ([Normalize.ids]) numbers each distinct label once;
+   ids are handed out in first-seen order, so a deterministic input order
+   yields deterministic ids. *)
 
-type t = {
-  tbl : (string, int) Hashtbl.t;
-  mutable names : string array;
-  mutable count : int;
-}
+type t = (string, int) Hashtbl.t
 
-let create n =
-  { tbl = Hashtbl.create (max 16 n); names = Array.make (max 16 n) ""; count = 0 }
+let create n : t = Hashtbl.create (max 16 n)
 
 let intern t s =
-  match Hashtbl.find_opt t.tbl s with
+  match Hashtbl.find_opt t s with
   | Some id -> id
   | None ->
-    let id = t.count in
-    Hashtbl.replace t.tbl s id;
-    if id >= Array.length t.names then begin
-      let bigger = Array.make (2 * Array.length t.names) "" in
-      Array.blit t.names 0 bigger 0 id;
-      t.names <- bigger
-    end;
-    t.names.(id) <- s;
-    t.count <- id + 1;
+    let id = Hashtbl.length t in
+    Hashtbl.replace t s id;
     id
-
-let find_opt t s = Hashtbl.find_opt t.tbl s
-let name t id = t.names.(id)
-let count t = t.count

@@ -6,7 +6,3 @@ val create : int -> t
 
 val intern : t -> string -> int
 (** Existing id, or the next dense id for a new string. *)
-
-val find_opt : t -> string -> int option
-val name : t -> int -> string
-val count : t -> int

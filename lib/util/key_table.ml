@@ -86,8 +86,4 @@ let get t k ~absent =
   let s = index t k in
   if Array.length t.keys.(s) = 0 then absent else t.vals.(s)
 
-let find_opt t k =
-  let s = index t k in
-  if Array.length t.keys.(s) = 0 then None else Some t.vals.(s)
-
 let mem t k = Array.length t.keys.(index t k) <> 0

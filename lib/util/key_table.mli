@@ -21,5 +21,4 @@ val find_or_add : t -> int array -> int -> int
     @raise Invalid_argument on the empty key. *)
 
 val get : t -> int array -> absent:int -> int
-val find_opt : t -> int array -> int option
 val mem : t -> int array -> bool

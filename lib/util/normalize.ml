@@ -27,7 +27,7 @@ let ids s =
       let tok = String.sub s !i (!j - !i) in
       let k = Intern.intern tbl tok in
       Buffer.add_string b "%r";
-      Buffer.add_string b (string_of_int k);
+      Decimal.add b k;
       i := !j
     end
     else begin

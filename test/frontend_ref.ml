@@ -987,7 +987,7 @@ module Lower = struct
       k.Ast.params;
     let builder =
       Builder.create ~name:k.Ast.kname
-        ~args:(List.map (fun (n, p) -> (n, arg_ty_of_param p)) k.Ast.params)
+        ~args:(List.map (fun (n, p) -> (n, arg_ty_of_param p)) k.Ast.params) ()
     in
     let env =
       { builder; params = k.Ast.params; locals = []; counters = [];

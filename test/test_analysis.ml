@@ -235,7 +235,7 @@ let closure_block n =
     Builder.create ~name:"closure"
       ~args:
         [ ("A", Instr.Array_arg Types.F64); ("B", Instr.Array_arg Types.F64);
-          ("i", Instr.Int_arg); ("j", Instr.Int_arg) ]
+          ("i", Instr.Int_arg); ("j", Instr.Int_arg) ] ()
   in
   let st = Random.State.make [| n |] in
   let values = ref [||] in
@@ -382,7 +382,7 @@ kernel k(f64 A[], f64 B[], f64 R[], i64 i) {
     tc "schedule fixes def-after-use" (fun () ->
         let b =
           Builder.create ~name:"swapped"
-            ~args:[ ("A", Instr.Array_arg Types.I64); ("i", Instr.Int_arg) ]
+            ~args:[ ("A", Instr.Array_arg Types.I64); ("i", Instr.Int_arg) ] ()
         in
         let x = Builder.load b ~base:"A" (Builder.idx 0) in
         let y = Builder.binop b Opcode.Add x (Builder.iconst 1) in

@@ -176,7 +176,7 @@ let run_masked_lanes ~masks ~setup body =
     Builder.create ~name:"law"
       ~args:
         [ ("G", Instr.Array_arg Types.F64); ("S", Instr.Array_arg Types.F64);
-          ("R", Instr.Array_arg Types.F64); ("i", Instr.Int_arg) ]
+          ("R", Instr.Array_arg Types.F64); ("i", Instr.Int_arg) ] ()
   in
   for lane = 0 to Array.length masks - 1 do
     let g = Builder.load b ~base:"G" (Builder.idx lane) in
@@ -295,7 +295,7 @@ let test_masked_off_not_bounds_checked () =
     Builder.create ~name:"oob"
       ~args:
         [ ("G", Instr.Array_arg Types.F64); ("R", Instr.Array_arg Types.F64);
-          ("i", Instr.Int_arg) ]
+          ("i", Instr.Int_arg) ] ()
   in
   let g = Builder.load b ~base:"G" (Builder.idx 0) in
   let m = Builder.cmp b Opcode.Gt g (Builder.fconst 0.0) in

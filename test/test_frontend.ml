@@ -445,6 +445,27 @@ let agreement_sources () =
     Lslp_kernels.Catalog.all
   @ example_sources ()
 
+let corner_cases =
+  [ "kernel f() {} ?"; "kernel f( { ?"; "kernel f() {} x ?";
+    "kernel f() { /* open"; "kernel f(f64 A[], i64 i) { A[i] = 1e; }";
+    "kernel f(i64 A[], i64 i) { A[i] = 99999999999999999999; }";
+    "kernel f(i64 A[], i64 i) { A[i] = 999999999999999999; }";
+    "kernel f(i64 A[], i64 i) { A[i] = 007; }";
+    "kernel f(f64 A[], i64 i) { A[i] = 1.5e+3 + 2.E-1; }";
+    "kernel f(i64 A[], i64 i) {\r\n\tA[i] = 1 // c\n; }";
+    "kernel f(i64 A[], i64 i) { A[i] = 1 \000 }";
+    "kernel f(f64 A[], i64 i) { for (i64 k = 0; k < 4; k += 1) { A[k] = sqrt(A[k]); } }";
+    "kernel f(f64 A[], i64 i) { for (k = 0; j < 4; k += 1) { A[k] = 1.0; } }";
+    "kernel f(f64 A[], i64 i) { if (A[i] < 1.0) { f64 x = 1.0; A[i] = x; } else { f64 x = 2; A[i] = x; } }";
+    "kernel f(i64 A[], i64 n, i64 i) { i64 c = i + y; for (i64 k = 0; k < n; k += 1) { A[k] = c + k; } }";
+    "kernel f(i64 A[], i64 i) { A[i] = min(i, 1.0) + max(1, 2); }";
+    "kernel f(f64 A[], i64 i, i64 i, f64 A[]) { A[i] = 1.0; }";
+    "kernel f(f64 A[], i64 i) { A[i] = fmin(A[i], 1) * sqrt(2); }";
+    "kernel a() {} kernel b() {}";
+    "kernel f(i64 A[], i64 i) { A[i] = 1 << 2 + 3 * 4 - 5 >> 1 & 7 | 8 ^ 9 % 2; }";
+    "kernel f(i64 A[], i64 i) { A[i] = 1 | 2 & 3 ^ 4 - -5 * 6 / 7 << 8; }";
+    "kernel f(i64 A[], i64 i) { A[i] = (1 | 2) & (3 ^ 4) - (5 << 1); }" ]
+
 let agreement_tests =
   [
     tc "reference agreement: catalog and example kernels" (fun () ->
@@ -472,25 +493,55 @@ let agreement_tests =
     tc "reference agreement: corner cases" (fun () ->
         List.iter
           (fun src -> check_tokens_agree src src; check_agrees src src)
-          [ "kernel f() {} ?"; "kernel f( { ?"; "kernel f() {} x ?";
-            "kernel f() { /* open"; "kernel f(f64 A[], i64 i) { A[i] = 1e; }";
-            "kernel f(i64 A[], i64 i) { A[i] = 99999999999999999999; }";
-            "kernel f(i64 A[], i64 i) { A[i] = 999999999999999999; }";
-            "kernel f(i64 A[], i64 i) { A[i] = 007; }";
-            "kernel f(f64 A[], i64 i) { A[i] = 1.5e+3 + 2.E-1; }";
-            "kernel f(i64 A[], i64 i) {\r\n\tA[i] = 1 // c\n; }";
-            "kernel f(i64 A[], i64 i) { A[i] = 1 \000 }";
-            "kernel f(f64 A[], i64 i) { for (i64 k = 0; k < 4; k += 1) { A[k] = sqrt(A[k]); } }";
-            "kernel f(f64 A[], i64 i) { for (k = 0; j < 4; k += 1) { A[k] = 1.0; } }";
-            "kernel f(f64 A[], i64 i) { if (A[i] < 1.0) { f64 x = 1.0; A[i] = x; } else { f64 x = 2; A[i] = x; } }";
-            "kernel f(i64 A[], i64 n, i64 i) { i64 c = i + y; for (i64 k = 0; k < n; k += 1) { A[k] = c + k; } }";
-            "kernel f(i64 A[], i64 i) { A[i] = min(i, 1.0) + max(1, 2); }";
-            "kernel f(f64 A[], i64 i, i64 i, f64 A[]) { A[i] = 1.0; }";
-            "kernel f(f64 A[], i64 i) { A[i] = fmin(A[i], 1) * sqrt(2); }";
-            "kernel a() {} kernel b() {}";
-            "kernel f(i64 A[], i64 i) { A[i] = 1 << 2 + 3 * 4 - 5 >> 1 & 7 | 8 ^ 9 % 2; }";
-            "kernel f(i64 A[], i64 i) { A[i] = 1 | 2 & 3 ^ 4 - -5 * 6 / 7 << 8; }";
-            "kernel f(i64 A[], i64 i) { A[i] = (1 | 2) & (3 ^ 4) - (5 << 1); }" ]);
+          corner_cases);
   ]
 
-let suite = lexer_tests @ parser_tests @ lowering_tests @ agreement_tests
+(* ---- value numbering in the builder -------------------------------- *)
+
+(* The frontend builds with value numbering instead of running [Cse.run]
+   afterwards (the reference frontend still does, so [agreement_tests]
+   already compare the two).  What numbering leaves, the pass would not
+   touch: no duplicate survives the build. *)
+let numbering_tests =
+  let lowered src =
+    match Lslp_frontend.Lower.compile_string src with
+    | f -> Some f
+    | exception (Lslp_frontend.Lexer.Error _ | Lslp_frontend.Parser.Error _
+                | Lslp_frontend.Lower.Error _) -> None
+  in
+  [
+    tc "numbered lowering leaves Cse.run nothing to remove" (fun () ->
+        let sources =
+          agreement_sources ()
+          @ List.concat
+              (List.mapi
+                 (fun i (name, src) ->
+                   List.mapi
+                     (fun j m -> (Fmt.str "%s mutant %d" name j, m))
+                     (mutants ~seed:(1000 + i) src))
+                 (agreement_sources ()))
+          @ List.map (fun src -> (src, src)) corner_cases
+        in
+        let lowered_count = ref 0 in
+        List.iter
+          (fun (name, src) ->
+            match lowered src with
+            | None -> ()
+            | Some f ->
+              incr lowered_count;
+              check_int (name ^ ": removed") 0 (Cse.run f))
+          sources;
+        check_bool "most sources lower" true
+          (!lowered_count > List.length (agreement_sources ())));
+    tc "numbered fuzz programs leave Cse.run nothing to remove" (fun () ->
+        for seed = 0 to 199 do
+          let st = Random.State.make [| seed; 0xc5e |] in
+          let p = Lslp_fuzz.Gen.generate ~cond_only:(seed mod 4 = 0) st in
+          check_int (Lslp_fuzz.Gen.describe p) 0
+            (Cse.run (Lslp_fuzz.Gen.build p))
+        done);
+  ]
+
+let suite =
+  lexer_tests @ parser_tests @ lowering_tests @ agreement_tests
+  @ numbering_tests

@@ -168,7 +168,7 @@ let block_tests =
 let func_with_dead_code () =
   let b =
     Builder.create ~name:"dead"
-      ~args:[ ("A", Instr.Array_arg Types.I64); ("i", Instr.Int_arg) ]
+      ~args:[ ("A", Instr.Array_arg Types.I64); ("i", Instr.Int_arg) ] ()
   in
   let x = Builder.load b ~base:"A" (Builder.idx 0) in
   let _dead = Builder.binop b Opcode.Add x (Builder.iconst 1) in
@@ -243,7 +243,7 @@ kernel k(f64 A[], f64 B[], f64 R[], i64 i) {
           let b =
             Builder.create ~name:"m"
               ~args:[ ("A", Instr.Array_arg Types.F64);
-                      ("R", Instr.Array_arg Types.F64); ("i", Instr.Int_arg) ]
+                      ("R", Instr.Array_arg Types.F64); ("i", Instr.Int_arg) ] ()
           in
           let x1 = Builder.load b ~base:"A" (Builder.idx 0) in
           let x2 = Builder.load b ~base:"A" (Builder.idx 0) in
@@ -255,6 +255,74 @@ kernel k(f64 A[], f64 B[], f64 R[], i64 i) {
         let candidate = build () in
         ignore (Cse.run candidate);
         assert_sound ~reference ~candidate ());
+  ]
+
+(* Printed text with every instruction id taken relative to [base], the
+   id watermark before the function was built. *)
+let relative_text base (f : Func.t) =
+  let text = Printer.func_to_string f in
+  let n = String.length text in
+  let buf = Buffer.create n in
+  let is_name c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  in
+  let is_digit c = c >= '0' && c <= '9' in
+  let rec go i =
+    if i < n then
+      if text.[i] <> '%' then (Buffer.add_char buf text.[i]; go (i + 1))
+      else begin
+        let j = ref (i + 1) in
+        while !j < n && is_name text.[!j] do incr j done;
+        let k = ref (!j + 1) in
+        while !k < n && is_digit text.[!k] do incr k done;
+        Buffer.add_string buf (String.sub text i (!j - i + 1));
+        Buffer.add_string buf
+          (string_of_int (int_of_string (String.sub text (!j + 1) (!k - !j - 1)) - base));
+        go !k
+      end
+  in
+  go 0;
+  Buffer.contents buf
+
+(* Repeated loads and commuted products, a store that retires the loads
+   of its array, and a second block that starts with nothing available. *)
+let build_redundant ~value_numbering =
+  let base = Instr.id_watermark () in
+  let b =
+    Builder.create ~value_numbering ~name:"vn"
+      ~args:[ ("A", Instr.Array_arg Types.F64); ("B", Instr.Array_arg Types.F64);
+              ("R", Instr.Array_arg Types.F64); ("i", Instr.Int_arg) ] ()
+  in
+  let body () =
+    let a = Builder.load b ~base:"A" (Builder.idx 0) in
+    let a' = Builder.load b ~base:"A" (Builder.idx 0) in
+    let x = Builder.load b ~base:"B" (Builder.idx 0) in
+    let p = Builder.binop b Opcode.Fmul a x in
+    let q = Builder.binop b Opcode.Fmul x a' in
+    let d = Builder.binop b Opcode.Fsub p q in
+    let d' = Builder.binop b Opcode.Fsub q p in
+    Builder.store b ~base:"R" (Builder.idx 0) (Builder.binop b Opcode.Fadd d d');
+    Builder.store b ~base:"A" (Builder.idx 1) p;
+    let a'' = Builder.load b ~base:"A" (Builder.idx 0) in
+    let x' = Builder.load b ~base:"B" (Builder.idx 0) in
+    Builder.store b ~base:"R" (Builder.idx 1) (Builder.binop b Opcode.Fmul a'' x')
+  in
+  body ();
+  ignore (Builder.start_block b ());
+  body ();
+  let f = Builder.func b in
+  (base, f)
+
+let numbering_tests =
+  [
+    tc "value numbering = building everything, then Cse.run" (fun () ->
+        let base, plain = build_redundant ~value_numbering:false in
+        let removed = Cse.run plain in
+        let base', numbered = build_redundant ~value_numbering:true in
+        check_int "duplicates in the plain build" 8 removed;
+        check_string "same names, ids and operands"
+          (relative_text base plain) (relative_text base' numbered);
+        check_int "nothing left to remove" 0 (Cse.run numbered));
   ]
 
 let use_info_tests =
@@ -314,7 +382,7 @@ let clone_tests =
 let builder_name_tests =
   [
     tc "names and labels are prefix ^ decimal counter" (fun () ->
-        let b = Builder.create ~name:"names" ~args:[ ("n", Instr.Int_arg) ] in
+        let b = Builder.create ~name:"names" ~args:[ ("n", Instr.Int_arg) ] () in
         let n = Builder.arg b "n" in
         for k = 0 to 1_050 do
           let hint = if k mod 2 = 0 then "" else "x" in
@@ -333,4 +401,4 @@ let builder_name_tests =
 
 let suite =
   types_tests @ opcode_tests @ instr_tests @ block_tests @ dce_tests
-  @ cse_tests @ use_info_tests @ clone_tests @ builder_name_tests
+  @ cse_tests @ numbering_tests @ use_info_tests @ clone_tests @ builder_name_tests

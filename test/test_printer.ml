@@ -134,7 +134,7 @@ let corner_instrs b =
   raw (Instr.Cmp (Opcode.Ne, i64, Builder.iconst 0)) (Types.vec Types.I1 2)
 
 let corner_func ~blocks =
-  let b = Builder.create ~name:"corner" ~args:corner_args in
+  let b = Builder.create ~name:"corner" ~args:corner_args () in
   corner_instrs b;
   if blocks then (
     let loop counter l_start l_stop l_step =
@@ -159,7 +159,7 @@ let corner_tests =
     tc "multi-block and loop corner cases match the reference" (fun () ->
         check_agrees (corner_func ~blocks:true));
     tc "a loop-only function prints its header" (fun () ->
-        let b = Builder.create ~name:"l" ~args:corner_args in
+        let b = Builder.create ~name:"l" ~args:corner_args () in
         let f = Builder.func b in
         let body =
           Block.create ~label:"body"
@@ -198,7 +198,7 @@ let type_error_text f =
 let builder_error_tests =
   let setup () =
     let b =
-      Builder.create ~name:"e" ~args:[ ("A", Instr.Array_arg Types.I64) ]
+      Builder.create ~name:"e" ~args:[ ("A", Instr.Array_arg Types.I64) ] ()
     in
     let v = Builder.load b ~base:"A" (Affine.sym "i") in
     let m = Builder.cmp b Opcode.Lt v (Builder.iconst 0) in
@@ -228,9 +228,42 @@ let builder_error_tests =
         Builder.masked_store b ~base:"A" i v ~mask:one);
   ]
 
+(* [Lslp_util.Decimal] writes the printer's ids, widths and offsets and
+   the builder's names: it must be [string_of_int] exactly. *)
+let decimal_tests =
+  let module Decimal = Lslp_util.Decimal in
+  let agrees n =
+    let buf = Buffer.create 8 in
+    Buffer.add_char buf '<';
+    Decimal.add buf n;
+    String.equal (Buffer.contents buf) ("<" ^ string_of_int n)
+    && String.equal (Decimal.with_prefix "t" n) ("t" ^ string_of_int n)
+    && String.equal (Decimal.with_prefix "" n) (string_of_int n)
+  in
+  let edges =
+    [ 0; 1; -1; 9; 10; -9; -10; 99; 100; max_int; min_int; max_int - 1;
+      min_int + 1 ]
+    @ List.concat_map
+        (fun k ->
+          let p = int_of_float (10. ** float k) in
+          [ p - 1; p; p + 1; -(p - 1); -p; -(p + 1) ])
+        (List.init 18 (fun k -> k + 1))
+  in
+  [
+    tc "Decimal = string_of_int at every digit-count edge" (fun () ->
+        List.iter
+          (fun n -> check_bool (string_of_int n) true (agrees n))
+          (edges @ List.init 2401 (fun k -> k - 1200)));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:2000 ~name:"Decimal = string_of_int on any int"
+         ~print:string_of_int
+         QCheck2.Gen.(oneof [ int; small_signed_int; oneofl edges ])
+         agrees);
+  ]
+
 let suite =
   [ tc "catalog x configs x unroll match the reference" catalog_agrees;
     fuzz_prop ~cond_only:false "random programs print like the reference";
     fuzz_prop ~cond_only:true
       "random branching programs print like the reference" ]
-  @ corner_tests @ builder_error_tests
+  @ corner_tests @ builder_error_tests @ decimal_tests

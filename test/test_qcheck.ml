@@ -33,7 +33,7 @@ let build_kernel (d : kdesc) : Func.t =
       ~args:
         [ ("R", Instr.Array_arg Types.F64); ("S", Instr.Array_arg Types.F64);
           ("A", Instr.Array_arg Types.F64); ("B", Instr.Array_arg Types.F64);
-          ("C", Instr.Array_arg Types.F64); ("i", Instr.Int_arg) ]
+          ("C", Instr.Array_arg Types.F64); ("i", Instr.Int_arg) ] ()
   in
   let leaf_value lane = function
     | L_load (arr, zone, stride) ->
@@ -152,7 +152,7 @@ let build_reduction_kernel (d : rdesc) : Func.t =
       ~args:
         [ ("R", Instr.Array_arg Types.F64); ("S", Instr.Array_arg Types.F64);
           ("A", Instr.Array_arg Types.F64); ("B", Instr.Array_arg Types.F64);
-          ("C", Instr.Array_arg Types.F64); ("i", Instr.Int_arg) ]
+          ("C", Instr.Array_arg Types.F64); ("i", Instr.Int_arg) ] ()
   in
   let leaf_value j = function
     | L_load (arr, zone, stride) ->

@@ -175,7 +175,7 @@ kernel k(f64 R[], f64 A[], i64 i) {
         let b =
           Builder.create ~name:"s"
             ~args:[ ("A", Instr.Array_arg Types.F64); ("R", Instr.Array_arg Types.F64);
-                    ("i", Instr.Int_arg) ]
+                    ("i", Instr.Int_arg) ] ()
         in
         let fb = Builder.func b in
         let wide =
@@ -212,7 +212,7 @@ kernel k(f64 R[], f64 A[], i64 i) {
     tc "verifier rejects out-of-range shuffle indices" (fun () ->
         let b =
           Builder.create ~name:"s"
-            ~args:[ ("A", Instr.Array_arg Types.F64); ("i", Instr.Int_arg) ]
+            ~args:[ ("A", Instr.Array_arg Types.F64); ("i", Instr.Int_arg) ] ()
         in
         let fb = Builder.func b in
         let wide =

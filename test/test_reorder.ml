@@ -17,7 +17,7 @@ let mk_env () =
         ~args:
           [ ("A", Instr.Array_arg Types.I64); ("B", Instr.Array_arg Types.I64);
             ("C", Instr.Array_arg Types.I64); ("D", Instr.Array_arg Types.I64);
-            ("i", Instr.Int_arg) ];
+            ("i", Instr.Int_arg) ] ();
   }
 
 let load env base k = Builder.load env.b ~base (Builder.idx k)
@@ -425,7 +425,7 @@ let random_matrix st ~slots ~lanes =
     Builder.create ~name:"ref"
       ~args:
         [ ("A", Instr.Array_arg Types.I64); ("B", Instr.Array_arg Types.I64);
-          ("x", Instr.Int_arg); ("y", Instr.Int_arg); ("i", Instr.Int_arg) ]
+          ("x", Instr.Int_arg); ("y", Instr.Int_arg); ("i", Instr.Int_arg) ] ()
   in
   let int n = Random.State.int st n in
   let mask = Builder.cmp b Opcode.Lt (Builder.arg b "x") (Builder.iconst 0) in

@@ -6,9 +6,145 @@ open Helpers
 let base_func () =
   Builder.create ~name:"v"
     ~args:[ ("A", Instr.Array_arg Types.I64); ("F", Instr.Array_arg Types.F64);
-            ("i", Instr.Int_arg); ("x", Instr.Float_arg) ]
+            ("i", Instr.Int_arg); ("x", Instr.Float_arg) ] ()
 
 let errors f = List.length (Verifier.check_func f)
+
+(* Malformed functions, one defect each, built past the builder's checks. *)
+let with_bad make =
+  let b = base_func () in
+  let f = Builder.func b in
+  List.iter (Block.append (Func.entry f)) (make b);
+  f
+
+let addr ?(lanes = 1) base elt index =
+  { Instr.base; elt; index; access_lanes = lanes }
+
+let malformed =
+  [
+    ( "use before def",
+      fun () ->
+        let b = base_func () in
+        let v = Builder.load b ~base:"A" (Builder.idx 0) in
+        let w = Builder.binop b Opcode.Add v (Builder.iconst 1) in
+        Builder.store b ~base:"A" (Builder.idx 1) w;
+        let f = Builder.func b in
+        Block.set_order (Func.entry f) (List.rev (Block.to_list (Func.entry f)));
+        f );
+    ( "operand type mismatch",
+      fun () ->
+        with_bad (fun b ->
+            let v = Builder.load b ~base:"F" (Builder.idx 0) in
+            [ Instr.create (Instr.Binop (Opcode.Add, v, Builder.iconst 1))
+                Types.i64 ]) );
+    ( "unknown array",
+      fun () ->
+        with_bad (fun _ ->
+            [ Instr.create (Instr.Load (addr "Z" Types.I64 Affine.zero))
+                Types.i64 ]) );
+    ( "index symbol that is not an i64 argument",
+      fun () ->
+        with_bad (fun _ ->
+            [ Instr.create (Instr.Load (addr "A" Types.I64 (Affine.sym "x")))
+                Types.i64 ]) );
+    ( "wrong element type for array",
+      fun () ->
+        with_bad (fun _ ->
+            [ Instr.create (Instr.Load (addr "F" Types.I64 Affine.zero))
+                Types.i64 ]) );
+    ( "buildvec arity mismatch",
+      fun () ->
+        with_bad (fun _ ->
+            [ Instr.create
+                (Instr.Buildvec [ Builder.iconst 1 ])
+                (Types.vec Types.I64 2) ]) );
+    ( "extract lane out of range",
+      fun () ->
+        with_bad (fun _ ->
+            let wide =
+              Instr.create
+                (Instr.Load (addr ~lanes:2 "A" Types.I64 Affine.zero))
+                (Types.vec Types.I64 2)
+            in
+            [ wide; Instr.create (Instr.Extract (Instr.Ins wide, 5)) Types.i64 ])
+    );
+    ( "duplicate instruction in block",
+      fun () ->
+        with_bad (fun b ->
+            match Builder.load b ~base:"A" (Builder.idx 0) with
+            | Instr.Ins i -> [ i ]
+            | Instr.Const _ | Instr.Arg _ -> assert false) );
+    ( "store with non-void type",
+      fun () ->
+        with_bad (fun _ ->
+            [ Instr.create
+                (Instr.Store (addr "A" Types.I64 Affine.zero, Builder.iconst 1))
+                Types.i64 ]) );
+  ]
+
+(* Defects only the verifier's loop, label, argument and vector checks
+   see; with [malformed], the inputs of the reference agreement. *)
+let malformed_more =
+  let loop_block ?(label = "l") ?(counter = "k") ?(stop = Block.Bound_const 4)
+      ?(step = 1) () =
+    Block.create ~label
+      ~kind:(Block.Loop { Block.counter; l_start = 0; l_stop = stop; l_step = step })
+      ()
+  in
+  let with_blocks blocks () =
+    let f = Builder.func (base_func ()) in
+    List.iter (Func.add_block f) blocks;
+    f
+  in
+  [
+    ("loop step", with_blocks [ loop_block ~step:0 () ]);
+    ("loop counter shadows", with_blocks [ loop_block ~counter:"i" () ]);
+    ("loop bound unknown", with_blocks [ loop_block ~stop:(Block.Bound_sym "m") () ]);
+    ("loop bound float", with_blocks [ loop_block ~stop:(Block.Bound_sym "x") () ]);
+    ( "duplicate labels",
+      with_blocks [ loop_block ~label:"l" (); loop_block ~label:"l" () ] );
+    ( "cross-block use",
+      fun () ->
+        let b = base_func () in
+        let v = Builder.load b ~base:"A" (Builder.idx 0) in
+        ignore (Builder.start_block b ());
+        Builder.store b ~base:"A" (Builder.idx 1) v;
+        Builder.func b );
+    ( "duplicate arguments",
+      fun () ->
+        let f =
+          Func.create ~name:"dup"
+            ~args:
+              [ { Instr.arg_name = "A"; arg_ty = Instr.Array_arg Types.I64 };
+                { Instr.arg_name = "A"; arg_ty = Instr.Int_arg } ]
+        in
+        Block.append (Func.entry f)
+          (Instr.create (Instr.Load (addr "A" Types.I64 (Affine.sym "A")))
+             Types.i64);
+        f );
+    ( "vector kinds",
+      fun () ->
+        with_bad (fun _ ->
+            let v2 = Types.vec Types.I64 2 in
+            let wide =
+              Instr.create
+                (Instr.Load (addr ~lanes:2 "A" Types.I64 Affine.zero)) v2
+            in
+            let w = Instr.Ins wide and one = Builder.iconst 1 in
+            [ wide;
+              Instr.create (Instr.Splat one) Types.i64;
+              Instr.create (Instr.Shuffle (w, [ 0; 3; 1 ])) v2;
+              Instr.create (Instr.Reduce (Opcode.Sub, w)) Types.i64;
+              Instr.create (Instr.Extract (one, 0)) Types.i64;
+              Instr.create (Instr.Cmp (Opcode.Lt, w, one)) Types.i64;
+              Instr.create (Instr.Select (one, w, w)) v2;
+              Instr.create
+                (Instr.Masked_load (addr ~lanes:0 "A" Types.I1 Affine.zero, one, w))
+                v2;
+              Instr.create
+                (Instr.Masked_store (addr "x" Types.F64 Affine.zero, one, one))
+                Types.i64 ]) );
+  ]
 
 let verifier_tests =
   [
@@ -18,105 +154,13 @@ let verifier_tests =
         let w = Builder.binop b Opcode.Add v (Builder.iconst 1) in
         Builder.store b ~base:"A" (Builder.idx 1) w;
         check_int "no errors" 0 (errors (Builder.func b)));
-    tc "rejects use before def" (fun () ->
-        let b = base_func () in
-        let v = Builder.load b ~base:"A" (Builder.idx 0) in
-        let w = Builder.binop b Opcode.Add v (Builder.iconst 1) in
-        Builder.store b ~base:"A" (Builder.idx 1) w;
-        let f = Builder.func b in
-        Block.set_order (Func.entry f) (List.rev (Block.to_list (Func.entry f)));
-        check_bool "errors" true (errors f > 0));
-    tc "rejects operand type mismatch" (fun () ->
-        let b = base_func () in
-        let v = Builder.load b ~base:"F" (Builder.idx 0) in
-        let f = Builder.func b in
-        (* force an ill-typed instruction bypassing the builder *)
-        let bad =
-          Instr.create (Instr.Binop (Opcode.Add, v, Builder.iconst 1)) Types.i64
-        in
-        Block.append (Func.entry f) bad;
-        check_bool "errors" true (errors f > 0));
-    tc "rejects unknown array" (fun () ->
-        let b = base_func () in
-        let f = Builder.func b in
-        let bad =
-          Instr.create
-            (Instr.Load
-               { Instr.base = "Z"; elt = Types.I64; index = Affine.zero;
-                 access_lanes = 1 })
-            Types.i64
-        in
-        Block.append (Func.entry f) bad;
-        check_bool "errors" true (errors f > 0));
-    tc "rejects index symbol that is not an i64 argument" (fun () ->
-        let b = base_func () in
-        let f = Builder.func b in
-        let bad =
-          Instr.create
-            (Instr.Load
-               { Instr.base = "A"; elt = Types.I64; index = Affine.sym "x";
-                 access_lanes = 1 })
-            Types.i64
-        in
-        Block.append (Func.entry f) bad;
-        check_bool "errors" true (errors f > 0));
-    tc "rejects wrong element type for array" (fun () ->
-        let b = base_func () in
-        let f = Builder.func b in
-        let bad =
-          Instr.create
-            (Instr.Load
-               { Instr.base = "F"; elt = Types.I64; index = Affine.zero;
-                 access_lanes = 1 })
-            Types.i64
-        in
-        Block.append (Func.entry f) bad;
-        check_bool "errors" true (errors f > 0));
-    tc "rejects buildvec arity mismatch" (fun () ->
-        let b = base_func () in
-        let f = Builder.func b in
-        let bad =
-          Instr.create
-            (Instr.Buildvec [ Builder.iconst 1 ])
-            (Types.vec Types.I64 2)
-        in
-        Block.append (Func.entry f) bad;
-        check_bool "errors" true (errors f > 0));
-    tc "rejects extract lane out of range" (fun () ->
-        let b = base_func () in
-        let f = Builder.func b in
-        let wide =
-          Instr.create
-            (Instr.Load
-               { Instr.base = "A"; elt = Types.I64; index = Affine.zero;
-                 access_lanes = 2 })
-            (Types.vec Types.I64 2)
-        in
-        let bad = Instr.create (Instr.Extract (Instr.Ins wide, 5)) Types.i64 in
-        Block.append (Func.entry f) wide;
-        Block.append (Func.entry f) bad;
-        check_bool "errors" true (errors f > 0));
-    tc "rejects duplicate instruction in block" (fun () ->
-        let b = base_func () in
-        let v = Builder.load b ~base:"A" (Builder.idx 0) in
-        let f = Builder.func b in
-        (match v with
-         | Instr.Ins i -> Block.append (Func.entry f) i
-         | _ -> assert false);
-        check_bool "errors" true (errors f > 0));
-    tc "rejects store with non-void type" (fun () ->
-        let b = base_func () in
-        let f = Builder.func b in
-        let bad =
-          Instr.create
-            (Instr.Store
-               ({ Instr.base = "A"; elt = Types.I64; index = Affine.zero;
-                  access_lanes = 1 },
-                Builder.iconst 1))
-            Types.i64
-        in
-        Block.append (Func.entry f) bad;
-        check_bool "errors" true (errors f > 0));
+  ]
+  @ List.map
+      (fun (what, make) ->
+        tc ("rejects " ^ what) (fun () ->
+            check_bool "errors" true (errors (make ()) > 0)))
+      malformed
+  @ [
     tc "verify_exn raises with all errors" (fun () ->
         let b = base_func () in
         let f = Builder.func b in
@@ -204,4 +248,71 @@ kernel p(i64 A[], i64 i) {
           (String.length (Printer.instr_to_string bad) > 0));
   ]
 
-let suite = verifier_tests @ printer_tests
+(* ---- agreement with the reference verifier ------------------------ *)
+
+module Ref = Verifier_ref
+
+(* Both verifiers, on one function: the same errors (message and
+   instruction) in the same order, or both accept it. *)
+let check_same_errors what (f : Func.t) =
+  let got =
+    match Verifier.check_func_arenas f with
+    | Ok _ -> []
+    | Error es -> List.map (fun (e : Verifier.error) -> (e.instr, e.message)) es
+  in
+  let want =
+    List.map (fun (e : Ref.error) -> (e.Ref.instr, e.Ref.message)) (Ref.check_func f)
+  in
+  let same (i, m) (i', m') = Option.equal ( == ) i i' && String.equal m m' in
+  if not (List.equal same got want) then
+    Alcotest.failf "%s: verifiers disagree@.reference: %a@.verifier:  %a" what
+      Fmt.(Dump.list string) (List.map snd want)
+      Fmt.(Dump.list string) (List.map snd got)
+
+(* A function and what each configuration makes of it. *)
+let with_vectorized (what, f) =
+  (what, f)
+  :: List.map
+       (fun config ->
+         (what ^ " " ^ config.Lslp_core.Config.name, snd (vectorize ~config f)))
+       Lslp_core.Config.[ slp_nr; slp; lslp ]
+
+let programs () =
+  List.concat_map
+    (fun (k : Lslp_kernels.Catalog.kernel) ->
+      let f = Lslp_kernels.Catalog.compile k in
+      ignore (Lslp_frontend.Unroll.run ~factor:4 f);
+      with_vectorized (k.Lslp_kernels.Catalog.key, f))
+    Lslp_kernels.Catalog.all
+  @ List.concat_map
+      (fun seed ->
+        let st = Random.State.make [| seed; 0x7e51 |] in
+        let f =
+          Lslp_fuzz.Gen.build
+            (Lslp_fuzz.Gen.generate ~cond_only:(seed mod 2 = 0) st)
+        in
+        ignore (Lslp_frontend.Unroll.run ~factor:4 f);
+        with_vectorized (Fmt.str "fuzz %d" seed, f))
+      (List.init 60 Fun.id)
+
+let agreement_tests =
+  [
+    tc "reference agreement: catalog and fuzz programs" (fun () ->
+        List.iter (fun (what, f) -> check_same_errors what f) (programs ()));
+    tc "reference agreement: malformed functions" (fun () ->
+        List.iter
+          (fun (what, make) -> check_same_errors what (make ()))
+          (malformed @ malformed_more));
+    tc "reference agreement: every corrupt_block damage" (fun () ->
+        List.iter
+          (fun (what, f) ->
+            List.iteri
+              (fun k _ ->
+                let g = Func.clone f in
+                if Lslp_robust.Inject.corrupt_block (List.nth (Func.blocks g) k)
+                then check_same_errors (Fmt.str "%s block %d" what k) g)
+              (Func.blocks f))
+          (programs ()));
+  ]
+
+let suite = verifier_tests @ printer_tests @ agreement_tests

@@ -15,7 +15,7 @@ let build_f32_kernel () =
       ~args:
         [ ("R", Instr.Array_arg Types.F32); ("A", Instr.Array_arg Types.F32);
           ("B", Instr.Array_arg Types.F32); ("C", Instr.Array_arg Types.F32);
-          ("i", Instr.Int_arg) ]
+          ("i", Instr.Int_arg) ] ()
   in
   for k = 0 to 7 do
     let idx = Affine.add_const k (Affine.sym ~coeff:8 "i") in
@@ -38,7 +38,7 @@ let build_i32_kernel () =
     Builder.create ~name:"mask8"
       ~args:
         [ ("R", Instr.Array_arg Types.I32); ("A", Instr.Array_arg Types.I32);
-          ("i", Instr.Int_arg) ]
+          ("i", Instr.Int_arg) ] ()
   in
   for k = 0 to 7 do
     let idx = Affine.add_const k (Affine.sym ~coeff:8 "i") in
@@ -77,7 +77,7 @@ let suite =
         let b =
           Builder.create ~name:"w"
             ~args:[ ("A", Instr.Array_arg Types.F32);
-                    ("B", Instr.Array_arg Types.F64); ("i", Instr.Int_arg) ]
+                    ("B", Instr.Array_arg Types.F64); ("i", Instr.Int_arg) ] ()
         in
         let a = Builder.load b ~base:"A" (Affine.sym "i") in
         let c = Builder.load b ~base:"B" (Affine.sym "i") in
@@ -152,7 +152,7 @@ let suite =
         let b =
           Builder.create ~name:"sum8"
             ~args:[ ("S", Instr.Array_arg Types.F32);
-                    ("A", Instr.Array_arg Types.F32); ("i", Instr.Int_arg) ]
+                    ("A", Instr.Array_arg Types.F32); ("i", Instr.Int_arg) ] ()
         in
         let leaves =
           List.init 8 (fun k ->

@@ -110,6 +110,13 @@ let malformed_more =
         ignore (Builder.start_block b ());
         Builder.store b ~base:"A" (Builder.idx 1) v;
         Builder.func b );
+    ( "self use",
+      fun () ->
+        with_bad (fun _ ->
+            let i = Instr.create (Instr.Splat (Builder.iconst 1)) Types.i64 in
+            Instr.set_kind i
+              (Instr.Binop (Opcode.Add, Instr.Ins i, Builder.iconst 1));
+            [ i ]) );
     ( "duplicate arguments",
       fun () ->
         let f =

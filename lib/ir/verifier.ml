@@ -113,6 +113,23 @@ let check_value ctx i (v : Instr.value) =
       | Instr.Int_arg | Instr.Float_arg -> ()))
   | Instr.Const _ -> ()
 
+(* [Instr.iter_operands]' order, without a closure per instruction *)
+let check_operands ctx (i : Instr.t) =
+  match i.kind with
+  | Instr.Binop (_, a, b) | Instr.Cmp (_, a, b)
+  | Instr.Masked_load (_, a, b) | Instr.Masked_store (_, a, b) ->
+    check_value ctx i a;
+    check_value ctx i b
+  | Instr.Unop (_, a) | Instr.Splat a | Instr.Extract (a, _)
+  | Instr.Reduce (_, a) | Instr.Shuffle (a, _) | Instr.Store (_, a) ->
+    check_value ctx i a
+  | Instr.Select (m, a, b) ->
+    check_value ctx i m;
+    check_value ctx i a;
+    check_value ctx i b
+  | Instr.Load _ -> ()
+  | Instr.Buildvec vs -> List.iter (check_value ctx i) vs
+
 let expect_ty ctx i what expected v =
   if not (has_value_ty v) then err ctx ~instr:i "operand has no value type";
   let ty = operand_ty v in
@@ -285,7 +302,7 @@ let rec check_instrs ctx ~counter = function
     if stamp_of ctx.stamps i.id <> 0 then
       err ctx ~instr:i "instruction appears twice in the function"
     else set_stamp ctx.stamps i.id pending;
-    Instr.iter_operands (check_value ctx i) i;
+    check_operands ctx i;
     check_kind ctx ~counter i;
     set_stamp ctx.stamps i.id ctx.block;
     check_instrs ctx ~counter rest

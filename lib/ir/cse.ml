@@ -202,7 +202,7 @@ let run_block block =
   let replaced =
     Block.fold
       (fun acc i ->
-        Instr.map_operands subst i;
+        if Option.is_some !dead then Instr.map_operands subst i;
         match (find_or_add t i, !dead) with
         | -1, _ -> acc
         | h, Some tbl -> Int_table.set tbl i.Instr.id h; i.Instr.id :: acc

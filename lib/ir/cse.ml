@@ -77,7 +77,7 @@ type numbering = {
 }
 
 let numbering ?(size = 16) () =
-  { names = names (); gens = [||]; w = Array.make 6 0;
+  { names = names (); gens = [||]; w = [| 0; 0; 0; 0; 0; 0 |];
     available = Key_table.create (size + (size / 3) + 1);
     firsts = Array.make size (Instr.Const (Instr.Cint 0L)); n_firsts = 0 }
 

@@ -313,8 +313,6 @@ let of_string s =
   | exception Parse_error (pos, msg) ->
     Error (Printf.sprintf "byte %d: %s" pos msg)
 
-let validate s = Result.map (fun (_ : t) -> ()) (of_string s)
-
 (* ---- accessors ---------------------------------------------------- *)
 
 let member name = function
@@ -322,5 +320,4 @@ let member name = function
   | Null | Bool _ | Int _ | Float _ | Str _ | Arr _ -> None
 
 let to_int_opt = function Int n -> Some n | _ -> None
-let to_string_opt = function Str s -> Some s | _ -> None
 let to_list_opt = function Arr xs -> Some xs | _ -> None

@@ -35,14 +35,10 @@ val of_string : string -> (t, string) result
     decoded to UTF-8), and distinguishes integral numbers ([Int]) from the
     rest ([Float]).  Errors carry a byte offset. *)
 
-val validate : string -> (unit, string) result
-(** [of_string] with the value thrown away — the reader-side check. *)
-
 (** {2 Accessors} (for tests and the baseline diff) *)
 
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on anything else or a missing field. *)
 
 val to_int_opt : t -> int option
-val to_string_opt : t -> string option
 val to_list_opt : t -> t list option

@@ -25,8 +25,8 @@ type names = { mutable strs : string array; mutable n_strs : int }
 
 let names () = { strs = [||]; n_strs = 0 }
 
-(* Names repeat physically (one [Instr.arg] record per argument), so the
-   scan mostly ends at [String.equal]'s pointer test. *)
+(* A block names a handful of arguments, arrays and symbols, so a scan
+   costs less than hashing the string. *)
 let name_id t name =
   let rec go j =
     if j = t.n_strs then begin

@@ -377,8 +377,9 @@ let clone_tests =
         check_int "original untouched" n (Block.length (Func.entry f)));
   ]
 
-(* Builder writes the counter digits itself; the names must equal the
-   plain [prefix ^ string_of_int n] across digit-count boundaries. *)
+(* Builder's names come from its shared table (the first 64) or are
+   written digit by digit; either way they must equal the plain
+   [prefix ^ string_of_int n], across digit-count boundaries. *)
 let builder_name_tests =
   [
     tc "names and labels are prefix ^ decimal counter" (fun () ->

@@ -10,9 +10,9 @@
      *compact index* of an instruction, 0..n-1.  Compact indices are a
      per-arena coordinate system and must never appear in output — printed
      IR carries only the global ids from [Lslp_util.Id_gen].
-   - id -> index: an offset-based int array when the block's id span is
-     dense (the normal case), an [Int_table] otherwise (ids issued across
-     domains can interleave).
+   - id -> index: an [Lslp_util.Id_map], an array over the block's id
+     span when it is dense (the normal case), a hash table otherwise (ids
+     issued across domains can interleave).
    - CSR use lists: [use_off]/[use_dat], so [num_uses] is one subtraction
      and [users] walks a contiguous slice.  An instruction using a value
      twice appears twice, in program order — the same contract the old
@@ -39,11 +39,7 @@
    so the pipeline falls back to that arena, never to one built on the
    rolled-back state. *)
 
-module Int_table = Lslp_util.Int_table
-
-type idx_map =
-  | Offset of { min_id : int; tbl : int array } (* id - min_id -> idx | -1 *)
-  | Sparse of Int_table.t
+module Id_map = Lslp_util.Id_map
 
 type addr_tables = {
   a_base : int array;   (* interned base symbol | -1 for non-memory *)
@@ -56,7 +52,7 @@ type addr_tables = {
 type t = {
   block : Block.t;
   instrs : Instr.t array;
-  idx_map : idx_map;
+  idx_map : Id_map.t;  (* instruction id -> compact index | -1 *)
   use_off : int array; (* length n+1, monotone *)
   use_dat : int array; (* user indices grouped by def, program order *)
   mutable addr : addr_tables option; (* built on first address query *)
@@ -66,14 +62,7 @@ let size t = Array.length t.instrs
 let block t = t.block
 let instr t k = t.instrs.(k)
 
-let idx_in idx_map id =
-  match idx_map with
-  | Offset { min_id; tbl } ->
-    let o = id - min_id in
-    if o < 0 || o >= Array.length tbl then -1 else Array.unsafe_get tbl o
-  | Sparse tbl -> Int_table.get tbl id ~absent:(-1)
-
-let idx_of_id t id = idx_in t.idx_map id
+let idx_of_id t id = Id_map.get t.idx_map id
 
 let idx t (i : Instr.t) = idx_of_id t i.Instr.id
 let mem t i = idx t i >= 0
@@ -90,26 +79,10 @@ let of_block (b : Block.t) =
     if id < !min_id then min_id := id;
     if id > !max_id then max_id := id
   done;
-  let idx_map =
-    if n = 0 then Offset { min_id = 0; tbl = [||] }
-    else begin
-      let span = !max_id - !min_id + 1 in
-      if span <= (4 * n) + 1024 then begin
-        let tbl = Array.make span (-1) in
-        for k = 0 to n - 1 do
-          tbl.(instrs.(k).Instr.id - !min_id) <- k
-        done;
-        Offset { min_id = !min_id; tbl }
-      end
-      else begin
-        let tbl = Int_table.create (2 * n) in
-        for k = 0 to n - 1 do
-          Int_table.set tbl instrs.(k).Instr.id k
-        done;
-        Sparse tbl
-      end
-    end
-  in
+  let idx_map = Id_map.create ~count:n ~lo:!min_id ~hi:!max_id in
+  for k = 0 to n - 1 do
+    Id_map.set idx_map instrs.(k).Instr.id k
+  done;
   (* CSR uses in one offsets array: [use_off.(d)] first counts the uses of
      [d], a running sum then turns it into the end of [d]'s slice, and the
      fill, walking users backwards, moves it down to the slice's start.  So
@@ -118,7 +91,7 @@ let of_block (b : Block.t) =
   let count (v : Instr.value) =
     match v with
     | Instr.Ins def ->
-      let d = idx_in idx_map def.Instr.id in
+      let d = Id_map.get idx_map def.Instr.id in
       if d >= 0 then use_off.(d) <- use_off.(d) + 1
     | Instr.Const _ | Instr.Arg _ -> ()
   in
@@ -133,7 +106,7 @@ let of_block (b : Block.t) =
   let fill (v : Instr.value) =
     match v with
     | Instr.Ins def ->
-      let d = idx_in idx_map def.Instr.id in
+      let d = Id_map.get idx_map def.Instr.id in
       if d >= 0 then begin
         use_off.(d) <- use_off.(d) - 1;
         use_dat.(use_off.(d)) <- !user

@@ -104,24 +104,27 @@ let gen_of t base =
 (* [tag; array; lanes; generation; const; term count; symbol and coefficient
    per term], then, when [masked], the mask and passthrough words already in
    [w].  Affine terms are canonical, so equal indices give equal words. *)
+let rec put_terms names k o = function
+  | [] -> ()
+  | (s, coeff) :: rest ->
+    k.(o) <- name_id names s;
+    k.(o + 1) <- coeff;
+    put_terms names k (o + 2) rest
+
 let address_key t tag (a : Instr.address) ~masked =
   let base = name_id t.names a.Instr.base in
-  let gen = gen_of t base in
-  let lanes = a.Instr.access_lanes and c = Affine.const_part a.Instr.index in
-  match Affine.terms a.Instr.index with
-  | [ (s, k) ] when not masked ->
-    [| tag; base; lanes; gen; c; 1; name_id t.names s; k |]
-  | terms ->
-    let n = List.length terms in
-    let k = Array.make (6 + (2 * n) + if masked then 4 else 0) 0 in
-    Array.blit [| tag; base; lanes; gen; c; n |] 0 k 0 6;
-    List.iteri
-      (fun j (s, coeff) ->
-        k.(6 + (2 * j)) <- name_id t.names s;
-        k.(7 + (2 * j)) <- coeff)
-      terms;
-    if masked then Array.blit t.w 0 k (6 + (2 * n)) 4;
-    k
+  let terms = Affine.terms a.Instr.index in
+  let n = List.length terms in
+  let k = Array.make (6 + (2 * n) + if masked then 4 else 0) 0 in
+  k.(0) <- tag;
+  k.(1) <- base;
+  k.(2) <- a.Instr.access_lanes;
+  k.(3) <- gen_of t base;
+  k.(4) <- Affine.const_part a.Instr.index;
+  k.(5) <- n;
+  put_terms t.names k 6 terms;
+  if masked then Array.blit t.w 0 k (6 + (2 * n)) 4;
+  k
 
 (* The key of a pure instruction; [[||]] (never a valid key) for stores,
    which bump their array's generation instead. *)

@@ -20,42 +20,27 @@ let error_to_string e = Fmt.str "%a" pp_error e
 
 exception Invalid of error list
 
-module Int_table = Lslp_util.Int_table
+module Id_map = Lslp_util.Id_map
 
-(* One int per instruction id: [0] before the checker meets it, [pending]
-   while the instruction's own operands are checked, [b + 1] once it is
-   defined in block [b].  A met id is a duplicate; an operand is defined iff
-   its stamp is the current block's.  An array over the id span when the
-   ids are dense (the normal case), an [Int_table] otherwise; ids outside
-   the span (operands defined elsewhere) read as 0. *)
-type stamps = Dense of int * int array | Sparse of Int_table.t
-
-let pending = -1
+(* One int per instruction id: [-1] before the checker meets it, [pending]
+   while the instruction's own operands are checked, [b] once it is defined
+   in block [b].  A met id is a duplicate; an operand is defined iff its
+   stamp is the current block's.  Ids outside the function's span
+   (operands defined elsewhere) read as [-1]. *)
+let pending = -2
 
 let stamps_for (f : Func.t) =
-  let n = Func.num_instrs f and lo = ref max_int and hi = ref min_int in
+  let lo = ref max_int and hi = ref min_int in
   Func.iter_instrs
     (fun (i : Instr.t) ->
       lo := Int.min !lo i.id;
       hi := Int.max !hi i.id)
     f;
-  if n > 0 && !hi - !lo + 1 <= (4 * n) + 1024 then
-    Dense (!lo, Array.make (!hi - !lo + 1) 0)
-  else Sparse (Int_table.create (n + (n / 3) + 1))
-
-let stamp_of s id =
-  match s with
-  | Dense (lo, a) ->
-    let o = id - lo in
-    if o >= 0 && o < Array.length a then Array.unsafe_get a o else 0
-  | Sparse t -> Int_table.get t id ~absent:0
-
-let set_stamp s id v =
-  match s with Dense (lo, a) -> a.(id - lo) <- v | Sparse t -> Int_table.set t id v
+  Id_map.create ~count:(Func.num_instrs f) ~lo:!lo ~hi:!hi
 
 type ctx = {
   args : Instr.arg array;
-  stamps : stamps;
+  stamps : Id_map.t;
   mutable block : int;       (* the current block's stamp *)
   mutable errors : error list; (* newest first *)
 }
@@ -98,7 +83,7 @@ let operand_ty (v : Instr.value) =
 let check_value ctx i (v : Instr.value) =
   match v with
   | Instr.Ins def ->
-    if stamp_of ctx.stamps def.Instr.id <> ctx.block then
+    if Id_map.get ctx.stamps def.Instr.id <> ctx.block then
       err ctx ~instr:i "use of %s before its definition (or of a value \
                         defined in another block — regions are \
                         self-contained)"
@@ -299,12 +284,12 @@ let check_kind ctx ~counter (i : Instr.t) =
 let rec check_instrs ctx ~counter = function
   | [] -> ()
   | (i : Instr.t) :: rest ->
-    if stamp_of ctx.stamps i.id <> 0 then
+    if Id_map.get ctx.stamps i.id <> -1 then
       err ctx ~instr:i "instruction appears twice in the function"
-    else set_stamp ctx.stamps i.id pending;
+    else Id_map.set ctx.stamps i.id pending;
     check_operands ctx i;
     check_kind ctx ~counter i;
-    set_stamp ctx.stamps i.id ctx.block;
+    Id_map.set ctx.stamps i.id ctx.block;
     check_instrs ctx ~counter rest
 
 (* The loop counter of [b], after checking its loop header. *)
@@ -332,7 +317,7 @@ let loop_counter ctx b =
 
 let check_func_arenas (f : Func.t) =
   let ctx =
-    { args = Array.of_list f.args; stamps = stamps_for f; block = 0;
+    { args = Array.of_list f.args; stamps = stamps_for f; block = -1;
       errors = [] }
   in
   let args = ctx.args in

@@ -218,6 +218,21 @@ let suite =
   [
     prop "arena round-trips and agrees with naive tables" prop_pre;
     prop "arena invariants survive vectorization" prop_post;
+    Helpers.tc "id map: dense and sparse spans read alike" (fun () ->
+        (* 3 ids over a span of 11 (an array) and of 100,001 (a table) *)
+        List.iter
+          (fun hi ->
+            let m = Lslp_util.Id_map.create ~count:3 ~lo:10 ~hi in
+            List.iteri (fun k id -> Lslp_util.Id_map.set m id k) [ 10; 15; hi ];
+            List.iter
+              (fun (id, want) ->
+                Helpers.check_int (Fmt.str "span to %d, id %d" hi id) want
+                  (Lslp_util.Id_map.get m id))
+              [ (10, 0); (15, 1); (hi, 2); (11, -1); (9, -1); (hi + 1, -1);
+                (min_int + 1, -1); (max_int, -1) ])
+          [ 20; 100_010 ];
+        Helpers.check_int "empty" (-1)
+          (Lslp_util.Id_map.get (Lslp_util.Id_map.create ~count:0 ~lo:0 ~hi:0) 0));
   ]
 
 let suite = suite @ address_id_tests

@@ -45,11 +45,19 @@ let start_block b ?label ?(kind = Block.Straight) () =
   if Option.is_some b.numbering then b.numbering <- Some (Cse.numbering ());
   blk
 
-(* [name] is the caller's hint, [""] for [default]. *)
-let fresh_name b default name =
+(* Names under each default hint: the first 64 are made once and shared
+   (strings are immutable), so most instructions allocate no name.  [name]
+   is the caller's hint, [""] for the default. *)
+let hint default = (default, Array.init 64 (Decimal.with_prefix default))
+let t_hint, ld_hint, m_hint = (hint "t", hint "ld", hint "m")
+let sel_hint, mld_hint = (hint "sel", hint "mld")
+
+let fresh_name b (default, first_names) name =
   let n = b.next_tmp in
   b.next_tmp <- n + 1;
-  Decimal.with_prefix (if String.equal name "" then default else name) n
+  if not (String.equal name "") then Decimal.with_prefix name n
+  else if n < 64 then first_names.(n)
+  else Decimal.with_prefix default n
 
 let iconst n = Instr.Const (Instr.Cint (Int64.of_int n))
 let iconst64 n = Instr.Const (Instr.Cint n)
@@ -119,14 +127,14 @@ let binop b ?(name = "") op x y =
   let elt = operand_scalar what x in
   check_lanes what (Opcode.binop_accepts op elt) elt;
   check_scalar_ty what elt y;
-  let name = fresh_name b "t" name in
+  let name = fresh_name b t_hint name in
   emit b (Instr.create ~name (Instr.Binop (op, x, y)) (Types.of_scalar elt))
 
 let unop b ?(name = "") op x =
   let what = Opcode.unop_name op in
   let elt = operand_scalar what x in
   check_lanes what (Opcode.unop_accepts op elt) elt;
-  let name = fresh_name b "t" name in
+  let name = fresh_name b t_hint name in
   emit b (Instr.create ~name (Instr.Unop (op, x)) (Types.of_scalar elt))
 
 let cmp b ?(name = "") op x y =
@@ -134,7 +142,7 @@ let cmp b ?(name = "") op x y =
   let elt = operand_scalar what x in
   check_lanes what (Opcode.cmp_accepts elt) elt;
   check_scalar_ty what elt y;
-  let name = fresh_name b "m" name in
+  let name = fresh_name b m_hint name in
   emit b (Instr.create ~name (Instr.Cmp (op, x, y)) Types.i1)
 
 let select b ?(name = "") m x y =
@@ -142,7 +150,7 @@ let select b ?(name = "") m x y =
   let elt = operand_scalar "select" x in
   check_lanes "select" (not (Types.is_mask_scalar elt)) elt;
   check_scalar_ty "select" elt y;
-  let name = fresh_name b "sel" name in
+  let name = fresh_name b sel_hint name in
   emit b (Instr.create ~name (Instr.Select (m, x, y)) (Types.of_scalar elt))
 
 let array_elt b base =
@@ -154,7 +162,7 @@ let array_elt b base =
 let load b ?(name = "") ~base index =
   let elt = array_elt b base in
   let addr = { Instr.base; elt; index; access_lanes = 1 } in
-  let name = fresh_name b "ld" name in
+  let name = fresh_name b ld_hint name in
   emit b (Instr.create ~name (Instr.Load addr) (Types.of_scalar elt))
 
 let store b ~base index v =
@@ -172,7 +180,7 @@ let masked_load b ?(name = "") ~base index ~mask ~passthrough =
     (fun base -> "masked.load from " ^ base ^ " passthrough")
     base elt passthrough;
   let addr = { Instr.base; elt; index; access_lanes = 1 } in
-  let name = fresh_name b "mld" name in
+  let name = fresh_name b mld_hint name in
   emit b
     (Instr.create ~name
        (Instr.Masked_load (addr, mask, passthrough))

@@ -5,7 +5,7 @@
   bench-baseline bench-speed bench-speed-report bench-serve \
   bench-serve-report trace-golden cond-smoke metrics-check \
   metrics-baseline metrics-smoke perfbench layers-check layers-baseline \
-  perf-ab
+  perf-ab opaque-check
 
 all:
 	dune build
@@ -24,6 +24,7 @@ ci:
 	dune build
 	dune runtest
 	dune build @check
+	$(MAKE) opaque-check
 	$(MAKE) lint
 	$(MAKE) domain-smoke
 	$(MAKE) serve-smoke
@@ -59,6 +60,12 @@ cond-smoke:
 stats-golden:
 	dune build @test/cram/runtest
 	dune exec bin/lslpc.exe -- fuzz --cases 200 --seed 42 --config cache-diff
+
+# Build-profile gate: the default build (dune-workspace selects release,
+# what `dune build -p lslp` installs) compiles no lib/ module with
+# -opaque, and keeps exactly the dev profile's warnings and errors.
+opaque-check:
+	python3 bench/opaque_check.py
 
 # The project's own static-analysis pass (lib/lint): R1 global mutable
 # state, R2 ambient Random, R3 raising primitives, R4 wall-clock reads.

@@ -9,7 +9,9 @@ Run from the root of a git checkout (`make perf-ab` does).  Clones the
 base commit into ${TMPDIR:-/tmp}/lslp-ab, builds perfbench/main.exe there
 and in the working tree, then runs the two executables alternately — the
 base first in even pairs, the working tree first in odd ones, so slow
-drift of the host cancels.  `--workload all` does this for every workload
+drift of the host cancels.  Each side builds under its own checkout's
+dune profile, so a base from before the release `dune-workspace` runs
+dev's `-opaque` build.  `--workload all` does this for every workload
 in turn, from one pair of builds.
 
 Per workload it prints each pair's throughput, p50/p90 latency and peak

@@ -476,8 +476,11 @@ let trace_cmd =
             || String.length dot = 0
             || String.length log = 0
           then failwith (Fmt.str "%s: empty trace export" k.key);
-          Fmt.pr "%-26s %4d event(s): chrome ok, dot ok, log ok@." k.key
-            (List.length events))
+          (* the log digest pins the whole decision trace, not just its
+             length, without printing every event into the golden *)
+          Fmt.pr "%-26s %4d event(s): chrome ok, dot ok, log ok %s@." k.key
+            (List.length events)
+            (String.sub (Digest.to_hex (Digest.string log)) 0 16))
         Lslp_kernels.Catalog.all
     else begin
       let f = load_kernel ~unroll file kernel in
@@ -504,7 +507,8 @@ let trace_cmd =
          & info [ "all" ]
              ~doc:"Trace every catalog kernel through all three exporters \
                    (validating the Chrome JSON) and print one summary line \
-                   each; ignores FILE/--kernel/--out/--trace-format.")
+                   each, ending in a digest of the decision log; ignores \
+                   FILE/--kernel/--out/--trace-format.")
   in
   Cmd.v
     (Cmd.info "trace"

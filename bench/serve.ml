@@ -85,28 +85,6 @@ let latency_json (p50, p95, p99) =
   Json.Obj
     [ ("p50", Json.Int p50); ("p95", Json.Int p95); ("p99", Json.Int p99) ]
 
-let git_commit () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    ignore (Unix.close_process_in ic);
-    if line = "" then None else Some line
-  with _ -> None
-
-let load_runs () =
-  if not (Sys.file_exists !out_path) then []
-  else
-    let ic = open_in_bin !out_path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Json.of_string s with
-    | Ok (Json.Obj fields) -> (
-      match List.assoc_opt "runs" fields with
-      | Some (Json.Arr runs) -> runs
-      | _ -> [])
-    | Ok _ | Error _ -> []
-
 let () =
   let rec parse = function
     | [] -> ()
@@ -178,7 +156,7 @@ let () =
      die "warm speedup %.2fx below the %.2fx gate" warm_speedup floor
    | _ -> ());
   if !with_write then begin
-    let prior = load_runs () in
+    let prior = Run_log.load_runs !out_path in
     let run =
       Json.Obj
         ([
@@ -207,7 +185,7 @@ let () =
            ("cache_verified", Json.Int s.Stats.cache_verified);
          ]
         @
-        match git_commit () with
+        match Run_log.git_commit () with
         | Some c -> [ ("commit", Json.Str c) ]
         | None -> [])
     in

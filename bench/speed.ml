@@ -82,29 +82,6 @@ let bechamel_ns () =
       | _ -> None)
     configs
 
-let git_commit () =
-  (* best-effort provenance; the harness must work outside a checkout too *)
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    ignore (Unix.close_process_in ic);
-    if line = "" then None else Some line
-  with _ -> None
-
-let load_runs () =
-  if not (Sys.file_exists !out_path) then []
-  else
-    let ic = open_in_bin !out_path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Json.of_string s with
-    | Ok (Json.Obj fields) -> (
-      match List.assoc_opt "runs" fields with
-      | Some (Json.Arr runs) -> runs
-      | _ -> [])
-    | Ok _ | Error _ -> []
-
 let speedup_vs_first runs (current : (string * float) list) =
   (* LSLP one-shot ns of the oldest recorded run with the same workload *)
   match runs with
@@ -153,7 +130,7 @@ let () =
     List.map (fun (name, c) -> (name, oneshot name (catalog_pass c))) configs
   in
   let bech_ns = if !with_bechamel then bechamel_ns () else [] in
-  let prior = load_runs () in
+  let prior = Run_log.load_runs !out_path in
   (match speedup_vs_first prior oneshot_ns with
    | Some s ->
      Fmt.pr "LSLP compile-throughput vs first recorded run: %.2fx@." s
@@ -174,7 +151,7 @@ let () =
            | [] -> []
            | ns -> [ ("bechamel_ns_per_pass", ns_obj ns) ])
         @
-        match git_commit () with
+        match Run_log.git_commit () with
         | Some c -> [ ("commit", Json.Str c) ]
         | None -> [])
     in

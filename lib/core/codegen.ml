@@ -104,8 +104,8 @@ let units ?reduction graph arena =
   done;
   (unit_of, key)
 
-let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
-    ?deps (graph : Graph.t) (block : Block.t) : outcome =
+let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
+    (graph : Graph.t) (block : Block.t) : outcome =
   (* [deps] shares the dependence graph (and arena snapshot) the caller
      already built for this un-mutated block; built fresh otherwise *)
   let deps =
@@ -130,19 +130,19 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
        through [repush] below, unrecorded. *)
     let repush i = out := i :: !out in
     let push (i : Instr.t) =
-      Option.iter
-        (fun tr ->
-          let lanes =
-            match i.Instr.ty with
-            | Types.Vec (_, n) -> n
-            | Types.Scalar _ | Types.Void -> (
-              match Instr.address i with
-              | Some a -> a.Instr.access_lanes
-              | None -> 1)
-          in
-          Lslp_trace.Trace.record tr
-            (Lslp_trace.Trace.Emit { instr = Printer.instr_to_string i; lanes }))
-        trace;
+      (match probe with
+       | Some p when Lslp_telemetry.Probe.tracing p ->
+         let lanes =
+           match i.Instr.ty with
+           | Types.Vec (_, n) -> n
+           | Types.Scalar _ | Types.Void -> (
+             match Instr.address i with
+             | Some a -> a.Instr.access_lanes
+             | None -> 1)
+         in
+         Lslp_telemetry.Probe.record p
+           (Lslp_trace.Trace.Emit { instr = Printer.instr_to_string i; lanes })
+       | Some _ | None -> ());
       repush i
     in
     (* surviving scalars are re-pushed, not materialized; everything else in

@@ -43,7 +43,6 @@ val run :
   ?reduction:reduction ->
   ?record:(lanes:Instr.t array -> vector:Instr.t -> unit) ->
   ?probe:Lslp_telemetry.Probe.t ->
-  ?trace:Lslp_trace.Trace.t ->
   ?deps:Lslp_analysis.Depgraph.t ->
   Graph.t ->
   Block.t ->
@@ -53,9 +52,9 @@ val run :
     Multi-node internal bundles all map to the chain's final combine.
     [probe] counts the freshly materialized instructions (vector ops,
     gathers, shuffles, extracts, reduction combines), charged only when the
-    outcome is [Vectorized].
-    [trace] records one [Emit] event per freshly materialized instruction
-    (in emission order, including ones a later rollback discards).
+    outcome is [Vectorized]; when tracing, it records one [Emit] event per
+    freshly materialized instruction (in emission order, including ones a
+    later rollback discards).
     [deps] shares a dependence graph (and arena snapshot) already built
     for the block in its current, pre-codegen form; built fresh
     otherwise. *)

@@ -30,8 +30,10 @@ type t = {
   remarks : bool;          (* collect per-region optimization remarks *)
   (* Decision tracing: record the structured event stream (seeds, graph
      shape, per-slot modes, get_best scores, cost verdicts, rollbacks) in
-     [Pipeline.report.trace_events].  Default off; the off-path allocates
-     no sink and produces byte-identical output. *)
+     [Pipeline.report.trace_events].  On, the pipeline attaches one sink
+     per run to every block's probe, through which the passes record.
+     Default off; the off-path allocates no sink and produces
+     byte-identical output. *)
   trace : bool;
   (* Fail-soft knobs: resource caps that make pathological inputs degrade
      instead of hanging, and the fault-injection hook the robustness tests

@@ -71,7 +71,10 @@ val with_trace : bool -> t -> t
     [Pipeline.report.trace_events]: seeds found/tried, SLP-graph shape,
     per-slot operand modes, every [get_best] call with its candidate set
     and per-level look-ahead scores, cost accept/reject, emitted vector
-    instructions, rollbacks and region outcomes.  Default off.  Off is
+    instructions, rollbacks and region outcomes.  On, the pipeline
+    attaches one sink per run to every block's [Lslp_telemetry.Probe],
+    and each pass records through the probe it already receives, every
+    event stamped with the block's label.  Default off.  Off is
     observationally invisible: no sink is allocated and IR, remarks and
     telemetry are byte-identical (a QCheck differential property asserts
     it); events carry logical timestamps, so traces themselves are

@@ -206,17 +206,6 @@ let lanes_of_node n =
      | [] -> 0)
   | Gather vs -> Array.length vs
 
-(* All bundles that become one vector instruction each: groups plus every
-   internal group of each multi-node. *)
-let vector_bundles g =
-  List.concat_map
-    (fun n ->
-      match n.shape with
-      | Group insts -> [ insts ]
-      | Multi m -> m.m_groups
-      | Gather _ -> [])
-    (nodes g)
-
 let rec pp_node g ppf n =
   let pp_insts ppf insts =
     Fmt.pf ppf "[%a]"

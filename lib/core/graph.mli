@@ -88,9 +88,5 @@ val node_count : t -> int
 val root_exn : t -> node
 val lanes_of_node : node -> int
 
-val vector_bundles : t -> Instr.t array list
-(** Every bundle that will become one vector instruction (groups and
-    multi-node internals). *)
-
 val pp_node : t -> node Fmt.t
 val pp : t Fmt.t

@@ -31,10 +31,9 @@ type ctx = {
   note : Lslp_check.Remark.note -> unit;
   meter : Lslp_robust.Budget.meter option;
   probe : Lslp_telemetry.Probe.t option;
-  trace : Lslp_trace.Trace.t option;
 }
 
-let make_ctx ?(note = fun _ -> ()) ?meter ?probe ?trace ?ids ?deps config
+let make_ctx ?(note = fun _ -> ()) ?meter ?probe ?ids ?deps config
     (block : Block.t) =
   (* one arena snapshot serves both analyses; [deps] lets the pipeline
      share the graph it already built for the same un-mutated block *)
@@ -53,7 +52,6 @@ let make_ctx ?(note = fun _ -> ()) ?meter ?probe ?trace ?ids ?deps config
     note;
     meter;
     probe;
-    trace;
   }
 
 let classify ctx (b : Bundle.t) =
@@ -273,8 +271,7 @@ and build_multinode ctx (root_insts : Instr.t array) (op : Opcode.binop) =
         Lslp_robust.Inject.Reorder;
       let m, modes =
         Reorder.reorder_matrix_modes ?meter:ctx.meter ?probe:ctx.probe
-          ?trace:ctx.trace ~arena:ctx.arena ?cache:(score_cache ctx)
-          ctx.config matrix
+          ~arena:ctx.arena ?cache:(score_cache ctx) ctx.config matrix
       in
       let failed =
         Array.fold_left
@@ -293,99 +290,98 @@ and build_multinode ctx (root_insts : Instr.t array) (op : Opcode.binop) =
     (List.map (build_bundle ctx) (Array.to_list reordered));
   node
 
-(* Replay the finished graph into the trace as Graph_* events: node shapes
-   with per-lane scalars, operand edges with slot numbers, and the Depgraph
-   dependence overlay lifted to node level (direct operand edges elided so
-   the overlay only shows the constraints the tree doesn't).  The DOT
-   exporter reconstructs Fig. 6/7 diagrams from these events alone. *)
+(* Replay the finished graph into a tracing probe as Graph_* events: node
+   shapes with per-lane scalars, operand edges with slot numbers, and the
+   Depgraph dependence overlay lifted to node level (direct operand edges
+   elided so the overlay only shows the constraints the tree doesn't).  The
+   DOT exporter reconstructs Fig. 6/7 diagrams from these events alone. *)
 let record_graph ctx ~desc =
-  Option.iter
-    (fun tr ->
-      let gid = Lslp_trace.Trace.fresh_gid tr in
-      Lslp_trace.Trace.record tr
-        (Lslp_trace.Trace.Graph_start { gid; seed = desc () });
-      let nodes = Graph.nodes ctx.graph in
-      let lane_text v = Fmt.str "%a" Printer.pp_value v in
-      let inst_text (i : Instr.t) = lane_text (Instr.Ins i) in
-      List.iter
-        (fun (n : Graph.node) ->
-          let kind, bundles =
-            match n.Graph.shape with
-            | Graph.Group insts ->
-              ( Lslp_trace.Trace.Knode_group
-                  (Instr.opclass_name (Instr.opclass insts.(0))),
-                [ Array.to_list (Array.map inst_text insts) ] )
-            | Graph.Multi { Graph.m_op; m_groups } ->
-              ( Lslp_trace.Trace.Knode_multi (Opcode.binop_name m_op),
-                List.map
-                  (fun g -> Array.to_list (Array.map inst_text g))
-                  m_groups )
-            | Graph.Gather values ->
-              ( Lslp_trace.Trace.Knode_gather,
-                [ Array.to_list (Array.map lane_text values) ] )
-          in
-          Lslp_trace.Trace.record tr
-            (Lslp_trace.Trace.Graph_node
-               { gid; nid = n.Graph.nid; kind; bundles }))
-        nodes;
-      let child_pairs = Lslp_util.Key_table.create 16 in
-      let pair_key a b = [| a; b |] in
-      List.iter
-        (fun (n : Graph.node) ->
-          List.iteri
-            (fun slot (c : Graph.node) ->
-              Lslp_util.Key_table.set child_pairs
-                (pair_key n.Graph.nid c.Graph.nid) 1;
-              Lslp_trace.Trace.record tr
-                (Lslp_trace.Trace.Graph_edge
-                   { gid; parent = n.Graph.nid; child = c.Graph.nid; slot }))
-            (Graph.children ctx.graph n))
-        nodes;
-      let insts_of (n : Graph.node) =
-        match n.Graph.shape with
-        | Graph.Group insts -> Array.to_list insts
-        | Graph.Multi { Graph.m_groups; _ } ->
-          List.concat_map Array.to_list m_groups
-        | Graph.Gather _ -> []
-      in
-      List.iter
-        (fun (a : Graph.node) ->
-          List.iter
-            (fun (b : Graph.node) ->
-              if
-                a.Graph.nid <> b.Graph.nid
-                && (not
-                      (Lslp_util.Key_table.mem child_pairs
-                         (pair_key a.Graph.nid b.Graph.nid)))
-                && List.exists
-                     (fun ia ->
-                       List.exists
-                         (fun ib -> Depgraph.depends ctx.deps ia ~on:ib)
-                         (insts_of b))
-                     (insts_of a)
-              then
-                Lslp_trace.Trace.record tr
-                  (Lslp_trace.Trace.Dep_edge
-                     { gid; src = a.Graph.nid; dst = b.Graph.nid }))
-            nodes)
-        nodes)
-    ctx.trace
+  match ctx.probe with
+  | Some p when Lslp_telemetry.Probe.tracing p ->
+    let record = Lslp_telemetry.Probe.record p in
+    let gid = Lslp_telemetry.Probe.fresh_gid p in
+    record (Lslp_trace.Trace.Graph_start { gid; seed = desc () });
+    let nodes = Graph.nodes ctx.graph in
+    let lane_text v = Fmt.str "%a" Printer.pp_value v in
+    let inst_text (i : Instr.t) = lane_text (Instr.Ins i) in
+    List.iter
+      (fun (n : Graph.node) ->
+        let kind, bundles =
+          match n.Graph.shape with
+          | Graph.Group insts ->
+            ( Lslp_trace.Trace.Knode_group
+                (Instr.opclass_name (Instr.opclass insts.(0))),
+              [ Array.to_list (Array.map inst_text insts) ] )
+          | Graph.Multi { Graph.m_op; m_groups } ->
+            ( Lslp_trace.Trace.Knode_multi (Opcode.binop_name m_op),
+              List.map
+                (fun g -> Array.to_list (Array.map inst_text g))
+                m_groups )
+          | Graph.Gather values ->
+            ( Lslp_trace.Trace.Knode_gather,
+              [ Array.to_list (Array.map lane_text values) ] )
+        in
+        record
+          (Lslp_trace.Trace.Graph_node
+             { gid; nid = n.Graph.nid; kind; bundles }))
+      nodes;
+    let child_pairs = Lslp_util.Key_table.create 16 in
+    let pair_key a b = [| a; b |] in
+    List.iter
+      (fun (n : Graph.node) ->
+        List.iteri
+          (fun slot (c : Graph.node) ->
+            Lslp_util.Key_table.set child_pairs
+              (pair_key n.Graph.nid c.Graph.nid) 1;
+            record
+              (Lslp_trace.Trace.Graph_edge
+                 { gid; parent = n.Graph.nid; child = c.Graph.nid; slot }))
+          (Graph.children ctx.graph n))
+      nodes;
+    let insts_of (n : Graph.node) =
+      match n.Graph.shape with
+      | Graph.Group insts -> Array.to_list insts
+      | Graph.Multi { Graph.m_groups; _ } ->
+        List.concat_map Array.to_list m_groups
+      | Graph.Gather _ -> []
+    in
+    List.iter
+      (fun (a : Graph.node) ->
+        List.iter
+          (fun (b : Graph.node) ->
+            if
+              a.Graph.nid <> b.Graph.nid
+              && (not
+                    (Lslp_util.Key_table.mem child_pairs
+                       (pair_key a.Graph.nid b.Graph.nid)))
+              && List.exists
+                   (fun ia ->
+                     List.exists
+                       (fun ib -> Depgraph.depends ctx.deps ia ~on:ib)
+                       (insts_of b))
+                   (insts_of a)
+            then
+              record
+                (Lslp_trace.Trace.Dep_edge
+                   { gid; src = a.Graph.nid; dst = b.Graph.nid }))
+          nodes)
+      nodes
+  | Some _ | None -> ()
 
-let build ?note ?meter ?probe ?trace ?ids ?deps config (block : Block.t)
+let build ?note ?meter ?probe ?ids ?deps config (block : Block.t)
     (seed : Instr.t array) =
-  let ctx = make_ctx ?note ?meter ?probe ?trace ?ids ?deps config block in
+  let ctx = make_ctx ?note ?meter ?probe ?ids ?deps config block in
   let root = build_bundle ctx (Bundle.of_insts seed) in
-  (* [desc] is a thunk so the Fmt/Affine pretty-print only runs when a
-     trace is attached *)
+  (* [desc] is a thunk so the Fmt/Affine pretty-print only runs when the
+     probe is tracing *)
   record_graph ctx ~desc:(fun () -> Seeds.describe seed);
   (ctx.graph, root)
 
 (* Entry point for reduction vectorization: build one node per leaf chunk
    within a single shared graph (so diamonds across chunks still reuse). *)
-let build_columns ?note ?meter ?probe ?trace ?ids ?deps
-    ?(desc = "reduction") config (block : Block.t)
-    (columns : Bundle.t list) =
-  let ctx = make_ctx ?note ?meter ?probe ?trace ?ids ?deps config block in
+let build_columns ?note ?meter ?probe ?ids ?deps ?(desc = "reduction")
+    config (block : Block.t) (columns : Bundle.t list) =
+  let ctx = make_ctx ?note ?meter ?probe ?ids ?deps config block in
   let nodes = List.map (build_bundle ctx) columns in
   record_graph ctx ~desc:(fun () -> desc);
   (ctx.graph, nodes)

@@ -7,7 +7,6 @@ val build :
   ?note:(Lslp_check.Remark.note -> unit) ->
   ?meter:Lslp_robust.Budget.meter ->
   ?probe:Lslp_telemetry.Probe.t ->
-  ?trace:Lslp_trace.Trace.t ->
   ?ids:Lslp_util.Id_gen.t ->
   ?deps:Lslp_analysis.Depgraph.t ->
   Config.t ->
@@ -24,20 +23,19 @@ val build :
     [Lslp_robust.Budget.Exhausted] (the pipeline degrades the region).
     May also raise [Lslp_robust.Inject.Fault] when the config arms fault
     injection at the reorder boundary.
-    [probe] counts fresh graph nodes and score evaluations.
+    [probe] counts fresh graph nodes and score evaluations and, when
+    tracing, records the finished graph ([Graph_start]/[Graph_node]/
+    [Graph_edge]/[Dep_edge]) plus the reorder decisions made along the
+    way.
     [ids] is the node-id source threaded by the pipeline so nids stay
     unique and deterministic per run (fresh per build otherwise).
     [deps] shares a dependence graph (and its arena snapshot) already
-    built for the same un-mutated block; a fresh one is built otherwise.
-    [trace] records the finished graph ([Graph_start]/[Graph_node]/
-    [Graph_edge]/[Dep_edge]) plus the reorder decisions made along the
-    way. *)
+    built for the same un-mutated block; a fresh one is built otherwise. *)
 
 val build_columns :
   ?note:(Lslp_check.Remark.note -> unit) ->
   ?meter:Lslp_robust.Budget.meter ->
   ?probe:Lslp_telemetry.Probe.t ->
-  ?trace:Lslp_trace.Trace.t ->
   ?ids:Lslp_util.Id_gen.t ->
   ?deps:Lslp_analysis.Depgraph.t ->
   ?desc:string ->

@@ -48,7 +48,7 @@ type report = {
 (* The counts are folds over the verdicts, so they cannot disagree with
    the region list. *)
 let make_report ~(config : Config.t) ~regions ~remarks ~diagnostics
-    ~telemetry ~trace =
+    ~telemetry ~sink =
   let vectorized =
     List.filter (fun r -> r.Remark.outcome = Remark.Vectorized) regions
   in
@@ -73,7 +73,7 @@ let make_report ~(config : Config.t) ~regions ~remarks ~diagnostics
     diagnostics;
     telemetry;
     trace_events =
-      (match trace with Some tr -> Trace.events tr | None -> []);
+      (match sink with Some tr -> Trace.events tr | None -> []);
   }
 
 (* The one place a transaction failure becomes a verdict. *)
@@ -94,25 +94,6 @@ let verdict (config : Config.t) ~block ~region ~lanes ?cost ?(notes = [])
     outcome;
     notes;
   }
-
-(* Probe span plus matching Span_begin/Span_end trace events; the end event
-   fires on the exception path too, so spans stay well-nested even when a
-   pass aborts into the transaction layer. *)
-let traced_span ?trace probe name f =
-  match trace with
-  | None -> Probe.span probe name f
-  | Some tr ->
-    Trace.record tr (Trace.Span_begin { pass = name });
-    let finish () =
-      Trace.record tr (Trace.Span_end { pass = name })
-    in
-    (match Probe.span probe name f with
-     | v ->
-       finish ();
-       v
-     | exception e ->
-       finish ();
-       raise e)
 
 (* Raw build notes arrive one per event; fold duplicate column rejections
    into counts and duplicate cap/FAILED events into one note each. *)
@@ -147,8 +128,10 @@ let aggregate_notes (notes : Remark.note list) : Remark.note list =
 
 (* The unprotected driver: individual regions are transactional, but a bug
    in the driver itself (or in seed collection) would still escape — [run]
-   adds the whole-function safety net around this. *)
-let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
+   adds the whole-function safety net around this.  [sink] is the run's
+   decision trace, which every block probe carries; [None] unless
+   [config.trace]. *)
+let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
   let open Lslp_check in
   let inject = config.Config.inject in
   (* the service's cooperative watchdog: one tick at every boundary the
@@ -228,7 +211,9 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
       Hashtbl.replace meters label m;
       m
   in
-  (* One probe per block, same lifetime as the block's budget meter.
+  (* One probe per block, same lifetime as the block's budget meter, and
+     the block's only observability handle: it carries the sink, so every
+     span and event a pass records is stamped with the block's label.
      Counters measure work *performed*, so a rolled-back attempt keeps its
      score evaluations and graph nodes — only [instrs_emitted] (inside
      codegen) and the outcome counters (in [conclude]) are charged on
@@ -238,7 +223,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
     match Hashtbl.find_opt probes label with
     | Some p -> p
     | None ->
-      let p = Probe.create () in
+      let p = Probe.create ?sink ~label () in
       Hashtbl.replace probes label p;
       p
   in
@@ -249,21 +234,20 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
      with [config.remarks], the remark.  Reductions trace their own
      outcomes ([~traced:false]); an unmatched reduction is only a remark. *)
   let conclude ?(traced = true) (r : Remark.t) =
-    let c = Probe.counters (probe_of r.Remark.block) in
-    let record payload =
-      match trace with
-      | Some tr when traced -> Trace.record tr payload
-      | Some _ | None -> ()
-    in
+    let probe = probe_of r.Remark.block in
+    let c = Probe.counters probe in
+    let traced = traced && Probe.tracing probe in
     let outcome name =
-      record
-        (Trace.Region_outcome
-           { seed = r.Remark.region; lanes = r.Remark.lanes; outcome = name;
-             cost = r.Remark.cost })
+      if traced then
+        Probe.record probe
+          (Trace.Region_outcome
+             { seed = r.Remark.region; lanes = r.Remark.lanes;
+               outcome = name; cost = r.Remark.cost })
     in
     let rollback pass error budget_exhausted =
       c.Probe.regions_degraded <- c.Probe.regions_degraded + 1;
-      record (Trace.Rollback { pass; error; budget_exhausted });
+      if traced then
+        Probe.record probe (Trace.Rollback { pass; error; budget_exhausted });
       outcome "degraded"
     in
     (match r.Remark.outcome with
@@ -286,7 +270,6 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
   in
   let run_block (block : Block.t) =
     let region_id = Block.label block in
-    Option.iter (fun tr -> Trace.set_region tr region_id) trace;
     let meter = meter_of block in
     let probe = probe_of region_id in
     let pc = Probe.counters probe in
@@ -322,8 +305,8 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
             entry_arena := Some arena;
             live_arena := Some arena;
             let seeds =
-              traced_span ?trace probe "seed-collect" (fun () ->
-                  Seeds.collect ~arena ~probe ?trace config block)
+              Probe.span probe "seed-collect" (fun () ->
+                  Seeds.collect ~arena ~probe config block)
             in
             let fresh =
               List.filter
@@ -348,10 +331,8 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
               cur_seed := Some seed;
               let desc = Seeds.describe seed and lanes = Array.length seed in
               pc.Probe.seeds_tried <- pc.Probe.seeds_tried + 1;
-              Option.iter
-                (fun tr ->
-                  Trace.record tr (Trace.Seed_tried { seed = desc; lanes }))
-                trace;
+              if Probe.tracing probe then
+                Probe.record probe (Trace.Seed_tried { seed = desc; lanes });
               cur_pass := "graph-build";
               Budget.deadline_tick deadline;
               Inject.maybe_fail inject Inject.Graph_build;
@@ -362,41 +343,39 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                 else None
               in
               let graph, root, deps =
-                traced_span ?trace probe "graph-build" (fun () ->
+                Probe.span probe "graph-build" (fun () ->
                     let deps = Lslp_analysis.Depgraph.build_arena arena in
                     let g, r =
-                      Graph_builder.build ?note ~meter ~probe ?trace
-                        ~ids:graph_ids ~deps config block seed
+                      Graph_builder.build ?note ~meter ~probe ~ids:graph_ids
+                        ~deps config block seed
                     in
                     (g, r, deps))
               in
               cur_pass := "cost";
               let cost =
-                traced_span ?trace probe "cost" (fun () ->
+                Probe.span probe "cost" (fun () ->
                     Cost.evaluate ~uses:(Use_info.of_arena arena) config
                       graph block)
               in
-              Option.iter
-                (fun tr ->
-                  Trace.record tr
-                    (Trace.Cost_computed
-                       {
-                         seed = desc;
-                         nodes = List.length (Graph.nodes graph);
-                         total = cost.Cost.total;
-                         threshold = config.Config.threshold;
-                         accepted = Cost.profitable config cost;
-                       }))
-                trace;
+              if Probe.tracing probe then
+                Probe.record probe
+                  (Trace.Cost_computed
+                     {
+                       seed = desc;
+                       nodes = List.length (Graph.nodes graph);
+                       total = cost.Cost.total;
+                       threshold = config.Config.threshold;
+                       accepted = Cost.profitable config cost;
+                     });
               cur_pass := "codegen";
               let outcome =
                 if Cost.profitable config cost then begin
                   Budget.deadline_tick deadline;
                   Inject.maybe_fail inject Inject.Codegen;
                   match
-                    traced_span ?trace probe "codegen" (fun () ->
-                        Codegen.run ?record:record_opt ~probe ?trace ~deps
-                          graph block)
+                    Probe.span probe "codegen" (fun () ->
+                        Codegen.run ?record:record_opt ~probe ~deps graph
+                          block)
                   with
                   | Codegen.Vectorized ->
                     live_arena := None;
@@ -467,8 +446,8 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
       let result =
         Transact.protect ~snapshot ~pass:(fun () -> "reduction") (fun () ->
             let rs =
-              traced_span ?trace probe "reduction" (fun () ->
-                  Reduction.run ~config ~meter ~probe ?trace ~ids:graph_ids
+              Probe.span probe "reduction" (fun () ->
+                  Reduction.run ~config ~meter ~probe ~ids:graph_ids
                     ?record:record_opt ~on_skipped ?arena:!live_arena block)
             in
             if
@@ -510,7 +489,6 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
      and degrades only the cleanup. *)
   let cleanup_block (block : Block.t) =
     let region_id = Block.label block in
-    Option.iter (fun tr -> Trace.set_region tr region_id) trace;
     let probe = probe_of region_id in
     let snapshot = Transact.snapshot_block block in
     let cur_pass = ref "cse" in
@@ -519,13 +497,13 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
           Budget.deadline_tick deadline;
           Inject.maybe_fail inject Inject.Cse;
           let cse_removed =
-            traced_span ?trace probe "cse" (fun () -> Cse.run_block block)
+            Probe.span probe "cse" (fun () -> Cse.run_block block)
           in
           cur_pass := "dce";
           Budget.deadline_tick deadline;
           Inject.maybe_fail inject Inject.Dce;
           let dce_removed =
-            traced_span ?trace probe "dce" (fun () -> Dce.run_block block)
+            Probe.span probe "dce" (fun () -> Dce.run_block block)
           in
           (* both passes report how many instructions they removed; when
              neither touched the block it is still in its last verified
@@ -563,16 +541,14 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
          (Func.blocks f))
   in
   make_report ~config ~regions:(List.rev !regions) ~remarks:(List.rev !remarks)
-    ~diagnostics:(List.rev !diagnostics) ~telemetry ~trace
+    ~diagnostics:(List.rev !diagnostics) ~telemetry ~sink
 
 let run ?metrics ?(config = Config.lslp) (f : Func.t) : report =
   (* Whole-function safety net: region failures are handled inside, so
      anything arriving here is a driver bug — restore the function to its
      scalar input form and report one degraded pseudo-region rather than
      letting the exception escape the compiler. *)
-  let trace =
-    if config.Config.trace then Some (Trace.create ()) else None
-  in
+  let sink = if config.Config.trace then Some (Trace.create ()) else None in
   (* feed the observability registry on every path that produces a report;
      cancellation re-raises and is accounted by the pool instead *)
   let observed report =
@@ -582,7 +558,7 @@ let run ?metrics ?(config = Config.lslp) (f : Func.t) : report =
     report
   in
   let whole = Transact.snapshot_func f in
-  match run_unprotected ?trace ~config f with
+  match run_unprotected ~sink ~config f with
   | report -> observed report
   | exception ((Out_of_memory | Sys.Break) as fatal) -> raise fatal
   | exception (Budget.Deadline_expired _ as cancel) ->
@@ -606,7 +582,7 @@ let run ?metrics ?(config = Config.lslp) (f : Func.t) : report =
          ~telemetry:
            (Lslp_telemetry.Report.empty ~func:f.Func.fname
               ~config:config.Config.name)
-         ~trace)
+         ~sink)
 
 (* Convenience: clone, run, return (report, transformed clone). *)
 let run_cloned ?metrics ?(config = Config.lslp) (f : Func.t) :

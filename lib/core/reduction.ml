@@ -105,7 +105,7 @@ type plan = {
    graph nodes (chunk trees and their gathers/extracts) + (chunks-1)
    element-wise vector ops + the horizontal reduce + tail scalar ops,
    minus the removed scalar chain ops. *)
-let plan_candidate ?meter ?probe ?trace ?ids ~deps ~desc
+let plan_candidate ?meter ?probe ?ids ~deps ~desc
     (config : Config.t) (block : Block.t) (c : candidate) : plan option =
   let model = config.Config.model in
   let elt =
@@ -119,7 +119,7 @@ let plan_candidate ?meter ?probe ?trace ?ids ~deps ~desc
     let chunks, tail = chunk_leaves ~lanes c.cand_leaves in
     let deps = Lazy.force deps in
     let graph, chunk_nodes =
-      Graph_builder.build_columns ?meter ?probe ?trace ?ids ~deps ~desc
+      Graph_builder.build_columns ?meter ?probe ?ids ~deps ~desc
         config block chunks
     in
     let in_chain (u : Instr.t) =
@@ -166,7 +166,7 @@ type region = {
 
 (* Vectorize every profitable reduction in one block, in program order.
    Returns one region record per candidate considered. *)
-let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
+let run ?(config = Config.lslp) ?meter ?probe ?ids ?record
     ?(on_skipped = fun _ -> ()) ?arena (block : Block.t) : region list =
   let regions = ref [] in
   let continue_ = ref true in
@@ -205,14 +205,19 @@ let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
       Option.iter Lslp_robust.Budget.spend_step meter;
       let desc = describe c in
       match
-        plan_candidate ?meter ?probe ?trace ?ids ~deps ~desc config block c
+        plan_candidate ?meter ?probe ?ids ~deps ~desc config block c
       with
       | None -> on_skipped c
       | Some plan ->
         let accepted = plan.cost < config.Config.threshold in
+        let tracer =
+          match probe with
+          | Some p when Lslp_telemetry.Probe.tracing p -> Some p
+          | Some _ | None -> None
+        in
         Option.iter
-          (fun tr ->
-            Lslp_trace.Trace.record tr
+          (fun p ->
+            Lslp_telemetry.Probe.record p
               (Lslp_trace.Trace.Cost_computed
                  {
                    seed = desc;
@@ -221,22 +226,22 @@ let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
                    threshold = config.Config.threshold;
                    accepted;
                  }))
-          trace;
+          tracer;
         let outcome_event outcome =
           Option.iter
-            (fun tr ->
-              Lslp_trace.Trace.record tr
+            (fun p ->
+              Lslp_telemetry.Probe.record p
                 (Lslp_trace.Trace.Region_outcome
                    { seed = desc; lanes = plan.lanes; outcome;
                      cost = Some plan.cost }))
-            trace
+            tracer
         in
         if accepted then begin
           Lslp_robust.Budget.deadline_tick config.Config.deadline;
           Lslp_robust.Inject.maybe_fail config.Config.inject
             Lslp_robust.Inject.Reduction;
           match
-            Codegen.run ~reduction:plan.reduction ?record ?probe ?trace
+            Codegen.run ~reduction:plan.reduction ?record ?probe
               ~deps:(Lazy.force deps) plan.graph block
           with
           | Codegen.Vectorized ->

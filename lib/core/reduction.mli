@@ -35,7 +35,6 @@ val run :
   ?config:Config.t ->
   ?meter:Lslp_robust.Budget.meter ->
   ?probe:Lslp_telemetry.Probe.t ->
-  ?trace:Lslp_trace.Trace.t ->
   ?ids:Lslp_util.Id_gen.t ->
   ?record:(lanes:Instr.t array -> vector:Instr.t -> unit) ->
   ?on_skipped:(candidate -> unit) ->
@@ -50,8 +49,9 @@ val run :
     per snapshot.  One region record
     per candidate with at least a full chunk of leaves; [on_skipped] fires
     for candidates with too few leaves for even one chunk; [record] is
-    forwarded to {!Codegen.run} for provenance; [trace] records the chunk
-    graphs, the cost decision and one [Region_outcome] per candidate.
+    forwarded to {!Codegen.run} for provenance; a tracing [probe] records
+    the chunk graphs, the cost decision and one [Region_outcome] per
+    candidate.
 
     Not fail-soft on its own: raises [Lslp_robust.Transact.Check_failed]
     when codegen reports a malformed graph (the block may be

@@ -192,38 +192,19 @@ let init_mode (v : Instr.value) =
    candidates, in pool order): deepen from level 1 until the scores
    separate and take the first best, or the first candidate when they
    never do.  [levels] receives each level's scores for the decision
-   trace.
-
-   [Config.score_cache] controls all memoization.  With it on and no
-   caller-supplied [cache], the tie-break still memoizes within itself:
-   hoisting each candidate's per-level results into a candidate-local
-   cache makes every deepening step extend the previous one instead of
-   recomputing it.  A caller-supplied [cache] widens the reuse across
-   slots, lanes and candidates.  With [score_cache] off, scoring is the
-   paper's Listing 7 as written — the baseline the telemetry counters
-   measure against. *)
+   trace.  Scores memoize in [cache] when one is given — the reorder
+   call's, shared across slots, lanes, candidates and deepening steps;
+   without one, scoring is the paper's Listing 7 as written. *)
 let tie_break ?meter ?cache ?probe ?levels arena (config : Config.t) last
     matching =
   let combine = config.Config.score_combine in
-  let with_caches =
-    match cache with
-    | Some c -> List.map (fun cand -> (cand, Some c)) matching
-    | None when config.Config.score_cache ->
-      (* per-candidate hoist: level k+1 recurses through exactly the
-         (pair, level<=k) comparisons the level-k round computed for this
-         candidate *)
-      List.map (fun cand -> (cand, Some (Score_cache.create ()))) matching
-    | None -> List.map (fun cand -> (cand, None)) matching
-  in
   let first = List.hd matching in
   let rec try_level level =
     let scores =
       List.map
-        (fun (c, ccache) ->
-          ( c,
-            lookahead_in ?meter ?cache:ccache ?probe arena ~combine last c
-              ~level ))
-        with_caches
+        (fun c ->
+          (c, lookahead_in ?meter ?cache ?probe arena ~combine last c ~level))
+        matching
     in
     Option.iter (fun acc -> acc := (level, List.map snd scores) :: !acc) levels;
     let all_equal =
@@ -289,20 +270,19 @@ let value_text (v : Instr.value) = Fmt.str "%a" Printer.pp_value v
    second, when an OPCODE slot may go to the look-ahead); a candidate list
    is built only for a tie, or for the decision trace.
 
-   [?trace] records one [Get_best] event: the candidate set, the per-level
-   look-ahead scores of the tie-break, the winner, and the Score_cache
-   hit/miss delta (derived from [?probe], 0/0 without one). *)
-let choose ?meter ?cache ?probe ?trace arena (config : Config.t) p
-    (mode : mode) (last : Instr.value) =
-  let levels = match trace with Some _ -> Some (ref []) | None -> None in
+   A tracing [?probe] records one [Get_best] event: the candidate set, the
+   per-level look-ahead scores of the tie-break, the winner, and the
+   Score_cache hit/miss delta of this call. *)
+let choose ?meter ?cache ?probe arena (config : Config.t) p (mode : mode)
+    (last : Instr.value) =
   let traced =
-    match (trace, probe) with
-    | Some _, Some pr ->
+    match probe with
+    | Some pr when Probe.tracing pr ->
       let c = Probe.counters pr in
-      Some (untaken_list p, c.Probe.score_hits, c.Probe.score_misses)
-    | Some _, None -> Some (untaken_list p, 0, 0)
-    | None, _ -> None
+      Some (pr, untaken_list p, c.Probe.score_hits, c.Probe.score_misses)
+    | Some _ | None -> None
   in
+  let levels = match traced with Some _ -> Some (ref []) | None -> None in
   p.mode <- mode;
   let k =
     match mode with
@@ -338,31 +318,22 @@ let choose ?meter ?cache ?probe ?trace arena (config : Config.t) p
           (tie_break ?meter ?cache ?probe ?levels arena config last matching)
           first
   in
-  Option.iter
-    (fun tr ->
-      let candidates, h0, m0 =
-        match traced with Some t -> t | None -> ([], 0, 0)
-      in
-      let cache_hits, cache_misses =
-        match probe with
-        | Some pr ->
-          let c = Probe.counters pr in
-          (c.Probe.score_hits - h0, c.Probe.score_misses - m0)
-        | None -> (0, 0)
-      in
-      Lslp_trace.Trace.record tr
-        (Lslp_trace.Trace.Get_best
-           {
-             mode = mode_to_string mode;
-             last = value_text last;
-             candidates = List.map value_text candidates;
-             levels =
-               (match levels with Some acc -> List.rev !acc | None -> []);
-             chosen = (if k < 0 then None else Some (value_text p.vals.(k)));
-             cache_hits;
-             cache_misses;
-           }))
-    trace;
+  (match traced with
+   | Some (pr, candidates, h0, m0) ->
+     let c = Probe.counters pr in
+     Probe.record pr
+       (Lslp_trace.Trace.Get_best
+          {
+            mode = mode_to_string mode;
+            last = value_text last;
+            candidates = List.map value_text candidates;
+            levels =
+              (match levels with Some acc -> List.rev !acc | None -> []);
+            chosen = (if k < 0 then None else Some (value_text p.vals.(k)));
+            cache_hits = c.Probe.score_hits - h0;
+            cache_misses = c.Probe.score_misses - m0;
+          })
+   | None -> ());
   k
 
 let pool_of arena (vals : Instr.value array) =
@@ -373,17 +344,17 @@ let pool_of arena (vals : Instr.value array) =
     mode = Failed_mode;
   }
 
-let get_best ?meter ?cache ?probe ?trace (config : Config.t) (mode : mode)
+let get_best ?meter ?cache ?probe (config : Config.t) (mode : mode)
     (last : Instr.value) (candidates : Instr.value list) :
     Instr.value option * mode =
   let p = pool_of None (Array.of_list candidates) in
-  let k = choose ?meter ?cache ?probe ?trace None config p mode last in
+  let k = choose ?meter ?cache ?probe None config p mode last in
   ((if k < 0 then None else Some p.vals.(k)), p.mode)
 
 (* Listing 5: the top-level matrix reorder.  [columns.(slot).(lane)] is the
    unordered operand matrix; the result has the same multiset of values per
    lane, rearranged across slots. *)
-let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
+let reorder_matrix_modes ?meter ?probe ?arena ?cache
     (config : Config.t) (columns : Instr.value array array) :
     Instr.value array array * mode array =
   let num_slots = Array.length columns in
@@ -421,7 +392,7 @@ let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
         | Const_mode | Load_mode | Opcode_mode | Splat_mode ->
           let last = final.(s).(lane - 1) in
           let k =
-            choose ?meter ?cache ?probe ?trace arena config p mode.(s) last
+            choose ?meter ?cache ?probe arena config p mode.(s) last
           in
           mode.(s) <- p.mode;
           if k >= 0 then begin
@@ -444,17 +415,17 @@ let reorder_matrix_modes ?meter ?probe ?trace ?arena ?cache
             final.(s).(lane) <- p.vals.(k)
       done
     done;
-    Option.iter
-      (fun tr ->
-        Lslp_trace.Trace.record tr
-          (Lslp_trace.Trace.Slot_modes
-             { modes = Array.to_list (Array.map mode_to_string mode) }))
-      trace;
+    (match probe with
+     | Some pr when Probe.tracing pr ->
+       Probe.record pr
+         (Lslp_trace.Trace.Slot_modes
+            { modes = Array.to_list (Array.map mode_to_string mode) })
+     | Some _ | None -> ());
     (final, mode)
   end
 
-let reorder_matrix ?meter ?probe ?trace config columns =
-  fst (reorder_matrix_modes ?meter ?probe ?trace config columns)
+let reorder_matrix ?meter ?probe config columns =
+  fst (reorder_matrix_modes ?meter ?probe config columns)
 
 (* ------------------------------------------------------------------ *)
 (* Vanilla SLP (LLVM 4.0 reorderInputsAccordingToOpcode).              *)

@@ -54,7 +54,6 @@ val get_best :
   ?meter:Lslp_robust.Budget.meter ->
   ?cache:Lslp_telemetry.Score_cache.t ->
   ?probe:Lslp_telemetry.Probe.t ->
-  ?trace:Lslp_trace.Trace.t ->
   Config.t ->
   mode ->
   Instr.value ->
@@ -62,19 +61,15 @@ val get_best :
   Instr.value option * mode
 (** Listing 6: choose among candidates given the slot's mode and the
     previous lane's pick; [None] means the slot defers (already FAILED).
-    When [Config.score_cache] is on and no [?cache] is supplied, the
-    look-ahead tie-break memoizes within itself per candidate, so
-    deepening from level k to k+1 extends the level-k results instead of
-    recomputing them.  With [Config.score_cache] off there is no
-    memoization anywhere — the paper's Listing 7 exactly as written.
-    [?trace] records one [Get_best] event per call: the candidate set,
+    The look-ahead tie-break memoizes in [?cache] when one is supplied;
+    without one it scores as the paper's Listing 7 is written.  A tracing
+    [?probe] records one [Get_best] event per call: the candidate set,
     the per-level look-ahead scores of the tie-break, the winner, and the
-    Score_cache hit/miss delta (derived from [?probe], 0/0 without one). *)
+    Score_cache hit/miss delta of the call. *)
 
 val reorder_matrix :
   ?meter:Lslp_robust.Budget.meter ->
   ?probe:Lslp_telemetry.Probe.t ->
-  ?trace:Lslp_trace.Trace.t ->
   Config.t ->
   Instr.value array array ->
   Instr.value array array
@@ -85,16 +80,15 @@ val reorder_matrix :
 val reorder_matrix_modes :
   ?meter:Lslp_robust.Budget.meter ->
   ?probe:Lslp_telemetry.Probe.t ->
-  ?trace:Lslp_trace.Trace.t ->
   ?arena:Arena.t ->
   ?cache:Lslp_telemetry.Score_cache.t ->
   Config.t ->
   Instr.value array array ->
   Instr.value array array * mode array
 (** Like {!reorder_matrix}, but also returns the final per-slot mode —
-    [Failed_mode] slots are the ones the remarks engine reports; [?trace]
-    additionally records the [Slot_modes] assignment (paper Table 1) and
-    one [Get_best] event per (slot, lane) choice.  With
+    [Failed_mode] slots are the ones the remarks engine reports; a tracing
+    [?probe] additionally records the [Slot_modes] assignment (paper
+    Table 1) and one [Get_best] event per (slot, lane) choice.  With
     [Config.score_cache] the look-ahead memoizes in [?cache], cleared
     first (a graph build reuses one table, created with
     [~dense:(Arena.size arena)], across its reorder calls), or else in a

@@ -48,7 +48,7 @@ let rec windows max_lanes (run : Instr.t list) : seed list =
     Array.of_list first :: windows max_lanes rest
   end
 
-let collect ?arena ?probe ?trace (config : Config.t) (block : Block.t) :
+let collect ?arena ?probe (config : Config.t) (block : Block.t) :
     seed list =
   let arena =
     match arena with Some a -> a | None -> Arena.of_block block
@@ -167,19 +167,17 @@ let collect ?arena ?probe ?trace (config : Config.t) (block : Block.t) :
         Int.compare (Arena.pos arena a.(0)) (Arena.pos arena b.(0)))
       !seeds
   in
-  Option.iter
-    (fun p ->
-      let c = Lslp_telemetry.Probe.counters p in
-      c.Lslp_telemetry.Probe.seeds_collected <-
-        c.Lslp_telemetry.Probe.seeds_collected + List.length sorted)
-    probe;
-  Option.iter
-    (fun tr ->
-      Lslp_trace.Trace.record tr
-        (Lslp_trace.Trace.Seeds_found
-           {
-             seeds =
-               List.map (fun s -> (describe s, Array.length s)) sorted;
-           }))
-    trace;
+  (match probe with
+   | Some p ->
+     let c = Lslp_telemetry.Probe.counters p in
+     c.Lslp_telemetry.Probe.seeds_collected <-
+       c.Lslp_telemetry.Probe.seeds_collected + List.length sorted;
+     if Lslp_telemetry.Probe.tracing p then
+       Lslp_telemetry.Probe.record p
+         (Lslp_trace.Trace.Seeds_found
+            {
+              seeds =
+                List.map (fun s -> (describe s, Array.length s)) sorted;
+            })
+   | None -> ());
   sorted

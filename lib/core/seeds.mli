@@ -12,7 +12,6 @@ val describe : seed -> string
 val collect :
   ?arena:Arena.t ->
   ?probe:Lslp_telemetry.Probe.t ->
-  ?trace:Lslp_trace.Trace.t ->
   Config.t ->
   Block.t ->
   seed list
@@ -20,5 +19,5 @@ val collect :
     Adjacency comes off the arena's address side table (int compares);
     pass [arena] to share the snapshot the caller already built for the
     same un-mutated block, otherwise a fresh one is taken.
-    [probe] counts the bundles found; [trace] records them as a
-    [Seeds_found] event. *)
+    [probe] counts the bundles found and, when tracing, records them as
+    a [Seeds_found] event. *)

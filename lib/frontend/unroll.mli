@@ -13,5 +13,3 @@ val run : ?factor:int -> Func.t -> int
 (** [run ~factor f] unrolls every eligible loop block of [f] in place and
     returns how many loops were transformed.  [factor] defaults to 4 (the
     paper's AVX2 f64/i64 vector width); values below 2 disable the pass. *)
-
-val unroll_block : factor:int -> Func.t -> Block.t -> bool

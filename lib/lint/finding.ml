@@ -37,11 +37,6 @@ let compare a b =
         let c = String.compare a.rule b.rule in
         if c <> 0 then c else String.compare a.ident b.ident
 
-let to_diagnostic f =
-  Lslp_check.Diagnostic.error
-    ~rule:(f.rule ^ ":" ^ f.slug)
-    (Fmt.str "%s:%d:%d: %s" f.file f.line f.col f.message)
-
 let pp ppf f =
   Fmt.pf ppf "%s:%d:%d: error[%s:%s]: %s" f.file f.line f.col f.rule f.slug
     f.message

@@ -1,7 +1,7 @@
 (** A lint finding: one rule violation at one source location.
 
-    Findings are data, never control flow (the same contract as
-    [Lslp_check.Diagnostic]): the driver collects every finding in a run,
+    Findings are data, never control flow (the same contract as the
+    pipeline's diagnostics): the driver collects every finding in a run,
     applies the waiver file, and only then decides the exit code. *)
 
 type t = {
@@ -30,10 +30,6 @@ val v :
 
 val compare : t -> t -> int
 (** Order by (file, line, col, rule, ident) — the report order. *)
-
-val to_diagnostic : t -> Lslp_check.Diagnostic.t
-(** Render through the PR-1 diagnostic machinery: severity [Error], rule
-    ["R1:global-mutable-state"], the location folded into the message. *)
 
 val pp : t Fmt.t
 (** [file:line:col: error[R1:slug]: message] — one line, cram-stable. *)

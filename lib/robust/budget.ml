@@ -81,7 +81,6 @@ type deadline = { deadline_steps : int; mutable ticks : int }
 exception Deadline_expired of { steps : int }
 
 let deadline deadline_steps = { deadline_steps; ticks = 0 }
-let deadline_ticks d = d.ticks
 
 let deadline_tick = function
   | None -> ()

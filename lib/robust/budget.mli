@@ -49,8 +49,6 @@ exception Deadline_expired of { steps : int }
 val deadline : int -> deadline
 (** A fresh per-job meter allowing that many pass-boundary ticks. *)
 
-val deadline_ticks : deadline -> int
-
 val deadline_tick : deadline option -> unit
 (** No-op on [None]; otherwise spend one tick.
     @raise Deadline_expired when the budget is gone. *)

@@ -6,6 +6,11 @@
    ints bumped on the hot path — cheap enough to stay always-on — and
    timers accumulate [Unix.gettimeofday] spans per pass name.
 
+   It is also the passes' only way into the decision trace: with the run's
+   sink attached, [span] brackets each pass with Span_begin/Span_end and
+   [record] appends events, all stamped with the probe's block label.
+   Without one, [tracing] is false and sites skip building their payload.
+
    Counters are deterministic for a given input and configuration; timers
    are not.  Every renderer in {!Report} keeps the two apart so golden
    tests can pin the counters and mask the clock. *)
@@ -80,9 +85,16 @@ type t = {
   c : counters;
   timers : (string, timer) Hashtbl.t;
   order : string list ref;  (* pass names in first-seen order *)
+  sink : (Lslp_trace.Trace.t * string) option;  (* the sink, block label *)
 }
 
-let create () = { c = zero_counters (); timers = Hashtbl.create 8; order = ref [] }
+let create ?sink ?(label = "") () =
+  {
+    c = zero_counters ();
+    timers = Hashtbl.create 8;
+    order = ref [];
+    sink = (match sink with Some tr -> Some (tr, label) | None -> None);
+  }
 
 let counters t = t.c
 
@@ -100,9 +112,19 @@ let add_time t pass seconds =
   tm.elapsed_s <- tm.elapsed_s +. seconds;
   tm.calls <- tm.calls + 1
 
+let tracing t = match t.sink with Some _ -> true | None -> false
+
+let record t payload =
+  match t.sink with
+  | Some (tr, region) -> Lslp_trace.Trace.record ~region tr payload
+  | None -> ()
+
+let fresh_gid t =
+  match t.sink with Some (tr, _) -> Lslp_trace.Trace.fresh_gid tr | None -> 0
+
 (* Accumulate even when [f] raises: a budget abort mid-pass still spent the
    time, and the caller's transaction will re-raise past us. *)
-let span t pass f =
+let timed t pass f =
   let t0 = Unix.gettimeofday () in
   match f () with
   | v ->
@@ -111,6 +133,17 @@ let span t pass f =
   | exception e ->
     add_time t pass (Unix.gettimeofday () -. t0);
     raise e
+
+(* The end event fires on the exception path too, so spans stay
+   well-nested when a pass aborts into the transaction layer. *)
+let span t pass f =
+  match t.sink with
+  | None -> timed t pass f
+  | Some _ ->
+    record t (Lslp_trace.Trace.Span_begin { pass });
+    Fun.protect
+      ~finally:(fun () -> record t (Lslp_trace.Trace.Span_end { pass }))
+      (fun () -> timed t pass f)
 
 type snapshot = {
   s_counters : counters;

@@ -1,10 +1,17 @@
-(** Pass-level instrumentation: counters + wall-clock timers.
+(** Pass-level instrumentation: counters, wall-clock timers and the
+    decision trace.
 
     One probe per region (basic block); the pipeline threads it through
     seed collection, graph building, operand reordering, code generation
     and reduction vectorization, then aggregates the snapshots into
     {!Report.t}.  Counters are deterministic per (input, configuration);
-    timers are wall-clock and must be masked in golden tests. *)
+    timers are wall-clock and must be masked in golden tests.
+
+    With [Config.trace] on, the pipeline attaches the run's
+    {!Lslp_trace.Trace} sink to each block's probe, so the probe is the
+    only observability handle a pass receives: {!span} records pass
+    boundaries and {!record} decision events, each stamped with the
+    block's label. *)
 
 type counters = {
   mutable seeds_collected : int;
@@ -33,15 +40,33 @@ val counter_fields : (string * (counters -> int)) list
 
 type t
 
-val create : unit -> t
+val create : ?sink:Lslp_trace.Trace.t -> ?label:string -> unit -> t
+(** A probe with zeroed counters and no timers.  With [sink] it also
+    records into that decision trace, stamping each event with [label]
+    (default [""]). *)
+
 val counters : t -> counters
+
+val tracing : t -> bool
+(** A sink is attached: instrumentation sites build a payload for
+    {!record} only when this holds. *)
+
+val record : t -> Lslp_trace.Trace.payload -> unit
+(** Append one event to the attached sink, stamped with the probe's
+    label; no-op without a sink. *)
+
+val fresh_gid : t -> int
+(** A sink-unique SLP-graph id for [Graph_start] events; 0 without a
+    sink. *)
 
 val add_time : t -> string -> float -> unit
 (** Accumulate [seconds] (one call) against a pass name. *)
 
 val span : t -> string -> (unit -> 'a) -> 'a
 (** Run the thunk, accumulating its wall-clock time against the pass name;
-    the time is charged even when the thunk raises. *)
+    the time is charged even when the thunk raises.  With a sink attached
+    the thunk is bracketed by [Span_begin]/[Span_end] events, the end
+    event recorded on the exception path too. *)
 
 type snapshot = {
   s_counters : counters;

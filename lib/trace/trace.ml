@@ -5,11 +5,13 @@
    (input, configuration) and golden tests can pin it.  No event reads
    the wall clock.
 
-   Instrumentation sites throughout the pipeline receive the sink as
-   [?trace : t option] and do nothing on [None]; with [Config.trace] off
-   no sink is ever allocated, so the off-path costs one immediate-value
-   comparison per site and the output is byte-identical to an untraced
-   build (a QCheck differential property asserts exactly that). *)
+   The sink knows nothing of blocks: the pipeline attaches it to each
+   block's [Lslp_telemetry.Probe], which stamps every event with the
+   block's label and records pass spans.  With [Config.trace] off no sink
+   is ever allocated, so the off-path costs one immediate-value
+   comparison per instrumentation site and the output is byte-identical
+   to an untraced build (a QCheck differential property asserts exactly
+   that). *)
 
 type node_kind =
   | Knode_group of string
@@ -61,26 +63,18 @@ type event = { ts : int; region : string; payload : payload }
 type t = {
   mutable rev_events : event list;
   mutable clock : int;
-  mutable region : string;
   gids : Lslp_util.Id_gen.t;
 }
 
 let create () =
-  {
-    rev_events = [];
-    clock = 0;
-    region = "";
-    gids = Lslp_util.Id_gen.create ();
-  }
-
-let set_region t region = t.region <- region
+  { rev_events = []; clock = 0; gids = Lslp_util.Id_gen.create () }
 
 let fresh_gid t = Lslp_util.Id_gen.next t.gids
 
-let record t payload =
+let record ?(region = "") t payload =
   let ts = t.clock in
   t.clock <- ts + 1;
-  t.rev_events <- { ts; region = t.region; payload } :: t.rev_events
+  t.rev_events <- { ts; region; payload } :: t.rev_events
 
 let events t = List.rev t.rev_events
 
@@ -155,9 +149,6 @@ let pp_payload ppf = function
     Fmt.pf ppf "outcome %s (VL=%d): %s%a" seed lanes outcome
       Fmt.(option (fun ppf c -> Fmt.pf ppf " (cost %+d)" c))
       cost
-
-let pp_event ppf e =
-  Fmt.pf ppf "%04d [%s] %a" e.ts e.region pp_payload e.payload
 
 let to_log events =
   let b = Buffer.create 4096 in

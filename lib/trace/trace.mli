@@ -1,14 +1,15 @@
 (** Decision tracing: a typed, zero-cost-when-off event stream recording
     {e why} the vectorizer did what it did.
 
-    The pipeline (and the passes it drives) append structured events to a
-    sink while transforming a function: seed bundles found and tried,
-    SLP-graph shape (nodes, operand edges, dependence overlay — the
-    paper's Fig. 6/7 diagrams), per-slot operand modes (Table 1), every
-    [get_best] tie-break with its candidate set and per-level look-ahead
-    scores (Listings 6–7), cost-model accept/reject with the numbers,
-    emitted vector instructions, transaction rollbacks (including injected
-    faults and budget exhaustion) and final region outcomes.
+    The pipeline and the passes it drives append structured events, through
+    each block's [Lslp_telemetry.Probe], to one sink per run: seed bundles
+    found and tried, SLP-graph shape (nodes, operand edges, dependence
+    overlay — the paper's Fig. 6/7 diagrams), per-slot operand modes
+    (Table 1), every [get_best] tie-break with its candidate set and
+    per-level look-ahead scores (Listings 6–7), cost-model accept/reject
+    with the numbers, emitted vector instructions, transaction rollbacks
+    (including injected faults and budget exhaustion) and final region
+    outcomes.
 
     {b Determinism contract.}  Events carry logical timestamps — the
     sink's own monotone event counter, not a clock — so a trace is a pure
@@ -27,7 +28,7 @@ type node_kind =
 type payload =
   | Span_begin of { pass : string }
   | Span_end of { pass : string }
-      (** pass boundaries, mirroring [Lslp_telemetry.Probe.span] *)
+      (** pass boundaries, recorded by [Lslp_telemetry.Probe.span] *)
   | Seeds_found of { seeds : (string * int) list  (** desc, lanes *) }
   | Seed_tried of { seed : string; lanes : int }
   | Graph_start of { gid : int; seed : string }
@@ -85,20 +86,23 @@ type event = {
 
 type t
 (** The sink.  The pipeline allocates one per run when [Config.trace] is
-    on and threads it through every pass as [?trace]; with tracing off no
+    on and attaches it to every block's [Lslp_telemetry.Probe]; passes
+    record through the probe they already receive.  With tracing off no
     sink exists and every instrumentation site is a [None] check. *)
 
 val create : unit -> t
-val set_region : t -> string -> unit
 val fresh_gid : t -> int
-val record : t -> payload -> unit
+
+val record : ?region:string -> t -> payload -> unit
+(** Append one event stamped with the next logical timestamp and
+    [region] (default [""]). *)
+
 val events : t -> event list
 (** In recording order. *)
 
 (** {2 Rendering helpers} *)
 
 val payload_name : payload -> string
-val pp_event : event Fmt.t
 
 (** {2 Exporters} *)
 

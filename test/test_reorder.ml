@@ -486,12 +486,15 @@ let random_matrix st ~slots ~lanes =
   (Builder.current_block b, columns)
 
 (* Everything one reorder call leaves behind: the matrix (or the budget
-   error), the modes, the probe's score counters and the trace events. *)
-let observe run =
-  let probe = Lslp_telemetry.Probe.create () in
+   error), the modes, the probe's score counters and the trace events.
+   Traced, the sink rides on the probe, as the pipeline attaches it; the
+   list reference records into the same sink directly, as [?trace]. *)
+let observe ~traced run =
   let trace = Lslp_trace.Trace.create () in
+  let sink = if traced then Some trace else None in
+  let probe = Lslp_telemetry.Probe.create ?sink () in
   let outcome =
-    match run ~probe ~trace with
+    match run ~probe ~sink with
     | m, modes -> Ok (m, modes)
     | exception Lslp_robust.Budget.Exhausted msg -> Error msg
   in
@@ -543,17 +546,16 @@ let agrees_with_reference (seed, slots, lanes, fuel) =
       List.for_all
         (fun traced ->
           let meter () = Lslp_robust.Budget.meter budget in
-          let trace_of tr = if traced then Some tr else None in
           let want =
-            observe (fun ~probe ~trace ->
+            observe ~traced (fun ~probe ~sink ->
                 Reorder_ref.reorder_matrix_modes ~meter:(meter ()) ~probe
-                  ?trace:(trace_of trace) config columns)
+                  ?trace:sink config columns)
           in
           let agree ?arena ?cache () =
             let (o, c, e) =
-              observe (fun ~probe ~trace ->
+              observe ~traced (fun ~probe ~sink:_ ->
                   Reorder.reorder_matrix_modes ~meter:(meter ()) ~probe
-                    ?trace:(trace_of trace) ?arena ?cache config columns)
+                    ?arena ?cache config columns)
             in
             let (wo, wc, we) = want in
             same_outcome o wo && c = wc && e = we

@@ -12,6 +12,7 @@ open Lslp_ir
 open Lslp_core
 open Helpers
 module Probe = Lslp_telemetry.Probe
+module Trace = Lslp_trace.Trace
 module Report = Lslp_telemetry.Report
 module Score_cache = Lslp_telemetry.Score_cache
 module Budget = Lslp_robust.Budget
@@ -91,6 +92,50 @@ let probe_tests =
           check_bool "non-negative time" true (secs >= 0.0)
         | other ->
           Alcotest.failf "unexpected timer rows: %d" (List.length other));
+    tc "traced span nests, re-raises and charges time" (fun () ->
+        let tr = Trace.create () in
+        let p = Probe.create ~sink:tr ~label:"b0" () in
+        (match
+           Probe.span p "outer" (fun () ->
+               Probe.span p "doomed" (fun () -> raise Exit))
+         with
+         | () -> Alcotest.fail "the thunk's exception was swallowed"
+         | exception Exit -> ());
+        check_bool "well-nested pair per span" true
+          (List.map (fun (e : Trace.event) -> e.payload) (Trace.events tr)
+          = Trace.
+              [ Span_begin { pass = "outer" }; Span_begin { pass = "doomed" };
+                Span_end { pass = "doomed" }; Span_end { pass = "outer" } ]);
+        check
+          Alcotest.(list int)
+          "timer calls" [ 1; 1 ]
+          (List.map (fun (_, _, calls) -> calls)
+             (Probe.snapshot p).Probe.s_timers));
+    tc "traced probe stamps events with its block label" (fun () ->
+        let tr = Trace.create () in
+        let a = Probe.create ~sink:tr ~label:"entry" () in
+        let b = Probe.create ~sink:tr ~label:"loop0" () in
+        Probe.record a (Trace.Seed_tried { seed = "s"; lanes = 4 });
+        ignore (Probe.span b "cse" (fun () -> ()));
+        Probe.record a (Trace.Seed_tried { seed = "s"; lanes = 2 });
+        check
+          Alcotest.(list (pair int string))
+          "(ts, region)"
+          [ (0, "entry"); (1, "loop0"); (2, "loop0"); (3, "entry") ]
+          (List.map (fun (e : Trace.event) -> (e.ts, e.region))
+             (Trace.events tr)));
+    tc "untraced probe records nothing" (fun () ->
+        let tr = Trace.create () in
+        let traced = Probe.create ~sink:tr ~label:"entry" () in
+        let p = Probe.create ~label:"entry" () in
+        check_bool "tracing" false (Probe.tracing p);
+        Probe.record p (Trace.Seed_tried { seed = "s"; lanes = 4 });
+        (try Probe.span p "doomed" (fun () -> raise Exit) with Exit -> ());
+        Probe.record traced (Trace.Seed_tried { seed = "s"; lanes = 2 });
+        check_int "only the traced probe's event" 1
+          (List.length (Trace.events tr));
+        check_int "timer still charged" 1
+          (List.length (Probe.snapshot p).Probe.s_timers));
     tc "merge sums snapshots and keeps first-seen timer order" (fun () ->
         let mk pass evals =
           let p = Probe.create () in

@@ -53,10 +53,9 @@ let sink_tests =
   [
     tc "timestamps are the sink's own monotone sequence" (fun () ->
         let tr = Trace.create () in
-        Trace.set_region tr "b0";
         for _ = 1 to 5 do
-          Trace.record tr (Trace.Span_begin { pass = "p" });
-          Trace.record tr (Trace.Span_end { pass = "p" })
+          Trace.record ~region:"b0" tr (Trace.Span_begin { pass = "p" });
+          Trace.record ~region:"b0" tr (Trace.Span_end { pass = "p" })
         done;
         let events = Trace.events tr in
         check_int "count" 10 (List.length events);
@@ -65,18 +64,6 @@ let sink_tests =
             check_int "ts" i e.Trace.ts;
             check_string "region" "b0" e.Trace.region)
           events);
-    tc "set_region stamps subsequent events only" (fun () ->
-        let tr = Trace.create () in
-        Trace.set_region tr "first";
-        Trace.record tr (Trace.Seed_tried { seed = "s"; lanes = 4 });
-        Trace.set_region tr "second";
-        Trace.record tr (Trace.Seed_tried { seed = "s"; lanes = 4 });
-        (match Trace.events tr with
-         | [ a; b ] ->
-           check_string "first" "first" a.Trace.region;
-           check_string "second" "second" b.Trace.region
-         | other -> Alcotest.failf "expected 2 events, got %d"
-                      (List.length other)));
     tc "fresh_gid never repeats" (fun () ->
         let tr = Trace.create () in
         let gids = List.init 8 (fun _ -> Trace.fresh_gid tr) in

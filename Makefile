@@ -152,7 +152,7 @@ bench-speed-report:
 
 # Batch-service throughput: catalog x 1000 as one batch through the pool
 # (sequential floor, N domains, cache cold vs warm with every hit
-# legality-re-verified), appended to bench_results/BENCH_serve.json.
+# digest-checked), appended to bench_results/BENCH_serve.json.
 # The warm-vs-cold speedup is gated at 5x — that ratio measures work
 # skipped safely, which unlike wall-clock survives noisy runners.
 bench-serve:

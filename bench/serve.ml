@@ -7,10 +7,11 @@
      bench-speed catalog pass, plus service plumbing);
    - pooled, cache off: the same workload over N domains;
    - cached: one cold batch that fills the verified result cache, then
-     [reps] warm batches that must hit it — every hit re-verified by the
-     legality validator (the bench hard-fails if hits <> verified or
-     anything was evicted, so the warm number is never bought by
-     skipping the safety check).
+     [reps] warm batches that must hit it — every hit's payload checked
+     against the digest taken when the legality-validated result was
+     inserted (the bench hard-fails if hits <> verified or anything was
+     evicted, so the warm number is never bought by skipping the safety
+     check).
 
    Results are *appended* to bench_results/BENCH_serve.json as a
    dated-by-commit trajectory, including the warm-vs-cold speedup.
@@ -136,7 +137,7 @@ let () =
   if s.Stats.cache_hits <> expected_hits then
     die "expected %d warm hits, saw %d" expected_hits s.Stats.cache_hits;
   if s.Stats.cache_verified <> s.Stats.cache_hits then
-    die "hits served without legality re-verification: %d hits, %d verified"
+    die "hits served without a payload digest check: %d hits, %d verified"
       s.Stats.cache_hits s.Stats.cache_verified;
   if s.Stats.cache_evicted <> 0 then
     die "unexpected evictions in a clean run: %d" s.Stats.cache_evicted;
@@ -145,7 +146,7 @@ let () =
   let pool_lat = latency_percentiles pool_svc in
   let cached_lat = latency_percentiles svc in
   let pp_lat ppf (p50, p95, p99) = Fmt.pf ppf "%d/%d/%d" p50 p95 p99 in
-  Fmt.pr "every warm hit legality-verified: %d/%d@." s.Stats.cache_verified
+  Fmt.pr "every warm hit digest-checked: %d/%d@." s.Stats.cache_verified
     s.Stats.cache_hits;
   Fmt.pr "job latency ticks p50/p95/p99: pooled %a, cached %a@." pp_lat
     pool_lat pp_lat cached_lat;

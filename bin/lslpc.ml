@@ -85,19 +85,11 @@ let inject_arg =
   Arg.(value & opt (some inject_conv) None
        & info [ "inject" ] ~docv:"SPEC" ~doc)
 
-let apply_inject inject config =
-  match inject with
-  | Some i -> Lslp_core.Config.with_inject i config
-  | None -> config
-
 let no_score_cache_arg =
   Arg.(value & flag
        & info [ "no-score-cache" ]
            ~doc:"Disable the memoized look-ahead scorer (same results, \
                  more score evaluations).")
-
-let apply_score_cache no_cache config =
-  if no_cache then Lslp_core.Config.with_score_cache false config else config
 
 let stats_arg =
   Arg.(value & flag
@@ -211,7 +203,7 @@ let emit_trace ~trace_out ~format ~func_name
 
 (* Region formation happens here, in the driver, exactly once: Lower and
    Catalog.compile stay pure so nothing double-unrolls. *)
-let load_kernel ?(unroll = 0) file kernel_key =
+let load_kernel ~unroll file kernel_key =
   let f =
     match (file, kernel_key) with
     | Some path, None ->
@@ -241,6 +233,31 @@ let kernel_arg =
   let doc = "Use a built-in catalog kernel (see the kernels subcommand)." in
   Arg.(value & opt (some string) None & info [ "k"; "kernel" ] ~docv:"KEY" ~doc)
 
+(* --config with --no-score-cache applied: stats, profile and, through
+   [kernel_term], every subcommand that compiles one kernel. *)
+let config_term =
+  let make config no_cache =
+    if no_cache then Lslp_core.Config.with_score_cache false config
+    else config
+  in
+  Term.(const make $ config_arg $ no_score_cache_arg)
+
+(* What compile, run, analyze and trace share: [(config, unroll, load)],
+   the configuration with --inject applied too, --unroll, and [load n],
+   which reads FILE or --kernel unrolled by [n] (call it inside
+   [handle_errors]). *)
+let kernel_term =
+  let make file kernel config unroll inject =
+    let config =
+      match inject with
+      | Some i -> Lslp_core.Config.with_inject i config
+      | None -> config
+    in
+    (config, unroll, fun unroll -> load_kernel ~unroll file kernel)
+  in
+  Term.(const make $ file_arg $ kernel_arg $ config_term $ unroll_arg
+        $ inject_arg)
+
 let handle_errors f =
   try f () with
   | Lslp_frontend.Lexer.Error (msg, pos)
@@ -268,16 +285,15 @@ let print_diagnostics diags =
 (* ---- compile ---------------------------------------------------- *)
 
 let compile_cmd =
-  let run file kernel config unroll inject dump_ir dump_graph quiet
-      verify_output no_cache stats stats_json trace_out trace_format =
+  let run (config, unroll, load) dump_ir dump_graph quiet verify_output stats
+      stats_json trace_out trace_format =
     handle_errors @@ fun () ->
     let config =
       if verify_output then Lslp_core.Config.with_validate true config
       else config
     in
-    let config = apply_inject inject (apply_score_cache no_cache config) in
     let config = apply_trace trace_out config in
-    let f = load_kernel ~unroll file kernel in
+    let f = load unroll in
     if dump_ir then
       Fmt.pr "=== scalar IR ===@.%a@.@." Lslp_ir.Printer.pp_func f;
     if dump_graph then
@@ -322,27 +338,25 @@ let compile_cmd =
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No report.") in
   Cmd.v
     (Cmd.info "compile" ~doc:"Vectorize a kernel and report what happened")
-    Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
-          $ inject_arg $ dump_ir $ dump_graph $ quiet $ verify_output_arg
-          $ no_score_cache_arg $ stats_arg $ stats_json_arg $ trace_out_arg
+    Term.(const run $ kernel_term $ dump_ir $ dump_graph $ quiet
+          $ verify_output_arg $ stats_arg $ stats_json_arg $ trace_out_arg
           $ trace_format_arg)
 
 (* ---- run --------------------------------------------------------- *)
 
 let run_cmd =
-  let run file kernel config unroll inject seed verify_output no_cache stats
-      stats_json trace_out trace_format =
+  let run (config, unroll, load) seed verify_output stats stats_json
+      trace_out trace_format =
     handle_errors @@ fun () ->
     let config =
       if verify_output then Lslp_core.Config.with_validate true config
       else config
     in
-    let config = apply_inject inject (apply_score_cache no_cache config) in
     let config = apply_trace trace_out config in
     (* the reference is the kernel as written (loops intact), so the oracle
        checks region formation and vectorization together *)
-    let reference = load_kernel ~unroll:0 file kernel in
-    let f = load_kernel ~unroll file kernel in
+    let reference = load 0 in
+    let f = load unroll in
     let report, g = Lslp_core.Pipeline.run_cloned ~config f in
     let outcome =
       Lslp_interp.Oracle.compare_runs ~seed ~reference ~candidate:g ()
@@ -373,25 +387,23 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Vectorize a kernel, simulate scalar vs vector, compare")
-    Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
-          $ inject_arg $ seed $ verify_output_arg $ no_score_cache_arg
-          $ stats_arg $ stats_json_arg $ trace_out_arg $ trace_format_arg)
+    Term.(const run $ kernel_term $ seed $ verify_output_arg $ stats_arg
+          $ stats_json_arg $ trace_out_arg $ trace_format_arg)
 
 (* ---- analyze ------------------------------------------------------ *)
 
 let analyze_cmd =
-  let run file kernel config unroll inject json dot no_cache stats stats_json
-      trace_out trace_format =
+  let run (config, unroll, load) json dot stats stats_json trace_out
+      trace_format =
     handle_errors @@ fun () ->
     let config =
       Lslp_core.Config.(config |> with_remarks true |> with_validate true)
     in
-    let config = apply_inject inject (apply_score_cache no_cache config) in
     let config =
       if dot then Lslp_core.Config.with_trace true config
       else apply_trace trace_out config
     in
-    let f = load_kernel ~unroll file kernel in
+    let f = load unroll in
     let report, _g = Lslp_core.Pipeline.run_cloned ~config f in
     let remarks = report.Lslp_core.Pipeline.remarks in
     let diags = report.Lslp_core.Pipeline.diagnostics in
@@ -435,16 +447,14 @@ let analyze_cmd =
        ~doc:
          "Explain the vectorizer's decisions: one remark per region \
           considered, with the legality validator's verdict")
-    Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
-          $ inject_arg $ json $ dot $ no_score_cache_arg $ stats_arg
-          $ stats_json_arg $ trace_out_arg $ trace_format_arg)
+    Term.(const run $ kernel_term $ json $ dot $ stats_arg $ stats_json_arg
+          $ trace_out_arg $ trace_format_arg)
 
 (* ---- trace -------------------------------------------------------- *)
 
 let trace_cmd =
-  let run file kernel config unroll inject format out all no_cache =
+  let run (config, unroll, load) format out all =
     handle_errors @@ fun () ->
-    let config = apply_inject inject (apply_score_cache no_cache config) in
     let config = Lslp_core.Config.with_trace true config in
     let validated_chrome ~what events ~func_name =
       let chrome =
@@ -483,7 +493,7 @@ let trace_cmd =
             (String.sub (Digest.to_hex (Digest.string log)) 0 16))
         Lslp_kernels.Catalog.all
     else begin
-      let f = load_kernel ~unroll file kernel in
+      let f = load unroll in
       let report, _ = Lslp_core.Pipeline.run_cloned ~config f in
       let events = report.Lslp_core.Pipeline.trace_events in
       let contents =
@@ -516,15 +526,13 @@ let trace_cmd =
          "Record the vectorizer's decision trace for a kernel and export \
           it as Chrome trace-event JSON (Perfetto), Graphviz DOT or a \
           decision log")
-    Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
-          $ inject_arg $ trace_format_arg $ out $ all $ no_score_cache_arg)
+    Term.(const run $ kernel_term $ trace_format_arg $ out $ all)
 
 (* ---- stats -------------------------------------------------------- *)
 
 let stats_cmd =
-  let run config unroll no_cache json =
+  let run config unroll json =
     handle_errors @@ fun () ->
-    let config = apply_score_cache no_cache config in
     let registry = Lslp_obs.Registry.create () in
     let pm = Lslp_telemetry.Pass_metrics.create ~root:"catalog" registry in
     let rows =
@@ -591,7 +599,7 @@ let stats_cmd =
          "Vectorize the whole kernel catalog and tabulate the telemetry \
           counters (seeds, score evaluations, cache hits, graph nodes, \
           regions) and the per-pass step histograms")
-    Term.(const run $ config_arg $ unroll_arg $ no_score_cache_arg $ json)
+    Term.(const run $ config_term $ unroll_arg $ json)
 
 (* ---- fuzz --------------------------------------------------------- *)
 
@@ -896,8 +904,9 @@ let batch_cmd =
   let cache =
     Arg.(value & opt (enum [ ("on", true); ("off", false) ]) true
          & info [ "cache" ] ~docv:"on|off"
-             ~doc:"Content-addressed result cache; every hit is re-verified \
-                   by the legality validator before reuse.")
+             ~doc:"Content-addressed result cache; every result is checked \
+                   by the legality validator before it is stored, and every \
+                   hit's payload is checked against its digest before reuse.")
   in
   let repeat =
     Arg.(value & opt int 1
@@ -1080,10 +1089,8 @@ let domains_cmd =
    the way `make bench-check` diffs counters (the fig14 compile-time
    hunt's instrument). *)
 let profile_cmd =
-  let run config unroll reps kernel no_cache folded_out metrics_out
-      metrics_format =
+  let run config unroll reps kernel folded_out metrics_out metrics_format =
     handle_errors @@ fun () ->
-    let config = apply_score_cache no_cache config in
     let registry = Lslp_obs.Registry.create () in
     let pm = Lslp_telemetry.Pass_metrics.create ~root:"profile" registry in
     let kernels =
@@ -1140,9 +1147,8 @@ let profile_cmd =
          "Profile compile cost in deterministic pass-boundary steps: \
           catalog x N compiles into per-pass step histograms (percentile \
           table) and flamegraph-compatible folded stacks")
-    Term.(const run $ config_arg $ unroll_arg $ reps $ kernel
-          $ no_score_cache_arg $ folded_out $ metrics_out
-          $ metrics_format_arg)
+    Term.(const run $ config_term $ unroll_arg $ reps $ kernel $ folded_out
+          $ metrics_out $ metrics_format_arg)
 
 (* ---- metrics-verify ----------------------------------------------- *)
 

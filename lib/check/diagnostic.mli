@@ -16,15 +16,10 @@ type t = {
   message : string;
 }
 
-val v : ?severity:severity -> ?instrs:Instr.t list -> rule:string -> string -> t
-(** Build a diagnostic; [severity] defaults to [Error]. *)
-
 val error : ?instrs:Instr.t list -> rule:string -> string -> t
 val warning : ?instrs:Instr.t list -> rule:string -> string -> t
 
-val is_error : t -> bool
 val errors : t list -> t list
-val warnings : t list -> t list
 
 val summary : t list -> string
 (** ["2 error(s), 1 warning(s)"] — stable one-line count. *)

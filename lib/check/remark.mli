@@ -49,20 +49,11 @@ val explain : t -> (string * string) list
 val pp : t Fmt.t
 (** Multi-line human-readable remark for one region. *)
 
-val report_json :
-  config_name:string ->
-  func_name:string ->
-  diagnostics:Diagnostic.t list ->
-  t list ->
-  Lslp_util.Json.t
-(** The whole report as a {!Lslp_util.Json} value, for callers composing
-    larger documents. *)
-
 val report_to_json :
   config_name:string ->
   func_name:string ->
   diagnostics:Diagnostic.t list ->
   t list ->
   string
-(** {!report_json} rendered minified.  Field order and byte layout are
-    stable — the cram goldens pin them. *)
+(** The whole report as one minified JSON document.  Field order and
+    byte layout are stable — the cram goldens pin them. *)

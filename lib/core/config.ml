@@ -140,5 +140,3 @@ let fingerprint t =
   add (string_of_bool t.remarks);
   add (Fmt.str "%a" Lslp_robust.Budget.pp t.budget);
   Buffer.contents b
-
-let pp ppf t = Fmt.string ppf t.name

@@ -105,5 +105,3 @@ val fingerprint : t -> string
     of the service cache key.  [inject], [deadline] and [trace] are
     excluded: the service never caches faulted runs, and neither deadlines
     nor tracing change the IR of a run that completes. *)
-
-val pp : t Fmt.t

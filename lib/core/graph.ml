@@ -192,11 +192,6 @@ let nodes g =
   let rec go k acc = if k < 0 then acc else go (k - 1) (g.node_arr.(k) :: acc) in
   go (g.n_nodes - 1) []
 
-let root_exn g =
-  match g.root with
-  | Some r -> r
-  | None -> invalid_arg "Graph.root_exn: empty graph"
-
 let lanes_of_node n =
   match n.shape with
   | Group insts -> Array.length insts

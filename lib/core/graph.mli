@@ -85,7 +85,6 @@ val nodes : t -> node list
 val node_count : t -> int
 (** Number of nodes; slots are exactly [0 .. node_count - 1]. *)
 
-val root_exn : t -> node
 val lanes_of_node : node -> int
 
 val pp_node : t -> node Fmt.t

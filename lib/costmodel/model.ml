@@ -226,6 +226,3 @@ let vector_group_cost t (i : Instr.t) ~lanes =
   | Instr.Splat _ | Instr.Buildvec _ | Instr.Extract _ | Instr.Reduce _
   | Instr.Shuffle _ ->
     invalid_arg "vector_group_cost: not a scalar instruction"
-
-let pp ppf t =
-  Fmt.pf ppf "%s (%d-bit vectors)" t.target_name t.vector_bits

@@ -74,5 +74,3 @@ val gather_cost_lanes : t -> Instr.value array -> int
 
 val gather_cost : t -> Instr.value list -> int
 (** {!gather_cost_lanes} of a list. *)
-
-val pp : t Fmt.t

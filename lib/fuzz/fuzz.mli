@@ -90,9 +90,7 @@ val pp_detail : stats Fmt.t
 (** RNG-dependent counters (vectorized/degraded/fault cases); the CLI
     prints this to stderr. *)
 
-val json : stats -> Lslp_util.Json.t
-(** The run's machine form: cases, failures (with program text and armed
-    injector), aggregate counters and the [ok] verdict. *)
-
 val to_json : stats -> string
-(** {!json} rendered minified ([lslpc fuzz --json]). *)
+(** The run's machine form, minified ([lslpc fuzz --json]): cases,
+    failures (with program text and armed injector), aggregate counters
+    and the [ok] verdict. *)

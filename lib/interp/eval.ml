@@ -22,13 +22,6 @@ exception Trap of string
 
 let trap fmt = Fmt.kstr (fun s -> raise (Trap s)) fmt
 
-let pp_scalar_value ppf = function
-  | VI n -> Fmt.pf ppf "%Ld" n
-  | VF x -> Fmt.pf ppf "%.17g" x
-  | VI32 n -> Fmt.pf ppf "%ld" n
-  | VF32 x -> Fmt.pf ppf "%.9g" x
-  | VB b -> Fmt.pf ppf "%b" b
-
 (* x86 masks 64-bit shift amounts to their low 6 bits (5 for 32-bit). *)
 let shift_amount n = Int64.to_int (Int64.logand n 63L)
 let shift_amount32 n = Int32.to_int (Int32.logand n 31l)

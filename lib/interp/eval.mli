@@ -19,8 +19,6 @@ exception Trap of string
 (** Dynamic type confusion, division by zero, missing bindings, or lane
     mismatches — all indicate an IR or vectorizer bug in this codebase. *)
 
-val pp_scalar_value : scalar_value Fmt.t
-
 type stats = { mutable cycles : int; mutable executed : int }
 
 val run :
@@ -37,7 +35,6 @@ val run :
 
 (* Exposed for focused unit tests of arithmetic semantics. *)
 val int_binop : Opcode.binop -> int64 -> int64 -> int64
-val int32_binop : Opcode.binop -> int32 -> int32 -> int32
 val float_binop : Opcode.binop -> float -> float -> float
 val scalar_binop : Opcode.binop -> scalar_value -> scalar_value -> scalar_value
 val scalar_unop : Opcode.unop -> scalar_value -> scalar_value

@@ -48,13 +48,6 @@ let find t name =
   | Some arr -> arr
   | None -> fault "access to unallocated array %s" name
 
-let size t name =
-  match find t name with
-  | Int_mem a -> Array.length a
-  | Float_mem a -> Array.length a
-  | Int32_mem a -> Array.length a
-  | Float32_mem a -> Array.length a
-
 let check_bounds name i len =
   if i < 0 || i >= len then
     fault "out-of-bounds access %s[%d] (size %d)" name i len

@@ -25,9 +25,7 @@ val set_float32 : t -> string -> float array -> unit
 val round32 : float -> float
 (** Round a double to the nearest single-precision value. *)
 
-val find : t -> string -> arr
 val find_opt : t -> string -> arr option
-val size : t -> string -> int
 val read_int : t -> string -> int -> int64
 val read_float : t -> string -> int -> float
 val read_int32 : t -> string -> int -> int32

@@ -10,12 +10,6 @@ type setup = {
   mem : Memory.t;
 }
 
-val setup : ?seed:int -> ?index:int -> Func.t -> setup
-(** Bind every integer argument to [index] (default 16), every float
-    argument to a seeded random value, and allocate each array large enough
-    for all accesses the body makes, filled with seeded pseudo-random data
-    (integers nonzero, so [sdiv]/[srem] kernels never trap). *)
-
 type outcome = {
   mismatches : Memory.mismatch list;
   reference_cycles : int;

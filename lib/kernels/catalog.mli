@@ -14,9 +14,6 @@ val table2 : kernel list
 (** The 8 SPEC kernels + 3 motivating examples of Table 2, in the paper's
     order. *)
 
-val extras : kernel list
-(** Stand-ins for the remaining whole benchmarks plus the scalar filler. *)
-
 val loops : kernel list
 (** Loop-form kernels: counted loops that need the unroll/region-formation
     layer before anything can vectorize. *)

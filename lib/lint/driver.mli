@@ -15,11 +15,6 @@ type report = {
   stale : Waiver.entry list;
 }
 
-val ml_files : string list -> string list
-(** Every [.ml] file under the given roots (a root may itself be a
-    file), sorted, duplicates removed.  Skips [_build] and dot
-    directories. *)
-
 val lint_source : file:string -> string -> (Finding.t list, string) result
 (** Parse one implementation from a string and apply the rules.  The
     error case is a parse failure rendered as [file:line: message]. *)

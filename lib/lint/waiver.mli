@@ -33,8 +33,6 @@ val parse : file:string -> string -> (entry list, string) result
 val load : string -> (entry list, string) result
 (** {!parse} on the file's contents; missing file is an error. *)
 
-val matches : entry -> Finding.t -> bool
-
 type applied = {
   waived : (Finding.t * entry) list;
   unwaived : Finding.t list;

@@ -35,8 +35,6 @@ let create ?(cap = 4096) () =
   let cap = max 1 cap in
   { lock = Mutex.create (); cap; ring = Array.make cap None; next = 0 }
 
-let capacity t = t.cap
-
 let record t ~tick ~job ?(attempt = -1) ?(seed = 0) ?(detail = "") kind =
   Mutex.lock t.lock;
   let seq = t.next in

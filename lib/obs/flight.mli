@@ -28,8 +28,6 @@ type t
 val create : ?cap:int -> unit -> t
 (** [cap] defaults to 4096 events; clamped to [>= 1]. *)
 
-val capacity : t -> int
-
 val record :
   t -> tick:int -> job:string -> ?attempt:int -> ?seed:int ->
   ?detail:string -> string -> unit

@@ -23,8 +23,8 @@ type point =
       (** service: the job spins at a pass boundary until the deadline
           watchdog cancels it (see {!Budget.deadline_spin}) *)
   | Cache_poison
-      (** service: the cached result is corrupted before the hit-time
-          legality re-verification runs *)
+      (** service: one byte of the cached IR is flipped before the hit's
+          payload digest check runs *)
   | Queue_full
       (** service: the admission queue pretends to be saturated, forcing
           the shed policy *)

@@ -9,31 +9,31 @@
    warm path would still pay the frontend, which costs more than a third
    of a full LSLP compile on the catalog.
 
-   Trust nothing on a hit.  Every hit replays the PR-1 legality validator
-   against the dependence-graph snapshot taken when the entry was
-   compiled; the entry's function was compiled in place (never cloned), so
-   instruction identities still match the snapshot and the check is not
-   vacuous.  A verification failure evicts the entry (and its source
-   aliases) and the caller recompiles — which is exactly how an injected
-   cache poisoning is survived.  Digest collisions are guarded by
-   comparing the stored input IR and fingerprint, not just the digest.
+   Check once, at insert; check what is served, on every hit.  Insert runs
+   the legality validator over the compiled function against the
+   dependence-graph snapshot taken before the pass (the function was
+   compiled in place, so instruction identities still match and the check
+   is not vacuous); a result that fails it is never stored.  An entry is
+   immutable in everything a hit reads, so one validation proves what a
+   per-hit replay would prove again.  A hit checks instead the payload it
+   returns: the MD5 of the payload taken at insert is recomputed and
+   compared.  A mismatch evicts the entry (and its source aliases) and
+   the caller recompiles — which is exactly how an injected cache
+   poisoning is survived.  Digest
+   collisions of the key are guarded by comparing the stored input IR and
+   fingerprint, not just the digest.
 
    One mutex per cache guards the two tables; finding, replacing and
-   removing entries run under it, the legality replay does not.  An entry
-   is immutable in everything the replay reads, so domains hitting the
-   same entry replay it concurrently: poisoning installs a damaged copy
-   instead of mutating the shared function, and a failed replay evicts
-   only if the table still holds the very entry it checked.
+   removing entries run under it, validation and digests do not.
+   Poisoning installs a damaged copy of the entry, and a failed digest
+   check evicts only if the table still holds the very entry it checked.
    Per-instance locked state, so lint R1 does not apply. *)
 
 module Legality = Lslp_check.Legality
 module Diagnostic = Lslp_check.Diagnostic
-module Inject = Lslp_robust.Inject
 module Stats = Lslp_telemetry.Pool_stats
 module Registry = Lslp_obs.Registry
 module Flight = Lslp_obs.Flight
-module Block = Lslp_ir.Block
-module Func = Lslp_ir.Func
 
 type cached = {
   ir : string;
@@ -45,9 +45,8 @@ type cached = {
 type entry = {
   input_norm : string;  (* collision guard: exact pre-pass IR *)
   fingerprint : string;
-  snap : Legality.snapshot;
-  func : Func.t;  (* the compiled function, ids matching [snap] *)
   payload : cached;
+  digest : Digest.t;  (* of [payload], taken at insert *)
   mutable aliases : string list;  (* front keys pointing here *)
 }
 
@@ -74,6 +73,25 @@ let source_key ~source ~unroll ~fingerprint =
     (Digest.string
        (source ^ "\x00" ^ string_of_int unroll ^ "\x00" ^ fingerprint))
 
+(* MD5 of a canonical encoding of everything a hit returns.  The IR, the
+   bulk of it, enters as its own MD5, so a hit copies no IR; every string
+   is length-prefixed and each list ends in a byte no prefix starts with,
+   so no two payloads encode alike. *)
+let payload_digest p =
+  let b = Buffer.create 256 in
+  let add s =
+    Buffer.add_string b (string_of_int (String.length s));
+    Buffer.add_char b ':';
+    Buffer.add_string b s
+  in
+  add (Digest.string p.ir);
+  List.iter add p.remarks;
+  Buffer.add_char b '\x00';
+  List.iter (fun (name, v) -> add name; add (string_of_int v)) p.counters;
+  Buffer.add_char b '\x00';
+  add (string_of_int p.vectorized);
+  Digest.string (Buffer.contents b)
+
 let length t =
   Mutex.lock t.m;
   let n = Hashtbl.length t.by_key in
@@ -88,24 +106,21 @@ let bump t f = match t.metrics with Some m -> f m | None -> ()
 let flight t ~job ~detail kind =
   bump t (fun m -> Flight.record m.Stats.flight ~tick:(-1) ~job ~detail kind)
 
-(* lock held.  A poisoned copy of the entry: fresh blocks over the same
-   instructions (so ids still match the snapshot; [Func.clone] would
-   renumber them), damaged the way the pipeline's [Corrupt] point damages
-   a block — a damage the structural verifier always catches, so the
-   poisoned entry must fail verification, not crash.  The shared entry
-   is left as it was. *)
+(* A result the cache gave up, at insert or on a hit. *)
+let evicted t ~label ~key why =
+  bump t (fun m -> Registry.incr m.Stats.c_evicted);
+  flight t ~job:label ~detail:(Fmt.str "%s: %s" key why) "cache-evicted"
+
+(* A poisoned copy of the entry: one byte of the served IR flipped, so the
+   injected fault damages exactly what a hit would return.  The shared
+   entry is left as it was. *)
 let poisoned entry =
-  let copy b =
-    let c = Block.create ~label:(Block.label b) ~kind:(Block.kind b) () in
-    Block.set_order c (Block.to_list b);
-    c
-  in
-  let blocks = List.map copy (Func.blocks entry.func) in
-  ignore (List.exists Inject.corrupt_block blocks);
-  { entry with func = { entry.func with Func.blocks } }
+  let flip i c = if i = 0 then Char.chr (Char.code c lxor 1) else c in
+  let ir = String.mapi flip entry.payload.ir in
+  { entry with payload = { entry.payload with ir } }
 
 (* lock held.  Count the hit and apply any armed poisoning; returns the
-   entry the replay must check. *)
+   entry the digest check must see. *)
 let claim_hit t ~label ~key entry ~poison =
   bump t (fun m -> Registry.incr m.Stats.c_hits);
   flight t ~job:label ~detail:key "cache-hit";
@@ -117,29 +132,27 @@ let claim_hit t ~label ~key entry ~poison =
   end
   else entry
 
-(* lock NOT held.  Replay the legality validator: clean -> reuse;
-   anything else -> evict the entry and every front alias, and the caller
-   recompiles.  Another domain may have evicted or replaced the entry
-   meanwhile; then there is nothing left to evict here. *)
-let replay t ~label ~key entry =
-  match Diagnostic.errors (Legality.validate entry.snap entry.func) with
-  | [] ->
+(* lock NOT held.  Compare the payload with its insert-time digest: equal
+   -> reuse; anything else -> evict the entry and every front alias, and
+   the caller recompiles.  Another domain may have evicted or replaced the
+   entry meanwhile; then there is nothing left to evict here. *)
+let check_hit t ~label ~key entry =
+  if Digest.equal (payload_digest entry.payload) entry.digest then begin
     bump t (fun m -> Registry.incr m.Stats.c_verified);
     flight t ~job:label ~detail:key "cache-verified";
     Some entry.payload
-  | errors ->
+  end
+  else begin
     Mutex.lock t.m;
     (match Hashtbl.find_opt t.by_key key with
      | Some current when current == entry ->
        Hashtbl.remove t.by_key key;
        List.iter (Hashtbl.remove t.by_source) entry.aliases;
-       bump t (fun m -> Registry.incr m.Stats.c_evicted);
-       flight t ~job:label
-         ~detail:(Fmt.str "%s: %s" key (Diagnostic.summary errors))
-         "cache-evicted"
+       evicted t ~label ~key "payload digest mismatch"
      | Some _ | None -> ());
     Mutex.unlock t.m;
     None
+  end
 
 let find_by_source t ~label ~source_key ~poison =
   Mutex.lock t.m;
@@ -158,7 +171,7 @@ let find_by_source t ~label ~source_key ~poison =
   Mutex.unlock t.m;
   match hit with
   | None -> None
-  | Some (key, entry) -> replay t ~label ~key entry
+  | Some (key, entry) -> check_hit t ~label ~key entry
 
 let find_by_ir t ~label ~source_key ~input_norm ~fingerprint ~poison =
   let key = canonical_key ~input_norm ~fingerprint in
@@ -179,11 +192,11 @@ let find_by_ir t ~label ~source_key ~input_norm ~fingerprint ~poison =
   match hit with
   | None -> None
   | Some entry -> (
-    match replay t ~label ~key entry with
+    match check_hit t ~label ~key entry with
     | None -> None
     | Some payload ->
       (* remember the new spelling of this input for next time, unless
-         the entry was replaced or evicted while we replayed it *)
+         the entry was replaced or evicted while we checked it *)
       Mutex.lock t.m;
       (match Hashtbl.find_opt t.by_key key with
        | Some current
@@ -194,28 +207,31 @@ let find_by_ir t ~label ~source_key ~input_norm ~fingerprint ~poison =
       Mutex.unlock t.m;
       Some payload)
 
+(* Validation and the digest run before the lock is taken.  A result that
+   fails validation is not stored, and counts as an eviction: the cache
+   gave it up the way it gives up a hit that fails its digest check. *)
 let insert t ~label ~source_key ~input_norm ~fingerprint ~snap ~func payload =
   let key = canonical_key ~input_norm ~fingerprint in
-  Mutex.lock t.m;
-  (* first writer wins: a concurrent domain may have compiled the same
-     input; both results verified against the same legality contract *)
-  if not (Hashtbl.mem t.by_key key) then begin
-    (* force the blocks' memoized program order now, so concurrent
-       replays of this entry only ever read it *)
-    List.iter (fun b -> ignore (Block.to_list b)) (Func.blocks func);
-    let entry =
-      { input_norm; fingerprint; snap; func; payload;
-        aliases = [ source_key ] }
-    in
-    Hashtbl.replace t.by_key key entry;
-    Hashtbl.replace t.by_source source_key key;
-    bump t (fun m -> Registry.incr m.Stats.c_inserts);
-    flight t ~job:label ~detail:key "cache-insert"
-  end
-  else if not (Hashtbl.mem t.by_source source_key) then begin
-    Hashtbl.replace t.by_source source_key key;
-    match Hashtbl.find_opt t.by_key key with
-    | Some entry -> entry.aliases <- source_key :: entry.aliases
-    | None -> ()
-  end;
-  Mutex.unlock t.m
+  match Diagnostic.errors (Legality.validate snap func) with
+  | _ :: _ as errors -> evicted t ~label ~key (Diagnostic.summary errors)
+  | [] ->
+    let digest = payload_digest payload in
+    Mutex.lock t.m;
+    (* first writer wins: a concurrent domain may have compiled the same
+       input; both results passed the same legality contract *)
+    if not (Hashtbl.mem t.by_key key) then begin
+      let entry =
+        { input_norm; fingerprint; payload; digest; aliases = [ source_key ] }
+      in
+      Hashtbl.replace t.by_key key entry;
+      Hashtbl.replace t.by_source source_key key;
+      bump t (fun m -> Registry.incr m.Stats.c_inserts);
+      flight t ~job:label ~detail:key "cache-insert"
+    end
+    else if not (Hashtbl.mem t.by_source source_key) then begin
+      Hashtbl.replace t.by_source source_key key;
+      match Hashtbl.find_opt t.by_key key with
+      | Some entry -> entry.aliases <- source_key :: entry.aliases
+      | None -> ()
+    end;
+    Mutex.unlock t.m

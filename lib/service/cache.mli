@@ -6,20 +6,21 @@
     front table keyed by [digest (source, unroll, fingerprint)] lets warm
     hits skip the frontend entirely.
 
-    {b Verify before reuse.}  Every hit replays the legality validator
-    ([Lslp_check.Legality.validate]) against the dependence-graph snapshot
-    taken when the entry was compiled.  The entry's function was compiled
-    in place, so instruction identities still match the snapshot and the
-    replay is a real check.  A failure — including an injected
-    cache poisoning — evicts the entry and returns [None]; the caller
-    recompiles.  A poisoned cache therefore costs one recompile, never a
-    wrong result.
+    {b Validate once, check what is served.}  {!insert} runs the legality
+    validator ([Lslp_check.Legality.validate]) over the compiled function
+    against the dependence-graph snapshot taken before the pass, and
+    stores the result only if it is clean.  It also records an MD5 of
+    the payload.  Every hit recomputes that digest and compares it; a
+    mismatch — including an injected cache poisoning, which flips one
+    byte of the served IR — evicts the entry and returns [None]; the
+    caller recompiles.  A poisoned cache therefore costs one recompile,
+    never a wrong result.
 
-    Thread-safe: one internal mutex guards the tables, and the replay runs
-    outside it, so domains hitting the same entry verify it concurrently.
-    Poisoning installs a damaged copy of the entry rather than mutating
-    the shared function, and a failed replay evicts only the entry it
-    checked.  Safe to share across pool domains. *)
+    Thread-safe: one internal mutex guards the tables, and validation and
+    digests run outside it, so domains hitting the same entry check it
+    concurrently.  Entries are immutable: poisoning installs a damaged
+    copy, and a failed check evicts only the entry it checked.  Safe to
+    share across pool domains. *)
 
 type cached = {
   ir : string;  (** alpha-renamed printed output IR *)
@@ -47,7 +48,7 @@ val find_by_source :
   t -> label:string -> source_key:string -> poison:bool -> cached option
 (** Warm-path lookup.  [None] means front miss {e or} eviction — either
     way the caller proceeds to parse and {!find_by_ir}.  [poison] applies
-    the armed cache-poison fault to the entry before verification. *)
+    the armed cache-poison fault to the entry before its digest check. *)
 
 val find_by_ir :
   t ->
@@ -73,8 +74,10 @@ val insert :
   cached ->
   unit
 (** Store a clean compile: [func] is the transformed function whose
-    instruction ids match [snap].  First writer wins on concurrent inserts
-    of the same key. *)
+    instruction ids match [snap].  It is validated against [snap] and the
+    entry keeps only the payload and its digest; a result with legality
+    errors is not stored and counts as an eviction ([cache-evicted]).
+    First writer wins on concurrent inserts of the same key. *)
 
 val length : t -> int
 (** Distinct canonical entries currently cached. *)

@@ -4,7 +4,7 @@
    One job = frontend (parse + lower + unroll) + Pipeline.run, compiled
    {e in place} so the legality snapshot taken before the pass keeps
    matching the transformed function by instruction identity — that is
-   what makes the cache's hit-time re-verification meaningful.
+   what makes the cache's insert-time validation meaningful.
 
    Fault surface per attempt, in order: the pool rolls worker-raise and
    worker-hang before calling us; we roll cache-poison once, {e before}
@@ -62,10 +62,8 @@ let create ?(cache = true) ?flight_cap
   }
 
 let stats t = Stats.view t.metrics
-let metrics t = t.metrics
 let registry t = t.metrics.Stats.registry
 let flight t = t.metrics.Stats.flight
-let pass_metrics t = t.pass_metrics
 let cache_entries t = match t.cache with Some c -> Cache.length c | None -> 0
 
 let counters_of_report (report : Pipeline.report) =
@@ -124,8 +122,8 @@ let compile_job t (job : job) ~inject ~deadline =
     match content_hit with
     | Some payload -> success_of_cached job payload
     | None ->
-      (* snapshot before the pass mutates [func]: the cache will replay
-         legality against exactly these instruction identities *)
+      (* snapshot before the pass mutates [func]: the cache validates
+         the result against exactly these instruction identities *)
       let snap =
         match t.cache with
         | Some _ -> Some (Legality.snapshot func)
@@ -190,8 +188,9 @@ let batch ?(index_base = 0) t jobs =
   Pool.run ~metrics:t.metrics pool_cfg pjobs
 
 (* Degradations in the smoke-gate sense: jobs that ended in a typed
-   failure plus cache entries evicted by failed verification — every
-   event where the service survived a fault by giving something up. *)
+   failure plus cache results given up by a failed check (validation at
+   insert, the payload digest on a hit) — every event where the service
+   survived a fault by giving something up. *)
 let degradations t outcomes =
   let failed =
     Array.fold_left

@@ -59,19 +59,12 @@ val stats : t -> Lslp_telemetry.Pool_stats.t
 (** Flat snapshot of the pool/cache counters ([Pool_stats.view] of the
     shared registry); read after {!batch} returns. *)
 
-val metrics : t -> Lslp_telemetry.Pool_stats.metrics
-(** The service's typed metric handles; shared by pool and cache. *)
-
 val registry : t -> Lslp_obs.Registry.t
 (** The full registry — pool/cache counters and histograms plus the
     pipeline counters and step histograms — for the exporters. *)
 
 val flight : t -> Lslp_obs.Flight.t
 (** The bounded flight recorder (`--flight-out`). *)
-
-val pass_metrics : t -> Lslp_telemetry.Pass_metrics.t
-(** Pipeline-side metrics: fed by every non-cached compile; carries the
-    folded stacks. *)
 
 val cache_entries : t -> int
 

@@ -73,8 +73,6 @@ let create ?(root = "lslp") registry =
     stacks = Hashtbl.create 64;
   }
 
-let registry t = t.registry
-
 (* lock held *)
 let pass_hist t pass =
   match List.assoc_opt pass t.pass_hists with

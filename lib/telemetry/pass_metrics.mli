@@ -21,8 +21,6 @@ val known_passes : string list
 val create : ?root:string -> Lslp_obs.Registry.t -> t
 (** [root] (default ["lslp"]) becomes the first folded-stack frame. *)
 
-val registry : t -> Lslp_obs.Registry.t
-
 val observe : t -> Report.t -> unit
 (** Fold one finished report in.  Never raises. *)
 

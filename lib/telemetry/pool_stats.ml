@@ -24,10 +24,12 @@ type t = {
   mutable jobs_shed : int;        (* rejected by the backpressure policy *)
   mutable jobs_failed : int;      (* retries exhausted; typed degradation *)
   mutable workers_respawned : int;(* domains torn down and replaced *)
-  mutable cache_hits : int;       (* key present, before verification *)
+  mutable cache_hits : int;       (* key present, before the digest check *)
   mutable cache_misses : int;
-  mutable cache_verified : int;   (* hits that passed legality re-check *)
-  mutable cache_evicted : int;    (* hits that failed it; recompiled *)
+  mutable cache_verified : int;   (* hits whose payload digest matched *)
+  mutable cache_evicted : int;    (* hits that failed it, recompiled, and
+                                     results that failed validation at
+                                     insert, never stored *)
   mutable cache_inserts : int;
 }
 
@@ -73,6 +75,9 @@ let metrics ?registry ?(flight_cap = 4096) () =
   let respawned = c "lslp_workers_respawned_total" "Worker domains torn down and replaced." in
   let c_hits = c "lslp_cache_hits_total" "Cache keys present, counted before verification." in
   let c_misses = c "lslp_cache_misses_total" "Cache content misses." in
+  (* the help strings are pinned byte for byte by
+     bench_results/METRICS_baseline.prom: "verified" now means the hit's
+     payload digest matched, "evicted" a failed digest or insert check *)
   let c_verified = c "lslp_cache_verified_total" "Cache hits that passed legality re-check." in
   let c_evicted = c "lslp_cache_evicted_total" "Cache hits that failed legality re-check." in
   let c_inserts = c "lslp_cache_inserts_total" "Clean compile results inserted." in
@@ -138,8 +143,8 @@ let view (m : metrics) =
     cache_inserts = Registry.value m.c_inserts;
   }
 
-(* Same single-source-of-truth trick as {!Probe.counter_fields}: the human
-   table and the JSON form both walk this list, so they cannot drift. *)
+(* The counters in display order, as {!Probe.counter_fields} lists the
+   probe's. *)
 let fields =
   [
     ("submitted", fun s -> s.jobs_submitted);
@@ -160,8 +165,3 @@ let pp ppf s =
   Fmt.pf ppf "@[<v>pool:";
   List.iter (fun (name, get) -> Fmt.pf ppf "@,  %-14s %d" name (get s)) fields;
   Fmt.pf ppf "@]"
-
-module Json = Lslp_util.Json
-
-let json s =
-  Json.Obj (List.map (fun (name, get) -> (name, Json.Int (get s))) fields)

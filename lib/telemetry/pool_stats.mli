@@ -60,9 +60,4 @@ val view : metrics -> t
 (** Consistent flat snapshot of the twelve counters — what
     [Service.stats] returns and `test_service` accounting asserts on. *)
 
-val fields : (string * (t -> int)) list
-(** Display-ordered column set shared by {!pp} and {!json} — same
-    single-source-of-truth pattern as {!Probe.counter_fields}. *)
-
 val pp : t Fmt.t
-val json : t -> Lslp_util.Json.t

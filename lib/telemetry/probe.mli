@@ -32,7 +32,6 @@ type counters = {
 }
 
 val zero_counters : unit -> counters
-val copy_counters : counters -> counters
 val add_counters : into:counters -> counters -> unit
 
 val counter_fields : (string * (counters -> int)) list
@@ -58,9 +57,6 @@ val record : t -> Lslp_trace.Trace.payload -> unit
 val fresh_gid : t -> int
 (** A sink-unique SLP-graph id for [Graph_start] events; 0 without a
     sink. *)
-
-val add_time : t -> string -> float -> unit
-(** Accumulate [seconds] (one call) against a pass name. *)
 
 val span : t -> string -> (unit -> 'a) -> 'a
 (** Run the thunk, accumulating its wall-clock time against the pass name;

@@ -106,14 +106,11 @@ val payload_name : payload -> string
 
 (** {2 Exporters} *)
 
-val to_chrome :
-  ?meta:(string * string) list -> event list -> Lslp_util.Json.t
-(** Chrome trace-event format ("JSON object format"): spans as B/E
-    duration events nested per region thread, everything else as instant
-    events with the payload in [args]; logical timestamps as
-    microseconds.  Loads in Perfetto and chrome://tracing. *)
-
 val chrome_string : ?meta:(string * string) list -> event list -> string
+(** Chrome trace-event format ("JSON object format"), minified: spans as
+    B/E duration events nested per region thread, everything else as
+    instant events with the payload in [args]; logical timestamps as
+    microseconds.  Loads in Perfetto and chrome://tracing. *)
 
 val to_dot : event list -> string
 (** Graphviz DOT of the SLP graphs: one cluster per region, one

@@ -31,11 +31,6 @@ let escape_to_buffer b s =
       | c -> Buffer.add_char b c)
     s
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  escape_to_buffer b s;
-  Buffer.contents b
-
 let float_to_buffer b x =
   if Float.is_nan x || x = Float.infinity || x = Float.neg_infinity then
     Buffer.add_string b "null"

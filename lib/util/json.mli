@@ -18,13 +18,6 @@ type t =
   | Arr of t list
   | Obj of (string * t) list  (** field order is preserved verbatim *)
 
-val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes): double quote,
-    backslash, and every control character below 0x20 (newline, tab and
-    carriage return as two-character escapes, the rest as [\u00XX]). *)
-
-val to_buffer : Buffer.t -> t -> unit
-
 val to_string : t -> string
 (** Minified rendering: no whitespace, object fields in the order given.
     Non-finite floats render as [null] (JSON has no NaN/infinity). *)

@@ -245,7 +245,7 @@ let cache_hit_verify () =
       | _ -> Alcotest.fail "clean batches cannot degrade")
     cold
 
-(* Poison one warm job's entry: verification must catch the damage, evict
+(* Poison one warm job's entry: the digest check must catch the damage, evict
    and recompile — the job still succeeds with the baseline IR, and the
    eviction is counted. *)
 let cache_poison_evicts () =
@@ -268,6 +268,81 @@ let cache_poison_evicts () =
   (* the poisoned-and-evicted entry stayed out: the targeted job's
      injector was armed, so nothing was re-inserted for it *)
   Helpers.check_int "entry count" (njobs - 1) (Service.cache_entries svc)
+
+(* Damage a stored payload after insert: the cold round's IR string is the
+   very string the cache stored, so flipping one of its bytes in place
+   stands in for memory corruption of what a hit would serve.  The hit's
+   digest check must catch it, evict, and recompile to the baseline. *)
+let cache_damaged_payload_evicts () =
+  let svc = Service.create ~cache:true ~pool:(quiet_pool 1) config in
+  let cold = Service.batch svc some_jobs in
+  (match cold.(3) with
+   | Pool.Done (c : Service.success) ->
+     let b = Bytes.unsafe_of_string c.ir in
+     Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1))
+   | Pool.Degraded_to_failure _ -> Alcotest.fail "clean batch degraded");
+  let warm = Service.batch ~index_base:njobs svc some_jobs in
+  let s = Service.stats svc in
+  Helpers.check_int "one eviction" 1 s.Stats.cache_evicted;
+  Helpers.check_int "the other hits verified" (njobs - 1)
+    s.Stats.cache_verified;
+  match warm.(3) with
+  | Pool.Done (w : Service.success) ->
+    Helpers.check_bool "damaged entry not served from cache" false
+      w.from_cache;
+    Helpers.check_string "recompiled to the baseline IR"
+      (Lazy.force baseline).(3) w.ir
+  | Pool.Degraded_to_failure _ ->
+    Alcotest.fail "a damaged payload must recompile, not fail"
+
+(* A result whose function fails legality against its snapshot is never
+   stored: two stores to one address, swapped after the snapshot. *)
+let cache_rejects_illegal_insert () =
+  let metrics = Stats.metrics () in
+  let cache = Cache.create ~metrics () in
+  let source =
+    "kernel k(f64 A[], f64 B[], i64 i) {\n\
+    \  A[i] = B[i];\n\
+    \  A[i] = B[i+1];\n\
+     }"
+  in
+  let fingerprint = Config.fingerprint config in
+  let source_key = Cache.source_key ~source ~unroll:1 ~fingerprint in
+  let func = Lslp_frontend.Lower.compile_string source in
+  let input_norm =
+    Lslp_util.Normalize.ids (Lslp_ir.Printer.func_to_string func)
+  in
+  let snap = Lslp_check.Legality.snapshot func in
+  let block = Lslp_ir.Func.entry func in
+  let instrs = Lslp_ir.Block.to_list block in
+  (match List.filter Lslp_ir.Instr.is_store instrs with
+   | [ s1; s2 ] ->
+     Lslp_ir.Block.set_order block
+       (List.map
+          (fun i -> if i == s1 then s2 else if i == s2 then s1 else i)
+          instrs)
+   | l -> Alcotest.failf "expected 2 stores, got %d" (List.length l));
+  let payload =
+    {
+      Cache.ir = Lslp_util.Normalize.ids (Lslp_ir.Printer.func_to_string func);
+      remarks = [];
+      counters = [];
+      vectorized = 0;
+    }
+  in
+  Cache.insert cache ~label:"k" ~source_key ~input_norm ~fingerprint ~snap
+    ~func payload;
+  let s = Stats.view metrics in
+  Helpers.check_int "not stored" 0 (Cache.length cache);
+  Helpers.check_int "no insert counted" 0 s.Stats.cache_inserts;
+  Helpers.check_int "one eviction" 1 s.Stats.cache_evicted;
+  Helpers.check_bool "front lookup misses" true
+    (Cache.find_by_source cache ~label:"k" ~source_key ~poison:false = None);
+  Helpers.check_bool "content lookup misses" true
+    (Cache.find_by_ir cache ~label:"k" ~source_key ~input_norm ~fingerprint
+       ~poison:false
+    = None);
+  Helpers.check_int "counted as a miss" 1 (Stats.view metrics).Stats.cache_misses
 
 let cache_off () =
   let svc = Service.create ~cache:false ~pool:(quiet_pool 1) config in
@@ -404,8 +479,9 @@ let await_reraises () =
 
 (* Two domains hit one entry 200 times each; one hit of the first domain
    is poisoned.  The damaged copy is evicted exactly once, nothing
-   raises, every payload returned came from a passing replay, and the
-   shared function the poisoning copied still validates clean. *)
+   raises, every payload returned passed its digest check and is the
+   stored object itself, and the compiled function still validates
+   clean. *)
 let cache_concurrent_poison () =
   let metrics = Stats.metrics () in
   let cache = Cache.create ~metrics () in
@@ -503,4 +579,8 @@ let suite =
     Helpers.tc "pool: await re-raises the thunk's exception" await_reraises;
     Helpers.tc "cache: concurrent hits, one poisoned, evict once"
       cache_concurrent_poison;
+    Helpers.tc "cache: a damaged payload evicts and recompiles"
+      cache_damaged_payload_evicts;
+    Helpers.tc "cache: an illegal result is never stored"
+      cache_rejects_illegal_insert;
   ]

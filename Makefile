@@ -73,9 +73,9 @@ opaque-check:
 lint:
 	dune exec bin/lint.exe -- --check-waivers lib bin
 
-# Domain-safety proof behind the planned parallel compile service: the
-# whole catalog compiled on 8 concurrent domains must reproduce the
-# sequential IR, remarks and counters (modulo id alpha-renaming).
+# Domain-safety proof behind the parallel compile service: the whole
+# catalog compiled on 8 concurrent domains must reproduce the sequential
+# IR, remarks and counters byte for byte.
 domain-smoke:
 	dune exec bin/lslpc.exe -- domains --jobs 8
 

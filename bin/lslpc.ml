@@ -21,7 +21,7 @@
               backpressure and a verified result cache
      domains  domain-pool determinism smoke: the whole catalog on N
               concurrent pool domains must reproduce the sequential IR,
-              remarks and counters (modulo id alpha-renaming)
+              remarks and counters byte for byte
      profile  deterministic compile-cost profile: catalog x N compiles
               into per-pass step histograms and folded stacks
      metrics-verify
@@ -956,13 +956,11 @@ let batch_cmd =
 (* The domain-safety proof behind the compile service, now running ON the
    service's pool: compile the full catalog once sequentially, then
    [--jobs] more times as concurrent pool jobs, and require every copy to
-   reproduce the sequential IR, remarks and telemetry counters exactly.
-   Instruction ids come from a process-global Atomic so raw ids differ run
-   to run — Fuzz.normalize_ids alpha-renames them by first appearance,
-   which is exactly the invariant we promise: same structure, any
-   numbering.  The id-watermark leak check runs inside every job: ids are
-   globally monotone across domains, so output ids outside the job's own
-   [low, high) window mean an arena compact index leaked into the IR. *)
+   reproduce the sequential IR, remarks and telemetry counters byte for
+   byte.  Each function numbers its own instructions, so the promise is
+   same structure, same numbering.  Every job also checks that each output
+   id lies in [1, next id) of its own function: ids come only from the
+   function's source, never from an arena's compact indices. *)
 let domains_cmd =
   let run config unroll jobs =
     handle_errors @@ fun () ->
@@ -970,31 +968,24 @@ let domains_cmd =
       Lslp_core.Config.(config |> with_remarks true |> with_validate true)
     in
     let snapshot (k : Lslp_kernels.Catalog.kernel) =
-      let low = Lslp_ir.Instr.id_watermark () in
       let f = Lslp_kernels.Catalog.compile k in
       ignore (Lslp_frontend.Unroll.run ~factor:unroll f);
       let report, g = Lslp_core.Pipeline.run_cloned ~config f in
-      let high = Lslp_ir.Instr.id_watermark () in
-      List.iter
-        (fun b ->
-          Lslp_ir.Block.iter
-            (fun (i : Lslp_ir.Instr.t) ->
-              if i.Lslp_ir.Instr.id < low || i.Lslp_ir.Instr.id >= high then
-                failwith
-                  (Fmt.str
-                     "%s: instruction id %d outside [%d, %d): arena \
-                      compact index leaked into the IR"
-                     k.key i.Lslp_ir.Instr.id low high))
-            b)
-        (Lslp_ir.Func.blocks g);
-      let ir =
-        Lslp_fuzz.Fuzz.normalize_ids (Lslp_ir.Printer.func_to_string g)
-      in
+      let high = Lslp_util.Id_gen.peek g.Lslp_ir.Func.ids in
+      Lslp_ir.Func.iter_instrs
+        (fun (i : Lslp_ir.Instr.t) ->
+          if i.Lslp_ir.Instr.id < 1 || i.Lslp_ir.Instr.id >= high then
+            failwith
+              (Fmt.str
+                 "%s: instruction id %d outside [1, %d): arena compact \
+                  index leaked into the IR"
+                 k.key i.Lslp_ir.Instr.id high))
+        g;
+      let ir = Lslp_ir.Printer.func_to_string g in
       let remarks =
-        Lslp_fuzz.Fuzz.normalize_ids
-          (Fmt.str "%a"
-             Fmt.(list ~sep:(any "@.") Lslp_check.Remark.pp)
-             report.Lslp_core.Pipeline.remarks)
+        Fmt.str "%a"
+          Fmt.(list ~sep:(any "@.") Lslp_check.Remark.pp)
+          report.Lslp_core.Pipeline.remarks
       in
       let counters =
         let c =
@@ -1011,7 +1002,7 @@ let domains_cmd =
     let kernels = Array.of_list Lslp_kernels.Catalog.all in
     let nk = Array.length kernels in
     let baseline = Array.map snapshot kernels in
-    (* every (copy, kernel) pair is one pool job; a watermark leak raises
+    (* every (copy, kernel) pair is one pool job; a leaked index raises
        and surfaces as a typed pool failure instead of a mystery hang *)
     let pool_jobs =
       Array.init (jobs * nk) (fun idx ->
@@ -1075,9 +1066,8 @@ let domains_cmd =
     (Cmd.info "domains"
        ~doc:
          "Domain-pool determinism smoke: compile the whole catalog on N \
-          concurrent domains of the service pool and require bit-identical \
-          (alpha-renamed) IR, remarks and counters versus the sequential \
-          baseline")
+          concurrent domains of the service pool and require byte-identical \
+          IR, remarks and counters versus the sequential baseline")
     Term.(const run $ config_arg $ unroll_arg $ jobs)
 
 (* ---- profile ------------------------------------------------------ *)

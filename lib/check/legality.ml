@@ -19,11 +19,17 @@ open Lslp_analysis
 
 (* One dependence graph per block, keyed by label: regions are
    self-contained, so no dependence ever crosses a block boundary and each
-   block can be validated against its own snapshot. *)
-type snapshot = { block_deps : (string * Depgraph.t) list }
+   block can be validated against its own snapshot.  Ids are unique only
+   within a function, so the snapshot keeps its function's id source and
+   proves nothing about a function that numbers from another. *)
+type snapshot = {
+  ids : Lslp_util.Id_gen.t;
+  block_deps : (string * Depgraph.t) list;
+}
 
 let snapshot (f : Func.t) =
   {
+    ids = f.Func.ids;
     block_deps =
       List.map (fun b -> (Block.label b, Depgraph.build b)) (Func.blocks f);
   }
@@ -186,13 +192,21 @@ let check_dependence_order snap ~provenance (f : Func.t) add =
     (Func.blocks f)
 
 let validate ?(provenance = []) snap (f : Func.t) : Diagnostic.t list =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  check_structure f add;
-  List.iter
-    (fun p ->
-      check_bundle_typing p add;
-      check_lane_independence snap p add)
-    provenance;
-  check_dependence_order snap ~provenance f add;
-  List.rev !diags
+  if f.Func.ids != snap.ids then
+    [
+      Diagnostic.error ~rule:"snapshot"
+        (Fmt.str "the snapshot was taken of another function than `%s`"
+           f.Func.fname);
+    ]
+  else begin
+    let diags = ref [] in
+    let add d = diags := d :: !diags in
+    check_structure f add;
+    List.iter
+      (fun p ->
+        check_bundle_typing p add;
+        check_lane_independence snap p add)
+      provenance;
+    check_dependence_order snap ~provenance f add;
+    List.rev !diags
+  end

@@ -23,6 +23,8 @@ type snapshot
     not disturb it. *)
 
 val snapshot : Func.t -> snapshot
+(** Also keeps the function's id source ([f.ids]): a snapshot only proves
+    things about the function it was taken of. *)
 
 type lane_provenance = {
   lanes : Instr.t array;  (** original scalar instruction per lane *)
@@ -38,4 +40,6 @@ val validate :
     snapshot; [[]] means the transformation is provably order-, type- and
     dependence-preserving.  Provenance entries whose lanes are not part of
     the snapshot (instructions created by an earlier region of the same
-    pass) are skipped rather than guessed at. *)
+    pass) are skipped rather than guessed at.  A function whose id source
+    is not the snapshot's gets one ["snapshot"] error and nothing else: its
+    ids would alias the snapshot's. *)

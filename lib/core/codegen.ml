@@ -125,6 +125,8 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
     try
     (* ---- emission -------------------------------------------------- *)
     let out = ref [] in
+    (* new instructions number on from the block's function *)
+    let ids = Block.ids block in
     (* [push] is for freshly materialized instructions (vector ops, gathers,
        extracts) and records an [Emit] trace event; surviving scalars go
        through [repush] below, unrecorded. *)
@@ -178,7 +180,7 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
                   lane i.Instr.id node.Graph.nid
             in
             let e =
-              Instr.create ~name:"ext" (Instr.Extract (vec, lane))
+              Instr.create ~ids ~name:"ext" (Instr.Extract (vec, lane))
                 (Types.Scalar (element_scalar i))
             in
             push e;
@@ -215,7 +217,7 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
               in
               let ty = Types.vec elt (Array.length vs) in
               let i =
-                Instr.create ~name:"shuf" (Instr.Shuffle (src_vec, idx)) ty
+                Instr.create ~ids ~name:"shuf" (Instr.Shuffle (src_vec, idx)) ty
               in
               push i;
               Instr.Ins i
@@ -232,10 +234,10 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
               let i =
                 match Lslp_costmodel.Model.classify_gather values with
                 | Lslp_costmodel.Model.Gather_splat ->
-                  Instr.create ~name:"splat" (Instr.Splat values.(0)) ty
+                  Instr.create ~ids ~name:"splat" (Instr.Splat values.(0)) ty
                 | Lslp_costmodel.Model.Gather_free
                 | Lslp_costmodel.Model.Gather_insert ->
-                  Instr.create ~name:"gath"
+                  Instr.create ~ids ~name:"gath"
                     (Instr.Buildvec (Array.to_list values)) ty
               in
               push i;
@@ -252,7 +254,7 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
               cs
             in
             let wide name kind ty =
-              let i = Instr.create ~name kind ty in
+              let i = Instr.create ~ids ~name kind ty in
               push i;
               record ~lanes:insts ~vector:i;
               Instr.Ins i
@@ -311,7 +313,7 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
                let v = ref children.(0) in
                for c = 1 to count - 1 do
                  let i =
-                   Instr.create ~name:"v"
+                   Instr.create ~ids ~name:"v"
                      (Instr.Binop (m.Graph.m_op, !v, children.(c)))
                      ty
                  in
@@ -352,14 +354,16 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
           List.fold_left
             (fun acc c ->
               let i =
-                Instr.create ~name:"vacc" (Instr.Binop (r.red_op, acc, c)) vty
+                Instr.create ~ids ~name:"vacc"
+                  (Instr.Binop (r.red_op, acc, c))
+                  vty
               in
               push i;
               Instr.Ins i)
             first rest
       in
       let red =
-        Instr.create ~name:"hred" (Instr.Reduce (r.red_op, combined))
+        Instr.create ~ids ~name:"hred" (Instr.Reduce (r.red_op, combined))
           (Types.Scalar elt)
       in
       push red;
@@ -367,7 +371,7 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
         List.fold_left
           (fun acc v ->
             let i =
-              Instr.create ~name:"tail"
+              Instr.create ~ids ~name:"tail"
                 (Instr.Binop (r.red_op, acc, subst v))
                 (Types.Scalar elt)
             in

@@ -106,7 +106,7 @@ let multinode_limit t =
 
 (* Everything that can change the *output* of a compile, flattened into a
    stable string: one half of the service's content-addressed cache key
-   (the other half is the normalized input IR).  [inject] and [deadline]
+   (the other half is the printed input IR).  [inject] and [deadline]
    are deliberately excluded — the service never caches a run that had an
    injector armed or that failed its deadline, and a run that beat its
    deadline is byte-identical to one with no deadline at all.  [trace] and

@@ -87,9 +87,7 @@ let score_cache ctx =
   match ctx.scores with
   | Some _ as c -> c
   | None when ctx.config.Config.score_cache ->
-    let c =
-      Some (Lslp_telemetry.Score_cache.create ~dense:(Arena.size ctx.arena) ())
-    in
+    let c = Some (Lslp_telemetry.Score_cache.create ()) in
     ctx.scores <- c;
     c
   | None -> None

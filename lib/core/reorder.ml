@@ -95,27 +95,22 @@ let pair_score v1 v2 = pair_score_in None v1 v2
    operands (x*x vs x*y).  [Score_max] is the footnote-4 alternative: the
    single best pair instead of the pairing sum.
 
-   [cache] memoizes instruction/instruction comparisons on (subject,
-   subject, remaining level, combine mode) — sound as long as the operand
-   DAG is frozen, which holds for the lifetime of one reorder invocation
-   (see Lslp_telemetry.Score_cache).  A subject is the arena compact index
-   when [arena] holds the instruction, its interned id otherwise.  A cache
+   [cache] memoizes instruction/instruction comparisons on (id, id,
+   remaining level, combine mode) — sound as long as the operand DAG is
+   frozen, which holds for the lifetime of one reorder invocation (see
+   Lslp_telemetry.Score_cache).  A cache
    hit skips the recursion entirely and therefore burns no look-ahead
    fuel: under a tight budget the cached run can only get further than
    the uncached one, never less far.  [probe] counts evaluations and cache
    hits/misses. *)
 let combine_tag = function Config.Score_sum -> 0 | Config.Score_max -> 1
 
-let cache_subject c arena (i : Instr.t) =
-  let index = match arena with Some ar -> Arena.idx ar i | None -> -1 in
-  Score_cache.subject c ~index ~id:i.Instr.id
-
 let rec lookahead_in ?meter ?cache ?probe arena
     ~(combine : Config.score_combine) (v1 : Instr.value) (v2 : Instr.value)
     ~(level : int) : int =
   match (cache, v1, v2) with
   | Some c, Instr.Ins i1, Instr.Ins i2 ->
-    let a = cache_subject c arena i1 and b = cache_subject c arena i2 in
+    let a = i1.Instr.id and b = i2.Instr.id in
     let mode = combine_tag combine in
     let s = Score_cache.find c ~a ~b ~level ~mode in
     if s <> Score_cache.absent then begin
@@ -371,8 +366,7 @@ let reorder_matrix_modes ?meter ?probe ?arena ?cache
         | Some c ->
           Score_cache.clear c;
           Some c
-        | None ->
-          Some (Score_cache.create ?dense:(Option.map Arena.size arena) ())
+        | None -> Some (Score_cache.create ())
     in
     let lanes = Array.length columns.(0) in
     let final = Array.map Array.copy columns in

@@ -40,7 +40,7 @@ let clone_into dst ~slot ~subst_index (body : Instr.t array) =
   in
   Array.iteri
     (fun k (i : Instr.t) ->
-      let i' = Instr.copy i in
+      let i' = Instr.copy ~ids:(Block.ids dst) i in
       copies.(k) <- Instr.Ins i';
       filled := k;
       Instr.map_operands remap i';
@@ -61,13 +61,14 @@ let unroll_block ~factor (f : Func.t) (b : Block.t) =
         Affine.subst counter (Affine.add_const (j * step) (Affine.sym counter))
       in
       let pin m = Affine.subst counter (Affine.const (start + (m * step))) in
+      let ids = Block.ids b in
       let body = Array.of_list (Block.to_list b) in
       let slot = Int_table.create (Array.length body) in
       Array.iteri (fun k (i : Instr.t) -> Int_table.set slot i.Instr.id k) body;
       let clone dst subst_index = clone_into dst ~slot ~subst_index body in
       if tc <= factor then begin
         (* full unroll: iteration m runs with the counter at start+m*step *)
-        let flat = Block.create ~label:(Block.label b ^ ".full") () in
+        let flat = Block.create ~ids ~label:(Block.label b ^ ".full") () in
         for m = 0 to tc - 1 do
           clone flat (pin m)
         done;
@@ -77,7 +78,7 @@ let unroll_block ~factor (f : Func.t) (b : Block.t) =
       else begin
         let main_iters = tc - (tc mod factor) in
         let main =
-          Block.create
+          Block.create ~ids
             ~label:(Block.label b ^ ".x" ^ string_of_int factor)
             ~kind:
               (Block.Loop
@@ -94,7 +95,9 @@ let unroll_block ~factor (f : Func.t) (b : Block.t) =
         let epilogue =
           if tc mod factor = 0 then []
           else begin
-            let tail = Block.create ~label:(Block.label b ^ ".tail") () in
+            let tail =
+              Block.create ~ids ~label:(Block.label b ^ ".tail") ()
+            in
             for m = main_iters to tc - 1 do
               clone tail (pin m)
             done;

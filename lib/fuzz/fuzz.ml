@@ -143,11 +143,6 @@ let run ?(cases = 500) ?(seed = 42) ?(cond = false) ?config ?inject_spec () :
     injected_runs = !injected_runs;
   }
 
-(* Moved to Lslp_util.Normalize so the service layer can share it without
-   depending on the fuzzer; kept here as the historical name every test
-   and driver already uses. *)
-let normalize_ids = Lslp_util.Normalize.ids
-
 (* One case under the *indexed* derivation: the whole case — program,
    config draw, validate flag, injector — comes from a per-case PRNG
    seeded by (root seed, case), not from one stream threaded across
@@ -194,10 +189,11 @@ let run_case_indexed ?config ?(cond = false) ?inject_spec ~seed ~case () :
 
 (* Differential check for the memoized look-ahead scorer: the same program
    through the same configuration with the score cache on and off must
-   produce identical IR (modulo instruction-id renaming), identical
-   remarks and identical region counts.  Fault injection stays off — an
-   armed injector advances its own RNG per probe, so the two runs would
-   diverge for reasons unrelated to the cache. *)
+   produce byte-identical IR (both runs compile a clone of one function,
+   so they number alike), identical remarks and identical region counts.
+   Fault injection stays off — an armed injector advances its own RNG per
+   probe, so the two runs would diverge for reasons unrelated to the
+   cache. *)
 let run_cache_diff ?(cases = 200) ?(seed = 42) () : stats =
   let st = Random.State.make [| seed |] in
   let failures = ref [] in
@@ -227,7 +223,7 @@ let run_cache_diff ?(cases = 200) ?(seed = 42) () : stats =
           Pipeline.run ~config:(Config.with_score_cache cache config)
             candidate
         in
-        (report, normalize_ids (Printer.func_to_string candidate))
+        (report, Printer.func_to_string candidate)
       in
       match (run_one true, run_one false) with
       | exception e ->

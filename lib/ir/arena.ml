@@ -9,10 +9,9 @@
    - [instrs]: the instructions in program order; the array index is the
      *compact index* of an instruction, 0..n-1.  Compact indices are a
      per-arena coordinate system and must never appear in output — printed
-     IR carries only the global ids from [Lslp_util.Id_gen].
+     IR carries only the ids the function's [Lslp_util.Id_gen] issued.
    - id -> index: an [Lslp_util.Id_map], an array over the block's id
-     span when it is dense (the normal case), a hash table otherwise (ids
-     issued across domains can interleave).
+     span, which the function's own counter bounds.
    - CSR use lists: [use_off]/[use_dat], so [num_uses] is one subtraction
      and [users] walks a contiguous slice.  An instruction using a value
      twice appears twice, in program order — the same contract the old
@@ -79,7 +78,7 @@ let of_block (b : Block.t) =
     if id < !min_id then min_id := id;
     if id > !max_id then max_id := id
   done;
-  let idx_map = Id_map.create ~count:n ~lo:!min_id ~hi:!max_id in
+  let idx_map = Id_map.create ~lo:!min_id ~hi:!max_id in
   for k = 0 to n - 1 do
     Id_map.set idx_map instrs.(k).Instr.id k
   done;

@@ -8,9 +8,9 @@
     reads and int compares.
 
     Compact indices are per-arena coordinates; printed IR only ever shows
-    global ids ({!Lslp_util.Id_gen} space).  An arena is a snapshot: any
-    pass that mutates the block must rebuild it.  One built and
-    {!check}ed by [Verifier.check_func_arenas] may be reused while its
+    the ids the block's function issued ({!Block.ids}).  An arena is a
+    snapshot: any pass that mutates the block must rebuild it.  One built
+    and {!check}ed by [Verifier.check_func_arenas] may be reused while its
     block stays in the verified state. *)
 
 type t

@@ -22,17 +22,20 @@ type kind = Straight | Loop of loop_info
 type t = {
   label : string;
   kind : kind;
+  ids : Lslp_util.Id_gen.t;                   (* the function's id source *)
   mutable rev_insts : Instr.t list;           (* reverse program order *)
   mutable count : int;
   mutable fwd_cache : Instr.t list option;    (* memoized program order *)
   mutable pos_cache : Int_table.t option;     (* id -> position *)
 }
 
-let create ?(label = "entry") ?(kind = Straight) () =
-  { label; kind; rev_insts = []; count = 0; fwd_cache = None; pos_cache = None }
+let create ~ids ?(label = "entry") ?(kind = Straight) () =
+  { label; kind; ids;
+    rev_insts = []; count = 0; fwd_cache = None; pos_cache = None }
 
 let label b = b.label
 let kind b = b.kind
+let ids b = b.ids
 
 let loop_info b = match b.kind with Straight -> None | Loop li -> Some li
 

@@ -22,9 +22,18 @@ type kind = Straight | Loop of loop_info
 
 type t
 
-val create : ?label:string -> ?kind:kind -> unit -> t
+val create : ids:Lslp_util.Id_gen.t -> ?label:string -> ?kind:kind -> unit -> t
+(** An empty block of the function whose instruction-id source is [ids];
+    every block of a function shares that one source. *)
+
 val label : t -> string
 val kind : t -> kind
+
+val ids : t -> Lslp_util.Id_gen.t
+(** The id source instructions created for this block draw from: the
+    function's, so code generation numbers on after the function's last
+    instruction. *)
+
 val loop_info : t -> loop_info option
 val is_loop : t -> bool
 

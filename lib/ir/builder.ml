@@ -39,7 +39,7 @@ let start_block b ?label ?(kind = Block.Straight) () =
       b.next_block <- n + 1;
       Decimal.with_prefix "b" n
   in
-  let blk = Block.create ~label ~kind () in
+  let blk = Block.create ~ids:b.func.Func.ids ~label ~kind () in
   Func.add_block b.func blk;
   b.current <- blk;
   if Option.is_some b.numbering then b.numbering <- Some (Cse.numbering ());
@@ -107,6 +107,8 @@ let check_lanes what accepted s =
   if not accepted then
     type_error "%s cannot operate on %a lanes" what Types.pp_scalar s
 
+let instr b ~name kind ty = Instr.create ~ids:b.func.Func.ids ~name kind ty
+
 let append b instr =
   Block.append b.current instr;
   Instr.Ins instr
@@ -128,14 +130,14 @@ let binop b ?(name = "") op x y =
   check_lanes what (Opcode.binop_accepts op elt) elt;
   check_scalar_ty what elt y;
   let name = fresh_name b t_hint name in
-  emit b (Instr.create ~name (Instr.Binop (op, x, y)) (Types.of_scalar elt))
+  emit b (instr b ~name (Instr.Binop (op, x, y)) (Types.of_scalar elt))
 
 let unop b ?(name = "") op x =
   let what = Opcode.unop_name op in
   let elt = operand_scalar what x in
   check_lanes what (Opcode.unop_accepts op elt) elt;
   let name = fresh_name b t_hint name in
-  emit b (Instr.create ~name (Instr.Unop (op, x)) (Types.of_scalar elt))
+  emit b (instr b ~name (Instr.Unop (op, x)) (Types.of_scalar elt))
 
 let cmp b ?(name = "") op x y =
   let what = "cmp." ^ Opcode.cmp_name op in
@@ -143,7 +145,7 @@ let cmp b ?(name = "") op x y =
   check_lanes what (Opcode.cmp_accepts elt) elt;
   check_scalar_ty what elt y;
   let name = fresh_name b m_hint name in
-  emit b (Instr.create ~name (Instr.Cmp (op, x, y)) Types.i1)
+  emit b (instr b ~name (Instr.Cmp (op, x, y)) Types.i1)
 
 let select b ?(name = "") m x y =
   check_scalar_ty "select mask" Types.I1 m;
@@ -151,7 +153,7 @@ let select b ?(name = "") m x y =
   check_lanes "select" (not (Types.is_mask_scalar elt)) elt;
   check_scalar_ty "select" elt y;
   let name = fresh_name b sel_hint name in
-  emit b (Instr.create ~name (Instr.Select (m, x, y)) (Types.of_scalar elt))
+  emit b (instr b ~name (Instr.Select (m, x, y)) (Types.of_scalar elt))
 
 let array_elt b base =
   match Func.find_arg b.func base with
@@ -163,13 +165,13 @@ let load b ?(name = "") ~base index =
   let elt = array_elt b base in
   let addr = { Instr.base; elt; index; access_lanes = 1 } in
   let name = fresh_name b ld_hint name in
-  emit b (Instr.create ~name (Instr.Load addr) (Types.of_scalar elt))
+  emit b (instr b ~name (Instr.Load addr) (Types.of_scalar elt))
 
 let store b ~base index v =
   let elt = array_elt b base in
   check_scalar_ty_in (fun base -> "store to " ^ base) base elt v;
   let addr = { Instr.base; elt; index; access_lanes = 1 } in
-  ignore (emit b (Instr.create (Instr.Store (addr, v)) Types.Void))
+  ignore (emit b (instr b ~name:"" (Instr.Store (addr, v)) Types.Void))
 
 let masked_load b ?(name = "") ~base index ~mask ~passthrough =
   let elt = array_elt b base in
@@ -182,7 +184,7 @@ let masked_load b ?(name = "") ~base index ~mask ~passthrough =
   let addr = { Instr.base; elt; index; access_lanes = 1 } in
   let name = fresh_name b mld_hint name in
   emit b
-    (Instr.create ~name
+    (instr b ~name
        (Instr.Masked_load (addr, mask, passthrough))
        (Types.of_scalar elt))
 
@@ -193,7 +195,8 @@ let masked_store b ~base index v ~mask =
     (fun base -> "masked.store to " ^ base ^ " mask")
     base Types.I1 mask;
   let addr = { Instr.base; elt; index; access_lanes = 1 } in
-  ignore (emit b (Instr.create (Instr.Masked_store (addr, v, mask)) Types.Void))
+  ignore
+    (emit b (instr b ~name:"" (Instr.Masked_store (addr, v, mask)) Types.Void))
 
 (* Shorthand used pervasively by tests and examples: index [i + k]. *)
 let idx ?(sym = "i") k = Affine.add_const k (Affine.sym sym)

@@ -13,11 +13,13 @@
 type t = {
   fname : string;
   args : Instr.arg list;
+  ids : Lslp_util.Id_gen.t;       (* numbers this function's instructions *)
   mutable blocks : Block.t list;  (* execution order; never empty *)
 }
 
 let create ~name ~args =
-  { fname = name; args; blocks = [ Block.create ~label:"entry" () ] }
+  let ids = Lslp_util.Id_gen.create ~first:1 () in
+  { fname = name; args; ids; blocks = [ Block.create ~ids ~label:"entry" () ] }
 
 let entry f =
   match f.blocks with
@@ -26,11 +28,19 @@ let entry f =
 
 let blocks f = f.blocks
 
-let add_block f b = f.blocks <- f.blocks @ [ b ]
+(* A block numbered by another function's source could repeat its ids. *)
+let check_ids f b =
+  if Block.ids b != f.ids then
+    invalid_arg "Func: block does not share the function's id source"
+
+let add_block f b =
+  check_ids f b;
+  f.blocks <- f.blocks @ [ b ]
 
 (* Replace [old_b] by a sequence of blocks, preserving position — the
    unroller's splice primitive. *)
 let replace_block f old_b news =
+  List.iter (check_ids f) news;
   let rec go = function
     | [] -> invalid_arg "Func.replace_block: block not in function"
     | b :: rest when b == old_b -> news @ rest
@@ -60,29 +70,34 @@ let int_args f =
 let clone f =
   (* Deep-copy every block so a pass can be run destructively on the copy
      while the original stays intact (used to compare scalar vs vectorized
-     code).  The remap table is function-wide, so block structure, loop
-     metadata and every per-instruction field survive the copy. *)
-  let mapping = Hashtbl.create 64 in
+     code).  The copy's id source starts where the original's stands, so
+     every clone of one function numbers alike.  The remap table is
+     function-wide and indexed by id; an operand is remapped only when it
+     is the very instruction recorded there, because an instruction of
+     another function may carry the same id. *)
+  let ids = Lslp_util.Id_gen.create ~first:(Lslp_util.Id_gen.peek f.ids) () in
+  let copies = Array.make (Lslp_util.Id_gen.peek f.ids) None in
   let remap_value (v : Instr.value) =
     match v with
-    | Instr.Ins i ->
-      (match Hashtbl.find_opt mapping i.Instr.id with
-       | Some i' -> Instr.Ins i'
-       | None -> v (* reference to an instruction outside the function *))
-    | Instr.Const _ | Instr.Arg _ -> v
+    | Instr.Ins i when i.Instr.id < Array.length copies -> (
+      match copies.(i.Instr.id) with
+      | Some (orig, i') when orig == i -> Instr.Ins i'
+      | Some _ | None -> v (* an instruction outside the function *))
+    | Instr.Ins _ | Instr.Const _ | Instr.Arg _ -> v
   in
   let clone_block b =
-    let b' = Block.create ~label:(Block.label b) ~kind:(Block.kind b) () in
+    let b' = Block.create ~ids ~label:(Block.label b) ~kind:(Block.kind b) () in
     List.iter
       (fun (i : Instr.t) ->
-        let i' = Instr.copy i in
-        Hashtbl.replace mapping i.id i';
+        let i' = Instr.copy ~ids i in
+        copies.(i.id) <- Some (i, i');
         Block.append b' i')
       (Block.to_list b);
     b'
   in
   let g =
-    { fname = f.fname; args = f.args; blocks = List.map clone_block f.blocks }
+    { fname = f.fname; args = f.args; ids;
+      blocks = List.map clone_block f.blocks }
   in
   iter_instrs (fun i -> Instr.map_operands remap_value i) g;
   g

@@ -50,22 +50,17 @@ and arg = { arg_name : string; arg_ty : arg_ty }
 
 and arg_ty = Int_arg | Float_arg | Array_arg of Types.scalar
 
-(* Identity must be unique across every function alive in the process —
-   clones, unrolled bodies and concurrently compiling domains included —
-   so the source is a process-global Atomic counter, not a [ref].
-   Waived under lslp-lint R1: Id_gen is domain-safe by construction. *)
-let ids = Lslp_util.Id_gen.create ~first:1 ()
-
-let fresh_id () = Lslp_util.Id_gen.next ids
-let id_watermark () = Lslp_util.Id_gen.peek ids
-
-let create ?(name = "") kind ty = { id = fresh_id (); kind; ty; name }
+(* Identity is unique within one function: every block of a function
+   shares the function's id source, and nothing compares instructions of
+   two functions.  The source is an explicit argument, never a global. *)
+let create ~ids ?(name = "") kind ty =
+  { id = Lslp_util.Id_gen.next ids; kind; ty; name }
 
 (* The single cloning primitive: every field except the identity is carried
    over, so adding a field to [t] automatically propagates through both
    [Func.clone] and the unroller.  Operands still reference the original
    instructions; callers remap them afterwards. *)
-let copy i = { i with id = fresh_id () }
+let copy ~ids i = { i with id = Lslp_util.Id_gen.next ids }
 
 (* Rollback primitive: reinstate a previously captured [kind].  The only
    mutable field any pass writes is [kind], so (kind, program order) is a

@@ -1,10 +1,14 @@
 (** Instructions and values of the straight-line IR.
 
-    Instructions carry a unique [id] (identity semantics) and mutable [kind]
-    so passes can rewrite operands in place.  Memory is accessed through
-    {!address} records — an array symbol plus an affine element index — which
-    keeps address arithmetic out of the use-def graph, mirroring the
-    GEP+SCEV split that LLVM's SLP vectorizer relies on. *)
+    Instructions carry an [id], unique within their function (identity
+    semantics), and a mutable [kind] so passes can rewrite operands in
+    place.  A function numbers its instructions from 1 with its own
+    {!Lslp_util.Id_gen}, so the same function built the same way prints
+    the same labels whatever else the process compiled.  Memory is
+    accessed through {!address} records — an array symbol plus an affine
+    element index — which keeps address arithmetic out of the use-def
+    graph, mirroring the GEP+SCEV split that LLVM's SLP vectorizer relies
+    on. *)
 
 type const =
   | Cint of int64
@@ -57,23 +61,17 @@ and arg = { arg_name : string; arg_ty : arg_ty }
 
 and arg_ty = Int_arg | Float_arg | Array_arg of Types.scalar
 
-val create : ?name:string -> kind -> Types.t -> t
-(** Fresh instruction with a new unique id.  Prefer {!Builder} in client
+val create : ids:Lslp_util.Id_gen.t -> ?name:string -> kind -> Types.t -> t
+(** Fresh instruction whose id is drawn from [ids], the id source of the
+    function it will live in ({!Block.ids}).  Prefer {!Builder} in client
     code; this is the low-level constructor. *)
 
-val id_watermark : unit -> int
-(** The id the next created instruction will receive (racy under
-    concurrency — intended for tests and smoke checks).  Ids live in the
-    process-global {!Lslp_util.Id_gen} space; arena compact indices are a
-    different, per-snapshot coordinate system that restarts at 0, so an
-    output instruction with an id below the watermark taken before its
-    function was built is a leaked index, not a real id. *)
-
-val copy : t -> t
-(** Duplicate under a fresh id, carrying over every other field (kind, type,
-    name, and any field added later).  The single cloning primitive behind
-    {!Func.clone} and the unroller; operands still point at the original
-    instructions — remap them afterwards with {!map_operands}. *)
+val copy : ids:Lslp_util.Id_gen.t -> t -> t
+(** Duplicate under a fresh id drawn from [ids], carrying over every other
+    field (kind, type, name, and any field added later).  The single cloning
+    primitive behind {!Func.clone} and the unroller; operands still point at
+    the original instructions — remap them afterwards with
+    {!map_operands}. *)
 
 val set_kind : t -> kind -> unit
 (** Reinstate a previously captured [kind] — the rollback primitive behind

@@ -36,7 +36,7 @@ let stamps_for (f : Func.t) =
       lo := Int.min !lo i.id;
       hi := Int.max !hi i.id)
     f;
-  Id_map.create ~count:(Func.num_instrs f) ~lo:!lo ~hi:!hi
+  Id_map.create ~lo:!lo ~hi:!hi
 
 type ctx = {
   args : Instr.arg array;

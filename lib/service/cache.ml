@@ -1,13 +1,14 @@
 (* The verified result cache.
 
-   Content-addressed: the canonical key is the digest of the alpha-renamed
-   printed input IR crossed with Config.fingerprint, so two textually
-   different sources that lower to the same function share one entry and a
-   config knob that changes output splits them.  A second "front" table
-   maps the digest of the raw (source, unroll, fingerprint) triple to the
-   canonical key so a warm hit skips parsing entirely — without it the
-   warm path would still pay the frontend, which costs more than a third
-   of a full LSLP compile on the catalog.
+   Content-addressed: the canonical key is the digest of the printed input
+   IR crossed with Config.fingerprint, so two textually different sources
+   that lower to the same function share one entry and a config knob that
+   changes output splits them.  A function numbers its own instruction
+   ids, so the raw printed text is deterministic and needs no renaming.
+   A second "front" table maps the digest of the raw (source, unroll,
+   fingerprint) triple to the canonical key so a warm hit skips parsing
+   entirely — without it the warm path would still pay the frontend,
+   which costs more than a third of a full LSLP compile on the catalog.
 
    Check once, at insert; check what is served, on every hit.  Insert runs
    the legality validator over the compiled function against the

@@ -1,8 +1,8 @@
 (** The compile service's verified result cache.
 
     Content-addressed: the canonical key is
-    [digest (alpha-renamed input IR, Config.fingerprint)], so caching is
-    keyed by {e what the pipeline would see}, not by source spelling; a
+    [digest (printed input IR, Config.fingerprint)], so caching is keyed
+    by {e what the pipeline would see}, not by source spelling; a
     front table keyed by [digest (source, unroll, fingerprint)] lets warm
     hits skip the frontend entirely.
 
@@ -23,7 +23,9 @@
     share across pool domains. *)
 
 type cached = {
-  ir : string;  (** alpha-renamed printed output IR *)
+  ir : string;
+      (** printed output IR, alpha-renamed by {!Lslp_util.Normalize}: the
+          service's published output format *)
   remarks : string list;
   counters : (string * int) list;
   vectorized : int;
@@ -58,7 +60,7 @@ val find_by_ir :
   fingerprint:string ->
   poison:bool ->
   cached option
-(** Canonical lookup by normalized input IR.  A verified hit also aliases
+(** Canonical lookup by printed input IR.  A verified hit also aliases
     [source_key] so the next lookup for this source skips parsing.  A miss
     (including digest collisions, which are detected by exact comparison
     and never trusted) bumps [cache_misses]. *)

@@ -105,12 +105,10 @@ let compile_job t (job : job) ~inject ~deadline =
   | None -> (
     let func = Lslp_frontend.Lower.compile_string job.source in
     ignore (Lslp_frontend.Unroll.run ~factor:job.unroll func);
-    (* the content key is printed only when a cache looks it up *)
+    (* the content key is printed only when a cache looks it up; the
+       function numbers its own ids, so its raw text is deterministic *)
     let input_norm =
-      Option.map
-        (fun _ ->
-          Lslp_util.Normalize.ids (Lslp_ir.Printer.func_to_string func))
-        t.cache
+      Option.map (fun _ -> Lslp_ir.Printer.func_to_string func) t.cache
     in
     let content_hit =
       match (t.cache, input_norm) with
@@ -139,6 +137,7 @@ let compile_job t (job : job) ~inject ~deadline =
         | None -> c
       in
       let report = Pipeline.run ~metrics:t.pass_metrics ~config func in
+      (* alpha-renamed text is the service's published output format *)
       let ir = Lslp_util.Normalize.ids (Lslp_ir.Printer.func_to_string func) in
       let remarks =
         List.map

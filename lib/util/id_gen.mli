@@ -7,12 +7,12 @@
     same numbers the old [ref]-based counters produced, so sequential
     golden output is unchanged.
 
-    Two granularities exist in the tree:
-    - process-global ([Lslp_ir.Instr.fresh_id]): identities must stay
-      unique across every live function, whichever domain built it;
-    - per-run ([Lslp_trace.Trace.fresh_gid], the SLP-graph node ids): the
-      generator lives in per-run state, so concurrent runs number their
-      artifacts independently and deterministically.
+    Every generator in the tree lives in per-run or per-object state, so
+    concurrent runs number their artifacts independently and
+    deterministically:
+    - per function ([Lslp_ir.Func.t]'s [ids]): instruction ids, unique
+      within the function and shared by all of its blocks;
+    - per run ([Lslp_trace.Trace.fresh_gid], the SLP-graph node ids).
 
     [lslp-lint] rule R1 (global mutable state) deliberately does not flag
     [Atomic]-backed values: this module is the sanctioned way to keep a

@@ -1,6 +1,6 @@
 (* String interner: names to dense small ints.
 
-   The label renaming ([Normalize.ids]) numbers each distinct label once;
+   The label renaming (module [Normalize]) numbers each distinct label once;
    ids are handed out in first-seen order, so a deterministic input order
    yields deterministic ids. *)
 

@@ -1,12 +1,10 @@
 (* Alpha-renaming of printed IR.
 
-   Printed IR embeds the process-global instruction-id counter in every
-   %label (see Lslp_ir.Printer), so two pipeline runs in one process are
-   never textually identical even when they build the same instructions.
-   Renaming every %token by first appearance makes textual equality mean
-   structural equality — the invariant behind the fuzzer's differential
-   checks, the domain-determinism smoke and the service's content-addressed
-   cache key. *)
+   Printed IR embeds its function's instruction ids in every %label (see
+   Lslp_ir.Printer), so two functions of the same structure whose ids were
+   drawn differently print differently.  Renaming every %token by first
+   appearance makes textual equality mean structural equality — the form
+   the compile service publishes its results in. *)
 
 let ids s =
   let b = Buffer.create (String.length s) in

@@ -1,10 +1,11 @@
 (** Alpha-renaming of printed IR labels.
 
-    Instruction labels embed a process-global id counter, so two pipeline
-    runs over clones of one function are never byte-identical; after
-    {!ids}, textual equality means structural equality.  Shared by the
-    differential fuzzer, the domain-determinism smoke and the compile
-    service's content-addressed result cache. *)
+    A label embeds its instruction's id, numbered per function, so a
+    function and its clone, or two builds that draw ids in a different
+    order, print different labels for the same structure; after {!ids},
+    textual equality means structural equality.  Used for the compile
+    service's published payload (its output format), by the benchmark's
+    correctness gate and by tests. *)
 
 val ids : string -> string
 (** Rename every [%label] by first appearance ([%r0], [%r1], ...). *)

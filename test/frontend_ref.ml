@@ -1032,7 +1032,7 @@ module Unroll = struct
     in
     List.map
       (fun (i : Instr.t) ->
-        let i' = Instr.copy i in
+        let i' = Instr.copy ~ids:(Block.ids b) i in
         Hashtbl.replace mapping i.Instr.id i';
         Instr.map_operands remap i';
         Instr.map_address_index subst_index i';
@@ -1054,7 +1054,9 @@ module Unroll = struct
         let pin m = Affine.subst counter (Affine.const (start + (m * step))) in
         if tc <= factor then begin
           (* full unroll: iteration m runs with the counter at start+m*step *)
-          let flat = Block.create ~label:(Block.label b ^ ".full") () in
+          let flat =
+            Block.create ~ids:(Block.ids b) ~label:(Block.label b ^ ".full") ()
+          in
           for m = 0 to tc - 1 do
             Block.append_list flat (clone_body ~subst_index:(pin m) b)
           done;
@@ -1064,7 +1066,7 @@ module Unroll = struct
         else begin
           let main_iters = tc - (tc mod factor) in
           let main =
-            Block.create
+            Block.create ~ids:(Block.ids b)
               ~label:(Fmt.str "%s.x%d" (Block.label b) factor)
               ~kind:
                 (Block.Loop
@@ -1081,7 +1083,10 @@ module Unroll = struct
           let epilogue =
             if tc mod factor = 0 then []
             else begin
-              let tail = Block.create ~label:(Block.label b ^ ".tail") () in
+              let tail =
+                Block.create ~ids:(Block.ids b)
+                  ~label:(Block.label b ^ ".tail") ()
+              in
               for m = main_iters to tc - 1 do
                 Block.append_list tail (clone_body ~subst_index:(pin m) b)
               done;

@@ -79,8 +79,7 @@ let rec lookahead_score ?meter ?cache ?probe
     ~(level : int) : int =
   match (cache, v1, v2) with
   | Some c, Instr.Ins i1, Instr.Ins i2 -> (
-    let a = Score_cache.subject c ~index:(-1) ~id:i1.Instr.id
-    and b = Score_cache.subject c ~index:(-1) ~id:i2.Instr.id in
+    let a = i1.Instr.id and b = i2.Instr.id in
     let mode = combine_tag combine in
     match Score_cache.find c ~a ~b ~level ~mode with
     | s when s <> Score_cache.absent ->

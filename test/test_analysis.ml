@@ -444,7 +444,9 @@ let suite = addr_tests @ depgraph_tests
    dependence graph reads only operands and addresses. *)
 let mixed_memory_block st n =
   let arrays = [| "A"; "B"; "C"; "D" |] in
-  let block = Block.create ~label:"mixed" () in
+  let block =
+    Block.create ~ids:(Lslp_util.Id_gen.create ~first:1 ()) ~label:"mixed" ()
+  in
   let values = ref [||] in
   let operand () =
     if !values = [||] || Random.State.int st 4 = 0 then
@@ -473,7 +475,7 @@ let mixed_memory_block st n =
       | 3 -> (Instr.Masked_store (a, operand (), mask), Types.Void)
       | _ -> (Instr.Binop (Opcode.Fadd, operand (), operand ()), Types.f64)
     in
-    let i = Instr.create kind ty in
+    let i = Instr.create ~ids:(Block.ids block) kind ty in
     Block.append block i;
     if ty <> Types.Void then values := Array.append !values [| i |]
   done;

@@ -10,7 +10,6 @@
 open Lslp_ir
 open Lslp_analysis
 
-let print_func f = Lslp_fuzz.Fuzz.normalize_ids (Printer.func_to_string f)
 
 (* Naive recount of operand occurrences, straight off the block. *)
 let naive_uses (block : Block.t) =
@@ -82,15 +81,15 @@ let arena_agrees (block : Block.t) =
   !ok
 
 (* Rebuild each block's instruction view purely from its arena, then
-   compare the printed (id-normalized) function against the original. *)
+   compare the printed function against the original. *)
 let roundtrip_identical (f : Func.t) =
-  let before = print_func f in
+  let before = Printer.func_to_string f in
   List.iter
     (fun b ->
       let a = Arena.of_block b in
       Block.set_order b (List.init (Arena.size a) (Arena.instr a)))
     (Func.blocks f);
-  let after = print_func f in
+  let after = Printer.func_to_string f in
   String.equal before after
 
 let prop_pre (d : Test_qcheck.kdesc) =
@@ -180,12 +179,15 @@ let address_id_tests =
           Lslp_kernels.Catalog.all);
     Helpers.tc "address ids: many distinct shapes in one block" (fun () ->
         (* 300 distinct shapes k*i over three arrays, each twice *)
-        let b = Block.create ~label:"shapes" () in
+        let b =
+          Block.create ~ids:(Lslp_util.Id_gen.create ~first:1 ())
+            ~label:"shapes" ()
+        in
         for k = 1 to 600 do
           let index = Affine.sym ~coeff:(((k - 1) mod 300) + 1) "i" in
           let base = [| "A"; "B"; "C" |].(k mod 3) in
           Block.append b
-            (Instr.create
+            (Instr.create ~ids:(Block.ids b)
                (Instr.Load
                   { Instr.base; elt = Types.F64; index; access_lanes = 1 })
                Types.f64)
@@ -218,21 +220,6 @@ let suite =
   [
     prop "arena round-trips and agrees with naive tables" prop_pre;
     prop "arena invariants survive vectorization" prop_post;
-    Helpers.tc "id map: dense and sparse spans read alike" (fun () ->
-        (* 3 ids over a span of 11 (an array) and of 100,001 (a table) *)
-        List.iter
-          (fun hi ->
-            let m = Lslp_util.Id_map.create ~count:3 ~lo:10 ~hi in
-            List.iteri (fun k id -> Lslp_util.Id_map.set m id k) [ 10; 15; hi ];
-            List.iter
-              (fun (id, want) ->
-                Helpers.check_int (Fmt.str "span to %d, id %d" hi id) want
-                  (Lslp_util.Id_map.get m id))
-              [ (10, 0); (15, 1); (hi, 2); (11, -1); (9, -1); (hi + 1, -1);
-                (min_int + 1, -1); (max_int, -1) ])
-          [ 20; 100_010 ];
-        Helpers.check_int "empty" (-1)
-          (Lslp_util.Id_map.get (Lslp_util.Id_map.create ~count:0 ~lo:0 ~hi:0) 0));
   ]
 
 let suite = suite @ address_id_tests

@@ -19,8 +19,8 @@ let show_diags diags =
 let find_binop op f =
   Block.find_all (fun i -> Instr.binop i = Some op) (Func.entry f)
 
-let vec2_of op a b =
-  Instr.create ~name:"v"
+let vec2_of f op a b =
+  Instr.create ~ids:f.Func.ids ~name:"v"
     (Instr.Binop (op, Instr.Ins a, Instr.Ins b))
     (Types.vec Types.F64 2)
 
@@ -66,7 +66,7 @@ let test_dependent_lanes () =
   | [ inner; outer ] ->
     let provenance =
       [ { Legality.lanes = [| inner; outer |];
-          vector = vec2_of Opcode.Fadd inner outer } ]
+          vector = vec2_of f Opcode.Fadd inner outer } ]
     in
     let diags = Legality.validate ~provenance snap f in
     check_bool "dependent lanes flagged" true
@@ -86,7 +86,8 @@ let test_independent_lanes_clean () =
   match find_binop Opcode.Fadd f with
   | [ a1; a2 ] ->
     let provenance =
-      [ { Legality.lanes = [| a1; a2 |]; vector = vec2_of Opcode.Fadd a1 a2 } ]
+      [ { Legality.lanes = [| a1; a2 |];
+          vector = vec2_of f Opcode.Fadd a1 a2 } ]
     in
     let diags = Legality.validate ~provenance snap f in
     check_string "no diagnostics" "" (show_diags diags)
@@ -129,7 +130,7 @@ let test_wrong_lane_count () =
   match find_binop Opcode.Fadd f with
   | [ a1; a2 ] ->
     let wide =
-      Instr.create ~name:"v"
+      Instr.create ~ids:f.Func.ids ~name:"v"
         (Instr.Binop (Opcode.Fadd, Instr.Ins a1, Instr.Ins a2))
         (Types.vec Types.F64 4)
     in
@@ -151,7 +152,8 @@ let test_mismatched_opcode () =
          (Block.find_all Instr.is_load (Func.entry f)))
   in
   let provenance =
-    [ { Legality.lanes = [| add; load |]; vector = vec2_of Opcode.Fadd add load } ]
+    [ { Legality.lanes = [| add; load |];
+        vector = vec2_of f Opcode.Fadd add load } ]
   in
   let diags = Legality.validate ~provenance snap f in
   check_bool "opcode mismatch flagged" true (has_rule "bundle-typing" diags)
@@ -256,6 +258,18 @@ let test_catalog_clean () =
               (show_diags ds))
         main_configs)
     Lslp_kernels.Catalog.all
+
+(* Ids are unique per function only, so a snapshot of one kernel would
+   alias another's instructions: validation must refuse the pairing. *)
+let test_foreign_snapshot () =
+  let mesh1 = Lslp_kernels.Catalog.compile_key "453.mesh1" in
+  let boy = Lslp_kernels.Catalog.compile_key "453.boy-surface" in
+  let own = Legality.snapshot boy and foreign = Legality.snapshot mesh1 in
+  ignore (Pipeline.run ~config:Config.lslp boy);
+  check_string "own snapshot: clean" ""
+    (show_diags (Legality.validate own boy));
+  check_bool "another function's snapshot: rejected" true
+    (has_rule "snapshot" (Legality.validate foreign boy))
 
 (* ---- verifier checkpoints ------------------------------------------ *)
 
@@ -491,4 +505,5 @@ let suite =
     qcheck_catalog;
     qcheck_random;
     qcheck_order_reference;
+    tc "a snapshot of another function is rejected" test_foreign_snapshot;
   ]

@@ -8,13 +8,16 @@ open Helpers
 let tti = Model.skylake_avx2
 let machine = Model.skylake_machine
 
+(* the id source of the free-standing instructions below *)
+let ids = Lslp_util.Id_gen.create ~first:1 ()
+
 let mk_binop op =
-  Instr.create
+  Instr.create ~ids
     (Instr.Binop (op, Builder.iconst 1, Builder.iconst 2))
     (Types.Scalar (Opcode.binop_operand_scalar op))
 
 let mk_load lanes =
-  Instr.create
+  Instr.create ~ids
     (Instr.Load
        { Instr.base = "A"; elt = Types.I64; index = Affine.sym "i";
          access_lanes = lanes })
@@ -82,17 +85,17 @@ let suite =
     tc "buildvec instruction cost matches gather classification" (fun () ->
         let consts = [ Builder.iconst 1; Builder.iconst 2 ] in
         let bv =
-          Instr.create (Instr.Buildvec consts) (Types.vec Types.I64 2)
+          Instr.create ~ids (Instr.Buildvec consts) (Types.vec Types.I64 2)
         in
         check_int "const buildvec free" 0 (Model.instr_cost tti bv));
     tc "extract and splat costs" (fun () ->
         let wide = mk_load 2 in
         let ex =
-          Instr.create (Instr.Extract (Instr.Ins wide, 0)) Types.i64
+          Instr.create ~ids (Instr.Extract (Instr.Ins wide, 0)) Types.i64
         in
         check_int "extract" 1 (Model.instr_cost tti ex);
         let sp =
-          Instr.create (Instr.Splat (Builder.iconst 3)) (Types.vec Types.I64 2)
+          Instr.create ~ids (Instr.Splat (Builder.iconst 3)) (Types.vec Types.I64 2)
         in
         check_int "splat" 1 (Model.instr_cost tti sp));
     tc "fsqrt cost" (fun () ->

@@ -1,15 +1,13 @@
 (* Domain-pool determinism: the whole catalog compiled on 4 concurrent
    domains must reproduce the sequential IR, remarks and telemetry
-   counters.  Instruction ids come from a process-global Atomic, so raw
-   labels differ between runs; Fuzz.normalize_ids alpha-renames them by
-   first appearance, which is exactly the invariant the planned parallel
-   compile service needs.  The lslpc `domains` subcommand runs the same
-   proof with 8 domains in CI. *)
+   counters byte for byte.  Each function numbers its own instructions,
+   so concurrent compiles cannot perturb each other's labels.  The lslpc
+   `domains` subcommand runs the same proof on the compile service's
+   pool in CI. *)
 
 module Catalog = Lslp_kernels.Catalog
 module Pipeline = Lslp_core.Pipeline
 module Config = Lslp_core.Config
-module Fuzz = Lslp_fuzz.Fuzz
 
 let config = Config.(lslp |> with_remarks true |> with_validate true)
 
@@ -17,13 +15,10 @@ let snapshot (k : Catalog.kernel) =
   let f = Catalog.compile k in
   ignore (Lslp_frontend.Unroll.run ~factor:4 f);
   let report, g = Pipeline.run_cloned ~config f in
-  let ir = Fuzz.normalize_ids (Lslp_ir.Printer.func_to_string g) in
+  let ir = Lslp_ir.Printer.func_to_string g in
   let remarks =
-    Fuzz.normalize_ids
-      (String.concat "\n"
-         (List.map
-            (Fmt.str "%a" Lslp_check.Remark.pp)
-            report.Pipeline.remarks))
+    String.concat "\n"
+      (List.map (Fmt.str "%a" Lslp_check.Remark.pp) report.Pipeline.remarks)
   in
   let counters =
     let c =

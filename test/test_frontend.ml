@@ -245,49 +245,11 @@ type outcome =
 
 let no_pos = { Token.line = 0; col = 0 }
 
-(* Printer text with every instruction id replaced by its rank among the
-   function's ids: ids come from a process-global counter, so the rank is
-   what two runs can share, and it still pins the creation order. *)
-let ranked_text (f : Func.t) =
-  let ids = Func.fold_instrs (fun acc i -> i.Instr.id :: acc) [] f in
-  let rank = Hashtbl.create 64 in
-  List.iteri (fun r id -> Hashtbl.replace rank id r) (List.sort compare ids);
-  let text = Printer.func_to_string f in
-  let buf = Buffer.create (String.length text) in
-  let n = String.length text in
-  let is_name c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-    || c = '_'
-  in
-  let is_digit c = c >= '0' && c <= '9' in
-  let rec go i =
-    if i < n then
-      if text.[i] <> '%' then (Buffer.add_char buf text.[i]; go (i + 1))
-      else begin
-        let j = ref (i + 1) in
-        while !j < n && is_name text.[!j] do incr j done;
-        let k = ref (!j + 1) in
-        while !k < n && is_digit text.[!k] do incr k done;
-        if !j < n && text.[!j] = '.' && !k > !j + 1 then begin
-          let id = int_of_string (String.sub text (!j + 1) (!k - !j - 1)) in
-          Buffer.add_string buf (String.sub text i (!j - i + 1));
-          Buffer.add_string buf
-            (match Hashtbl.find_opt rank id with
-             | Some r -> "r" ^ string_of_int r
-             | None -> "?" ^ string_of_int id);
-          go !k
-        end
-        else (Buffer.add_char buf '%'; go (i + 1))
-      end
-  in
-  go 0;
-  Buffer.contents buf
-
 let run_new src =
   match Lslp_frontend.Lower.compile_string src with
   | f ->
     ignore (Lslp_frontend.Unroll.run ~factor:4 f);
-    Lowered (ranked_text f)
+    Lowered (Printer.func_to_string f)
   | exception Lslp_frontend.Lexer.Error (m, p) -> Failed ("Lexer.Error", m, p)
   | exception Lslp_frontend.Parser.Error (m, p) -> Failed ("Parser.Error", m, p)
   | exception Lslp_frontend.Lower.Error (m, p) -> Failed ("Lower.Error", m, p)
@@ -297,7 +259,7 @@ let run_ref src =
   match Ref.Lower.compile_string src with
   | f ->
     ignore (Ref.Unroll.run ~factor:4 f);
-    Lowered (ranked_text f)
+    Lowered (Printer.func_to_string f)
   | exception Ref.Lexer.Error (m, p) -> Failed ("Lexer.Error", m, p)
   | exception Ref.Parser.Error (m, p) -> Failed ("Parser.Error", m, p)
   | exception Ref.Lower.Error (m, p) -> Failed ("Lower.Error", m, p)

@@ -59,8 +59,11 @@ let opcode_tests =
           (List.length (List.sort_uniq String.compare names)));
   ]
 
+(* the id source of the free-standing instructions and blocks below *)
+let ids = Lslp_util.Id_gen.create ~first:1 ()
+
 let mk_load base k =
-  Instr.create ~name:"ld"
+  Instr.create ~ids ~name:"ld"
     (Instr.Load
        { Instr.base; elt = Types.I64;
          index = Affine.add_const k (Affine.sym "i"); access_lanes = 1 })
@@ -74,14 +77,14 @@ let instr_tests =
     tc "operands of binop" (fun () ->
         let a = mk_load "A" 0 in
         let add =
-          Instr.create (Instr.Binop (Opcode.Add, Instr.Ins a, Builder.iconst 1))
+          Instr.create ~ids (Instr.Binop (Opcode.Add, Instr.Ins a, Builder.iconst 1))
             Types.i64
         in
         check_int "arity" 2 (List.length (Instr.operands add)));
     tc "set_operands replaces" (fun () ->
         let a = mk_load "A" 0 and b = mk_load "B" 0 in
         let add =
-          Instr.create (Instr.Binop (Opcode.Add, Instr.Ins a, Instr.Ins a))
+          Instr.create ~ids (Instr.Binop (Opcode.Add, Instr.Ins a, Instr.Ins a))
             Types.i64
         in
         Instr.set_operands add [ Instr.Ins b; Instr.Ins b ];
@@ -90,7 +93,7 @@ let instr_tests =
     tc "set_operands arity mismatch raises" (fun () ->
         let a = mk_load "A" 0 in
         let add =
-          Instr.create (Instr.Binop (Opcode.Add, Instr.Ins a, Instr.Ins a))
+          Instr.create ~ids (Instr.Binop (Opcode.Add, Instr.Ins a, Instr.Ins a))
             Types.i64
         in
         check_bool "raises" true
@@ -98,8 +101,8 @@ let instr_tests =
            with Invalid_argument _ -> true));
     tc "opclass distinguishes opcodes" (fun () ->
         let a = mk_load "A" 0 in
-        let add = Instr.create (Instr.Binop (Opcode.Add, Instr.Ins a, Instr.Ins a)) Types.i64 in
-        let mul = Instr.create (Instr.Binop (Opcode.Mul, Instr.Ins a, Instr.Ins a)) Types.i64 in
+        let add = Instr.create ~ids (Instr.Binop (Opcode.Add, Instr.Ins a, Instr.Ins a)) Types.i64 in
+        let mul = Instr.create ~ids (Instr.Binop (Opcode.Mul, Instr.Ins a, Instr.Ins a)) Types.i64 in
         check_bool "add <> mul" false
           (Instr.equal_opclass (Instr.opclass add) (Instr.opclass mul));
         check_bool "load class" true
@@ -107,7 +110,7 @@ let instr_tests =
     tc "store has side effect, load does not" (fun () ->
         let ld = mk_load "A" 0 in
         let st =
-          Instr.create
+          Instr.create ~ids
             (Instr.Store
                ({ Instr.base = "A"; elt = Types.I64;
                   index = Affine.sym "i"; access_lanes = 1 },
@@ -129,7 +132,7 @@ let instr_tests =
 let block_tests =
   [
     tc "append preserves order and positions" (fun () ->
-        let blk = Block.create () in
+        let blk = Block.create ~ids () in
         let a = mk_load "A" 0 and b = mk_load "A" 1 in
         Block.append blk a;
         Block.append blk b;
@@ -137,7 +140,7 @@ let block_tests =
         check_int "pos a" 0 (Block.position_exn blk a);
         check_int "pos b" 1 (Block.position_exn blk b));
     tc "insert_before" (fun () ->
-        let blk = Block.create () in
+        let blk = Block.create ~ids () in
         let a = mk_load "A" 0 and b = mk_load "A" 1 and c = mk_load "A" 2 in
         Block.append blk a;
         Block.append blk c;
@@ -145,19 +148,19 @@ let block_tests =
         check_int "pos b" 1 (Block.position_exn blk b);
         check_int "pos c" 2 (Block.position_exn blk c));
     tc "insert_before unknown anchor raises" (fun () ->
-        let blk = Block.create () in
+        let blk = Block.create ~ids () in
         check_bool "raises" true
           (try Block.insert_before blk ~anchor:(mk_load "A" 0) []; false
            with Invalid_argument _ -> true));
     tc "remove invalidates position" (fun () ->
-        let blk = Block.create () in
+        let blk = Block.create ~ids () in
         let a = mk_load "A" 0 in
         Block.append blk a;
         Block.remove blk a;
         check_bool "gone" true (Block.position blk a = None);
         check_bool "not mem" false (Block.mem blk a));
     tc "set_order" (fun () ->
-        let blk = Block.create () in
+        let blk = Block.create ~ids () in
         let a = mk_load "A" 0 and b = mk_load "A" 1 in
         Block.append blk a;
         Block.append blk b;
@@ -257,37 +260,9 @@ kernel k(f64 A[], f64 B[], f64 R[], i64 i) {
         assert_sound ~reference ~candidate ());
   ]
 
-(* Printed text with every instruction id taken relative to [base], the
-   id watermark before the function was built. *)
-let relative_text base (f : Func.t) =
-  let text = Printer.func_to_string f in
-  let n = String.length text in
-  let buf = Buffer.create n in
-  let is_name c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-  in
-  let is_digit c = c >= '0' && c <= '9' in
-  let rec go i =
-    if i < n then
-      if text.[i] <> '%' then (Buffer.add_char buf text.[i]; go (i + 1))
-      else begin
-        let j = ref (i + 1) in
-        while !j < n && is_name text.[!j] do incr j done;
-        let k = ref (!j + 1) in
-        while !k < n && is_digit text.[!k] do incr k done;
-        Buffer.add_string buf (String.sub text i (!j - i + 1));
-        Buffer.add_string buf
-          (string_of_int (int_of_string (String.sub text (!j + 1) (!k - !j - 1)) - base));
-        go !k
-      end
-  in
-  go 0;
-  Buffer.contents buf
-
 (* Repeated loads and commuted products, a store that retires the loads
    of its array, and a second block that starts with nothing available. *)
 let build_redundant ~value_numbering =
-  let base = Instr.id_watermark () in
   let b =
     Builder.create ~value_numbering ~name:"vn"
       ~args:[ ("A", Instr.Array_arg Types.F64); ("B", Instr.Array_arg Types.F64);
@@ -310,18 +285,17 @@ let build_redundant ~value_numbering =
   body ();
   ignore (Builder.start_block b ());
   body ();
-  let f = Builder.func b in
-  (base, f)
+  Builder.func b
 
 let numbering_tests =
   [
     tc "value numbering = building everything, then Cse.run" (fun () ->
-        let base, plain = build_redundant ~value_numbering:false in
+        let plain = build_redundant ~value_numbering:false in
         let removed = Cse.run plain in
-        let base', numbered = build_redundant ~value_numbering:true in
+        let numbered = build_redundant ~value_numbering:true in
         check_int "duplicates in the plain build" 8 removed;
         check_string "same names, ids and operands"
-          (relative_text base plain) (relative_text base' numbered);
+          (Printer.func_to_string plain) (Printer.func_to_string numbered);
         check_int "nothing left to remove" 0 (Cse.run numbered));
   ]
 

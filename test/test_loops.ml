@@ -250,7 +250,7 @@ let clone_tests =
     tc "Instr.copy refreshes the id and keeps every other field" (fun () ->
         let f = Lslp_kernels.Catalog.compile_key "loop.saxpy" in
         let i = List.hd (Block.to_list (Func.entry f)) in
-        let c = Instr.copy i in
+        let c = Instr.copy ~ids:f.Func.ids i in
         check_bool "fresh id" true (c.Instr.id <> i.Instr.id);
         check_string "name kept" i.Instr.name c.Instr.name;
         check_bool "type kept" true (Types.equal i.Instr.ty c.Instr.ty);
@@ -292,6 +292,40 @@ kernel k(f64 Y[], f64 X[]) {
         let n = Block.length (Func.entry f) in
         Block.remove (Func.entry g) (List.hd (Block.to_list (Func.entry g)));
         check_int "original untouched" n (Block.length (Func.entry f)));
+    tc "clone keeps a foreign operand whose id collides with its own"
+      (fun () ->
+        (* ids are unique per function only: [other]'s load and [f]'s load
+           are both id 1, and [f]'s add reads [other]'s *)
+        let load_a (f : Func.t) =
+          Instr.create ~ids:f.Func.ids ~name:"ld"
+            (Instr.Load
+               { Instr.base = "A"; index = Affine.const 0; elt = Types.I64;
+                 access_lanes = 1 })
+            Types.i64
+        in
+        let args =
+          [ { Instr.arg_name = "A"; arg_ty = Instr.Array_arg Types.I64 } ]
+        in
+        let other = Func.create ~name:"other" ~args in
+        let foreign = load_a other in
+        let f = Func.create ~name:"f" ~args in
+        let own = load_a f in
+        check_int "ids collide" foreign.Instr.id own.Instr.id;
+        let add =
+          Instr.create ~ids:f.Func.ids ~name:"t"
+            (Instr.Binop (Opcode.Add, Instr.Ins own, Instr.Ins foreign))
+            Types.i64
+        in
+        Block.append_list (Func.entry f) [ own; add ];
+        let g = Func.clone f in
+        match Block.to_list (Func.entry g) with
+        | [ own'; add' ] -> (
+          match Instr.operands add' with
+          | [ Instr.Ins x; Instr.Ins y ] ->
+            check_bool "own operand remapped" true (x == own');
+            check_bool "foreign operand kept" true (y == foreign)
+          | _ -> Alcotest.fail "add lost its operands")
+        | _ -> Alcotest.fail "clone lost instructions");
   ]
 
 (* ---- verifier: self-contained regions ------------------------------ *)
@@ -305,17 +339,17 @@ let verifier_tests =
         in
         let b1 = Func.entry f in
         let load =
-          Instr.create ~name:"ld"
+          Instr.create ~ids:f.Func.ids ~name:"ld"
             (Instr.Load
                { Instr.base = "A"; index = Affine.const 0; elt = Types.I64;
                  access_lanes = 1 })
             (Types.Scalar Types.I64)
         in
         Block.append b1 load;
-        let b2 = Block.create ~label:"b2" () in
+        let b2 = Block.create ~ids:f.Func.ids ~label:"b2" () in
         Func.add_block f b2;
         Block.append b2
-          (Instr.create ~name:"st"
+          (Instr.create ~ids:f.Func.ids ~name:"st"
              (Instr.Store
                 ({ Instr.base = "A"; index = Affine.const 1; elt = Types.I64;
                    access_lanes = 1 },
@@ -328,12 +362,12 @@ let verifier_tests =
              (contains ~sub:"another block" e.Verifier.message)));
     tc "duplicate block labels are rejected" (fun () ->
         let f = Func.create ~name:"x" ~args:[] in
-        Func.add_block f (Block.create ~label:"entry" ());
+        Func.add_block f (Block.create ~ids:f.Func.ids ~label:"entry" ());
         check_bool "error" true (Verifier.check_func f <> []));
     tc "loop sanity: step must be positive" (fun () ->
         let f = Func.create ~name:"x" ~args:[] in
         Func.add_block f
-          (Block.create ~label:"l"
+          (Block.create ~ids:f.Func.ids ~label:"l"
              ~kind:
                (Block.Loop
                   { Block.counter = "i"; l_start = 0;
@@ -343,7 +377,7 @@ let verifier_tests =
     tc "loop sanity: symbolic bound must be an i64 argument" (fun () ->
         let f = Func.create ~name:"x" ~args:[] in
         Func.add_block f
-          (Block.create ~label:"l"
+          (Block.create ~ids:f.Func.ids ~label:"l"
              ~kind:
                (Block.Loop
                   { Block.counter = "i"; l_start = 0;

@@ -82,7 +82,8 @@ let single x =
 let corner_instrs b =
   (* kinds the builder does not construct, appended as they are *)
   let raw ?name kind ty =
-    Block.append (Builder.current_block b) (Instr.create ?name kind ty)
+    Block.append (Builder.current_block b)
+      (Instr.create ~ids:(Builder.func b).Func.ids ?name kind ty)
   in
   let index =
     Affine.add_const (-5)
@@ -162,7 +163,7 @@ let corner_tests =
         let b = Builder.create ~name:"l" ~args:corner_args () in
         let f = Builder.func b in
         let body =
-          Block.create ~label:"body"
+          Block.create ~ids:f.Func.ids ~label:"body"
             ~kind:
               (Block.Loop
                  { Block.counter = "i"; l_start = -1;

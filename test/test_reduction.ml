@@ -179,19 +179,19 @@ kernel k(f64 R[], f64 A[], i64 i) {
         in
         let fb = Builder.func b in
         let wide =
-          Instr.create ~name:"w"
+          Instr.create ~ids:fb.Func.ids ~name:"w"
             (Instr.Load
                { Instr.base = "A"; elt = Types.F64; index = Affine.sym "i";
                  access_lanes = 2 })
             (Types.vec Types.F64 2)
         in
         let shuf =
-          Instr.create ~name:"sh"
+          Instr.create ~ids:fb.Func.ids ~name:"sh"
             (Instr.Shuffle (Instr.Ins wide, [ 1; 0 ]))
             (Types.vec Types.F64 2)
         in
         let st =
-          Instr.create
+          Instr.create ~ids:fb.Func.ids
             (Instr.Store
                ({ Instr.base = "R"; elt = Types.F64; index = Affine.sym "i";
                   access_lanes = 2 },
@@ -216,14 +216,14 @@ kernel k(f64 R[], f64 A[], i64 i) {
         in
         let fb = Builder.func b in
         let wide =
-          Instr.create
+          Instr.create ~ids:fb.Func.ids
             (Instr.Load
                { Instr.base = "A"; elt = Types.F64; index = Affine.sym "i";
                  access_lanes = 2 })
             (Types.vec Types.F64 2)
         in
         let bad =
-          Instr.create
+          Instr.create ~ids:fb.Func.ids
             (Instr.Shuffle (Instr.Ins wide, [ 0; 5 ]))
             (Types.vec Types.F64 2)
         in
@@ -295,7 +295,7 @@ let counters_text (p : Lslp_telemetry.Probe.t) =
        (fun (name, get) -> Fmt.str "%s=%d" name (get c))
        Lslp_telemetry.Probe.counter_fields)
 
-let print_ir f = Lslp_fuzz.Fuzz.normalize_ids (Printer.func_to_string f)
+let print_ir f = Lslp_util.Normalize.ids (Printer.func_to_string f)
 
 (* Taken from the implementation that re-collected candidates and rebuilt
    the dependence graph for every candidate. *)

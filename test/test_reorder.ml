@@ -532,7 +532,7 @@ let agrees_with_reference (seed, slots, lanes, fuel) =
   let partial =
     let insts = Array.of_list (Block.to_list block) in
     let dropped = insts.(Random.State.int st (Array.length insts)) in
-    let b = Block.create () in
+    let b = Block.create ~ids:(Block.ids block) () in
     Array.iter (fun i -> if not (Instr.equal i dropped) then Block.append b i)
       insts;
     Arena.of_block b
@@ -560,13 +560,10 @@ let agrees_with_reference (seed, slots, lanes, fuel) =
             let (wo, wc, we) = want in
             same_outcome o wo && c = wc && e = we
           in
-          let shared ar =
-            Lslp_telemetry.Score_cache.create ~dense:(Arena.size ar) ()
-          in
           agree ()
           && List.for_all
                (fun ar ->
-                 let cache = shared ar in
+                 let cache = Lslp_telemetry.Score_cache.create () in
                  agree ~arena:ar ()
                  && agree ~arena:ar ~cache ()
                  && agree ~arena:ar ~cache ())

@@ -309,9 +309,7 @@ let cache_rejects_illegal_insert () =
   let fingerprint = Config.fingerprint config in
   let source_key = Cache.source_key ~source ~unroll:1 ~fingerprint in
   let func = Lslp_frontend.Lower.compile_string source in
-  let input_norm =
-    Lslp_util.Normalize.ids (Lslp_ir.Printer.func_to_string func)
-  in
+  let input_norm = Lslp_ir.Printer.func_to_string func in
   let snap = Lslp_check.Legality.snapshot func in
   let block = Lslp_ir.Func.entry func in
   let instrs = Lslp_ir.Block.to_list block in
@@ -490,9 +488,7 @@ let cache_concurrent_poison () =
   let source_key = Cache.source_key ~source ~unroll ~fingerprint in
   let func = Lslp_frontend.Lower.compile_string source in
   ignore (Lslp_frontend.Unroll.run ~factor:unroll func);
-  let input_norm =
-    Lslp_util.Normalize.ids (Lslp_ir.Printer.func_to_string func)
-  in
+  let input_norm = Lslp_ir.Printer.func_to_string func in
   let snap = Lslp_check.Legality.snapshot func in
   let report = Lslp_core.Pipeline.run ~config func in
   let payload =

@@ -23,15 +23,15 @@ module Gen = Lslp_fuzz.Gen
 let unroll_factor = 4
 
 (* Region formation + pipeline on a clone, like the lslpc driver; returns
-   the report and the alpha-renamed printed IR (instruction labels embed a
-   process-global counter, so raw text never matches across runs). *)
+   the report and the printed IR.  Every clone of [reference] numbers its
+   instructions alike, so the raw text of two runs compares directly. *)
 let run_with ~cache ?(config = Config.lslp) reference =
   let candidate = Func.clone reference in
   ignore (Lslp_frontend.Unroll.run ~factor:unroll_factor candidate);
   let report =
     Pipeline.run ~config:(Config.with_score_cache cache config) candidate
   in
-  (report, Fuzz.normalize_ids (Printer.func_to_string candidate))
+  (report, Printer.func_to_string candidate)
 
 let total (report : Pipeline.report) =
   Report.total_counters report.Pipeline.telemetry
@@ -176,22 +176,28 @@ let cache_tests =
             check_bool "distinct key misses" true
               (Score_cache.find c ~a ~b ~level ~mode = Score_cache.absent))
           [ (2, 1, 3, 0); (1, 2, 2, 0); (1, 2, 3, 1); (9, 2, 3, 0) ]);
-    tc "dense indices and interned ids are disjoint subjects" (fun () ->
-        let c = Score_cache.create ~dense:4 () in
-        check_int "dense index" 2 (Score_cache.subject c ~index:2 ~id:100);
-        check_int "outside: first interned" 4
-          (Score_cache.subject c ~index:(-1) ~id:100);
-        check_int "past the range: interned" 5
-          (Score_cache.subject c ~index:7 ~id:200);
-        check_int "same id, same local" 4
-          (Score_cache.subject c ~index:(-1) ~id:100);
-        Score_cache.store c ~a:2 ~b:4 ~level:1 ~mode:0 9;
-        check_int "hit" 9 (Score_cache.find c ~a:2 ~b:4 ~level:1 ~mode:0);
+    tc "keys are instruction ids up to 2^25, larger ids bypass" (fun () ->
+        let c = Score_cache.create () in
+        let top = (1 lsl 25) - 1 in
+        Score_cache.store c ~a:top ~b:top ~level:0xff ~mode:0xf 9;
+        check_int "widest key round-trips" 9
+          (Score_cache.find c ~a:top ~b:top ~level:0xff ~mode:0xf);
+        List.iter
+          (fun (a, b) ->
+            check_bool "neighbouring key misses" true
+              (Score_cache.find c ~a ~b ~level:0xff ~mode:0xf
+               = Score_cache.absent))
+          [ (top - 1, top); (top, top - 1); (0, 0) ];
+        Score_cache.store c ~a:(top + 1) ~b:1 ~level:1 ~mode:0 5;
+        Score_cache.store c ~a:1 ~b:(top + 1) ~level:1 ~mode:0 5;
+        check_int "oversized ids are not stored" 1 (Score_cache.size c);
+        check_bool "and never hit" true
+          (Score_cache.find c ~a:(top + 1) ~b:1 ~level:1 ~mode:0
+           = Score_cache.absent);
         Score_cache.clear c;
-        check_int "interning restarts past the range" 4
-          (Score_cache.subject c ~index:(-1) ~id:200);
         check_bool "miss after clear" true
-          (Score_cache.find c ~a:2 ~b:4 ~level:1 ~mode:0 = Score_cache.absent));
+          (Score_cache.find c ~a:top ~b:top ~level:0xff ~mode:0xf
+           = Score_cache.absent));
     tc "clear after growth drops every entry, clear when empty keeps none"
       (fun () ->
         let c = Score_cache.create () in

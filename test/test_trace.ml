@@ -32,7 +32,7 @@ let run_with ?(trace = false) ?(config = Config.lslp) reference =
   let candidate = Func.clone reference in
   ignore (Lslp_frontend.Unroll.run ~factor:unroll_factor candidate);
   let report = Pipeline.run ~config:(Config.with_trace trace config) candidate in
-  (report, Fuzz.normalize_ids (Printer.func_to_string candidate))
+  (report, Printer.func_to_string candidate)
 
 let traced ?config key =
   let report, _ = run_with ~trace:true ?config (kernel key) in
@@ -295,6 +295,30 @@ let qcheck_trace_transparent =
              && ron.Pipeline.trace_events <> [])
            config_pool))
 
+(* ---- determinism across compiles ----------------------------------- *)
+
+(* A function numbers its own instructions, so what a compile prints does
+   not depend on what the process compiled before it. *)
+let rerun_tests =
+  [
+    tc "a kernel compiled again after another prints the same bytes"
+      (fun () ->
+        let compile key =
+          let config = Config.with_remarks true Config.lslp in
+          let report, ir = run_with ~trace:true ~config (kernel key) in
+          ( ir,
+            String.concat "\n" (remark_strings report),
+            Trace.to_log report.Pipeline.trace_events )
+        in
+        let ir, remarks, log = compile "453.mesh1" in
+        ignore (compile "motivation-multi");
+        let ir', remarks', log' = compile "453.mesh1" in
+        check_string "IR" ir ir';
+        check_string "remarks" remarks remarks';
+        check_string "decision log" log log');
+  ]
+
 let suite =
   sink_tests @ stream_tests @ exporter_tests @ off_tests
   @ [ qcheck_trace_transparent ]
+  @ rerun_tests

@@ -64,7 +64,9 @@ let add_dead st (b : Block.t) =
           for _ = 0 to Random.State.int st 3 do
             let other = if Random.State.bool st then !prev else Instr.Ins i in
             let c =
-              Instr.create (Instr.Binop (Opcode.Add, !prev, other)) i.Instr.ty
+              Instr.create ~ids:(Block.ids b)
+                (Instr.Binop (Opcode.Add, !prev, other))
+                i.Instr.ty
             in
             out := c :: !out;
             prev := Instr.Ins c
@@ -86,7 +88,7 @@ let add_redundancy st (b : Block.t) =
   Array.iteri
     (fun k (i : Instr.t) ->
       if (not (Instr.has_side_effect i)) && Random.State.int st 3 = 0 then begin
-        let c = Instr.copy i in
+        let c = Instr.copy ~ids:(Block.ids b) i in
         (match c.Instr.kind with
          | Instr.Binop (op, x, y)
            when Opcode.is_commutative op && Random.State.bool st ->
@@ -350,17 +352,18 @@ let verifier_tests =
         in
         let b = Func.entry f in
         let add =
-          Instr.create
+          Instr.create ~ids:f.Func.ids
             (Instr.Binop (Opcode.Add, Instr.Arg x_int, Instr.Const (Instr.Cint 1L)))
             Types.i64
         in
         let addr base =
           { Instr.base; elt = Types.F64; index = Affine.sym "x"; access_lanes = 1 }
         in
-        let ld = Instr.create (Instr.Load (addr "y")) Types.f64 in
-        let ld2 = Instr.create (Instr.Load (addr "A")) Types.f64 in
+        let load base = Instr.create ~ids:f.Func.ids (Instr.Load (addr base)) in
+        let ld = load "y" Types.f64 in
+        let ld2 = load "A" Types.f64 in
         let fadd =
-          Instr.create
+          Instr.create ~ids:f.Func.ids
             (Instr.Binop (Opcode.Fadd, Instr.Ins ld2, Instr.Arg y_flt))
             Types.f64
         in

@@ -17,6 +17,9 @@ let with_bad make =
   List.iter (Block.append (Func.entry f)) (make b);
   f
 
+(* an instruction numbered by the builder's function *)
+let create b = Instr.create ~ids:(Builder.func b).Func.ids
+
 let addr ?(lanes = 1) base elt index =
   { Instr.base; elt; index; access_lanes = lanes }
 
@@ -35,38 +38,38 @@ let malformed =
       fun () ->
         with_bad (fun b ->
             let v = Builder.load b ~base:"F" (Builder.idx 0) in
-            [ Instr.create (Instr.Binop (Opcode.Add, v, Builder.iconst 1))
+            [ create b (Instr.Binop (Opcode.Add, v, Builder.iconst 1))
                 Types.i64 ]) );
     ( "unknown array",
       fun () ->
-        with_bad (fun _ ->
-            [ Instr.create (Instr.Load (addr "Z" Types.I64 Affine.zero))
+        with_bad (fun b ->
+            [ create b (Instr.Load (addr "Z" Types.I64 Affine.zero))
                 Types.i64 ]) );
     ( "index symbol that is not an i64 argument",
       fun () ->
-        with_bad (fun _ ->
-            [ Instr.create (Instr.Load (addr "A" Types.I64 (Affine.sym "x")))
+        with_bad (fun b ->
+            [ create b (Instr.Load (addr "A" Types.I64 (Affine.sym "x")))
                 Types.i64 ]) );
     ( "wrong element type for array",
       fun () ->
-        with_bad (fun _ ->
-            [ Instr.create (Instr.Load (addr "F" Types.I64 Affine.zero))
+        with_bad (fun b ->
+            [ create b (Instr.Load (addr "F" Types.I64 Affine.zero))
                 Types.i64 ]) );
     ( "buildvec arity mismatch",
       fun () ->
-        with_bad (fun _ ->
-            [ Instr.create
+        with_bad (fun b ->
+            [ create b
                 (Instr.Buildvec [ Builder.iconst 1 ])
                 (Types.vec Types.I64 2) ]) );
     ( "extract lane out of range",
       fun () ->
-        with_bad (fun _ ->
+        with_bad (fun b ->
             let wide =
-              Instr.create
+              create b
                 (Instr.Load (addr ~lanes:2 "A" Types.I64 Affine.zero))
                 (Types.vec Types.I64 2)
             in
-            [ wide; Instr.create (Instr.Extract (Instr.Ins wide, 5)) Types.i64 ])
+            [ wide; create b (Instr.Extract (Instr.Ins wide, 5)) Types.i64 ])
     );
     ( "duplicate instruction in block",
       fun () ->
@@ -76,8 +79,8 @@ let malformed =
             | Instr.Const _ | Instr.Arg _ -> assert false) );
     ( "store with non-void type",
       fun () ->
-        with_bad (fun _ ->
-            [ Instr.create
+        with_bad (fun b ->
+            [ create b
                 (Instr.Store (addr "A" Types.I64 Affine.zero, Builder.iconst 1))
                 Types.i64 ]) );
   ]
@@ -86,14 +89,14 @@ let malformed =
    see; with [malformed], the inputs of the reference agreement. *)
 let malformed_more =
   let loop_block ?(label = "l") ?(counter = "k") ?(stop = Block.Bound_const 4)
-      ?(step = 1) () =
-    Block.create ~label
+      ?(step = 1) () ids =
+    Block.create ~ids ~label
       ~kind:(Block.Loop { Block.counter; l_start = 0; l_stop = stop; l_step = step })
       ()
   in
   let with_blocks blocks () =
     let f = Builder.func (base_func ()) in
-    List.iter (Func.add_block f) blocks;
+    List.iter (fun block -> Func.add_block f (block f.Func.ids)) blocks;
     f
   in
   [
@@ -112,8 +115,8 @@ let malformed_more =
         Builder.func b );
     ( "self use",
       fun () ->
-        with_bad (fun _ ->
-            let i = Instr.create (Instr.Splat (Builder.iconst 1)) Types.i64 in
+        with_bad (fun b ->
+            let i = create b (Instr.Splat (Builder.iconst 1)) Types.i64 in
             Instr.set_kind i
               (Instr.Binop (Opcode.Add, Instr.Ins i, Builder.iconst 1));
             [ i ]) );
@@ -126,29 +129,30 @@ let malformed_more =
                 { Instr.arg_name = "A"; arg_ty = Instr.Int_arg } ]
         in
         Block.append (Func.entry f)
-          (Instr.create (Instr.Load (addr "A" Types.I64 (Affine.sym "A")))
+          (Instr.create ~ids:f.Func.ids
+             (Instr.Load (addr "A" Types.I64 (Affine.sym "A")))
              Types.i64);
         f );
     ( "vector kinds",
       fun () ->
-        with_bad (fun _ ->
+        with_bad (fun b ->
             let v2 = Types.vec Types.I64 2 in
             let wide =
-              Instr.create
+              create b
                 (Instr.Load (addr ~lanes:2 "A" Types.I64 Affine.zero)) v2
             in
             let w = Instr.Ins wide and one = Builder.iconst 1 in
             [ wide;
-              Instr.create (Instr.Splat one) Types.i64;
-              Instr.create (Instr.Shuffle (w, [ 0; 3; 1 ])) v2;
-              Instr.create (Instr.Reduce (Opcode.Sub, w)) Types.i64;
-              Instr.create (Instr.Extract (one, 0)) Types.i64;
-              Instr.create (Instr.Cmp (Opcode.Lt, w, one)) Types.i64;
-              Instr.create (Instr.Select (one, w, w)) v2;
-              Instr.create
+              create b (Instr.Splat one) Types.i64;
+              create b (Instr.Shuffle (w, [ 0; 3; 1 ])) v2;
+              create b (Instr.Reduce (Opcode.Sub, w)) Types.i64;
+              create b (Instr.Extract (one, 0)) Types.i64;
+              create b (Instr.Cmp (Opcode.Lt, w, one)) Types.i64;
+              create b (Instr.Select (one, w, w)) v2;
+              create b
                 (Instr.Masked_load (addr ~lanes:0 "A" Types.I1 Affine.zero, one, w))
                 v2;
-              Instr.create
+              create b
                 (Instr.Masked_store (addr "x" Types.F64 Affine.zero, one, one))
                 Types.i64 ]) );
   ]
@@ -172,7 +176,7 @@ let verifier_tests =
         let b = base_func () in
         let f = Builder.func b in
         let bad =
-          Instr.create
+          create b
             (Instr.Load
                { Instr.base = "Z"; elt = Types.I64; index = Affine.zero;
                  access_lanes = 1 })
@@ -187,7 +191,7 @@ let verifier_tests =
         let b = base_func () in
         let v = Builder.load b ~base:"A" (Builder.idx 0) in
         for _ = 1 to 5000 do
-          ignore (Instr.create (Instr.Unop (Opcode.Neg, v)) Types.i64)
+          ignore (create b (Instr.Unop (Opcode.Neg, v)) Types.i64)
         done;
         let w = Builder.binop b Opcode.Add v (Builder.iconst 1) in
         Builder.store b ~base:"A" (Builder.idx 1) w;
@@ -249,7 +253,8 @@ kernel p(i64 A[], i64 i) {
           (Fmt.str "%a" Printer.pp_const_readable (Instr.Cfloat 2.5)));
     tc "printer is total on ill-formed code" (fun () ->
         let bad =
-          Instr.create (Instr.Buildvec []) (Types.vec Types.I64 2)
+          Instr.create ~ids:(Lslp_util.Id_gen.create ())
+            (Instr.Buildvec []) (Types.vec Types.I64 2)
         in
         check_bool "prints" true
           (String.length (Printer.instr_to_string bad) > 0));

@@ -5,7 +5,7 @@
   bench-baseline bench-speed bench-speed-report bench-serve \
   bench-serve-report trace-golden cond-smoke metrics-check \
   metrics-baseline metrics-smoke perfbench layers-check layers-baseline \
-  perf-ab opaque-check
+  perf-ab opaque-check perfbench-smoke
 
 all:
 	dune build
@@ -36,6 +36,7 @@ ci:
 	$(MAKE) layers-check
 	$(MAKE) metrics-check
 	$(MAKE) metrics-smoke
+	$(MAKE) perfbench-smoke
 
 # The pinned-seed differential fuzz run CI's fuzz-smoke job executes:
 # 500 random programs through the pipeline, checked against the scalar
@@ -206,6 +207,14 @@ SEED ?= 1
 T ?= 0
 perfbench:
 	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 10 --trace $(T)
+
+# The benchmark's correctness gate, timings ignored: 2 s of `chains` (the
+# only workload with blocks over 256 instructions) and of `batch-mixed`
+# (consecutive 2-domain batches through the real service), every result
+# checked against Pipeline.run; any divergence fails the target.
+perfbench-smoke:
+	python3 perfbench/run.py --workload chains --seed 7 --seconds 2 --trace 0
+	python3 perfbench/run.py --workload batch-mixed --seed 7 --seconds 2 --trace 0
 
 # A/B comparison of the working tree against BASE (report-only, not in
 # CI): clones BASE into $${TMPDIR:-/tmp}/lslp-ab, builds perfbench there

@@ -153,18 +153,18 @@ let check_block_order deps ~provenance (block : Block.t) add =
         Hashtbl.replace origins p.vector.Instr.id (known @ cur)
       end)
     provenance;
-  let after = Array.of_list (Block.to_list block) in
+  let after = Block.to_array block in
   let n = Array.length after in
-  (* each transformed position's origin, computed once per block *)
-  let origin =
-    Array.map
-      (fun (i : Instr.t) ->
-        match Hashtbl.find_opt origins i.Instr.id with
-        | Some ps -> Array.of_list ps
-        | None -> (
-          match Arena.idx arena i with -1 -> [||] | q -> [| q |]))
-      after
-  in
+  (* each transformed position's origin, computed once per block, in an
+     array that starts from the static [[||]] (see [Block.to_array]) *)
+  let origin = Array.make n [||] in
+  for x = 0 to n - 1 do
+    let i = after.(x) in
+    origin.(x) <-
+      (match Hashtbl.find_opt origins i.Instr.id with
+      | Some ps -> Array.of_list ps
+      | None -> ( match Arena.idx arena i with -1 -> [||] | q -> [| q |]))
+  done;
   for x = 0 to n - 1 do
     let ox = origin.(x) in
     for y = x + 1 to n - 1 do

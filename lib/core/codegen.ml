@@ -74,6 +74,14 @@ let vector_nodes graph =
       | Graph.Gather _ -> false)
     (Graph.nodes graph)
 
+(* Unit [u]'s graph slot, for the vector nodes in unit order.  An int
+   array, so it never starts from a young node (see [Block.to_array]). *)
+let rec fill_slots a u = function
+  | [] -> ()
+  | (nd : Graph.node) :: rest ->
+    a.(u) <- nd.Graph.slot;
+    fill_slots a (u + 1) rest
+
 let units ?reduction graph arena =
   let n = Arena.size arena in
   (* compact index -> unit; every block instruction gets exactly one *)
@@ -114,8 +122,10 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
   let arena = Depgraph.arena deps in
   let n = Arena.size arena in
   let unit_of, key = units ?reduction graph arena in
-  let node_arr = Array.of_list (vector_nodes graph) in
-  let num_node_units = Array.length node_arr in
+  let vector = vector_nodes graph in
+  let node_slot = Array.make (List.length vector) 0 in
+  fill_slots node_slot 0 vector;
+  let num_node_units = Array.length node_slot in
   let first_scalar_unit =
     num_node_units + match reduction with Some _ -> 1 | None -> 0
   in
@@ -383,7 +393,8 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
     in
     Array.iter
       (fun u ->
-        if u < num_node_units then ignore (emit_node node_arr.(u))
+        if u < num_node_units then
+          ignore (emit_node (Graph.node_of_slot graph node_slot.(u)))
         else if u < first_scalar_unit then
           emit_reduction (Option.get reduction)
         else begin

@@ -62,7 +62,7 @@ let unroll_block ~factor (f : Func.t) (b : Block.t) =
       in
       let pin m = Affine.subst counter (Affine.const (start + (m * step))) in
       let ids = Block.ids b in
-      let body = Array.of_list (Block.to_list b) in
+      let body = Block.to_array b in
       let slot = Int_table.create (Array.length body) in
       Array.iteri (fun k (i : Instr.t) -> Int_table.set slot i.Instr.id k) body;
       let clone dst subst_index = clone_into dst ~slot ~subst_index body in

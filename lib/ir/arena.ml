@@ -70,7 +70,7 @@ let mem t i = idx t i >= 0
 let pos t i = idx t i
 
 let of_block (b : Block.t) =
-  let instrs = Array.of_list (Block.to_list b) in
+  let instrs = Block.to_array b in
   let n = Array.length instrs in
   let min_id = ref max_int and max_id = ref min_int in
   for k = 0 to n - 1 do

@@ -68,6 +68,17 @@ let to_list b =
 
 let length b = b.count
 
+(* OCaml 5.1's [caml_make_vect] (behind [Array.make], [of_list], [map],
+   [init]) allocates an array of more than 256 words in the major heap and,
+   when the initial element is a young heap block, first runs a whole minor
+   collection.  A block's instructions are nearly always young, so the
+   array starts from an immediate that is never read, then is filled in
+   program order through the ordinary write barrier. *)
+let to_array b =
+  let a = Array.make b.count (Obj.magic 0 : Instr.t) in
+  List.iteri (fun k i -> a.(k) <- i) (to_list b);
+  a
+
 let append b i =
   b.rev_insts <- i :: b.rev_insts;
   b.count <- b.count + 1;

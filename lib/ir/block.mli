@@ -45,6 +45,15 @@ val trip_count : loop_info -> int option
     bounds or non-positive steps. *)
 
 val to_list : t -> Instr.t list
+
+val to_array : t -> Instr.t array
+(** The instructions in program order, as a fresh array: the one way the
+    compiler turns a block into an instruction array.  Unlike
+    [Array.of_list (to_list b)] it never forces a minor collection: OCaml
+    5.1 runs one before allocating an array of more than 256 words whose
+    initial element is a young heap block, which a block's just-built
+    instructions nearly always are (DESIGN §14). *)
+
 val length : t -> int
 
 val append : t -> Instr.t -> unit

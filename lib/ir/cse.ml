@@ -179,7 +179,9 @@ let find_or_add t i =
   if h <> fresh then h
   else begin
     if fresh = Array.length t.firsts then begin
-      let bigger = Array.make (max 16 (2 * fresh)) (Instr.Ins i) in
+      let bigger =
+        Array.make (max 16 (2 * fresh)) (Instr.Const (Instr.Cint 0L))
+      in
       Array.blit t.firsts 0 bigger 0 fresh;
       t.firsts <- bigger
     end;

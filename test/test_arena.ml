@@ -223,3 +223,141 @@ let suite =
   ]
 
 let suite = suite @ address_id_tests
+
+(* ---- no collection the program never asked for -------------------- *)
+
+(* OCaml 5.1 runs a whole minor collection before it allocates an array of
+   more than 256 words whose initial element is a young heap block.  A
+   block's instructions are young on every compile (just generated, lowered
+   or cloned), so each per-block array over them must start from an
+   immediate ([Block.to_array]).  With a minor heap far larger than the
+   compiles below allocate, none of them may run a collection at all. *)
+
+module Gen = Lslp_fuzz.Gen
+module Config = Lslp_core.Config
+
+(* A 24-leaf VL-8 commutative chain, built the way the benchmark's [chains]
+   workload builds its largest programs: of every 7 leaves 5 loads, one
+   per-lane constant and one shared constant, every third load strided;
+   each lane sums the leaves in its own order.  288 instructions. *)
+let long_chain st : Gen.prog =
+  let n = 24 and vl = 8 in
+  let leaf j =
+    match j mod 7 with
+    | 5 -> Gen.L_const (0.5 +. Random.State.float st 3.5)
+    | 6 -> Gen.L_shared (0.5 +. Random.State.float st 3.5)
+    | _ ->
+      Gen.L_load
+        (Random.State.int st 3, Random.State.int st 4,
+         if j mod 3 = 0 then 2 else 1)
+  in
+  let perm () =
+    let a = Array.init n Fun.id in
+    for k = n - 1 downto 1 do
+      let j = Random.State.int st (k + 1) in
+      let t = a.(k) in
+      a.(k) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list a
+  in
+  {
+    Gen.elt = Gen.E_f64;
+    shape =
+      Gen.Straight
+        {
+          vl;
+          op = Opcode.Fadd;
+          leaves = List.init n leaf;
+          perms = List.init vl (fun _ -> perm ());
+          left_assoc = List.init vl (fun _ -> Random.State.bool st);
+          decoy_store = false;
+        };
+  }
+
+(* Kernel source for a straight-line f64 block of loads, [fadd]s and
+   stores, one local per instruction, so the frontend lowers it back to the
+   same block; with [~loop] the block is the body of an 8-trip loop. *)
+let kernel_source ?(loop = false) (f : Func.t) =
+  let buf = Buffer.create 16384 in
+  let ir = Printer.func_to_string f in
+  Buffer.add_string buf (String.sub ir 0 (String.index ir '\n' + 1));
+  if loop then Buffer.add_string buf "for (i64 j = 0; j < 8; j += 1) {\n";
+  let value = function
+    | Instr.Ins i -> "t" ^ string_of_int i.Instr.id
+    | Instr.Arg a -> a.Instr.arg_name
+    | Instr.Const (Instr.Cfloat x) ->
+      let s = Printf.sprintf "%.17g" x in
+      if String.contains s '.' then s else s ^ ".0"
+    | Instr.Const _ -> Alcotest.fail "kernel_source: non-f64 constant"
+  in
+  let access (a : Instr.address) =
+    a.Instr.base ^ "[" ^ Affine.to_string a.Instr.index ^ "]"
+  in
+  Block.iter
+    (fun (i : Instr.t) ->
+      let local rhs = Printf.bprintf buf "  f64 t%d = %s;\n" i.Instr.id rhs in
+      match i.Instr.kind with
+      | Instr.Load a -> local (access a)
+      | Instr.Binop (Opcode.Fadd, x, y) -> local (value x ^ " + " ^ value y)
+      | Instr.Store (a, v) ->
+        Printf.bprintf buf "  %s = %s;\n" (access a) (value v)
+      | _ -> Alcotest.failf "kernel_source: %s" (Printer.instr_to_string i))
+    (List.hd (Func.blocks f));
+  if loop then Buffer.add_string buf "}\n";
+  Buffer.add_string buf "}\n";
+  Buffer.contents buf
+
+let minor_collections () = (Gc.quick_stat ()).Gc.minor_collections
+
+let no_forced_collection () =
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 4 * 1024 * 1024 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      let prog = long_chain (Random.State.make [| 7 |]) in
+      let source = kernel_source (Gen.build prog) in
+      let loop_source = kernel_source ~loop:true (Gen.build prog) in
+      Helpers.check_bool "source lowers to over 256 instructions" true
+        (Func.num_instrs (Lslp_frontend.Lower.compile_string source) > 256);
+      (* nothing vectorizes, so the validator walks all 288 instructions *)
+      let scalar = Config.with_threshold (-1000) Config.lslp in
+      (* a worker domain keeps the default minor heap: one light job *)
+      let svc =
+        Lslp_service.Service.create
+          ~pool:{ Lslp_service.Pool.default_config with domains = 1 }
+          scalar
+      in
+      let job = { Lslp_service.Service.label = "chain"; source; unroll = 0 } in
+      Gc.minor ();
+      let before = minor_collections () in
+      List.iter
+        (fun config ->
+          let f = Gen.build prog in
+          Helpers.check_bool "block over 256 instructions" true
+            (Block.length (List.hd (Func.blocks f)) > 256);
+          ignore (Lslp_core.Pipeline.run ~config f))
+        [ Config.slp_nr; Config.slp; Config.lslp;
+          Config.with_validate true Config.lslp;
+          Config.with_validate true scalar ];
+      (* the same block as a loop body, unrolled by 4 *)
+      let looped = Lslp_frontend.Lower.compile_string loop_source in
+      ignore (Lslp_frontend.Unroll.run ~factor:4 looped);
+      ignore (Lslp_core.Pipeline.run ~config:Config.lslp looped);
+      let outcomes = Lslp_service.Service.batch svc [| job |] in
+      let during = minor_collections () - before in
+      (match outcomes with
+       | [| Lslp_service.Pool.Done s |] ->
+         Helpers.check_bool "the service compiled the chain" false
+           s.Lslp_service.Service.from_cache
+       | _ -> Alcotest.fail "the service job did not complete");
+      Helpers.check_int "minor collections during the compiles" 0 during)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case
+        "no minor collection forced on a block over 256 instructions"
+        `Quick no_forced_collection;
+    ]

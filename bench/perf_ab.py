@@ -4,6 +4,7 @@
     python3 bench/perf_ab.py --workload chains --base HEAD~ --pairs 6 \
         --seconds 10 --seed 7
     python3 bench/perf_ab.py --workload all --base HEAD~ --pairs 10
+    python3 bench/perf_ab.py --workload all --base HEAD~ --layers --pairs 0
 
 Run from the root of a git checkout (`make perf-ab` does).  Clones the
 base commit into ${TMPDIR:-/tmp}/lslp-ab, builds perfbench/main.exe there
@@ -22,6 +23,12 @@ side's correct and failed counts, and a WORSE flag on every median that
 moved past the metric's `bound` in the direction BENCHMARK.json calls
 worse.  Report-only: wall-clock numbers are host noise, so nothing here
 gates a build and the exit status ignores the flags.
+
+`--layers` first runs each side's allocation probe (`main.exe --alloc-probe`,
+the line `make layers-check` compares) and prints every span whose
+self-allocated words or call count moved, in words per request, and
+whether the work-counter digests agree.  `--pairs 0` skips the timed
+pairs, leaving only that listing.
 """
 
 import argparse
@@ -41,6 +48,15 @@ PAIR_COLUMNS = (  # (metric, column label, decimals) printed per pair
     ("peak_heap_mb", "heap MB", 3),
 )
 DECIMALS = {"count": 0, "x": 4, "MB": 3, "s": 3}
+# The allocation probe's span order: perfbench/span.ml's names table, as
+# bench/layers.ml lists it.
+SPANS = (
+    "bench.compile", "service.job", "frontend.parse", "frontend.lower",
+    "frontend.unroll", "core.pipeline", "ir.arena", "core.seeds",
+    "analysis.depgraph", "core.graph_build", "core.cost", "core.codegen",
+    "ir.verify", "core.reduction", "ir.cse", "ir.dce", "ir.print",
+    "util.normalize", "check.snapshot", "cache.lookup", "cache.insert",
+)
 
 
 def end_to_end(root):
@@ -82,6 +98,47 @@ def run(exe, workload, args, names):
     result = json.loads(lines[-1])
     values = {name: result["metrics"][name]["value"] for name in names}
     return values, result["correct"], result["failed"]
+
+
+def probe(exe, workload, seed):
+    done = subprocess.run(
+        [exe, "--workload", workload, "--seed", str(seed), "--alloc-probe"],
+        stdout=subprocess.PIPE, text=True, timeout=600)
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or not lines:
+        sys.exit("perf_ab: the %s allocation probe of %s failed"
+                 % (workload, exe))
+    return json.loads(lines[-1])
+
+
+def layers(workload, exes, args):
+    """Every span whose words or calls moved, in words per request."""
+    got = {side: probe(exes[side], workload, args.seed) for side in exes}
+    print("layers: %s seed %d, %d request(s) base, %d new" % (
+        workload, args.seed, got["base"]["requests"],
+        got["new"]["requests"]))
+    print("%-20s %14s %14s %9s %10s %10s" % (
+        "span", "base w/req", "new w/req", "change", "base calls",
+        "new calls"))
+    moved = 0
+    for k, name in enumerate(SPANS):
+        row = {}
+        for side in ("base", "new"):
+            words, calls = got[side]["words"], got[side]["calls"]
+            row[side] = (words[k] if k < len(words) else 0.0,
+                         calls[k] if k < len(calls) else 0)
+        if row["base"] == row["new"]:
+            continue
+        moved += 1
+        per = {side: row[side][0] / max(got[side]["requests"], 1)
+               for side in row}
+        print("%-20s %14.1f %14.1f %+8.1f%% %10d %10d" % (
+            name, per["base"], per["new"],
+            100.0 * change(per["base"], per["new"]), row["base"][1],
+            row["new"][1]))
+    same = got["base"]["counters"] == got["new"]["counters"]
+    print("layers: %s: %d span(s) moved, work counters %s" % (
+        workload, moved, "identical" if same else "DIFFER"))
 
 
 def quartiles(xs):
@@ -164,7 +221,11 @@ def main():
     ap.add_argument("--pairs", type=int, default=6)
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--layers", action="store_true",
+                    help="list the spans whose allocation moved")
     args = ap.parse_args()
+    if args.pairs < 0 or (args.pairs == 0 and not args.layers):
+        sys.exit("perf_ab: --pairs must be positive (0 only with --layers)")
 
     root = git("rev-parse", "--show-toplevel")
     metrics = end_to_end(root)
@@ -182,7 +243,10 @@ def main():
     for i, workload in enumerate(workloads):
         if i:
             print()
-        compare(workload, exes, args, metrics)
+        if args.layers:
+            layers(workload, exes, args)
+        if args.pairs:
+            compare(workload, exes, args, metrics)
 
 
 if __name__ == "__main__":

@@ -81,8 +81,7 @@ let rec has_duplicates (b : t) i j =
 
 (* No lane transitively depends on another: [pos] holds the lanes'
    positions in the dependence graph's arena, read against its bit-packed
-   closure.  A lane outside the arena (a stale snapshot) takes
-   [Depgraph.independent], which rejects it the same way. *)
+   closure. *)
 let rec unreached deps pos i j =
   if i >= Array.length pos then true
   else if j >= Array.length pos then unreached deps pos (i + 1) 0
@@ -90,32 +89,28 @@ let rec unreached deps pos i j =
     let p = pos.(i) and q = pos.(j) in
     (p = q || not (Depgraph.reaches deps p q)) && unreached deps pos i (j + 1)
 
-let independent deps (b : t) pos =
-  if Array.exists (fun k -> k < 0) pos then
-    Depgraph.independent deps (List.init (Array.length pos) (ins b))
-  else unreached deps pos 0 0
-
-(* The checks run on the bundle in place; each lane's arena position is
-   looked up once, and the instruction array is built only for a
-   vectorizable verdict. *)
-let classify ~(block : Block.t) ~(deps : Depgraph.t)
-    ~(in_graph : Instr.t -> bool) (b : t) : verdict =
+(* The checks run on the bundle in place; "same block" is membership in
+   the dependence graph's arena, which describes the block being grown.
+   Each lane's arena position is looked up once, and the instruction array
+   is built only for a vectorizable verdict. *)
+let classify ~(deps : Depgraph.t) ~(in_graph : Instr.t -> bool) (b : t) :
+    verdict =
+  let ar = Depgraph.arena deps in
   if not (Array.for_all is_ins b) then Rejected Not_all_instructions
   else if exists_ins (fun i -> not (widenable i)) b 0 then
     Rejected Unsupported_shape
   else if not (for_all_with Instr.same_opclass (ins b 0) b 0) then
     Rejected Not_isomorphic
   else if has_duplicates b 0 1 then Rejected Duplicate_member
-  else if not (for_all_with Block.mem block b 0) then Rejected Different_block
+  else if not (for_all_with Arena.mem ar b 0) then Rejected Different_block
   else if exists_ins in_graph b 0 then Rejected Already_in_graph
   else
-    let ar = Depgraph.arena deps in
     let n = Array.length b in
     let pos = Array.make n (-1) in
     for j = 0 to n - 1 do
       pos.(j) <- Arena.idx ar (ins b j)
     done;
-    if not (independent deps b pos) then Rejected Not_schedulable
+    if not (unreached deps pos 0 0) then Rejected Not_schedulable
     else
       let insts = Array.make n (ins b 0) in
       for j = 1 to n - 1 do

@@ -2,10 +2,9 @@
     termination conditions for growing the SLP graph.
 
     {!classify} runs its checks on the bundle in place and builds the
-    instruction array only for a vectorizable verdict; positions,
-    independence and memory adjacency come from the dependence graph's
-    arena (int compares), with the address-record path kept for a lane
-    outside it. *)
+    instruction array only for a vectorizable verdict; block membership,
+    positions, independence and memory adjacency come from the dependence
+    graph's arena (int compares). *)
 
 open Lslp_ir
 open Lslp_analysis
@@ -29,14 +28,14 @@ type verdict =
   | Rejected of reject_reason
 
 val classify :
-  block:Block.t ->
   deps:Depgraph.t ->
   in_graph:(Instr.t -> bool) ->
   t ->
   verdict
 (** The full termination-condition check (Section 2.3, footnote 1): scalar
-    instructions, isomorphic, unique, same block, mutually independent, not
-    yet claimed; memory bundles must be consecutive runs.  The first
+    instructions, isomorphic, unique, same block (in [deps]' arena, the
+    snapshot of the block being grown), mutually independent, not yet
+    claimed; memory bundles must be consecutive runs.  The first
     failing condition, in that order, is the reject reason. *)
 
 val of_insts : Instr.t array -> t

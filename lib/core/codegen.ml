@@ -3,7 +3,8 @@
    Replaces each vectorizable bundle with one wide instruction, emits
    gathers (buildvec/splat) for non-vectorizable operand columns and
    extracts for vectorized values that still have scalar users, and removes
-   the replaced scalars.
+   the replaced scalars; what the rewrite leaves dead is swept from the
+   emitted list itself ([sweep_dead]), not by a DCE pass over the block.
 
    Scheduling: rather than reasoning about a single insertion point, the
    whole block is rebuilt.  Each graph node (group or whole multi-node) is a
@@ -112,6 +113,48 @@ let units ?reduction graph arena =
   done;
   (unit_of, key)
 
+(* ---- dead sweep ---------------------------------------------------- *)
+
+(* [rev] (the emitted block in reverse program order, codegen's
+   accumulator) without what [Dce.run_block] would remove from it, and
+   without building an arena.  A pre-codegen instruction's slot is its
+   index in [arena]; a fresh one's is [Arena.size arena] plus its id's
+   offset from [first_new] ([fresh] ids were drawn since).  Users come
+   before their operands in [rev] and uses are acyclic, so one walk
+   decides: an instruction is live when it has a side effect or a live
+   user marked its slot, and only a live one marks its operands. *)
+let slot arena ~first_new ~fresh (i : Instr.t) =
+  let id = i.Instr.id in
+  if id >= first_new then
+    if id - first_new < fresh then Arena.size arena + id - first_new else -1
+  else Arena.idx arena i
+
+let sweep_dead arena ~first_new ~fresh rev =
+  let live = Bytes.make (Arena.size arena + fresh) '\000' in
+  let is_live (i : Instr.t) =
+    Instr.has_side_effect i
+    ||
+    let k = slot arena ~first_new ~fresh i in
+    k >= 0 && Bytes.get live k = '\001'
+  in
+  let mark (v : Instr.value) =
+    match v with
+    | Instr.Ins d ->
+      let k = slot arena ~first_new ~fresh d in
+      if k >= 0 then Bytes.set live k '\001'
+    | Instr.Const _ | Instr.Arg _ -> ()
+  in
+  let rec walk dead = function
+    | [] -> dead
+    | i :: rest ->
+      if is_live i then begin
+        Instr.iter_operands mark i;
+        walk dead rest
+      end
+      else walk (dead + 1) rest
+  in
+  match walk 0 rev with 0 -> rev | _ -> List.filter is_live rev
+
 let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
     (graph : Graph.t) (block : Block.t) : outcome =
   (* [deps] shares the dependence graph (and arena snapshot) the caller
@@ -135,8 +178,10 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
     try
     (* ---- emission -------------------------------------------------- *)
     let out = ref [] in
-    (* new instructions number on from the block's function *)
+    (* new instructions number on from the block's function; the dead
+       sweep indexes them by their offset from [first_new] *)
     let ids = Block.ids block in
+    let first_new = Lslp_util.Id_gen.peek ids in
     (* [push] is for freshly materialized instructions (vector ops, gathers,
        extracts) and records an [Emit] trace event; surviving scalars go
        through [repush] below, unrecorded. *)
@@ -412,8 +457,9 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?deps
           c.Lslp_telemetry.Probe.instrs_emitted
           + (List.length !out - !scalar_repushes))
       probe;
-    Block.set_order block (List.rev !out);
-    ignore (Dce.run_block block);
+    Block.set_rev_order block
+      (sweep_dead arena ~first_new
+         ~fresh:(Lslp_util.Id_gen.peek ids - first_new) !out);
     Vectorized
     with Error msg ->
       (* Emission may have half-rewritten the block (operand substitutions

@@ -4,7 +4,9 @@
     The block is rebuilt from a stable topological order of contracted
     dependence units, so any legal bundling gets a correct schedule; if the
     contraction is cyclic, [Not_schedulable] is returned and the function is
-    left untouched. *)
+    left untouched.  A [Vectorized] block holds no dead instruction: what
+    the rewrite leaves dead is dropped, exactly what [Dce.run_block] would
+    remove. *)
 
 open Lslp_ir
 
@@ -58,3 +60,12 @@ val run :
     [deps] shares a dependence graph (and arena snapshot) already built
     for the block in its current, pre-codegen form; built fresh
     otherwise. *)
+
+val sweep_dead :
+  Arena.t -> first_new:int -> fresh:int -> Instr.t list -> Instr.t list
+(** [sweep_dead arena ~first_new ~fresh rev] is the dead sweep {!run}
+    applies to its emitted block: [rev] lists the block in reverse program
+    order, and the result is [rev] without the instructions
+    [Dce.run_block] would remove from that block (physically [rev] when
+    none is dead).  Every instruction of [rev] is either in [arena] or
+    fresh: its id is one of the [fresh] ids from [first_new] on. *)

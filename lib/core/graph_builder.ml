@@ -20,9 +20,8 @@ open Lslp_analysis
 
 type ctx = {
   config : Config.t;
-  block : Block.t;
   deps : Depgraph.t;
-  arena : Arena.t;  (* the dependence graph's snapshot of [block] *)
+  arena : Arena.t;  (* the dependence graph's snapshot of the block *)
   uses : Use_info.t;
   graph : Graph.t;
   mutable scores : Lslp_telemetry.Score_cache.t option;
@@ -43,7 +42,6 @@ let make_ctx ?(note = fun _ -> ()) ?meter ?probe ?ids ?deps config
   let arena = Depgraph.arena deps in
   {
     config;
-    block;
     deps;
     arena;
     uses = Use_info.of_arena arena;
@@ -55,8 +53,7 @@ let make_ctx ?(note = fun _ -> ()) ?meter ?probe ?ids ?deps config
   }
 
 let classify ctx (b : Bundle.t) =
-  Bundle.classify ~block:ctx.block ~deps:ctx.deps
-    ~in_graph:(Graph.claimed ctx.graph) b
+  Bundle.classify ~deps:ctx.deps ~in_graph:(Graph.claimed ctx.graph) b
 
 (* Can this operand value be absorbed into a multi-node of opcode [op]?
    It must be the same commutative+associative opcode and must not escape:

@@ -314,7 +314,7 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
                   Array.for_all
                     (fun (i : Instr.t) ->
                       (not (Lslp_util.Int_table.mem consumed i.id))
-                      && Block.mem block i)
+                      && Arena.mem arena i)
                     s)
                 seeds
             in

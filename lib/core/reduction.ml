@@ -245,7 +245,6 @@ let run ?(config = Config.lslp) ?meter ?probe ?ids ?record
               ~deps:(Lazy.force deps) plan.graph block
           with
           | Codegen.Vectorized ->
-            ignore (Dce.run_block block);
             cur := None;
             outcome_event "vectorized";
             regions :=

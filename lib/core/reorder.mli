@@ -7,9 +7,10 @@
 
     Every step of the matrix reorder is an array read or an int compare:
     each lane's operand pool is one array plus a taken mask, and with
-    [?arena] (the block's {!Lslp_ir.Arena}) load adjacency and score-cache
-    keys come from compact indices, falling back to [Addr.consecutive] and
-    interned ids for a value outside the arena.  [?arena] never changes a
+    [?arena] (the block's {!Lslp_ir.Arena}) load adjacency comes from
+    compact indices, falling back to [Addr.consecutive] for a load outside
+    the arena.  Score-cache keys are the instructions' own ids, unique
+    within their function, in or out of the arena.  [?arena] never changes a
     decision, a counter or a trace event — only what a step costs.  Only
     {!reorder_matrix_modes} takes it; the single-pair functions and
     {!get_best} are the arena-less forms, which decide the same. *)
@@ -90,10 +91,9 @@ val reorder_matrix_modes :
     [?probe] additionally records the [Slot_modes] assignment (paper
     Table 1) and one [Get_best] event per (slot, lane) choice.  With
     [Config.score_cache] the look-ahead memoizes in [?cache], cleared
-    first (a graph build reuses one table, created with
-    [~dense:(Arena.size arena)], across its reorder calls), or else in a
-    cache created for the invocation; either way entries live for exactly
-    one call.  [?cache] is ignored when [Config.score_cache] is off. *)
+    first (a graph build reuses one table across its reorder calls), or
+    else in a cache created for the invocation; either way entries live
+    for exactly one call.  [?cache] is ignored when [Config.score_cache] is off. *)
 
 val vanilla_pair : Instr.t array -> Instr.value array * Instr.value array
 (** LLVM-4.0-faithful two-operand reorder (peeled lane 0, splat /

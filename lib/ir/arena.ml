@@ -34,9 +34,20 @@
    long as its block stays in the state that was verified.  The pipeline
    does exactly that: after a region commits, the verified arena of its
    block feeds the next seed attempt and, at loop exit, [Reduction.run].
+   Within an attempt the same arena answers every question about the
+   block's state: block membership for the fresh-seed filter and
+   [Bundle.classify] ([mem]), as well as positions, uses and addresses.
    A rolled-back attempt restores the state its own entry arena described,
    so the pipeline falls back to that arena, never to one built on the
-   rolled-back state. *)
+   rolled-back state.
+
+   One read survives the mutation itself: the id -> index map ([idx],
+   [size], [instr]) names the instructions of the snapshotted state
+   whatever happens to the block afterwards, so codegen keeps indexing the
+   pre-codegen instructions through it while it rewrites the block, and
+   its dead sweep indexes them the same way.  Use counts, users and the
+   address table describe the old state only and are never read once the
+   block has changed. *)
 
 module Id_map = Lslp_util.Id_map
 

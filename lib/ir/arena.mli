@@ -11,7 +11,10 @@
     the ids the block's function issued ({!Block.ids}).  An arena is a
     snapshot: any pass that mutates the block must rebuild it.  One built
     and {!check}ed by [Verifier.check_func_arenas] may be reused while its
-    block stays in the verified state. *)
+    block stays in the verified state.  Only the id → index map
+    ({!idx}, {!size}, {!instr}) stays meaningful after the block changes:
+    it still names the snapshotted instructions, which code generation
+    relies on while it rewrites the block. *)
 
 type t
 

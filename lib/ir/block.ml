@@ -1,10 +1,10 @@
 (* A basic block: an ordered sequence of instructions.
 
    Program order is kept as a reversed spine so [append] — the builder's
-   only operation — is O(1); the forward list and the id -> position table
-   are memoized and dropped on every mutation.  Positions live in an
-   open-addressing int table ([Lslp_util.Int_table]), not a Hashtbl of
-   boxed ints. *)
+   only operation — is O(1); the forward list is memoized and dropped on
+   every mutation.  Positions and fast membership are the arena's
+   ([Arena.pos], [Arena.mem]): every pass that asks them already holds
+   one. *)
 
 module Int_table = Lslp_util.Int_table
 
@@ -26,12 +26,11 @@ type t = {
   mutable rev_insts : Instr.t list;           (* reverse program order *)
   mutable count : int;
   mutable fwd_cache : Instr.t list option;    (* memoized program order *)
-  mutable pos_cache : Int_table.t option;     (* id -> position *)
 }
 
 let create ~ids ?(label = "entry") ?(kind = Straight) () =
   { label; kind; ids;
-    rev_insts = []; count = 0; fwd_cache = None; pos_cache = None }
+    rev_insts = []; count = 0; fwd_cache = None }
 
 let label b = b.label
 let kind b = b.kind
@@ -53,10 +52,6 @@ let trip_count li =
     if li.l_step <= 0 then None
     else if stop <= li.l_start then Some 0
     else Some ((stop - li.l_start + li.l_step - 1) / li.l_step)
-
-let invalidate b =
-  b.fwd_cache <- None;
-  b.pos_cache <- None
 
 let to_list b =
   match b.fwd_cache with
@@ -82,41 +77,30 @@ let to_array b =
 let append b i =
   b.rev_insts <- i :: b.rev_insts;
   b.count <- b.count + 1;
-  invalidate b
+  b.fwd_cache <- None
 
 let append_list b is =
   List.iter (fun i -> b.rev_insts <- i :: b.rev_insts) is;
   b.count <- b.count + List.length is;
-  invalidate b
+  b.fwd_cache <- None
 
-let positions b =
-  match b.pos_cache with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Int_table.create (2 * b.count) in
-    List.iteri
-      (fun pos (i : Instr.t) -> Int_table.set tbl i.id pos)
-      (to_list b);
-    b.pos_cache <- Some tbl;
-    tbl
-
-let position b (i : Instr.t) =
-  match Int_table.get (positions b) i.id ~absent:(-1) with
-  | -1 -> None
-  | p -> Some p
-
-let position_exn b (i : Instr.t) =
-  match Int_table.get (positions b) i.id ~absent:(-1) with
-  | -1 -> invalid_arg "Block.position_exn: instruction not in block"
-  | p -> p
-
-let mem b (i : Instr.t) = Int_table.mem (positions b) i.id
+(* A scan: membership queries on the compile path go to the arena. *)
+let mem b (i : Instr.t) =
+  let rec go = function
+    | [] -> false
+    | (x : Instr.t) :: rest -> x.Instr.id = i.Instr.id || go rest
+  in
+  go (to_list b)
 
 let set_order b insts =
   b.rev_insts <- List.rev insts;
   b.count <- List.length insts;
-  b.fwd_cache <- Some insts;
-  b.pos_cache <- None
+  b.fwd_cache <- Some insts
+
+let set_rev_order b rev =
+  b.rev_insts <- rev;
+  b.count <- List.length rev;
+  b.fwd_cache <- None
 
 let insert_before b ~anchor is =
   let rec go = function

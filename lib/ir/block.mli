@@ -60,11 +60,9 @@ val append : t -> Instr.t -> unit
 val append_list : t -> Instr.t list -> unit
 
 val mem : t -> Instr.t -> bool
-
-val position : t -> Instr.t -> int option
-(** Position of an instruction in program order (0-based). *)
-
-val position_exn : t -> Instr.t -> int
+(** Whether an instruction with this id is in the block: a scan of the
+    program order.  A pass holding the block's {!Arena} asks
+    [Arena.mem] instead, which is one array read. *)
 
 val insert_before : t -> anchor:Instr.t -> Instr.t list -> unit
 (** Insert a sequence immediately before [anchor].
@@ -75,6 +73,11 @@ val remove_ids : t -> int list -> unit
 
 val set_order : t -> Instr.t list -> unit
 (** Replace the block's contents/order wholesale (used by the scheduler). *)
+
+val set_rev_order : t -> Instr.t list -> unit
+(** [set_order] from the list in {e reverse} program order, which the block
+    keeps as its spine as is: a pass that accumulates its output by
+    consing hands it over without reversing it (code generation). *)
 
 val iter : (Instr.t -> unit) -> t -> unit
 val fold : ('a -> Instr.t -> 'a) -> 'a -> t -> 'a

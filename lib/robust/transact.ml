@@ -5,10 +5,14 @@
    whole list) and in-place operand rewrites on surviving scalar
    instructions ([Instr.map_operands] mutates [kind]).  A snapshot therefore
    saves, per block, the ordered instruction list plus every instruction's
-   mutable fields; [restore] writes both back.  Instruction identity is
-   preserved across a rollback — the very same [Instr.t] values end up in
-   the block — so id-keyed tables (consumed seeds, dependence snapshots,
-   provenance) held by the caller stay meaningful.
+   [kind]; [restore] writes both back.  The list is the block's memoized
+   program order, held as is: lists are never mutated, and a committed
+   block's order is already memoized by the verifier's arena build, so
+   the snapshot usually adds only the kinds array, one word per
+   instruction.  Instruction identity is preserved across a rollback — the
+   very same [Instr.t] values end up in the block — so id-keyed tables
+   (consumed seeds, dependence snapshots, provenance) held by the caller
+   stay meaningful.
 
    [protect] is the commit boundary: run a thunk; on any exception, restore
    the snapshot and return a typed {!failure} naming the pass that was
@@ -19,24 +23,33 @@
 
 open Lslp_ir
 
-type saved_instr = { si : Instr.t; s_kind : Instr.kind }
+type saved_block = {
+  block : Block.t;
+  order : Instr.t list;        (* the block's program order, shared *)
+  kinds : Instr.kind array;    (* [kinds.(k)] is the kind of [order]'s k-th *)
+}
 
-type snapshot = (Block.t * saved_instr list) list
+type snapshot = saved_block list
 
+(* The array starts from a static constant, never from a (young) kind: an
+   array over 256 words with a young initial element costs a minor
+   collection (DESIGN §14). *)
 let save_block (b : Block.t) =
-  ( b,
-    List.map
-      (fun (i : Instr.t) -> { si = i; s_kind = i.kind })
-      (Block.to_list b) )
+  let order = Block.to_list b in
+  let kinds =
+    Array.make (Block.length b) (Instr.Splat (Instr.Const (Instr.Cint 0L)))
+  in
+  List.iteri (fun k (i : Instr.t) -> kinds.(k) <- i.Instr.kind) order;
+  { block = b; order; kinds }
 
 let snapshot_block b : snapshot = [ save_block b ]
 let snapshot_func (f : Func.t) : snapshot = List.map save_block (Func.blocks f)
 
 let restore (snap : snapshot) =
   List.iter
-    (fun (b, saved) ->
-      List.iter (fun s -> Instr.set_kind s.si s.s_kind) saved;
-      Block.set_order b (List.map (fun s -> s.si) saved))
+    (fun s ->
+      List.iteri (fun k i -> Instr.set_kind i s.kinds.(k)) s.order;
+      Block.set_order s.block s.order)
     snap
 
 type failure = { pass : string; error : string; budget_exhausted : bool }

@@ -13,6 +13,13 @@
    changed only by compare-and-set; it never holds more domains than
    were ever running at once.
 
+   A worker domain's minor heap is the startup size ([OCAMLRUNPARAM]'s
+   [s], by default 256K words), whatever the main domain passes to
+   [Gc.set]: [Gc.set] resizes the calling domain's minor heap only, and
+   every new domain starts at the startup size.  So a job that allocates
+   more than that runs minor collections on its worker that the same
+   compile on a main domain with a larger heap does not.
+
    Fault isolation is the point: any exception a job attempt lets escape —
    an injected [Inject.Fault], a [Budget.Deadline_expired] from the
    cooperative watchdog, a genuine pass bug — ends only that worker loop.

@@ -28,8 +28,10 @@ val next : t -> int
     once across all domains sharing [t]. *)
 
 val peek : t -> int
-(** The id {!next} would return now — racy under concurrency, intended for
-    tests and telemetry only. *)
+(** The id {!next} would return now.  Exact while no other domain draws
+    from [t]: a function's source, which the one compile running on it
+    owns, so code generation reads it to know which ids it drew.  Racy on
+    a shared source. *)
 
 val issued : t -> int
 (** How many ids have been handed out so far (same caveat as {!peek}). *)

@@ -48,8 +48,10 @@ let widenable (i : Instr.t) =
   | Instr.Splat _ | Instr.Buildvec _ | Instr.Extract _ | Instr.Reduce _
   | Instr.Shuffle _ -> false
 
-let classify ~(block : Block.t) ~(deps : Depgraph.t)
-    ~(in_graph : Instr.t -> bool) (b : Bundle.t) : Bundle.verdict =
+(* "Same block" scans the block the dependence graph was built on. *)
+let classify ~(deps : Depgraph.t) ~(in_graph : Instr.t -> bool) (b : Bundle.t)
+    : Bundle.verdict =
+  let block = Arena.block (Depgraph.arena deps) in
   match instructions b with
   | None -> Bundle.Rejected Bundle.Not_all_instructions
   | Some insts ->

@@ -329,12 +329,10 @@ kernel k(f64 A[], i64 i) {
         let deps = Depgraph.build (Func.entry f) in
         let insts = Block.to_list (Func.entry f) in
         let store = List.find Instr.is_store insts in
+        let ar = Depgraph.arena deps in
         let second_load =
           List.find
-            (fun i ->
-              Instr.is_load i
-              && Block.position_exn (Func.entry f) i
-                 > Block.position_exn (Func.entry f) store)
+            (fun i -> Instr.is_load i && Arena.pos ar i > Arena.pos ar store)
             insts
         in
         check_bool "2nd load depends on store" true

@@ -7,7 +7,7 @@ open Helpers
 
 let classify_in f bundle =
   let deps = Depgraph.build (Func.entry f) in
-  Bundle.classify ~block:(Func.entry f) ~deps ~in_graph:(fun _ -> false) bundle
+  Bundle.classify ~deps ~in_graph:(fun _ -> false) bundle
 
 let bundle_tests =
   [
@@ -91,7 +91,7 @@ kernel k(i64 A[], i64 B[], i64 i) {
         let deps = Depgraph.build (Func.entry f) in
         let loads = Block.find_all Instr.is_load (Func.entry f) in
         match
-          Bundle.classify ~block:(Func.entry f) ~deps ~in_graph:(fun _ -> true)
+          Bundle.classify ~deps ~in_graph:(fun _ -> true)
             (Bundle.of_insts (Array.of_list [ List.hd loads; List.nth loads 1 ]))
         with
         | Bundle.Rejected Bundle.Already_in_graph -> ()
@@ -338,8 +338,8 @@ let block_disagreement config block =
       List.find_map
         (fun (col : Bundle.t) ->
           let verdicts in_graph =
-            ( verdict_text (Bundle.classify ~block ~deps ~in_graph col),
-              verdict_text (Graph_ref.classify ~block ~deps ~in_graph col) )
+            ( verdict_text (Bundle.classify ~deps ~in_graph col),
+              verdict_text (Graph_ref.classify ~deps ~in_graph col) )
           in
           let lanes_agree =
             Array.for_all

@@ -137,16 +137,18 @@ let block_tests =
         Block.append blk a;
         Block.append blk b;
         check_int "len" 2 (Block.length blk);
-        check_int "pos a" 0 (Block.position_exn blk a);
-        check_int "pos b" 1 (Block.position_exn blk b));
+        let ar = Arena.of_block blk in
+        check_int "pos a" 0 (Arena.pos ar a);
+        check_int "pos b" 1 (Arena.pos ar b));
     tc "insert_before" (fun () ->
         let blk = Block.create ~ids () in
         let a = mk_load "A" 0 and b = mk_load "A" 1 and c = mk_load "A" 2 in
         Block.append blk a;
         Block.append blk c;
         Block.insert_before blk ~anchor:c [ b ];
-        check_int "pos b" 1 (Block.position_exn blk b);
-        check_int "pos c" 2 (Block.position_exn blk c));
+        let ar = Arena.of_block blk in
+        check_int "pos b" 1 (Arena.pos ar b);
+        check_int "pos c" 2 (Arena.pos ar c));
     tc "insert_before unknown anchor raises" (fun () ->
         let blk = Block.create ~ids () in
         check_bool "raises" true
@@ -157,7 +159,7 @@ let block_tests =
         let a = mk_load "A" 0 in
         Block.append blk a;
         Block.remove blk a;
-        check_bool "gone" true (Block.position blk a = None);
+        check_bool "gone" false (Arena.mem (Arena.of_block blk) a);
         check_bool "not mem" false (Block.mem blk a));
     tc "set_order" (fun () ->
         let blk = Block.create ~ids () in
@@ -165,7 +167,7 @@ let block_tests =
         Block.append blk a;
         Block.append blk b;
         Block.set_order blk [ b; a ];
-        check_int "b first" 0 (Block.position_exn blk b));
+        check_int "b first" 0 (Arena.pos (Arena.of_block blk) b));
   ]
 
 let func_with_dead_code () =

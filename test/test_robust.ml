@@ -37,6 +37,46 @@ kernel dot(f64 S[], f64 A[], f64 B[], i64 i) {
 }
 |}
 
+(* Lane 0's sum is also read by a scalar multiply that survives codegen,
+   which rewrites that multiply's operand to an extract in place. *)
+let extract_src = {|
+kernel k(f64 R[], f64 S[], f64 A[], f64 B[], i64 i) {
+  f64 x = A[i] + B[i];
+  R[i] = x;
+  R[i+1] = A[i+1] + B[i+1];
+  S[i] = x * 3.0;
+}
+|}
+
+(* Straight code, a counted loop, straight code: three blocks, each with a
+   vectorizable store pair once the loop body is unrolled. *)
+let multi_block_src = {|
+kernel k(f64 Y[], f64 X[], f64 Z[]) {
+  Z[0] = X[0] * 2.0;
+  Z[1] = X[1] * 2.0;
+  for (i64 j = 0; j < 64; j += 1) {
+    Y[j] = X[j] + Z[j];
+  }
+  Z[2] = X[2] + Y[2];
+  Z[3] = X[3] + Y[3];
+}
+|}
+
+(* Each instruction of [f] with the [kind] it holds now. *)
+let kinds_of (f : Func.t) =
+  Func.fold_instrs (fun acc (i : Instr.t) -> (i, i.Instr.kind) :: acc) [] f
+
+(* The state [kinds_of] captured is back: the same instructions in every
+   block, each holding physically the same kind. *)
+let check_kinds_back what (f : Func.t) kinds =
+  check_bool (what ^ ": same instructions") true
+    (List.equal ( == ) (List.map fst kinds) (List.map fst (kinds_of f)));
+  List.iter
+    (fun ((i : Instr.t), k) ->
+      if i.Instr.kind != k then
+        Alcotest.failf "%s: %%%d holds another kind" what i.Instr.id)
+    kinds
+
 (* ---- injection spec parsing and determinism ------------------------ *)
 
 let inject_tests =
@@ -452,6 +492,52 @@ let fuzz_tests =
           check_bool "ok" true (Lslp_fuzz.Fuzz.ok stats));
   ]
 
+(* Rollback over the in-place rewrites of a real commit. *)
+let restore_tests =
+  [
+    tc "restore after Codegen.run: same IR, physically the same kinds"
+      (fun () ->
+        let f = compile extract_src in
+        let b = Func.entry f in
+        let before = Printer.func_to_string f and kinds = kinds_of f in
+        let snapshot = Transact.snapshot_block b in
+        let deps = Lslp_analysis.Depgraph.build b in
+        let seed =
+          match
+            Seeds.collect ~arena:(Lslp_analysis.Depgraph.arena deps)
+              Config.lslp b
+          with
+          | s :: _ -> s
+          | [] -> Alcotest.fail "no seed"
+        in
+        let graph, _ = Graph_builder.build ~deps Config.lslp b seed in
+        (match Codegen.run ~deps graph b with
+         | Codegen.Vectorized -> ()
+         | Codegen.Not_schedulable | Codegen.Failed _ ->
+           Alcotest.fail "not vectorized");
+        check_bool "a surviving operand was rewritten in place" true
+          (List.exists
+             (fun ((i : Instr.t), k) ->
+               Block.mem b i && i.Instr.kind != k)
+             kinds);
+        Transact.restore snapshot;
+        check_string "printed IR" before (Printer.func_to_string f);
+        check_kinds_back "codegen" f kinds);
+    tc "snapshot_func restores a multi-block loop kernel after the pipeline"
+      (fun () ->
+        let f = compile multi_block_src in
+        ignore (Lslp_frontend.Unroll.run ~factor:4 f);
+        check_bool "several blocks" true (List.length (Func.blocks f) >= 3);
+        let before = Printer.func_to_string f and kinds = kinds_of f in
+        let snapshot = Transact.snapshot_func f in
+        let report = Pipeline.run f in
+        check_int "every block vectorized" (List.length (Func.blocks f))
+          report.Pipeline.vectorized_regions;
+        Transact.restore snapshot;
+        check_string "printed IR" before (Printer.func_to_string f);
+        check_kinds_back "pipeline" f kinds);
+  ]
+
 let suite =
   inject_tests @ transact_tests @ rollback_tests @ budget_tests
-  @ report_tests @ fuzz_tests @ verdict_tests
+  @ report_tests @ fuzz_tests @ verdict_tests @ restore_tests

@@ -1,5 +1,5 @@
-(* IR upkeep around code generation: the one-sweep DCE and the array-keyed
-   CSE against their list-based references, the operand walkers, the
+(* IR upkeep around code generation: the one-sweep DCE, codegen's dead
+   sweep and the array-keyed CSE against their list-based references, the operand walkers, the
    one-probe [Key_table.find_or_add], the monomorphic [Types.equal], the
    verifier's argument lookup and the arenas it hands to the pipeline, and
    rollback at every injection point. *)
@@ -177,6 +177,97 @@ let dce_tests =
                | None -> true
                | Some m -> QCheck2.Test.fail_report m)
              (Func.blocks f)));
+  ]
+
+(* Codegen's dead sweep on [b], whose instructions are in [arena] or were
+   drawn from the block's id source from [first_new] on, against
+   [Dce.run_block] and the fixed-point reference on the same state: the
+   same instructions must survive, in the same order. *)
+let sweep_differs ~arena ~first_new (b : Block.t) =
+  let fresh = Lslp_util.Id_gen.peek (Block.ids b) - first_new in
+  let swept =
+    List.rev
+      (Codegen.sweep_dead arena ~first_new ~fresh (List.rev (Block.to_list b)))
+  in
+  let after dce =
+    let snap = Transact.snapshot_block b in
+    ignore (dce b);
+    let left = Block.to_list b in
+    Transact.restore snap;
+    left
+  in
+  if not (List.equal ( == ) swept (after Dce.run_block)) then
+    Some "sweep keeps other instructions than Dce.run_block"
+  else if not (List.equal ( == ) swept (after Dce_ref.run_block)) then
+    Some "sweep keeps other instructions than the reference"
+  else None
+
+(* A reduction whose root has no user: everything codegen emits for it is
+   dead, and so is every scalar it replaces. *)
+let lost_reduction_src = {|
+kernel lost(f64 A[], i64 i) {
+  f64 s = A[i+0] + A[i+1] + A[i+2] + A[i+3] + A[i+4] + A[i+5] + A[i+6] + A[i+7];
+}
+|}
+
+let sweep_tests =
+  [
+    tc "codegen's dead sweep = DCE: catalog x configs x unroll, after codegen"
+      (fun () ->
+        List.iter
+          (fun factor ->
+            List.iter
+              (fun (config : Config.t) ->
+                List.iter
+                  (fun (key, f) ->
+                    let pre =
+                      List.map (fun b -> (b, Arena.of_block b)) (Func.blocks f)
+                    in
+                    let first_new = Lslp_util.Id_gen.peek f.Func.ids in
+                    after_codegen config f;
+                    List.iter
+                      (fun (b, arena) ->
+                        fail_on
+                          (Fmt.str "%s x%d %s" key factor config.Config.name)
+                          (sweep_differs ~arena ~first_new b))
+                      pre)
+                  (catalog factor))
+              configs)
+          [ 1; 4 ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200
+         ~name:"codegen's dead sweep = DCE on fuzz programs with new values"
+         ~print:(fun (seed, cond_only) ->
+           Fmt.str "seed %d cond_only %b" seed cond_only)
+         QCheck2.Gen.(pair (int_bound 100_000) bool)
+         (fun (seed, cond_only) ->
+           let f, st = fuzz_func ~cond_only seed in
+           List.for_all
+             (fun b ->
+               (* old instructions come to read new ones (redundant copies
+                  rewired in), and new dead chains hang off both *)
+               let arena = Arena.of_block b in
+               let first_new = Lslp_util.Id_gen.peek (Block.ids b) in
+               add_redundancy st b;
+               add_dead st b;
+               match sweep_differs ~arena ~first_new b with
+               | None -> true
+               | Some m -> QCheck2.Test.fail_report m)
+             (Func.blocks f)));
+    tc "a reduction with an unused root: codegen leaves nothing behind"
+      (fun () ->
+        let f = compile lost_reduction_src in
+        let b = Func.entry f in
+        let probe = Lslp_telemetry.Probe.create () in
+        let rs = Reduction.run ~config:Config.lslp ~probe b in
+        check_bool "vectorized" true
+          (List.exists (fun r -> r.Reduction.vectorized) rs);
+        check_bool "codegen emitted" true
+          ((Lslp_telemetry.Probe.counters probe)
+             .Lslp_telemetry.Probe.instrs_emitted > 0);
+        check_int "block left empty" 0 (Block.length b);
+        check_int "DCE finds nothing" 0 (Dce.run_block b);
+        check_int "reference finds nothing" 0 (Dce_ref.run_block b));
   ]
 
 let cse_tests =
@@ -474,4 +565,4 @@ let rollback_tests =
 
 let suite =
   dce_tests @ cse_tests @ walker_tests @ key_table_tests @ verifier_tests
-  @ handoff_tests @ rollback_tests
+  @ handoff_tests @ rollback_tests @ sweep_tests

@@ -74,11 +74,13 @@ opaque-check:
 lint:
 	dune exec bin/lint.exe -- --check-waivers lib bin
 
-# Domain-safety proof behind the parallel compile service: the whole
-# catalog compiled on 8 concurrent domains must reproduce the sequential
-# IR, remarks and counters byte for byte.
+# Domain-safety proof behind the parallel compile service: the `domains`
+# test suite (test/test_domains.ml) compiles the whole catalog 8 times as
+# jobs on 8 domains of the service's pool; every copy must reproduce the
+# sequential IR, remarks and counters byte for byte, and every output id
+# must lie in [1, next id) of its own function.
 domain-smoke:
-	dune exec bin/lslpc.exe -- domains --jobs 8
+	dune exec test/test_main.exe -- test domains
 
 # Fault-survival gate for the batch compile service: the catalog twice
 # through a 4-domain pool with one injected worker crash (job 3, round 1)
@@ -87,7 +89,8 @@ domain-smoke:
 # EXACTLY two degradations — the crashed job's typed failure and the
 # poisoned entry's verified eviction (exit 1 on any other count).  The
 # sharded fuzz then proves 4-domain fuzzing is case-by-case identical to
-# sequential, and the waiver audit covers the new lib/service code.
+# sequential for the classic, cond and cache-diff arms, and the waiver
+# audit covers the new lib/service code.
 serve-smoke:
 	dune exec bin/lslpc.exe -- batch --jobs 4 --repeat 2 \
 	  --inject worker-raise@3 --inject cache-poison@30 \
@@ -97,6 +100,10 @@ serve-smoke:
 	dune exec bin/lslpc.exe -- batch --jobs 8 \
 	  --inject queue-full@7 --expect-degradations 1
 	dune exec bin/lslpc.exe -- fuzz --cases 120 --seed 42 --jobs 4
+	dune exec bin/lslpc.exe -- fuzz --cases 120 --seed 42 --config cond \
+	  --jobs 4
+	dune exec bin/lslpc.exe -- fuzz --cases 120 --seed 42 \
+	  --config cache-diff --jobs 4
 	dune exec bin/lint.exe -- --check-waivers lib bin
 
 # Refresh the committed lint bench entry (files scanned, findings by

@@ -7,7 +7,6 @@
               reporting cycles, speedup and an equivalence check
      analyze  explain the vectorizer's decisions: one remark per region
               considered, plus the output of the legality validator
-              (--dot prints the SLP graphs as Graphviz instead)
      trace    record the decision trace and export it as Chrome trace-event
               JSON (Perfetto), Graphviz DOT or a decision log
      stats    run the whole kernel catalog and tabulate the telemetry
@@ -15,13 +14,11 @@
      kernels  list the built-in kernel catalog
      show     print a catalog kernel's source and IR
      fuzz     differential fuzzing: random kernels vs the scalar oracle
-              (--config cache-diff checks the memoized scorer instead)
+              (--config cache-diff checks the memoized scorer instead;
+              --jobs N runs the same cases on N pool domains)
      batch    compile the catalog on the fault-isolated Domain-pool
               service: per-job deadlines, retries with backoff,
               backpressure and a verified result cache
-     domains  domain-pool determinism smoke: the whole catalog on N
-              concurrent pool domains must reproduce the sequential IR,
-              remarks and counters byte for byte
      profile  deterministic compile-cost profile: catalog x N compiles
               into per-pass step histograms and folded stacks
      metrics-verify
@@ -29,12 +26,12 @@
               counters (the CI half of make metrics-smoke)
 
    Example:
-     lslpc compile --config lslp --dump-ir examples/kernels/foo.k
+     lslpc compile --config lslp --dump-ir examples/kernels/saxpy2.k
      lslpc run --kernel 453.boy-surface --config slp
-     lslpc analyze --kernel 464.motivation-multi --config lslp --stats
+     lslpc analyze --kernel motivation-multi --config lslp --stats
      lslpc compile --kernel 453.boy-surface --inject codegen:1.0:7
      lslpc trace examples/kernels/loop_saxpy.k --trace-format chrome
-     lslpc analyze --kernel 464.motivation-multi --dot | dot -Tsvg
+     lslpc trace --kernel motivation-multi --trace-format dot | dot -Tsvg
      lslpc stats --config lslp
      lslpc fuzz --cases 200 --config cache-diff
 *)
@@ -393,26 +390,18 @@ let run_cmd =
 (* ---- analyze ------------------------------------------------------ *)
 
 let analyze_cmd =
-  let run (config, unroll, load) json dot stats stats_json trace_out
+  let run (config, unroll, load) json stats stats_json trace_out
       trace_format =
     handle_errors @@ fun () ->
     let config =
       Lslp_core.Config.(config |> with_remarks true |> with_validate true)
-    in
-    let config =
-      if dot then Lslp_core.Config.with_trace true config
-      else apply_trace trace_out config
+      |> apply_trace trace_out
     in
     let f = load unroll in
     let report, _g = Lslp_core.Pipeline.run_cloned ~config f in
     let remarks = report.Lslp_core.Pipeline.remarks in
     let diags = report.Lslp_core.Pipeline.diagnostics in
-    if dot then
-      (* alias for `lslpc trace --trace-format dot`: just the graphs, so the
-         output pipes straight into dot(1) *)
-      print_string
-        (Lslp_trace.Trace.to_dot report.Lslp_core.Pipeline.trace_events)
-    else if json then begin
+    if json then begin
       Fmt.pr "%s@."
         (Lslp_check.Remark.report_to_json ~config_name:config.name
            ~func_name:f.Lslp_ir.Func.fname ~diagnostics:diags remarks);
@@ -435,19 +424,12 @@ let analyze_cmd =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the report as a JSON document.")
   in
-  let dot =
-    Arg.(value & flag
-         & info [ "dot" ]
-             ~doc:"Print the SLP graphs as Graphviz DOT on stdout (alias \
-                   for the trace subcommand with --trace-format dot); \
-                   replaces the normal report.")
-  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
          "Explain the vectorizer's decisions: one remark per region \
           considered, with the legality validator's verdict")
-    Term.(const run $ kernel_term $ json $ dot $ stats_arg $ stats_json_arg
+    Term.(const run $ kernel_term $ json $ stats_arg $ stats_json_arg
           $ trace_out_arg $ trace_format_arg)
 
 (* ---- trace -------------------------------------------------------- *)
@@ -606,82 +588,47 @@ let stats_cmd =
 let fuzz_cmd =
   let run cases seed config inject jobs json =
     handle_errors @@ fun () ->
-    if jobs > 1 && config <> Some "cache-diff" && config <> Some "cond"
-    then begin
-      (* sharded on the service pool: every case derives from (seed, case)
-         alone, then the whole run is replayed sequentially and compared
-         case by case — sharding must be observationally invisible *)
-      let forced =
-        match config with
-        | None -> None
-        | Some s -> (
-          match config_of_string s with
-          | Ok c -> Some c
-          | Error e -> failwith e)
-      in
-      let pool =
-        { Lslp_service.Pool.default_config with domains = jobs;
-          queue_cap = max 1 (jobs * 4) }
-      in
-      let outcomes =
-        Lslp_service.Shard.run ?config:forced ?inject_spec:inject ~pool
-          ~cases ~seed ()
-      in
-      let totals = Lslp_service.Shard.summarize outcomes in
-      let mismatches =
-        Lslp_service.Shard.check_against_sequential ?config:forced
-          ?inject_spec:inject ~seed outcomes
-      in
-      Fmt.pr "fuzz: %d case(s): %d failure(s)@." totals.Lslp_service.Shard.cases
-        (List.length totals.Lslp_service.Shard.failures);
-      List.iter
-        (fun (case, summary) -> Fmt.pr "case %d: %s@." case summary)
-        totals.Lslp_service.Shard.failures;
-      (match mismatches with
-       | [] -> Fmt.pr "sharded determinism (%d domain(s)): OK@." jobs
-       | ms ->
-         List.iter
-           (fun (m : Lslp_service.Shard.mismatch) ->
-             Fmt.epr
-               "case %d: sharded and sequential runs disagree@.  sharded:    \
-                %s@.  sequential: %s@."
-               m.case m.sharded m.sequential)
-           ms;
-         Fmt.epr "sharded determinism: FAILED (%d mismatch(es))@."
-           (List.length ms));
-      Fmt.epr
-        "%d region(s) vectorized, %d degraded, %d/%d case(s) with faults, \
-         %d pool failure(s)@."
-        totals.Lslp_service.Shard.vectorized totals.Lslp_service.Shard.degraded
-        totals.Lslp_service.Shard.injected_runs totals.Lslp_service.Shard.cases
-        totals.Lslp_service.Shard.pool_failures;
-      if totals.Lslp_service.Shard.failures <> [] || mismatches <> [] then
-        exit 1
-    end
-    else begin
-      let stats =
-        match config with
-        | Some "cache-diff" ->
-          (* differential check of the memoized scorer: cache on vs off *)
-          Lslp_fuzz.Fuzz.run_cache_diff ~cases ~seed ()
-        | Some "cond" ->
-          (* the branching arm: only masked-IR programs (guarded stores,
-             selects, masked loads), configs still drawn from the pool *)
-          Lslp_fuzz.Fuzz.run ~cases ~seed ~cond:true ?inject_spec:inject ()
-        | Some s -> (
-          match config_of_string s with
-          | Ok c -> Lslp_fuzz.Fuzz.run ~cases ~seed ~config:c
-                      ?inject_spec:inject ()
-          | Error e -> failwith e)
-        | None -> Lslp_fuzz.Fuzz.run ~cases ~seed ?inject_spec:inject ()
-      in
-      (* summary on stdout is stable per seed; the RNG-dependent counters go
-         to stderr so cram tests can pin the former *)
-      if json then Fmt.pr "%s@." (Lslp_fuzz.Fuzz.to_json stats)
-      else Fmt.pr "%a@." Lslp_fuzz.Fuzz.pp_summary stats;
-      Fmt.epr "%a@." Lslp_fuzz.Fuzz.pp_detail stats;
-      if not (Lslp_fuzz.Fuzz.ok stats) then exit 1
-    end
+    let arm =
+      match config with
+      | None -> Lslp_fuzz.Fuzz.Classic None
+      | Some "cond" -> Lslp_fuzz.Fuzz.Cond
+      | Some "cache-diff" -> Lslp_fuzz.Fuzz.Cache_diff
+      | Some s -> (
+        match config_of_string s with
+        | Ok c -> Lslp_fuzz.Fuzz.Classic (Some c)
+        | Error e -> failwith e)
+    in
+    let stats, mismatches =
+      if jobs > 1 then begin
+        (* sharded on the service pool, then replayed sequentially and
+           compared case by case: sharding must be invisible *)
+        let pool =
+          { Lslp_service.Pool.default_config with domains = jobs;
+            queue_cap = max 1 (jobs * 4) }
+        in
+        let outcomes =
+          Lslp_service.Shard.run ~arm ?inject_spec:inject ~pool ~cases ~seed ()
+        in
+        ( Lslp_fuzz.Fuzz.stats outcomes,
+          Lslp_service.Shard.check_against_sequential ~arm ?inject_spec:inject
+            ~seed outcomes )
+      end
+      else (Lslp_fuzz.Fuzz.run ~cases ~seed ~arm ?inject_spec:inject (), [])
+    in
+    (* summary on stdout is stable per seed; the RNG-dependent counters go
+       to stderr so cram tests can pin the former *)
+    if json then Fmt.pr "%s@." (Lslp_fuzz.Fuzz.to_json stats)
+    else Fmt.pr "%a@." Lslp_fuzz.Fuzz.pp_summary stats;
+    Fmt.epr "%a@." Lslp_fuzz.Fuzz.pp_detail stats;
+    if jobs > 1 then begin
+      match mismatches with
+      | [] -> Fmt.pr "sharded determinism (%d domain(s)): OK@." jobs
+      | ms ->
+        Fmt.epr "sharded determinism: FAILED: case(s) %a differ from the \
+                 sequential run@."
+          Fmt.(list ~sep:comma int) ms
+    end;
+    if not (Lslp_fuzz.Fuzz.ok stats && mismatches = []) then exit 1
   in
   let json =
     Arg.(value & flag
@@ -714,8 +661,8 @@ let fuzz_cmd =
          & info [ "j"; "jobs" ] ~docv:"N"
              ~doc:"Shard the cases across N pool domains; the run is then \
                    replayed sequentially and compared case by case \
-                   (sharding must be observationally invisible).  1 keeps \
-                   the classic single-stream derivation.")
+                   (sharding must be observationally invisible).  Every \
+                   case is the same with any N.")
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -951,125 +898,6 @@ let batch_cmd =
           $ service_inject_args $ expect $ stats_arg $ stats_json_arg
           $ metrics_out $ metrics_format_arg $ flight_out $ verbose)
 
-(* ---- domains ------------------------------------------------------ *)
-
-(* The domain-safety proof behind the compile service, now running ON the
-   service's pool: compile the full catalog once sequentially, then
-   [--jobs] more times as concurrent pool jobs, and require every copy to
-   reproduce the sequential IR, remarks and telemetry counters byte for
-   byte.  Each function numbers its own instructions, so the promise is
-   same structure, same numbering.  Every job also checks that each output
-   id lies in [1, next id) of its own function: ids come only from the
-   function's source, never from an arena's compact indices. *)
-let domains_cmd =
-  let run config unroll jobs =
-    handle_errors @@ fun () ->
-    let config =
-      Lslp_core.Config.(config |> with_remarks true |> with_validate true)
-    in
-    let snapshot (k : Lslp_kernels.Catalog.kernel) =
-      let f = Lslp_kernels.Catalog.compile k in
-      ignore (Lslp_frontend.Unroll.run ~factor:unroll f);
-      let report, g = Lslp_core.Pipeline.run_cloned ~config f in
-      let high = Lslp_util.Id_gen.peek g.Lslp_ir.Func.ids in
-      Lslp_ir.Func.iter_instrs
-        (fun (i : Lslp_ir.Instr.t) ->
-          if i.Lslp_ir.Instr.id < 1 || i.Lslp_ir.Instr.id >= high then
-            failwith
-              (Fmt.str
-                 "%s: instruction id %d outside [1, %d): arena compact \
-                  index leaked into the IR"
-                 k.key i.Lslp_ir.Instr.id high))
-        g;
-      let ir = Lslp_ir.Printer.func_to_string g in
-      let remarks =
-        Fmt.str "%a"
-          Fmt.(list ~sep:(any "@.") Lslp_check.Remark.pp)
-          report.Lslp_core.Pipeline.remarks
-      in
-      let counters =
-        let c =
-          Lslp_telemetry.Report.total_counters
-            report.Lslp_core.Pipeline.telemetry
-        in
-        String.concat ","
-          (List.map
-             (fun (name, get) -> Fmt.str "%s=%d" name (get c))
-             Lslp_telemetry.Probe.counter_fields)
-      in
-      (k.key, ir, remarks, counters)
-    in
-    let kernels = Array.of_list Lslp_kernels.Catalog.all in
-    let nk = Array.length kernels in
-    let baseline = Array.map snapshot kernels in
-    (* every (copy, kernel) pair is one pool job; a leaked index raises
-       and surfaces as a typed pool failure instead of a mystery hang *)
-    let pool_jobs =
-      Array.init (jobs * nk) (fun idx ->
-          let k = kernels.(idx mod nk) in
-          ( Fmt.str "%s#%d" k.Lslp_kernels.Catalog.key (idx / nk),
-            fun ~inject:_ ~deadline:_ -> snapshot k ))
-    in
-    let pool =
-      {
-        Lslp_service.Pool.default_config with
-        domains = jobs;
-        queue_cap = max 1 (jobs * 2);
-        retries = 0;
-      }
-    in
-    let outcomes = Lslp_service.Pool.run pool pool_jobs in
-    let mismatches = ref [] in
-    let hard_failures = ref [] in
-    Array.iteri
-      (fun idx outcome ->
-        let copy = idx / nk in
-        let key, ir, rem, ctr = baseline.(idx mod nk) in
-        match outcome with
-        | Lslp_service.Pool.Degraded_to_failure { failure; _ } ->
-          hard_failures :=
-            (copy, key, Fmt.str "%a" Lslp_service.Pool.pp_failure failure)
-            :: !hard_failures
-        | Lslp_service.Pool.Done (key', ir', rem', ctr') ->
-          assert (key = key');
-          if ir <> ir' then mismatches := (copy, key, "IR") :: !mismatches;
-          if rem <> rem' then
-            mismatches := (copy, key, "remarks") :: !mismatches;
-          if ctr <> ctr' then
-            mismatches := (copy, key, "counters") :: !mismatches)
-      outcomes;
-    match (List.rev !hard_failures, List.rev !mismatches) with
-    | [], [] ->
-      Fmt.pr "domain smoke: %d domain(s) x %d kernel(s) x %s: OK@." jobs nk
-        config.Lslp_core.Config.name
-    | fails, ms ->
-      List.iter
-        (fun (copy, key, msg) ->
-          Fmt.epr "copy %d: %s: job failed: %s@." copy key msg)
-        fails;
-      List.iter
-        (fun (copy, key, what) ->
-          Fmt.epr "copy %d: %s: %s diverged from sequential baseline@." copy
-            key what)
-        ms;
-      Fmt.epr "domain smoke: FAILED (%d divergence(s), %d failure(s))@."
-        (List.length ms) (List.length fails);
-      exit 1
-  in
-  let jobs =
-    Arg.(value & opt int 8
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"How many concurrent catalog copies (= pool domains) to \
-                   compile.")
-  in
-  Cmd.v
-    (Cmd.info "domains"
-       ~doc:
-         "Domain-pool determinism smoke: compile the whole catalog on N \
-          concurrent domains of the service pool and require byte-identical \
-          IR, remarks and counters versus the sequential baseline")
-    Term.(const run $ config_arg $ unroll_arg $ jobs)
-
 (* ---- profile ------------------------------------------------------ *)
 
 (* Compile-time profiling in the deterministic unit: probe steps at the
@@ -1277,5 +1105,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ compile_cmd; run_cmd; analyze_cmd; trace_cmd; stats_cmd;
-            fuzz_cmd; batch_cmd; domains_cmd; profile_cmd;
+            fuzz_cmd; batch_cmd; profile_cmd;
             metrics_verify_cmd; kernels_cmd; show_cmd ]))

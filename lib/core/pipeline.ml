@@ -164,30 +164,10 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
             { Legality.lanes = Array.copy lanes; vector } :: !provenance)
     else None
   in
-  let seen_verifier_msgs : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  (* structural verification after each pass, attributed to that pass;
-     errors already present after an earlier pass are not re-reported *)
-  let checkpoint pass =
-    if config.Config.validate then
-      List.iter
-        (fun (e : Verifier.error) ->
-          if not (Hashtbl.mem seen_verifier_msgs e.Verifier.message) then begin
-            Hashtbl.replace seen_verifier_msgs e.Verifier.message ();
-            let instrs =
-              match e.Verifier.instr with Some i -> [ i ] | None -> []
-            in
-            diagnostics :=
-              Diagnostic.error ~instrs ~rule:("verifier:" ^ pass)
-                e.Verifier.message
-              :: !diagnostics
-          end)
-        (Verifier.check_func f)
-  in
-  (* in-transaction structural check: unlike [checkpoint] this always runs
-     on freshly transformed blocks and *aborts* the region on a finding, so
-     a miscompile degrades to scalar instead of reaching the caller.  On
-     success, the checked arena of [block], which describes its state
-     exactly as verified. *)
+  (* in-transaction structural check: runs on freshly transformed blocks
+     and *aborts* the region on a finding, so a miscompile degrades to
+     scalar instead of reaching the caller.  On success, the checked arena
+     of [block], which describes its state exactly as verified. *)
   let verify_or_abort pass block =
     match Verifier.check_func_arenas f with
     | Ok arenas -> List.find (fun a -> Arena.block a == block) arenas
@@ -385,7 +365,6 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
                     Budget.deadline_tick deadline;
                     Inject.maybe_fail inject Inject.Verify;
                     live_arena := Some (verify_or_abort "verify" block);
-                    checkpoint "codegen+dce";
                     Remark.Vectorized
                   | Codegen.Not_schedulable -> Remark.Not_schedulable
                   | Codegen.Failed msg ->
@@ -474,8 +453,7 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
                   else if r.Reduction.not_schedulable then
                     Remark.Not_schedulable
                   else Remark.Unprofitable)))
-          rs;
-        checkpoint "reduction"
+          rs
       | Error failure ->
         provenance := saved_provenance;
         degrade ~block:region_id ~region:"(reduction)" ~lanes:0 failure
@@ -517,7 +495,6 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
       degrade ~block:region_id ~region:"(cleanup)" ~lanes:0 failure
   in
   List.iter cleanup_block (Func.blocks f);
-  checkpoint "cleanup";
   (match snap with
    | Some snap -> (
      match Legality.validate ~provenance:!provenance snap f with

@@ -10,10 +10,10 @@
      reassociation);
    - with validation on and no faults armed, produces zero diagnostics.
 
-   Everything is derived from one root seed: program generation, the
-   per-case configuration draw and the per-case injector are all seeded
-   deterministically, so a failing case reproduces from [--seed] + its
-   case number alone. *)
+   Case k is a pure function of (arm, inject spec, seed, k): program,
+   configuration draw, validate flag and injector all come from one PRNG
+   seeded by (seed, k), so a failing case reproduces from [--seed] and its
+   case number alone, and a Domain pool may run the cases in any order. *)
 
 open Lslp_ir
 open Lslp_core
@@ -26,6 +26,17 @@ type failure = {
   injected : string option;
   problem : string;
 }
+
+type arm = Classic of Config.t option | Cond | Cache_diff
+
+type outcome =
+  | Passed of {
+      config_name : string;
+      vectorized : int;
+      degraded : int;
+      injected : bool;
+    }
+  | Failed of failure
 
 type stats = {
   cases : int;
@@ -41,24 +52,78 @@ let config_pool =
 
 let unroll_factor = 4
 
-(* One case: generate, clone, unroll the candidate, run the pipeline under
-   the drawn config, then check the three properties.  Returns the report's
-   (vectorized, degraded) counts on success. *)
-let run_case ~st ~cond ~inject_spec ~forced_config ~seed ~case :
-    (int * int * bool, string * string * string option) result =
-  let prog = Gen.generate ~cond_only:cond st in
-  let desc = Gen.describe prog in
-  let base_config =
-    match forced_config with
-    | Some c -> c
-    | None -> config_pool.(Random.State.int st (Array.length config_pool))
+let compile config reference =
+  let candidate = Func.clone reference in
+  ignore (Lslp_frontend.Unroll.run ~factor:unroll_factor candidate);
+  let report = Pipeline.run ~config candidate in
+  (report, candidate)
+
+let counts (r : Pipeline.report) =
+  (r.Pipeline.vectorized_regions, r.Pipeline.degraded_regions)
+
+(* Classic and cond arms: one pipeline run, checked for the properties
+   above.  Diagnostics only count when no fault was armed. *)
+let against_oracle ~config ~faults reference =
+  let report, candidate = compile config reference in
+  match Verifier.check_func candidate with
+  | e :: _ -> Error (Fmt.str "invalid IR: %s" (Verifier.error_to_string e))
+  | [] ->
+    let diag_errors =
+      Lslp_check.Diagnostic.errors report.Pipeline.diagnostics
+    in
+    if (not faults) && diag_errors <> [] then
+      Error
+        (Fmt.str "legality diagnostics: %s"
+           (Lslp_check.Diagnostic.summary diag_errors))
+    else if
+      not (Lslp_interp.Oracle.equivalent ~tol:1e-6 ~reference ~candidate ())
+    then Error "oracle mismatch vs scalar reference"
+    else Ok (counts report)
+
+(* Cache-diff arm: the same program through the same configuration with
+   the memoized look-ahead scorer on and off must produce byte-identical IR
+   (both runs compile a clone of one function, so they number alike),
+   identical remarks and identical region counts. *)
+let cache_differential ~config reference =
+  let config = Config.with_remarks true config in
+  let run_one cache =
+    let report, candidate =
+      compile (Config.with_score_cache cache config) reference
+    in
+    (report, Printer.func_to_string candidate)
   in
+  let (cached, ir_cached), (uncached, ir_uncached) =
+    (run_one true, run_one false)
+  in
+  let remarks r =
+    List.map (Fmt.str "%a" Lslp_check.Remark.pp) r.Pipeline.remarks
+  in
+  if ir_cached <> ir_uncached then
+    Error "cached and uncached runs produced different IR"
+  else if remarks cached <> remarks uncached then
+    Error "cached and uncached runs produced different remarks"
+  else if counts cached <> counts uncached then
+    Error "cached and uncached runs transformed different regions"
+  else Ok (counts cached)
+
+let case ?(arm = Classic None) ?inject_spec ~seed case : outcome =
+  let st = Random.State.make [| seed; case; 0x5eed |] in
+  let prog = Gen.generate ~cond_only:(arm = Cond) st in
+  let desc = Gen.describe prog in
+  (* drawn even when forced, so forcing the drawn config replays the case *)
+  let drawn = config_pool.(Random.State.int st (Array.length config_pool)) in
+  let base = match arm with Classic (Some c) -> c | _ -> drawn in
   let validate = Random.State.bool st in
   let case_seed = (seed * 1_000_003) + case in
   let inject =
-    match inject_spec with
-    | Some spec -> Some (Inject.reseed spec ~seed:case_seed)
-    | None ->
+    match (arm, inject_spec) with
+    | Cache_diff, _ ->
+      (* an armed injector advances its own RNG per probe, so the cached
+         and uncached runs would diverge for reasons unrelated to the
+         cache *)
+      None
+    | _, Some spec -> Some (Inject.reseed spec ~seed:case_seed)
+    | _, None ->
       (* no spec given: arm a random low-rate injector on a quarter of the
          cases so the default fuzz run still exercises the rollback path *)
       if Random.State.int st 4 = 0 then
@@ -69,196 +134,71 @@ let run_case ~st ~cond ~inject_spec ~forced_config ~seed ~case :
       else None
   in
   let config =
-    let c = Config.with_validate validate base_config in
+    let c = Config.with_validate validate base in
     match inject with Some i -> Config.with_inject i c | None -> c
   in
-  let fail problem =
-    Error
-      ( desc,
-        problem,
-        Option.map (fun i -> Fmt.str "%a" Inject.pp i) inject )
-  in
-  match Gen.build prog with
-  | exception e ->
-    Error (desc, Fmt.str "generator crashed: %s" (Printexc.to_string e), None)
-  | reference -> (
-    let candidate = Func.clone reference in
-    ignore (Lslp_frontend.Unroll.run ~factor:unroll_factor candidate);
-    match Pipeline.run ~config candidate with
-    | exception e ->
-      fail (Fmt.str "pipeline raised %s" (Printexc.to_string e))
-    | report -> (
-      match Verifier.check_func candidate with
-      | e :: _ ->
-        fail (Fmt.str "invalid IR: %s" (Verifier.error_to_string e))
-      | [] ->
-        let diag_errors =
-          Lslp_check.Diagnostic.errors report.Pipeline.diagnostics
-        in
-        if inject = None && diag_errors <> [] then
-          fail
-            (Fmt.str "legality diagnostics: %s"
-               (Lslp_check.Diagnostic.summary diag_errors))
-        else if
-          not
-            (Lslp_interp.Oracle.equivalent ~tol:1e-6 ~reference ~candidate ())
-        then fail "oracle mismatch vs scalar reference"
-        else
-          Ok
-            ( report.Pipeline.vectorized_regions,
-              report.Pipeline.degraded_regions,
-              inject <> None )))
-
-let run ?(cases = 500) ?(seed = 42) ?(cond = false) ?config ?inject_spec () :
-    stats =
-  let st = Random.State.make [| seed |] in
-  let failures = ref [] in
-  let vectorized = ref 0 in
-  let degraded = ref 0 in
-  let injected_runs = ref 0 in
-  for case = 0 to cases - 1 do
-    match
-      run_case ~st ~cond ~inject_spec ~forced_config:config ~seed ~case
-    with
-    | Ok (v, d, injected) ->
-      vectorized := !vectorized + v;
-      degraded := !degraded + d;
-      if injected then incr injected_runs
-    | Error (desc, problem, injected) ->
-      failures :=
-        {
-          case;
-          desc;
-          config_name = "(case config)";
-          injected;
-          problem;
-        }
-        :: !failures
-  done;
-  {
-    cases;
-    failures = List.rev !failures;
-    vectorized = !vectorized;
-    degraded = !degraded;
-    injected_runs = !injected_runs;
-  }
-
-(* One case under the *indexed* derivation: the whole case — program,
-   config draw, validate flag, injector — comes from a per-case PRNG
-   seeded by (root seed, case), not from one stream threaded across
-   cases.  That makes case k a pure function of (seed, k) alone, so a
-   Domain-pool can run cases in any order or interleaving and a
-   sequential rerun must reproduce every outcome verbatim — the
-   determinism assertion behind `lslpc fuzz --jobs N`. *)
-type case_outcome = {
-  case : int;
-  ok : bool;
-  summary : string;  (* stable per (seed, case): counts or the problem *)
-  c_vectorized : int;
-  c_degraded : int;
-  c_injected : bool;
-}
-
-let run_case_indexed ?config ?(cond = false) ?inject_spec ~seed ~case () :
-    case_outcome =
-  let st = Random.State.make [| seed; case; 0x5eed |] in
-  match
-    run_case ~st ~cond ~inject_spec ~forced_config:config ~seed ~case
-  with
-  | Ok (v, d, injected) ->
-    {
-      case;
-      ok = true;
-      summary = Fmt.str "ok v=%d d=%d inj=%b" v d injected;
-      c_vectorized = v;
-      c_degraded = d;
-      c_injected = injected;
-    }
-  | Error (desc, problem, injected) ->
-    {
-      case;
-      ok = false;
-      summary =
-        Fmt.str "FAIL %s%s [%s]" problem
-          (match injected with Some i -> Fmt.str " inj=%s" i | None -> "")
-          desc;
-      c_vectorized = 0;
-      c_degraded = 0;
-      c_injected = injected <> None;
-    }
-
-(* Differential check for the memoized look-ahead scorer: the same program
-   through the same configuration with the score cache on and off must
-   produce byte-identical IR (both runs compile a clone of one function,
-   so they number alike), identical remarks and identical region counts.
-   Fault injection stays off — an armed injector advances its own RNG per
-   probe, so the two runs would diverge for reasons unrelated to the
-   cache. *)
-let run_cache_diff ?(cases = 200) ?(seed = 42) () : stats =
-  let st = Random.State.make [| seed |] in
-  let failures = ref [] in
-  let vectorized = ref 0 in
-  let degraded = ref 0 in
-  for case = 0 to cases - 1 do
-    let prog = Gen.generate st in
-    let desc = Gen.describe prog in
-    let base =
-      config_pool.(Random.State.int st (Array.length config_pool))
-    in
-    let config = Config.with_remarks true base in
-    let fail problem =
-      failures :=
-        { case; desc; config_name = base.Config.name; injected = None;
-          problem }
-        :: !failures
-    in
+  let config_name = base.Config.name in
+  let result =
     match Gen.build prog with
     | exception e ->
-      fail (Fmt.str "generator crashed: %s" (Printexc.to_string e))
+      Error (Fmt.str "generator crashed: %s" (Printexc.to_string e))
     | reference -> (
-      let run_one cache =
-        let candidate = Func.clone reference in
-        ignore (Lslp_frontend.Unroll.run ~factor:unroll_factor candidate);
-        let report =
-          Pipeline.run ~config:(Config.with_score_cache cache config)
-            candidate
-        in
-        (report, Printer.func_to_string candidate)
-      in
-      match (run_one true, run_one false) with
-      | exception e ->
-        fail (Fmt.str "pipeline raised %s" (Printexc.to_string e))
-      | (cached, ir_cached), (uncached, ir_uncached) ->
-        let remarks r =
-          List.map
-            (Fmt.str "%a" Lslp_check.Remark.pp)
-            r.Pipeline.remarks
-        in
-        if ir_cached <> ir_uncached then
-          fail "cached and uncached runs produced different IR"
-        else if remarks cached <> remarks uncached then
-          fail "cached and uncached runs produced different remarks"
-        else if
-          cached.Pipeline.vectorized_regions
-          <> uncached.Pipeline.vectorized_regions
-          || cached.Pipeline.degraded_regions
-             <> uncached.Pipeline.degraded_regions
-        then fail "cached and uncached runs transformed different regions"
-        else begin
-          vectorized := !vectorized + cached.Pipeline.vectorized_regions;
-          degraded := !degraded + cached.Pipeline.degraded_regions
-        end)
-  done;
-  {
-    cases;
-    failures = List.rev !failures;
-    vectorized = !vectorized;
-    degraded = !degraded;
-    injected_runs = 0;
-  }
+      (* one handler for the whole case, so no exception leaves it: the
+         sequential and the pooled sweep then see the same outcome *)
+      try
+        match arm with
+        | Cache_diff -> cache_differential ~config reference
+        | Classic _ | Cond ->
+          against_oracle ~config ~faults:(inject <> None) reference
+      with e ->
+        Error (Fmt.str "pipeline or check raised %s" (Printexc.to_string e)))
+  in
+  match result with
+  | Ok (vectorized, degraded) ->
+    Passed { config_name; vectorized; degraded; injected = inject <> None }
+  | Error problem ->
+    Failed
+      {
+        case;
+        desc;
+        config_name;
+        injected = Option.map (Fmt.str "%a" Inject.pp) inject;
+        problem;
+      }
+
+let stats outcomes =
+  Array.fold_right
+    (fun o s ->
+      match o with
+      | Passed p ->
+        {
+          s with
+          vectorized = s.vectorized + p.vectorized;
+          degraded = s.degraded + p.degraded;
+          injected_runs = (s.injected_runs + if p.injected then 1 else 0);
+        }
+      | Failed f ->
+        {
+          s with
+          failures = f :: s.failures;
+          injected_runs =
+            (s.injected_runs + if f.injected <> None then 1 else 0);
+        })
+    outcomes
+    {
+      cases = Array.length outcomes;
+      failures = [];
+      vectorized = 0;
+      degraded = 0;
+      injected_runs = 0;
+    }
+
+let run ?(cases = 500) ?(seed = 42) ?arm ?inject_spec () : stats =
+  stats (Array.init cases (case ?arm ?inject_spec ~seed))
 
 let pp_failure ppf (f : failure) =
-  Fmt.pf ppf "case %d: %s@,  program: %s%a" f.case f.problem f.desc
+  Fmt.pf ppf "case %d (%s): %s@,  program: %s%a" f.case f.config_name
+    f.problem f.desc
     (fun ppf -> function
       | Some i -> Fmt.pf ppf "@,  injected: %s" i
       | None -> ())

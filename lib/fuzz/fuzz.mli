@@ -2,16 +2,50 @@
 
     Property: for any generated program, any configuration, with or without
     injected faults, {!Lslp_core.Pipeline.run} never raises, leaves valid
-    IR, and preserves behaviour against the scalar oracle.  Fully
-    deterministic per root seed. *)
+    IR, and preserves behaviour against the scalar oracle.  Case [k] is a
+    pure function of (arm, inject spec, seed, [k]). *)
 
 type failure = {
   case : int;
   desc : string;
-  config_name : string;
+  config_name : string;  (** the case's configuration, drawn or forced *)
   injected : string option;
   problem : string;
 }
+
+type arm =
+  | Classic of Lslp_core.Config.t option
+      (** the classic shape mix under the drawn configuration, or under
+          the given one *)
+  | Cond
+      (** only branching masked-IR programs (guarded stores, selects,
+          masked loads), configuration drawn *)
+  | Cache_diff
+      (** the memoized look-ahead scorer on and off must agree on the IR,
+          the remarks and the region counts; no fault injection *)
+
+type outcome =
+  | Passed of {
+      config_name : string;
+      vectorized : int;
+      degraded : int;
+      injected : bool;
+    }
+  | Failed of failure
+
+val case :
+  ?arm:arm ->
+  ?inject_spec:Lslp_robust.Inject.t ->
+  seed:int ->
+  int ->
+  outcome
+(** [case ~seed k] runs case [k] from one PRNG seeded by [(seed, k)]:
+    the program, a configuration index (drawn even when [arm] forces one,
+    so that forcing the drawn configuration replays the case exactly), the
+    [validate] flag and, without [inject_spec], an injector armed on about
+    a quarter of the cases.  [inject_spec] is re-seeded per case.  The
+    default arm is [Classic None].  Never raises: an exception inside the
+    case is its failure. *)
 
 type stats = {
   cases : int;
@@ -21,58 +55,18 @@ type stats = {
   injected_runs : int;
 }
 
+val stats : outcome array -> stats
+(** The one fold: outcome [k] is case [k]'s. *)
+
 val run :
   ?cases:int ->
   ?seed:int ->
-  ?cond:bool ->
-  ?config:Lslp_core.Config.t ->
+  ?arm:arm ->
   ?inject_spec:Lslp_robust.Inject.t ->
   unit ->
   stats
-(** [cases] defaults to 500, [seed] to 42.  Without [config] each case
-    draws from a pool of seven configurations (and a random [validate]
-    flag).  [inject_spec] — typically parsed from [--inject] — is re-seeded
-    per case; without it, a quarter of the cases arm a random low-rate
-    injector anyway.  [~cond:true] (the [lslpc fuzz --config cond] arm)
-    draws only branching masked-IR programs — guarded stores, selects,
-    masked loads — instead of the classic shape mix. *)
-
-type case_outcome = {
-  case : int;
-  ok : bool;
-  summary : string;
-  c_vectorized : int;
-  c_degraded : int;
-  c_injected : bool;
-}
-(** One case's result under the indexed derivation.  [summary] is a pure
-    function of (seed, case, config, inject spec) — the string the sharded
-    and sequential runs compare verbatim. *)
-
-val run_case_indexed :
-  ?config:Lslp_core.Config.t ->
-  ?cond:bool ->
-  ?inject_spec:Lslp_robust.Inject.t ->
-  seed:int ->
-  case:int ->
-  unit ->
-  case_outcome
-(** Run case [case] from a per-case PRNG seeded by [(seed, case)] rather
-    than one stream threaded across cases.  Case [k] is a pure function of
-    [(seed, k)] alone, so a Domain pool may run cases in any order and a
-    sequential rerun reproduces every outcome verbatim — the determinism
-    assertion behind [lslpc fuzz --jobs N].  Note the case streams differ
-    from {!run}'s single-stream derivation, so aggregate counts differ
-    between [run] and a sweep of [run_case_indexed]; each is internally
-    deterministic. *)
-
-val run_cache_diff : ?cases:int -> ?seed:int -> unit -> stats
-(** Differential check of the memoized look-ahead scorer
-    ([lslpc fuzz --config cache-diff]): each generated program runs through
-    the same drawn configuration with {!Lslp_core.Config.with_score_cache}
-    on and off; any difference in the printed IR, the remarks or the
-    region counts is a failure.  Fault injection stays off — its RNG would
-    make the two runs diverge for unrelated reasons. *)
+(** The sequential sweep: {!stats} of cases [0 .. cases-1].  [cases]
+    defaults to 500, [seed] to 42. *)
 
 val ok : stats -> bool
 

@@ -1,7 +1,7 @@
 (** The batch compile service ("lslpd"): a fault-isolated Domain-pool
     executor with per-job deadlines, bounded retries, backpressure and a
-    verified result cache.  The CLI's [lslpc batch], the pool-backed
-    [lslpc domains] and [bench/serve] all sit on this module.
+    verified result cache.  The CLI's [lslpc batch] and [bench/serve] sit
+    on this module.
 
     A {!job} is compiled by the frontend and [Lslp_core.Pipeline.run]
     {e in place}; the result travels back as printable strings

@@ -271,12 +271,11 @@ let test_foreign_snapshot () =
   check_bool "another function's snapshot: rejected" true
     (has_rule "snapshot" (Legality.validate foreign boy))
 
-(* ---- verifier checkpoints ------------------------------------------ *)
+(* ---- verifier checks under validation ------------------------------ *)
 
 let test_checkpoints_silent () =
-  (* with validation on, the per-pass structural checkpoints must stay
-     silent on well-formed input — and the report must carry them as
-     diagnostics, not exceptions, if they ever fire *)
+  (* with validation on, the in-transaction verifier and the final
+     verifier sweep must stay silent on well-formed input *)
   let f = kernel "453.vsumsqr" in
   let config = Config.with_validate true Config.lslp in
   let report, g = Pipeline.run_cloned ~config f in

@@ -119,4 +119,40 @@ let sensitivity_tests =
         check_int "vectorized" 1 report.Pipeline.vectorized_regions);
   ]
 
-let suite = pipeline_tests @ config_tests @ sensitivity_tests
+(* An error already in the input is reported once, by the legality
+   validator's verifier sweep, not again under a pass's name. *)
+let diagnostic_tests =
+  [
+    tc "an input verifier error yields one diagnostic per message" (fun () ->
+        let b =
+          Lslp_ir.Builder.create ~name:"x"
+            ~args:
+              [ ("A", Lslp_ir.Instr.Array_arg Lslp_ir.Types.I64);
+                ("i", Lslp_ir.Instr.Int_arg) ]
+            ()
+        in
+        let v = Lslp_ir.Builder.load b ~base:"A" (Lslp_ir.Builder.idx 0) in
+        ignore (Lslp_ir.Builder.start_block b ());
+        Lslp_ir.Builder.store b ~base:"A" (Lslp_ir.Builder.idx 1) v;
+        let f = Lslp_ir.Builder.func b in
+        let report =
+          Pipeline.run ~config:(Config.with_validate true Config.lslp) f
+        in
+        let errors =
+          Lslp_check.Diagnostic.errors report.Pipeline.diagnostics
+        in
+        let expected =
+          List.map
+            (fun (e : Lslp_ir.Verifier.error) -> ("verifier", e.message))
+            (Lslp_ir.Verifier.check_func f)
+        in
+        check_bool "the input is invalid" true (expected <> []);
+        Alcotest.(check (list (pair string string)))
+          "one verifier diagnostic per message" expected
+          (List.map
+             (fun (d : Lslp_check.Diagnostic.t) ->
+               (d.Lslp_check.Diagnostic.rule, d.Lslp_check.Diagnostic.message))
+             errors));
+  ]
+
+let suite = pipeline_tests @ config_tests @ sensitivity_tests @ diagnostic_tests

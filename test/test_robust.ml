@@ -490,6 +490,28 @@ let fuzz_tests =
             Lslp_fuzz.Fuzz.run ~cases:40 ~seed:7 ~inject_spec:spec ()
           in
           check_bool "ok" true (Lslp_fuzz.Fuzz.ok stats));
+    tc "fuzz: forcing a case's drawn config replays the case" (fun () ->
+        let module Fuzz = Lslp_fuzz.Fuzz in
+        let configs =
+          Config.
+            [ slp_nr; slp; lslp; lslp_la 0; lslp_la 2; lslp_multi 1;
+              lslp_multi 2 ]
+        in
+        for k = 0 to 49 do
+          let drawn = Fuzz.case ~seed:42 k in
+          let name =
+            match drawn with
+            | Fuzz.Passed p -> p.config_name
+            | Fuzz.Failed f -> f.Fuzz.config_name
+          in
+          let config =
+            List.find (fun (c : Config.t) -> c.Config.name = name) configs
+          in
+          check_bool
+            (Printf.sprintf "case %d under %s" k name)
+            true
+            (Fuzz.case ~arm:(Fuzz.Classic (Some config)) ~seed:42 k = drawn)
+        done);
   ]
 
 (* Rollback over the in-place rewrites of a real commit. *)

@@ -11,6 +11,7 @@ module Service = Lslp_service.Service
 module Pool = Lslp_service.Pool
 module Cache = Lslp_service.Cache
 module Shard = Lslp_service.Shard
+module Fuzz = Lslp_fuzz.Fuzz
 module Inject = Lslp_robust.Inject
 module Budget = Lslp_robust.Budget
 module Config = Lslp_core.Config
@@ -538,18 +539,34 @@ let cache_concurrent_poison () =
 let shard_determinism () =
   let pool = { Pool.default_config with domains = 4; queue_cap = 16 } in
   let outcomes = Shard.run ~pool ~cases:40 ~seed:11 () in
-  let totals = Shard.summarize outcomes in
-  Helpers.check_int "all cases ran" 40 totals.Shard.cases;
-  Helpers.check_int "no pool failures" 0 totals.Shard.pool_failures;
+  let stats = Fuzz.stats outcomes in
+  Helpers.check_int "all cases ran" 40 stats.Fuzz.cases;
   (match Shard.check_against_sequential ~seed:11 outcomes with
    | [] -> ()
-   | m :: _ ->
-     Alcotest.failf "case %d diverged: sharded %s vs sequential %s"
-       m.Shard.case m.Shard.sharded m.Shard.sequential);
-  match totals.Shard.failures with
+   | case :: _ -> Alcotest.failf "case %d: sharded <> sequential" case);
+  match stats.Fuzz.failures with
   | [] -> ()
-  | (case, summary) :: _ ->
-    Alcotest.failf "fuzz case %d failed under sharding: %s" case summary
+  | f :: _ ->
+    Alcotest.failf "fuzz case %d failed under sharding: %s" f.Fuzz.case
+      f.Fuzz.problem
+
+(* The pooled sweep and the sequential one run the same cases: for every
+   arm their folds agree field for field. *)
+let shard_arms_match_sequential () =
+  let pool = { Pool.default_config with domains = 4; queue_cap = 16 } in
+  List.iter
+    (fun (name, arm) ->
+      let pooled = Fuzz.stats (Shard.run ~arm ~pool ~cases:60 ~seed:42 ()) in
+      let sequential = Fuzz.run ~arm ~cases:60 ~seed:42 () in
+      Helpers.check_string name (Fuzz.to_json sequential)
+        (Fuzz.to_json pooled);
+      Helpers.check_bool (name ^ ": equal stats") true (pooled = sequential))
+    [
+      ("default", Fuzz.Classic None);
+      ("lslp", Fuzz.Classic (Some Config.lslp));
+      ("cond", Fuzz.Cond);
+      ("cache-diff", Fuzz.Cache_diff);
+    ]
 
 let suite =
   [
@@ -579,4 +596,6 @@ let suite =
       cache_damaged_payload_evicts;
     Helpers.tc "cache: an illegal result is never stored"
       cache_rejects_illegal_insert;
+    Helpers.tc "shard: every arm's pooled stats equal the sequential sweep's"
+      shard_arms_match_sequential;
   ]

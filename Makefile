@@ -40,7 +40,8 @@ ci:
 
 # The pinned-seed differential fuzz run CI's fuzz-smoke job executes:
 # 500 random programs through the pipeline, checked against the scalar
-# oracle, with and without injected faults.
+# oracle, with and without injected faults; a case with no fault armed
+# fails on any region degraded but for a spent budget.
 fuzz:
 	dune exec bin/lslpc.exe -- fuzz --cases 500 --seed 42
 

@@ -25,9 +25,12 @@ let describe c =
   "reduce " ^ Opcode.binop_name c.cand_op ^ " x"
   ^ string_of_int (List.length c.cand_leaves)
 
-(* Chain roots: commutative+associative ops that are not themselves
+(* Chain roots: scalar commutative+associative ops that are not themselves
    absorbed into a parent chain of the same opcode (multi-use values are
-   roots of their own chains; their parents treat them as leaves). *)
+   roots of their own chains; their parents treat them as leaves).  A
+   vector-typed chain is the fold the store-seed pass's codegen emitted
+   for a multi-node (paper §4.2): its leaves are already vectors, so it
+   is no reduction tree of the input and no plan for it can be emitted. *)
 let collect_candidates ?uses (block : Block.t) : candidate list =
   let uses =
     match uses with Some u -> u | None -> Use_info.compute block
@@ -40,7 +43,9 @@ let collect_candidates ?uses (block : Block.t) : candidate list =
   in
   let is_root (i : Instr.t) =
     match Instr.binop i with
-    | Some op when Opcode.is_commutative op && Opcode.is_associative op ->
+    | Some op
+      when Opcode.is_commutative op && Opcode.is_associative op
+           && not (Types.is_vector i.Instr.ty) ->
       let users = Use_info.users uses i in
       (* not absorbed by a same-op parent *)
       not

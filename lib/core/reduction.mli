@@ -20,8 +20,11 @@ val describe : candidate -> string
 
 val collect_candidates : ?uses:Use_info.t -> Block.t -> candidate list
 (** Reduction-chain roots of one block in program order, with their
-    leaves.  [uses] shares def-use info already computed for the block;
-    a fresh arena snapshot is taken otherwise. *)
+    leaves.  Every root is scalar-typed: a vector chain of one opcode is
+    the fold codegen emitted for a store seed's multi-node, whose leaves
+    are already vectors, so it is not a reduction tree of the input and
+    could not be emitted as one.  [uses] shares def-use info already
+    computed for the block; a fresh arena snapshot is taken otherwise. *)
 
 type region = {
   root_desc : string;

@@ -8,7 +8,9 @@
    - preserves observable behaviour against the scalar oracle
      ([Lslp_interp.Oracle], relative tolerance 1e-6 for fast-math
      reassociation);
-   - with validation on and no faults armed, produces zero diagnostics.
+   - with validation on and no faults armed, produces zero diagnostics;
+   - with no faults armed, degrades no region for any reason but a spent
+     resource budget.
 
    Case k is a pure function of (arm, inject spec, seed, k): program,
    configuration draw, validate flag and injector all come from one PRNG
@@ -61,29 +63,50 @@ let compile config reference =
 let counts (r : Pipeline.report) =
   (r.Pipeline.vectorized_regions, r.Pipeline.degraded_regions)
 
+(* The first region rolled back for any reason but a spent budget, in a
+   run with no fault armed: a pass failed on its own. *)
+let unforced_degradation ~faults (r : Pipeline.report) =
+  if faults then None
+  else
+    List.find_map
+      (fun (rm : Lslp_check.Remark.t) ->
+        match rm.Lslp_check.Remark.outcome with
+        | Lslp_check.Remark.Degraded { pass; error } ->
+          Some
+            (Fmt.str "region %s degraded with no fault armed: %s: %s"
+               rm.Lslp_check.Remark.region pass error)
+        | _ -> None)
+      r.Pipeline.regions
+
 (* Classic and cond arms: one pipeline run, checked for the properties
-   above.  Diagnostics only count when no fault was armed. *)
+   above.  Diagnostics and degradations only count when no fault was
+   armed. *)
 let against_oracle ~config ~faults reference =
   let report, candidate = compile config reference in
   match Verifier.check_func candidate with
   | e :: _ -> Error (Fmt.str "invalid IR: %s" (Verifier.error_to_string e))
-  | [] ->
+  | [] -> (
     let diag_errors =
       Lslp_check.Diagnostic.errors report.Pipeline.diagnostics
     in
-    if (not faults) && diag_errors <> [] then
+    match unforced_degradation ~faults report with
+    | Some problem -> Error problem
+    | None when (not faults) && diag_errors <> [] ->
       Error
         (Fmt.str "legality diagnostics: %s"
            (Lslp_check.Diagnostic.summary diag_errors))
-    else if
-      not (Lslp_interp.Oracle.equivalent ~tol:1e-6 ~reference ~candidate ())
-    then Error "oracle mismatch vs scalar reference"
-    else Ok (counts report)
+    | None
+      when not
+             (Lslp_interp.Oracle.equivalent ~tol:1e-6 ~reference ~candidate
+                ()) ->
+      Error "oracle mismatch vs scalar reference"
+    | None -> Ok (counts report))
 
 (* Cache-diff arm: the same program through the same configuration with
    the memoized look-ahead scorer on and off must produce byte-identical IR
    (both runs compile a clone of one function, so they number alike),
-   identical remarks and identical region counts. *)
+   identical remarks and identical region counts.  No fault is ever armed,
+   so no region may degrade but for a budget. *)
 let cache_differential ~config reference =
   let config = Config.with_remarks true config in
   let run_one cache =
@@ -98,13 +121,15 @@ let cache_differential ~config reference =
   let remarks r =
     List.map (Fmt.str "%a" Lslp_check.Remark.pp) r.Pipeline.remarks
   in
-  if ir_cached <> ir_uncached then
+  match unforced_degradation ~faults:false cached with
+  | Some problem -> Error problem
+  | None when ir_cached <> ir_uncached ->
     Error "cached and uncached runs produced different IR"
-  else if remarks cached <> remarks uncached then
+  | None when remarks cached <> remarks uncached ->
     Error "cached and uncached runs produced different remarks"
-  else if counts cached <> counts uncached then
+  | None when counts cached <> counts uncached ->
     Error "cached and uncached runs transformed different regions"
-  else Ok (counts cached)
+  | None -> Ok (counts cached)
 
 let case ?(arm = Classic None) ?inject_spec ~seed case : outcome =
   let st = Random.State.make [| seed; case; 0x5eed |] in

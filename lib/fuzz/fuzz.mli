@@ -2,7 +2,8 @@
 
     Property: for any generated program, any configuration, with or without
     injected faults, {!Lslp_core.Pipeline.run} never raises, leaves valid
-    IR, and preserves behaviour against the scalar oracle.  Case [k] is a
+    IR, and preserves behaviour against the scalar oracle; with no fault
+    armed it degrades no region but for a spent budget.  Case [k] is a
     pure function of (arm, inject spec, seed, [k]). *)
 
 type failure = {
@@ -32,6 +33,14 @@ type outcome =
       injected : bool;
     }
   | Failed of failure
+
+val unforced_degradation :
+  faults:bool -> Lslp_core.Pipeline.report -> string option
+(** The failure of a case whose run degraded a region on its own: the
+    first [Degraded] region of the report, described, when [faults] is
+    false (no injector armed).  A [Budget_exhausted] region is a resource
+    cap doing its job and never fails a case; with [faults] set every
+    rollback is expected, so the result is [None]. *)
 
 val case :
   ?arm:arm ->

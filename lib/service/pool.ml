@@ -13,12 +13,14 @@
    changed only by compare-and-set; it never holds more domains than
    were ever running at once.
 
-   A worker domain's minor heap is the startup size ([OCAMLRUNPARAM]'s
-   [s], by default 256K words), whatever the main domain passes to
-   [Gc.set]: [Gc.set] resizes the calling domain's minor heap only, and
-   every new domain starts at the startup size.  So a job that allocates
-   more than that runs minor collections on its worker that the same
-   compile on a main domain with a larger heap does not.
+   A worker loop compiles under the minor heap of the domain that
+   launched it.  [Gc.set] resizes the calling domain's minor heap only,
+   and every new domain starts at the startup size ([OCAMLRUNPARAM]'s [s],
+   by default 256K words), so [launch] reads the launching domain's size
+   and the loop resizes its own domain to it before running, only when
+   the two differ.  A job then runs the minor collections the same
+   compile would run on the caller's domain, and a parked domain follows
+   the caller's setting from one loop to the next.
 
    Fault isolation is the point: any exception a job attempt lets escape —
    an injected [Inject.Fault], a [Budget.Deadline_expired] from the
@@ -146,6 +148,13 @@ let rec park h =
   match ended with None -> park h | Some _ -> ()
 
 let launch f =
+  let words = (Gc.get ()).Gc.minor_heap_size in
+  let f () =
+    let gc = Gc.get () in
+    if gc.Gc.minor_heap_size <> words then
+      Gc.set { gc with Gc.minor_heap_size = words };
+    f ()
+  in
   match pop () with
   | Some h ->
     Mutex.lock h.lock;

@@ -100,7 +100,8 @@ type handle
 
 val launch : (unit -> unit) -> handle
 (** Run the thunk on an idle parked domain, spawning one when none is
-    free. *)
+    free.  The thunk runs under the calling domain's minor heap size:
+    the parked domain is resized to it first when the two differ. *)
 
 val await : handle -> unit
 (** Block until the thunk has finished, then return its domain to the

@@ -64,3 +64,42 @@ let is_wide_load (i : Instr.t) =
   match i.Instr.kind with
   | Instr.Load a -> a.Instr.access_lanes > 1
   | _ -> false
+
+(* A 24-leaf VL-8 commutative chain, built the way the benchmark's [chains]
+   workload builds its largest programs: of every 7 leaves 5 loads, one
+   per-lane constant and one shared constant, every third load strided;
+   each lane sums the leaves in its own order.  288 instructions. *)
+let long_chain st : Lslp_fuzz.Gen.prog =
+  let n = 24 and vl = 8 in
+  let leaf j =
+    match j mod 7 with
+    | 5 -> Lslp_fuzz.Gen.L_const (0.5 +. Random.State.float st 3.5)
+    | 6 -> Lslp_fuzz.Gen.L_shared (0.5 +. Random.State.float st 3.5)
+    | _ ->
+      Lslp_fuzz.Gen.L_load
+        (Random.State.int st 3, Random.State.int st 4,
+         if j mod 3 = 0 then 2 else 1)
+  in
+  let perm () =
+    let a = Array.init n Fun.id in
+    for k = n - 1 downto 1 do
+      let j = Random.State.int st (k + 1) in
+      let t = a.(k) in
+      a.(k) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list a
+  in
+  {
+    Lslp_fuzz.Gen.elt = Lslp_fuzz.Gen.E_f64;
+    shape =
+      Lslp_fuzz.Gen.Straight
+        {
+          vl;
+          op = Opcode.Fadd;
+          leaves = List.init n leaf;
+          perms = List.init vl (fun _ -> perm ());
+          left_assoc = List.init vl (fun _ -> Random.State.bool st);
+          decoy_store = false;
+        };
+  }

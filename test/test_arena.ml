@@ -236,45 +236,6 @@ let suite = suite @ address_id_tests
 module Gen = Lslp_fuzz.Gen
 module Config = Lslp_core.Config
 
-(* A 24-leaf VL-8 commutative chain, built the way the benchmark's [chains]
-   workload builds its largest programs: of every 7 leaves 5 loads, one
-   per-lane constant and one shared constant, every third load strided;
-   each lane sums the leaves in its own order.  288 instructions. *)
-let long_chain st : Gen.prog =
-  let n = 24 and vl = 8 in
-  let leaf j =
-    match j mod 7 with
-    | 5 -> Gen.L_const (0.5 +. Random.State.float st 3.5)
-    | 6 -> Gen.L_shared (0.5 +. Random.State.float st 3.5)
-    | _ ->
-      Gen.L_load
-        (Random.State.int st 3, Random.State.int st 4,
-         if j mod 3 = 0 then 2 else 1)
-  in
-  let perm () =
-    let a = Array.init n Fun.id in
-    for k = n - 1 downto 1 do
-      let j = Random.State.int st (k + 1) in
-      let t = a.(k) in
-      a.(k) <- a.(j);
-      a.(j) <- t
-    done;
-    Array.to_list a
-  in
-  {
-    Gen.elt = Gen.E_f64;
-    shape =
-      Gen.Straight
-        {
-          vl;
-          op = Opcode.Fadd;
-          leaves = List.init n leaf;
-          perms = List.init vl (fun _ -> perm ());
-          left_assoc = List.init vl (fun _ -> Random.State.bool st);
-          decoy_store = false;
-        };
-  }
-
 (* Kernel source for a straight-line f64 block of loads, [fadd]s and
    stores, one local per instruction, so the frontend lowers it back to the
    same block; with [~loop] the block is the body of an 8-trip loop. *)
@@ -316,21 +277,30 @@ let no_forced_collection () =
   Fun.protect
     ~finally:(fun () -> Gc.set saved)
     (fun () ->
-      let prog = long_chain (Random.State.make [| 7 |]) in
+      let prog = Helpers.long_chain (Random.State.make [| 7 |]) in
       let source = kernel_source (Gen.build prog) in
       let loop_source = kernel_source ~loop:true (Gen.build prog) in
       Helpers.check_bool "source lowers to over 256 instructions" true
         (Func.num_instrs (Lslp_frontend.Lower.compile_string source) > 256);
       (* nothing vectorizes, so the validator walks all 288 instructions *)
       let scalar = Config.with_threshold (-1000) Config.lslp in
-      (* a worker domain keeps the default minor heap: one light job *)
+      (* a pool worker compiles under the caller's minor heap; the first
+         batch resizes the parked worker domain to it, a collection of its
+         own, so that batch runs before the count starts and the counted
+         one reuses the resized domain *)
       let svc =
         Lslp_service.Service.create
           ~pool:{ Lslp_service.Pool.default_config with domains = 1 }
           scalar
       in
-      let job = { Lslp_service.Service.label = "chain"; source; unroll = 0 } in
-      Gc.minor ();
+      let batch label source unroll =
+        Lslp_service.Service.batch svc
+          [| { Lslp_service.Service.label; source; unroll } |]
+      in
+      ignore (batch "chain" source 0);
+      (* the end of a major cycle empties every minor heap; start the
+         count at the start of a fresh one *)
+      Gc.full_major ();
       let before = minor_collections () in
       List.iter
         (fun config ->
@@ -345,11 +315,11 @@ let no_forced_collection () =
       let looped = Lslp_frontend.Lower.compile_string loop_source in
       ignore (Lslp_frontend.Unroll.run ~factor:4 looped);
       ignore (Lslp_core.Pipeline.run ~config:Config.lslp looped);
-      let outcomes = Lslp_service.Service.batch svc [| job |] in
+      let outcomes = batch "looped chain" loop_source 4 in
       let during = minor_collections () - before in
       (match outcomes with
        | [| Lslp_service.Pool.Done s |] ->
-         Helpers.check_bool "the service compiled the chain" false
+         Helpers.check_bool "the service compiled the looped chain" false
            s.Lslp_service.Service.from_cache
        | _ -> Alcotest.fail "the service job did not complete");
       Helpers.check_int "minor collections during the compiles" 0 during)

@@ -365,3 +365,60 @@ let snapshot_tests =
   ]
 
 let suite = suite @ snapshot_tests
+
+(* ---- roots are scalar ------------------------------------------------ *)
+
+(* The store-seed pass emits a multi-node's chain as a fold of vector ops
+   of one opcode.  That fold is no reduction tree of the input: a plan for
+   it gathers vector leaves into a column, which codegen cannot emit, so a
+   threshold that accepts every plan would degrade the region. *)
+
+let unrolled factor key =
+  let f = kernel key in
+  if factor > 1 then ignore (Lslp_frontend.Unroll.run ~factor f);
+  (Fmt.str "%s at unroll %d" key factor, f)
+
+let accepting = Config.with_threshold 100 Config.lslp
+
+let scalar_root_tests =
+  [
+    tc "a threshold that accepts every plan degrades no region" (fun () ->
+        List.iter
+          (fun (name, f) ->
+            let report, _ = vectorize ~config:accepting f in
+            check_int (name ^ ": degraded") 0 report.Pipeline.degraded_regions)
+          [ unrolled 1 "453.boy-surface"; unrolled 4 "453.boy-surface";
+            unrolled 1 "433.mult-su2-mat"; unrolled 4 "433.mult-su2-mat";
+            unrolled 4 "loop.norm4";
+            ( "24-leaf VL-8 chain",
+              Lslp_fuzz.Gen.build (long_chain (Random.State.make [| 7 |])) )
+          ]);
+    tc "after the store seeds, every candidate root is scalar" (fun () ->
+        List.iter
+          (fun factor ->
+            List.iter
+              (fun (k : Lslp_kernels.Catalog.kernel) ->
+                let name, f = unrolled factor k.Lslp_kernels.Catalog.key in
+                List.iter
+                  (fun (config : Config.t) ->
+                    let _, g =
+                      vectorize ~config:(Config.with_reductions false config) f
+                    in
+                    List.iter
+                      (fun b ->
+                        List.iter
+                          (fun (c : Reduction.candidate) ->
+                            let ty = c.Reduction.cand_root.Instr.ty in
+                            check_bool
+                              (Fmt.str "%s %s %s: %s root %a" name
+                                 config.Config.name (Block.label b)
+                                 (Reduction.describe c) Types.pp ty)
+                              false (Types.is_vector ty))
+                          (Reduction.collect_candidates b))
+                      (Func.blocks g))
+                  [ Config.slp_nr; Config.slp; Config.lslp ])
+              Lslp_kernels.Catalog.all)
+          [ 1; 4 ]);
+  ]
+
+let suite = suite @ scalar_root_tests

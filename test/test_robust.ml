@@ -512,6 +512,48 @@ let fuzz_tests =
             true
             (Fuzz.case ~arm:(Fuzz.Classic (Some config)) ~seed:42 k = drawn)
         done);
+    tc "fuzz: an unforced degradation fails the case, a spent budget not"
+      (fun () ->
+        let report, _ = vectorize (kernel "motivation-multi") in
+        let region name outcome =
+          {
+            Lslp_check.Remark.region = name;
+            block = "entry";
+            lanes = 0;
+            cost = None;
+            threshold = 0;
+            outcome;
+            notes = [];
+          }
+        in
+        let degraded =
+          region "A[i] x2"
+            (Lslp_check.Remark.Degraded
+               { pass = "codegen"; error = "gather lane 0 is not scalar" })
+        and exhausted =
+          region "B[i] x2"
+            (Lslp_check.Remark.Budget_exhausted
+               { pass = "graph-build"; what = "look-ahead fuel" })
+        in
+        let judge ~faults regions =
+          Lslp_fuzz.Fuzz.unforced_degradation ~faults
+            { report with Pipeline.regions }
+        in
+        check
+          Alcotest.(option string)
+          "the degraded region fails the case"
+          (Some
+             "region A[i] x2 degraded with no fault armed: codegen: gather \
+              lane 0 is not scalar")
+          (judge ~faults:false [ degraded; exhausted ]);
+        check
+          Alcotest.(option string)
+          "the spent budget does not" None
+          (judge ~faults:false [ exhausted ]);
+        check
+          Alcotest.(option string)
+          "with a fault armed, neither does" None
+          (judge ~faults:true [ degraded; exhausted ]));
   ]
 
 (* Rollback over the in-place rewrites of a real commit. *)

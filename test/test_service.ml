@@ -474,6 +474,32 @@ let await_reraises () =
   Pool.await (Pool.launch (fun () -> Atomic.set ran true));
   Helpers.check_bool "launcher still runs thunks" true (Atomic.get ran)
 
+(* A job runs under the minor heap of the domain that ran the pool, and a
+   parked worker follows that domain back when it restores its setting. *)
+let pool_adopts_minor_heap () =
+  let saved = Gc.get () in
+  let sizes_read_by_jobs () =
+    Pool.run (quiet_pool 2)
+      (Array.init 4 (fun i ->
+           ( Fmt.str "job-%d" i,
+             fun ~inject:_ ~deadline:_ -> (Gc.get ()).Gc.minor_heap_size )))
+    |> Array.map (function
+         | Pool.Done words -> words
+         | Pool.Degraded_to_failure _ -> Alcotest.fail "clean run degraded")
+  in
+  let doubled = 2 * saved.Gc.minor_heap_size in
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      Gc.set { saved with Gc.minor_heap_size = doubled };
+      Array.iter
+        (Helpers.check_int "a job reads the caller's size" doubled)
+        (sizes_read_by_jobs ()));
+  Array.iter
+    (Helpers.check_int "after the restore, the caller's old size"
+       saved.Gc.minor_heap_size)
+    (sizes_read_by_jobs ())
+
 (* ---- the cache under concurrent hits ------------------------------ *)
 
 (* Two domains hit one entry 200 times each; one hit of the first domain
@@ -590,6 +616,8 @@ let suite =
     Helpers.tc "pool: worker-raise outcomes, respawns and flight unchanged"
       pool_worker_raise_unchanged;
     Helpers.tc "pool: await re-raises the thunk's exception" await_reraises;
+    Helpers.tc "pool: a job runs under the caller's minor heap"
+      pool_adopts_minor_heap;
     Helpers.tc "cache: concurrent hits, one poisoned, evict once"
       cache_concurrent_poison;
     Helpers.tc "cache: a damaged payload evicts and recompiles"

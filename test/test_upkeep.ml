@@ -560,7 +560,7 @@ let rollback_digest () =
 let rollback_tests =
   [
     tc "every injection point rolls back to the pinned output" (fun () ->
-        check_string "digest" "fc3789c4f28d2b62a88474fc5d6d8c2f" (rollback_digest ()));
+        check_string "digest" "fd06109d87bd4f1c2a65c7c3cd3acae2" (rollback_digest ()));
   ]
 
 let suite =

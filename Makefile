@@ -5,7 +5,7 @@
   bench-baseline bench-speed bench-speed-report bench-serve \
   bench-serve-report trace-golden cond-smoke metrics-check \
   metrics-baseline metrics-smoke perfbench layers-check layers-baseline \
-  perf-ab opaque-check perfbench-smoke
+  perf-ab opaque-check perfbench-smoke score-memo
 
 all:
 	dune build
@@ -171,6 +171,15 @@ bench-serve:
 bench-serve-report:
 	dune exec bench/serve.exe -- --reps 100 --no-write --min-warm-speedup 5
 
+# The look-ahead score memo priced per kernel (report-only, not in CI):
+# one LSLP graph build of every catalog kernel whose build scores a tie,
+# best-of-15 x 300 with the memo on, off and at depth 0, plus its exact
+# evals and hits.  Rewrites bench_results/SCORE_MEMO.txt.
+score-memo:
+	dune build bench/scorememo.exe
+	./_build/default/bench/scorememo.exe > bench_results/SCORE_MEMO.txt
+	cat bench_results/SCORE_MEMO.txt
+
 # Tolerance-free exposition gate for the observability layer: two
 # identical 1-domain batches must dump byte-identical Prometheus metrics
 # and flight-recorder JSONL, and the metrics dump must match the
@@ -216,11 +225,14 @@ T ?= 0
 perfbench:
 	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds 10 --trace $(T)
 
-# The benchmark's correctness gate, timings ignored: 2 s of `chains` (the
-# only workload with blocks over 256 instructions) and of `batch-mixed`
-# (consecutive 2-domain batches through the real service), every result
-# checked against Pipeline.run; any divergence fails the target.
+# The benchmark's correctness gate, timings ignored: 2 s of `catalog` (the
+# paper's kernels from source, the workload perf claims are made on), of
+# `chains` (the only workload with blocks over 256 instructions) and of
+# `batch-mixed` (consecutive 2-domain batches through the real service),
+# every result checked against Pipeline.run; any divergence fails the
+# target.
 perfbench-smoke:
+	python3 perfbench/run.py --workload catalog --seed 7 --seconds 2 --trace 0
 	python3 perfbench/run.py --workload chains --seed 7 --seconds 2 --trace 0
 	python3 perfbench/run.py --workload batch-mixed --seed 7 --seconds 2 --trace 0
 

@@ -24,9 +24,6 @@ type ctx = {
   arena : Arena.t;  (* the dependence graph's snapshot of the block *)
   uses : Use_info.t;
   graph : Graph.t;
-  mutable scores : Lslp_telemetry.Score_cache.t option;
-    (* the look-ahead memo shared by this build's reorder calls, created on
-       the first one; each call clears it, so entries live for one call *)
   note : Lslp_check.Remark.note -> unit;
   meter : Lslp_robust.Budget.meter option;
   probe : Lslp_telemetry.Probe.t option;
@@ -46,7 +43,6 @@ let make_ctx ?(note = fun _ -> ()) ?meter ?probe ?ids ?deps config
     arena;
     uses = Use_info.of_arena arena;
     graph = Graph.create ?ids ();
-    scores = None;
     note;
     meter;
     probe;
@@ -78,16 +74,6 @@ let array_of_rev n l =
     let a = Array.make n x in
     List.iteri (fun j v -> a.(n - 1 - j) <- v) l;
     a
-
-(* The build's score cache, when [Config.score_cache] asks for one. *)
-let score_cache ctx =
-  match ctx.scores with
-  | Some _ as c -> c
-  | None when ctx.config.Config.score_cache ->
-    let c = Some (Lslp_telemetry.Score_cache.create ()) in
-    ctx.scores <- c;
-    c
-  | None -> None
 
 let rec build_bundle ctx (b : Bundle.t) : Graph.node =
   let key = Graph.bundle_key ctx.graph b in
@@ -266,7 +252,7 @@ and build_multinode ctx (root_insts : Instr.t array) (op : Opcode.binop) =
         Lslp_robust.Inject.Reorder;
       let m, modes =
         Reorder.reorder_matrix_modes ?meter:ctx.meter ?probe:ctx.probe
-          ~arena:ctx.arena ?cache:(score_cache ctx) ctx.config matrix
+          ~arena:ctx.arena ctx.config matrix
       in
       let failed =
         Array.fold_left

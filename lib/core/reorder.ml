@@ -98,11 +98,11 @@ let pair_score v1 v2 = pair_score_in None v1 v2
    [cache] memoizes instruction/instruction comparisons on (id, id,
    remaining level, combine mode) — sound as long as the operand DAG is
    frozen, which holds for the lifetime of one reorder invocation (see
-   Lslp_telemetry.Score_cache).  A cache
-   hit skips the recursion entirely and therefore burns no look-ahead
-   fuel: under a tight budget the cached run can only get further than
-   the uncached one, never less far.  [probe] counts evaluations and cache
-   hits/misses. *)
+   Lslp_telemetry.Score_cache).  A cache hit skips the recursion entirely
+   and therefore burns no look-ahead fuel: under a tight budget the cached
+   run can only get further than the uncached one, never less far.
+   [probe] counts evaluations and cache hits/misses.  Neither a lookup, a
+   store nor a two-operand comparison allocates. *)
 let combine_tag = function Config.Score_sum -> 0 | Config.Score_max -> 1
 
 let rec lookahead_in ?meter ?cache ?probe arena
@@ -114,19 +114,19 @@ let rec lookahead_in ?meter ?cache ?probe arena
     let mode = combine_tag combine in
     let s = Score_cache.find c ~a ~b ~level ~mode in
     if s <> Score_cache.absent then begin
-      Option.iter
-        (fun p ->
-          let pc = Probe.counters p in
-          pc.Probe.score_hits <- pc.Probe.score_hits + 1)
-        probe;
+      (match probe with
+       | Some p ->
+         let pc = Probe.counters p in
+         pc.Probe.score_hits <- pc.Probe.score_hits + 1
+       | None -> ());
       s
     end
     else begin
-      Option.iter
-        (fun p ->
-          let pc = Probe.counters p in
-          pc.Probe.score_misses <- pc.Probe.score_misses + 1)
-        probe;
+      (match probe with
+       | Some p ->
+         let pc = Probe.counters p in
+         pc.Probe.score_misses <- pc.Probe.score_misses + 1
+       | None -> ());
       let s =
         lookahead_compute ?meter ?cache ?probe arena ~combine v1 v2 ~level
       in
@@ -143,37 +143,54 @@ and lookahead_compute ?meter ?cache ?probe arena
      deeply-shared DAG bails with [Budget.Exhausted] instead of going
      exponential. *)
   Option.iter Lslp_robust.Budget.spend_fuel meter;
-  Option.iter
-    (fun p ->
-      let pc = Probe.counters p in
-      pc.Probe.score_evals <- pc.Probe.score_evals + 1)
-    probe;
+  (match probe with
+   | Some p ->
+     let pc = Probe.counters p in
+     pc.Probe.score_evals <- pc.Probe.score_evals + 1
+   | None -> ());
   if level <= 0 || Instr.equal_value v1 v2 then pair_score_in arena v1 v2
   else
     match (v1, v2) with
     | Instr.Ins a, Instr.Ins b
       when Instr.same_opclass a b && not (Instr.is_load a) -> (
-      let score x y =
-        lookahead_in ?meter ?cache ?probe arena ~combine x y ~level:(level - 1)
-      in
-      match (Instr.operands a, Instr.operands b, combine) with
-      | [], _, _ | _, [], _ -> pair_score_in arena v1 v2
-      | [ a1; a2 ], [ b1; b2 ], Config.Score_sum ->
-        let aligned = score a1 b1 + score a2 b2 in
+      let level = level - 1 in
+      match (a.Instr.kind, b.Instr.kind) with
+      | ( (Instr.Binop (_, a1, a2) | Instr.Cmp (_, a1, a2)),
+          (Instr.Binop (_, b1, b2) | Instr.Cmp (_, b1, b2)) ) -> (
+        (* Two operands a side, scored in place: no operand lists and no
+           closure. *)
+        let aligned =
+          score2 ?meter ?cache ?probe arena ~combine ~level a1 b1 a2 b2
+        in
         if Instr.is_commutative a then
-          max aligned (score a1 b2 + score a2 b1)
-        else aligned
-      | [ a1; a2 ], [ b1; b2 ], Config.Score_max ->
-        let aligned = max (score a1 b1) (score a2 b2) in
-        if Instr.is_commutative a then
-          max aligned (max (score a1 b2) (score a2 b1))
-        else aligned
-      | ops_a, ops_b, Config.Score_sum when List.length ops_a = List.length ops_b
-        -> List.fold_left2 (fun acc x y -> acc + score x y) 0 ops_a ops_b
-      | ops_a, ops_b, Config.Score_max when List.length ops_a = List.length ops_b
-        -> List.fold_left2 (fun acc x y -> max acc (score x y)) 0 ops_a ops_b
-      | _ -> pair_score_in arena v1 v2)
+          Int.max aligned
+            (score2 ?meter ?cache ?probe arena ~combine ~level a1 b2 a2 b1)
+        else aligned)
+      | _ -> (
+        let score x y =
+          lookahead_in ?meter ?cache ?probe arena ~combine x y ~level
+        in
+        match (Instr.operands a, Instr.operands b, combine) with
+        | [], _, _ | _, [], _ -> pair_score_in arena v1 v2
+        | ops_a, ops_b, Config.Score_sum
+          when List.length ops_a = List.length ops_b ->
+          List.fold_left2 (fun acc x y -> acc + score x y) 0 ops_a ops_b
+        | ops_a, ops_b, Config.Score_max
+          when List.length ops_a = List.length ops_b ->
+          List.fold_left2 (fun acc x y -> max acc (score x y)) 0 ops_a ops_b
+        | _ -> pair_score_in arena v1 v2))
     | (Instr.Const _ | Instr.Arg _ | Instr.Ins _), _ -> pair_score_in arena v1 v2
+
+(* Two comparisons combined, [x2]/[y2] first: the order in which the list
+   form's [score x1 y1 + score x2 y2] runs them (OCaml evaluates operands
+   right to left), which fuel and the hit/miss counters depend on. *)
+and score2 ?meter ?cache ?probe arena ~(combine : Config.score_combine)
+    ~level x1 y1 x2 y2 =
+  let s2 = lookahead_in ?meter ?cache ?probe arena ~combine x2 y2 ~level in
+  let s1 = lookahead_in ?meter ?cache ?probe arena ~combine x1 y1 ~level in
+  match combine with
+  | Config.Score_sum -> s1 + s2
+  | Config.Score_max -> Int.max s1 s2
 
 let lookahead_score ?meter ?cache ?probe ~combine v1 v2 ~level =
   lookahead_in ?meter ?cache ?probe None ~combine v1 v2 ~level
@@ -222,12 +239,19 @@ let tie_break ?meter ?cache ?probe ?levels arena (config : Config.t) last
    {!choose} left its slot in.  Allocated once per reorder call and
    refilled per lane: a pick marks its entry taken instead of rebuilding
    the pool, and taking the first untaken entry equal to the pick is
-   exactly the list form's remove-first-occurrence. *)
+   exactly the list form's remove-first-occurrence.
+
+   [memo] is the call's score memo: the caller's table, or, when
+   [acquire] is set, none yet — the first tie-break takes this domain's
+   table ({!Score_cache.acquire}), so a call that never scores never
+   touches it. *)
 type pool = {
   vals : Instr.value array;
   ix : int array;
   taken : Bytes.t;
   mutable mode : mode;
+  mutable memo : Score_cache.t option;
+  mutable acquire : bool;
 }
 
 let is_taken p k = Bytes.unsafe_get p.taken k <> '\000'
@@ -268,7 +292,7 @@ let value_text (v : Instr.value) = Fmt.str "%a" Printer.pp_value v
    A tracing [?probe] records one [Get_best] event: the candidate set, the
    per-level look-ahead scores of the tie-break, the winner, and the
    Score_cache hit/miss delta of this call. *)
-let choose ?meter ?cache ?probe arena (config : Config.t) p (mode : mode)
+let choose ?meter ?probe arena (config : Config.t) p (mode : mode)
     (last : Instr.value) =
   let traced =
     match probe with
@@ -309,8 +333,13 @@ let choose ?meter ?cache ?probe arena (config : Config.t) p (mode : mode)
             (fun v -> matches_at arena last last_ix v (arena_index arena v))
             (untaken_list p)
         in
+        if p.acquire then begin
+          p.acquire <- false;
+          p.memo <- Some (Score_cache.acquire ())
+        end;
         first_equal p
-          (tie_break ?meter ?cache ?probe ?levels arena config last matching)
+          (tie_break ?meter ?cache:p.memo ?probe ?levels arena config last
+             matching)
           first
   in
   (match traced with
@@ -331,91 +360,108 @@ let choose ?meter ?cache ?probe arena (config : Config.t) p (mode : mode)
    | None -> ());
   k
 
-let pool_of arena (vals : Instr.value array) =
+let pool_of arena (vals : Instr.value array) ~memo ~acquire =
   {
     vals;
     ix = Array.map (arena_index arena) vals;
     taken = Bytes.make (Array.length vals) '\000';
     mode = Failed_mode;
+    memo;
+    acquire;
   }
 
 let get_best ?meter ?cache ?probe (config : Config.t) (mode : mode)
     (last : Instr.value) (candidates : Instr.value list) :
     Instr.value option * mode =
-  let p = pool_of None (Array.of_list candidates) in
-  let k = choose ?meter ?cache ?probe None config p mode last in
+  let p = pool_of None (Array.of_list candidates) ~memo:cache ~acquire:false in
+  let k = choose ?meter ?probe None config p mode last in
   ((if k < 0 then None else Some p.vals.(k)), p.mode)
 
 (* Listing 5: the top-level matrix reorder.  [columns.(slot).(lane)] is the
    unordered operand matrix; the result has the same multiset of values per
    lane, rearranged across slots. *)
+let reorder_in ?meter ?probe arena (config : Config.t) p
+    (columns : Instr.value array array) =
+  let num_slots = Array.length columns in
+  let lanes = Array.length columns.(0) in
+  let final = Array.map Array.copy columns in
+  let mode = Array.map (fun col -> init_mode col.(0)) columns in
+  let filled = Bytes.make num_slots '\000' in
+  for lane = 1 to lanes - 1 do
+    for s = 0 to num_slots - 1 do
+      p.vals.(s) <- columns.(s).(lane);
+      p.ix.(s) <- arena_index arena p.vals.(s)
+    done;
+    Bytes.fill p.taken 0 num_slots '\000';
+    Bytes.fill filled 0 num_slots '\000';
+    for s = 0 to num_slots - 1 do
+      match mode.(s) with
+      | Failed_mode -> () (* deferred: let others choose first *)
+      | Const_mode | Load_mode | Opcode_mode | Splat_mode ->
+        let last = final.(s).(lane - 1) in
+        let k = choose ?meter ?probe arena config p mode.(s) last in
+        mode.(s) <- p.mode;
+        if k >= 0 then begin
+          let v = p.vals.(k) in
+          Bytes.unsafe_set p.taken k '\001';
+          Bytes.unsafe_set filled s '\001';
+          final.(s).(lane) <- v;
+          (* SPLAT detection: the exact same value continues the slot *)
+          if Instr.equal_value v last && mode.(s) <> Failed_mode then
+            mode.(s) <- Splat_mode
+        end
+    done;
+    (* failed slots take the leftovers in order *)
+    for s = 0 to num_slots - 1 do
+      if Bytes.unsafe_get filled s = '\000' then
+        match first_untaken p 0 with
+        | -1 -> ()
+        | k ->
+          Bytes.unsafe_set p.taken k '\001';
+          final.(s).(lane) <- p.vals.(k)
+    done
+  done;
+  (match probe with
+   | Some pr when Probe.tracing pr ->
+     Probe.record pr
+       (Lslp_trace.Trace.Slot_modes
+          { modes = Array.to_list (Array.map mode_to_string mode) })
+   | Some _ | None -> ());
+  (final, mode)
+
+(* Hand back the domain table, if this call acquired it. *)
+let release_acquired ~cache p =
+  match (cache, p.memo) with
+  | None, Some held -> Score_cache.release held
+  | Some _, _ | None, None -> ()
+
+(* One score-memo scope per reorder invocation: the operand DAG is frozen
+   until this function returns, so memoizing on instruction identity is
+   sound, and starting empty here means a rollback (or any later mutation)
+   can never observe a stale entry.  The caller's [?cache] is cleared now;
+   without one, the first tie-break acquires this domain's table (cleared
+   by the acquire) and the call releases it on the way out, exception or
+   not. *)
 let reorder_matrix_modes ?meter ?probe ?arena ?cache
     (config : Config.t) (columns : Instr.value array array) :
     Instr.value array array * mode array =
-  let num_slots = Array.length columns in
-  if num_slots = 0 then ([||], [||])
+  if Array.length columns = 0 then ([||], [||])
   else begin
-    (* One score-cache scope per reorder invocation: the operand DAG is
-       frozen until this function returns, so memoizing on instruction
-       identity is sound, and starting empty here means a rollback (or any
-       later mutation) can never observe a stale entry. *)
-    let cache =
-      if not config.Config.score_cache then None
-      else
-        match cache with
-        | Some c ->
-          Score_cache.clear c;
-          Some c
-        | None -> Some (Score_cache.create ())
+    let on = config.Config.score_cache in
+    let memo = if on then cache else None in
+    Option.iter Score_cache.clear memo;
+    let p =
+      pool_of arena
+        (Array.map (fun col -> col.(0)) columns)
+        ~memo ~acquire:(on && Option.is_none cache)
     in
-    let lanes = Array.length columns.(0) in
-    let final = Array.map Array.copy columns in
-    let mode = Array.map (fun col -> init_mode col.(0)) columns in
-    let p = pool_of arena (Array.map (fun col -> col.(0)) columns) in
-    let filled = Bytes.make num_slots '\000' in
-    for lane = 1 to lanes - 1 do
-      for s = 0 to num_slots - 1 do
-        p.vals.(s) <- columns.(s).(lane);
-        p.ix.(s) <- arena_index arena p.vals.(s)
-      done;
-      Bytes.fill p.taken 0 num_slots '\000';
-      Bytes.fill filled 0 num_slots '\000';
-      for s = 0 to num_slots - 1 do
-        match mode.(s) with
-        | Failed_mode -> () (* deferred: let others choose first *)
-        | Const_mode | Load_mode | Opcode_mode | Splat_mode ->
-          let last = final.(s).(lane - 1) in
-          let k =
-            choose ?meter ?cache ?probe arena config p mode.(s) last
-          in
-          mode.(s) <- p.mode;
-          if k >= 0 then begin
-            let v = p.vals.(k) in
-            Bytes.unsafe_set p.taken k '\001';
-            Bytes.unsafe_set filled s '\001';
-            final.(s).(lane) <- v;
-            (* SPLAT detection: the exact same value continues the slot *)
-            if Instr.equal_value v last && mode.(s) <> Failed_mode then
-              mode.(s) <- Splat_mode
-          end
-      done;
-      (* failed slots take the leftovers in order *)
-      for s = 0 to num_slots - 1 do
-        if Bytes.unsafe_get filled s = '\000' then
-          match first_untaken p 0 with
-          | -1 -> ()
-          | k ->
-            Bytes.unsafe_set p.taken k '\001';
-            final.(s).(lane) <- p.vals.(k)
-      done
-    done;
-    (match probe with
-     | Some pr when Probe.tracing pr ->
-       Probe.record pr
-         (Lslp_trace.Trace.Slot_modes
-            { modes = Array.to_list (Array.map mode_to_string mode) })
-     | Some _ | None -> ());
-    (final, mode)
+    match reorder_in ?meter ?probe arena config p columns with
+    | result ->
+      release_acquired ~cache p;
+      result
+    | exception e ->
+      release_acquired ~cache p;
+      raise e
   end
 
 let reorder_matrix ?meter ?probe config columns =

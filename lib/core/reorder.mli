@@ -47,7 +47,9 @@ val lookahead_score :
     (instruction, instruction, level, combine); hits skip the recursion and
     burn no fuel.  The cache is only sound while the operand DAG is frozen
     — scope it to one reorder invocation.  [?probe] counts evaluations and
-    hits/misses. *)
+    hits/misses.  A two-operand comparison (binary op or compare) builds
+    no operand list; its four sub-comparisons run in the list form's
+    order. *)
 
 val init_mode : Instr.value -> mode
 
@@ -75,8 +77,9 @@ val reorder_matrix :
   Instr.value array array ->
   Instr.value array array
 (** Listing 5 over [columns.(slot).(lane)].  Preserves each lane's multiset
-    of operands; lane 0 is kept as-is.  With [Config.score_cache] one score
-    cache is created for (and discarded with) the invocation. *)
+    of operands; lane 0 is kept as-is.  With [Config.score_cache] the
+    look-ahead memoizes in this domain's table, as {!reorder_matrix_modes}
+    does without [?cache]. *)
 
 val reorder_matrix_modes :
   ?meter:Lslp_robust.Budget.meter ->
@@ -91,9 +94,12 @@ val reorder_matrix_modes :
     [?probe] additionally records the [Slot_modes] assignment (paper
     Table 1) and one [Get_best] event per (slot, lane) choice.  With
     [Config.score_cache] the look-ahead memoizes in [?cache], cleared
-    first (a graph build reuses one table across its reorder calls), or
-    else in a cache created for the invocation; either way entries live
-    for exactly one call.  [?cache] is ignored when [Config.score_cache] is off. *)
+    first, or else in the calling domain's table
+    ({!Lslp_telemetry.Score_cache.acquire}), taken by the call's first
+    tie-break and released when the call returns or raises; a call that
+    never scores never touches it.  Either way entries live for exactly
+    one call.  Reorder calls must not nest on one domain.  [?cache] is
+    ignored when [Config.score_cache] is off. *)
 
 val vanilla_pair : Instr.t array -> Instr.value array * Instr.value array
 (** LLVM-4.0-faithful two-operand reorder (peeled lane 0, splat /

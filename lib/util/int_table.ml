@@ -16,10 +16,14 @@ type t = {
 
 let empty_key = min_int
 
-(* Fibonacci hashing: odd multiplier, top bits folded down by [land mask]
-   after a shift.  Good enough for dense ids and packed keys alike. *)
+(* Fibonacci hashing over the whole key.  A product's low bits depend
+   only on the factor's low bits, so the key's high half is first folded
+   onto its low half (a no-op for ids below 2^32); the odd multiplier then
+   spreads every bit upward, and the shift folds the product's middle back
+   down to the slot bits.  Dense ids and packed keys alike spread, keys
+   that differ only in their top field included. *)
 let[@inline] slot_of ~mask k =
-  let h = k * 0x2E3779B97F4A7C15 in
+  let h = (k lxor (k lsr 32)) * 0x2E3779B97F4A7C15 in
   (h lxor (h lsr 29)) land mask
 
 let create n =

@@ -7,6 +7,13 @@
 
 type t
 
+val slot_of : mask:int -> int -> int
+(** [slot_of ~mask k] is the home slot of key [k] in a table of
+    [mask + 1] slots ([mask + 1] a power of two): a multiplicative hash
+    that every bit of [k] feeds, so dense ids and packed multi-field keys
+    both spread.  Pure; exported for tables that keep their own slot
+    arrays. *)
+
 val create : int -> t
 (** [create n] sizes the table for about [n] entries (it grows as needed). *)
 

@@ -524,7 +524,10 @@ let reference_configs =
 (* One case: every config, traced and untraced, with no arena, the
    block's arena, and an arena missing one instruction of the matrix —
    and, with an arena, both a per-call cache and a build-wide one reused
-   across two calls (cleared by each). *)
+   across two calls (cleared by each).  A production reorder of another
+   function's matrix, whose instruction ids overlap this one's, runs
+   before the reference and before every checked call: the domain's memo
+   table it leaves behind must never answer for this matrix. *)
 let agrees_with_reference (seed, slots, lanes, fuel) =
   let st = Random.State.make [| seed; 0x5eed |] in
   let block, columns = random_matrix st ~slots ~lanes in
@@ -537,6 +540,7 @@ let agrees_with_reference (seed, slots, lanes, fuel) =
       insts;
     Arena.of_block b
   in
+  let _, other = random_matrix st ~slots ~lanes in
   let budget =
     { Lslp_robust.Budget.unlimited with
       lookahead_fuel = (if fuel = 0 then max_int else fuel) }
@@ -546,12 +550,17 @@ let agrees_with_reference (seed, slots, lanes, fuel) =
       List.for_all
         (fun traced ->
           let meter () = Lslp_robust.Budget.meter budget in
+          let interleave () =
+            ignore (Reorder.reorder_matrix_modes config other)
+          in
+          interleave ();
           let want =
             observe ~traced (fun ~probe ~sink ->
                 Reorder_ref.reorder_matrix_modes ~meter:(meter ()) ~probe
                   ?trace:sink config columns)
           in
           let agree ?arena ?cache () =
+            interleave ();
             let (o, c, e) =
               observe ~traced (fun ~probe ~sink:_ ->
                   Reorder.reorder_matrix_modes ~meter:(meter ()) ~probe

@@ -218,6 +218,107 @@ let cache_tests =
         check_int "stores after two clears" 3
           (Score_cache.find c ~a:7 ~b:8 ~level:1 ~mode:0);
         check_int "one entry" 1 (Score_cache.size c));
+    tc "a cleared entry never answers, even from its own slot" (fun () ->
+        (* two keys whose packed forms share a home slot in every table of
+           up to 1024 slots, found through the documented key layout *)
+        let packed a = (a lsl 37) lor (1 lsl 12) lor (1 lsl 4) in
+        let home a = Lslp_util.Int_table.slot_of ~mask:1023 (packed a) in
+        let rec partner a b =
+          if b > 100_000 then Alcotest.fail "no colliding key found"
+          else if home b = home a then b
+          else partner a (b + 1)
+        in
+        let b = partner 1 2 in
+        let c = Score_cache.create () in
+        Score_cache.store c ~a:1 ~b:1 ~level:1 ~mode:0 5;
+        Score_cache.clear c;
+        check_bool "stale key misses before the reuse" true
+          (Score_cache.find c ~a:1 ~b:1 ~level:1 ~mode:0 = Score_cache.absent);
+        Score_cache.store c ~a:b ~b:1 ~level:1 ~mode:0 6;
+        check_int "new key hits" 6
+          (Score_cache.find c ~a:b ~b:1 ~level:1 ~mode:0);
+        check_bool "old key reads absent" true
+          (Score_cache.find c ~a:1 ~b:1 ~level:1 ~mode:0 = Score_cache.absent);
+        check_int "one entry" 1 (Score_cache.size c);
+        (* a miss behind a full home slot, then a clear: a store of the
+           missed key must land where a find of it looks *)
+        let c = Score_cache.create () in
+        Score_cache.store c ~a:1 ~b:1 ~level:1 ~mode:0 5;
+        check_bool "miss behind the home slot" true
+          (Score_cache.find c ~a:b ~b:1 ~level:1 ~mode:0 = Score_cache.absent);
+        Score_cache.clear c;
+        Score_cache.store c ~a:b ~b:1 ~level:1 ~mode:0 7;
+        check_int "stored after the clear, found" 7
+          (Score_cache.find c ~a:b ~b:1 ~level:1 ~mode:0));
+    tc "generations: 300 clears of a grown table keep only the last round"
+      (fun () ->
+        let c = Score_cache.create () in
+        for round = 1 to 300 do
+          Score_cache.clear c;
+          for a = 1 to 50 do
+            Score_cache.store c ~a:(a + round) ~b:a ~level:2 ~mode:1 round
+          done;
+          check_int "size" 50 (Score_cache.size c)
+        done;
+        for a = 1 to 50 do
+          check_int "last round's entry" 300
+            (Score_cache.find c ~a:(a + 300) ~b:a ~level:2 ~mode:1);
+          check_bool "an older round's entry is gone" true
+            (Score_cache.find c ~a:(a + 299) ~b:a ~level:2 ~mode:1
+             = Score_cache.absent)
+        done);
+    tc "a clear after outgrowing the kept storage drops every entry"
+      (fun () ->
+        let c = Score_cache.create () in
+        for round = 1 to 3 do
+          for a = 1 to 1500 do
+            Score_cache.store c ~a ~b:round ~level:1 ~mode:0 (a + round)
+          done;
+          check_int "grown" 1500 (Score_cache.size c);
+          check_int "last entry" (1500 + round)
+            (Score_cache.find c ~a:1500 ~b:round ~level:1 ~mode:0);
+          Score_cache.clear c;
+          check_int "size after clear" 0 (Score_cache.size c);
+          for a = 1 to 1500 do
+            if Score_cache.find c ~a ~b:round ~level:1 ~mode:0
+               <> Score_cache.absent
+            then Alcotest.failf "round %d: entry %d survived" round a
+          done
+        done);
+    tc "slot_of spreads keys that differ only in their top field" (fun () ->
+        (* 200 packed-key shapes differing above bit 37 only: the slot
+           function must see those bits, not just the low ones *)
+        let seen = Hashtbl.create 256 in
+        for k = 1 to 200 do
+          Hashtbl.replace seen
+            (Lslp_util.Int_table.slot_of ~mask:511 ((k lsl 38) lor 0x5a5a))
+            ()
+        done;
+        check_bool
+          (Fmt.str "%d distinct slots of 512" (Hashtbl.length seen))
+          true
+          (Hashtbl.length seen >= 100));
+    tc "the domain table: held once, cleared on acquire, fresh when isolated"
+      (fun () ->
+        let t = Score_cache.acquire () in
+        Score_cache.store t ~a:1 ~b:2 ~level:1 ~mode:0 4;
+        (match Score_cache.acquire () with
+         | _ -> Alcotest.fail "a nested acquire must raise"
+         | exception Score_cache.Nested_acquire -> ());
+        Score_cache.release t;
+        let t' = Score_cache.acquire () in
+        check_bool "same storage" true (t == t');
+        check_bool "entries of the last holder are gone" true
+          (Score_cache.find t' ~a:1 ~b:2 ~level:1 ~mode:0 = Score_cache.absent);
+        Score_cache.store t' ~a:1 ~b:2 ~level:1 ~mode:0 4;
+        Score_cache.release t';
+        Score_cache.isolated (fun () ->
+            let u = Score_cache.acquire () and v = Score_cache.acquire () in
+            check_bool "isolated tables are fresh" true
+              (u != t && v != t && u != v && Score_cache.size u = 0));
+        let t'' = Score_cache.acquire () in
+        check_bool "isolation ends with its thunk" true (t'' == t);
+        Score_cache.release t'');
     tc "clear empties the table" (fun () ->
         let c = Score_cache.create () in
         Score_cache.store c ~a:1 ~b:2 ~level:3 ~mode:0 7;
@@ -305,6 +406,75 @@ let memo_tests =
         check_bool "cache hits observed" true (c.Probe.score_hits > 0);
         check_bool "graph nodes built" true (c.Probe.graph_nodes > 0);
         check_bool "instructions emitted" true (c.Probe.instrs_emitted > 0));
+  ]
+
+(* ---- the reused domain table never answers stale ------------------- *)
+
+(* The catalog under LSLP and LSLP-LA1..3 at unroll 1 and 4: each compile's
+   printed IR and score counters.  Run in two orders in one process and
+   on two pool domains, every compile must match a run where each reorder
+   call memoizes in a fresh table of its own ({!Score_cache.isolated}):
+   an entry surviving from an earlier reorder call, kernel or
+   configuration would show as a hit the fresh run does not have. *)
+let reuse_cases =
+  List.concat_map
+    (fun config ->
+      List.concat_map
+        (fun unroll ->
+          List.map
+            (fun (k : Catalog.kernel) -> (config, unroll, k))
+            Catalog.all)
+        [ 1; 4 ])
+    [ Config.lslp; Config.lslp_la 1; Config.lslp_la 2; Config.lslp_la 3 ]
+
+let reuse_compile (config, unroll, (k : Catalog.kernel)) =
+  let f = Catalog.compile k in
+  ignore (Lslp_frontend.Unroll.run ~factor:unroll f);
+  let report = Pipeline.run ~config f in
+  let c = total report in
+  ( Printer.func_to_string f,
+    (c.Probe.score_evals, c.Probe.score_hits, c.Probe.score_misses) )
+
+let reuse_name ((config : Config.t), unroll, (k : Catalog.kernel)) =
+  Fmt.str "%s %s unroll %d" k.Catalog.key config.Config.name unroll
+
+let reuse_tests =
+  [
+    tc "the reused memo answers as a fresh table per reorder call would"
+      (fun () ->
+        let cases = Array.of_list reuse_cases in
+        let want =
+          Score_cache.isolated (fun () -> Array.map reuse_compile cases)
+        in
+        let same what k (ir, (e, h, m)) =
+          let want_ir, (we, wh, wm) = want.(k) in
+          let name = Fmt.str "%s: %s" what (reuse_name cases.(k)) in
+          check_string (name ^ " IR") want_ir ir;
+          check_int (name ^ " evals") we e;
+          check_int (name ^ " hits") wh h;
+          check_int (name ^ " misses") wm m
+        in
+        Array.iteri (fun k case -> same "forward" k (reuse_compile case)) cases;
+        for k = Array.length cases - 1 downto 0 do
+          same "reverse" k (reuse_compile cases.(k))
+        done;
+        let jobs =
+          Array.map
+            (fun case -> (reuse_name case, fun ~inject:_ ~deadline:_ ->
+                 reuse_compile case))
+            cases
+        in
+        let pool =
+          { Lslp_service.Pool.default_config with domains = 2; retries = 0 }
+        in
+        Array.iteri
+          (fun k outcome ->
+            match outcome with
+            | Lslp_service.Pool.Done r -> same "2 domains" k r
+            | Lslp_service.Pool.Degraded_to_failure { failure; _ } ->
+              Alcotest.failf "%s: job failed: %a" (reuse_name cases.(k))
+                Lslp_service.Pool.pp_failure failure)
+          (Lslp_service.Pool.run pool jobs));
   ]
 
 (* ---- differential equivalence over generated programs -------------- *)
@@ -410,6 +580,6 @@ let budget_tests =
   ]
 
 let suite =
-  probe_tests @ cache_tests @ report_tests @ memo_tests
+  probe_tests @ cache_tests @ reuse_tests @ report_tests @ memo_tests
   @ [ qcheck_cache_diff; qcheck_budget_superset ]
   @ budget_tests

@@ -172,6 +172,10 @@ and lookahead_compute ?meter ?cache ?probe arena
         in
         match (Instr.operands a, Instr.operands b, combine) with
         | [], _, _ | _, [], _ -> pair_score_in arena v1 v2
+        | [ a1; a2 ], [ b1; b2 ], _ ->
+          (* no other two-operand shape commutes: aligned only, in the
+             binary op's order *)
+          score2 ?meter ?cache ?probe arena ~combine ~level a1 b1 a2 b2
         | ops_a, ops_b, Config.Score_sum
           when List.length ops_a = List.length ops_b ->
           List.fold_left2 (fun acc x y -> acc + score x y) 0 ops_a ops_b
@@ -241,17 +245,16 @@ let tie_break ?meter ?cache ?probe ?levels arena (config : Config.t) last
    the pool, and taking the first untaken entry equal to the pick is
    exactly the list form's remove-first-occurrence.
 
-   [memo] is the call's score memo: the caller's table, or, when
-   [acquire] is set, none yet — the first tie-break takes this domain's
-   table ({!Score_cache.acquire}), so a call that never scores never
-   touches it. *)
+   [memo] is the call's score memo: none until, with [Config.score_cache],
+   the call's first tie-break takes this domain's table
+   ({!Score_cache.acquire}), so a call that never scores never touches
+   it. *)
 type pool = {
   vals : Instr.value array;
   ix : int array;
   taken : Bytes.t;
   mutable mode : mode;
   mutable memo : Score_cache.t option;
-  mutable acquire : bool;
 }
 
 let is_taken p k = Bytes.unsafe_get p.taken k <> '\000'
@@ -333,10 +336,8 @@ let choose ?meter ?probe arena (config : Config.t) p (mode : mode)
             (fun v -> matches_at arena last last_ix v (arena_index arena v))
             (untaken_list p)
         in
-        if p.acquire then begin
-          p.acquire <- false;
-          p.memo <- Some (Score_cache.acquire ())
-        end;
+        if config.Config.score_cache && Option.is_none p.memo then
+          p.memo <- Some (Score_cache.acquire ());
         first_equal p
           (tie_break ?meter ?cache:p.memo ?probe ?levels arena config last
              matching)
@@ -360,22 +361,29 @@ let choose ?meter ?probe arena (config : Config.t) p (mode : mode)
    | None -> ());
   k
 
-let pool_of arena (vals : Instr.value array) ~memo ~acquire =
+let pool_of arena (vals : Instr.value array) =
   {
     vals;
     ix = Array.map (arena_index arena) vals;
     taken = Bytes.make (Array.length vals) '\000';
     mode = Failed_mode;
-    memo;
-    acquire;
+    memo = None;
   }
 
-let get_best ?meter ?cache ?probe (config : Config.t) (mode : mode)
+(* Hand back the domain table, if the call's tie-breaks took it. *)
+let release p = Option.iter Score_cache.release p.memo
+
+let get_best ?meter ?probe (config : Config.t) (mode : mode)
     (last : Instr.value) (candidates : Instr.value list) :
     Instr.value option * mode =
-  let p = pool_of None (Array.of_list candidates) ~memo:cache ~acquire:false in
-  let k = choose ?meter ?probe None config p mode last in
-  ((if k < 0 then None else Some p.vals.(k)), p.mode)
+  let p = pool_of None (Array.of_list candidates) in
+  match choose ?meter ?probe None config p mode last with
+  | k ->
+    release p;
+    ((if k < 0 then None else Some p.vals.(k)), p.mode)
+  | exception e ->
+    release p;
+    raise e
 
 (* Listing 5: the top-level matrix reorder.  [columns.(slot).(lane)] is the
    unordered operand matrix; the result has the same multiset of values per
@@ -429,38 +437,24 @@ let reorder_in ?meter ?probe arena (config : Config.t) p
    | Some _ | None -> ());
   (final, mode)
 
-(* Hand back the domain table, if this call acquired it. *)
-let release_acquired ~cache p =
-  match (cache, p.memo) with
-  | None, Some held -> Score_cache.release held
-  | Some _, _ | None, None -> ()
-
 (* One score-memo scope per reorder invocation: the operand DAG is frozen
    until this function returns, so memoizing on instruction identity is
    sound, and starting empty here means a rollback (or any later mutation)
-   can never observe a stale entry.  The caller's [?cache] is cleared now;
-   without one, the first tie-break acquires this domain's table (cleared
-   by the acquire) and the call releases it on the way out, exception or
-   not. *)
-let reorder_matrix_modes ?meter ?probe ?arena ?cache
-    (config : Config.t) (columns : Instr.value array array) :
-    Instr.value array array * mode array =
+   can never observe a stale entry.  The first tie-break acquires this
+   domain's table (cleared by the acquire) and the call releases it on the
+   way out, exception or not. *)
+let reorder_matrix_modes ?meter ?probe ?arena (config : Config.t)
+    (columns : Instr.value array array) : Instr.value array array * mode array
+    =
   if Array.length columns = 0 then ([||], [||])
   else begin
-    let on = config.Config.score_cache in
-    let memo = if on then cache else None in
-    Option.iter Score_cache.clear memo;
-    let p =
-      pool_of arena
-        (Array.map (fun col -> col.(0)) columns)
-        ~memo ~acquire:(on && Option.is_none cache)
-    in
+    let p = pool_of arena (Array.map (fun col -> col.(0)) columns) in
     match reorder_in ?meter ?probe arena config p columns with
     | result ->
-      release_acquired ~cache p;
+      release p;
       result
     | exception e ->
-      release_acquired ~cache p;
+      release p;
       raise e
   end
 

@@ -55,7 +55,6 @@ val init_mode : Instr.value -> mode
 
 val get_best :
   ?meter:Lslp_robust.Budget.meter ->
-  ?cache:Lslp_telemetry.Score_cache.t ->
   ?probe:Lslp_telemetry.Probe.t ->
   Config.t ->
   mode ->
@@ -64,8 +63,7 @@ val get_best :
   Instr.value option * mode
 (** Listing 6: choose among candidates given the slot's mode and the
     previous lane's pick; [None] means the slot defers (already FAILED).
-    The look-ahead tie-break memoizes in [?cache] when one is supplied;
-    without one it scores as the paper's Listing 7 is written.  A tracing
+    One call is one memo scope, as in {!reorder_matrix_modes}.  A tracing
     [?probe] records one [Get_best] event per call: the candidate set,
     the per-level look-ahead scores of the tie-break, the winner, and the
     Score_cache hit/miss delta of the call. *)
@@ -77,15 +75,13 @@ val reorder_matrix :
   Instr.value array array ->
   Instr.value array array
 (** Listing 5 over [columns.(slot).(lane)].  Preserves each lane's multiset
-    of operands; lane 0 is kept as-is.  With [Config.score_cache] the
-    look-ahead memoizes in this domain's table, as {!reorder_matrix_modes}
-    does without [?cache]. *)
+    of operands; lane 0 is kept as-is.  The look-ahead memoizes as in
+    {!reorder_matrix_modes}. *)
 
 val reorder_matrix_modes :
   ?meter:Lslp_robust.Budget.meter ->
   ?probe:Lslp_telemetry.Probe.t ->
   ?arena:Arena.t ->
-  ?cache:Lslp_telemetry.Score_cache.t ->
   Config.t ->
   Instr.value array array ->
   Instr.value array array * mode array
@@ -93,13 +89,12 @@ val reorder_matrix_modes :
     [Failed_mode] slots are the ones the remarks engine reports; a tracing
     [?probe] additionally records the [Slot_modes] assignment (paper
     Table 1) and one [Get_best] event per (slot, lane) choice.  With
-    [Config.score_cache] the look-ahead memoizes in [?cache], cleared
-    first, or else in the calling domain's table
-    ({!Lslp_telemetry.Score_cache.acquire}), taken by the call's first
-    tie-break and released when the call returns or raises; a call that
-    never scores never touches it.  Either way entries live for exactly
-    one call.  Reorder calls must not nest on one domain.  [?cache] is
-    ignored when [Config.score_cache] is off. *)
+    [Config.score_cache] the look-ahead memoizes in the calling domain's
+    table ({!Lslp_telemetry.Score_cache.acquire}), taken by the call's
+    first tie-break, cleared as it is taken and released when the call
+    returns or raises; a call that never scores never touches it.
+    Entries live for exactly one call.  Reorder calls must not nest on
+    one domain. *)
 
 val vanilla_pair : Instr.t array -> Instr.value array * Instr.value array
 (** LLVM-4.0-faithful two-operand reorder (peeled lane 0, splat /

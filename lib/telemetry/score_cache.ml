@@ -44,9 +44,6 @@ type t = {
          {!clear} returns to *)
   mutable gen : int;   (* >= 1, so a fresh slot (generation 0) is empty *)
   mutable count : int; (* entries of generation [gen] *)
-  mutable hole : int;
-  mutable hole_key : int;
-      (* the empty slot where {!find} last missed [hole_key], -1 for none *)
   mutable busy : bool; (* a reorder call holds this domain table *)
   mutable isolated : bool; (* {!acquire} hands out fresh tables instead *)
 }
@@ -64,8 +61,6 @@ let create () =
     kept = slots;
     gen = 1;
     count = 0;
-    hole = 0;
-    hole_key = -1;
     busy = false;
     isolated = false;
   }
@@ -89,30 +84,15 @@ let[@inline] probe (slots : int array) mask gen key =
   done;
   !s * stride
 
-(* A miss is nearly always followed by a store of the same key, once its
-   score is computed; the hole a miss found lets that store skip the
-   probe.  The hole stays [key]'s slot for as long as it stays empty:
-   entries are never removed within a generation, so every slot before it
-   on [key]'s probe sequence stays full.  A store of another key may fill
-   it (the store then probes), a clear or a growth forgets it. *)
-let[@inline] slot_for t key =
-  let slots = t.slots and gen = t.gen in
-  if t.hole_key = key && Array.unsafe_get slots (t.hole + 1) <> gen then
-    t.hole
-  else probe slots t.mask gen key
-
 let find t ~a ~b ~level ~mode =
   let key = pack ~a ~b ~level ~mode in
   if key < 0 then absent
   else
-    let base = slot_for t key in
-    if Array.unsafe_get t.slots (base + 1) = t.gen then
-      Array.unsafe_get t.slots (base + 2)
-    else begin
-      t.hole <- base;
-      t.hole_key <- key;
-      absent
-    end
+    let slots = t.slots and gen = t.gen in
+    let base = probe slots t.mask gen key in
+    if Array.unsafe_get slots (base + 1) = gen then
+      Array.unsafe_get slots (base + 2)
+    else absent
 
 (* Double the capacity, carrying over this generation's entries only. *)
 let grow t =
@@ -132,14 +112,13 @@ let grow t =
   done;
   t.slots <- slots;
   t.mask <- mask;
-  if cap <= max_kept then t.kept <- slots;
-  t.hole_key <- -1
+  if cap <= max_kept then t.kept <- slots
 
 let store t ~a ~b ~level ~mode score =
   let key = pack ~a ~b ~level ~mode in
   if score <> absent && key >= 0 then begin
     let slots = t.slots and gen = t.gen in
-    let base = slot_for t key in
+    let base = probe slots t.mask gen key in
     let fresh = Array.unsafe_get slots (base + 1) <> gen in
     Array.unsafe_set slots base key;
     Array.unsafe_set slots (base + 1) gen;
@@ -156,7 +135,6 @@ let clear t =
   if t.count > 0 then begin
     t.gen <- t.gen + 1;
     t.count <- 0;
-    t.hole_key <- -1;
     if t.mask >= max_kept then begin
       t.slots <- t.kept;
       t.mask <- (Array.length t.kept / stride) - 1

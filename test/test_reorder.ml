@@ -522,12 +522,11 @@ let reference_configs =
     Config.with_score_cache false (Config.lslp_la 3) ]
 
 (* One case: every config, traced and untraced, with no arena, the
-   block's arena, and an arena missing one instruction of the matrix —
-   and, with an arena, both a per-call cache and a build-wide one reused
-   across two calls (cleared by each).  A production reorder of another
-   function's matrix, whose instruction ids overlap this one's, runs
-   before the reference and before every checked call: the domain's memo
-   table it leaves behind must never answer for this matrix. *)
+   block's arena, and an arena missing one instruction of the matrix.
+   A production reorder of another function's matrix, whose instruction
+   ids overlap this one's, runs before the reference and before every
+   checked call: the domain's memo table it leaves behind must never
+   answer for this matrix. *)
 let agrees_with_reference (seed, slots, lanes, fuel) =
   let st = Random.State.make [| seed; 0x5eed |] in
   let block, columns = random_matrix st ~slots ~lanes in
@@ -559,24 +558,18 @@ let agrees_with_reference (seed, slots, lanes, fuel) =
                 Reorder_ref.reorder_matrix_modes ~meter:(meter ()) ~probe
                   ?trace:sink config columns)
           in
-          let agree ?arena ?cache () =
+          let agree ?arena () =
             interleave ();
             let (o, c, e) =
               observe ~traced (fun ~probe ~sink:_ ->
                   Reorder.reorder_matrix_modes ~meter:(meter ()) ~probe
-                    ?arena ?cache config columns)
+                    ?arena config columns)
             in
             let (wo, wc, we) = want in
             same_outcome o wo && c = wc && e = we
           in
           agree ()
-          && List.for_all
-               (fun ar ->
-                 let cache = Lslp_telemetry.Score_cache.create () in
-                 agree ~arena:ar ()
-                 && agree ~arena:ar ~cache ()
-                 && agree ~arena:ar ~cache ())
-               [ full; partial ])
+          && List.for_all (fun ar -> agree ~arena:ar ()) [ full; partial ])
         [ false; true ])
     reference_configs
 

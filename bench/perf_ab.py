@@ -16,12 +16,14 @@ dev's `-opaque` build.  `--workload all` does this for every workload
 in turn, from one pair of builds.
 
 Per workload it prints each pair's throughput, p50/p90 latency and peak
-heap, then the median of every `end_to_end` metric BENCHMARK.json names
-(read, never written) for both sides with its change, the base's
-throughput quartiles, the pairs the working tree won on throughput, each
-side's correct and failed counts, and a WORSE flag on every median that
-moved past the metric's `bound` in the direction BENCHMARK.json calls
-worse.  Report-only: wall-clock numbers are host noise, so nothing here
+heap.  Then, for every `end_to_end` metric BENCHMARK.json names (read,
+never written), it prints both sides' medians with the change, the
+metric's bound, the base's first and third quartiles, and how many pairs
+the working tree won.  "Won" and "worse" follow the direction
+BENCHMARK.json calls better for that metric: a higher throughput wins, a
+lower latency wins.  A WORSE flag marks every median that moved past its
+`bound` in the worse direction.  Last come each side's correct and failed
+counts.  Report-only: wall-clock numbers are host noise, so nothing here
 gates a build and the exit status ignores the flags.
 
 `--layers` first runs each side's allocation probe (`main.exe --alloc-probe`,
@@ -160,6 +162,11 @@ def worse(metric, base, new):
     return c > metric["bound"]
 
 
+def better(metric, base, new):
+    """[new] beats [base] in the direction BENCHMARK.json calls better."""
+    return new > base if metric["better"] == "higher" else new < base
+
+
 def compare(workload, exes, args, metrics):
     names = [m["name"] for m in metrics]
     print("perf-ab: %s seed %d, %d pair(s) x %gs" % (
@@ -169,7 +176,6 @@ def compare(workload, exes, args, metrics):
         for _, label, _ in PAIR_COLUMNS))
     runs = {"base": [], "new": []}
     checks = {"base": [0, 0], "new": [0, 0]}
-    won = 0
     for pair in range(args.pairs):
         order = ("base", "new") if pair % 2 == 0 else ("new", "base")
         got = {}
@@ -179,33 +185,28 @@ def compare(workload, exes, args, metrics):
             runs[side].append(values)
             checks[side][0] += 1 if correct else 0
             checks[side][1] += failed
-        if got["new"]["throughput_per_s"] > got["base"]["throughput_per_s"]:
-            won += 1
         print("%4d  %-5s " % (pair + 1, order[0]) + "".join(
             "%13.*f %13.*f" % (d, got["base"][n], d, got["new"][n])
             for n, _, d in PAIR_COLUMNS))
-    medians = {side: {n: statistics.median(r[n] for r in runs[side])
-                      for n in names}
-               for side in runs}
-    print("%-22s %14s %14s %9s %7s" % ("median", "base", "new", "change",
-                                        "bound"))
+    print("%-22s %14s %14s %9s %7s %14s %14s %5s" % (
+        "median", "base", "new", "change", "bound", "base q1", "base q3",
+        "won"))
     flagged = []
     for m in metrics:
         n = m["name"]
         d = DECIMALS.get(m["unit"], 1)
-        b, v = medians["base"][n], medians["new"][n]
+        base = [r[n] for r in runs["base"]]
+        b = statistics.median(base)
+        v = statistics.median(r[n] for r in runs["new"])
+        q1, q3 = quartiles(base)
+        won = sum(better(m, rb[n], rn[n])
+                  for rb, rn in zip(runs["base"], runs["new"]))
         bad = worse(m, b, v)
         if bad:
             flagged.append(n)
-        print("%-22s %14.*f %14.*f %+8.1f%% %6.0f%%%s" % (
-            n, d, b, d, v, 100.0 * change(b, v), 100.0 * m["bound"],
-            "  WORSE past bound" if bad else ""))
-    q1, q3 = quartiles([r["throughput_per_s"] for r in runs["base"]])
-    b = medians["base"]["throughput_per_s"]
-    n = medians["new"]["throughput_per_s"]
-    print("throughput: base %.1f [q1 %.1f, q3 %.1f] -> new %.1f/s (%+.1f %%), "
-          "new won %d/%d pair(s)" % (b, q1, q3, n, 100.0 * change(b, n), won,
-                                     args.pairs))
+        print("%-22s %14.*f %14.*f %+8.1f%% %6.0f%% %14.*f %14.*f %2d/%-2d%s" % (
+            n, d, b, d, v, 100.0 * change(b, v), 100.0 * m["bound"], d, q1,
+            d, q3, won, args.pairs, "  WORSE past bound" if bad else ""))
     for side in ("base", "new"):
         print("%s: correct %d/%d run(s), %d failed operation(s)"
               % (side, checks[side][0], args.pairs, checks[side][1]))

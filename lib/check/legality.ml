@@ -153,10 +153,10 @@ let check_block_order deps ~provenance (block : Block.t) add =
         Hashtbl.replace origins p.vector.Instr.id (known @ cur)
       end)
     provenance;
-  let after = Block.to_array block in
-  let n = Array.length after in
+  (* the block's own array, read in place: validation changes nothing *)
+  let after = Block.instrs block and n = Block.length block in
   (* each transformed position's origin, computed once per block, in an
-     array that starts from the static [[||]] (see [Block.to_array]) *)
+     array that starts from the static [[||]] (DESIGN §14) *)
   let origin = Array.make n [||] in
   for x = 0 to n - 1 do
     let i = after.(x) in

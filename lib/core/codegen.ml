@@ -76,7 +76,7 @@ let vector_nodes graph =
     (Graph.nodes graph)
 
 (* Unit [u]'s graph slot, for the vector nodes in unit order.  An int
-   array, so it never starts from a young node (see [Block.to_array]). *)
+   array, so it never starts from a young node (DESIGN §14). *)
 let rec fill_slots a u = function
   | [] -> ()
   | (nd : Graph.node) :: rest ->

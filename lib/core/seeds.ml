@@ -48,28 +48,28 @@ let rec windows max_lanes (run : Instr.t list) : seed list =
     Array.of_list first :: windows max_lanes rest
   end
 
-let collect ?arena ?probe (config : Config.t) (block : Block.t) :
-    seed list =
-  let arena =
-    match arena with Some a -> a | None -> Arena.of_block block
-  in
+(* told from the instruction's own address, so a block without one never
+   builds its arena's address table *)
+let single_store (i : Instr.t) =
+  match i.Instr.kind with
+  | Instr.Store (a, _) | Instr.Masked_store (a, _, _) -> a.Instr.access_lanes = 1
+  | _ -> false
+
+let of_stores config arena =
   let n = Arena.size arena in
   (* single-element stores, grouped by interned base symbol: bucket ids are
      dense and issued in program order of first appearance, so iterating
      buckets in id order is deterministic *)
   let max_base = ref (-1) in
   for k = 0 to n - 1 do
-    if
-      Instr.is_store (Arena.instr arena k)
-      && Arena.addr_lanes arena k = 1
-    then max_base := max !max_base (Arena.addr_base arena k)
+    if single_store (Arena.instr arena k) then
+      max_base := max !max_base (Arena.addr_base arena k)
   done;
+  if !max_base < 0 then [] (* no single-element store, no seed *)
+  else
   let buckets = Array.make (!max_base + 1) [] in
   for k = n - 1 downto 0 do
-    if
-      Instr.is_store (Arena.instr arena k)
-      && Arena.addr_lanes arena k = 1
-    then begin
+    if single_store (Arena.instr arena k) then begin
       let b = Arena.addr_base arena k in
       buckets.(b) <- k :: buckets.(b)
     end
@@ -161,12 +161,17 @@ let collect ?arena ?probe (config : Config.t) (block : Block.t) :
         done)
     buckets;
   (* deterministic order: by position of the first store *)
-  let sorted =
-    List.sort
-      (fun (a : seed) (b : seed) ->
-        Int.compare (Arena.pos arena a.(0)) (Arena.pos arena b.(0)))
-      !seeds
+  List.sort
+    (fun (a : seed) (b : seed) ->
+      Int.compare (Arena.pos arena a.(0)) (Arena.pos arena b.(0)))
+    !seeds
+
+let collect ?arena ?probe (config : Config.t) (block : Block.t) :
+    seed list =
+  let arena =
+    match arena with Some a -> a | None -> Arena.of_block block
   in
+  let sorted = of_stores config arena in
   (match probe with
    | Some p ->
      let c = Lslp_telemetry.Probe.counters p in

@@ -28,8 +28,8 @@ module Int_table = Lslp_util.Int_table
    an operand naming a body instruction is redirected to that position's
    copy.  Regions are self-contained, so every Ins operand refers to an
    earlier instruction of the same block, which is already copied. *)
-let clone_into dst ~slot ~subst_index (body : Instr.t array) =
-  let copies = Array.make (Array.length body) (Instr.Const (Instr.Cint 0L)) in
+let clone_into dst ~slot ~subst_index (body : Instr.t array) n =
+  let copies = Array.make n (Instr.Const (Instr.Cint 0L)) in
   let filled = ref (-1) in
   let remap (v : Instr.value) =
     match v with
@@ -38,15 +38,14 @@ let clone_into dst ~slot ~subst_index (body : Instr.t array) =
       if k >= 0 && k <= !filled then copies.(k) else v
     | Instr.Const _ | Instr.Arg _ -> v
   in
-  Array.iteri
-    (fun k (i : Instr.t) ->
-      let i' = Instr.copy ~ids:(Block.ids dst) i in
-      copies.(k) <- Instr.Ins i';
-      filled := k;
-      Instr.map_operands remap i';
-      Instr.map_address_index subst_index i';
-      Block.append dst i')
-    body
+  for k = 0 to n - 1 do
+    let i' = Instr.copy ~ids:(Block.ids dst) body.(k) in
+    copies.(k) <- Instr.Ins i';
+    filled := k;
+    Instr.map_operands remap i';
+    Instr.map_address_index subst_index i';
+    Block.append dst i'
+  done
 
 let unroll_block ~factor (f : Func.t) (b : Block.t) =
   match Block.loop_info b with
@@ -62,10 +61,11 @@ let unroll_block ~factor (f : Func.t) (b : Block.t) =
       in
       let pin m = Affine.subst counter (Affine.const (start + (m * step))) in
       let ids = Block.ids b in
-      let body = Block.to_array b in
-      let slot = Int_table.create (Array.length body) in
-      Array.iteri (fun k (i : Instr.t) -> Int_table.set slot i.Instr.id k) body;
-      let clone dst subst_index = clone_into dst ~slot ~subst_index body in
+      (* [b] is only replaced, never changed: its array is read in place *)
+      let body = Block.instrs b and n = Block.length b in
+      let slot = Int_table.create n in
+      for k = 0 to n - 1 do Int_table.set slot body.(k).Instr.id k done;
+      let clone dst subst_index = clone_into dst ~slot ~subst_index body n in
       if tc <= factor then begin
         (* full unroll: iteration m runs with the counter at start+m*step *)
         let flat = Block.create ~ids ~label:(Block.label b ^ ".full") () in

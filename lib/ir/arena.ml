@@ -1,53 +1,39 @@
-(* Per-block instruction arena: the int-indexed snapshot behind every hot
+(* Per-block instruction arena: the int-indexed view behind every hot
    query.
 
-   A block is pointer-shaped (a list of mutable records) because passes
-   rewrite it in place; the analyses over it — use counts, positions,
-   address adjacency — are not.  An arena freezes one block into dense
-   arrays:
+   A block stores its instructions as one program-order array
+   ([Block.instrs]).  An arena is a view of that array at the block's
+   length, which it does not copy, plus what the hot passes ask:
 
-   - [instrs]: the instructions in program order; the array index is the
-     *compact index* of an instruction, 0..n-1.  Compact indices are a
-     per-arena coordinate system and must never appear in output — printed
-     IR carries only the ids the function's [Lslp_util.Id_gen] issued.
-   - id -> index: an [Lslp_util.Id_map], an array over the block's id
-     span, which the function's own counter bounds.
-   - CSR use lists: [use_off]/[use_dat], so [num_uses] is one subtraction
-     and [users] walks a contiguous slice.  An instruction using a value
-     twice appears twice, in program order — the same contract the old
-     Hashtbl-of-lists kept.
-   - an address side table (built lazily): base symbol and affine shape
-     interned to small ints by [Addr_intern] (first-seen order, no string
-     built), constant offset and lane count unpacked, so "consecutive?"
-     and "may-alias?" are int compares instead of affine differencing per
-     query.
+   - the compact index of an instruction is its slot, 0..n-1: a
+     per-arena coordinate that never appears in output, where printed IR
+     carries only the ids the function's [Lslp_util.Id_gen] issued;
+   - id -> index: an [Lslp_util.Id_map] over the block's id span;
+   - CSR use lists ([use_off]/[use_dat]): [num_uses] is one subtraction,
+     [users] a contiguous slice; a double use appears twice, in order;
+   - an address table, built on the first address query: base symbol and
+     affine shape interned to small ints by [Addr_intern] (first-seen
+     order, no string built), constant offset and lane count unpacked, so
+     "consecutive?" and "may-alias?" are int compares.
 
-   Invalidation contract: an arena is a snapshot.  Passes that mutate the
-   block (codegen, CSE, DCE, reorderings via [Block.set_order]) must drop
-   the arena and rebuild; read-only passes (seeds, graph build, scoring,
-   cost) share one arena freely.  The verifier builds a fresh arena per
-   block and runs {!check} on it, so a stale-arena bug cannot survive a
-   verified commit.
+   Invalidation contract.  A block never rewrites a slot below its
+   length: [Block.append] writes past it, every other change installs a
+   fresh array.  So an arena keeps reading the state it was built on when
+   the block moves on; it just no longer describes the block.  A pass
+   that mutates the block (codegen, CSE, DCE, [Block.set_order]) builds a
+   new arena after; read-only passes (seeds, graph build, scoring, cost)
+   share one.  [Verifier.check_func_arenas] builds each block's arena in
+   the walk that checks the block, runs {!check} on it and returns it; the
+   pipeline keeps reading a committed block's arena while the block stays
+   as verified (the next seed attempt, then [Reduction.run]), and a
+   rolled-back attempt falls back to its entry arena, whose state the
+   rollback restores.
 
-   Who may reuse a verified arena: [Verifier.check_func_arenas] returns the
-   arenas it built and checked, and the holder may keep reading one for as
-   long as its block stays in the state that was verified.  The pipeline
-   does exactly that: after a region commits, the verified arena of its
-   block feeds the next seed attempt and, at loop exit, [Reduction.run].
-   Within an attempt the same arena answers every question about the
-   block's state: block membership for the fresh-seed filter and
-   [Bundle.classify] ([mem]), as well as positions, uses and addresses.
-   A rolled-back attempt restores the state its own entry arena described,
-   so the pipeline falls back to that arena, never to one built on the
-   rolled-back state.
-
-   One read survives the mutation itself: the id -> index map ([idx],
-   [size], [instr]) names the instructions of the snapshotted state
-   whatever happens to the block afterwards, so codegen keeps indexing the
-   pre-codegen instructions through it while it rewrites the block, and
-   its dead sweep indexes them the same way.  Use counts, users and the
-   address table describe the old state only and are never read once the
-   block has changed. *)
+   Once the block has changed, [idx], [size] and [instr] still name the
+   snapshotted instructions: codegen indexes the pre-codegen instructions
+   through them while it rewrites the block, and so does its dead sweep.
+   Operands are rewritten in place on the instructions, so the use lists
+   and the address table are never read once the block has changed. *)
 
 module Id_map = Lslp_util.Id_map
 
@@ -61,14 +47,15 @@ type addr_tables = {
 
 type t = {
   block : Block.t;
-  instrs : Instr.t array;
+  instrs : Instr.t array; (* the block's own array, read in [0, n) *)
+  n : int;
   idx_map : Id_map.t;  (* instruction id -> compact index | -1 *)
   use_off : int array; (* length n+1, monotone *)
   use_dat : int array; (* user indices grouped by def, program order *)
   mutable addr : addr_tables option; (* built on first address query *)
 }
 
-let size t = Array.length t.instrs
+let size t = t.n
 let block t = t.block
 let instr t k = t.instrs.(k)
 
@@ -80,34 +67,22 @@ let mem t i = idx t i >= 0
 (* Program order is the array order, so position = compact index. *)
 let pos t i = idx t i
 
-let of_block (b : Block.t) =
-  let instrs = Block.to_array b in
-  let n = Array.length instrs in
+let id_span (b : Block.t) =
+  let instrs = Block.instrs b in
   let min_id = ref max_int and max_id = ref min_int in
-  for k = 0 to n - 1 do
+  for k = 0 to Block.length b - 1 do
     let id = instrs.(k).Instr.id in
     if id < !min_id then min_id := id;
     if id > !max_id then max_id := id
   done;
-  let idx_map = Id_map.create ~lo:!min_id ~hi:!max_id in
-  for k = 0 to n - 1 do
-    Id_map.set idx_map instrs.(k).Instr.id k
-  done;
-  (* CSR uses in one offsets array: [use_off.(d)] first counts the uses of
-     [d], a running sum then turns it into the end of [d]'s slice, and the
-     fill, walking users backwards, moves it down to the slice's start.  So
-     each slice lists its users in program order. *)
-  let use_off = Array.make (n + 1) 0 in
-  let count (v : Instr.value) =
-    match v with
-    | Instr.Ins def ->
-      let d = Id_map.get idx_map def.Instr.id in
-      if d >= 0 then use_off.(d) <- use_off.(d) + 1
-    | Instr.Const _ | Instr.Arg _ -> ()
-  in
-  for k = 0 to n - 1 do
-    Instr.iter_operands count instrs.(k)
-  done;
+  Id_map.create ~lo:!min_id ~hi:!max_id
+
+(* [use_off.(d)] holds the use count of [d] on entry: a running sum turns
+   it into the end of [d]'s slice, and the fill, walking users backwards,
+   moves it down to the slice's start.  So each slice lists its users in
+   program order. *)
+let of_index (b : Block.t) idx_map use_off =
+  let instrs = Block.instrs b and n = Block.length b in
   for k = 1 to n do
     use_off.(k) <- use_off.(k - 1) + use_off.(k)
   done;
@@ -127,7 +102,26 @@ let of_block (b : Block.t) =
     user := k;
     Instr.iter_operands fill instrs.(k)
   done;
-  { block = b; instrs; idx_map; use_off; use_dat; addr = None }
+  { block = b; instrs; n; idx_map; use_off; use_dat; addr = None }
+
+let of_block (b : Block.t) =
+  let idx_map = id_span b and instrs = Block.instrs b in
+  let n = Block.length b in
+  for k = 0 to n - 1 do
+    Id_map.set idx_map instrs.(k).Instr.id k
+  done;
+  let use_off = Array.make (n + 1) 0 in
+  let count (v : Instr.value) =
+    match v with
+    | Instr.Ins def ->
+      let d = Id_map.get idx_map def.Instr.id in
+      if d >= 0 then use_off.(d) <- use_off.(d) + 1
+    | Instr.Const _ | Instr.Arg _ -> ()
+  in
+  for k = 0 to n - 1 do
+    Instr.iter_operands count instrs.(k)
+  done;
+  of_index b idx_map use_off
 
 (* ---- uses ---- *)
 
@@ -214,7 +208,6 @@ let addr_base t k = (addr t).a_base.(k)
 let addr_shape t k = (addr t).a_shape.(k)
 let base_count t = (addr t).n_bases
 let addr_const t k = (addr t).a_const.(k)
-let addr_lanes t k = (addr t).a_lanes.(k)
 
 let same_shape t j k =
   let a = addr t in
@@ -228,49 +221,35 @@ let same_shape t j k =
    it uses, so every user index exceeds its def's index). *)
 let err fmt = Format.kasprintf (fun s -> Error s) fmt
 
-let rec instrs_ok t k =
-  if k >= size t then Ok ()
-  else
-    let id = t.instrs.(k).Instr.id in
-    let k' = idx_of_id t id in
-    if k' <> k then err "arena: id %d maps to index %d, expected %d" id k' k
-    else instrs_ok t (k + 1)
+(* the first index in [k, hi) where [bad t] holds, or [hi] *)
+let rec first bad t k hi =
+  if k < hi && not (bad t k) then first bad t (k + 1) hi else k
 
-let rec offs_ok t k =
-  if k >= size t then Ok ()
-  else if t.use_off.(k + 1) < t.use_off.(k) then
-    err "arena: CSR offsets not monotone at %d" k
-  else offs_ok t (k + 1)
+let misplaced t k = idx_of_id t t.instrs.(k).Instr.id <> k
+let falls t k = t.use_off.(k + 1) < t.use_off.(k)
+let outside t j = t.use_dat.(j) < 0 || t.use_dat.(j) >= t.n
 
-let rec uses_ok t j =
-  if j >= Array.length t.use_dat then Ok ()
-  else
-    let u = t.use_dat.(j) in
-    if u < 0 || u >= size t then err "arena: use entry %d out of range" u
-    else uses_ok t (j + 1)
+(* some user of [k] from the [j]th on comes at or before it *)
+let rec used_early t k j =
+  j < t.use_off.(k + 1) && (t.use_dat.(j) <= k || used_early t k (j + 1))
 
-(* every user of [k] from the [j]th on comes after it *)
-let rec users_after t k j =
-  if j >= t.use_off.(k + 1) then true
-  else t.use_dat.(j) > k && users_after t k (j + 1)
-
-let rec acyclic_ok t k =
-  if k >= size t then Ok ()
-  else if not (users_after t k t.use_off.(k)) then
-    err "arena: use of %%%d at or before its definition" t.instrs.(k).Instr.id
-  else acyclic_ok t (k + 1)
+let cyclic t k = used_early t k t.use_off.(k)
 
 let check t =
-  let n = size t in
-  match instrs_ok t 0 with
-  | Error _ as e -> e
-  | Ok () -> (
-    if t.use_off.(0) <> 0 then err "arena: CSR base offset not 0"
-    else if t.use_off.(n) <> Array.length t.use_dat then
-      err "arena: CSR total %d does not match data length %d" t.use_off.(n)
-        (Array.length t.use_dat)
-    else
-      match offs_ok t 0 with
-      | Error _ as e -> e
-      | Ok () -> (
-        match uses_ok t 0 with Error _ as e -> e | Ok () -> acyclic_ok t 0))
+  let n = t.n and len = Array.length t.use_dat in
+  let k = first misplaced t 0 n in
+  if k < n then
+    let id = t.instrs.(k).Instr.id in
+    err "arena: id %d maps to index %d, expected %d" id (idx_of_id t id) k
+  else if t.use_off.(0) <> 0 then err "arena: CSR base offset not 0"
+  else if t.use_off.(n) <> len then
+    err "arena: CSR total %d does not match data length %d" t.use_off.(n) len
+  else if first falls t 0 n < n then
+    err "arena: CSR offsets not monotone at %d" (first falls t 0 n)
+  else if first outside t 0 len < len then
+    err "arena: use entry %d out of range" t.use_dat.(first outside t 0 len)
+  else
+    let k = first cyclic t 0 n in
+    if k < n then
+      err "arena: use of %%%d at or before its definition" t.instrs.(k).Instr.id
+    else Ok ()

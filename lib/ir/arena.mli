@@ -1,24 +1,36 @@
-(** Per-block instruction arena: dense int-indexed snapshot of a block.
-
-    Freezes one block into flat arrays — instructions in program order
-    (the array index is the {e compact index}), an id→index map, CSR use
-    lists, and a lazily-built address side table with interned base
-    symbols and affine shapes ({!Addr_intern}: no string is built).  All
-    hot queries (use counts, positions, adjacency, aliasing) become array
-    reads and int compares.
+(** Per-block instruction arena: an int-indexed view of a block's
+    instruction array ({!Block.instrs}), which it does not copy, with an
+    id → index map, CSR use lists and a lazily built address table of
+    interned base symbols and affine shapes ({!Addr_intern}).  Use
+    counts, positions, adjacency and aliasing become array reads and int
+    compares.
 
     Compact indices are per-arena coordinates; printed IR only ever shows
-    the ids the block's function issued ({!Block.ids}).  An arena is a
-    snapshot: any pass that mutates the block must rebuild it.  One built
-    and {!check}ed by [Verifier.check_func_arenas] may be reused while its
-    block stays in the verified state.  Only the id → index map
-    ({!idx}, {!size}, {!instr}) stays meaningful after the block changes:
-    it still names the snapshotted instructions, which code generation
-    relies on while it rewrites the block. *)
+    the ids the block's function issued ({!Block.ids}).  An arena keeps
+    reading the state it was built on, since a block never rewrites a
+    slot below its length; any pass that mutates the block builds a new
+    one.  One built and {!check}ed by [Verifier.check_func_arenas] may be
+    reused while its block stays in the verified state.  After the block
+    changes, {!idx}, {!size} and {!instr} still name the snapshotted
+    instructions, which code generation relies on while it rewrites the
+    block. *)
 
 type t
 
 val of_block : Block.t -> t
+(** A view of the block's current array ({!Block.instrs}) and length: it
+    copies no instruction and adds the id → index map, the use lists and,
+    on the first address query, the address table. *)
+
+val id_span : Block.t -> Lslp_util.Id_map.t
+(** An empty id map over the span of the block's instruction ids. *)
+
+val of_index : Block.t -> Lslp_util.Id_map.t -> int array -> t
+(** [of_index b map uses] is {!of_block} from what a walk over the block
+    built (the verifier's): [map] sends the id of the [k]-th instruction
+    to [k], and [uses.(k)] (length [length b + 1]) counts its operand
+    occurrences; [uses] becomes the use lists' offsets. *)
+
 val block : t -> Block.t
 
 val size : t -> int
@@ -77,9 +89,6 @@ val base_count : t -> int
 
 val addr_const : t -> int -> int
 (** Constant part of the affine index (meaningless for non-memory). *)
-
-val addr_lanes : t -> int -> int
-(** Access width in elements, [0] for non-memory. *)
 
 val same_shape : t -> int -> int -> bool
 (** Same interned symbolic shape (both must be memory accesses). *)

@@ -1,12 +1,10 @@
-(* A basic block: an ordered sequence of instructions.
-
-   Program order is kept as a reversed spine so [append] — the builder's
-   only operation — is O(1); the forward list is memoized and dropped on
-   every mutation.  Positions and fast membership are the arena's
-   ([Arena.pos], [Arena.mem]): every pass that asks them already holds
-   one. *)
-
-module Int_table = Lslp_util.Int_table
+(* A basic block: an ordered sequence of instructions, kept as one array
+   in program order.  Slots [0, count) hold the instructions, the slots
+   past them are room for [append], the builder's one operation.  No slot
+   below [count] is ever rewritten: every other change installs a fresh
+   array, so an arena or a snapshot holding an old array with its length
+   keeps reading that state.  Positions and fast membership are the
+   arena's ([Arena.pos], [Arena.mem]). *)
 
 type bound = Bound_const of int | Bound_sym of string
 
@@ -22,15 +20,22 @@ type kind = Straight | Loop of loop_info
 type t = {
   label : string;
   kind : kind;
-  ids : Lslp_util.Id_gen.t;                   (* the function's id source *)
-  mutable rev_insts : Instr.t list;           (* reverse program order *)
+  ids : Lslp_util.Id_gen.t;     (* the function's id source *)
+  mutable insts : Instr.t array; (* program order in [0, count) *)
   mutable count : int;
-  mutable fwd_cache : Instr.t list option;    (* memoized program order *)
+  mutable room : int;           (* [append] may write slots [count, room) *)
 }
 
+(* Every instruction array here starts from this one instruction, made at
+   start-up and never in a block: [Array.make] over 256 words from a young
+   element (a block's instructions nearly always are) first runs a whole
+   minor collection (DESIGN §14). *)
+let filler =
+  Instr.create ~ids:(Lslp_util.Id_gen.create ~first:(-1) ()) ~name:"filler"
+    (Instr.Splat (Instr.Const (Instr.Cint 0L))) Types.Void
+
 let create ~ids ?(label = "entry") ?(kind = Straight) () =
-  { label; kind; ids;
-    rev_insts = []; count = 0; fwd_cache = None }
+  { label; kind; ids; insts = [||]; count = 0; room = 0 }
 
 let label b = b.label
 let kind b = b.kind
@@ -53,78 +58,77 @@ let trip_count li =
     else if stop <= li.l_start then Some 0
     else Some ((stop - li.l_start + li.l_step - 1) / li.l_step)
 
-let to_list b =
-  match b.fwd_cache with
-  | Some l -> l
-  | None ->
-    let l = List.rev b.rev_insts in
-    b.fwd_cache <- Some l;
-    l
-
 let length b = b.count
+let instrs b = b.insts
 
-(* OCaml 5.1's [caml_make_vect] (behind [Array.make], [of_list], [map],
-   [init]) allocates an array of more than 256 words in the major heap and,
-   when the initial element is a young heap block, first runs a whole minor
-   collection.  A block's instructions are nearly always young, so the
-   array starts from an immediate that is never read, then is filled in
-   program order through the ordinary write barrier. *)
-let to_array b =
-  let a = Array.make b.count (Obj.magic 0 : Instr.t) in
-  List.iteri (fun k i -> a.(k) <- i) (to_list b);
-  a
+let install b a n =
+  b.insts <- a;
+  b.count <- n;
+  b.room <- Array.length a
+
+let reinstall b a n =
+  b.insts <- a;
+  b.count <- n;
+  (* a holder of [a] may have read past [n] while the block stood longer *)
+  b.room <- n
+
+let to_list b =
+  let rec go k acc = if k < 0 then acc else go (k - 1) (b.insts.(k) :: acc) in
+  go (b.count - 1) []
 
 let append b i =
-  b.rev_insts <- i :: b.rev_insts;
-  b.count <- b.count + 1;
-  b.fwd_cache <- None
+  if b.count = b.room then begin
+    let a = Array.make (max 8 (2 * b.count)) filler in
+    Array.blit b.insts 0 a 0 b.count;
+    install b a b.count
+  end;
+  b.insts.(b.count) <- i;
+  b.count <- b.count + 1
 
-let append_list b is =
-  List.iter (fun i -> b.rev_insts <- i :: b.rev_insts) is;
-  b.count <- b.count + List.length is;
-  b.fwd_cache <- None
+(* over the state at the call, whatever [f] does to the block *)
+let iter f b =
+  let a = b.insts in
+  for k = 0 to b.count - 1 do f a.(k) done
+
+let fold f acc b =
+  let a = b.insts and r = ref acc in
+  for k = 0 to b.count - 1 do r := f !r a.(k) done;
+  !r
 
 (* A scan: membership queries on the compile path go to the arena. *)
 let mem b (i : Instr.t) =
-  let rec go = function
-    | [] -> false
-    | (x : Instr.t) :: rest -> x.Instr.id = i.Instr.id || go rest
-  in
-  go (to_list b)
+  let rec go k = k < b.count && (b.insts.(k).Instr.id = i.Instr.id || go (k + 1)) in
+  go 0
 
-let set_order b insts =
-  b.rev_insts <- List.rev insts;
-  b.count <- List.length insts;
-  b.fwd_cache <- Some insts
-
+(* filled from the end: [rev] is in reverse program order *)
 let set_rev_order b rev =
-  b.rev_insts <- rev;
-  b.count <- List.length rev;
-  b.fwd_cache <- None
+  let n = List.length rev in
+  let a = Array.make n filler in
+  List.iteri (fun k i -> a.(n - 1 - k) <- i) rev;
+  install b a n
 
-let insert_before b ~anchor is =
-  let rec go = function
-    | [] -> invalid_arg "Block.insert_before: anchor not in block"
-    | x :: rest when Instr.equal x anchor -> is @ (x :: rest)
-    | x :: rest -> x :: go rest
-  in
-  set_order b (go (to_list b))
+let set_order b insts = set_rev_order b (List.rev insts)
+
+(* one compacting pass into a fresh array: a view may hold the old one *)
+let filteri b keep =
+  let a = Array.make b.count filler in
+  let n = ref 0 in
+  for k = 0 to b.count - 1 do
+    let i = b.insts.(k) in
+    if keep k i then begin
+      a.(!n) <- i;
+      incr n
+    end
+  done;
+  install b a !n
 
 let remove_ids b ids =
   let dead =
     match ids with
     | [] | [ _ ] -> fun id -> List.mem id ids
     | _ ->
-      let tbl = Int_table.create (2 * List.length ids) in
-      List.iter (fun id -> Int_table.set tbl id 0) ids;
-      fun id -> Int_table.mem tbl id
+      let tbl = Lslp_util.Int_table.create (2 * List.length ids) in
+      List.iter (fun id -> Lslp_util.Int_table.set tbl id 0) ids;
+      fun id -> Lslp_util.Int_table.mem tbl id
   in
-  set_order b
-    (List.filter (fun (i : Instr.t) -> not (dead i.Instr.id)) (to_list b))
-
-let remove b i = remove_ids b [ i.Instr.id ]
-
-let iter f b = List.iter f (to_list b)
-let fold f acc b = List.fold_left f acc (to_list b)
-
-let find_all p b = List.filter p (to_list b)
+  filteri b (fun _ (i : Instr.t) -> not (dead i.Instr.id))

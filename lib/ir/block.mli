@@ -44,41 +44,45 @@ val trip_count : loop_info -> int option
 (** Number of iterations when the bound is constant; [None] for symbolic
     bounds or non-positive steps. *)
 
-val to_list : t -> Instr.t list
-
-val to_array : t -> Instr.t array
-(** The instructions in program order, as a fresh array: the one way the
-    compiler turns a block into an instruction array.  Unlike
-    [Array.of_list (to_list b)] it never forces a minor collection: OCaml
-    5.1 runs one before allocating an array of more than 256 words whose
-    initial element is a young heap block, which a block's just-built
-    instructions nearly always are (DESIGN §14). *)
-
 val length : t -> int
 
+val instrs : t -> Instr.t array
+(** The block's instruction array, read-only: program order in slots
+    [0 .. length b - 1], room for {!append} past them.  No slot below the
+    length is ever rewritten, every change but {!append} installs a fresh
+    array, so the array keeps the state it was taken in: {!Arena.of_block}
+    is a view of it, a transaction snapshot rolls back to it. *)
+
+val reinstall : t -> Instr.t array -> int -> unit
+(** [reinstall b a n] makes slots [0 .. n - 1] of [a], which {!instrs}
+    and {!length} returned earlier, the block's program order again: a
+    snapshot's rollback.  The next {!append} copies [a]: a holder may read
+    past [n]. *)
+
+val to_list : t -> Instr.t list
+(** The program order as a fresh list: the slow path. *)
+
 val append : t -> Instr.t -> unit
-val append_list : t -> Instr.t list -> unit
 
 val mem : t -> Instr.t -> bool
 (** Whether an instruction with this id is in the block: a scan of the
     program order.  A pass holding the block's {!Arena} asks
     [Arena.mem] instead, which is one array read. *)
 
-val insert_before : t -> anchor:Instr.t -> Instr.t list -> unit
-(** Insert a sequence immediately before [anchor].
-    @raise Invalid_argument if [anchor] is not in the block. *)
-
-val remove : t -> Instr.t -> unit
 val remove_ids : t -> int list -> unit
+(** Drop the instructions with these ids, in one compacting pass. *)
+
+val filteri : t -> (int -> Instr.t -> bool) -> unit
+(** Keep the instructions at the positions where [keep k instr] holds, in
+    one compacting pass. *)
 
 val set_order : t -> Instr.t list -> unit
-(** Replace the block's contents/order wholesale (used by the scheduler). *)
+(** Replace the block's contents/order wholesale, as a fresh array. *)
 
 val set_rev_order : t -> Instr.t list -> unit
-(** [set_order] from the list in {e reverse} program order, which the block
-    keeps as its spine as is: a pass that accumulates its output by
-    consing hands it over without reversing it (code generation). *)
+(** [set_order] from the list in {e reverse} program order, filled from
+    the array's end: code generation's accumulator, not reversed. *)
 
 val iter : (Instr.t -> unit) -> t -> unit
 val fold : ('a -> Instr.t -> 'a) -> 'a -> t -> 'a
-val find_all : (Instr.t -> bool) -> t -> Instr.t list
+(** Both walk the state at the call, whatever [f] does to the block. *)

@@ -52,11 +52,8 @@ let run_block block =
       incr removed;
       Instr.iter_operands release (Arena.instr arena stack.(!top))
     done;
-    let live = ref [] in
-    for k = n - 1 downto 0 do
-      if Bytes.unsafe_get dead k = '\000' then live := Arena.instr arena k :: !live
-    done;
-    Block.set_order block !live;
+    (* the arena was built on the block as it stands: index = position *)
+    Block.filteri block (fun k _ -> Bytes.unsafe_get dead k = '\000');
     !removed
 
 (* Blocks are self-contained regions (no cross-block uses), so a per-block

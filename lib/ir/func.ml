@@ -87,12 +87,12 @@ let clone f =
   in
   let clone_block b =
     let b' = Block.create ~ids ~label:(Block.label b) ~kind:(Block.kind b) () in
-    List.iter
+    Block.iter
       (fun (i : Instr.t) ->
         let i' = Instr.copy ~ids i in
         copies.(i.id) <- Some (i, i');
         Block.append b' i')
-      (Block.to_list b);
+      b;
     b'
   in
   let g =

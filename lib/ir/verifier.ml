@@ -6,8 +6,9 @@
 
    It runs on every frontend compile and inside every region transaction,
    so a call allocates little: the per-call state is one record, the checks
-   are top-level functions over it, and one stamp per instruction id stands
-   for both "seen before" and "defined earlier in this block". *)
+   are top-level functions over it, and the id -> index map each block's
+   arena keeps, filled in the same walk, stands for both "seen before" and
+   "defined earlier in this block". *)
 
 type error = { instr : Instr.t option; message : string }
 
@@ -22,27 +23,13 @@ exception Invalid of error list
 
 module Id_map = Lslp_util.Id_map
 
-(* One int per instruction id: [-1] before the checker meets it, [pending]
-   while the instruction's own operands are checked, [b] once it is defined
-   in block [b].  A met id is a duplicate; an operand is defined iff its
-   stamp is the current block's.  Ids outside the function's span
-   (operands defined elsewhere) read as [-1]. *)
-let pending = -2
-
-let stamps_for (f : Func.t) =
-  let lo = ref max_int and hi = ref min_int in
-  Func.iter_instrs
-    (fun (i : Instr.t) ->
-      lo := Int.min !lo i.id;
-      hi := Int.max !hi i.id)
-    f;
-  Id_map.create ~lo:!lo ~hi:!hi
-
 type ctx = {
   args : Instr.arg array;
-  stamps : Id_map.t;
-  mutable block : int;       (* the current block's stamp *)
-  mutable errors : error list; (* newest first *)
+  mutable index : Id_map.t;        (* the current block's id -> index *)
+  mutable uses : int array;        (* its use count by index, n + 1 long *)
+  mutable walked : (Id_map.t * int array) list;
+      (* each walked block's map and use counts, newest first *)
+  mutable errors : error list;     (* newest first *)
 }
 
 let report ctx instr message = ctx.errors <- { instr; message } :: ctx.errors
@@ -83,7 +70,9 @@ let operand_ty (v : Instr.value) =
 let check_value ctx i (v : Instr.value) =
   match v with
   | Instr.Ins def ->
-    if Id_map.get ctx.stamps def.Instr.id <> ctx.block then
+    let d = Id_map.get ctx.index def.Instr.id in
+    if d >= 0 then ctx.uses.(d) <- ctx.uses.(d) + 1
+    else
       err ctx ~instr:i "use of %s before its definition (or of a value \
                         defined in another block — regions are \
                         self-contained)"
@@ -281,16 +270,29 @@ let check_kind ctx ~counter (i : Instr.t) =
     | _, _ ->
       err ctx ~instr:i "shuffle requires vector operand and vector result")
 
-let rec check_instrs ctx ~counter = function
-  | [] -> ()
-  | (i : Instr.t) :: rest ->
-    if Id_map.get ctx.stamps i.id <> -1 then
-      err ctx ~instr:i "instruction appears twice in the function"
-    else Id_map.set ctx.stamps i.id pending;
+(* One walk checks the block and builds what its arena keeps: the
+   id -> index map, which doubles as the stamp, and the use counts.  An id
+   is defined earlier in this block iff the map has it, and met twice iff
+   this map or an earlier block's has it when the walk reaches it.  Ids
+   outside the block's span (operands defined elsewhere) read as [-1]. *)
+let rec met_before id = function
+  | [] -> false
+  | (m, _) :: rest -> Id_map.get m id >= 0 || met_before id rest
+
+let check_block ctx ~counter b =
+  let index = Arena.id_span b and instrs = Block.instrs b in
+  let n = Block.length b in
+  ctx.index <- index;
+  ctx.uses <- Array.make (n + 1) 0;
+  for k = 0 to n - 1 do
+    let i = instrs.(k) in
+    if Id_map.get index i.id >= 0 || met_before i.id ctx.walked then
+      err ctx ~instr:i "instruction appears twice in the function";
     check_operands ctx i;
     check_kind ctx ~counter i;
-    Id_map.set ctx.stamps i.id ctx.block;
-    check_instrs ctx ~counter rest
+    Id_map.set index i.id k
+  done;
+  ctx.walked <- (index, ctx.uses) :: ctx.walked
 
 (* The loop counter of [b], after checking its loop header. *)
 let loop_counter ctx b =
@@ -317,8 +319,8 @@ let loop_counter ctx b =
 
 let check_func_arenas (f : Func.t) =
   let ctx =
-    { args = Array.of_list f.args; stamps = stamps_for f; block = -1;
-      errors = [] }
+    { args = Array.of_list f.args; index = Id_map.create ~lo:0 ~hi:(-1);
+      uses = [||]; walked = []; errors = [] }
   in
   let args = ctx.args in
   for j = 0 to Array.length args - 1 do
@@ -328,6 +330,7 @@ let check_func_arenas (f : Func.t) =
     in
     if seen 0 then err ctx "duplicate argument name %s" name
   done;
+  let blocks = Func.blocks f in
   ignore
     (List.fold_left
        (fun labels b ->
@@ -335,24 +338,26 @@ let check_func_arenas (f : Func.t) =
          if List.exists (String.equal label) labels then
            err ctx "duplicate block label %s" label;
          let counter = loop_counter ctx b in
-         ctx.block <- ctx.block + 1;
-         check_instrs ctx ~counter (Block.to_list b);
+         check_block ctx ~counter b;
          label :: labels)
-       [] (Func.blocks f));
+       [] blocks);
   (* Arena invariants (dense bijective ids, monotone CSR offsets, acyclic
      uses) are part of well-formedness: every accepted function must
      snapshot cleanly.  Checked only on otherwise-valid IR so error lists
-     for malformed inputs are unchanged; the checked arenas are the
-     result. *)
+     for malformed inputs are unchanged; the arenas over the maps the walk
+     filled are the result. *)
   if ctx.errors <> [] then Error (List.rev ctx.errors)
   else
-    let arenas = List.map Arena.of_block (Func.blocks f) in
-    List.iter2
-      (fun b a ->
-        match Arena.check a with
-        | Ok () -> ()
-        | Error message -> err ctx "block %s: %s" (Block.label b) message)
-      (Func.blocks f) arenas;
+    let arenas =
+      List.map2
+        (fun b (index, uses) ->
+          let a = Arena.of_index b index uses in
+          (match Arena.check a with
+           | Ok () -> ()
+           | Error message -> err ctx "block %s: %s" (Block.label b) message);
+          a)
+        blocks (List.rev ctx.walked)
+    in
     if ctx.errors = [] then Ok arenas else Error (List.rev ctx.errors)
 
 let check_func f =
@@ -362,5 +367,3 @@ let verify_exn f =
   match check_func f with
   | [] -> ()
   | errors -> raise (Invalid errors)
-
-let is_valid f = check_func f = []

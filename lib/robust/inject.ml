@@ -139,10 +139,10 @@ let corrupts inj =
    this corruption is always caught — by the checker, not by an
    exception. *)
 let corrupt_block (b : Block.t) =
-  match Block.to_list b with
-  | [] -> false
-  | first :: _ ->
-    Block.set_order b (Block.to_list b @ [ first ]);
+  match Block.length b with
+  | 0 -> false
+  | _ ->
+    Block.append b (Block.instrs b).(0);
     true
 
 let pp ppf t =

@@ -2,17 +2,16 @@
 
    The pipeline mutates blocks in place, so "roll back" must undo two kinds
    of damage: the block's instruction order/membership (codegen rebuilds the
-   whole list) and in-place operand rewrites on surviving scalar
+   whole array) and in-place operand rewrites on surviving scalar
    instructions ([Instr.map_operands] mutates [kind]).  A snapshot therefore
-   saves, per block, the ordered instruction list plus every instruction's
-   [kind]; [restore] writes both back.  The list is the block's memoized
-   program order, held as is: lists are never mutated, and a committed
-   block's order is already memoized by the verifier's arena build, so
-   the snapshot usually adds only the kinds array, one word per
-   instruction.  Instruction identity is preserved across a rollback — the
-   very same [Instr.t] values end up in the block — so id-keyed tables
-   (consumed seeds, dependence snapshots, provenance) held by the caller
-   stay meaningful.
+   saves, per block, its program order plus every instruction's [kind];
+   [restore] writes both back.  The order is the block's own instruction
+   array and length, held as is: a block never rewrites a slot below its
+   length ([Block.instrs]), so the snapshot adds only the kinds array, one
+   word per instruction.  Instruction identity is preserved across a
+   rollback — the very same [Instr.t] values end up in the block — so
+   id-keyed tables (consumed seeds, dependence snapshots, provenance) held
+   by the caller stay meaningful.
 
    [protect] is the commit boundary: run a thunk; on any exception, restore
    the snapshot and return a typed {!failure} naming the pass that was
@@ -25,8 +24,8 @@ open Lslp_ir
 
 type saved_block = {
   block : Block.t;
-  order : Instr.t list;        (* the block's program order, shared *)
-  kinds : Instr.kind array;    (* [kinds.(k)] is the kind of [order]'s k-th *)
+  order : Instr.t array;       (* the block's own array, shared *)
+  kinds : Instr.kind array;    (* [kinds.(k)] is the kind of [order.(k)] *)
 }
 
 type snapshot = saved_block list
@@ -35,11 +34,9 @@ type snapshot = saved_block list
    array over 256 words with a young initial element costs a minor
    collection (DESIGN §14). *)
 let save_block (b : Block.t) =
-  let order = Block.to_list b in
-  let kinds =
-    Array.make (Block.length b) (Instr.Splat (Instr.Const (Instr.Cint 0L)))
-  in
-  List.iteri (fun k (i : Instr.t) -> kinds.(k) <- i.Instr.kind) order;
+  let order = Block.instrs b and n = Block.length b in
+  let kinds = Array.make n (Instr.Splat (Instr.Const (Instr.Cint 0L))) in
+  for k = 0 to n - 1 do kinds.(k) <- order.(k).Instr.kind done;
   { block = b; order; kinds }
 
 let snapshot_block b : snapshot = [ save_block b ]
@@ -48,8 +45,8 @@ let snapshot_func (f : Func.t) : snapshot = List.map save_block (Func.blocks f)
 let restore (snap : snapshot) =
   List.iter
     (fun s ->
-      List.iteri (fun k i -> Instr.set_kind i s.kinds.(k)) s.order;
-      Block.set_order s.block s.order)
+      Array.iteri (fun k kind -> Instr.set_kind s.order.(k) kind) s.kinds;
+      Block.reinstall s.block s.order (Array.length s.kinds))
     snap
 
 type failure = { pass : string; error : string; budget_exhausted : bool }

@@ -12,7 +12,7 @@ let run_block block =
   while !changed do
     changed := false;
     let uses = Use_info.compute block in
-    let dead = Block.find_all (fun i -> Use_info.is_dead uses i) block in
+    let dead = Helpers.find_all (fun i -> Use_info.is_dead uses i) block in
     if dead <> [] then begin
       changed := true;
       removed := !removed + List.length dead;

@@ -1058,7 +1058,7 @@ module Unroll = struct
             Block.create ~ids:(Block.ids b) ~label:(Block.label b ^ ".full") ()
           in
           for m = 0 to tc - 1 do
-            Block.append_list flat (clone_body ~subst_index:(pin m) b)
+            List.iter (Block.append flat) (clone_body ~subst_index:(pin m) b)
           done;
           Func.replace_block f b [ flat ];
           true
@@ -1078,7 +1078,7 @@ module Unroll = struct
               ()
           in
           for j = 0 to factor - 1 do
-            Block.append_list main (clone_body ~subst_index:(shift j) b)
+            List.iter (Block.append main) (clone_body ~subst_index:(shift j) b)
           done;
           let epilogue =
             if tc mod factor = 0 then []
@@ -1088,7 +1088,7 @@ module Unroll = struct
                   ~label:(Block.label b ^ ".tail") ()
               in
               for m = main_iters to tc - 1 do
-                Block.append_list tail (clone_body ~subst_index:(pin m) b)
+                List.iter (Block.append tail) (clone_body ~subst_index:(pin m) b)
               done;
               [ tail ]
             end

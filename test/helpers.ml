@@ -9,6 +9,11 @@ let check_string = Alcotest.(check string)
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* The instructions of a block that satisfy [p], in program order. *)
+let find_all p b = List.filter p (Block.to_list b)
+
+let is_valid f = Verifier.check_func f = []
+
 (* Compile a kernel-language snippet. *)
 let compile = Lslp_frontend.Lower.compile_string
 

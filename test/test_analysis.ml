@@ -85,8 +85,8 @@ kernel k(f64 A[], f64 R[], i64 i) {
 |} in
   let deps = Depgraph.build (Func.entry f) in
   ( deps,
-    Block.find_all Instr.is_load (Func.entry f),
-    Block.find_all Instr.is_store (Func.entry f) )
+    Helpers.find_all Instr.is_load (Func.entry f),
+    Helpers.find_all Instr.is_store (Func.entry f) )
 
 (* Codegen's contraction shape: each group one unit, every other
    instruction a singleton unit in program order, keys = earliest member
@@ -358,13 +358,13 @@ kernel k(f64 A[], f64 B[], f64 R[], i64 i) {
 }
 |} in
         let deps = Depgraph.build (Func.entry f) in
-        let loads = Block.find_all Instr.is_load (Func.entry f) in
+        let loads = Helpers.find_all Instr.is_load (Func.entry f) in
         check_bool "independent" true (Depgraph.independent deps loads));
     tc "schedule accepts legal bundles" (fun () ->
         let f = kernel "motivation-loads" in
         let deps = Depgraph.build (Func.entry f) in
-        let loads = Block.find_all Instr.is_load (Func.entry f) in
-        let stores = Block.find_all Instr.is_store (Func.entry f) in
+        let loads = Helpers.find_all Instr.is_load (Func.entry f) in
+        let stores = Helpers.find_all Instr.is_store (Func.entry f) in
         check_bool "loads+stores bundled" true
           (schedulable deps [ loads; stores ]));
     tc "schedule rejects cyclic groups" (fun () ->
@@ -392,9 +392,9 @@ kernel k(f64 A[], f64 B[], f64 R[], i64 i) {
           (match insts with
            | [ ld; add; st ] -> [ add; ld; st ]
            | _ -> insts);
-        check_bool "broken before" false (Verifier.is_valid f);
+        check_bool "broken before" false (Helpers.is_valid f);
         Block.set_order (Func.entry f) (stable_order (Func.entry f));
-        check_bool "fixed after" true (Verifier.is_valid f));
+        check_bool "fixed after" true (Helpers.is_valid f));
     tc "bit-packed closure matches BFS" (fun () ->
         List.iter
           (fun n ->

@@ -331,3 +331,47 @@ let suite =
         "no minor collection forced on a block over 256 instructions"
         `Quick no_forced_collection;
     ]
+
+(* A block is its one instruction array, and codegen installs a fresh one:
+   an arena and a transaction snapshot taken before [Codegen.run] still
+   read the pre-codegen instructions after the commit, and the snapshot
+   restores the printed IR byte for byte. *)
+let survives_codegen () =
+  let f = Gen.build (Helpers.long_chain (Random.State.make [| 11 |])) in
+  let b = Func.entry f in
+  let text = Printer.func_to_string f in
+  let before = Block.to_list b in
+  let arena = Arena.of_block b in
+  let snap = Lslp_robust.Transact.snapshot_block b in
+  let seed =
+    match Lslp_core.Seeds.collect ~arena Config.lslp b with
+    | seed :: _ -> seed
+    | [] -> Alcotest.fail "the chain has no seed"
+  in
+  let deps = Depgraph.build_arena arena in
+  let graph, _ = Lslp_core.Graph_builder.build ~deps Config.lslp b seed in
+  (match Lslp_core.Codegen.run ~deps graph b with
+   | Lslp_core.Codegen.Vectorized -> ()
+   | Lslp_core.Codegen.Not_schedulable | Lslp_core.Codegen.Failed _ ->
+     Alcotest.fail "codegen did not commit");
+  Helpers.check_bool "codegen rewrote the block" true
+    (Printer.func_to_string f <> text);
+  Helpers.check_int "arena size" (List.length before) (Arena.size arena);
+  List.iteri
+    (fun k (i : Instr.t) ->
+      Helpers.check_bool "arena reads the pre-codegen instruction" true
+        (Arena.instr arena k == i);
+      Helpers.check_int "its index" k (Arena.idx arena i))
+    before;
+  Lslp_robust.Transact.restore snap;
+  Helpers.check_string "restored IR" text (Printer.func_to_string f);
+  Helpers.check_bool "the very same instructions" true
+    (List.equal ( == ) before (Block.to_list b))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case
+        "an arena and a snapshot taken before codegen outlive the commit"
+        `Quick survives_codegen;
+    ]

@@ -17,7 +17,7 @@ let show_diags diags =
   String.concat "; " (List.map Diagnostic.to_string diags)
 
 let find_binop op f =
-  Block.find_all (fun i -> Instr.binop i = Some op) (Func.entry f)
+  Helpers.find_all (fun i -> Instr.binop i = Some op) (Func.entry f)
 
 let vec2_of f op a b =
   Instr.create ~ids:f.Func.ids ~name:"v"
@@ -110,7 +110,7 @@ let test_broken_schedule () =
   (* the surviving scalar chain: swap the store with the mul it consumes *)
   let store =
     List.hd
-      (Block.find_all
+      (Helpers.find_all
          (fun i ->
            Instr.is_store i
            && match Instr.address i with
@@ -149,7 +149,7 @@ let test_mismatched_opcode () =
     List.hd
       (List.filter
          (fun i -> not (Lslp_analysis.Depgraph.depends deps add ~on:i))
-         (Block.find_all Instr.is_load (Func.entry f)))
+         (Helpers.find_all Instr.is_load (Func.entry f)))
   in
   let provenance =
     [ { Legality.lanes = [| add; load |];
@@ -168,7 +168,7 @@ let cond_src =
 
 let find_masked_store f =
   List.hd
-    (Block.find_all
+    (Helpers.find_all
        (fun i ->
          match i.Instr.kind with Instr.Masked_store _ -> true | _ -> false)
        (Func.entry f))
@@ -202,7 +202,7 @@ let test_corrupt_select_mask () =
   Verifier.verify_exn f;
   let sel =
     List.hd
-      (Block.find_all
+      (Helpers.find_all
          (fun i ->
            match i.Instr.kind with Instr.Select _ -> true | _ -> false)
          (Func.entry f))
@@ -225,7 +225,7 @@ let test_masked_store_reordered_past_load () =
   let ms = find_masked_store f in
   let load =
     List.hd
-      (Block.find_all
+      (Helpers.find_all
          (fun i ->
            Instr.is_load i
            && match Instr.address i with

@@ -35,14 +35,14 @@ let unit_costs =
     tc "bundle_cost of a 2-wide ALU group is -1" (fun () ->
         let f = kernel "motivation-loads" in
         let ands =
-          Block.find_all (fun i -> Instr.binop i = Some Opcode.And) (Func.entry f)
+          Helpers.find_all (fun i -> Instr.binop i = Some Opcode.And) (Func.entry f)
         in
         check_int "-1" (-1)
           (Cost.bundle_cost Lslp_costmodel.Model.skylake_avx2
              (Array.of_list ands)));
     tc "store group of 4 saves 3" (fun () ->
         let f = kernel "453.calc-z3" in
-        let stores = Block.find_all Instr.is_store (Func.entry f) in
+        let stores = Helpers.find_all Instr.is_store (Func.entry f) in
         check_int "-3" (-3)
           (Cost.bundle_cost Lslp_costmodel.Model.skylake_avx2
              (Array.of_list stores)));

@@ -138,7 +138,7 @@ kernel f(f64 A[], i64 i) {
   A[j] = 1.0;
 }
 |} in
-        let st = List.hd (Block.find_all Instr.is_store (Func.entry f)) in
+        let st = List.hd (Helpers.find_all Instr.is_store (Func.entry f)) in
         match Instr.address st with
         | Some a ->
           check (Alcotest.option Alcotest.int) "offset from 2i" (Some 1)

@@ -24,11 +24,11 @@ kernel k(i64 A[], i64 i) {
 }
 |} in
         let adds =
-          Block.find_all
+          Helpers.find_all
             (fun i -> Instr.binop i = Some Opcode.Add) (Func.entry f)
         in
         let mul =
-          List.hd (Block.find_all (fun i -> Instr.binop i = Some Opcode.Mul)
+          List.hd (Helpers.find_all (fun i -> Instr.binop i = Some Opcode.Mul)
                      (Func.entry f))
         in
         match classify_in f [| Instr.Ins (List.hd adds); Instr.Ins mul |] with
@@ -36,7 +36,7 @@ kernel k(i64 A[], i64 i) {
         | _ -> Alcotest.fail "expected Not_isomorphic");
     tc "duplicate members rejected" (fun () ->
         let f = kernel "motivation-loads" in
-        let ld = List.hd (Block.find_all Instr.is_load (Func.entry f)) in
+        let ld = List.hd (Helpers.find_all Instr.is_load (Func.entry f)) in
         match classify_in f [| Instr.Ins ld; Instr.Ins ld |] with
         | Bundle.Rejected Bundle.Duplicate_member -> ()
         | _ -> Alcotest.fail "expected Duplicate_member");
@@ -47,7 +47,7 @@ kernel k(i64 A[], i64 i) {
 }
 |} in
         let adds =
-          Block.find_all (fun i -> Instr.binop i = Some Opcode.Add) (Func.entry f)
+          Helpers.find_all (fun i -> Instr.binop i = Some Opcode.Add) (Func.entry f)
         in
         (* the root add depends on the two inner adds *)
         let root =
@@ -69,14 +69,14 @@ kernel k(i64 A[], i64 B[], i64 i) {
   A[i+1] = B[i+2];
 }
 |} in
-        let loads = Block.find_all Instr.is_load (Func.entry f) in
+        let loads = Helpers.find_all Instr.is_load (Func.entry f) in
         match classify_in f (Bundle.of_insts (Array.of_list loads)) with
         | Bundle.Rejected Bundle.Non_consecutive_loads -> ()
         | _ -> Alcotest.fail "expected Non_consecutive_loads");
     tc "consecutive loads accepted" (fun () ->
         let f = kernel "motivation-loads" in
         let loads =
-          Block.find_all
+          Helpers.find_all
             (fun i ->
               match Instr.address i with
               | Some a -> Instr.is_load i && String.equal a.Instr.base "B"
@@ -89,7 +89,7 @@ kernel k(i64 A[], i64 B[], i64 i) {
     tc "already-claimed members rejected" (fun () ->
         let f = kernel "motivation-loads" in
         let deps = Depgraph.build (Func.entry f) in
-        let loads = Block.find_all Instr.is_load (Func.entry f) in
+        let loads = Helpers.find_all Instr.is_load (Func.entry f) in
         match
           Bundle.classify ~deps ~in_graph:(fun _ -> true)
             (Bundle.of_insts (Array.of_list [ List.hd loads; List.nth loads 1 ]))
@@ -98,7 +98,7 @@ kernel k(i64 A[], i64 B[], i64 i) {
         | _ -> Alcotest.fail "expected Already_in_graph");
     tc "operand_column extracts lanes" (fun () ->
         let f = kernel "motivation-loads" in
-        let stores = Block.find_all Instr.is_store (Func.entry f) in
+        let stores = Helpers.find_all Instr.is_store (Func.entry f) in
         let col =
           Bundle.operand_column (Array.of_list stores) ~index:0
         in

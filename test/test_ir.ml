@@ -140,27 +140,39 @@ let block_tests =
         let ar = Arena.of_block blk in
         check_int "pos a" 0 (Arena.pos ar a);
         check_int "pos b" 1 (Arena.pos ar b));
-    tc "insert_before" (fun () ->
+    tc "set_order splices before an anchor" (fun () ->
         let blk = Block.create ~ids () in
         let a = mk_load "A" 0 and b = mk_load "A" 1 and c = mk_load "A" 2 in
         Block.append blk a;
         Block.append blk c;
-        Block.insert_before blk ~anchor:c [ b ];
+        Block.set_order blk
+          (List.concat_map
+             (fun x -> if Instr.equal x c then [ b; x ] else [ x ])
+             (Block.to_list blk));
         let ar = Arena.of_block blk in
         check_int "pos b" 1 (Arena.pos ar b);
         check_int "pos c" 2 (Arena.pos ar c));
-    tc "insert_before unknown anchor raises" (fun () ->
-        let blk = Block.create ~ids () in
-        check_bool "raises" true
-          (try Block.insert_before blk ~anchor:(mk_load "A" 0) []; false
-           with Invalid_argument _ -> true));
     tc "remove invalidates position" (fun () ->
         let blk = Block.create ~ids () in
         let a = mk_load "A" 0 in
         Block.append blk a;
-        Block.remove blk a;
+        Block.remove_ids blk [ a.Instr.id ];
         check_bool "gone" false (Arena.mem (Arena.of_block blk) a);
         check_bool "not mem" false (Block.mem blk a));
+    tc "reinstall: a later append leaves every earlier view as it was"
+      (fun () ->
+        let blk = Block.create ~ids () in
+        let a = mk_load "A" 0 and b = mk_load "A" 1 and c = mk_load "A" 2 in
+        Block.append blk a;
+        let arr = Block.instrs blk and n = Block.length blk in
+        Block.append blk b;
+        let ar = Arena.of_block blk in
+        Block.reinstall blk arr n;
+        Block.append blk c;
+        check_int "reinstalled, then appended" 2 (Block.length blk);
+        check_bool "the view still reads b" true (Arena.instr ar 1 == b);
+        check_bool "the block reads c" true
+          (List.equal ( == ) [ a; c ] (Block.to_list blk)));
     tc "set_order" (fun () ->
         let blk = Block.create ~ids () in
         let a = mk_load "A" 0 and b = mk_load "A" 1 in
@@ -312,7 +324,7 @@ kernel k(f64 A[], f64 R[], i64 i) {
 }
 |} in
         let uses = Use_info.compute (Func.entry f) in
-        let load = List.hd (Block.find_all Instr.is_load (Func.entry f)) in
+        let load = List.hd (Helpers.find_all Instr.is_load (Func.entry f)) in
         check_int "x used 3 times" 3 (Use_info.num_uses uses load);
         check_bool "not single use" false (Use_info.has_single_use uses load));
     tc "users_outside filters" (fun () ->
@@ -323,7 +335,7 @@ kernel k(f64 A[], f64 R[], i64 i) {
 }
 |} in
         let uses = Use_info.compute (Func.entry f) in
-        let load = List.hd (Block.find_all Instr.is_load (Func.entry f)) in
+        let load = List.hd (Helpers.find_all Instr.is_load (Func.entry f)) in
         check_int "all outside" 1
           (List.length (Use_info.users_outside uses load ~inside:(fun _ -> false)));
         check_int "none outside" 0

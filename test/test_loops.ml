@@ -290,7 +290,8 @@ kernel k(f64 Y[], f64 X[]) {
         Verifier.verify_exn g;
         (* the clone is live: mutating it leaves the original intact *)
         let n = Block.length (Func.entry f) in
-        Block.remove (Func.entry g) (List.hd (Block.to_list (Func.entry g)));
+        Block.remove_ids (Func.entry g)
+          [ (List.hd (Block.to_list (Func.entry g))).Instr.id ];
         check_int "original untouched" n (Block.length (Func.entry f)));
     tc "clone keeps a foreign operand whose id collides with its own"
       (fun () ->
@@ -316,7 +317,7 @@ kernel k(f64 Y[], f64 X[]) {
             (Instr.Binop (Opcode.Add, Instr.Ins own, Instr.Ins foreign))
             Types.i64
         in
-        Block.append_list (Func.entry f) [ own; add ];
+        List.iter (Block.append (Func.entry f)) [ own; add ];
         let g = Func.clone f in
         match Block.to_list (Func.entry g) with
         | [ own'; add' ] -> (

@@ -214,7 +214,7 @@ let suite =
              let reference = build_reduction_kernel d in
              let candidate = Func.clone reference in
              ignore (Pipeline.run ~config:Config.lslp candidate);
-             Verifier.is_valid candidate
+             Helpers.is_valid candidate
              && Lslp_interp.Oracle.equivalent ~tol:1e-6 ~reference ~candidate
                   ()));
       QCheck_alcotest.to_alcotest

@@ -198,7 +198,7 @@ kernel k(f64 R[], f64 A[], i64 i) {
                 Instr.Ins shuf))
             Types.Void
         in
-        Block.append_list (Func.entry fb) [ wide; shuf; st ];
+        List.iter (Block.append (Func.entry fb)) [ wide; shuf; st ];
         Verifier.verify_exn fb;
         let mem = Lslp_interp.Memory.create () in
         Lslp_interp.Memory.set_float mem "A" [| 1.0; 2.0; 0.0 |];
@@ -227,8 +227,8 @@ kernel k(f64 R[], f64 A[], i64 i) {
             (Instr.Shuffle (Instr.Ins wide, [ 0; 5 ]))
             (Types.vec Types.F64 2)
         in
-        Block.append_list (Func.entry fb) [ wide; bad ];
-        check_bool "rejected" true (not (Verifier.is_valid fb)));
+        List.iter (Block.append (Func.entry fb)) [ wide; bad ];
+        check_bool "rejected" true (not (Helpers.is_valid fb)));
     tc "permuted reuse of a vectorized column becomes one shuffle" (fun () ->
         (* both lanes multiply the same two sums, in swapped order: the
            second operand column is a pure permutation of the first (which

@@ -123,7 +123,7 @@ let inject_tests =
 kernel k(f64 R[], f64 A[], i64 i) { R[i] = A[i] + A[i+1]; }
 |} in
         check_bool "corrupted" true (Inject.corrupt_block (Func.entry f));
-        check_bool "verifier rejects it" false (Verifier.is_valid f));
+        check_bool "verifier rejects it" false (Helpers.is_valid f));
     tc "corrupt_block on an empty block is a no-op" (fun () ->
         let f = compile "kernel k() {}" in
         check_bool "nothing to damage" false

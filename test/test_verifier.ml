@@ -113,6 +113,17 @@ let malformed_more =
         ignore (Builder.start_block b ());
         Builder.store b ~base:"A" (Builder.idx 1) v;
         Builder.func b );
+    ( "instruction in two blocks",
+      fun () ->
+        let b = base_func () in
+        let v = Builder.load b ~base:"A" (Builder.idx 0) in
+        let w = Builder.binop b Opcode.Add v (Builder.iconst 1) in
+        let next = Builder.start_block b () in
+        (match w with
+         | Instr.Ins i -> Block.append next i
+         | Instr.Const _ | Instr.Arg _ -> assert false);
+        Builder.store b ~base:"A" (Builder.idx 1) w;
+        Builder.func b );
     ( "self use",
       fun () ->
         with_bad (fun b ->
@@ -264,11 +275,35 @@ kernel p(i64 A[], i64 i) {
 
 module Ref = Verifier_ref
 
+(* An accepted block's arena against one built from [Block.to_list] on a
+   copy of the block: the same instructions (physically) at the same
+   indices, with the same use lists. *)
+let arena_as_listed what (b : Block.t) (a : Arena.t) =
+  let insts = Block.to_list b in
+  let copy = Block.create ~ids:(Block.ids b) () in
+  List.iter (Block.append copy) insts;
+  let r = Arena.of_block copy in
+  let same k (i : Instr.t) =
+    Arena.instr a k == i
+    && Arena.idx a i = k
+    && Arena.idx r i = k
+    && List.equal ( == ) (Arena.users a k) (Arena.users r k)
+  in
+  if
+    not
+      (Arena.size a = List.length insts
+      && List.for_all2 same (List.init (Arena.size a) Fun.id) insts)
+  then
+    Alcotest.failf "%s: block %s: arena differs from one built from its list"
+      what (Block.label b)
+
 (* Both verifiers, on one function: the same errors (message and
-   instruction) in the same order, or both accept it. *)
+   instruction) in the same order, or both accept it, and then every
+   returned arena reads its block as listed. *)
 let check_same_errors what (f : Func.t) =
+  let result = Verifier.check_func_arenas f in
   let got =
-    match Verifier.check_func_arenas f with
+    match result with
     | Ok _ -> []
     | Error es -> List.map (fun (e : Verifier.error) -> (e.instr, e.message)) es
   in
@@ -279,7 +314,10 @@ let check_same_errors what (f : Func.t) =
   if not (List.equal same got want) then
     Alcotest.failf "%s: verifiers disagree@.reference: %a@.verifier:  %a" what
       Fmt.(Dump.list string) (List.map snd want)
-      Fmt.(Dump.list string) (List.map snd got)
+      Fmt.(Dump.list string) (List.map snd got);
+  match result with
+  | Ok arenas -> List.iter2 (arena_as_listed what) (Func.blocks f) arenas
+  | Error _ -> ()
 
 (* A function and what each configuration makes of it. *)
 let with_vectorized (what, f) =
@@ -289,14 +327,16 @@ let with_vectorized (what, f) =
          (what ^ " " ^ config.Lslp_core.Config.name, snd (vectorize ~config f)))
        Lslp_core.Config.[ slp_nr; slp; lslp ]
 
-let programs () =
-  List.concat_map
+(* The corpus, as compiled: the catalog and fuzz programs unrolled by 4,
+   and a 288-instruction chain. *)
+let inputs () =
+  List.map
     (fun (k : Lslp_kernels.Catalog.kernel) ->
       let f = Lslp_kernels.Catalog.compile k in
       ignore (Lslp_frontend.Unroll.run ~factor:4 f);
-      with_vectorized (k.Lslp_kernels.Catalog.key, f))
+      (k.Lslp_kernels.Catalog.key, f))
     Lslp_kernels.Catalog.all
-  @ List.concat_map
+  @ List.map
       (fun seed ->
         let st = Random.State.make [| seed; 0x7e51 |] in
         let f =
@@ -304,13 +344,64 @@ let programs () =
             (Lslp_fuzz.Gen.generate ~cond_only:(seed mod 2 = 0) st)
         in
         ignore (Lslp_frontend.Unroll.run ~factor:4 f);
-        with_vectorized (Fmt.str "fuzz %d" seed, f))
+        (Fmt.str "fuzz %d" seed, f))
       (List.init 60 Fun.id)
+  @ [ ( "24-leaf VL-8 chain",
+        Lslp_fuzz.Gen.build (long_chain (Random.State.make [| 7 |])) ) ]
+
+let programs () = List.concat_map with_vectorized (inputs ())
+
+(* [visit] after every region commit of [f] under [config]: per block,
+   seed by seed, the graph is built and [Codegen.run] rewrites the block
+   whatever the cost, so every state a commit can leave is visited.  A
+   failed rewrite is rolled back. *)
+let each_commit config (f : Func.t) visit =
+  List.iter
+    (fun block ->
+      let consumed = Hashtbl.create 16 in
+      let rec next () =
+        let arena = Arena.of_block block in
+        let fresh (s : Lslp_core.Seeds.seed) =
+          Array.for_all
+            (fun (i : Instr.t) ->
+              (not (Hashtbl.mem consumed i.Instr.id)) && Arena.mem arena i)
+            s
+        in
+        match List.filter fresh (Lslp_core.Seeds.collect ~arena config block) with
+        | [] -> ()
+        | seed :: _ ->
+          Array.iter (fun (i : Instr.t) -> Hashtbl.replace consumed i.id ()) seed;
+          let deps = Lslp_analysis.Depgraph.build_arena arena in
+          let graph, _ = Lslp_core.Graph_builder.build ~deps config block seed in
+          let snap = Lslp_robust.Transact.snapshot_block block in
+          (match Lslp_core.Codegen.run ~deps graph block with
+           | Lslp_core.Codegen.Vectorized -> visit ()
+           | Lslp_core.Codegen.Not_schedulable -> ()
+           | Lslp_core.Codegen.Failed _ -> Lslp_robust.Transact.restore snap);
+          next ()
+      in
+      next ())
+    (Func.blocks f)
 
 let agreement_tests =
   [
     tc "reference agreement: catalog and fuzz programs" (fun () ->
         List.iter (fun (what, f) -> check_same_errors what f) (programs ()));
+    tc "reference agreement: the function after every region commit"
+      (fun () ->
+        List.iter
+          (fun (what, f) ->
+            List.iter
+              (fun (config : Lslp_core.Config.t) ->
+                let g = Func.clone f in
+                let commits = ref 0 in
+                each_commit config g (fun () ->
+                    incr commits;
+                    check_same_errors
+                      (Fmt.str "%s %s commit %d" what config.name !commits)
+                      g))
+              Lslp_core.Config.[ slp_nr; slp; lslp ])
+          (inputs ()));
     tc "reference agreement: malformed functions" (fun () ->
         List.iter
           (fun (what, make) -> check_same_errors what (make ()))

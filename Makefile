@@ -186,6 +186,13 @@ score-memo:
 # committed baseline exactly (every value is jobs/ticks/steps, never
 # wall-clock, so no tolerances are needed).  After an intended metrics
 # change, regenerate with `make metrics-baseline` and commit the diff.
+# The flight recorder is pinned on a faulted batch (a crash, a shed, a
+# hang past the step deadline and a poisoned cache entry), so its JSONL
+# covers every event kind and must match FLIGHT_baseline.jsonl exactly.
+FLIGHT_BATCH = --jobs 1 --repeat 2 --deadline-steps 40 \
+  --inject worker-raise@3 --inject queue-full@7 --inject worker-hang@11 \
+  --inject cache-poison@40 --expect-degradations 4
+
 metrics-check:
 	dune exec bin/lslpc.exe -- batch --jobs 1 --repeat 2 \
 	  --metrics-out _build/metrics_a.prom --flight-out _build/flight_a.jsonl
@@ -194,10 +201,15 @@ metrics-check:
 	cmp _build/metrics_a.prom _build/metrics_b.prom
 	cmp _build/flight_a.jsonl _build/flight_b.jsonl
 	cmp _build/metrics_a.prom bench_results/METRICS_baseline.prom
+	dune exec bin/lslpc.exe -- batch $(FLIGHT_BATCH) \
+	  --flight-out _build/flight_faulted.jsonl
+	cmp _build/flight_faulted.jsonl bench_results/FLIGHT_baseline.jsonl
 
 metrics-baseline:
 	dune exec bin/lslpc.exe -- batch --jobs 1 --repeat 2 \
 	  --metrics-out bench_results/METRICS_baseline.prom
+	dune exec bin/lslpc.exe -- batch $(FLIGHT_BATCH) \
+	  --flight-out bench_results/FLIGHT_baseline.jsonl
 
 # Observability smoke: a faulted multi-domain batch must emit a
 # Prometheus dump that lslpc's own parser accepts and whose degradation

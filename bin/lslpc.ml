@@ -91,14 +91,14 @@ let no_score_cache_arg =
 let stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
-           ~doc:"Print the telemetry counter table (stdout; deterministic) \
-                 and pass timings (stderr; wall clock).")
+           ~doc:"Print the telemetry counter table (deterministic).")
 
 let stats_json_arg =
   Arg.(value & flag
        & info [ "stats-json" ]
-           ~doc:"Emit the telemetry report (counters and timers) plus the \
-                 per-pass step histograms as one JSON document.")
+           ~doc:"Emit the telemetry report (counters and per-pass step \
+                 counts) plus the per-pass step histograms as one JSON \
+                 document.")
 
 (* ---- metrics exposition ------------------------------------------- *)
 
@@ -127,14 +127,11 @@ let report_metrics (t : Lslp_telemetry.Report.t) =
   Lslp_telemetry.Pass_metrics.observe pm t;
   Lslp_obs.Export.json (Lslp_obs.Registry.snapshot reg)
 
-(* Counters are deterministic per (input, config) and go to stdout so
-   golden tests can pin them; wall-clock timings go to stderr. *)
+(* Counters and steps are deterministic per (input, config), so all of
+   it goes to stdout and golden tests pin it. *)
 let print_stats ~stats ~stats_json (report : Lslp_core.Pipeline.report) =
   let t = report.Lslp_core.Pipeline.telemetry in
-  if stats then begin
-    Fmt.pr "%a" Lslp_telemetry.Report.pp_counters t;
-    Fmt.epr "%a" Lslp_telemetry.Report.pp_timers t
-  end;
+  if stats then Fmt.pr "%a" Lslp_telemetry.Report.pp_counters t;
   if stats_json then
     Fmt.pr "%s@."
       (Lslp_util.Json.to_string
@@ -542,7 +539,7 @@ let stats_cmd =
                 );
               ]))
     else begin
-      (* one total row per kernel; timings stay on stderr *)
+      (* one total row per kernel *)
       Fmt.pr "=== catalog telemetry: %s ===@." config.Lslp_core.Config.name;
       Fmt.pr "%-26s" "kernel";
       List.iter
@@ -562,11 +559,7 @@ let stats_cmd =
          print to stdout with the counter table *)
       Fmt.pr "@.=== catalog step histograms: %s ===@.%a@."
         config.Lslp_core.Config.name Lslp_obs.Export.pp_table
-        (Lslp_obs.Registry.snapshot registry);
-      List.iter
-        (fun (key, t) ->
-          Fmt.epr "--- %s@.%a" key Lslp_telemetry.Report.pp_timers t)
-        rows
+        (Lslp_obs.Registry.snapshot registry)
     end
   in
   let json =

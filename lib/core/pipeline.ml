@@ -41,7 +41,7 @@ type report = {
   degraded_regions : int;  (* regions rolled back to scalar by a failure *)
   remarks : Remark.t list;                     (* empty unless [remarks] *)
   diagnostics : Lslp_check.Diagnostic.t list;  (* empty unless [validate] *)
-  telemetry : Lslp_telemetry.Report.t;  (* counters + timers, always on *)
+  telemetry : Lslp_telemetry.Report.t;  (* counters + steps, always on *)
   trace_events : Trace.event list;  (* empty unless [trace] *)
 }
 
@@ -180,32 +180,20 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
   (* Regions are self-contained (no cross-block values), so each block is
      an independent vectorization universe: seeds, graphs, reductions and
      the consumed-store bookkeeping never cross a block boundary.  Each
-     block also gets its own budget meter. *)
-  let meters : (string, Budget.meter) Hashtbl.t = Hashtbl.create 4 in
-  let meter_of block =
-    let label = Block.label block in
-    match Hashtbl.find_opt meters label with
-    | Some m -> m
-    | None ->
-      let m = Budget.meter config.Config.budget in
-      Hashtbl.replace meters label m;
-      m
-  in
-  (* One probe per block, same lifetime as the block's budget meter, and
-     the block's only observability handle: it carries the sink, so every
-     span and event a pass records is stamped with the block's label.
-     Counters measure work *performed*, so a rolled-back attempt keeps its
-     score evaluations and graph nodes — only [instrs_emitted] (inside
-     codegen) and the outcome counters (in [conclude]) are charged on
-     commit. *)
-  let probes : (string, Probe.t) Hashtbl.t = Hashtbl.create 4 in
-  let probe_of label =
-    match Hashtbl.find_opt probes label with
-    | Some p -> p
-    | None ->
-      let p = Probe.create ?sink ~label () in
-      Hashtbl.replace probes label p;
-      p
+     block gets its own budget meter and its own probe, made here once.
+     The probe is the block's only observability handle: it carries the
+     sink, so every span and event a pass records is stamped with the
+     block's label.  Counters measure work *performed*, so a rolled-back
+     attempt keeps its score evaluations and graph nodes — only
+     [instrs_emitted] (inside codegen) and the outcome counters (in
+     [conclude]) are charged on commit. *)
+  let blocks =
+    List.map
+      (fun block ->
+        ( block,
+          Probe.create ?sink ~label:(Block.label block) (),
+          Budget.meter config.Config.budget ))
+      (Func.blocks f)
   in
   let regions = ref [] in
   let remarks = ref [] in
@@ -213,8 +201,7 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
      block probe's outcome counters, the rollback/outcome trace events and,
      with [config.remarks], the remark.  Reductions trace their own
      outcomes ([~traced:false]); an unmatched reduction is only a remark. *)
-  let conclude ?(traced = true) (r : Remark.t) =
-    let probe = probe_of r.Remark.block in
+  let conclude ?(traced = true) ~probe (r : Remark.t) =
     let c = Probe.counters probe in
     let traced = traced && Probe.tracing probe in
     let outcome name =
@@ -244,14 +231,12 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
      | _ -> regions := r :: !regions);
     if config.Config.remarks then remarks := r :: !remarks
   in
-  let degrade ~block ~region ~lanes failure =
-    conclude
+  let degrade ~probe ~block ~region ~lanes failure =
+    conclude ~probe
       (verdict config ~block ~region ~lanes (outcome_of_failure failure))
   in
-  let run_block (block : Block.t) =
+  let run_block (block, probe, meter) =
     let region_id = Block.label block in
-    let meter = meter_of block in
-    let probe = probe_of region_id in
     let pc = Probe.counters probe in
     let exhausted = ref false in
     let continue_ = ref true in
@@ -390,7 +375,7 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
                    outcome))
       in
       match result with
-      | Ok v -> Option.iter conclude v
+      | Ok v -> Option.iter (conclude ~probe) v
       | Error failure ->
         (* rolled back: provenance recorded during the failed attempt
            refers to instructions that no longer exist *)
@@ -402,7 +387,7 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
           | Some seed -> (Seeds.describe seed, Array.length seed)
           | None -> (Fmt.str "(%s)" failure.Transact.pass, 0)
         in
-        degrade ~block:region_id ~region ~lanes failure
+        degrade ~probe ~block:region_id ~region ~lanes failure
     done;
     (* after the store seeds: the reduction-tree idiom (paper §2.2) *)
     if config.Config.reductions && not !exhausted then begin
@@ -413,7 +398,7 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
           | Some s -> s
           | None -> Types.F64
         in
-        conclude
+        conclude ~probe
           (verdict config ~block:region_id
              ~region:(Reduction.describe c)
              ~lanes:0
@@ -446,7 +431,7 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
       | Ok rs ->
         List.iter
           (fun (r : Reduction.region) ->
-            conclude ~traced:false
+            conclude ~traced:false ~probe
               (verdict config ~block:region_id ~region:r.Reduction.root_desc
                  ~lanes:r.Reduction.lanes ~cost:r.Reduction.cost
                  (if r.Reduction.vectorized then Remark.Vectorized
@@ -456,18 +441,18 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
           rs
       | Error failure ->
         provenance := saved_provenance;
-        degrade ~block:region_id ~region:"(reduction)" ~lanes:0 failure
+        degrade ~probe ~block:region_id ~region:"(reduction)" ~lanes:0
+          failure
     end
   in
-  List.iter run_block (Func.blocks f);
+  List.iter run_block blocks;
   (* whole-function cleanup: regions are vectorized one at a time, so
      duplicate gathers/extracts across regions only fall out here.  CSE and
      DCE are per-block folds, so the cleanup is transactional per block: a
      cleanup failure keeps that block's (already verified) vectorized form
      and degrades only the cleanup. *)
-  let cleanup_block (block : Block.t) =
+  let cleanup_block (block, probe, _) =
     let region_id = Block.label block in
-    let probe = probe_of region_id in
     let snapshot = Transact.snapshot_block block in
     let cur_pass = ref "cse" in
     let result =
@@ -492,9 +477,9 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
     match result with
     | Ok () -> ()
     | Error failure ->
-      degrade ~block:region_id ~region:"(cleanup)" ~lanes:0 failure
+      degrade ~probe ~block:region_id ~region:"(cleanup)" ~lanes:0 failure
   in
-  List.iter cleanup_block (Func.blocks f);
+  List.iter cleanup_block blocks;
   (match snap with
    | Some snap -> (
      match Legality.validate ~provenance:!provenance snap f with
@@ -509,13 +494,9 @@ let run_unprotected ~sink ~(config : Config.t) (f : Func.t) : report =
    | None -> ());
   let telemetry =
     Lslp_telemetry.Report.make ~func:f.Func.fname ~config:config.Config.name
-      (List.filter_map
-         (fun block ->
-           let label = Block.label block in
-           Option.map
-             (fun p -> (label, Probe.snapshot p))
-             (Hashtbl.find_opt probes label))
-         (Func.blocks f))
+      (List.map
+         (fun (block, probe, _) -> (Block.label block, Probe.snapshot probe))
+         blocks)
   in
   make_report ~config ~regions:(List.rev !regions) ~remarks:(List.rev !remarks)
     ~diagnostics:(List.rev !diagnostics) ~telemetry ~sink

@@ -31,7 +31,7 @@ type report = {
   diagnostics : Lslp_check.Diagnostic.t list;
       (** legality/verifier findings; empty unless [config.validate] *)
   telemetry : Lslp_telemetry.Report.t;
-      (** per-block counters and pass timers, always collected.  Counters
+      (** per-block counters and pass steps, always collected.  Counters
           measure work performed — a rolled-back attempt keeps its score
           evaluations and graph nodes; only [instrs_emitted],
           [regions_vectorized] and [regions_degraded] reflect committed

@@ -22,9 +22,9 @@
       [Not_found], [Exit], ...) — the fail-soft pipeline's guarantees
       rest on typed errors; subsumes the old grep-based
       [make lint-exceptions].
-    - R4 [wall-clock]: [Unix.gettimeofday]/[Unix.time]/[Sys.time] — only
-      the telemetry/trace modules are allowed to read the clock, and
-      those sites are waived with justifications.
+    - R4 [wall-clock]: [Unix.gettimeofday]/[Unix.time]/[Sys.time] — no
+      [lib/] module reads the clock; the one waived site is the lint
+      bench in [bin/lint.ml].
     - R5 [boxed-table-hot-path]: [Hashtbl.create] or [List.assoc]-family
       lookups inside the per-instruction hot-path modules ([lib/core],
       [lib/ir]) — the arena refactor serves those queries from int

@@ -5,7 +5,7 @@
 
     {v
     <rule> <file> <ident> -- <justification>
-    R4 lib/telemetry/probe.ml Unix.gettimeofday -- pass timers are wall-clock by design
+    R4 bin/lint.ml Unix.gettimeofday -- lint bench wall-time measurement
     R3 lib/ir/types.ml invalid_arg -- lane-count preconditions are programmer errors
     v}
 

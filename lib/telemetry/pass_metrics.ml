@@ -7,9 +7,9 @@
    "root;func;block;pass steps" for flamegraph rendering.
 
    "Steps" are probe span {e call counts} at the pass boundaries — the
-   same unit the service deadline ([Budget.deadline]) ticks in — so unlike
-   the wall-clock timers they are a pure function of (input, config) and
-   every histogram here is byte-reproducible.
+   same unit the service deadline ([Budget.deadline]) ticks in — so they
+   are a pure function of (input, config) and every histogram here is
+   byte-reproducible.
 
    The known pass names are pre-registered in pipeline order so the
    exposition layout never depends on which pass happened to run first
@@ -88,27 +88,24 @@ let observe t (r : Report.t) =
     (fun (_, get, c) -> Registry.add c (get snap.Probe.s_counters))
     t.counters;
   let steps =
-    List.fold_left (fun acc (_, _, calls) -> acc + calls) 0
-      snap.Probe.s_timers
+    List.fold_left (fun acc (_, calls) -> acc + calls) 0 snap.Probe.s_steps
   in
   Registry.observe t.job_steps steps;
   Mutex.lock t.lock;
   let hists =
-    List.map
-      (fun (pass, _, calls) -> (pass_hist t pass, calls))
-      snap.Probe.s_timers
+    List.map (fun (pass, calls) -> (pass_hist t pass, calls)) snap.Probe.s_steps
   in
   List.iter
     (fun (block, (s : Probe.snapshot)) ->
       List.iter
-        (fun (pass, _, calls) ->
+        (fun (pass, calls) ->
           let key =
             String.concat ";" [ t.root; r.Report.func; block; pass ]
           in
           match Hashtbl.find_opt t.stacks key with
           | Some n -> n := !n + calls
           | None -> Hashtbl.replace t.stacks key (ref calls))
-        s.Probe.s_timers)
+        s.Probe.s_steps)
     r.Report.blocks;
   Mutex.unlock t.lock;
   (* observe outside our own lock; registry handles carry their own *)

@@ -1,19 +1,19 @@
 (* Pass-level instrumentation.
 
-   A probe is a mutable bag of counters plus per-pass wall-clock timers that
+   A probe is a mutable bag of counters plus per-pass step counts that
    the pipeline hands to every stage (seed collection, graph building,
    reordering, costing, codegen, reduction, cleanup).  Counters are plain
    ints bumped on the hot path — cheap enough to stay always-on — and
-   timers accumulate [Unix.gettimeofday] spans per pass name.
+   every [span] charges one step to its pass name.
 
    It is also the passes' only way into the decision trace: with the run's
    sink attached, [span] brackets each pass with Span_begin/Span_end and
    [record] appends events, all stamped with the probe's block label.
    Without one, [tracing] is false and sites skip building their payload.
 
-   Counters are deterministic for a given input and configuration; timers
-   are not.  Every renderer in {!Report} keeps the two apart so golden
-   tests can pin the counters and mask the clock. *)
+   Counters and steps are both deterministic for a given input and
+   configuration, so every renderer in {!Report} can be pinned by a
+   golden test. *)
 
 type counters = {
   mutable seeds_collected : int;   (* seed bundles found by Seeds.collect *)
@@ -79,38 +79,20 @@ let counter_fields =
     ("degraded", fun c -> c.regions_degraded);
   ]
 
-type timer = { mutable elapsed_s : float; mutable calls : int }
-
 type t = {
   c : counters;
-  timers : (string, timer) Hashtbl.t;
-  order : string list ref;  (* pass names in first-seen order *)
+  steps : (string * int ref) list ref;  (* pass, calls; newest first *)
   sink : (Lslp_trace.Trace.t * string) option;  (* the sink, block label *)
 }
 
 let create ?sink ?(label = "") () =
   {
     c = zero_counters ();
-    timers = Hashtbl.create 8;
-    order = ref [];
+    steps = ref [];
     sink = (match sink with Some tr -> Some (tr, label) | None -> None);
   }
 
 let counters t = t.c
-
-let timer_of t pass =
-  match Hashtbl.find_opt t.timers pass with
-  | Some tm -> tm
-  | None ->
-    let tm = { elapsed_s = 0.0; calls = 0 } in
-    Hashtbl.replace t.timers pass tm;
-    t.order := pass :: !(t.order);
-    tm
-
-let add_time t pass seconds =
-  let tm = timer_of t pass in
-  tm.elapsed_s <- tm.elapsed_s +. seconds;
-  tm.calls <- tm.calls + 1
 
 let tracing t = match t.sink with Some _ -> true | None -> false
 
@@ -122,75 +104,45 @@ let record t payload =
 let fresh_gid t =
   match t.sink with Some (tr, _) -> Lslp_trace.Trace.fresh_gid tr | None -> 0
 
-(* Accumulate even when [f] raises: a budget abort mid-pass still spent the
-   time, and the caller's transaction will re-raise past us. *)
-let timed t pass f =
-  let t0 = Unix.gettimeofday () in
-  match f () with
-  | v ->
-    add_time t pass (Unix.gettimeofday () -. t0);
-    v
-  | exception e ->
-    add_time t pass (Unix.gettimeofday () -. t0);
-    raise e
+(* Add [n] steps to [pass]; a pass already seen costs no allocation.  A
+   run has a handful of pass names, so a list is the whole table. *)
+let charge steps pass n =
+  match List.assoc pass !steps with
+  | calls -> calls := !calls + n
+  | exception Not_found -> steps := (pass, ref n) :: !steps
 
-(* The end event fires on the exception path too, so spans stay
-   well-nested when a pass aborts into the transaction layer. *)
+(* first-seen order *)
+let ordered steps = List.rev_map (fun (pass, calls) -> (pass, !calls)) !steps
+
+(* The step is charged on entry, so a pass that raises (a budget abort
+   into the transaction layer) is still counted.  The end event fires on
+   the exception path too, so spans stay well-nested. *)
 let span t pass f =
+  charge t.steps pass 1;
   match t.sink with
-  | None -> timed t pass f
+  | None -> f ()
   | Some _ ->
     record t (Lslp_trace.Trace.Span_begin { pass });
     Fun.protect
       ~finally:(fun () -> record t (Lslp_trace.Trace.Span_end { pass }))
-      (fun () -> timed t pass f)
+      f
 
 type snapshot = {
   s_counters : counters;
-  s_timers : (string * float * int) list;  (* pass, seconds, calls *)
+  s_steps : (string * int) list;  (* pass, calls *)
 }
 
 let snapshot t =
-  {
-    s_counters = copy_counters t.c;
-    s_timers =
-      List.rev_map
-        (fun pass ->
-          let tm = Hashtbl.find t.timers pass in
-          (pass, tm.elapsed_s, tm.calls))
-        !(t.order);
-  }
+  { s_counters = copy_counters t.c; s_steps = ordered t.steps }
 
-let empty_snapshot = { s_counters = zero_counters (); s_timers = [] }
+let empty_snapshot = { s_counters = zero_counters (); s_steps = [] }
 
 let merge snapshots =
   let c = zero_counters () in
-  let timers : (string, timer) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
+  let steps = ref [] in
   List.iter
     (fun s ->
       add_counters ~into:c s.s_counters;
-      List.iter
-        (fun (pass, seconds, calls) ->
-          let tm =
-            match Hashtbl.find_opt timers pass with
-            | Some tm -> tm
-            | None ->
-              let tm = { elapsed_s = 0.0; calls = 0 } in
-              Hashtbl.replace timers pass tm;
-              order := pass :: !order;
-              tm
-          in
-          tm.elapsed_s <- tm.elapsed_s +. seconds;
-          tm.calls <- tm.calls + calls)
-        s.s_timers)
+      List.iter (fun (pass, calls) -> charge steps pass calls) s.s_steps)
     snapshots;
-  {
-    s_counters = c;
-    s_timers =
-      List.rev_map
-        (fun pass ->
-          let tm = Hashtbl.find timers pass in
-          (pass, tm.elapsed_s, tm.calls))
-        !order;
-  }
+  { s_counters = c; s_steps = ordered steps }

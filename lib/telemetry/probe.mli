@@ -1,11 +1,11 @@
-(** Pass-level instrumentation: counters, wall-clock timers and the
+(** Pass-level instrumentation: counters, per-pass step counts and the
     decision trace.
 
     One probe per region (basic block); the pipeline threads it through
     seed collection, graph building, operand reordering, code generation
     and reduction vectorization, then aggregates the snapshots into
-    {!Report.t}.  Counters are deterministic per (input, configuration);
-    timers are wall-clock and must be masked in golden tests.
+    {!Report.t}.  Counters and steps are deterministic per (input,
+    configuration), so golden tests pin both.
 
     With [Config.trace] on, the pipeline attaches the run's
     {!Lslp_trace.Trace} sink to each block's probe, so the probe is the
@@ -40,7 +40,7 @@ val counter_fields : (string * (counters -> int)) list
 type t
 
 val create : ?sink:Lslp_trace.Trace.t -> ?label:string -> unit -> t
-(** A probe with zeroed counters and no timers.  With [sink] it also
+(** A probe with zeroed counters and no steps.  With [sink] it also
     records into that decision trace, stamping each event with [label]
     (default [""]). *)
 
@@ -59,19 +59,18 @@ val fresh_gid : t -> int
     sink. *)
 
 val span : t -> string -> (unit -> 'a) -> 'a
-(** Run the thunk, accumulating its wall-clock time against the pass name;
-    the time is charged even when the thunk raises.  With a sink attached
-    the thunk is bracketed by [Span_begin]/[Span_end] events, the end
-    event recorded on the exception path too. *)
+(** Charge one step to the pass name, then run the thunk, so a thunk that
+    raises is still counted.  With a sink attached the thunk is bracketed
+    by [Span_begin]/[Span_end] events, the end event recorded on the
+    exception path too. *)
 
 type snapshot = {
   s_counters : counters;
-  s_timers : (string * float * int) list;
-      (** (pass, total seconds, calls) in first-seen order *)
+  s_steps : (string * int) list;  (** (pass, calls) in first-seen order *)
 }
 
 val snapshot : t -> snapshot
 val empty_snapshot : snapshot
 
 val merge : snapshot list -> snapshot
-(** Pointwise sum; timer passes keep first-seen order across the inputs. *)
+(** Pointwise sum; step passes keep first-seen order across the inputs. *)

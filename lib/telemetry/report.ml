@@ -1,9 +1,8 @@
 (* Aggregated telemetry: per-block probe snapshots plus their sum.
 
-   Rendering discipline (shared with the fuzzer's summary/detail split):
-   counters are deterministic and go to stdout so cram tests can pin them;
-   timers are wall-clock and render through a separate printer the CLI
-   sends to stderr.  The JSON document carries both. *)
+   Counters and pass steps are deterministic, so cram tests pin both
+   renderers: the counter table and the JSON document, which carries the
+   steps too. *)
 
 type t = {
   func : string;
@@ -39,17 +38,7 @@ let pp_counters ppf t =
   pp_row ppf "total" t.total.Probe.s_counters;
   Fmt.pf ppf "@."
 
-let pp_timers ppf t =
-  Fmt.pf ppf "=== pass timings (wall clock, %s) ===@." t.config;
-  match t.total.Probe.s_timers with
-  | [] -> Fmt.pf ppf "(no timed passes)@."
-  | timers ->
-    List.iter
-      (fun (pass, seconds, calls) ->
-        Fmt.pf ppf "%-14s %6d call(s) %12.6fs@." pass calls seconds)
-      timers
-
-(* ---- JSON (shared emitter, same document shape as before) ----------- *)
+(* ---- JSON (shared emitter) ------------------------------------------ *)
 
 module Json = Lslp_util.Json
 
@@ -61,17 +50,12 @@ let counters_json (c : Probe.counters) =
 let snapshot_fields (s : Probe.snapshot) =
   [
     ("counters", counters_json s.Probe.s_counters);
-    ( "timers",
+    ( "steps",
       Json.Arr
         (List.map
-           (fun (pass, seconds, calls) ->
-             Json.Obj
-               [
-                 ("pass", Json.Str pass);
-                 ("calls", Json.Int calls);
-                 ("seconds", Json.Float seconds);
-               ])
-           s.Probe.s_timers) );
+           (fun (pass, calls) ->
+             Json.Obj [ ("pass", Json.Str pass); ("calls", Json.Int calls) ])
+           s.Probe.s_steps) );
   ]
 
 let json t =

@@ -2,8 +2,8 @@
     function-wide total.
 
     {!pp_counters} renders the deterministic counter table (pin it in
-    golden tests); {!pp_timers} renders wall-clock pass timings (send it
-    to stderr); {!to_json} carries both. *)
+    golden tests); {!to_json} carries the counters and the per-pass step
+    counts. *)
 
 type t = {
   func : string;
@@ -22,11 +22,8 @@ val total_counters : t -> Probe.counters
 val pp_counters : t Fmt.t
 (** Deterministic counter table, one row per block plus a total row. *)
 
-val pp_timers : t Fmt.t
-(** Wall-clock per-pass timings of the whole function; not deterministic. *)
-
 val json : t -> Lslp_util.Json.t
-(** The report (counters and timers) as a {!Lslp_util.Json} value. *)
+(** The report (counters and pass steps) as a {!Lslp_util.Json} value. *)
 
 val to_json : t -> string
 (** {!json} rendered minified. *)

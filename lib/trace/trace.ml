@@ -101,10 +101,12 @@ let kind_name = function
   | Knode_multi op -> Fmt.str "multi %s" op
   | Knode_gather -> "gather"
 
+(* Literal separators and no boxes: a break hint, or a box opened past
+   the formatter's maximum indentation, would wrap a log line. *)
 let pp_bundles ppf bundles =
-  Fmt.pf ppf "%a"
-    Fmt.(list ~sep:semi (brackets (list ~sep:comma string)))
-    bundles
+  Fmt.(list ~sep:(any "; ")
+         (fun ppf b -> pf ppf "[%a]" (list ~sep:(any ", ") string) b))
+    ppf bundles
 
 let pp_payload ppf = function
   | Span_begin { pass } -> Fmt.pf ppf "begin %s" pass
@@ -112,7 +114,7 @@ let pp_payload ppf = function
   | Seeds_found { seeds } ->
     Fmt.pf ppf "seeds: %d%a" (List.length seeds)
       Fmt.(
-        list ~sep:nop (fun ppf (desc, _) -> Fmt.pf ppf "@ %s" desc))
+        list ~sep:nop (fun ppf (desc, _) -> Fmt.pf ppf " %s" desc))
       seeds
   | Seed_tried { seed; lanes } -> Fmt.pf ppf "try seed %s (VL=%d)" seed lanes
   | Graph_start { gid; seed } -> Fmt.pf ppf "graph g%d for %s" gid seed
@@ -124,11 +126,11 @@ let pp_payload ppf = function
   | Dep_edge { gid; src; dst } ->
     Fmt.pf ppf "g%d dep #%d ~> #%d" gid src dst
   | Slot_modes { modes } ->
-    Fmt.pf ppf "slot modes: %a" Fmt.(list ~sep:comma string) modes
+    Fmt.pf ppf "slot modes: %a" Fmt.(list ~sep:(any ", ") string) modes
   | Get_best { mode; last; candidates; levels; chosen; cache_hits;
                cache_misses } ->
     Fmt.pf ppf "get_best mode=%s last=%s {%a} -> %s" mode last
-      Fmt.(list ~sep:comma string)
+      Fmt.(list ~sep:(any ", ") string)
       candidates
       (match chosen with Some c -> c | None -> "(none)");
     List.iter

@@ -59,7 +59,7 @@ let config_pool =
   [| Config.slp_nr; Config.slp; Config.lslp; Config.lslp_la 0;
      Config.lslp_la 2; Config.lslp_multi 1; Config.lslp_multi 2 |]
 
-(* ---- probe counters and timers ------------------------------------ *)
+(* ---- probe counters and steps ------------------------------------- *)
 
 let probe_tests =
   [
@@ -81,18 +81,15 @@ let probe_tests =
         check_int "vectorized" 1 a.Probe.regions_vectorized;
         (* the source operand is left alone *)
         check_int "source evals" 4 b.Probe.score_evals);
-    tc "span charges time and a call even when the thunk raises" (fun () ->
+    tc "span charges a step even when the thunk raises" (fun () ->
         let p = Probe.create () in
         (try Probe.span p "doomed" (fun () -> raise Exit)
          with Exit -> ());
         ignore (Probe.span p "doomed" (fun () -> 42));
-        match (Probe.snapshot p).Probe.s_timers with
-        | [ ("doomed", secs, calls) ] ->
-          check_int "calls" 2 calls;
-          check_bool "non-negative time" true (secs >= 0.0)
-        | other ->
-          Alcotest.failf "unexpected timer rows: %d" (List.length other));
-    tc "traced span nests, re-raises and charges time" (fun () ->
+        check
+          Alcotest.(list (pair string int))
+          "steps" [ ("doomed", 2) ] (Probe.snapshot p).Probe.s_steps);
+    tc "traced span nests, re-raises and charges a step each" (fun () ->
         let tr = Trace.create () in
         let p = Probe.create ~sink:tr ~label:"b0" () in
         (match
@@ -107,10 +104,9 @@ let probe_tests =
               [ Span_begin { pass = "outer" }; Span_begin { pass = "doomed" };
                 Span_end { pass = "doomed" }; Span_end { pass = "outer" } ]);
         check
-          Alcotest.(list int)
-          "timer calls" [ 1; 1 ]
-          (List.map (fun (_, _, calls) -> calls)
-             (Probe.snapshot p).Probe.s_timers));
+          Alcotest.(list (pair string int))
+          "steps" [ ("outer", 1); ("doomed", 1) ]
+          (Probe.snapshot p).Probe.s_steps);
     tc "traced probe stamps events with its block label" (fun () ->
         let tr = Trace.create () in
         let a = Probe.create ~sink:tr ~label:"entry" () in
@@ -134,9 +130,9 @@ let probe_tests =
         Probe.record traced (Trace.Seed_tried { seed = "s"; lanes = 2 });
         check_int "only the traced probe's event" 1
           (List.length (Trace.events tr));
-        check_int "timer still charged" 1
-          (List.length (Probe.snapshot p).Probe.s_timers));
-    tc "merge sums snapshots and keeps first-seen timer order" (fun () ->
+        check_int "step still charged" 1
+          (List.length (Probe.snapshot p).Probe.s_steps));
+    tc "merge sums snapshots and keeps first-seen step order" (fun () ->
         let mk pass evals =
           let p = Probe.create () in
           (Probe.counters p).Probe.score_evals <- evals;
@@ -146,14 +142,9 @@ let probe_tests =
         let m = Probe.merge [ mk "alpha" 2; mk "beta" 3; mk "alpha" 5 ] in
         check_int "evals" 10 m.Probe.s_counters.Probe.score_evals;
         check
-          Alcotest.(list string)
-          "timer order" [ "alpha"; "beta" ]
-          (List.map (fun (name, _, _) -> name) m.Probe.s_timers);
-        match m.Probe.s_timers with
-        | [ (_, _, alpha_calls); (_, _, beta_calls) ] ->
-          check_int "alpha calls" 2 alpha_calls;
-          check_int "beta calls" 1 beta_calls
-        | _ -> Alcotest.fail "expected two timer rows");
+          Alcotest.(list (pair string int))
+          "steps in first-seen order" [ ("alpha", 2); ("beta", 1) ]
+          m.Probe.s_steps);
   ]
 
 (* ---- the score cache ----------------------------------------------- *)
@@ -361,7 +352,8 @@ let report_tests =
         List.iter
           (fun key -> check_bool key true (contains json key))
           [ "\"function\""; "\"config\""; "\"blocks\""; "\"evals\"";
-            "\"timers\""; "\"total\"" ]);
+            "\"steps\""; "\"total\"" ];
+        check_bool "no wall-clock field" false (contains json "\"seconds\""));
   ]
 
 (* ---- memoization pays, and is invisible (acceptance criterion) ----- *)

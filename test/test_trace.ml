@@ -237,7 +237,15 @@ let exporter_tests =
             let n = String.length s and m = String.length stamp in
             let rec mem k = k + m <= n && (String.sub s k m = stamp || mem (k + 1)) in
             check_bool (Fmt.str "ts %d present" e.Trace.ts) true (mem 0))
-          events);
+          events;
+        (* one line per event, however long: 433.mult-su2-mat's seed lists
+           and bundles run past the formatter's margin *)
+        let events = traced "433.mult-su2-mat" in
+        let lines s =
+          List.length (String.split_on_char '\n' s) - 1
+        in
+        check_int "one line per event" (List.length events)
+          (lines (Trace.to_log events)));
     tc "empty stream exports cleanly in all three formats" (fun () ->
         (match Json.of_string (Trace.chrome_string []) with
          | Ok _ -> ()

@@ -726,9 +726,6 @@ let pool_config_of ~jobs ~queue_cap ~retries ~backoff ~deadline_steps =
     deadline_steps;
   }
 
-let print_pool_stats s =
-  Fmt.pr "%a@." Lslp_telemetry.Pool_stats.pp s
-
 let batch_cmd =
   let run config unroll jobs queue_cap deadline_steps retries backoff cache
       repeat injects expect stats_flag stats_json metrics_out metrics_format
@@ -776,7 +773,8 @@ let batch_cmd =
             from cache), %d degraded@."
       (max 1 repeat) n jobs !ok !cached !failed;
     if stats_flag then begin
-      print_pool_stats (Lslp_service.Service.stats svc);
+      Fmt.pr "%a@." Lslp_telemetry.Pool_stats.pp
+        (Lslp_service.Service.stats svc);
       Fmt.pr "%a@." Lslp_obs.Export.pp_table
         (Lslp_obs.Registry.snapshot (Lslp_service.Service.registry svc))
     end;

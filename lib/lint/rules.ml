@@ -42,7 +42,7 @@ let r4 =
     slug = "wall-clock";
     doc =
       "wall-clock read (Unix.gettimeofday, Unix.time, Sys.time) outside \
-       the waived telemetry/trace modules";
+       a waived site";
   }
 
 let r5 =
@@ -228,8 +228,8 @@ let expr_findings ~file e acc =
     else if List.exists (String.equal p) wall_clock then
       add r4 ~loc:e.pexp_loc ~ident:p
         (Fmt.str
-           "%s reads the wall clock; only waived telemetry/trace \
-            modules may be nondeterministic"
+           "%s reads the wall clock; only a waived site may be \
+            nondeterministic"
            p)
     else
       match

@@ -33,8 +33,6 @@
 module Legality = Lslp_check.Legality
 module Diagnostic = Lslp_check.Diagnostic
 module Stats = Lslp_telemetry.Pool_stats
-module Registry = Lslp_obs.Registry
-module Flight = Lslp_obs.Flight
 
 type cached = {
   ir : string;
@@ -55,10 +53,10 @@ type t = {
   m : Mutex.t;
   by_key : (string, entry) Hashtbl.t;  (* canonical digest -> entry *)
   by_source : (string, string) Hashtbl.t;  (* front digest -> canonical *)
-  metrics : Stats.metrics option;
+  metrics : Stats.metrics;
 }
 
-let create ?metrics () =
+let create ~metrics () =
   {
     m = Mutex.create ();
     by_key = Hashtbl.create 64;
@@ -99,18 +97,10 @@ let length t =
   Mutex.unlock t.m;
   n
 
-(* Registry counters and the flight recorder lock themselves, so these
-   run with or without the cache lock.  Cache events carry tick -1 in the
-   flight recorder: the cache does not see the pool's vclock. *)
-let bump t f = match t.metrics with Some m -> f m | None -> ()
-
-let flight t ~job ~detail kind =
-  bump t (fun m -> Flight.record m.Stats.flight ~tick:(-1) ~job ~detail kind)
-
-(* A result the cache gave up, at insert or on a hit. *)
-let evicted t ~label ~key why =
-  bump t (fun m -> Registry.incr m.Stats.c_evicted);
-  flight t ~job:label ~detail:(Fmt.str "%s: %s" key why) "cache-evicted"
+(* [Stats.record] locks for itself, so this runs with or without the
+   cache lock.  Cache events carry tick -1: the cache does not see the
+   pool's vclock. *)
+let note t ~label ev = Stats.record t.metrics ~tick:(-1) ~job:label ev
 
 (* A poisoned copy of the entry: one byte of the served IR flipped, so the
    injected fault damages exactly what a hit would return.  The shared
@@ -123,10 +113,9 @@ let poisoned entry =
 (* lock held.  Count the hit and apply any armed poisoning; returns the
    entry the digest check must see. *)
 let claim_hit t ~label ~key entry ~poison =
-  bump t (fun m -> Registry.incr m.Stats.c_hits);
-  flight t ~job:label ~detail:key "cache-hit";
+  note t ~label (Stats.Cache_hit key);
   if poison then begin
-    flight t ~job:label ~detail:key "cache-poison";
+    note t ~label (Stats.Cache_poison key);
     let entry = poisoned entry in
     Hashtbl.replace t.by_key key entry;
     entry
@@ -139,8 +128,7 @@ let claim_hit t ~label ~key entry ~poison =
    entry meanwhile; then there is nothing left to evict here. *)
 let check_hit t ~label ~key entry =
   if Digest.equal (payload_digest entry.payload) entry.digest then begin
-    bump t (fun m -> Registry.incr m.Stats.c_verified);
-    flight t ~job:label ~detail:key "cache-verified";
+    note t ~label (Stats.Cache_verified key);
     Some entry.payload
   end
   else begin
@@ -149,7 +137,8 @@ let check_hit t ~label ~key entry =
      | Some current when current == entry ->
        Hashtbl.remove t.by_key key;
        List.iter (Hashtbl.remove t.by_source) entry.aliases;
-       evicted t ~label ~key "payload digest mismatch"
+       note t ~label
+         (Stats.Cache_evicted { key; reason = "payload digest mismatch" })
      | Some _ | None -> ());
     Mutex.unlock t.m;
     None
@@ -185,8 +174,7 @@ let find_by_ir t ~label ~source_key ~input_norm ~fingerprint ~poison =
       Some (claim_hit t ~label ~key entry ~poison)
     | Some _ (* digest collision: treat as a miss, never trust it *)
     | None ->
-      bump t (fun m -> Registry.incr m.Stats.c_misses);
-      flight t ~job:label ~detail:key "cache-miss";
+      note t ~label (Stats.Cache_miss key);
       None
   in
   Mutex.unlock t.m;
@@ -214,7 +202,9 @@ let find_by_ir t ~label ~source_key ~input_norm ~fingerprint ~poison =
 let insert t ~label ~source_key ~input_norm ~fingerprint ~snap ~func payload =
   let key = canonical_key ~input_norm ~fingerprint in
   match Diagnostic.errors (Legality.validate snap func) with
-  | _ :: _ as errors -> evicted t ~label ~key (Diagnostic.summary errors)
+  | _ :: _ as errors ->
+    note t ~label
+      (Stats.Cache_evicted { key; reason = Diagnostic.summary errors })
   | [] ->
     let digest = payload_digest payload in
     Mutex.lock t.m;
@@ -226,8 +216,7 @@ let insert t ~label ~source_key ~input_norm ~fingerprint ~snap ~func payload =
       in
       Hashtbl.replace t.by_key key entry;
       Hashtbl.replace t.by_source source_key key;
-      bump t (fun m -> Registry.incr m.Stats.c_inserts);
-      flight t ~job:label ~detail:key "cache-insert"
+      note t ~label (Stats.Cache_insert key)
     end
     else if not (Hashtbl.mem t.by_source source_key) then begin
       Hashtbl.replace t.by_source source_key key;

@@ -37,11 +37,10 @@ type cached = {
 
 type t
 
-val create : ?metrics:Lslp_telemetry.Pool_stats.metrics -> unit -> t
-(** Registry counters ([lslp_cache_*_total]) and flight-recorder events
-    (cache-hit/poison/verified/evicted/miss/insert, recorded with tick
-    [-1] — the cache does not see the pool's virtual clock); both lock
-    themselves. *)
+val create : metrics:Lslp_telemetry.Pool_stats.metrics -> unit -> t
+(** Each hit, poisoning, verification, eviction, miss and insert is one
+    [Pool_stats.record] into [metrics], with tick [-1]: the cache does not
+    see the pool's virtual clock. *)
 
 val source_key : source:string -> unroll:int -> fingerprint:string -> string
 (** The front key for a job, computable without parsing. *)

@@ -40,8 +40,6 @@
 module Budget = Lslp_robust.Budget
 module Inject = Lslp_robust.Inject
 module Stats = Lslp_telemetry.Pool_stats
-module Registry = Lslp_obs.Registry
-module Flight = Lslp_obs.Flight
 
 type failure =
   | Crashed of string
@@ -209,13 +207,14 @@ let run (type a) ?metrics config
   let shutdown = ref false in
   let dead = ref [] in
   let handles : handle option array = Array.make domains None in
-  let obs f = match metrics with Some (m : Stats.metrics) -> f m | None -> () in
+  let note ~job ?attempt ?seed ev =
+    match metrics with
+    | Some m -> Stats.record m ~tick:!vtick ~job ?attempt ?seed ev
+    | None -> ()
+  in
   (* virtual tick of each job's {e first} dispatch, so the latency
      histogram charges retries and backoff to the job that paid them *)
   let first_dispatch = Array.make n (-1) in
-  let flight m ~job ?attempt ?seed ?detail kind =
-    Flight.record m.Stats.flight ~tick:!vtick ~job ?attempt ?seed ?detail kind
-  in
   (* all helpers below assume the lock is held *)
   let promote () =
     let due, later =
@@ -263,13 +262,10 @@ let run (type a) ?metrics config
         incr in_flight;
         tick ();
         let label = fst jobs.(job) in
-        obs (fun m ->
-            if first_dispatch.(job) < 0 then first_dispatch.(job) <- !vtick;
-            let depth = Queue.length ready in
-            Registry.observe m.Stats.queue_at_dispatch depth;
-            Registry.set m.Stats.queue_depth depth;
-            flight m ~job:label ~attempt
-              ~seed:(attempt_seed config ~job ~attempt) "dispatched");
+        let seed = attempt_seed config ~job ~attempt in
+        if first_dispatch.(job) < 0 then first_dispatch.(job) <- !vtick;
+        note ~job:label ~attempt ~seed
+          (Stats.Dispatched { depth = Queue.length ready });
         (* queue space freed: the orchestrator may admit the next job *)
         Condition.signal cond_change;
         Mutex.unlock m;
@@ -297,50 +293,35 @@ let run (type a) ?metrics config
          | Ok v ->
            record job (Done v);
            tick ();
-           obs (fun m ->
-               Registry.incr m.Stats.completed;
-               Registry.observe m.Stats.job_attempts (attempt + 1);
-               let latency = !vtick - first_dispatch.(job) in
-               Registry.observe m.Stats.latency_ticks latency;
-               let depth = Queue.length ready in
-               Registry.observe m.Stats.queue_at_complete depth;
-               Registry.set m.Stats.queue_depth depth;
-               flight m ~job:label ~attempt
-                 ~seed:(attempt_seed config ~job ~attempt)
-                 ~detail:(Fmt.str "latency=%d" latency) "completed");
+           note ~job:label ~attempt ~seed
+             (Stats.Completed
+                {
+                  attempts = attempt + 1;
+                  latency = !vtick - first_dispatch.(job);
+                  depth = Queue.length ready;
+                });
            if !in_flight = 0 && !delayed <> [] then
              Condition.broadcast cond_work;
            Mutex.unlock m
          | Error failure ->
            (* job-fatal: record the job's fate, then this worker dies *)
-           let seed = attempt_seed config ~job ~attempt in
-           (match failure with
-            | Timed_out { steps } ->
-              obs (fun m ->
-                  Registry.incr m.Stats.timed_out;
-                  flight m ~job:label ~attempt ~seed
-                    ~detail:(Fmt.str "%d step(s)" steps) "timeout")
-            | Crashed msg ->
-              obs (fun m ->
-                  flight m ~job:label ~attempt ~seed ~detail:msg "crashed")
-            | Shed -> assert false (* shedding happens at admission *));
+           note ~job:label ~attempt ~seed
+             (match failure with
+              | Timed_out { steps } -> Stats.Timeout { steps }
+              | Crashed msg -> Stats.Crashed msg
+              | Shed -> assert false (* shedding happens at admission *));
            if attempt < retries then begin
              let delay = backoff * (1 lsl attempt) in
              delayed := (!vtick + delay, job, attempt + 1) :: !delayed;
-             obs (fun m ->
-                 Registry.incr m.Stats.retried;
-                 flight m ~job:label ~attempt:(attempt + 1)
-                   ~seed:(attempt_seed config ~job ~attempt:(attempt + 1))
-                   ~detail:(Fmt.str "in %d tick(s)" delay) "retried")
+             note ~job:label ~attempt:(attempt + 1)
+               ~seed:(attempt_seed config ~job ~attempt:(attempt + 1))
+               (Stats.Retried { delay })
            end
            else begin
              record job
                (Degraded_to_failure { attempts = attempt + 1; failure });
-             obs (fun m ->
-                 Registry.incr m.Stats.failed;
-                 Registry.observe m.Stats.job_attempts (attempt + 1);
-                 flight m ~job:label ~attempt ~seed
-                   ~detail:"retries exhausted" "failed")
+             note ~job:label ~attempt ~seed
+               (Stats.Failed { attempts = attempt + 1 })
            end;
            dead := slot :: !dead;
            Condition.signal cond_change;
@@ -375,9 +356,7 @@ let run (type a) ?metrics config
        List.iter
          (fun slot ->
            start slot;
-           obs (fun m ->
-               Registry.incr m.Stats.respawned;
-               flight m ~job:"" ~detail:(Fmt.str "worker %d" slot) "respawn"))
+           note ~job:"" (Stats.Respawn { slot }))
          slots);
     (* admit while the bounded queue has space — blocking here when it
        does not is the backpressure *)
@@ -387,16 +366,13 @@ let run (type a) ?metrics config
       incr next;
       progressed := true;
       let label = fst jobs.(job) in
-      obs (fun m -> Registry.incr m.Stats.submitted);
       if admission_sheds config ~job then begin
         record job (Degraded_to_failure { attempts = 0; failure = Shed });
-        obs (fun m ->
-            Registry.incr m.Stats.shed;
-            flight m ~job:label ~detail:"queue full" "shed")
+        note ~job:label Stats.Shed
       end
       else begin
         Queue.add (job, 0) ready;
-        obs (fun m -> flight m ~job:label "enqueued");
+        note ~job:label Stats.Enqueued;
         Condition.signal cond_work
       end
     done;

@@ -78,12 +78,10 @@ val run :
     deadline (to thread into [Config.with_deadline]); whatever [fn] raises
     is this attempt's failure.  Blocks until every job has an outcome.
 
-    With [metrics], the pool bumps the registry counters, samples the
-    latency/attempt/queue-depth histograms (all in virtual ticks and
-    slots — nothing reads the clock) and records every lifecycle
-    transition in the flight recorder, with per-attempt injector seeds;
-    all under the pool lock.  The flight recorder is the pool's only
-    per-job event log. *)
+    With [metrics], each lifecycle transition is one [Pool_stats.record]
+    under the pool lock, with the attempt's injector seed and the latency,
+    attempts and queue depth it carries (virtual ticks and slots: nothing
+    reads the clock).  The flight ring is the pool's only per-job log. *)
 
 val pp_failure : failure Fmt.t
 

@@ -43,11 +43,10 @@ type t = {
   pass_metrics : Lslp_telemetry.Pass_metrics.t;
 }
 
-let create ?(cache = true) ?flight_cap
-    ?(inject_for = fun _ -> None) ~pool compile =
+let create ?(cache = true) ?(inject_for = fun _ -> None) ~pool compile =
   (* one registry per service: pool + cache counters and histograms, the
      pipeline counters and step histograms, all exported together *)
-  let metrics = Stats.metrics ?flight_cap () in
+  let metrics = Stats.metrics () in
   let pass_metrics =
     Lslp_telemetry.Pass_metrics.create ~root:"batch" metrics.Stats.registry
   in
@@ -198,4 +197,4 @@ let degradations t outcomes =
         | Pool.Degraded_to_failure _ -> acc + 1)
       0 outcomes
   in
-  failed + Lslp_obs.Registry.value t.metrics.Stats.c_evicted
+  failed + (Stats.view t.metrics).Stats.cache_evicted

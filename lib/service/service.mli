@@ -36,13 +36,12 @@ type t
 
 val create :
   ?cache:bool ->
-  ?flight_cap:int ->
   ?inject_for:(int -> Lslp_robust.Inject.t option) ->
   pool:Pool.config ->
   Lslp_core.Config.t ->
   t
-(** [cache] defaults to on; [flight_cap] bounds the flight recorder
-    (default 4096 events), the service's per-job event log.  [inject_for] maps a {e global}
+(** [cache] defaults to on; the flight recorder, the service's per-job
+    event log, keeps the last 4096 events.  [inject_for] maps a {e global}
     job index (across batches, see [index_base]) to the fault spec armed
     for that job; it covers service points (worker-raise, worker-hang,
     cache-poison, queue-full) and pipeline points alike — the same

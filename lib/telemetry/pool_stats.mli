@@ -1,11 +1,12 @@
 (** Compile-service pool metrics.
 
-    The single source of truth is an {!Lslp_obs.Registry} plus an
-    {!Lslp_obs.Flight} recorder, bundled as {!metrics}; the pool, the
-    cache and the service bump the typed handles directly.  The
-    historical flat-counter record {!t} survives as a {e read view}
-    ({!view}) so accounting tests and the `--stats` renderers keep
-    working unchanged.
+    Each pool and cache transition is written once, as an {!event} passed
+    to {!record}, the only writer of the service counters, gauge and
+    histograms in an {!Lslp_obs.Registry}; it also appends the event to
+    an {!Lslp_obs.Flight} ring.  Counters and recording agree by
+    construction, and events the ring overwrites still count.  The flat
+    record {!t} is a {e read view} ({!view}) for the accounting tests and
+    the `--stats` renderers.
 
     Deterministic for a given (job list, configuration, fault spec):
     retries, timeouts, shedding and cache evictions are all driven by the
@@ -14,47 +15,61 @@
     exposition dumps are byte-reproducible. *)
 
 type t = {
-  mutable jobs_submitted : int;
-  mutable jobs_completed : int;
-  mutable jobs_retried : int;
-  mutable jobs_timed_out : int;
-  mutable jobs_shed : int;
-  mutable jobs_failed : int;
-  mutable workers_respawned : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_verified : int;
-  mutable cache_evicted : int;
-  mutable cache_inserts : int;
+  jobs_submitted : int;
+  jobs_completed : int;
+  jobs_retried : int;
+  jobs_timed_out : int;
+  jobs_shed : int;
+  jobs_failed : int;
+  workers_respawned : int;
+  cache_hits : int;
+  cache_misses : int;
+  cache_verified : int;
+  cache_evicted : int;
+  cache_inserts : int;
 }
 
-type metrics = {
+(** One pool or cache transition, with the values its metrics need:
+    ready-queue depths, latency and retry delay in virtual ticks, and the
+    entry's canonical key on cache events.  DESIGN.md §17 tables the
+    metrics {!record} folds each kind into. *)
+type event =
+  | Enqueued
+  | Dispatched of { depth : int }
+  | Completed of { attempts : int; latency : int; depth : int }
+  | Timeout of { steps : int }
+  | Crashed of string  (** the exception's message *)
+  | Retried of { delay : int }
+  | Failed of { attempts : int }
+  | Shed
+  | Respawn of { slot : int }
+  | Cache_hit of string
+  | Cache_poison of string
+  | Cache_verified of string
+  | Cache_evicted of { key : string; reason : string }
+  | Cache_miss of string
+  | Cache_insert of string
+
+type counters
+(** The registry handles, reachable only through {!record} and
+    {!view}. *)
+
+type metrics = private {
   registry : Lslp_obs.Registry.t;
   flight : Lslp_obs.Flight.t;
-  submitted : Lslp_obs.Registry.counter;
-  completed : Lslp_obs.Registry.counter;
-  retried : Lslp_obs.Registry.counter;
-  timed_out : Lslp_obs.Registry.counter;
-  shed : Lslp_obs.Registry.counter;
-  failed : Lslp_obs.Registry.counter;
-  respawned : Lslp_obs.Registry.counter;
-  c_hits : Lslp_obs.Registry.counter;
-  c_misses : Lslp_obs.Registry.counter;
-  c_verified : Lslp_obs.Registry.counter;
-  c_evicted : Lslp_obs.Registry.counter;
-  c_inserts : Lslp_obs.Registry.counter;
-  queue_depth : Lslp_obs.Registry.gauge;
-  latency_ticks : Lslp_obs.Registry.histogram;
-  job_attempts : Lslp_obs.Registry.histogram;
-  queue_at_dispatch : Lslp_obs.Registry.histogram;
-  queue_at_complete : Lslp_obs.Registry.histogram;
+  counters : counters;
 }
 
-val metrics :
-  ?registry:Lslp_obs.Registry.t -> ?flight_cap:int -> unit -> metrics
-(** Register the service metric family on [registry] (fresh one when
-    omitted) and attach a flight recorder of [flight_cap] (default 4096)
-    events.  Registration is idempotent per registry. *)
+val metrics : unit -> metrics
+(** Register the service metric family on a fresh registry and attach a
+    flight recorder of 4096 events. *)
+
+val record :
+  metrics -> tick:int -> job:string -> ?attempt:int -> ?seed:int -> event ->
+  unit
+(** Fold the event into the registry, then append it to the flight ring
+    with its kind (enqueued, dispatched, …, cache-insert) and detail.
+    Both lock themselves, so any domain may call it. *)
 
 val view : metrics -> t
 (** Consistent flat snapshot of the twelve counters — what

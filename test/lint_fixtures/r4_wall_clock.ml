@@ -1,4 +1,4 @@
-(* R4 fixture: wall-clock reads outside the telemetry/trace modules. *)
+(* R4 fixture: wall-clock reads outside a waived site. *)
 
 let now () = Unix.gettimeofday ()
 

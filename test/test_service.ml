@@ -84,20 +84,30 @@ let fault_survival =
 
 (* ---- flight recorder vs counters: exact reconciliation ------------- *)
 
-(* For any single service fault, the flight recording and the counter
-   view must tell the same story: every job's recording ends in exactly
-   one terminal event (completed | failed | shed), the per-kind event
-   counts equal the terminal counters, and the histograms saw exactly
-   the jobs their instrumentation point covers — latency one sample per
-   completion, attempts one sample per completed-or-failed job.  No
-   tolerance anywhere: a single double-count or missed event fails. *)
+(* For any single service fault per round, the flight recording and the
+   counter view must tell the same story: every job's recording ends in
+   exactly one terminal event per round (completed | failed | shed), each
+   of the twelve counters equals the count of the event kinds it folds,
+   and the histograms saw exactly the jobs their instrumentation point
+   covers — latency one sample per completion, attempts one sample per
+   completed-or-failed job.  The cold round arms the fault at [target];
+   the warm round arms it at the next job, whose clean cold result is
+   cached, so the warm round hits, verifies and, under cache-poison,
+   evicts.  No tolerance anywhere: a single double-count or missed event
+   fails. *)
 let metrics_reconcile_prop (point, target, seed) =
   let spec = Inject.make ~points:[ point ] ~rate:1.0 ~seed () in
-  let inject_for i = if i = target then Some spec else None in
+  let warm_target = njobs + ((target + 1) mod njobs) in
+  let inject_for i =
+    if i = target || i = warm_target then Some spec else None
+  in
   let pool = { (quiet_pool 4) with deadline_steps = Some 50_000 } in
   let svc = Service.create ~cache:true ~inject_for ~pool config in
-  let outcomes = Service.batch svc some_jobs in
+  let cold = Service.batch svc some_jobs in
+  let warm = Service.batch ~index_base:njobs svc some_jobs in
+  let outcomes = Array.append cold warm in
   let s = Service.stats svc in
+  let events = Flight.events (Service.flight svc) in
   let terminal = Hashtbl.create 16 in
   List.iter
     (fun (e : Flight.event) ->
@@ -108,34 +118,41 @@ let metrics_reconcile_prop (point, target, seed) =
            :: (Option.value ~default:[]
                  (Hashtbl.find_opt terminal e.Flight.job)))
       | _ -> ())
-    (Flight.events (Service.flight svc));
-  let count kind =
-    Hashtbl.fold
-      (fun _ kinds acc ->
-        acc + List.length (List.filter (String.equal kind) kinds))
-      terminal 0
+    events;
+  let events_of kind =
+    List.length
+      (List.filter (fun (e : Flight.event) -> e.Flight.kind = kind) events)
   in
   let hcount name =
     match Registry.histogram_view (Service.registry svc) name with
     | Some v -> v.Registry.hcount
     | None -> -1
   in
-  let one_terminal_each =
+  let one_terminal_per_round =
     Array.for_all
       (fun (j : Service.job) ->
         match Hashtbl.find_opt terminal j.Service.label with
-        | Some [ _ ] -> true
+        | Some [ _; _ ] -> true
         | Some _ | None -> false)
       some_jobs
   in
-  one_terminal_each
-  && Array.length outcomes = njobs
-  && count "completed" = s.Stats.jobs_completed
-  && count "failed" = s.Stats.jobs_failed
-  && count "shed" = s.Stats.jobs_shed
+  one_terminal_per_round
+  && Array.length outcomes = 2 * njobs
+  && events_of "completed" = s.Stats.jobs_completed
+  && events_of "failed" = s.Stats.jobs_failed
+  && events_of "shed" = s.Stats.jobs_shed
   && s.Stats.jobs_completed + s.Stats.jobs_failed + s.Stats.jobs_shed
-     = njobs
-  && s.Stats.jobs_submitted = njobs
+     = 2 * njobs
+  && s.Stats.jobs_submitted = 2 * njobs
+  && s.Stats.jobs_submitted = events_of "enqueued" + events_of "shed"
+  && s.Stats.jobs_retried = events_of "retried"
+  && s.Stats.jobs_timed_out = events_of "timeout"
+  && s.Stats.workers_respawned = events_of "respawn"
+  && s.Stats.cache_hits = events_of "cache-hit"
+  && s.Stats.cache_misses = events_of "cache-miss"
+  && s.Stats.cache_verified = events_of "cache-verified"
+  && s.Stats.cache_evicted = events_of "cache-evicted"
+  && s.Stats.cache_inserts = events_of "cache-insert"
   && hcount "lslp_job_latency_ticks" = s.Stats.jobs_completed
   && hcount "lslp_job_attempts"
      = s.Stats.jobs_completed + s.Stats.jobs_failed
@@ -466,6 +483,23 @@ let pool_worker_raise_unchanged () =
     (String.concat "\n" worker_raise_flight ^ "\n")
     (Flight.to_jsonl metrics.Stats.flight)
 
+(* The counters live outside the flight ring: events the ring overwrote
+   still count, and the ring reports exactly the excess as dropped. *)
+let counts_survive_ring_overwrite () =
+  let metrics = Stats.metrics () in
+  let n = 5000 in
+  for i = 0 to n - 1 do
+    Stats.record metrics ~tick:i ~job:(Fmt.str "job-%d" i)
+      (if i mod 2 = 0 then Stats.Enqueued else Stats.Cache_miss "k")
+  done;
+  let s = Stats.view metrics in
+  Helpers.check_int "every enqueue counted" (n / 2) s.Stats.jobs_submitted;
+  Helpers.check_int "every miss counted" (n / 2) s.Stats.cache_misses;
+  Helpers.check_int "ring holds its cap" 4096
+    (List.length (Flight.events metrics.Stats.flight));
+  Helpers.check_int "dropped = the excess" (n - 4096)
+    (Flight.dropped metrics.Stats.flight)
+
 let await_reraises () =
   (match Pool.await (Pool.launch (fun () -> raise Exit)) with
    | () -> Alcotest.fail "await swallowed the thunk's exception"
@@ -615,6 +649,8 @@ let suite =
       pool_back_to_back;
     Helpers.tc "pool: worker-raise outcomes, respawns and flight unchanged"
       pool_worker_raise_unchanged;
+    Helpers.tc "stats: counts survive flight ring overwrite"
+      counts_survive_ring_overwrite;
     Helpers.tc "pool: await re-raises the thunk's exception" await_reraises;
     Helpers.tc "pool: a job runs under the caller's minor heap"
       pool_adopts_minor_heap;

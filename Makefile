@@ -211,22 +211,15 @@ metrics-baseline:
 	dune exec bin/lslpc.exe -- batch $(FLIGHT_BATCH) \
 	  --flight-out bench_results/FLIGHT_baseline.jsonl
 
-# Observability smoke: a faulted multi-domain batch must emit a
-# Prometheus dump that lslpc's own parser accepts and whose degradation
-# counters (failed + shed + evicted) reconcile with the batch gate's
-# count; the JSON exposition must reconcile to the same number.
+# Observability smoke: a faulted 4-domain batch must degrade exactly the
+# two injected jobs (--expect-degradations counts failed + shed + evicted)
+# and still render its registry as a Prometheus dump.  The counters fold
+# from the flight events, so test_service's reconcile property checks
+# them against the same sum on every single-fault schedule.
 metrics-smoke:
 	dune exec bin/lslpc.exe -- batch --jobs 4 \
 	  --inject worker-raise@3 --inject queue-full@7 \
 	  --expect-degradations 2 --metrics-out _build/metrics_smoke.prom
-	dune exec bin/lslpc.exe -- metrics-verify _build/metrics_smoke.prom \
-	  --expect-degradations 2
-	dune exec bin/lslpc.exe -- batch --jobs 4 \
-	  --inject worker-raise@3 --inject queue-full@7 \
-	  --expect-degradations 2 --metrics-out _build/metrics_smoke.json \
-	  --metrics-format json
-	dune exec bin/lslpc.exe -- metrics-verify _build/metrics_smoke.json \
-	  --metrics-format json --expect-degradations 2
 
 # One workload of the one-command benchmark (see BENCHMARK.json and
 # README "Benchmark"): W = catalog | chains | batch-mixed, T = 1 for the

@@ -19,11 +19,8 @@
      batch    compile the catalog on the fault-isolated Domain-pool
               service: per-job deadlines, retries with backoff,
               backpressure and a verified result cache
-     profile  deterministic compile-cost profile: catalog x N compiles
-              into per-pass step histograms and folded stacks
-     metrics-verify
-              parse a --metrics-out dump and gate on its degradation
-              counters (the CI half of make metrics-smoke)
+     profile  deterministic compile-cost profile: one compile per catalog
+              kernel into per-pass step histograms and folded stacks
 
    Example:
      lslpc compile --config lslp --dump-ir examples/kernels/saxpy2.k
@@ -102,22 +99,8 @@ let stats_json_arg =
 
 (* ---- metrics exposition ------------------------------------------- *)
 
-type metrics_format = Prom | Mjson
-
-let metrics_format_arg =
-  let doc =
-    "Metrics dump format: $(b,prom) (Prometheus text exposition) or \
-     $(b,json) (one lslp-metrics/1 document)."
-  in
-  Arg.(value
-       & opt (enum [ ("prom", Prom); ("json", Mjson) ]) Prom
-       & info [ "metrics-format" ] ~docv:"FORMAT" ~doc)
-
-let render_registry ~format registry =
-  let samples = Lslp_obs.Registry.snapshot registry in
-  match format with
-  | Prom -> Lslp_obs.Export.prometheus samples
-  | Mjson -> Lslp_util.Json.to_string (Lslp_obs.Export.json samples) ^ "\n"
+let render_registry registry =
+  Lslp_obs.Export.prometheus (Lslp_obs.Registry.snapshot registry)
 
 (* One run's pass-step histograms, derived deterministically from the
    report — what `--stats-json` rides along with the telemetry. *)
@@ -728,8 +711,8 @@ let pool_config_of ~jobs ~queue_cap ~retries ~backoff ~deadline_steps =
 
 let batch_cmd =
   let run config unroll jobs queue_cap deadline_steps retries backoff cache
-      repeat injects expect stats_flag stats_json metrics_out metrics_format
-      flight_out verbose =
+      repeat injects expect stats_flag stats_json metrics_out flight_out
+      verbose =
     handle_errors @@ fun () ->
     let inject_for = inject_for_of injects in
     let pool =
@@ -789,8 +772,7 @@ let batch_cmd =
     Option.iter
       (fun path ->
         write_out path
-          (render_registry ~format:metrics_format
-             (Lslp_service.Service.registry svc)))
+          (render_registry (Lslp_service.Service.registry svc)))
       metrics_out;
     Option.iter
       (fun path ->
@@ -887,18 +869,19 @@ let batch_cmd =
     Term.(const run $ config_arg $ unroll_arg $ jobs $ queue_cap
           $ deadline_steps $ retries $ backoff $ cache $ repeat
           $ service_inject_args $ expect $ stats_arg $ stats_json_arg
-          $ metrics_out $ metrics_format_arg $ flight_out $ verbose)
+          $ metrics_out $ flight_out $ verbose)
 
 (* ---- profile ------------------------------------------------------ *)
 
 (* Compile-time profiling in the deterministic unit: probe steps at the
-   instrumented pass boundaries, not wall clock.  catalog x reps through
-   Pipeline.run feeding one registry; the percentile table and the
-   folded stacks are byte-reproducible, so perf work can diff them in CI
-   the way `make bench-check` diffs counters (the fig14 compile-time
-   hunt's instrument). *)
+   instrumented pass boundaries, not wall clock.  One pass over the
+   catalog through Pipeline.run feeding one registry (a step is a call
+   count, so a second pass would only double every count); the
+   percentile table and the folded stacks are byte-reproducible, so perf
+   work can diff them in CI the way `make bench-check` diffs counters
+   (the fig14 compile-time hunt's instrument). *)
 let profile_cmd =
-  let run config unroll reps kernel folded_out metrics_out metrics_format =
+  let run config unroll kernel folded_out metrics_out =
     handle_errors @@ fun () ->
     let registry = Lslp_obs.Registry.create () in
     let pm = Lslp_telemetry.Pass_metrics.create ~root:"profile" registry in
@@ -907,31 +890,21 @@ let profile_cmd =
       | None -> Lslp_kernels.Catalog.all
       | Some key -> [ Lslp_kernels.Catalog.find key ]
     in
-    let reps = max 1 reps in
-    for _rep = 1 to reps do
-      List.iter
-        (fun (k : Lslp_kernels.Catalog.kernel) ->
-          let f = Lslp_kernels.Catalog.compile k in
-          ignore (Lslp_frontend.Unroll.run ~factor:unroll f);
-          ignore (Lslp_core.Pipeline.run ~metrics:pm ~config f))
-        kernels
-    done;
-    Fmt.pr "=== profile: %d kernel(s) x %d rep(s), config %s ===@."
-      (List.length kernels) reps config.Lslp_core.Config.name;
+    List.iter
+      (fun (k : Lslp_kernels.Catalog.kernel) ->
+        let f = Lslp_kernels.Catalog.compile k in
+        ignore (Lslp_frontend.Unroll.run ~factor:unroll f);
+        ignore (Lslp_core.Pipeline.run ~metrics:pm ~config f))
+      kernels;
+    Fmt.pr "=== profile: %d kernel(s), config %s ===@."
+      (List.length kernels) config.Lslp_core.Config.name;
     Fmt.pr "%a@." Lslp_obs.Export.pp_table
       (Lslp_obs.Registry.snapshot registry);
     Option.iter
       (fun path -> write_out path (Lslp_telemetry.Pass_metrics.folded pm))
       folded_out;
-    Option.iter
-      (fun path ->
-        write_out path (render_registry ~format:metrics_format registry))
+    Option.iter (fun path -> write_out path (render_registry registry))
       metrics_out
-  in
-  let reps =
-    Arg.(value & opt int 1
-         & info [ "reps" ] ~docv:"N"
-             ~doc:"Compile the kernel set N times (histogram sample size).")
   in
   let kernel =
     Arg.(value & opt (some string) None
@@ -954,108 +927,10 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:
          "Profile compile cost in deterministic pass-boundary steps: \
-          catalog x N compiles into per-pass step histograms (percentile \
-          table) and flamegraph-compatible folded stacks")
-    Term.(const run $ config_term $ unroll_arg $ reps $ kernel $ folded_out
-          $ metrics_out $ metrics_format_arg)
-
-(* ---- metrics-verify ----------------------------------------------- *)
-
-(* The metrics-smoke gate's second half: prove a dump parses and that its
-   degradation counters add up to the expected count.  "Degradations"
-   here is the same sum `--expect-degradations` gates on the batch side:
-   jobs failed + jobs shed + cache evictions. *)
-let metrics_verify_cmd =
-  let read_file path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let counter_of_json doc name =
-    match Lslp_util.Json.member "metrics" doc with
-    | Some (Lslp_util.Json.Arr ms) ->
-      List.find_map
-        (fun m ->
-          match
-            (Lslp_util.Json.member "name" m, Lslp_util.Json.member "value" m)
-          with
-          | Some (Lslp_util.Json.Str n), Some v when n = name ->
-            Lslp_util.Json.to_int_opt v
-          | _ -> None)
-        ms
-    | _ -> None
-  in
-  let run file format expect =
-    handle_errors @@ fun () ->
-    let contents = read_file file in
-    let die fmt =
-      Fmt.kstr
-        (fun s ->
-          Fmt.epr "metrics-verify: %s: %s@." file s;
-          exit 1)
-        fmt
-    in
-    let counter =
-      match format with
-      | Prom -> (
-        match Lslp_obs.Export.parse_prometheus contents with
-        | Error e -> die "%s" e
-        | Ok samples ->
-          Fmt.pr "metrics-verify: %d sample(s) parsed@."
-            (List.length samples);
-          fun name ->
-            (match Lslp_obs.Export.sample_value samples name with
-             | Some v -> int_of_float v
-             | None -> die "missing counter %s" name))
-      | Mjson -> (
-        match Lslp_util.Json.of_string contents with
-        | Error e -> die "%s" e
-        | Ok doc ->
-          Fmt.pr "metrics-verify: document parsed@.";
-          fun name ->
-            (match counter_of_json doc name with
-             | Some v -> v
-             | None -> die "missing counter %s" name))
-    in
-    let failed = counter "lslp_jobs_failed_total" in
-    let shed = counter "lslp_jobs_shed_total" in
-    let evicted = counter "lslp_cache_evicted_total" in
-    let degradations = failed + shed + evicted in
-    match expect with
-    | Some want when want <> degradations ->
-      Fmt.epr
-        "metrics-verify: expected %d degradation(s), got %d (failed %d + \
-         shed %d + evicted %d)@."
-        want degradations failed shed evicted;
-      exit 1
-    | Some _ ->
-      Fmt.pr "metrics-verify: degradations %d (as expected)@." degradations
-    | None ->
-      Fmt.pr
-        "metrics-verify: degradations %d (failed %d + shed %d + evicted \
-         %d)@."
-        degradations failed shed evicted
-  in
-  let file =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FILE"
-             ~doc:"A metrics dump written by batch --metrics-out.")
-  in
-  let expect =
-    Arg.(value & opt (some int) None
-         & info [ "expect-degradations" ] ~docv:"N"
-             ~doc:"Exit non-zero unless failed + shed + evicted counters \
-                   sum to exactly N.")
-  in
-  Cmd.v
-    (Cmd.info "metrics-verify"
-       ~doc:
-         "Parse a metrics dump (Prometheus text or lslp-metrics/1 JSON) \
-          and check its degradation counters — the CI half of \
-          make metrics-smoke")
-    Term.(const run $ file $ metrics_format_arg $ expect)
+          one compile per catalog kernel into per-pass step histograms \
+          (percentile table) and flamegraph-compatible folded stacks")
+    Term.(const run $ config_term $ unroll_arg $ kernel $ folded_out
+          $ metrics_out)
 
 (* ---- kernels ------------------------------------------------------ *)
 
@@ -1097,4 +972,4 @@ let () =
        (Cmd.group info
           [ compile_cmd; run_cmd; analyze_cmd; trace_cmd; stats_cmd;
             fuzz_cmd; batch_cmd; profile_cmd;
-            metrics_verify_cmd; kernels_cmd; show_cmd ]))
+            kernels_cmd; show_cmd ]))

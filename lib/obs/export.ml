@@ -1,12 +1,12 @@
 (* Exposition: one registry snapshot, three formats.
 
    - Prometheus text (0.0.4): HELP/TYPE per family, cumulative
-     [le]-labelled buckets for histograms.  [parse_prometheus] reads the
-     same dialect back — the smoke gate writes a dump, re-parses it and
-     cross-checks the degradation counters, so the emitter can never
-     drift from what a scraper would accept without CI noticing.
+     [le]-labelled buckets for histograms — the `--metrics-out` dump,
+     which `make metrics-check` compares byte for byte with a committed
+     baseline.
    - Lslp_util.Json: the same snapshot as one minified document, with
-     derived percentiles included per histogram.
+     derived percentiles included per histogram — printed by
+     `--stats-json` and `lslpc stats --json`.
    - Folded stacks: "frame;frame;frame count" lines (flamegraph.pl
      dialect), sorted, for the pass-boundary step counts.
 
@@ -76,116 +76,6 @@ let prometheus samples =
         line "%s_count%s %d" s.s_name (label_block s.s_labels) h.hcount)
     samples;
   Buffer.contents buf
-
-(* {2 Parsing the text format back} *)
-
-type psample = {
-  p_name : string;
-  p_labels : (string * string) list;
-  p_value : float;
-}
-
-let is_name_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9') || c = '_' || c = ':'
-
-(* One sample line: NAME[{k="v",...}] SP VALUE.  Returns [Error] with a
-   reason rather than raising — the smoke gate turns that into exit 1. *)
-let parse_sample_line ln =
-  let len = String.length ln in
-  let rec name_end i = if i < len && is_name_char ln.[i] then name_end (i + 1) else i in
-  let ne = name_end 0 in
-  if ne = 0 then Error "expected metric name"
-  else
-    let name = String.sub ln 0 ne in
-    let labels = ref [] in
-    let pos = ref ne in
-    let fail = ref None in
-    (if !pos < len && ln.[!pos] = '{' then begin
-       incr pos;
-       let continue_ = ref true in
-       while !continue_ && !fail = None do
-         if !pos >= len then begin
-           fail := Some "unterminated label block";
-           continue_ := false
-         end
-         else if ln.[!pos] = '}' then begin
-           incr pos;
-           continue_ := false
-         end
-         else begin
-           let ks = !pos in
-           let rec kend i =
-             if i < len && is_name_char ln.[i] then kend (i + 1) else i
-           in
-           let ke = kend ks in
-           if ke = ks || ke + 1 >= len || ln.[ke] <> '=' || ln.[ke + 1] <> '"'
-           then fail := Some "malformed label"
-           else begin
-             let vbuf = Buffer.create 8 in
-             let i = ref (ke + 2) in
-             let closed = ref false in
-             while (not !closed) && !fail = None do
-               if !i >= len then fail := Some "unterminated label value"
-               else if ln.[!i] = '\\' && !i + 1 < len then begin
-                 (match ln.[!i + 1] with
-                  | 'n' -> Buffer.add_char vbuf '\n'
-                  | c -> Buffer.add_char vbuf c);
-                 i := !i + 2
-               end
-               else if ln.[!i] = '"' then begin
-                 closed := true;
-                 incr i
-               end
-               else begin
-                 Buffer.add_char vbuf ln.[!i];
-                 incr i
-               end
-             done;
-             if !fail = None then begin
-               labels :=
-                 (String.sub ln ks (ke - ks), Buffer.contents vbuf) :: !labels;
-               pos := !i;
-               if !pos < len && ln.[!pos] = ',' then incr pos
-             end
-           end
-         end
-       done
-     end);
-    match !fail with
-    | Some e -> Error e
-    | None ->
-      let rest = String.trim (String.sub ln !pos (len - !pos)) in
-      if rest = "" then Error "missing sample value"
-      else (
-        match
-          if rest = "+Inf" then Some infinity
-          else if rest = "-Inf" then Some neg_infinity
-          else float_of_string_opt rest
-        with
-        | None -> Error (Fmt.str "bad sample value %S" rest)
-        | Some v ->
-          Ok { p_name = name; p_labels = List.rev !labels; p_value = v })
-
-let parse_prometheus text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | ln :: rest ->
-      let ln' = String.trim ln in
-      if ln' = "" || ln'.[0] = '#' then go (lineno + 1) acc rest
-      else (
-        match parse_sample_line ln' with
-        | Ok s -> go (lineno + 1) (s :: acc) rest
-        | Error e -> Error (Fmt.str "line %d: %s" lineno e))
-  in
-  go 1 [] lines
-
-let sample_value samples ?(labels = []) name =
-  List.find_map
-    (fun s ->
-      if s.p_name = name && s.p_labels = labels then Some s.p_value else None)
-    samples
 
 (* {2 JSON exposition} *)
 

@@ -7,30 +7,13 @@
 
 val prometheus : Registry.sample list -> string
 (** Prometheus text exposition (0.0.4): [# HELP]/[# TYPE] per family,
-    cumulative [le]-labelled buckets, [_sum]/[_count] per histogram. *)
-
-(** {1 Reading the text format back} *)
-
-type psample = {
-  p_name : string;
-  p_labels : (string * string) list;
-  p_value : float;
-}
-
-val parse_prometheus : string -> (psample list, string) result
-(** Parse text exposition back into flat samples (histograms appear as
-    their [_bucket]/[_sum]/[_count] series).  Total: returns [Error
-    "line N: reason"] instead of raising — `lslpc metrics-verify` builds
-    the smoke gate on it. *)
-
-val sample_value :
-  psample list -> ?labels:(string * string) list -> string -> float option
-
-(** {1 Other formats} *)
+    cumulative [le]-labelled buckets, [_sum]/[_count] per histogram —
+    what [--metrics-out] writes. *)
 
 val json : Registry.sample list -> Lslp_util.Json.t
 (** One document: [{schema; metrics: [...]}], histograms carrying
-    cumulative buckets, sum/count/min/max and derived p50/p95/p99. *)
+    cumulative buckets, sum/count/min/max and derived p50/p95/p99 —
+    printed by [--stats-json] and [lslpc stats --json]. *)
 
 val folded : (string * int) list -> string
 (** Folded-stack lines ["frame;frame;frame count\n"], sorted — feed to

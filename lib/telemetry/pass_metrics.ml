@@ -111,10 +111,8 @@ let observe t (r : Report.t) =
   (* observe outside our own lock; registry handles carry their own *)
   List.iter (fun (h, calls) -> Registry.observe h calls) hists
 
-let stacks t =
+let folded t =
   Mutex.lock t.lock;
-  let out = Hashtbl.fold (fun k n acc -> (k, !n) :: acc) t.stacks [] in
+  let stacks = Hashtbl.fold (fun k n acc -> (k, !n) :: acc) t.stacks [] in
   Mutex.unlock t.lock;
-  List.sort compare out
-
-let folded t = Lslp_obs.Export.folded (stacks t)
+  Lslp_obs.Export.folded stacks

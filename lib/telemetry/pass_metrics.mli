@@ -24,8 +24,5 @@ val create : ?root:string -> Lslp_obs.Registry.t -> t
 val observe : t -> Report.t -> unit
 (** Fold one finished report in.  Never raises. *)
 
-val stacks : t -> (string * int) list
-(** Accumulated folded stacks, sorted. *)
-
 val folded : t -> string
-(** {!stacks} rendered in flamegraph.pl dialect. *)
+(** The accumulated folded stacks, sorted, in flamegraph.pl dialect. *)

@@ -71,5 +71,3 @@ let json t =
              t.blocks) );
       ("total", Json.Obj (snapshot_fields t.total));
     ]
-
-let to_json t = Json.to_string (json t)

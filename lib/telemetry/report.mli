@@ -2,7 +2,7 @@
     function-wide total.
 
     {!pp_counters} renders the deterministic counter table (pin it in
-    golden tests); {!to_json} carries the counters and the per-pass step
+    golden tests); {!json} carries the counters and the per-pass step
     counts. *)
 
 type t = {
@@ -24,6 +24,3 @@ val pp_counters : t Fmt.t
 
 val json : t -> Lslp_util.Json.t
 (** The report (counters and pass steps) as a {!Lslp_util.Json} value. *)
-
-val to_json : t -> string
-(** {!json} rendered minified. *)

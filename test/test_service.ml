@@ -156,6 +156,8 @@ let metrics_reconcile_prop (point, target, seed) =
   && hcount "lslp_job_latency_ticks" = s.Stats.jobs_completed
   && hcount "lslp_job_attempts"
      = s.Stats.jobs_completed + s.Stats.jobs_failed
+  && s.Stats.jobs_failed + s.Stats.jobs_shed + s.Stats.cache_evicted
+     = Service.degradations svc outcomes
 
 let metrics_reconcile =
   QCheck_alcotest.to_alcotest

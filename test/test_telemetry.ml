@@ -348,7 +348,9 @@ let report_tests =
     tc "json carries func, config, blocks and counters" (fun () ->
         let reference = kernel "453.vsumsqr" in
         let report, _ = run_with ~cache:true reference in
-        let json = Report.to_json report.Pipeline.telemetry in
+        let json =
+          Lslp_util.Json.to_string (Report.json report.Pipeline.telemetry)
+        in
         List.iter
           (fun key -> check_bool key true (contains json key))
           [ "\"function\""; "\"config\""; "\"blocks\""; "\"evals\"";

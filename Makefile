@@ -56,8 +56,9 @@ cond-smoke:
 	dune exec bin/lslpc.exe -- analyze --kernel cond.saxpy-guard
 	dune exec bin/lslpc.exe -- analyze --kernel cond.max-mask
 
-# Telemetry gate: the golden counter tables (test/cram/stats.t) plus the
-# cache-differential fuzz — 200 random programs whose cached and uncached
+# Telemetry gate: the golden counter tables (test/cram/stats.t, which
+# also pins the catalog `lslpc stats` counter and step-histogram tables)
+# plus the cache-differential fuzz — 200 random programs whose cached and uncached
 # look-ahead scoring must agree on IR, remarks and region outcomes.
 stats-golden:
 	dune build @test/cram/runtest

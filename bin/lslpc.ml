@@ -11,6 +11,7 @@
               JSON (Perfetto), Graphviz DOT or a decision log
      stats    run the whole kernel catalog and tabulate the telemetry
               counters (score evaluations, cache hits, graph nodes, ...)
+              and the per-pass step histograms
      kernels  list the built-in kernel catalog
      show     print a catalog kernel's source and IR
      fuzz     differential fuzzing: random kernels vs the scalar oracle
@@ -19,8 +20,6 @@
      batch    compile the catalog on the fault-isolated Domain-pool
               service: per-job deadlines, retries with backoff,
               backpressure and a verified result cache
-     profile  deterministic compile-cost profile: one compile per catalog
-              kernel into per-pass step histograms and folded stacks
 
    Example:
      lslpc compile --config lslp --dump-ir examples/kernels/saxpy2.k
@@ -99,14 +98,11 @@ let stats_json_arg =
 
 (* ---- metrics exposition ------------------------------------------- *)
 
-let render_registry registry =
-  Lslp_obs.Export.prometheus (Lslp_obs.Registry.snapshot registry)
-
 (* One run's pass-step histograms, derived deterministically from the
    report — what `--stats-json` rides along with the telemetry. *)
 let report_metrics (t : Lslp_telemetry.Report.t) =
   let reg = Lslp_obs.Registry.create () in
-  let pm = Lslp_telemetry.Pass_metrics.create ~root:"run" reg in
+  let pm = Lslp_telemetry.Pass_metrics.create reg in
   Lslp_telemetry.Pass_metrics.observe pm t;
   Lslp_obs.Export.json (Lslp_obs.Registry.snapshot reg)
 
@@ -210,7 +206,7 @@ let kernel_arg =
   let doc = "Use a built-in catalog kernel (see the kernels subcommand)." in
   Arg.(value & opt (some string) None & info [ "k"; "kernel" ] ~docv:"KEY" ~doc)
 
-(* --config with --no-score-cache applied: stats, profile and, through
+(* --config with --no-score-cache applied: stats and, through
    [kernel_term], every subcommand that compiles one kernel. *)
 let config_term =
   let make config no_cache =
@@ -496,7 +492,7 @@ let stats_cmd =
   let run config unroll json =
     handle_errors @@ fun () ->
     let registry = Lslp_obs.Registry.create () in
-    let pm = Lslp_telemetry.Pass_metrics.create ~root:"catalog" registry in
+    let pm = Lslp_telemetry.Pass_metrics.create registry in
     let rows =
       List.map
         (fun (k : Lslp_kernels.Catalog.kernel) ->
@@ -772,7 +768,8 @@ let batch_cmd =
     Option.iter
       (fun path ->
         write_out path
-          (render_registry (Lslp_service.Service.registry svc)))
+          (Lslp_obs.Export.prometheus
+             (Lslp_obs.Registry.snapshot (Lslp_service.Service.registry svc))))
       metrics_out;
     Option.iter
       (fun path ->
@@ -871,67 +868,6 @@ let batch_cmd =
           $ service_inject_args $ expect $ stats_arg $ stats_json_arg
           $ metrics_out $ flight_out $ verbose)
 
-(* ---- profile ------------------------------------------------------ *)
-
-(* Compile-time profiling in the deterministic unit: probe steps at the
-   instrumented pass boundaries, not wall clock.  One pass over the
-   catalog through Pipeline.run feeding one registry (a step is a call
-   count, so a second pass would only double every count); the
-   percentile table and the folded stacks are byte-reproducible, so perf
-   work can diff them in CI the way `make bench-check` diffs counters
-   (the fig14 compile-time hunt's instrument). *)
-let profile_cmd =
-  let run config unroll kernel folded_out metrics_out =
-    handle_errors @@ fun () ->
-    let registry = Lslp_obs.Registry.create () in
-    let pm = Lslp_telemetry.Pass_metrics.create ~root:"profile" registry in
-    let kernels =
-      match kernel with
-      | None -> Lslp_kernels.Catalog.all
-      | Some key -> [ Lslp_kernels.Catalog.find key ]
-    in
-    List.iter
-      (fun (k : Lslp_kernels.Catalog.kernel) ->
-        let f = Lslp_kernels.Catalog.compile k in
-        ignore (Lslp_frontend.Unroll.run ~factor:unroll f);
-        ignore (Lslp_core.Pipeline.run ~metrics:pm ~config f))
-      kernels;
-    Fmt.pr "=== profile: %d kernel(s), config %s ===@."
-      (List.length kernels) config.Lslp_core.Config.name;
-    Fmt.pr "%a@." Lslp_obs.Export.pp_table
-      (Lslp_obs.Registry.snapshot registry);
-    Option.iter
-      (fun path -> write_out path (Lslp_telemetry.Pass_metrics.folded pm))
-      folded_out;
-    Option.iter (fun path -> write_out path (render_registry registry))
-      metrics_out
-  in
-  let kernel =
-    Arg.(value & opt (some string) None
-         & info [ "kernel" ] ~docv:"KEY"
-             ~doc:"Profile one catalog kernel instead of the whole catalog.")
-  in
-  let folded_out =
-    Arg.(value & opt (some string) None
-         & info [ "folded-out" ] ~docv:"FILE"
-             ~doc:"Write folded stacks (profile;func;block;pass steps) to \
-                   $(docv) ($(b,-) for stdout) — flamegraph.pl dialect.")
-  in
-  let metrics_out =
-    Arg.(value & opt (some string) None
-         & info [ "metrics-out" ] ~docv:"FILE"
-             ~doc:"Dump the profile registry to $(docv) ($(b,-) for \
-                   stdout).")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Profile compile cost in deterministic pass-boundary steps: \
-          one compile per catalog kernel into per-pass step histograms \
-          (percentile table) and flamegraph-compatible folded stacks")
-    Term.(const run $ config_term $ unroll_arg $ kernel $ folded_out
-          $ metrics_out)
-
 (* ---- kernels ------------------------------------------------------ *)
 
 let kernels_cmd =
@@ -971,5 +907,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ compile_cmd; run_cmd; analyze_cmd; trace_cmd; stats_cmd;
-            fuzz_cmd; batch_cmd; profile_cmd;
-            kernels_cmd; show_cmd ]))
+            fuzz_cmd; batch_cmd; kernels_cmd; show_cmd ]))

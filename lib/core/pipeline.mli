@@ -48,9 +48,8 @@ val run :
   report
 (** Run on [f], mutating it.  [config] defaults to {!Config.lslp}.
     With [metrics], the finished report is folded into the registry
-    ([Pass_metrics.observe]) before returning — counters, step
-    histograms and folded stacks; zero cost and output-invariant when
-    omitted.
+    ([Pass_metrics.observe]) before returning — counters and step
+    histograms; zero cost and output-invariant when omitted.
     With [config.validate] the pre-pass dependence graph is snapshotted and
     the transformed function is checked against it ({!Lslp_check.Legality});
     the structural verifier also runs after codegen, reduction, CSE and DCE,

@@ -1,4 +1,4 @@
-(* Exposition: one registry snapshot, three formats.
+(* Exposition: one registry snapshot, two formats.
 
    - Prometheus text (0.0.4): HELP/TYPE per family, cumulative
      [le]-labelled buckets for histograms — the `--metrics-out` dump,
@@ -7,10 +7,9 @@
    - Lslp_util.Json: the same snapshot as one minified document, with
      derived percentiles included per histogram — printed by
      `--stats-json` and `lslpc stats --json`.
-   - Folded stacks: "frame;frame;frame count" lines (flamegraph.pl
-     dialect), sorted, for the pass-boundary step counts.
 
-   Everything walks the snapshot in registration order and is pure —
+   [pp_table] summarises the histograms for a human reader; it is not a
+   dump.  Everything walks the snapshot in registration order and is pure —
    identical snapshots render identical bytes. *)
 
 module Json = Lslp_util.Json
@@ -129,15 +128,6 @@ let json samples =
       ("schema", Json.Str "lslp-metrics/1");
       ("metrics", Json.Arr (List.map sample_json samples));
     ]
-
-(* {2 Folded stacks} *)
-
-let folded stacks =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (stack, n) -> Buffer.add_string buf (Fmt.str "%s %d\n" stack n))
-    (List.sort compare stacks);
-  Buffer.contents buf
 
 (* {2 Human histogram table} *)
 

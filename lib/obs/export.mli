@@ -1,5 +1,5 @@
-(** Exposition of a {!Registry} snapshot: Prometheus text, JSON and
-    folded stacks.
+(** Exposition of a {!Registry} snapshot: Prometheus text and JSON,
+    plus a human table of the histograms.
 
     All exporters walk the snapshot in registration order and are pure —
     identical snapshots render identical bytes, which is what
@@ -14,10 +14,6 @@ val json : Registry.sample list -> Lslp_util.Json.t
 (** One document: [{schema; metrics: [...]}], histograms carrying
     cumulative buckets, sum/count/min/max and derived p50/p95/p99 —
     printed by [--stats-json] and [lslpc stats --json]. *)
-
-val folded : (string * int) list -> string
-(** Folded-stack lines ["frame;frame;frame count\n"], sorted — feed to
-    any flamegraph renderer. *)
 
 val pp_table : Format.formatter -> Registry.sample list -> unit
 (** Deterministic histogram summary table (count/sum/min/max/p50/p95/p99

@@ -1,12 +1,13 @@
 (* The flight recorder: a bounded ring of structured per-job lifecycle
    events.
 
-   Always on and always bounded — [cap] slots, oldest overwritten first,
-   with a dropped count so a dump is honest about what it lost.  Events
-   carry the pool's virtual tick, the job label, the attempt index and
-   the attempt's injector seed, so a recorded fault schedule can be
-   replayed exactly.  Events recorded off the pool clock (the cache runs
-   under its own lock and does not see the pool's vtick) carry tick -1.
+   Always on and always bounded — [cap] slots, oldest overwritten first;
+   each event's [seq] counts every record, so the first surviving [seq]
+   is what the ring lost.  Events carry the pool's virtual tick, the job
+   label, the attempt index and the attempt's injector seed, so a
+   recorded fault schedule can be replayed exactly.  Events recorded off
+   the pool clock (the cache runs under its own lock and does not see
+   the pool's vtick) carry tick -1.
 
    Per-instance mutex; record order is the serialization order under that
    lock, which for a 1-domain pool equals program order — that is what
@@ -15,7 +16,8 @@
 module Json = Lslp_util.Json
 
 type event = {
-  seq : int;  (* monotonically increasing record index, pre-drop *)
+  seq : int;  (* monotonically increasing record index, overwritten ones
+                 included *)
   tick : int;  (* pool virtual tick; -1 = recorded off the pool clock *)
   kind : string;
   job : string;
@@ -28,7 +30,7 @@ type t = {
   lock : Mutex.t;
   cap : int;
   ring : event option array;
-  mutable next : int;  (* total events ever recorded *)
+  mutable next : int;  (* total events ever recorded: the next seq *)
 }
 
 let create ?(cap = 4096) () =
@@ -41,14 +43,6 @@ let record t ~tick ~job ?(attempt = -1) ?(seed = 0) ?(detail = "") kind =
   t.ring.(seq mod t.cap) <- Some { seq; tick; kind; job; attempt; seed; detail };
   t.next <- seq + 1;
   Mutex.unlock t.lock
-
-let recorded t =
-  Mutex.lock t.lock;
-  let n = t.next in
-  Mutex.unlock t.lock;
-  n
-
-let dropped t = max 0 (recorded t - t.cap)
 
 let events t =
   Mutex.lock t.lock;

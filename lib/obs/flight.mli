@@ -6,14 +6,14 @@
     tick, the attempt index and the attempt's injector seed, so a dumped
     recording is enough to replay a fault schedule exactly.
 
-    Memory is bounded by [cap]: older events are overwritten and counted
-    as {!dropped}, never silently lost from the accounting.  All fields
-    are deterministic for a fixed (input, config, fault spec) on a
-    1-domain pool, which is what lets `make metrics-check` pin a whole
-    {!to_jsonl} dump byte for byte. *)
+    Memory is bounded by [cap]: older events are overwritten, and since
+    [seq] counts every record the first surviving [seq] is the number
+    overwritten.  All fields are deterministic for a fixed (input,
+    config, fault spec) on a 1-domain pool, which is what lets
+    `make metrics-check` pin a whole {!to_jsonl} dump byte for byte. *)
 
 type event = {
-  seq : int;  (** monotone record index, counted before any drop *)
+  seq : int;  (** monotone record index, counting overwritten events *)
   tick : int;  (** pool virtual tick; [-1] = recorded off the pool clock
                    (cache events) *)
   kind : string;
@@ -33,12 +33,6 @@ val record :
   ?detail:string -> string -> unit
 (** [record t ~tick ~job kind] appends one event; never raises, never
     blocks beyond the recorder's own short critical section. *)
-
-val recorded : t -> int
-(** Total events ever recorded, including overwritten ones. *)
-
-val dropped : t -> int
-(** Events lost to the ring bound: [max 0 (recorded - cap)]. *)
 
 val events : t -> event list
 (** The surviving window, oldest first. *)

@@ -48,7 +48,7 @@ let create ?(cache = true) ?(inject_for = fun _ -> None) ~pool compile =
      pipeline counters and step histograms, all exported together *)
   let metrics = Stats.metrics () in
   let pass_metrics =
-    Lslp_telemetry.Pass_metrics.create ~root:"batch" metrics.Stats.registry
+    Lslp_telemetry.Pass_metrics.create metrics.Stats.registry
   in
   {
     compile;

@@ -114,14 +114,14 @@ let registry_tests =
 
 let flight_tests =
   [
-    tc "ring keeps the newest cap events, counts drops" (fun () ->
+    tc "ring keeps the newest cap events, seq shows the drops" (fun () ->
         let f = Flight.create ~cap:4 () in
         for i = 0 to 6 do
           Flight.record f ~tick:i ~job:(Fmt.str "j%d" i) "enqueued"
         done;
-        check_int "recorded" 7 (Flight.recorded f);
-        check_int "dropped" 3 (Flight.dropped f);
         let evs = Flight.events f in
+        check_int "first surviving seq = events overwritten" 3
+          (List.hd evs).Flight.seq;
         check_int "window size" 4 (List.length evs);
         check
           Alcotest.(list int)
@@ -213,37 +213,34 @@ let export_tests =
             "\"schema\":\"lslp-metrics/1\""; "\"lslp_done_total\"";
             "\"p50\""; "\"p95\""; "\"p99\""; "\"sum\":48"; "\"count\":4";
           ]);
-    tc "folded stacks render sorted with counts" (fun () ->
-        let text =
-          Export.folded [ ("b;y", 2); ("a;x", 1); ("a;z", 3) ]
-        in
-        check_string "sorted lines" "a;x 1\na;z 3\nb;y 2\n" text);
     tc "renders are deterministic" (fun () ->
-        let snap = Registry.snapshot (sample_registry ()) in
-        check_string "prometheus" (Export.prometheus snap)
-          (Export.prometheus snap);
+        (* two registries built independently: equal bumps render
+           equal bytes *)
+        let a = Registry.snapshot (sample_registry ())
+        and b = Registry.snapshot (sample_registry ()) in
+        check_string "prometheus" (Export.prometheus a) (Export.prometheus b);
         check_string "json"
-          (Json.to_string (Export.json snap))
-          (Json.to_string (Export.json snap));
+          (Json.to_string (Export.json a))
+          (Json.to_string (Export.json b));
         check_string "table"
-          (Fmt.str "%a" Export.pp_table snap)
-          (Fmt.str "%a" Export.pp_table snap));
+          (Fmt.str "%a" Export.pp_table a)
+          (Fmt.str "%a" Export.pp_table b));
   ]
 
 (* ---- pipeline pass metrics ----------------------------------------- *)
 
 let run_observed kernel_key =
   let registry = Registry.create () in
-  let pm = Pass_metrics.create ~root:"test" registry in
+  let pm = Pass_metrics.create registry in
   let f = Lslp_kernels.Catalog.compile_key kernel_key in
   ignore (Lslp_frontend.Unroll.run ~factor:4 f);
   let report = Pipeline.run ~metrics:pm ~config:Config.lslp f in
-  (registry, pm, report)
+  (registry, report)
 
 let pass_metrics_tests =
   [
     tc "observe mirrors the report's counters into the registry" (fun () ->
-        let registry, _, report = run_observed "453.vsumsqr" in
+        let registry, report = run_observed "453.vsumsqr" in
         let total = Report.total_counters report.Pipeline.telemetry in
         List.iter
           (fun (name, proj) ->
@@ -259,7 +256,7 @@ let pass_metrics_tests =
           Lslp_telemetry.Probe.counter_fields);
     tc "one run observes one job-steps sample, every known pass present"
       (fun () ->
-        let registry, _, _ = run_observed "453.vsumsqr" in
+        let registry, _ = run_observed "453.vsumsqr" in
         (match Registry.histogram_view registry "lslp_job_pass_steps" with
          | Some v -> check_int "job histogram count" 1 v.Registry.hcount
          | None -> Alcotest.fail "job steps histogram missing");
@@ -270,24 +267,60 @@ let pass_metrics_tests =
                  ~labels:[ ("pass", pass) ] "lslp_pass_steps"
                <> None))
           Pass_metrics.known_passes);
-    tc "folded stacks start at the root and include pass frames" (fun () ->
-        let _, pm, _ = run_observed "453.vsumsqr" in
-        let lines =
-          String.split_on_char '\n' (String.trim (Pass_metrics.folded pm))
+    tc "an unknown pass gets one series, after the known passes" (fun () ->
+        let registry = Registry.create () in
+        let pm = Pass_metrics.create registry in
+        let snap =
+          { Lslp_telemetry.Probe.s_counters =
+              Lslp_telemetry.Probe.zero_counters ();
+            s_steps = [ ("x", 3) ] }
         in
-        check_bool "stacks accumulated" true (lines <> [ "" ]);
+        let report = Report.make ~func:"f" ~config:"LSLP" [ ("entry", snap) ] in
+        Pass_metrics.observe pm report;
+        Pass_metrics.observe pm report;
+        let passes =
+          List.filter_map
+            (fun (s : Registry.sample) ->
+              if s.s_name = "lslp_pass_steps" then
+                List.assoc_opt "pass" s.s_labels
+              else None)
+            (Registry.snapshot registry)
+        in
+        check
+          Alcotest.(list string)
+          "known passes, then x once" (Pass_metrics.known_passes @ [ "x" ])
+          passes;
+        match
+          Registry.histogram_view registry ~labels:[ ("pass", "x") ]
+            "lslp_pass_steps"
+        with
+        | Some v ->
+          check_int "observed twice" 2 v.Registry.hcount;
+          check_int "3 steps each" 6 v.Registry.hsum
+        | None -> Alcotest.fail "pass x not registered");
+    tc "the series set does not grow with the functions compiled"
+      (fun () ->
+        let registry = Registry.create () in
+        let pm = Pass_metrics.create registry in
+        let series () = List.length (Registry.snapshot registry) in
+        let sizes =
+          List.map
+            (fun (k : Lslp_kernels.Catalog.kernel) ->
+              let f = Lslp_kernels.Catalog.compile k in
+              let report = Pipeline.run ~metrics:pm ~config:Config.lslp f in
+              (report.Pipeline.telemetry.Report.func, series ()))
+            Lslp_kernels.Catalog.all
+        in
+        check_int "28 distinct function names" 28
+          (List.length (List.sort_uniq compare (List.map fst sizes)));
+        let first = snd (List.hd sizes) in
         List.iter
-          (fun line ->
-            check_bool (line ^ " rooted") true
-              (String.length line > 5 && String.sub line 0 5 = "test;");
-            let sp = String.rindex line ' ' in
-            let steps = String.sub line (sp + 1) (String.length line - sp - 1) in
-            check_bool (line ^ " positive") true (int_of_string steps > 0))
-          lines);
+          (fun (func, n) -> check_int (func ^ ": series count") first n)
+          sizes);
     tc "observing the same kernel twice yields identical exposition"
       (fun () ->
         let dump key =
-          let registry, _, _ = run_observed key in
+          let registry, _ = run_observed key in
           Export.prometheus (Registry.snapshot registry)
         in
         check_string "byte-identical dumps" (dump "453.vsumsqr")

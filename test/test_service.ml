@@ -486,7 +486,8 @@ let pool_worker_raise_unchanged () =
     (Flight.to_jsonl metrics.Stats.flight)
 
 (* The counters live outside the flight ring: events the ring overwrote
-   still count, and the ring reports exactly the excess as dropped. *)
+   still count, and the first surviving [seq] shows exactly the excess
+   as overwritten. *)
 let counts_survive_ring_overwrite () =
   let metrics = Stats.metrics () in
   let n = 5000 in
@@ -497,10 +498,10 @@ let counts_survive_ring_overwrite () =
   let s = Stats.view metrics in
   Helpers.check_int "every enqueue counted" (n / 2) s.Stats.jobs_submitted;
   Helpers.check_int "every miss counted" (n / 2) s.Stats.cache_misses;
-  Helpers.check_int "ring holds its cap" 4096
-    (List.length (Flight.events metrics.Stats.flight));
-  Helpers.check_int "dropped = the excess" (n - 4096)
-    (Flight.dropped metrics.Stats.flight)
+  let events = Flight.events metrics.Stats.flight in
+  Helpers.check_int "ring holds its cap" 4096 (List.length events);
+  Helpers.check_int "first surviving seq = the excess" 904
+    (List.hd events).Flight.seq
 
 let await_reraises () =
   (match Pool.await (Pool.launch (fun () -> raise Exit)) with

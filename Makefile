@@ -115,8 +115,8 @@ bench-lint:
 	  --bench-out bench_results/BENCH_lint.json lib bin
 
 # Tracing gate: the golden decision logs (test/cram/trace.t) plus the
-# exporter self-check — every catalog kernel traced in all three formats,
-# each Chrome stream re-parsed through the project's own JSON reader.
+# exporter self-check — every catalog kernel traced through both
+# exporters, printing digests of its DOT export and decision log.
 trace-golden:
 	dune build @test/cram/runtest
 	dune exec bin/lslpc.exe -- trace --all

@@ -7,8 +7,8 @@
               reporting cycles, speedup and an equivalence check
      analyze  explain the vectorizer's decisions: one remark per region
               considered, plus the output of the legality validator
-     trace    record the decision trace and export it as Chrome trace-event
-              JSON (Perfetto), Graphviz DOT or a decision log
+     trace    record the decision trace and export it as a decision log
+              or Graphviz DOT
      stats    run the whole kernel catalog and tabulate the telemetry
               counters (score evaluations, cache hits, graph nodes, ...)
               and the per-pass step histograms
@@ -26,7 +26,7 @@
      lslpc run --kernel 453.boy-surface --config slp
      lslpc analyze --kernel motivation-multi --config lslp --stats
      lslpc compile --kernel 453.boy-surface --inject codegen:1.0:7
-     lslpc trace examples/kernels/loop_saxpy.k --trace-format chrome
+     lslpc trace examples/kernels/loop_saxpy.k
      lslpc trace --kernel motivation-multi --trace-format dot | dot -Tsvg
      lslpc stats --config lslp
      lslpc fuzz --cases 200 --config cache-diff
@@ -120,34 +120,7 @@ let print_stats ~stats ~stats_json (report : Lslp_core.Pipeline.report) =
               ("metrics", report_metrics t);
             ]))
 
-(* ---- decision trace ----------------------------------------------- *)
-
-type trace_format = Chrome | Dot | Log
-
-let trace_format_arg =
-  let doc =
-    "Trace export format: $(b,chrome) (trace-event JSON, loads in Perfetto \
-     and chrome://tracing), $(b,dot) (Graphviz SLP graphs) or $(b,log) \
-     (human-readable decision log)."
-  in
-  Arg.(value
-       & opt (enum [ ("chrome", Chrome); ("dot", Dot); ("log", Log) ]) Chrome
-       & info [ "trace-format" ] ~docv:"FORMAT" ~doc)
-
-let trace_out_arg =
-  let doc =
-    "Record the decision trace (seeds, graph shape, get_best calls, cost \
-     verdicts, rollbacks) and write it to $(docv) ($(b,-) for stdout)."
-  in
-  Arg.(value & opt (some string) None
-       & info [ "trace-out" ] ~docv:"FILE" ~doc)
-
-let render_trace ~format ~func_name events =
-  match format with
-  | Chrome ->
-    Lslp_trace.Trace.chrome_string ~meta:[ ("function", func_name) ] events
-  | Dot -> Lslp_trace.Trace.to_dot events
-  | Log -> Lslp_trace.Trace.to_log events
+(* ---- output ------------------------------------------------------ *)
 
 let write_out path contents =
   match path with
@@ -158,21 +131,6 @@ let write_out path contents =
     let oc = open_out_bin path in
     output_string oc contents;
     close_out oc
-
-(* [--trace-out] is the opt-in: without it [Config.trace] stays off and the
-   pipeline allocates no sink. *)
-let apply_trace trace_out config =
-  if trace_out <> None then Lslp_core.Config.with_trace true config
-  else config
-
-let emit_trace ~trace_out ~format ~func_name
-    (report : Lslp_core.Pipeline.report) =
-  Option.iter
-    (fun path ->
-      write_out path
-        (render_trace ~format ~func_name
-           report.Lslp_core.Pipeline.trace_events))
-    trace_out
 
 (* Region formation happens here, in the driver, exactly once: Lower and
    Catalog.compile stay pure so nothing double-unrolls. *)
@@ -199,7 +157,7 @@ let unroll_arg =
   Arg.(value & opt int 4 & info [ "unroll" ] ~docv:"N" ~doc)
 
 let file_arg =
-  Arg.(value & pos 0 (some file) None
+  Arg.(value & pos 0 (some non_dir_file) None
        & info [] ~docv:"FILE" ~doc:"Kernel-language source file.")
 
 let kernel_arg =
@@ -238,7 +196,7 @@ let handle_errors f =
   | Lslp_frontend.Lower.Error (msg, pos) ->
     Fmt.epr "error at %a: %s@." Lslp_frontend.Token.pp_pos pos msg;
     exit 1
-  | Failure msg | Invalid_argument msg ->
+  | Failure msg | Invalid_argument msg | Sys_error msg ->
     Fmt.epr "error: %s@." msg;
     exit 1
 
@@ -259,13 +217,12 @@ let print_diagnostics diags =
 
 let compile_cmd =
   let run (config, unroll, load) dump_ir dump_graph quiet verify_output stats
-      stats_json trace_out trace_format =
+      stats_json =
     handle_errors @@ fun () ->
     let config =
       if verify_output then Lslp_core.Config.with_validate true config
       else config
     in
-    let config = apply_trace trace_out config in
     let f = load unroll in
     if dump_ir then
       Fmt.pr "=== scalar IR ===@.%a@.@." Lslp_ir.Printer.pp_func f;
@@ -286,8 +243,6 @@ let compile_cmd =
     let report, g = Lslp_core.Pipeline.run_cloned ~config f in
     if not quiet then Fmt.pr "%a@.@." Lslp_core.Pipeline.pp_report report;
     print_stats ~stats ~stats_json report;
-    emit_trace ~trace_out ~format:trace_format
-      ~func_name:f.Lslp_ir.Func.fname report;
     if dump_ir then
       Fmt.pr "=== %s IR ===@.%a@." config.name Lslp_ir.Printer.pp_func g;
     if verify_output
@@ -312,20 +267,17 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile" ~doc:"Vectorize a kernel and report what happened")
     Term.(const run $ kernel_term $ dump_ir $ dump_graph $ quiet
-          $ verify_output_arg $ stats_arg $ stats_json_arg $ trace_out_arg
-          $ trace_format_arg)
+          $ verify_output_arg $ stats_arg $ stats_json_arg)
 
 (* ---- run --------------------------------------------------------- *)
 
 let run_cmd =
-  let run (config, unroll, load) seed verify_output stats stats_json
-      trace_out trace_format =
+  let run (config, unroll, load) seed verify_output stats stats_json =
     handle_errors @@ fun () ->
     let config =
       if verify_output then Lslp_core.Config.with_validate true config
       else config
     in
-    let config = apply_trace trace_out config in
     (* the reference is the kernel as written (loops intact), so the oracle
        checks region formation and vectorization together *)
     let reference = load 0 in
@@ -336,8 +288,6 @@ let run_cmd =
     in
     Fmt.pr "%a@.@." Lslp_core.Pipeline.pp_report report;
     print_stats ~stats ~stats_json report;
-    emit_trace ~trace_out ~format:trace_format
-      ~func_name:f.Lslp_ir.Func.fname report;
     if verify_output
        && print_diagnostics report.Lslp_core.Pipeline.diagnostics
     then exit 1;
@@ -361,17 +311,15 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:"Vectorize a kernel, simulate scalar vs vector, compare")
     Term.(const run $ kernel_term $ seed $ verify_output_arg $ stats_arg
-          $ stats_json_arg $ trace_out_arg $ trace_format_arg)
+          $ stats_json_arg)
 
 (* ---- analyze ------------------------------------------------------ *)
 
 let analyze_cmd =
-  let run (config, unroll, load) json stats stats_json trace_out
-      trace_format =
+  let run (config, unroll, load) json stats stats_json =
     handle_errors @@ fun () ->
     let config =
       Lslp_core.Config.(config |> with_remarks true |> with_validate true)
-      |> apply_trace trace_out
     in
     let f = load unroll in
     let report, _g = Lslp_core.Pipeline.run_cloned ~config f in
@@ -382,8 +330,6 @@ let analyze_cmd =
         (Lslp_check.Remark.report_to_json ~config_name:config.name
            ~func_name:f.Lslp_ir.Func.fname ~diagnostics:diags remarks);
       print_stats ~stats ~stats_json report;
-      emit_trace ~trace_out ~format:trace_format
-        ~func_name:f.Lslp_ir.Func.fname report;
       if Lslp_check.Diagnostic.errors diags <> [] then exit 1
     end
     else begin
@@ -391,8 +337,6 @@ let analyze_cmd =
         f.Lslp_ir.Func.fname (List.length remarks);
       List.iter (fun r -> Fmt.pr "%a@." Lslp_check.Remark.pp r) remarks;
       print_stats ~stats ~stats_json report;
-      emit_trace ~trace_out ~format:trace_format
-        ~func_name:f.Lslp_ir.Func.fname report;
       if print_diagnostics diags then exit 1
     end
   in
@@ -405,8 +349,7 @@ let analyze_cmd =
        ~doc:
          "Explain the vectorizer's decisions: one remark per region \
           considered, with the legality validator's verdict")
-    Term.(const run $ kernel_term $ json $ stats_arg $ stats_json_arg
-          $ trace_out_arg $ trace_format_arg)
+    Term.(const run $ kernel_term $ json $ stats_arg $ stats_json_arg)
 
 (* ---- trace -------------------------------------------------------- *)
 
@@ -414,56 +357,43 @@ let trace_cmd =
   let run (config, unroll, load) format out all =
     handle_errors @@ fun () ->
     let config = Lslp_core.Config.with_trace true config in
-    let validated_chrome ~what events ~func_name =
-      let chrome =
-        Lslp_trace.Trace.chrome_string ~meta:[ ("function", func_name) ]
-          events
-      in
-      match Lslp_util.Json.of_string chrome with
-      | Ok _ -> chrome
-      | Error e ->
-        failwith (Fmt.str "%s: chrome trace is not valid JSON: %s" what e)
-    in
     if all then
-      (* the whole catalog through every exporter, with the Chrome JSON
-         re-parsed by the shared strict parser — the CI smoke test *)
+      (* the whole catalog through both exporters — the CI smoke test *)
       List.iter
         (fun (k : Lslp_kernels.Catalog.kernel) ->
           let f = Lslp_kernels.Catalog.compile k in
           ignore (Lslp_frontend.Unroll.run ~factor:unroll f);
           let report, _ = Lslp_core.Pipeline.run_cloned ~config f in
           let events = report.Lslp_core.Pipeline.trace_events in
-          let chrome =
-            validated_chrome ~what:k.key events
-              ~func_name:f.Lslp_ir.Func.fname
+          (* a digest pins each whole export, not just its length,
+             without printing every event into the golden *)
+          let digest export =
+            String.sub (Digest.to_hex (Digest.string (export events))) 0 16
           in
-          let dot = Lslp_trace.Trace.to_dot events in
-          let log = Lslp_trace.Trace.to_log events in
-          if
-            String.length chrome = 0
-            || String.length dot = 0
-            || String.length log = 0
-          then failwith (Fmt.str "%s: empty trace export" k.key);
-          (* the log digest pins the whole decision trace, not just its
-             length, without printing every event into the golden *)
-          Fmt.pr "%-26s %4d event(s): chrome ok, dot ok, log ok %s@." k.key
+          Fmt.pr "%-26s %4d event(s): dot %s, log %s@." k.key
             (List.length events)
-            (String.sub (Digest.to_hex (Digest.string log)) 0 16))
+            (digest Lslp_trace.Trace.to_dot)
+            (digest Lslp_trace.Trace.to_log))
         Lslp_kernels.Catalog.all
     else begin
       let f = load unroll in
       let report, _ = Lslp_core.Pipeline.run_cloned ~config f in
-      let events = report.Lslp_core.Pipeline.trace_events in
-      let contents =
+      let export =
         match format with
-        | Chrome ->
-          validated_chrome ~what:"trace" events
-            ~func_name:f.Lslp_ir.Func.fname
-        | Dot -> Lslp_trace.Trace.to_dot events
-        | Log -> Lslp_trace.Trace.to_log events
+        | `Dot -> Lslp_trace.Trace.to_dot
+        | `Log -> Lslp_trace.Trace.to_log
       in
-      write_out (Option.value ~default:"-" out) contents
+      write_out (Option.value ~default:"-" out)
+        (export report.Lslp_core.Pipeline.trace_events)
     end
+  in
+  let format =
+    let doc =
+      "Trace export format: $(b,log) (human-readable decision log) or \
+       $(b,dot) (Graphviz SLP graphs)."
+    in
+    Arg.(value & opt (enum [ ("log", `Log); ("dot", `Dot) ]) `Log
+         & info [ "trace-format" ] ~docv:"FORMAT" ~doc)
   in
   let out =
     Arg.(value & opt (some string) None
@@ -473,18 +403,17 @@ let trace_cmd =
   let all =
     Arg.(value & flag
          & info [ "all" ]
-             ~doc:"Trace every catalog kernel through all three exporters \
-                   (validating the Chrome JSON) and print one summary line \
-                   each, ending in a digest of the decision log; ignores \
+             ~doc:"Trace every catalog kernel through both exporters and \
+                   print one summary line each, ending in digests of the \
+                   DOT export and the decision log; ignores \
                    FILE/--kernel/--out/--trace-format.")
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
          "Record the vectorizer's decision trace for a kernel and export \
-          it as Chrome trace-event JSON (Perfetto), Graphviz DOT or a \
-          decision log")
-    Term.(const run $ kernel_term $ trace_format_arg $ out $ all)
+          it as a decision log or Graphviz DOT")
+    Term.(const run $ kernel_term $ format $ out $ all)
 
 (* ---- stats -------------------------------------------------------- *)
 

@@ -168,175 +168,6 @@ let to_log events =
     events;
   Buffer.contents b
 
-(* ---- Chrome trace-event export ------------------------------------ *)
-
-module Json = Lslp_util.Json
-
-let json_of_levels levels =
-  Json.Arr
-    (List.map
-       (fun (level, scores) ->
-         Json.Obj
-           [
-             ("level", Json.Int level);
-             ("scores", Json.Arr (List.map (fun s -> Json.Int s) scores));
-           ])
-       levels)
-
-let payload_args = function
-  | Span_begin _ | Span_end _ -> []
-  | Seeds_found { seeds } ->
-    [
-      ("count", Json.Int (List.length seeds));
-      ( "seeds",
-        Json.Arr
-          (List.map
-             (fun (desc, lanes) ->
-               Json.Obj
-                 [ ("seed", Json.Str desc); ("lanes", Json.Int lanes) ])
-             seeds) );
-    ]
-  | Seed_tried { seed; lanes } ->
-    [ ("seed", Json.Str seed); ("lanes", Json.Int lanes) ]
-  | Graph_start { gid; seed } ->
-    [ ("gid", Json.Int gid); ("seed", Json.Str seed) ]
-  | Graph_node { gid; nid; kind; bundles } ->
-    [
-      ("gid", Json.Int gid);
-      ("nid", Json.Int nid);
-      ("kind", Json.Str (kind_name kind));
-      ( "bundles",
-        Json.Arr
-          (List.map
-             (fun lanes ->
-               Json.Arr (List.map (fun v -> Json.Str v) lanes))
-             bundles) );
-    ]
-  | Graph_edge { gid; parent; child; slot } ->
-    [
-      ("gid", Json.Int gid);
-      ("parent", Json.Int parent);
-      ("child", Json.Int child);
-      ("slot", Json.Int slot);
-    ]
-  | Dep_edge { gid; src; dst } ->
-    [ ("gid", Json.Int gid); ("src", Json.Int src); ("dst", Json.Int dst) ]
-  | Slot_modes { modes } ->
-    [ ("modes", Json.Arr (List.map (fun m -> Json.Str m) modes)) ]
-  | Get_best { mode; last; candidates; levels; chosen; cache_hits;
-               cache_misses } ->
-    [
-      ("mode", Json.Str mode);
-      ("last", Json.Str last);
-      ("candidates", Json.Arr (List.map (fun c -> Json.Str c) candidates));
-      ("levels", json_of_levels levels);
-      ( "chosen",
-        match chosen with Some c -> Json.Str c | None -> Json.Null );
-      ("cache_hits", Json.Int cache_hits);
-      ("cache_misses", Json.Int cache_misses);
-    ]
-  | Cost_computed { seed; nodes; total; threshold; accepted } ->
-    [
-      ("seed", Json.Str seed);
-      ("nodes", Json.Int nodes);
-      ("total", Json.Int total);
-      ("threshold", Json.Int threshold);
-      ("accepted", Json.Bool accepted);
-    ]
-  | Emit { instr; lanes } ->
-    [ ("instr", Json.Str instr); ("lanes", Json.Int lanes) ]
-  | Rollback { pass; error; budget_exhausted } ->
-    [
-      ("pass", Json.Str pass);
-      ("error", Json.Str error);
-      ("budget_exhausted", Json.Bool budget_exhausted);
-    ]
-  | Region_outcome { seed; lanes; outcome; cost } ->
-    [
-      ("seed", Json.Str seed);
-      ("lanes", Json.Int lanes);
-      ("outcome", Json.Str outcome);
-      ("cost", match cost with Some c -> Json.Int c | None -> Json.Null);
-    ]
-
-(* Region labels map to thread ids so Perfetto renders one lane per
-   region, with pass spans nested inside it. *)
-let to_chrome ?(meta = []) events =
-  let tids : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let tid_order = ref [] in
-  let tid_of region =
-    match Hashtbl.find_opt tids region with
-    | Some tid -> tid
-    | None ->
-      let tid = Hashtbl.length tids + 1 in
-      Hashtbl.replace tids region tid;
-      tid_order := (region, tid) :: !tid_order;
-      tid
-  in
-  let trace_events =
-    List.map
-      (fun (e : event) ->
-        let tid = tid_of e.region in
-        let common =
-          [
-            ("pid", Json.Int 1);
-            ("tid", Json.Int tid);
-            ("ts", Json.Int e.ts);
-          ]
-        in
-        match e.payload with
-        | Span_begin { pass } ->
-          Json.Obj
-            ([ ("name", Json.Str pass); ("cat", Json.Str "pass");
-               ("ph", Json.Str "B") ]
-            @ common)
-        | Span_end { pass } ->
-          Json.Obj
-            ([ ("name", Json.Str pass); ("cat", Json.Str "pass");
-               ("ph", Json.Str "E") ]
-            @ common)
-        | p ->
-          Json.Obj
-            ([ ("name", Json.Str (payload_name p));
-               ("cat", Json.Str "decision"); ("ph", Json.Str "i");
-               ("s", Json.Str "t") ]
-            @ common
-            @ [ ("args", Json.Obj (payload_args p)) ]))
-      events
-  in
-  let thread_names =
-    List.rev_map
-      (fun (region, tid) ->
-        Json.Obj
-          [
-            ("name", Json.Str "thread_name");
-            ("ph", Json.Str "M");
-            ("pid", Json.Int 1);
-            ("tid", Json.Int tid);
-            ("args", Json.Obj [ ("name", Json.Str region) ]);
-          ])
-      !tid_order
-  in
-  let process_name =
-    Json.Obj
-      [
-        ("name", Json.Str "process_name");
-        ("ph", Json.Str "M");
-        ("pid", Json.Int 1);
-        ("args", Json.Obj [ ("name", Json.Str "lslp") ]);
-      ]
-  in
-  Json.Obj
-    [
-      ( "traceEvents",
-        Json.Arr ((process_name :: thread_names) @ trace_events) );
-      ("displayTimeUnit", Json.Str "ms");
-      ( "otherData",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) meta) );
-    ]
-
-let chrome_string ?meta events = Json.to_string (to_chrome ?meta events)
-
 (* ---- Graphviz DOT export ------------------------------------------ *)
 
 let lane_palette =

@@ -16,8 +16,7 @@
     function of (input, configuration) and cram tests can pin it byte for
     byte.  No event carries wall-clock time.
 
-    Three exporters render the same stream: Chrome trace-event JSON
-    (loads in Perfetto / chrome://tracing), Graphviz DOT of the SLP graph
+    Two exporters render the same stream: Graphviz DOT of the SLP graph
     per region, and a human-readable decision log. *)
 
 type node_kind =
@@ -100,17 +99,11 @@ val record : ?region:string -> t -> payload -> unit
 val events : t -> event list
 (** In recording order. *)
 
-(** {2 Rendering helpers} *)
-
 val payload_name : payload -> string
+(** The payload's kind as a stable kebab-case name (["get-best"],
+    ["span-begin"], ...), for counting events by kind. *)
 
 (** {2 Exporters} *)
-
-val chrome_string : ?meta:(string * string) list -> event list -> string
-(** Chrome trace-event format ("JSON object format"), minified: spans as
-    B/E duration events nested per region thread, everything else as
-    instant events with the payload in [args]; logical timestamps as
-    microseconds.  Loads in Perfetto and chrome://tracing. *)
 
 val to_dot : event list -> string
 (** Graphviz DOT of the SLP graphs: one cluster per region, one

@@ -3,8 +3,8 @@
    The emitter is minified and preserves object-field order, so renderers
    ported onto it stay byte-compatible with the hand-rolled output they
    replace (the analyze --json cram goldens pin those bytes).  The reader
-   is a strict recursive-descent parser used as a validator for every
-   Chrome trace CI emits and as the loader of the bench baseline. *)
+   is a strict recursive-descent parser that loads the bench baselines
+   and checks each flight-recorder JSONL line in the tests. *)
 
 type t =
   | Null

@@ -2,12 +2,13 @@
 
     Every JSON document the project produces — optimization remarks
     ([Lslp_check.Remark]), telemetry reports ([Lslp_telemetry.Report]),
-    fuzzer summaries ([Lslp_fuzz.Fuzz]), Chrome trace-event streams
-    ([Lslp_trace.Trace]) and the bench baseline snapshot — renders through
+    fuzzer summaries ([Lslp_fuzz.Fuzz]), metrics and flight-recorder
+    dumps ([Lslp_obs]) and the bench baseline snapshot — renders through
     {!to_string}, so string escaping (quotes, backslashes, control
     characters) is implemented exactly once.  The reader side ({!of_string})
-    is the validator CI runs over every emitted Chrome trace, and what the
-    bench-regression gate uses to load the committed baseline. *)
+    is what the bench-regression gates use to load the committed
+    baselines, and what the tests parse each flight-recorder JSONL line
+    with. *)
 
 type t =
   | Null

@@ -10,15 +10,13 @@
 
    - {b the stream is well-formed}: logical timestamps are the sink's own
      monotone sequence, spans nest, graph events reference only nodes
-     they introduced, and all three exporters accept every stream the
-     pipeline can produce (the Chrome one re-parsed through the project's
-     own JSON reader). *)
+     they introduced, and both exporters accept every stream the
+     pipeline can produce. *)
 
 open Lslp_ir
 open Lslp_core
 open Helpers
 module Trace = Lslp_trace.Trace
-module Json = Lslp_util.Json
 module Probe = Lslp_telemetry.Probe
 module Report = Lslp_telemetry.Report
 module Inject = Lslp_robust.Inject
@@ -183,28 +181,6 @@ let stream_tests =
 
 let exporter_tests =
   [
-    tc "chrome export is valid JSON with balanced spans" (fun () ->
-        let events = traced "motivation-multi" in
-        let s = Trace.chrome_string ~meta:[ ("function", "f") ] events in
-        (match Json.of_string s with
-         | Error e -> Alcotest.failf "chrome export unparseable: %s" e
-         | Ok j ->
-           let trace_events =
-             match Json.member "traceEvents" j with
-             | Some arr -> Option.get (Json.to_list_opt arr)
-             | None -> Alcotest.fail "no traceEvents field"
-           in
-           let ph p =
-             List.length
-               (List.filter
-                  (fun ev ->
-                    match Json.member "ph" ev with
-                    | Some (Json.Str s) -> s = p
-                    | _ -> false)
-                  trace_events)
-           in
-           check_bool "has events" true (List.length trace_events > 0);
-           check_int "begin/end balanced" (ph "B") (ph "E")));
     tc "dot export is brace-balanced and one cluster per graph" (fun () ->
         let events = traced "motivation-multi" in
         let s = Trace.to_dot events in
@@ -246,10 +222,7 @@ let exporter_tests =
         in
         check_int "one line per event" (List.length events)
           (lines (Trace.to_log events)));
-    tc "empty stream exports cleanly in all three formats" (fun () ->
-        (match Json.of_string (Trace.chrome_string []) with
-         | Ok _ -> ()
-         | Error e -> Alcotest.failf "chrome: %s" e);
+    tc "empty stream exports cleanly in both formats" (fun () ->
         check_bool "dot" true (String.length (Trace.to_dot []) > 0);
         check_string "log" "" (Trace.to_log []));
   ]

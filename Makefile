@@ -1,9 +1,8 @@
 # Convenience wrappers around dune.
 
 .PHONY: all test check bench ci clean fuzz lint \
-  domain-smoke serve-smoke bench-lint stats-golden bench-check \
-  bench-baseline bench-speed bench-speed-report bench-serve \
-  bench-serve-report trace-golden cond-smoke metrics-check \
+  domain-smoke serve-smoke stats-golden bench-speed bench-speed-report \
+  bench-serve bench-serve-report trace-golden cond-smoke metrics-check \
   metrics-baseline metrics-smoke perfbench layers-check layers-baseline \
   perf-ab opaque-check perfbench-smoke score-memo
 
@@ -32,7 +31,6 @@ ci:
 	$(MAKE) cond-smoke
 	$(MAKE) stats-golden
 	$(MAKE) trace-golden
-	$(MAKE) bench-check
 	$(MAKE) layers-check
 	$(MAKE) metrics-check
 	$(MAKE) metrics-smoke
@@ -57,8 +55,10 @@ cond-smoke:
 	dune exec bin/lslpc.exe -- analyze --kernel cond.max-mask
 
 # Telemetry gate: the golden counter tables (test/cram/stats.t, which
-# also pins the catalog `lslpc stats` counter and step-histogram tables)
-# plus the cache-differential fuzz — 200 random programs whose cached and uncached
+# also pins the catalog `lslpc stats` counter and step-histogram tables
+# under SLP, SLP-NR and LSLP: the tolerance-free pin of every kernel's
+# score evals, graph nodes, regions and emitted instructions) plus the
+# cache-differential fuzz — 200 random programs whose cached and uncached
 # look-ahead scoring must agree on IR, remarks and region outcomes.
 stats-golden:
 	dune build @test/cram/runtest
@@ -71,7 +71,8 @@ opaque-check:
 	python3 bench/opaque_check.py
 
 # The project's own static-analysis pass (lib/lint): R1 global mutable
-# state, R2 ambient Random, R3 raising primitives, R4 wall-clock reads.
+# state, R2 ambient Random, R3 raising primitives, R4 wall-clock reads,
+# R5 boxed tables in hot-path modules.
 # Fails on any unwaived finding and on stale entries in lint.waivers.
 lint:
 	dune exec bin/lint.exe -- --check-waivers lib bin
@@ -108,29 +109,12 @@ serve-smoke:
 	  --config cache-diff --jobs 4
 	dune exec bin/lint.exe -- --check-waivers lib bin
 
-# Refresh the committed lint bench entry (files scanned, findings by
-# rule, wall time).
-bench-lint:
-	dune exec bin/lint.exe -- --check-waivers \
-	  --bench-out bench_results/BENCH_lint.json lib bin
-
 # Tracing gate: the golden decision logs (test/cram/trace.t) plus the
 # exporter self-check — every catalog kernel traced through both
 # exporters, printing digests of its DOT export and decision log.
 trace-golden:
 	dune build @test/cram/runtest
 	dune exec bin/lslpc.exe -- trace --all
-
-# Tolerance-free counter regression gate: compare today's deterministic
-# pipeline counters (score evals, graph nodes, regions, emitted instrs)
-# against the committed snapshot.  After an intended change, regenerate
-# with `make bench-baseline` and commit the diff.
-bench-check:
-	dune exec bench/baseline.exe -- --check
-	dune exec bench/baseline.exe -- --selftest
-
-bench-baseline:
-	dune exec bench/baseline.exe -- --write
 
 # Tolerance-free per-layer allocation gate: the benchmark's allocation
 # probe (perfbench/main.exe --alloc-probe, seed 7: self words and calls per
@@ -152,7 +136,7 @@ layers-baseline:
 # (one-shot wall clock + a bechamel estimate), appended as a dated run to
 # bench_results/BENCH_speed.json so the trajectory across PRs is kept.
 # Report-only in CI: timings are machine-dependent, so the gate for perf
-# work is the counter baseline (bench-check), not this file.
+# work is the counter tables in test/cram/stats.t, not this file.
 # `make bench-speed NOTE="..."` labels the appended run.
 bench-speed:
 	dune exec bench/speed.exe -- --reps 1000 --note "$(NOTE)"

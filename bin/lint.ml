@@ -1,9 +1,9 @@
 (* lslp-lint — the project's own static-analysis pass.
 
    Parses the OCaml sources under the given roots with the compiler's
-   parser, applies the R1-R4 domain-safety rules, folds in the committed
-   waiver file, and exits nonzero on any unwaived finding (or, with
-   --check-waivers, on any stale waiver entry). *)
+   parser, applies the R1-R5 rules, folds in the committed waiver file,
+   and exits nonzero on any unwaived finding (or, with --check-waivers,
+   on any stale waiver entry). *)
 
 open Cmdliner
 
@@ -42,13 +42,7 @@ let check_waivers =
   in
   Arg.(value & flag & info [ "check-waivers" ] ~doc)
 
-let bench_out =
-  let doc = "Also write the BENCH_lint.json payload to $(docv)." in
-  Arg.(
-    value & opt (some string) None & info [ "bench-out" ] ~docv:"FILE" ~doc)
-
-let run paths json rule_keys list_rules waivers_file check_waivers bench_out
-    =
+let run paths json rule_keys list_rules waivers_file check_waivers =
   if list_rules then (
     List.iter
       (fun r ->
@@ -77,19 +71,7 @@ let run paths json rule_keys list_rules waivers_file check_waivers bench_out
         Fmt.epr "lslp-lint: %s@." msg;
         2
       | Ok waivers ->
-        (* wall-clock here is bench telemetry, waived under R4 *)
-        let t0 = Unix.gettimeofday () in
         let report = Lslp_lint.Driver.run ?rules ~waivers paths in
-        let wall_s = Unix.gettimeofday () -. t0 in
-        (match bench_out with
-        | None -> ()
-        | Some path ->
-          let oc = open_out path in
-          output_string oc
-            (Lslp_util.Json.to_string
-               (Lslp_lint.Driver.bench_json ~wall_s report));
-          output_char oc '\n';
-          close_out oc);
         if json then
           Fmt.pr "%s@."
             (Lslp_util.Json.to_string
@@ -103,16 +85,17 @@ let cmd =
     [
       `S Manpage.s_description;
       `P
-        "Applies the R1-R4 domain-safety rules (global mutable state, \
-         ambient Random, raising primitives, wall-clock reads) to the \
-         OCaml sources under the given roots, folding in the committed \
-         waiver file. Exits 1 on unwaived findings, 2 on usage errors.";
+        "Applies the R1-R5 rules (global mutable state, ambient Random, \
+         raising primitives, wall-clock reads, boxed tables in hot-path \
+         modules) to the OCaml sources under the given roots, folding in \
+         the committed waiver file. Exits 1 on unwaived findings, 2 on \
+         usage errors.";
     ]
   in
   Cmd.v
     (Cmd.info "lslp-lint" ~doc ~man)
     Term.(
       const run $ paths $ json $ rules $ list_rules $ waivers_file
-      $ check_waivers $ bench_out)
+      $ check_waivers)
 
 let () = exit (Cmd.eval' cmd)

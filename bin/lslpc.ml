@@ -2,11 +2,13 @@
 
    Subcommands:
      compile  parse a kernel, run a vectorizer configuration, dump IR /
-              graphs / costs
+              graphs / costs; --stats/--stats-json print its telemetry
+              counters, the one per-kernel counter view
      run      compile and execute scalar vs vectorized in the simulator,
               reporting cycles, speedup and an equivalence check
      analyze  explain the vectorizer's decisions: one remark per region
-              considered, plus the output of the legality validator
+              considered, plus the output of the legality validator (the
+              one legality view)
      trace    record the decision trace and export it as a decision log
               or Graphviz DOT
      stats    run the whole kernel catalog and tabulate the telemetry
@@ -24,7 +26,8 @@
    Example:
      lslpc compile --config lslp --dump-ir examples/kernels/saxpy2.k
      lslpc run --kernel 453.boy-surface --config slp
-     lslpc analyze --kernel motivation-multi --config lslp --stats
+     lslpc analyze --kernel motivation-multi --config lslp
+     lslpc compile --kernel motivation-multi -q --stats
      lslpc compile --kernel 453.boy-surface --inject codegen:1.0:7
      lslpc trace examples/kernels/loop_saxpy.k
      lslpc trace --kernel motivation-multi --trace-format dot | dot -Tsvg
@@ -89,36 +92,17 @@ let stats_arg =
        & info [ "stats" ]
            ~doc:"Print the telemetry counter table (deterministic).")
 
-let stats_json_arg =
-  Arg.(value & flag
-       & info [ "stats-json" ]
-           ~doc:"Emit the telemetry report (counters and per-pass step \
-                 counts) plus the per-pass step histograms as one JSON \
-                 document.")
-
-(* ---- metrics exposition ------------------------------------------- *)
-
-(* One run's pass-step histograms, derived deterministically from the
-   report — what `--stats-json` rides along with the telemetry. *)
-let report_metrics (t : Lslp_telemetry.Report.t) =
-  let reg = Lslp_obs.Registry.create () in
-  let pm = Lslp_telemetry.Pass_metrics.create reg in
-  Lslp_telemetry.Pass_metrics.observe pm t;
-  Lslp_obs.Export.json (Lslp_obs.Registry.snapshot reg)
-
-(* Counters and steps are deterministic per (input, config), so all of
-   it goes to stdout and golden tests pin it. *)
-let print_stats ~stats ~stats_json (report : Lslp_core.Pipeline.report) =
-  let t = report.Lslp_core.Pipeline.telemetry in
-  if stats then Fmt.pr "%a" Lslp_telemetry.Report.pp_counters t;
-  if stats_json then
-    Fmt.pr "%s@."
-      (Lslp_util.Json.to_string
-         (Lslp_util.Json.Obj
-            [
-              ("telemetry", Lslp_telemetry.Report.json t);
-              ("metrics", report_metrics t);
-            ]))
+(* An int whose smallest valid value is [lo]: cmdliner rejects anything
+   below it as a usage error (exit 124) instead of letting a negative
+   count reach the pool, the fuzzer or the unroller. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo ->
+      Error (`Msg (Fmt.str "%d is below the minimum %d" n lo))
+    | r -> r
+  in
+  Arg.conv (parse, Fmt.int)
 
 (* ---- output ------------------------------------------------------ *)
 
@@ -154,7 +138,7 @@ let unroll_arg =
   let doc =
     "Unroll factor for counted loops (region formation); 0 or 1 disables."
   in
-  Arg.(value & opt int 4 & info [ "unroll" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0) 4 & info [ "unroll" ] ~docv:"N" ~doc)
 
 let file_arg =
   Arg.(value & pos 0 (some non_dir_file) None
@@ -200,29 +184,11 @@ let handle_errors f =
     Fmt.epr "error: %s@." msg;
     exit 1
 
-let verify_output_arg =
-  Arg.(value & flag
-       & info [ "verify-output" ]
-           ~doc:"Run the legality validator on the transformed function and \
-                 fail on any violation.")
-
-(* Shared by compile/run --verify-output and analyze: print the validator's
-   findings, return true when any of them is an error. *)
-let print_diagnostics diags =
-  List.iter (fun d -> Fmt.pr "%a@." Lslp_check.Diagnostic.pp d) diags;
-  Fmt.pr "legality: %s@." (Lslp_check.Diagnostic.summary diags);
-  Lslp_check.Diagnostic.errors diags <> []
-
 (* ---- compile ---------------------------------------------------- *)
 
 let compile_cmd =
-  let run (config, unroll, load) dump_ir dump_graph quiet verify_output stats
-      stats_json =
+  let run (config, unroll, load) dump_ir dump_graph quiet stats stats_json =
     handle_errors @@ fun () ->
-    let config =
-      if verify_output then Lslp_core.Config.with_validate true config
-      else config
-    in
     let f = load unroll in
     if dump_ir then
       Fmt.pr "=== scalar IR ===@.%a@.@." Lslp_ir.Printer.pp_func f;
@@ -242,12 +208,14 @@ let compile_cmd =
         (Lslp_ir.Func.blocks f);
     let report, g = Lslp_core.Pipeline.run_cloned ~config f in
     if not quiet then Fmt.pr "%a@.@." Lslp_core.Pipeline.pp_report report;
-    print_stats ~stats ~stats_json report;
+    (* counters and steps are deterministic per (input, config), so they
+       go to stdout and golden tests pin them *)
+    let t = report.Lslp_core.Pipeline.telemetry in
+    if stats then Fmt.pr "%a" Lslp_telemetry.Report.pp_counters t;
+    if stats_json then
+      Fmt.pr "%s@." (Lslp_util.Json.to_string (Lslp_telemetry.Report.json t));
     if dump_ir then
       Fmt.pr "=== %s IR ===@.%a@." config.name Lslp_ir.Printer.pp_func g;
-    if verify_output
-       && print_diagnostics report.Lslp_core.Pipeline.diagnostics
-    then exit 1;
     match Lslp_ir.Verifier.check_func g with
     | [] -> ()
     | errors ->
@@ -264,20 +232,22 @@ let compile_cmd =
          & info [ "dump-graph" ] ~doc:"Print the SLP graph and node costs.")
   in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No report.") in
+  let stats_json =
+    Arg.(value & flag
+         & info [ "stats-json" ]
+             ~doc:"Emit the telemetry report (counters and per-pass step \
+                   counts) as one JSON document.")
+  in
   Cmd.v
     (Cmd.info "compile" ~doc:"Vectorize a kernel and report what happened")
-    Term.(const run $ kernel_term $ dump_ir $ dump_graph $ quiet
-          $ verify_output_arg $ stats_arg $ stats_json_arg)
+    Term.(const run $ kernel_term $ dump_ir $ dump_graph $ quiet $ stats_arg
+          $ stats_json)
 
 (* ---- run --------------------------------------------------------- *)
 
 let run_cmd =
-  let run (config, unroll, load) seed verify_output stats stats_json =
+  let run (config, unroll, load) seed =
     handle_errors @@ fun () ->
-    let config =
-      if verify_output then Lslp_core.Config.with_validate true config
-      else config
-    in
     (* the reference is the kernel as written (loops intact), so the oracle
        checks region formation and vectorization together *)
     let reference = load 0 in
@@ -287,10 +257,6 @@ let run_cmd =
       Lslp_interp.Oracle.compare_runs ~seed ~reference ~candidate:g ()
     in
     Fmt.pr "%a@.@." Lslp_core.Pipeline.pp_report report;
-    print_stats ~stats ~stats_json report;
-    if verify_output
-       && print_diagnostics report.Lslp_core.Pipeline.diagnostics
-    then exit 1;
     Fmt.pr "scalar cycles:     %d@." outcome.reference_cycles;
     Fmt.pr "vectorized cycles: %d@." outcome.candidate_cycles;
     Fmt.pr "speedup:           %.3fx@."
@@ -310,13 +276,12 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Vectorize a kernel, simulate scalar vs vector, compare")
-    Term.(const run $ kernel_term $ seed $ verify_output_arg $ stats_arg
-          $ stats_json_arg)
+    Term.(const run $ kernel_term $ seed)
 
 (* ---- analyze ------------------------------------------------------ *)
 
 let analyze_cmd =
-  let run (config, unroll, load) json stats stats_json =
+  let run (config, unroll, load) json =
     handle_errors @@ fun () ->
     let config =
       Lslp_core.Config.(config |> with_remarks true |> with_validate true)
@@ -325,20 +290,18 @@ let analyze_cmd =
     let report, _g = Lslp_core.Pipeline.run_cloned ~config f in
     let remarks = report.Lslp_core.Pipeline.remarks in
     let diags = report.Lslp_core.Pipeline.diagnostics in
-    if json then begin
+    if json then
       Fmt.pr "%s@."
         (Lslp_check.Remark.report_to_json ~config_name:config.name
-           ~func_name:f.Lslp_ir.Func.fname ~diagnostics:diags remarks);
-      print_stats ~stats ~stats_json report;
-      if Lslp_check.Diagnostic.errors diags <> [] then exit 1
-    end
+           ~func_name:f.Lslp_ir.Func.fname ~diagnostics:diags remarks)
     else begin
       Fmt.pr "%s: %s, %d region(s) considered@." config.name
         f.Lslp_ir.Func.fname (List.length remarks);
       List.iter (fun r -> Fmt.pr "%a@." Lslp_check.Remark.pp r) remarks;
-      print_stats ~stats ~stats_json report;
-      if print_diagnostics diags then exit 1
-    end
+      List.iter (fun d -> Fmt.pr "%a@." Lslp_check.Diagnostic.pp d) diags;
+      Fmt.pr "legality: %s@." (Lslp_check.Diagnostic.summary diags)
+    end;
+    if Lslp_check.Diagnostic.errors diags <> [] then exit 1
   in
   let json =
     Arg.(value & flag
@@ -349,7 +312,7 @@ let analyze_cmd =
        ~doc:
          "Explain the vectorizer's decisions: one remark per region \
           considered, with the legality validator's verdict")
-    Term.(const run $ kernel_term $ json $ stats_arg $ stats_json_arg)
+    Term.(const run $ kernel_term $ json)
 
 (* ---- trace -------------------------------------------------------- *)
 
@@ -418,63 +381,37 @@ let trace_cmd =
 (* ---- stats -------------------------------------------------------- *)
 
 let stats_cmd =
-  let run config unroll json =
+  let run config unroll =
     handle_errors @@ fun () ->
     let registry = Lslp_obs.Registry.create () in
     let pm = Lslp_telemetry.Pass_metrics.create registry in
-    let rows =
-      List.map
-        (fun (k : Lslp_kernels.Catalog.kernel) ->
-          let f = Lslp_kernels.Catalog.compile k in
-          ignore (Lslp_frontend.Unroll.run ~factor:unroll f);
-          let report = Lslp_core.Pipeline.run ~metrics:pm ~config f in
-          (k.key, report.Lslp_core.Pipeline.telemetry))
-        Lslp_kernels.Catalog.all
-    in
-    if json then
-      Fmt.pr "%s@."
-        (Lslp_util.Json.to_string
-           (Lslp_util.Json.Obj
-              [
-                ("schema", Lslp_util.Json.Str "lslp-catalog-stats/1");
-                ( "kernels",
-                  Lslp_util.Json.Arr
-                    (List.map
-                       (fun (_, t) -> Lslp_telemetry.Report.json t)
-                       rows) );
-                ( "metrics",
-                  Lslp_obs.Export.json (Lslp_obs.Registry.snapshot registry)
-                );
-              ]))
-    else begin
-      (* one total row per kernel *)
-      Fmt.pr "=== catalog telemetry: %s ===@." config.Lslp_core.Config.name;
-      Fmt.pr "%-26s" "kernel";
-      List.iter
-        (fun (name, _) -> Fmt.pr " %8s" name)
-        Lslp_telemetry.Probe.counter_fields;
-      Fmt.pr "@.";
-      List.iter
-        (fun (key, t) ->
-          let c = Lslp_telemetry.Report.total_counters t in
-          Fmt.pr "%-26s" key;
-          List.iter
-            (fun (_, get) -> Fmt.pr " %8d" (get c))
-            Lslp_telemetry.Probe.counter_fields;
-          Fmt.pr "@.")
-        rows;
-      (* step-count distributions over the catalog; deterministic, so they
-         print to stdout with the counter table *)
-      Fmt.pr "@.=== catalog step histograms: %s ===@.%a@."
-        config.Lslp_core.Config.name Lslp_obs.Export.pp_table
-        (Lslp_obs.Registry.snapshot registry)
-    end
-  in
-  let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit one lslp-catalog-stats/1 document: per-kernel \
-                   telemetry reports plus the aggregated metrics registry.")
+    (* one total row per kernel *)
+    Fmt.pr "=== catalog telemetry: %s ===@." config.Lslp_core.Config.name;
+    Fmt.pr "%-26s" "kernel";
+    List.iter
+      (fun (name, _) -> Fmt.pr " %8s" name)
+      Lslp_telemetry.Probe.counter_fields;
+    Fmt.pr "@.";
+    List.iter
+      (fun (k : Lslp_kernels.Catalog.kernel) ->
+        let f = Lslp_kernels.Catalog.compile k in
+        ignore (Lslp_frontend.Unroll.run ~factor:unroll f);
+        let report = Lslp_core.Pipeline.run ~metrics:pm ~config f in
+        let c =
+          Lslp_telemetry.Report.total_counters
+            report.Lslp_core.Pipeline.telemetry
+        in
+        Fmt.pr "%-26s" k.key;
+        List.iter
+          (fun (_, get) -> Fmt.pr " %8d" (get c))
+          Lslp_telemetry.Probe.counter_fields;
+        Fmt.pr "@.")
+      Lslp_kernels.Catalog.all;
+    (* step-count distributions over the catalog; deterministic, so they
+       print to stdout with the counter table *)
+    Fmt.pr "@.=== catalog step histograms: %s ===@.%a@."
+      config.Lslp_core.Config.name Lslp_obs.Export.pp_table
+      (Lslp_obs.Registry.snapshot registry)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -482,7 +419,7 @@ let stats_cmd =
          "Vectorize the whole kernel catalog and tabulate the telemetry \
           counters (seeds, score evaluations, cache hits, graph nodes, \
           regions) and the per-pass step histograms")
-    Term.(const run $ config_term $ unroll_arg $ json)
+    Term.(const run $ config_term $ unroll_arg)
 
 (* ---- fuzz --------------------------------------------------------- *)
 
@@ -505,7 +442,7 @@ let fuzz_cmd =
            compared case by case: sharding must be invisible *)
         let pool =
           { Lslp_service.Pool.default_config with domains = jobs;
-            queue_cap = max 1 (jobs * 4) }
+            queue_cap = jobs * 4 }
         in
         let outcomes =
           Lslp_service.Shard.run ~arm ?inject_spec:inject ~pool ~cases ~seed ()
@@ -538,7 +475,7 @@ let fuzz_cmd =
                    JSON document instead of the text summary.")
   in
   let cases =
-    Arg.(value & opt int 500
+    Arg.(value & opt (int_at_least 0) 500
          & info [ "cases" ] ~docv:"N" ~doc:"How many random programs to try.")
   in
   let seed =
@@ -558,7 +495,7 @@ let fuzz_cmd =
          & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
   in
   let jobs =
-    Arg.(value & opt int 1
+    Arg.(value & opt (int_at_least 1) 1
          & info [ "j"; "jobs" ] ~docv:"N"
              ~doc:"Shard the cases across N pool domains; the run is then \
                    replayed sequentially and compared case by case \
@@ -636,8 +573,7 @@ let pool_config_of ~jobs ~queue_cap ~retries ~backoff ~deadline_steps =
 
 let batch_cmd =
   let run config unroll jobs queue_cap deadline_steps retries backoff cache
-      repeat injects expect stats_flag stats_json metrics_out flight_out
-      verbose =
+      repeat injects expect stats_flag metrics_out flight_out verbose =
     handle_errors @@ fun () ->
     let inject_for = inject_for_of injects in
     let pool =
@@ -656,7 +592,7 @@ let batch_cmd =
     in
     let n = Array.length job_array in
     let rounds =
-      List.init (max 1 repeat) (fun round ->
+      List.init repeat (fun round ->
           Lslp_service.Service.batch ~index_base:(round * n) svc job_array)
     in
     let outcomes = Array.concat rounds in
@@ -679,21 +615,13 @@ let batch_cmd =
       outcomes;
     Fmt.pr "batch: %d round(s) x %d kernel(s) on %d domain(s): %d ok (%d \
             from cache), %d degraded@."
-      (max 1 repeat) n jobs !ok !cached !failed;
+      repeat n jobs !ok !cached !failed;
     if stats_flag then begin
       Fmt.pr "%a@." Lslp_telemetry.Pool_stats.pp
         (Lslp_service.Service.stats svc);
       Fmt.pr "%a@." Lslp_obs.Export.pp_table
         (Lslp_obs.Registry.snapshot (Lslp_service.Service.registry svc))
     end;
-    (* the full registry — pool counters including shed/retry, cache
-       counters, histograms and pipeline counters — not just the flat
-       pool table *)
-    if stats_json then
-      Fmt.pr "%s@."
-        (Lslp_util.Json.to_string
-           (Lslp_obs.Export.json
-              (Lslp_obs.Registry.snapshot (Lslp_service.Service.registry svc))));
     Option.iter
       (fun path ->
         write_out path
@@ -719,30 +647,30 @@ let batch_cmd =
       else Fmt.pr "degradations: %d (as expected)@." got
   in
   let jobs =
-    Arg.(value & opt int 4
+    Arg.(value & opt (int_at_least 1) 4
          & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains in the pool.")
   in
   let queue_cap =
-    Arg.(value & opt int 64
+    Arg.(value & opt (int_at_least 1) 64
          & info [ "queue-cap" ] ~docv:"N"
              ~doc:"Ready-queue bound; admission blocks while full \
                    (backpressure).")
   in
   let deadline_steps =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_at_least 1)) None
          & info [ "deadline-steps" ] ~docv:"K"
              ~doc:"Cooperative per-job deadline: cancel a compile after K \
                    pass-boundary ticks.  Off by default.")
   in
   let retries =
-    Arg.(value & opt int 2
+    Arg.(value & opt (int_at_least 0) 2
          & info [ "retries" ] ~docv:"R"
              ~doc:"Re-queue a crashed or timed-out job up to R times \
                    (deterministic exponential backoff) before recording a \
                    typed failure.")
   in
   let backoff =
-    Arg.(value & opt int 2
+    Arg.(value & opt (int_at_least 0) 2
          & info [ "backoff" ] ~docv:"T"
              ~doc:"Base retry delay in virtual scheduling ticks; doubles \
                    per attempt.")
@@ -755,7 +683,7 @@ let batch_cmd =
                    hit's payload is checked against its digest before reuse.")
   in
   let repeat =
-    Arg.(value & opt int 1
+    Arg.(value & opt (int_at_least 1) 1
          & info [ "repeat" ] ~docv:"N"
              ~doc:"Submit the catalog N times as sequential rounds sharing \
                    the cache — round 2+ exercises the warm path.")
@@ -794,8 +722,8 @@ let batch_cmd =
           verified result cache")
     Term.(const run $ config_arg $ unroll_arg $ jobs $ queue_cap
           $ deadline_steps $ retries $ backoff $ cache $ repeat
-          $ service_inject_args $ expect $ stats_arg $ stats_json_arg
-          $ metrics_out $ flight_out $ verbose)
+          $ service_inject_args $ expect $ stats_arg $ metrics_out
+          $ flight_out $ verbose)
 
 (* ---- kernels ------------------------------------------------------ *)
 

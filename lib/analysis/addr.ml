@@ -37,36 +37,6 @@ let may_alias (a : Instr.address) (b : Instr.address) =
     | None -> true (* symbolically different indices: assume the worst *)
     | Some d -> ranges_overlap 0 a.access_lanes d b.access_lanes
 
-let must_alias (a : Instr.address) (b : Instr.address) =
-  same_array a b
-  && a.access_lanes = b.access_lanes
-  && Affine.equal a.index b.index
-
-(* Sort a list of (address, payload) pairs by constant offset; [None] when
-   the addresses are not mutually comparable (different arrays or symbolic
-   differences). *)
-let sort_by_offset pairs =
-  match pairs with
-  | [] -> Some []
-  | (a0, _) :: _ ->
-    let keyed =
-      List.map
-        (fun ((a, _) as p) -> (Affine.diff_const a.Instr.index a0.Instr.index,
-                               (a, p)))
-        pairs
-    in
-    if
-      List.for_all
-        (fun (d, (a, _)) -> Option.is_some d && same_array a a0)
-        keyed
-    then
-      Some
-        (keyed
-        |> List.map (fun (d, (_, p)) -> (Option.get d, p))
-        |> List.sort (fun (d1, _) (d2, _) -> Int.compare d1 d2)
-        |> List.map snd)
-    else None
-
 (* Is a list of scalar addresses a run of consecutive elements, in order? *)
 let rec consecutive_run = function
   | [] | [ _ ] -> true

@@ -16,12 +16,6 @@ val consecutive : Instr.address -> Instr.address -> bool
 (** [consecutive a b]: does [b] start exactly where [a] ends? *)
 
 val may_alias : Instr.address -> Instr.address -> bool
-val must_alias : Instr.address -> Instr.address -> bool
-
-val sort_by_offset :
-  (Instr.address * 'a) list -> (Instr.address * 'a) list option
-(** Sort accesses to one array by constant offset; [None] if the offsets are
-    not mutually constant-comparable. *)
 
 val consecutive_run : Instr.address list -> bool
 (** Whether the list forms a run of adjacent accesses in the given order. *)

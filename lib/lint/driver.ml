@@ -105,15 +105,6 @@ let ok ?(check_waivers = false) r =
   r.parse_errors = [] && r.unwaived = []
   && ((not check_waivers) || r.stale = [])
 
-let findings_by_rule r =
-  let all = List.map fst r.waived @ r.unwaived in
-  List.map
-    (fun rule ->
-      ( rule.Rules.id,
-        List.length
-          (List.filter (fun f -> f.Finding.rule = rule.Rules.id) all) ))
-    Rules.all
-
 (* ---- rendering ---------------------------------------------------- *)
 
 let pp_text ?(check_waivers = false) ppf r =
@@ -156,19 +147,4 @@ let to_json ?(check_waivers = false) r =
           Json.Arr (List.map Waiver.entry_json r.stale)
         else Json.Arr [] );
       ("ok", Json.Bool (ok ~check_waivers r));
-    ]
-
-let bench_json ~wall_s r =
-  Json.Obj
-    [
-      ("bench", Json.Str "lint");
-      ("files_scanned", Json.Int (List.length r.files));
-      ( "findings_by_rule",
-        Json.Obj
-          (List.map (fun (id, n) -> (id, Json.Int n)) (findings_by_rule r))
-      );
-      ("waived", Json.Int (List.length r.waived));
-      ("unwaived", Json.Int (List.length r.unwaived));
-      ("stale_waivers", Json.Int (List.length r.stale));
-      ("wall_s", Json.Float wall_s);
     ]

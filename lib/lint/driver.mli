@@ -28,16 +28,8 @@ val ok : ?check_waivers:bool -> report -> bool
 (** No parse errors, no unwaived findings — and, with
     [~check_waivers:true], no stale waiver entries either. *)
 
-val findings_by_rule : report -> (string * int) list
-(** Count of findings (waived + unwaived) per rule id, for every rule in
-    the registry, in registry order. *)
-
 val pp_text : ?check_waivers:bool -> report Fmt.t
 (** Human rendering: one {!Finding.pp} line per unwaived finding, stale
     waiver lines when [check_waivers], then a one-line summary. *)
 
 val to_json : ?check_waivers:bool -> report -> Lslp_util.Json.t
-
-val bench_json : wall_s:float -> report -> Lslp_util.Json.t
-(** The [BENCH_lint.json] payload: files scanned, findings by rule,
-    waiver counts, lint wall-time. *)

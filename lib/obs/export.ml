@@ -1,18 +1,15 @@
-(* Exposition: one registry snapshot, two formats.
+(* Exposition: one registry snapshot, two renderings.
 
    - Prometheus text (0.0.4): HELP/TYPE per family, cumulative
      [le]-labelled buckets for histograms — the `--metrics-out` dump,
      which `make metrics-check` compares byte for byte with a committed
      baseline.
-   - Lslp_util.Json: the same snapshot as one minified document, with
-     derived percentiles included per histogram — printed by
-     `--stats-json` and `lslpc stats --json`.
+   - [pp_table] summarises the histograms for a human reader; it is not a
+     dump.
 
-   [pp_table] summarises the histograms for a human reader; it is not a
-   dump.  Everything walks the snapshot in registration order and is pure —
-   identical snapshots render identical bytes. *)
+   Both walk the snapshot in registration order and are pure — identical
+   snapshots render identical bytes. *)
 
-module Json = Lslp_util.Json
 module Registry = Registry
 
 let escape_label v =
@@ -75,59 +72,6 @@ let prometheus samples =
         line "%s_count%s %d" s.s_name (label_block s.s_labels) h.hcount)
     samples;
   Buffer.contents buf
-
-(* {2 JSON exposition} *)
-
-let percentile_fields h =
-  [
-    ("p50", Json.Int (Registry.percentile h 0.50));
-    ("p95", Json.Int (Registry.percentile h 0.95));
-    ("p99", Json.Int (Registry.percentile h 0.99));
-  ]
-
-let sample_json (s : Registry.sample) =
-  let base =
-    [
-      ("name", Json.Str s.s_name);
-      ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.s_labels));
-      ("type", Json.Str (type_name s.s_value));
-    ]
-  in
-  match s.s_value with
-  | Registry.Counter_v v | Registry.Gauge_v v ->
-    Json.Obj (base @ [ ("value", Json.Int v) ])
-  | Registry.Histogram_v h ->
-    let cum = ref 0 in
-    let buckets =
-      List.concat
-        [
-          List.mapi
-            (fun i b ->
-              cum := !cum + h.counts.(i);
-              Json.Obj
-                [ ("le", Json.Str (string_of_int b)); ("count", Json.Int !cum) ])
-            (Array.to_list h.bounds);
-          [ Json.Obj
-              [ ("le", Json.Str "+Inf"); ("count", Json.Int h.hcount) ] ];
-        ]
-    in
-    Json.Obj
-      (base
-      @ [
-          ("buckets", Json.Arr buckets);
-          ("sum", Json.Int h.hsum);
-          ("count", Json.Int h.hcount);
-          ("min", Json.Int h.hmin);
-          ("max", Json.Int h.hmax);
-        ]
-      @ percentile_fields h)
-
-let json samples =
-  Json.Obj
-    [
-      ("schema", Json.Str "lslp-metrics/1");
-      ("metrics", Json.Arr (List.map sample_json samples));
-    ]
 
 (* {2 Human histogram table} *)
 

@@ -1,7 +1,7 @@
-(** Exposition of a {!Registry} snapshot: Prometheus text and JSON,
-    plus a human table of the histograms.
+(** Exposition of a {!Registry} snapshot: Prometheus text, plus a human
+    table of the histograms.
 
-    All exporters walk the snapshot in registration order and are pure —
+    Both walk the snapshot in registration order and are pure —
     identical snapshots render identical bytes, which is what
     `make metrics-check` gates. *)
 
@@ -9,11 +9,6 @@ val prometheus : Registry.sample list -> string
 (** Prometheus text exposition (0.0.4): [# HELP]/[# TYPE] per family,
     cumulative [le]-labelled buckets, [_sum]/[_count] per histogram —
     what [--metrics-out] writes. *)
-
-val json : Registry.sample list -> Lslp_util.Json.t
-(** One document: [{schema; metrics: [...]}], histograms carrying
-    cumulative buckets, sum/count/min/max and derived p50/p95/p99 —
-    printed by [--stats-json] and [lslpc stats --json]. *)
 
 val pp_table : Format.formatter -> Registry.sample list -> unit
 (** Deterministic histogram summary table (count/sum/min/max/p50/p95/p99

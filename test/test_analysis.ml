@@ -43,18 +43,6 @@ let addr_tests =
           (Addr.may_alias (addr_sym "i") (addr_sym "j")));
     tc "different arrays never alias" (fun () ->
         check_bool "A vs B" false (Addr.may_alias (addr 0) (addr ~base:"B" 0)));
-    tc "must_alias" (fun () ->
-        check_bool "same" true (Addr.must_alias (addr 2) (addr 2));
-        check_bool "different offset" false (Addr.must_alias (addr 2) (addr 3)));
-    tc "sort_by_offset orders accesses" (fun () ->
-        match Addr.sort_by_offset [ (addr 2, "c"); (addr 0, "a"); (addr 1, "b") ] with
-        | Some sorted ->
-          check (Alcotest.list Alcotest.string) "order" [ "a"; "b"; "c" ]
-            (List.map snd sorted)
-        | None -> Alcotest.fail "expected sortable");
-    tc "sort_by_offset rejects mixed arrays" (fun () ->
-        check_bool "None" true
-          (Addr.sort_by_offset [ (addr 0, ()); (addr ~base:"B" 1, ()) ] = None));
     tc "consecutive_run" (fun () ->
         check_bool "run" true (Addr.consecutive_run [ addr 0; addr 1; addr 2 ]);
         check_bool "gap" false (Addr.consecutive_run [ addr 0; addr 2 ]);

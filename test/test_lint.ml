@@ -74,14 +74,7 @@ let whole_dir () =
   check_int "unwaived" 9 (List.length r.Driver.unwaived);
   check_int "stale" 0 (List.length r.Driver.stale);
   Alcotest.(check bool) "seeded violations fail the run" false
-    (Driver.ok ~check_waivers:true r);
-  (* every path-independent rule fires somewhere in the fixture set; R5
-     is gated on lib/core//lib/ir//lib/frontend paths, exercised in
-     [r5_hot_path] *)
-  Alcotest.(check (list (pair string int)))
-    "findings by rule"
-    [ ("R1", 3); ("R2", 2); ("R3", 3); ("R4", 2); ("R5", 0) ]
-    (Driver.findings_by_rule r)
+    (Driver.ok ~check_waivers:true r)
 
 let rule_filter () =
   let r = Driver.run ~rules:[ "R3" ] [ "lint_fixtures" ] in

@@ -670,7 +670,7 @@ let batch_cmd =
                    typed failure.")
   in
   let backoff =
-    Arg.(value & opt (int_at_least 0) 2
+    Arg.(value & opt (int_at_least 1) 2
          & info [ "backoff" ] ~docv:"T"
              ~doc:"Base retry delay in virtual scheduling ticks; doubles \
                    per attempt.")

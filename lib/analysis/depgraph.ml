@@ -16,123 +16,125 @@
    Memory edges are searched only within one array (accesses bucketed by
    the arena's interned base), so the direct edges cost O(n + E + P) for n
    instructions, E data edges and P same-array access pairs that include a
-   store; loads of arrays the block never stores to cost nothing.
+   store; loads of arrays the block never stores to cost nothing.  They
+   are CSR int arrays, so no edge allocates (DESIGN §14).
    Reachability is a bit matrix packed 64 lanes to a word: row i is
    [stride = 8 * ceil(n / 64)] bytes with bit j set when i transitively
    depends on j, so a snapshot costs n^2/8 bytes, the closure merges rows a
-   whole word at a time, and a query is one byte read plus a mask. *)
+   whole word at a time, and a query is one byte read plus a mask.  The
+   closure is one sweep over the rows in a topological order of the
+   direct edges: ascending position on any verified block. *)
 
 open Lslp_ir
 
 type t = {
   arena : Arena.t;
-  preds : int list array;   (* direct dependencies (positions) *)
   n : int;
-  stride : int;             (* bytes per reach row, a multiple of 8 *)
-  reach : Bytes.t;          (* bit j of row i: i transitively depends on j *)
+  pred_off : int array;  (* length n + 1: i's slice of [pred] *)
+  pred : int array;      (* per i: data edges, then memory edges *)
+  stride : int;          (* bytes per reach row, a multiple of 8 *)
+  reach : Bytes.t;       (* bit j of row i: i transitively depends on j *)
 }
 
-let direct_preds (arena : Arena.t) =
+(* The direct dependences as [(pred_off, pred, backward)], written in
+   one ascending pass; [backward] when no edge points forward. *)
+let edges (arena : Arena.t) =
   let n = Arena.size arena in
-  let preds = Array.make n [] in
-  (* data dependencies — position-independent, so that rescheduling can
-     repair blocks that temporarily contain a def after its use *)
-  let user = ref 0 in
-  let data (v : Instr.value) =
-    match v with
-    | Instr.Ins def ->
-      let i = !user and j = Arena.idx_of_id arena def.Instr.id in
-      if j >= 0 && j <> i then preds.(i) <- j :: preds.(i)
-    | Instr.Const _ | Instr.Arg _ -> ()
-  in
-  for i = 0 to n - 1 do
-    user := i;
-    Instr.iter_operands data (Arena.instr arena i)
-  done;
   (* memory dependencies: store/store and store/load pairs that may alias,
      earlier access before later.  Only accesses to one array can alias,
      so the accesses are bucketed by interned base, in program order (CSR:
      bucket [b] of [acc] is [acc_off.(b) ..], filled up to [acc_end.(b)]
      so far; likewise [sto] for stores alone).  A store is tested against
      every earlier access to its array, a load only against the earlier
-     stores; each bucket is walked in ascending position, so [preds.(i)]
-     receives its memory edges in the order the all-pairs walk gave. *)
-  let nb = Arena.base_count arena in
-  if nb > 0 then begin
-    let acc_off = Array.make (nb + 1) 0 and sto_off = Array.make (nb + 1) 0 in
-    for i = 0 to n - 1 do
-      let b = Arena.addr_base arena i in
-      if b >= 0 then begin
-        acc_off.(b + 1) <- acc_off.(b + 1) + 1;
-        if Instr.is_store (Arena.instr arena i) then
-          sto_off.(b + 1) <- sto_off.(b + 1) + 1
+     stores, each bucket walked in ascending position.  Counting bounds
+     the edges (one per in-block use or tested pair): [pred] is made once. *)
+  let nb = Arena.base_count arena and bound = ref 0 in
+  let acc_off = Array.make (nb + 1) 0 and sto_off = Array.make (nb + 1) 0 in
+  for i = 0 to n - 1 do
+    bound := !bound + Arena.num_uses arena i;
+    let b = Arena.addr_base arena i in
+    if b >= 0 then begin
+      if Instr.is_store (Arena.instr arena i) then begin
+        bound := !bound + acc_off.(b + 1);
+        sto_off.(b + 1) <- sto_off.(b + 1) + 1
       end
-    done;
-    for b = 1 to nb do
-      acc_off.(b) <- acc_off.(b) + acc_off.(b - 1);
-      sto_off.(b) <- sto_off.(b) + sto_off.(b - 1)
-    done;
-    let acc = Array.make acc_off.(nb) 0 and sto = Array.make sto_off.(nb) 0 in
-    let acc_end = Array.sub acc_off 0 nb and sto_end = Array.sub sto_off 0 nb in
-    for i = 0 to n - 1 do
-      let b = Arena.addr_base arena i in
-      if b >= 0 then begin
-        if Instr.is_store (Arena.instr arena i) then begin
-          for e = acc_off.(b) to acc_end.(b) - 1 do
-            let j = acc.(e) in
-            if Arena.may_alias arena i j then preds.(i) <- j :: preds.(i)
-          done;
-          sto.(sto_end.(b)) <- i;
-          sto_end.(b) <- sto_end.(b) + 1
-        end
-        else
-          for e = sto_off.(b) to sto_end.(b) - 1 do
-            let j = sto.(e) in
-            if Arena.may_alias arena i j then preds.(i) <- j :: preds.(i)
-          done;
-        acc.(acc_end.(b)) <- i;
-        acc_end.(b) <- acc_end.(b) + 1
-      end
-    done
-  end;
-  preds
-
-let build_arena (arena : Arena.t) =
-  let n = Arena.size arena in
-  let preds = direct_preds arena in
-  (* transitive closure by memoized DFS (data edges may point forward in
-     position, so a positional sweep is not enough) *)
-  let stride = 8 * ((n + 63) / 64) in
-  let reach = Bytes.make (n * stride) '\000' in
-  let visited = Bytes.make (max n 1) '\000' in
-  let rec close i =
-    if Bytes.unsafe_get visited i = '\000' then begin
-      Bytes.unsafe_set visited i '\001';
-      let ri = i * stride in
-      List.iter
-        (fun j ->
-          let b = ri + (j lsr 3) in
-          Bytes.unsafe_set reach b
-            (Char.unsafe_chr
-               (Char.code (Bytes.unsafe_get reach b) lor (1 lsl (j land 7))));
-          close j;
-          let rj = j * stride in
-          for w = 0 to (stride / 8) - 1 do
-            let o = 8 * w in
-            Bytes.set_int64_ne reach (ri + o)
-              (Int64.logor
-                 (Bytes.get_int64_ne reach (ri + o))
-                 (Bytes.get_int64_ne reach (rj + o)))
-          done)
-        preds.(i)
+      else bound := !bound + sto_off.(b + 1);
+      acc_off.(b + 1) <- acc_off.(b + 1) + 1
     end
+  done;
+  for b = 1 to nb do
+    acc_off.(b) <- acc_off.(b) + acc_off.(b - 1);
+    sto_off.(b) <- sto_off.(b) + sto_off.(b - 1)
+  done;
+  let acc = Array.make acc_off.(nb) 0 and sto = Array.make sto_off.(nb) 0 in
+  let acc_end = Array.sub acc_off 0 nb and sto_end = Array.sub sto_off 0 nb in
+  let off = Array.make (n + 1) 0 and pred = Array.make !bound 0 in
+  let len = ref 0 and backward = ref true in
+  let push j = pred.(!len) <- j; incr len in
+  (* data dependencies — position-independent, so that rescheduling can
+     repair a block that holds a def after its use *)
+  let user = ref 0 in
+  let data (v : Instr.value) =
+    match v with
+    | Instr.Ins def ->
+      let i = !user and j = Arena.idx_of_id arena def.Instr.id in
+      if j >= 0 && j <> i then begin
+        if j > i then backward := false;
+        push j
+      end
+    | Instr.Const _ | Instr.Arg _ -> ()
   in
   for i = 0 to n - 1 do
-    close i
+    off.(i) <- !len;
+    user := i;
+    Instr.iter_operands data (Arena.instr arena i);
+    let b = Arena.addr_base arena i in
+    if b >= 0 then begin
+      if Instr.is_store (Arena.instr arena i) then begin
+        for e = acc_off.(b) to acc_end.(b) - 1 do
+          let j = acc.(e) in
+          if Arena.may_alias arena i j then push j
+        done;
+        sto.(sto_end.(b)) <- i;
+        sto_end.(b) <- sto_end.(b) + 1
+      end
+      else
+        for e = sto_off.(b) to sto_end.(b) - 1 do
+          let j = sto.(e) in
+          if Arena.may_alias arena i j then push j
+        done;
+      acc.(acc_end.(b)) <- i;
+      acc_end.(b) <- acc_end.(b) + 1
+    end
   done;
-  { arena; preds; n; stride; reach }
+  off.(n) <- !len;
+  (off, pred, !backward)
 
-let build block = build_arena (Arena.of_block block)
+(* Each slice consed in order, so reversed. *)
+let direct_preds (arena : Arena.t) =
+  let off, pred, _ = edges arena in
+  let preds = Array.make (Arena.size arena) [] in
+  for i = 0 to Arena.size arena - 1 do
+    for e = off.(i) to off.(i + 1) - 1 do
+      preds.(i) <- pred.(e) :: preds.(i)
+    done
+  done;
+  preds
+
+let set_bit reach ri j =
+  let b = ri + (j lsr 3) in
+  let c = Char.code (Bytes.unsafe_get reach b) lor (1 lsl (j land 7)) in
+  Bytes.unsafe_set reach b (Char.unsafe_chr c)
+
+(* Row [ri] |= row [rj], over the first [words] 64-bit words. *)
+let or_row reach ri rj words =
+  for w = 0 to words - 1 do
+    let o = 8 * w in
+    Bytes.set_int64_ne reach (ri + o)
+      (Int64.logor
+         (Bytes.get_int64_ne reach (ri + o))
+         (Bytes.get_int64_ne reach (rj + o)))
+  done
 
 let arena t = t.arena
 
@@ -204,7 +206,7 @@ let rank_units key =
   rank
 
 (* Kahn's algorithm over a ready set of ranks.  Unit edges come straight
-   off the direct [preds], never the closure, yet the order is the one
+   off the direct CSR slices, never the closure, yet the order is the one
    testing every transitive pair would give: the emitted set is always
    closed under dependences, so "all direct preds emitted" and "all
    transitive preds emitted" pick the same ready set at every step, and a
@@ -224,7 +226,10 @@ let schedule t ~unit_of ~key =
   let iter_edges f =
     for i = 0 to t.n - 1 do
       let u = unit_of.(i) in
-      List.iter (fun j -> if unit_of.(j) <> u then f unit_of.(j) u) t.preds.(i)
+      for e = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
+        let v = unit_of.(t.pred.(e)) in
+        if v <> u then f v u
+      done
     done
   in
   iter_edges (fun v u ->
@@ -278,3 +283,35 @@ let schedule t ~unit_of ~key =
       done
   done;
   if !emitted = units then Some order else None
+
+(* Row i ORs in each predecessor's row, final by then.  When every edge
+   points backward (any verified block) the rows go in ascending position
+   and a predecessor j reaches nothing at or above itself, so only
+   ceil(j / 64) words are merged; a block with a def after its use (what
+   rescheduling repairs) goes in the order [schedule] gives its
+   instructions, merging whole rows. *)
+let sweep t ~backward i =
+  let ri = i * t.stride in
+  for e = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
+    let j = t.pred.(e) in
+    set_bit t.reach ri j;
+    or_row t.reach ri (j * t.stride)
+      (if backward then (j + 63) lsr 6 else t.stride / 8)
+  done
+
+let build_arena (arena : Arena.t) =
+  let n = Arena.size arena in
+  let pred_off, pred, backward = edges arena in
+  let stride = 8 * ((n + 63) / 64) in
+  let t =
+    { arena; n; pred_off; pred; stride; reach = Bytes.make (n * stride) '\000' }
+  in
+  (if backward then for i = 0 to n - 1 do sweep t ~backward i done
+   else
+     let pos = Array.init n Fun.id in
+     match schedule t ~unit_of:pos ~key:pos with
+     | Some order -> Array.iter (sweep t ~backward) order
+     | None -> invalid_arg "Depgraph: cyclic dependences");
+  t
+
+let build block = build_arena (Arena.of_block block)

@@ -100,12 +100,10 @@ let evaluate ?(ignore_users = fun (_ : Instr.t) -> false) ?uses
     let u = Arena.instr arena u in
     not (Graph.claimed graph u || ignore_users u)
   in
-  List.iter
-    (fun (i : Instr.t) ->
+  Graph.iter_claimed graph (fun (i : Instr.t) ->
       let k = Arena.idx arena i in
       if k >= 0 && Arena.exists_user arena k outside then
-        Lslp_util.Int_table.set needs_extract i.Instr.id 1)
-    (Graph.claimed_insts graph);
+        Lslp_util.Int_table.set needs_extract i.Instr.id 1);
   let extract_cost =
     Lslp_util.Int_table.length needs_extract
     * model.Lslp_costmodel.Model.extract_element

@@ -7,16 +7,16 @@
    operand order after any reordering.
 
    Representation: nodes live in a growable slot-indexed array and edges
-   are int arrays of child slots; instruction claims sit in an
-   open-addressing int table keyed by instruction id with the (slot, lane)
-   pair packed into one word; bundle identity (diamond reuse) is an
-   int-array key — tag and payload words per lane — in a [Key_table]
-   instead of a `Fmt.str`-built string.  The [nid] shown in traces and DOT
+   are int arrays of child slots; instruction claims are an int array over
+   the builder's arena, indexed by [Arena.idx], with the (slot, lane) pair
+   packed into one word (an instruction outside the arena reads as
+   unclaimed); bundle identity (diamond reuse) is an int-array key — tag
+   and payload words per lane — in a [Key_table] instead of a
+   `Fmt.str`-built string.  The [nid] shown in traces and DOT
    output still comes from the per-run [Id_gen]; slots are graph-local and
    never printed. *)
 
 open Lslp_ir
-module Int_table = Lslp_util.Int_table
 module Key_table = Lslp_util.Key_table
 
 type node = {
@@ -44,8 +44,8 @@ type t = {
   mutable node_arr : node array;       (* slot -> node, creation order *)
   mutable n_nodes : int;
   mutable child_arr : int array array; (* slot -> child slots *)
-  claimed : Int_table.t;               (* instr id -> (slot lsl 8) lor (lane+1) *)
-  mutable claim_list : Instr.t list;   (* first-claim order, newest first *)
+  arena : Arena.t;                     (* the block the claims index *)
+  claims : int array;  (* compact index -> (slot lsl 8) lor (lane+1) | -1 *)
   by_bundle : Key_table.t;             (* bundle key -> slot *)
   names : Cse.names;                   (* arg names appearing in bundle keys *)
   ids : Lslp_util.Id_gen.t;
@@ -58,7 +58,7 @@ type t = {
 
 let dummy_node = { nid = -1; slot = -1; shape = Gather [||] }
 
-let create ?ids () =
+let create ?ids arena =
   let ids =
     match ids with Some g -> g | None -> Lslp_util.Id_gen.create ~first:1 ()
   in
@@ -67,8 +67,8 @@ let create ?ids () =
     node_arr = Array.make 16 dummy_node;
     n_nodes = 0;
     child_arr = Array.make 16 [||];
-    claimed = Int_table.create 64;
-    claim_list = [];
+    arena;
+    claims = Array.make (Arena.size arena) (-1);
     by_bundle = Key_table.create 32;
     names = Cse.names ();
     ids;
@@ -105,11 +105,10 @@ let grow g =
     g.child_arr <- children'
   end
 
+(* Bundles are classified against the same arena: every member is in it. *)
 let claim g (i : Instr.t) slot lane =
-  let packed = (slot lsl 8) lor (match lane with Some l -> l + 1 | None -> 0) in
-  if not (Int_table.mem g.claimed i.Instr.id) then
-    g.claim_list <- i :: g.claim_list;
-  Int_table.set g.claimed i.Instr.id packed
+  g.claims.(Arena.idx g.arena i) <-
+    (slot lsl 8) lor (match lane with Some l -> l + 1 | None -> 0)
 
 let add_node g shape =
   grow g;
@@ -135,9 +134,16 @@ let add_node g shape =
    | Gather _ -> ());
   n
 
-let claimed g (i : Instr.t) = Int_table.mem g.claimed i.Instr.id
+let claim_of g (i : Instr.t) =
+  let k = Arena.idx g.arena i in
+  if k < 0 then -1 else g.claims.(k)
 
-let claimed_insts g = g.claim_list
+let claimed g i = claim_of g i >= 0
+
+let iter_claimed g f =
+  for k = 0 to Array.length g.claims - 1 do
+    if g.claims.(k) >= 0 then f (Arena.instr g.arena k)
+  done
 
 let set_children g (n : node) kids =
   g.child_arr.(n.slot) <- Array.of_list (List.map (fun c -> c.slot) kids)
@@ -149,7 +155,7 @@ let child_slots g (n : node) = g.child_arr.(n.slot)
 let node_of_slot g slot = g.node_arr.(slot)
 
 let lane_of g (i : Instr.t) =
-  match Int_table.get g.claimed i.Instr.id ~absent:(-1) with
+  match claim_of g i with
   | -1 -> None
   | packed ->
     let lane = packed land 0xff in
@@ -163,7 +169,7 @@ let lane_of g (i : Instr.t) =
    place, and the lane list is built only for a match. *)
 let claim_word g (v : Instr.value) =
   match v with
-  | Instr.Ins i -> Int_table.get g.claimed i.Instr.id ~absent:(-1)
+  | Instr.Ins i -> claim_of g i
   | Instr.Const _ | Instr.Arg _ -> -1
 
 (* Lanes [j ..] all carry a lane-bearing claim on node [slot]. *)

@@ -2,8 +2,9 @@
 
     Nodes are vectorizable groups, LSLP multi-nodes (chains of same-opcode
     commutative groups), or gathers.  Children are operand columns in operand
-    order (post-reordering), stored as int arrays of node slots; claims and
-    bundle identity live in int-keyed open-addressing tables.  A node's
+    order (post-reordering), stored as int arrays of node slots; claims
+    are an int array over the block {!Arena}'s compact indices, and bundle
+    identity lives in an open-addressing table.  A node's
     [nid] is its run-unique display id; its [slot] is the graph-local dense
     index that the edge arrays are indexed by — slots never appear in
     output.
@@ -34,12 +35,12 @@ and multi = {
 
 type t
 
-val create : ?ids:Lslp_util.Id_gen.t -> unit -> t
-(** [ids] is the node-id source.  The pipeline threads one generator
-    through every graph of a run, keeping nids unique run-wide (the DOT
-    exporter names nodes [n<nid>] across subgraph clusters) and
-    deterministic per run regardless of how many runs share the process.
-    Without it a fresh generator starts at 1. *)
+val create : ?ids:Lslp_util.Id_gen.t -> Arena.t -> t
+(** A graph claiming instructions of the arena's block.  [ids] is the
+    node-id source: one generator threaded through every graph of a run
+    keeps nids unique run-wide (the DOT exporter names nodes [n<nid>]
+    across subgraph clusters) and deterministic per run however many runs
+    share the process.  Without it a fresh generator starts at 1. *)
 
 val add_node : t -> shape -> node
 (** Create a node, record it, claim its instructions; the first node added
@@ -53,7 +54,8 @@ val child_slots : t -> node -> int array
 val node_of_slot : t -> int -> node
 
 val claimed : t -> Instr.t -> bool
-(** Has this instruction been absorbed into a vectorizable group? O(1). *)
+(** Has this instruction been absorbed into a vectorizable group? O(1);
+    never for one outside the arena (made after the graph). *)
 
 val lane_of : t -> Instr.t -> (node * int) option
 (** The node and lane whose vector value carries this claimed instruction's
@@ -76,8 +78,8 @@ val find_existing : t -> key -> node option
 
 val register_bundle : t -> key -> node -> unit
 
-val claimed_insts : t -> Instr.t list
-(** The claimed instructions, each once, in no particular order. *)
+val iter_claimed : t -> (Instr.t -> unit) -> unit
+(** Every claimed instruction once, in program order. *)
 
 val nodes : t -> node list
 (** Creation order, root first. *)

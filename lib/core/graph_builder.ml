@@ -42,7 +42,7 @@ let make_ctx ?(note = fun _ -> ()) ?meter ?probe ?ids ?deps config
     deps;
     arena;
     uses = Use_info.of_arena arena;
-    graph = Graph.create ?ids ();
+    graph = Graph.create ?ids arena;
     note;
     meter;
     probe;

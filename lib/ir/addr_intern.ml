@@ -1,76 +1,54 @@
 (* Address interning without strings.
 
    The arena's address side table and CSE's load keys both need "same
-   array?" and "same symbolic shape?" as int equalities.  The key of a
-   shape is its terms list itself, hashed and compared monomorphically
-   ([String.equal] on symbols, int compare on coefficients), so a query
-   builds nothing.  Consecutive accesses usually share their base and
-   shape (unrolled lanes even share the terms list physically), so each
-   table keeps the previous query's key and id as a fast path. *)
+   array?" and "same symbolic shape?" as int equalities.  Each table is a
+   first-seen array scanned with a monomorphic [equal], as [Cse.names] is,
+   after the previous query's id (consecutive accesses usually share base
+   and shape).  A miss of that fast path costs O(k) for k keys seen, so
+   the scan relies on a block naming a handful of arrays and shapes: at
+   most 5 bases and 3 shapes per table on the kernel catalog, the
+   benchmark's chains and batches and 1,500 fuzz programs.  [equal] is
+   always a top-level function: a lookup allocates nothing. *)
 
-module Table (K : sig
-  include Hashtbl.HashedType
+type 'a table = { mutable keys : 'a array; mutable n : int; mutable last : int }
 
-  val none : t
-end) =
-struct
-  module H = Hashtbl.Make (K)
+let rec scan equal t k j =
+  if j = t.n then begin
+    if j = Array.length t.keys then begin
+      let bigger = Array.make (max 8 (2 * j)) k in
+      Array.blit t.keys 0 bigger 0 j;
+      t.keys <- bigger
+    end;
+    t.keys.(j) <- k;
+    t.n <- j + 1;
+    j
+  end
+  else if equal t.keys.(j) k then j
+  else scan equal t k (j + 1)
 
-  type t = { ids : int H.t; mutable last : K.t; mutable last_id : int }
+let id equal t k =
+  if t.last >= 0 && equal t.keys.(t.last) k then t.last
+  else begin
+    let id = scan equal t k 0 in
+    t.last <- id;
+    id
+  end
 
-  let create () = { ids = H.create 8; last = K.none; last_id = -1 }
+let rec equal_terms a b =
+  a == b
+  ||
+  match (a, b) with
+  | [], [] -> true
+  | (s, c) :: a', (s', c') :: b' ->
+    Int.equal c c' && String.equal s s' && equal_terms a' b'
+  | _ :: _, [] | [], _ :: _ -> false
 
-  let id t k =
-    if t.last_id >= 0 && K.equal t.last k then t.last_id
-    else begin
-      let id =
-        match H.find t.ids k with
-        | id -> id
-        | exception Not_found ->
-          let id = H.length t.ids in
-          H.add t.ids k id;
-          id
-      in
-      t.last <- k;
-      t.last_id <- id;
-      id
-    end
-end
+type t = { bases : string table; shapes : (string * int) list table }
 
-module Bases = Table (struct
-  type t = string
+let create () =
+  { bases = { keys = [||]; n = 0; last = -1 };
+    shapes = { keys = [||]; n = 0; last = -1 } }
 
-  let equal = String.equal
-  let hash (s : string) = Hashtbl.hash s
-  let none = ""
-end)
-
-module Shapes = Table (struct
-  type t = (string * int) list
-
-  let rec equal a b =
-    a == b
-    ||
-    match (a, b) with
-    | [], [] -> true
-    | (s, c) :: a', (s', c') :: b' ->
-      Int.equal c c' && String.equal s s' && equal a' b'
-    | _ :: _, [] | [], _ :: _ -> false
-
-  let hash terms =
-    let rec go h = function
-      | [] -> h land max_int
-      | (s, c) :: rest ->
-        go ((((h * 31) + Hashtbl.hash (s : string)) * 31) + c) rest
-    in
-    go 17 terms
-
-  let none = []
-end)
-
-type t = { bases : Bases.t; shapes : Shapes.t }
-
-let create () = { bases = Bases.create (); shapes = Shapes.create () }
-let base t s = Bases.id t.bases s
-let shape t index = Shapes.id t.shapes (Affine.terms index)
-let base_count t = Bases.H.length t.bases.Bases.ids
+let base t s = id String.equal t.bases s
+let shape t index = id equal_terms t.shapes (Affine.terms index)
+let base_count t = t.bases.n

@@ -5,8 +5,9 @@
     accesses with the same base and shape differ by a constant number of
     elements.  Ids are issued in first-seen order, so a deterministic
     sequence of queries yields deterministic ids.  Each lookup is one
-    compare against the previous query's key, then a hash probe: O(1)
-    expected however many distinct bases or shapes a block holds. *)
+    compare against the previous query's key, then a scan of the keys
+    seen so far: O(k) for k distinct bases or shapes, which a block keeps
+    to a handful.  A lookup of a known key allocates nothing. *)
 
 type t
 

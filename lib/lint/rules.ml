@@ -50,9 +50,9 @@ let r5 =
     id = "R5";
     slug = "boxed-table-hot-path";
     doc =
-      "Hashtbl.create / List.assoc* in a hot-path module (lib/core, \
-       lib/ir, lib/frontend); index through Arena, Int_table or Key_table \
-       instead";
+      "Hashtbl.create / Hashtbl.Make / List.assoc* in a hot-path module \
+       (lib/core, lib/ir, lib/frontend, lib/analysis, the probe); index \
+       through Arena, Int_table or Key_table instead";
   }
 
 let all = [ r1; r2; r3; r4; r5 ]
@@ -180,10 +180,12 @@ let wall_clock =
 
 (* R5 applies only inside the modules on the per-instruction hot path,
    where the arena refactor replaced boxed id-keyed tables with int
-   arrays, and the frontend, which runs per token and per AST node;
-   elsewhere a Hashtbl is fine.  Matching is on the normalized path the
-   driver records. *)
-let hot_path_dirs = [ "lib/core/"; "lib/ir/"; "lib/frontend/" ]
+   arrays, the dependence graph and the per-span probe, and the frontend,
+   which runs per token and per AST node; elsewhere a Hashtbl is fine.
+   Matching is on the normalized path the linter records. *)
+let hot_path_dirs =
+  [ "lib/core/"; "lib/ir/"; "lib/frontend/"; "lib/analysis/";
+    "lib/telemetry/probe.ml" ]
 
 let in_hot_path file =
   List.exists (fun d -> starts_with ~prefix:d file) hot_path_dirs
@@ -195,7 +197,22 @@ let boxed_tables =
     ("List.assoc_opt", "scans an assoc list per lookup");
     ("List.mem_assoc", "scans an assoc list per lookup");
     ("List.remove_assoc", "rebuilds an assoc list per removal");
+    (* [Hashtbl.Make (K)] ... [H.create] never names [Hashtbl.create], so
+       the functor application itself is matched *)
+    ("Hashtbl.Make", "builds a hash table module");
+    ("Hashtbl.MakeSeeded", "builds a hash table module");
   ]
+
+let boxed_table ~file ~loc p acc =
+  match if in_hot_path file then List.assoc_opt p boxed_tables else None with
+  | Some what ->
+    Finding.v ~rule:r5.id ~slug:r5.slug ~file ~loc ~ident:p
+      (Fmt.str
+         "%s %s on the hot path; index through Arena, Int_table or \
+          Key_table, or waive a cold site"
+         p what)
+    :: acc
+  | None -> acc
 
 (* Predefined exceptions a bare [raise] must not throw: they carry no
    typed payload the fail-soft pipeline can dispatch on. *)
@@ -231,17 +248,7 @@ let expr_findings ~file e acc =
            "%s reads the wall clock; only a waived site may be \
             nondeterministic"
            p)
-    else
-      match
-        if in_hot_path file then List.assoc_opt p boxed_tables else None
-      with
-      | Some what ->
-        add r5 ~loc:e.pexp_loc ~ident:p
-          (Fmt.str
-             "%s %s on the hot path; index through Arena, Int_table or \
-              Key_table, or waive a cold site"
-             p what)
-      | None -> acc)
+    else boxed_table ~file ~loc:e.pexp_loc p acc)
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, (_, arg) :: _)
     when path_of_lid txt = "raise" || path_of_lid txt = "raise_notrace"
     -> (
@@ -265,6 +272,13 @@ let check ~file structure =
         (fun it e ->
           acc := expr_findings ~file e !acc;
           Ast_iterator.default_iterator.expr it e);
+      module_expr =
+        (fun it me ->
+          (match me.pmod_desc with
+           | Pmod_apply ({ pmod_desc = Pmod_ident { txt; _ }; _ }, _) ->
+             acc := boxed_table ~file ~loc:me.pmod_loc (path_of_lid txt) !acc
+           | _ -> ());
+          Ast_iterator.default_iterator.module_expr it me);
     }
   in
   iter.structure iter structure;

@@ -105,11 +105,15 @@ let fresh_gid t =
   match t.sink with Some (tr, _) -> Lslp_trace.Trace.fresh_gid tr | None -> 0
 
 (* Add [n] steps to [pass]; a pass already seen costs no allocation.  A
-   run has a handful of pass names, so a list is the whole table. *)
+   run has a handful of pass names, so a list is the whole table, scanned
+   with [String.equal] rather than a polymorphic compare. *)
+let rec bump pass n = function
+  | [] -> false
+  | (p, calls) :: rest ->
+    (String.equal p pass && (calls := !calls + n; true)) || bump pass n rest
+
 let charge steps pass n =
-  match List.assoc pass !steps with
-  | calls -> calls := !calls + n
-  | exception Not_found -> steps := (pass, ref n) :: !steps
+  if not (bump pass n !steps) then steps := (pass, ref n) :: !steps
 
 (* first-seen order *)
 let ordered steps = List.rev_map (fun (pass, calls) -> (pass, !calls)) !steps

@@ -559,6 +559,65 @@ let memory_edge_tests =
           (Depgraph.direct_preds arena).(3));
     memory_prop ~cond_only:false "memory edges: straight-line";
     memory_prop ~cond_only:true "memory edges: branching";
+    tc "edges, closure and schedule: a block over 256 instructions"
+      (fun () ->
+        (* a 24-leaf VL-8 chain, the size of the benchmark's largest *)
+        List.iter
+          (fun (config : Lslp_core.Config.t) ->
+            let f =
+              Lslp_fuzz.Gen.build
+                (Helpers.long_chain (Random.State.make [| 7 |]))
+            in
+            let b = Func.entry f in
+            check_bool "over 256 instructions" true (Block.length b > 256);
+            if not (memory_edges_agree ~contractions:(seed_units config b) b)
+            then
+              Alcotest.failf "%s before: edges differ from reference"
+                config.Lslp_core.Config.name;
+            ignore (Lslp_core.Pipeline.run ~config f);
+            if not (memory_edges_agree (Func.entry f)) then
+              Alcotest.failf "%s after: edges differ from reference"
+                config.Lslp_core.Config.name)
+          Test_qcheck.all_configs);
+    tc "edges, closure and schedule: forward data edges" (fun () ->
+        (* a load, two arithmetic steps and a store, laid out users first:
+           every data edge points forward, so the closure sweeps the rows
+           in scheduled order *)
+        let b =
+          Builder.create ~name:"backwards"
+            ~args:[ ("A", Instr.Array_arg Types.I64); ("i", Instr.Int_arg) ] ()
+        in
+        let x = Builder.load b ~base:"A" (Builder.idx 0) in
+        let y = Builder.binop b Opcode.Add x (Builder.iconst 1) in
+        let z = Builder.binop b Opcode.Mul y (Builder.iconst 2) in
+        Builder.store b ~base:"A" (Builder.idx 1) z;
+        let f = Builder.func b in
+        let block = Func.entry f in
+        Block.set_order block (List.rev (Block.to_list block));
+        let deps = Depgraph.build block in
+        let insts = Block.to_list block in
+        let first = List.nth insts 1 and last = List.nth insts 3 in
+        check_bool "the mul reaches the load" true
+          (Depgraph.depends deps first ~on:last);
+        check_bool "agrees" true (memory_edges_agree block));
+    tc "a cycle through a memory edge is rejected" (fun () ->
+        (* A[0] = A[0] + 1 laid out store first: the store uses the add,
+           the add uses the load, and the load reads what the store wrote *)
+        let b =
+          Builder.create ~name:"cycle"
+            ~args:[ ("A", Instr.Array_arg Types.I64); ("i", Instr.Int_arg) ] ()
+        in
+        let x = Builder.load b ~base:"A" (Builder.idx 0) in
+        let y = Builder.binop b Opcode.Add x (Builder.iconst 1) in
+        Builder.store b ~base:"A" (Builder.idx 0) y;
+        let block = Func.entry (Builder.func b) in
+        Block.set_order block
+          (match Block.to_list block with
+           | [ ld; add; st ] -> [ st; ld; add ]
+           | insts -> insts);
+        match Depgraph.build block with
+        | _ -> Alcotest.fail "built a closure over a cycle"
+        | exception Invalid_argument _ -> ());
   ]
 
 let suite = suite @ memory_edge_tests

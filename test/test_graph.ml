@@ -284,7 +284,9 @@ kernel k(f64 A[], f64 R[], i64 i) {
     tc "graph claims exactly the vectorizable instructions" (fun () ->
         let graph, _ = build_graph "motivation-loads" Config.lslp in
         (* 2 stores + 2 ands + 4 shls + 4 loads = 12 claimed *)
-        check_int "claimed" 12 (List.length (Graph.claimed_insts graph)));
+        let claimed = ref 0 in
+        Graph.iter_claimed graph (fun _ -> incr claimed);
+        check_int "claimed" 12 !claimed);
     tc "SLP strategy builds plain groups for commutative ops" (fun () ->
         let graph, _ = build_graph "motivation-multi" Config.slp in
         check_bool "no multi-nodes" true
@@ -446,6 +448,47 @@ let agreement_tests =
                    | Some m -> QCheck2.Test.fail_report m)
                  (Func.blocks f))
              agreement_configs));
+    tc "classify and shuffle_pattern = reference: a block over 256 \
+        instructions" (fun () ->
+        let f =
+          Lslp_fuzz.Gen.build (Helpers.long_chain (Random.State.make [| 7 |]))
+        in
+        let b = Func.entry f in
+        check_bool "over 256 instructions" true (Block.length b > 256);
+        List.iter
+          (fun config ->
+            match block_disagreement config b with
+            | None -> ()
+            | Some m -> Alcotest.failf "%s: %s" config.Config.name m)
+          agreement_configs);
+    tc "an instruction codegen makes reads as unclaimed" (fun () ->
+        let f =
+          Lslp_fuzz.Gen.build (Helpers.long_chain (Random.State.make [| 7 |]))
+        in
+        let b = Func.entry f in
+        let deps = Depgraph.build b in
+        let seed =
+          match Seeds.collect ~arena:(Depgraph.arena deps) Config.lslp b with
+          | seed :: _ -> seed
+          | [] -> Alcotest.fail "the chain has no seed"
+        in
+        let g, _ = Graph_builder.build ~deps Config.lslp b seed in
+        let first_new = Lslp_util.Id_gen.peek (Block.ids b) in
+        (match Codegen.run ~deps g b with
+         | Codegen.Vectorized -> ()
+         | Codegen.Not_schedulable | Codegen.Failed _ ->
+           Alcotest.fail "the seed did not vectorize");
+        let fresh =
+          List.filter
+            (fun (i : Instr.t) -> i.Instr.id >= first_new)
+            (Block.to_list b)
+        in
+        check_bool "codegen made instructions" true (fresh <> []);
+        List.iter
+          (fun i ->
+            check_bool "unclaimed" false (Graph.claimed g i);
+            check_bool "no lane" true (Graph.lane_of g i = None))
+          fresh);
   ]
 
 let suite = bundle_tests @ seeds_tests @ multinode_tests @ agreement_tests

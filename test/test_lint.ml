@@ -151,7 +151,22 @@ let r5_hot_path () =
   check_int "flagged in lib/frontend" 2 (count "lib/frontend/hot.ml" src);
   check_int "silent outside the hot path" 0 (count "lib/check/cold.ml" src);
   check_int "Int_table is the sanctioned structure" 0
-    (count "lib/core/hot.ml" "let t = fun () -> Lslp_util.Int_table.create 8")
+    (count "lib/core/hot.ml" "let t = fun () -> Lslp_util.Int_table.create 8");
+  let functor_src =
+    "module H = Hashtbl.Make (Int)\n\
+     module S = Stdlib.Hashtbl.MakeSeeded (struct\n\
+    \  type t = int\n\
+    \  let equal = Int.equal\n\
+    \  let seeded_hash _ k = k\n\
+     end)\n\
+     let f () = H.create 4"
+  in
+  check_int "functor form flagged in lib/ir" 2
+    (count "lib/ir/hot.ml" functor_src);
+  check_int "flagged in lib/analysis" 2 (count "lib/analysis/hot.ml" src);
+  check_int "flagged in the probe" 2 (count "lib/telemetry/probe.ml" src);
+  check_int "other telemetry is cold" 0
+    (count "lib/telemetry/report.ml" functor_src)
 
 let registry () =
   check_int "five rules" 5 (List.length Rules.all);
